@@ -178,9 +178,18 @@ class Transaction:
             client_signature=client_identity.sign(payload),
         )
 
-    def operations(self) -> List[Operation]:
-        """Parse the write-set into CRDT operations (validates them)."""
-        return [Operation.from_wire(wire) for wire in self.write_set]
+    def operations(self) -> Tuple[Operation, ...]:
+        """Parse the write-set into CRDT operations (validates them).
+
+        Parsed once per transaction object: validation and commit read
+        the same tuple. A tampered write-set is a new list on a new
+        transaction (immutable-wire convention), so it parses afresh.
+        """
+        cached = self.__dict__.get("_operations_cache")
+        if cached is None:
+            cached = tuple(Operation.from_wire(wire) for wire in self.write_set)
+            object.__setattr__(self, "_operations_cache", cached)
+        return cached
 
     def to_wire(self) -> Dict[str, Any]:
         # Memoized (and pre-seeded by from_wire): one transaction's wire

@@ -50,12 +50,16 @@ class CRDTMap(CRDT):
         # are distinct objects (they arise only from concurrent inserts
         # of differently-typed values and are all retained).
         self._children: Dict[str, Dict[str, CRDT]] = {}
+        self._sorted_keys: List[str] | None = None  # rebuilt when a key is added
 
     # -- structural access (used by Algorithm 1's path traversal) -----
 
     def child(self, key: str, type_name: str) -> CRDT:
         """Return the child of ``type_name`` at ``key``, creating it."""
-        slot = self._children.setdefault(str(key), {})
+        slot = self._children.get(str(key))
+        if slot is None:
+            slot = self._children[str(key)] = {}
+            self._sorted_keys = None
         if type_name not in slot:
             slot[type_name] = make_crdt(type_name)
         return slot[type_name]
@@ -65,7 +69,9 @@ class CRDTMap(CRDT):
         return self._children.get(str(key), {}).get(type_name)
 
     def keys(self) -> List[str]:
-        return sorted(self._children)
+        if self._sorted_keys is None:
+            self._sorted_keys = sorted(self._children)
+        return list(self._sorted_keys)
 
     def __contains__(self, key: str) -> bool:
         return str(key) in self._children
@@ -106,10 +112,10 @@ class CRDTMap(CRDT):
         slot = self._children.get(str(key))
         if not slot:
             return None
-        resolved = {name: self._read_child(child) for name, child in sorted(slot.items())}
-        if len(resolved) == 1:
-            return next(iter(resolved.values()))
-        return resolved
+        if len(slot) == 1:
+            (child,) = slot.values()
+            return self._read_child(child)
+        return {name: self._read_child(child) for name, child in sorted(slot.items())}
 
     @staticmethod
     def _read_child(child: CRDT) -> Any:

@@ -20,8 +20,11 @@ class GCounter(CRDT):
     type_name = "gcounter"
 
     def __init__(self) -> None:
-        # op_id -> increment amount; the value is the sum.
+        # op_id -> increment amount; the value is their sum, kept as a
+        # running total (added in insertion order) so a read does not
+        # grow with the number of increments.
         self._increments: Dict[str, float] = {}
+        self._total: float = 0
 
     def add(self, value: float, clock: Any, op_id: str) -> None:
         """Table 1's ``AddValue(value, clock)`` modification API."""
@@ -32,18 +35,23 @@ class GCounter(CRDT):
             raise CRDTError(f"G-Counter increment must be numeric, got {value!r}")
         if value < 0:
             raise CRDTError(f"G-Counter is grow-only; increment {value} rejected")
+        self._record(op_id, value)
+
+    def _record(self, op_id: str, value: float) -> None:
         # Idempotence: redelivered operations are ignored.
-        self._increments.setdefault(op_id, value)
+        if op_id not in self._increments:
+            self._increments[op_id] = value
+            self._total += value
 
     def read(self) -> float:
-        total = sum(self._increments.values())
+        total = self._total
         return int(total) if float(total).is_integer() else total
 
     def merge(self, other: CRDT) -> None:
         if not isinstance(other, GCounter):
             raise CRDTError(f"cannot merge G-Counter with {other.type_name}")
         for op_id, value in other._increments.items():
-            self._increments.setdefault(op_id, value)
+            self._record(op_id, value)
 
     def snapshot(self) -> Any:
         return {"type": self.type_name, "increments": dict(sorted(self._increments.items()))}
@@ -51,6 +59,7 @@ class GCounter(CRDT):
     def copy(self) -> "GCounter":
         clone = GCounter()
         clone._increments = dict(self._increments)
+        clone._total = self._total
         return clone
 
     def operation_count(self) -> int:

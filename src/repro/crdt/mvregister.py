@@ -15,16 +15,15 @@ for deleting a value"); ``read`` filters deletions out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Set
+from typing import Any, Dict, Iterator, List, NamedTuple, Set
 
 from repro.crdt.base import CRDT, Ordering, compare_clocks
+from repro.crdt.clock import OpClock
 from repro.crypto.hashing import canonical_bytes
 from repro.errors import CRDTError
 
 
-@dataclass
-class _Pair:
+class _Pair(NamedTuple):
     value: Any
     clock: Any
     op_id: str
@@ -38,12 +37,23 @@ def _sort_key(value: Any) -> bytes:
 
 
 class MVRegister(CRDT):
-    """An operation-based multi-value register."""
+    """An operation-based multi-value register.
+
+    The live pairs are indexed by writer, so an assignment costs the
+    same however many concurrent writers the register already holds:
+    an :class:`OpClock` is ordered only against clocks of its own
+    ``client_id`` (Section 6), which makes its insert one dict lookup
+    and a counter comparison. Clocks of any other type are compared
+    pairwise, but only among themselves — mixed types are concurrent.
+    """
 
     type_name = "mvregister"
 
     def __init__(self) -> None:
-        self._pairs: List[_Pair] = []
+        # client_id -> that client's live pairs; all share one counter
+        # (several ops of one write-set touching the same register).
+        self._by_client: Dict[str, List[_Pair]] = {}
+        self._others: List[_Pair] = []  # live pairs whose clock is not an OpClock
         self._seen: Set[str] = set()
 
     def assign(self, value: Any, clock: Any, op_id: str) -> None:
@@ -57,27 +67,41 @@ class MVRegister(CRDT):
         self._insert(_Pair(value, clock, op_id))
 
     def _insert(self, pair: _Pair) -> None:
+        clock = pair.clock
+        if type(clock) is OpClock:
+            chain = self._by_client.get(clock.client_id)
+            if chain is None or chain[0].clock.counter < clock.counter:
+                self._by_client[clock.client_id] = [pair]  # overwrites the older chain
+            elif chain[0].clock.counter == clock.counter:
+                # EQUAL clocks with distinct operation ids coexist like
+                # concurrent values — any asymmetric rule would make
+                # the outcome depend on arrival order.
+                chain.append(pair)
+            return
         survivors: List[_Pair] = []
         dominated = False
-        for existing in self._pairs:
-            ordering = compare_clocks(existing.clock, pair.clock)
+        for existing in self._others:
+            ordering = compare_clocks(existing.clock, clock)
             if ordering is Ordering.BEFORE:
                 continue  # the new assignment overwrites this one
             if ordering is Ordering.AFTER:
                 dominated = True
-            # EQUAL clocks with distinct operation ids (several ops of
-            # one write-set touching the same register) coexist like
-            # concurrent values — any asymmetric rule would make the
-            # outcome depend on arrival order.
             survivors.append(existing)
         if not dominated:
             survivors.append(pair)
-        self._pairs = survivors
+        self._others = survivors
+
+    def _live(self) -> Iterator[_Pair]:
+        for chain in self._by_client.values():
+            yield from chain
+        yield from self._others
 
     def read(self) -> List[Any]:
         """Current concurrent values, deletions excluded, sorted."""
-        values = [pair.value for pair in self._pairs if pair.value is not None]
-        return sorted(values, key=_sort_key)
+        values = [pair.value for pair in self._live() if pair.value is not None]
+        if len(values) > 1:
+            values.sort(key=_sort_key)
+        return values
 
     def read_single(self) -> Any:
         """Convenience: the single current value, or None/list otherwise."""
@@ -91,19 +115,20 @@ class MVRegister(CRDT):
     def merge(self, other: CRDT) -> None:
         if not isinstance(other, MVRegister):
             raise CRDTError(f"cannot merge MV-Register with {other.type_name}")
-        for pair in other._pairs:
+        for pair in other._live():
             if pair.op_id not in self._seen:
                 self._seen.add(pair.op_id)
-                self._insert(_Pair(pair.value, pair.clock, pair.op_id))
+                self._insert(pair)
         self._seen |= other._seen
 
     def snapshot(self) -> Any:
-        pairs = sorted((pair.to_snapshot() for pair in self._pairs), key=_sort_key)
+        pairs = sorted((pair.to_snapshot() for pair in self._live()), key=_sort_key)
         return {"type": self.type_name, "pairs": pairs}
 
     def copy(self) -> "MVRegister":
         clone = MVRegister()
-        clone._pairs = [_Pair(p.value, p.clock, p.op_id) for p in self._pairs]
+        clone._by_client = {client: list(chain) for client, chain in self._by_client.items()}
+        clone._others = list(self._others)
         clone._seen = set(self._seen)
         return clone
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Tuple
 
 from repro.crdt.clock import OpClock, clock_from_wire
+from repro.crypto.hashing import canonical_bytes
 from repro.errors import CRDTError
 
 TYPE_GCOUNTER = "gcounter"
@@ -61,21 +62,30 @@ class Operation:
         """Unique id per CRDT object: client id + clock + write-set index."""
         if isinstance(self.clock, OpClock):
             return f"{self.clock.client_id}#{self.clock.counter}#{self.op_index}"
-        return f"vc#{hash(self.clock.entries) & 0xFFFFFFFF}#{self.op_index}"
+        # The canonical entries themselves, not a hash of them: the
+        # same on every process, and distinct clocks never share an id.
+        return f"vc#{canonical_bytes(self.clock.entries).decode()}#{self.op_index}"
 
     def to_wire(self) -> Dict[str, Any]:
-        return {
-            "object_id": self.object_id,
-            "path": list(self.path),
-            "value": self.value,
-            "value_type": self.value_type,
-            "clock": self.clock.to_wire(),
-            "op_index": self.op_index,
-        }
+        # Memoized (and pre-seeded by from_wire) like Transaction.to_wire:
+        # wire payloads are immutable by convention, so the ledger stores
+        # the write-set's own dict instead of rebuilding it per commit.
+        wire = self.__dict__.get("_wire_cache")
+        if wire is None:
+            wire = {
+                "object_id": self.object_id,
+                "path": list(self.path),
+                "value": self.value,
+                "value_type": self.value_type,
+                "clock": self.clock.to_wire(),
+                "op_index": self.op_index,
+            }
+            object.__setattr__(self, "_wire_cache", wire)
+        return wire
 
     @classmethod
     def from_wire(cls, wire: Mapping[str, Any]) -> "Operation":
-        return cls(
+        operation = cls(
             object_id=wire["object_id"],
             path=tuple(wire["path"]),
             value=wire["value"],
@@ -83,6 +93,9 @@ class Operation:
             clock=clock_from_wire(wire["clock"]),
             op_index=int(wire.get("op_index", 0)),
         )
+        if type(wire) is dict:
+            object.__setattr__(operation, "_wire_cache", wire)
+        return operation
 
 
 __all__ = [

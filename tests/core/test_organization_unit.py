@@ -152,6 +152,32 @@ class TestCommitIdempotency:
         assert all(m.body["transaction_id"] == txn.transaction_id for m in receipts)
 
 
+class TestParseOnce:
+    def test_commit_parses_each_operation_once_and_stores_its_wire(self, net, monkeypatch):
+        from repro.core.organization import MSG_COMMIT
+        from repro.net.message import Message
+
+        parsed = []
+        original = Operation.from_wire.__func__
+        monkeypatch.setattr(
+            Operation,
+            "from_wire",
+            classmethod(lambda cls, wire: parsed.append(wire) or original(cls, wire)),
+        )
+        org = net.organizations[0]
+        wire = make_transaction(net, client_name="c-once").to_wire()
+        net.network.register("c-once", lambda msg: None)
+        message = Message(sender="c-once", recipient=org.org_id, msg_type=MSG_COMMIT, body=wire)
+        net.sim.process(org._handle_commit(message))
+        net.sim.run(until=5.0)
+        assert org.ledger.is_valid_transaction("c-once:1")
+        # Validation and commit share one parse, and the database holds
+        # the write-set's own dict rather than a rebuilt copy.
+        assert len(parsed) == 1 and parsed[0] is wire["write_set"][0]
+        ((_, stored),) = org.ledger.db.scan_prefix("ops/voting/e/party0/")
+        assert stored is wire["write_set"][0]
+
+
 class TestStateTracking:
     def test_transactions_for_object_indexes_commits(self, net):
         org = net.organizations[0]

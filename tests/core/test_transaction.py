@@ -133,3 +133,40 @@ def test_receipt_wire_roundtrip(ca):
     org = ca.enroll("org0", "organization")
     receipt = Receipt.create(org, "t", "00" * 32, valid=False)
     assert Receipt.from_wire(receipt.to_wire()) == receipt
+
+
+def test_operations_are_parsed_once(ca):
+    client = ca.enroll("client0", "client")
+    write_set = make_write_set()
+    transaction = Transaction.assemble(client, make_proposal(), write_set, [])
+    operations = transaction.operations()
+    assert transaction.operations() is operations
+    # The parsed operation hands back the write-set's own dict, so a
+    # commit stores it without rebuilding it.
+    assert operations[0].to_wire() is write_set[0]
+
+
+def test_tampered_write_set_parses_afresh(ca):
+    import dataclasses
+
+    client = ca.enroll("client0", "client")
+    transaction = Transaction.assemble(client, make_proposal(), make_write_set(), [])
+    honest = transaction.operations()
+    # Tamper paths build new lists of new dicts and a new transaction.
+    tampered_write_set = [dict(wire, value=False) for wire in transaction.write_set]
+    tampered = dataclasses.replace(transaction, write_set=tampered_write_set)
+    assert tampered.operations() is not honest
+    assert [operation.value for operation in tampered.operations()] == [False]
+    assert [operation.value for operation in transaction.operations()] == [True]
+    assert tampered.digest() != transaction.digest()
+
+
+def test_malformed_write_set_raises_on_every_call(ca):
+    from repro.errors import CRDTError
+
+    client = ca.enroll("client0", "client")
+    malformed = [dict(make_write_set()[0], value_type="no-such-type")]
+    transaction = Transaction.assemble(client, make_proposal(), malformed, [])
+    for _ in range(2):
+        with pytest.raises(CRDTError):
+            transaction.operations()

@@ -139,3 +139,33 @@ def test_non_string_keys_are_coerced():
     crdt_map = CRDTMap()
     crdt_map.insert(42, "v", clock(1), "c#1")
     assert crdt_map.read("42") == "v"
+
+
+def test_whole_map_read_stays_key_sorted_as_keys_arrive():
+    crdt_map = CRDTMap()
+    for key in ["m", "b", "z"]:
+        crdt_map.insert(key, key.upper(), clock(1, key), f"{key}#1")
+        assert list(crdt_map.read()) == sorted(crdt_map.read())
+    assert list(crdt_map.read()) == ["b", "m", "z"]
+    crdt_map.child("a", "gcounter")  # created by path traversal, not insert
+    assert list(crdt_map.read()) == ["a", "b", "m", "z"]
+    merged = CRDTMap()
+    merged.insert("c", 1, clock(1), "c#1")
+    merged.merge(crdt_map)
+    assert list(merged.read()) == merged.keys() == ["a", "b", "c", "m", "z"]
+    assert list(merged.copy().read()) == ["a", "b", "c", "m", "z"]
+
+
+def test_keys_returns_a_list_the_caller_may_change():
+    crdt_map = CRDTMap()
+    crdt_map.insert("k", 1, clock(1), "c#1")
+    crdt_map.keys().append("junk")
+    assert crdt_map.keys() == ["k"]
+    assert crdt_map.read() == {"k": 1}
+
+
+def test_read_of_a_key_holding_two_types_lists_both_by_type_name():
+    crdt_map = CRDTMap()
+    crdt_map.insert("k", "text", clock(1), "c#1")
+    crdt_map.child("k", "gcounter").apply(2, clock(2), "c#2")
+    assert list(crdt_map.read("k").items()) == [("gcounter", 2), ("mvregister", "text")]

@@ -105,3 +105,29 @@ def test_equality_by_snapshot():
     assert a == b
     b.add(1, clock(2), "c#2")
     assert a != b
+
+
+def test_read_does_not_walk_the_increments():
+    counter = GCounter()
+    for n in range(50):
+        counter.add(n, clock(n + 1), f"c#{n + 1}")
+    counter._increments = None  # a read that summed the map would fail here
+    assert counter.read() == sum(range(50))
+
+
+def test_running_total_adds_in_insertion_order_across_apply_merge_and_copy():
+    import functools
+    import operator
+
+    amounts = [0.1, 0.2, 0.3, 1, 2.5, 1e16, 1.0, 3]
+    a, b = GCounter(), GCounter()
+    for n, amount in enumerate(amounts[:4]):
+        a.add(amount, clock(n + 1, "a"), f"a#{n + 1}")
+    for n, amount in enumerate(amounts[4:]):
+        b.add(amount, clock(n + 1, "b"), f"b#{n + 1}")
+    b.add(amounts[0], clock(1, "a"), "a#1")  # shared with a: merged once
+    a.merge(b)
+    a.merge(b)
+    expected = functools.reduce(operator.add, amounts, 0)
+    assert a.read() == expected
+    assert a.copy().read() == expected

@@ -121,3 +121,23 @@ def test_mixed_value_types_sort_deterministically():
     register.assign([1], clock(1, "c"), "c#1")
     assert register.read() == register.read()
     assert len(register.read()) == 3
+
+
+def test_reading_at_most_one_value_builds_no_sort_keys(monkeypatch):
+    import repro.crdt.mvregister as module
+
+    calls = []
+    original = module.canonical_bytes
+    monkeypatch.setattr(
+        module, "canonical_bytes", lambda value: calls.append(value) or original(value)
+    )
+    register = MVRegister()
+    assert register.read() == []
+    register.assign("only", clock(1, "alice"), "alice#1")
+    register.assign(None, clock(1, "bob"), "bob#1")  # a concurrent delete is not a value
+    assert register.read() == ["only"]
+    assert register.read_single() == "only"
+    assert calls == []
+    register.assign("other", clock(1, "carol"), "carol#1")
+    assert register.read() == ["only", "other"]
+    assert len(calls) == 2

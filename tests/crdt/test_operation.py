@@ -1,7 +1,12 @@
 """Tests for CRDT operations (Section 6's four components)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.crdt import Operation, OpClock, VectorClock
 from repro.errors import CRDTError
 
@@ -63,3 +68,54 @@ def test_wire_roundtrip_with_vector_clock():
 def test_vector_clock_op_id_is_stable():
     op = make_op(value_type="mvregister", value="x", clock=VectorClock.of({"n1": 2}))
     assert op.op_id == make_op(value_type="mvregister", value="y", clock=VectorClock.of({"n1": 2})).op_id
+
+
+def test_vector_clock_op_ids_differ_for_distinct_clocks():
+    ids = {
+        make_op(value_type="mvregister", value="x", clock=VectorClock.of(entries)).op_id
+        for entries in ({"n1": 2}, {"n1": 3}, {"n2": 2}, {"n1": 2, "n2": 1}, {"n1,n2": 2})
+    }
+    assert len(ids) == 5
+
+
+def test_vector_clock_op_id_is_the_same_in_every_process():
+    """Regression: the id came from ``hash()`` of the entries, and string
+    hashing is randomized per process — two organizations in separate
+    processes disagreed on the id of one operation."""
+    script = (
+        "from repro.crdt import Operation, VectorClock;"
+        "print(Operation('obj', (), 'x', 'mvregister',"
+        " VectorClock.of({'node-a': 2, 'node-b': 5}), op_index=1).op_id)"
+    )
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    seen = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=source_root)
+        output = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            check=True,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        seen.add(output.stdout.strip())
+    assert seen == {'vc#[["node-a",2],["node-b",5]]#1'}
+
+
+def test_to_wire_is_built_once():
+    op = make_op(path=("party1", "voter1"), value_type="mvregister", value=True)
+    assert op.to_wire() is op.to_wire()
+
+
+def test_from_wire_keeps_the_wire_it_parsed():
+    wire = make_op(value_type="mvregister", value="x").to_wire()
+    copy = dict(wire)
+    restored = Operation.from_wire(copy)
+    assert restored.to_wire() is copy
+    # A tampered operation is a new dict (immutable-wire convention) and
+    # parses to its own value.
+    tampered = Operation.from_wire(dict(wire, value="<tampered>"))
+    assert tampered.value == "<tampered>"
+    assert tampered.to_wire()["value"] == "<tampered>"
+    assert restored.value == "x"

@@ -135,14 +135,15 @@ def test_mvregister_merge_of_partitioned_replicas_converges(ops, split):
 @given(unique_ops(register_ops(), 25))
 def test_mvregister_values_form_antichain(ops):
     from repro.crdt.base import Ordering, compare_clocks
+    from repro.crdt.clock import clock_from_wire
 
     register = MVRegister()
     for value, clock, op_id in ops:
         register.assign(value, clock, op_id)
-    pairs = register._pairs
-    for i, a in enumerate(pairs):
-        for b in pairs[i + 1 :]:
-            assert compare_clocks(a.clock, b.clock) in (Ordering.CONCURRENT, Ordering.EQUAL)
+    live = [clock_from_wire(pair["clock"]) for pair in register.snapshot()["pairs"]]
+    for i, a in enumerate(live):
+        for b in live[i + 1 :]:
+            assert compare_clocks(a, b) in (Ordering.CONCURRENT, Ordering.EQUAL)
 
 
 @settings(deadline=None)

@@ -149,3 +149,13 @@ def test_restore_detects_tampered_files(tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(Exception):
         Ledger.restore(str(tmp_path))
+
+
+def test_commit_stores_the_parsed_wire_without_rebuilding_it():
+    wire = op(value_type="mvregister", value="x").to_wire()
+    write_set = [dict(wire)]
+    ledger = Ledger()
+    ledger.commit("t1", [Operation.from_wire(write_set[0])], {"txn": "t1"}, valid=True)
+    ((_, stored),) = ledger.db.scan_prefix("ops/obj/")
+    assert stored is write_set[0]
+    assert ledger.operations_for("obj") == [Operation.from_wire(wire)]
