@@ -45,6 +45,7 @@ import os
 import time
 from typing import Any, Callable, Dict, Optional
 
+from repro.crypto.hashing import Wire
 from repro.report.envinfo import environment_info
 
 DEFAULT_REPORT_PATH = "BENCH_perf.json"
@@ -73,7 +74,11 @@ def _timed(work: Callable[[], int]) -> Dict[str, Any]:
 
 
 def _sample_transaction_wire(op_count: int = 8) -> Dict[str, Any]:
-    """A transaction-shaped payload (the dominant serialization input)."""
+    """A transaction-shaped payload (the dominant serialization input).
+
+    Rooted in a ``Wire`` like ``Transaction.to_wire()``, so repeat
+    serializations of one sample are memoized and fresh samples are not.
+    """
     write_set = [
         {
             "object_id": f"obj{index}",
@@ -85,26 +90,28 @@ def _sample_transaction_wire(op_count: int = 8) -> Dict[str, Any]:
         }
         for index in range(op_count)
     ]
-    return {
-        "proposal": {
-            "client_id": "client0",
-            "contract_id": "synthetic",
-            "function": "apply",
-            "params": {"objects": op_count},
-            "clock": {"client_id": "client0", "counter": 1},
-        },
-        "write_set": write_set,
-        "endorsements": [
-            {
-                "org_id": f"org{index}",
-                "proposal_id": "client0:1",
-                "write_set": write_set,
-                "signature": "ab" * 32,
-            }
-            for index in range(4)
-        ],
-        "client_signature": "cd" * 32,
-    }
+    return Wire(
+        {
+            "proposal": {
+                "client_id": "client0",
+                "contract_id": "synthetic",
+                "function": "apply",
+                "params": {"objects": op_count},
+                "clock": {"client_id": "client0", "counter": 1},
+            },
+            "write_set": write_set,
+            "endorsements": [
+                {
+                    "org_id": f"org{index}",
+                    "proposal_id": "client0:1",
+                    "write_set": write_set,
+                    "signature": "ab" * 32,
+                }
+                for index in range(4)
+            ],
+            "client_signature": "cd" * 32,
+        }
+    )
 
 
 def bench_sim_events(events: int = 200_000) -> Dict[str, Any]:

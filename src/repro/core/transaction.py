@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.crdt.clock import OpClock
 from repro.crdt.operation import Operation
-from repro.crypto.hashing import sha256_hex
+from repro.crypto.hashing import Wire, sha256_hex
 from repro.crypto.identity import Identity
 
 
@@ -38,13 +38,21 @@ class Proposal:
         return f"{self.client_id}:{self.clock.counter}"
 
     def to_wire(self) -> Dict[str, Any]:
-        return {
-            "client_id": self.client_id,
-            "contract_id": self.contract_id,
-            "function": self.function,
-            "params": self.params,
-            "clock": self.clock.to_wire(),
-        }
+        # Memoized like its three siblings: the client sends the same
+        # immutable Wire to every organization it solicits.
+        wire = self.__dict__.get("_wire_cache")
+        if wire is None:
+            wire = Wire(
+                {
+                    "client_id": self.client_id,
+                    "contract_id": self.contract_id,
+                    "function": self.function,
+                    "params": self.params,
+                    "clock": self.clock.to_wire(),
+                }
+            )
+            object.__setattr__(self, "_wire_cache", wire)
+        return wire
 
     @classmethod
     def from_wire(cls, wire: Mapping[str, Any]) -> "Proposal":
@@ -78,11 +86,13 @@ class Endorsement:
 
     @staticmethod
     def signed_payload(proposal_id: str, write_set: List[Dict[str, Any]]) -> Dict[str, Any]:
-        return {"proposal_id": proposal_id, "digest": write_set_digest(write_set)}
+        return Wire({"proposal_id": proposal_id, "digest": write_set_digest(write_set)})
 
     @staticmethod
     def signed_payload_from_digest(proposal_id: str, digest: str) -> Dict[str, Any]:
-        return {"proposal_id": proposal_id, "digest": digest}
+        # A Wire: validation verifies every endorsement against this one
+        # payload object, so it serializes once per validation.
+        return Wire({"proposal_id": proposal_id, "digest": digest})
 
     @classmethod
     def create(
@@ -97,33 +107,34 @@ class Endorsement:
         )
 
     def to_wire(self) -> Dict[str, Any]:
-        # Memoized: wire payloads are immutable by convention, so the
-        # same dict can be handed out every time — which also lets the
-        # canonical-bytes fragment cache serve repeat serializations.
+        # Memoized: a Wire is immutable, so the same one is handed out
+        # every time and serializes once wherever it travels.
         wire = self.__dict__.get("_wire_cache")
         if wire is None:
-            wire = {
-                "org_id": self.org_id,
-                "proposal_id": self.proposal_id,
-                "write_set": self.write_set,
-                "signature": self.signature,
-            }
+            wire = Wire(
+                {
+                    "org_id": self.org_id,
+                    "proposal_id": self.proposal_id,
+                    "write_set": self.write_set,
+                    "signature": self.signature,
+                }
+            )
             object.__setattr__(self, "_wire_cache", wire)
         return wire
 
     @classmethod
     def from_wire(cls, wire: Mapping[str, Any]) -> "Endorsement":
         # The wire write-set is shared, not copied: wire payloads are
-        # immutable by convention (tamper paths build new lists), and
-        # sharing lets the canonical-bytes fragment cache serve every
-        # later digest of this write-set from one serialization.
+        # immutable (tamper paths build new lists of dict(op) copies),
+        # and sharing lets every later digest of this write-set join
+        # the fragments its operations already carry.
         endorsement = cls(
             org_id=wire["org_id"],
             proposal_id=wire["proposal_id"],
             write_set=wire["write_set"],
             signature=wire["signature"],
         )
-        if type(wire) is dict:
+        if isinstance(wire, dict):
             object.__setattr__(endorsement, "_wire_cache", wire)
         return endorsement
 
@@ -155,11 +166,11 @@ class Transaction:
 
     @staticmethod
     def signed_payload(proposal_id: str, write_set: List[Dict[str, Any]]) -> Dict[str, Any]:
-        return {"transaction_id": proposal_id, "digest": write_set_digest(write_set)}
+        return Wire({"transaction_id": proposal_id, "digest": write_set_digest(write_set)})
 
     @staticmethod
     def signed_payload_from_digest(proposal_id: str, digest: str) -> Dict[str, Any]:
-        return {"transaction_id": proposal_id, "digest": digest}
+        return Wire({"transaction_id": proposal_id, "digest": digest})
 
     @classmethod
     def assemble(
@@ -193,32 +204,33 @@ class Transaction:
 
     def to_wire(self) -> Dict[str, Any]:
         # Memoized (and pre-seeded by from_wire): one transaction's wire
-        # form is serialized for the client signature, gossiped to every
-        # organization, and embedded in every block that logs it — the
-        # shared dict turns all of those into fragment-cache hits.
+        # form is sent to q organizations, gossiped to the rest and
+        # embedded in every block that logs it — the shared Wire is
+        # serialized once for all of them.
         wire = self.__dict__.get("_wire_cache")
         if wire is None:
-            wire = {
-                "proposal": self.proposal.to_wire(),
-                "write_set": self.write_set,
-                "endorsements": [e.to_wire() for e in self.endorsements],
-                "client_signature": self.client_signature,
-            }
+            wire = Wire(
+                {
+                    "proposal": self.proposal.to_wire(),
+                    "write_set": self.write_set,
+                    "endorsements": [e.to_wire() for e in self.endorsements],
+                    "client_signature": self.client_signature,
+                }
+            )
             object.__setattr__(self, "_wire_cache", wire)
         return wire
 
     @classmethod
     def from_wire(cls, wire: Mapping[str, Any]) -> "Transaction":
-        # Shared, not copied — same immutable-wire convention as
-        # Endorsement.from_wire, so the digest of this write-set is
-        # computed from one cached serialization network-wide.
+        # Shared, not copied — same immutable-wire rule as
+        # Endorsement.from_wire.
         transaction = cls(
             proposal=Proposal.from_wire(wire["proposal"]),
             write_set=wire["write_set"],
             endorsements=tuple(Endorsement.from_wire(e) for e in wire["endorsements"]),
             client_signature=wire["client_signature"],
         )
-        if type(wire) is dict:
+        if isinstance(wire, dict):
             object.__setattr__(transaction, "_wire_cache", wire)
         return transaction
 

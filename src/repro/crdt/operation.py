@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Tuple
 
 from repro.crdt.clock import OpClock, clock_from_wire
-from repro.crypto.hashing import canonical_bytes
+from repro.crypto.hashing import Wire, canonical_bytes
 from repro.errors import CRDTError
 
 TYPE_GCOUNTER = "gcounter"
@@ -68,18 +68,20 @@ class Operation:
 
     def to_wire(self) -> Dict[str, Any]:
         # Memoized (and pre-seeded by from_wire) like Transaction.to_wire:
-        # wire payloads are immutable by convention, so the ledger stores
+        # a Wire is immutable and serializes once, so the ledger stores
         # the write-set's own dict instead of rebuilding it per commit.
         wire = self.__dict__.get("_wire_cache")
         if wire is None:
-            wire = {
-                "object_id": self.object_id,
-                "path": list(self.path),
-                "value": self.value,
-                "value_type": self.value_type,
-                "clock": self.clock.to_wire(),
-                "op_index": self.op_index,
-            }
+            wire = Wire(
+                {
+                    "object_id": self.object_id,
+                    "path": list(self.path),
+                    "value": self.value,
+                    "value_type": self.value_type,
+                    "clock": self.clock.to_wire(),
+                    "op_index": self.op_index,
+                }
+            )
             object.__setattr__(self, "_wire_cache", wire)
         return wire
 
@@ -93,7 +95,7 @@ class Operation:
             clock=clock_from_wire(wire["clock"]),
             op_index=int(wire.get("op_index", 0)),
         )
-        if type(wire) is dict:
+        if isinstance(wire, dict):
             object.__setattr__(operation, "_wire_cache", wire)
         return operation
 

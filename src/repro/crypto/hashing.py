@@ -6,28 +6,32 @@ the same logical content always agree. The encoding is deterministic
 JSON (sorted keys, no whitespace) with a small extension for bytes and
 tuples, which covers every message type in the protocol.
 
-Fragment cache
---------------
+Encode once
+-----------
 
 Serialization dominates the simulator's hot path: one transaction's
-write-set is re-serialized for the client signature, for every
-endorsement signature, at every organization that validates the
-transaction, and again for every block hash that embeds it. Because the
-whole simulation shares one process, those call sites frequently pass
-the *same* container objects, so :func:`canonical_bytes` memoizes the
-encoded fragment of every dict/list/tuple node it walks, keyed by
-object identity. A cache entry keeps a strong reference to its node,
-which pins the object and makes identity-key reuse impossible while the
-entry lives; when the cache fills up it is cleared wholesale (epoch
-eviction) and simply re-serializes on the next pass.
+wire form is serialized for the client signature, for every endorsement
+signature, at every organization that validates the transaction, and
+again for every block hash that embeds it. The whole simulation shares
+one process and messages travel by reference, so the memo lives on the
+payload itself: :class:`Wire` is a ``dict`` with one slot holding its
+canonical fragment, filled the first time :func:`canonical_bytes` walks
+it. The protocol's shared wire roots — ``to_wire()`` of operations,
+proposals, endorsements and transactions, and the signed payloads — are
+built as ``Wire``; the memo lives and dies with the object it
+describes, so there is no table, no size and no eviction.
 
-The cache relies on the codebase-wide convention that wire-form
-payloads are immutable once built: every tamper path (Byzantine
-clients and organizations, the hash-chain ``tamper`` helper, tests)
-constructs *new* dicts/lists rather than mutating ones that may
-already have been hashed. Mutating a hashed container and re-hashing
-it is not supported — call :func:`hashing_cache_clear` first if you
-must (e.g. in a REPL experiment).
+Plain ``dict``/``list``/``tuple`` nodes are rendered on every call and
+never cached: they are either short-lived wrappers (``{"write_set":
+...}``, a block header) around ``Wire`` nodes that do the real work, or
+payloads parsed from JSON that nobody else holds.
+
+A ``Wire`` refuses in-place mutation (``TypeError``), which is what
+makes the memo safe; every tamper path copies first (``dict(wire)``),
+and any copy — ``dict()``, ``{**w}``, ``copy``/``deepcopy``, pickle —
+is a plain ``dict`` that renders afresh. The lists and plain dicts
+nested *inside* a ``Wire`` (a path, a write-set list, contract
+parameters) stay immutable by convention, as they always were.
 """
 
 from __future__ import annotations
@@ -42,40 +46,33 @@ GENESIS_HASH = "0" * 64
 
 _scalar_dumps = json.dumps
 
-# id(node) -> (node, fragment). The strong reference to ``node`` keeps
-# its id from being reused while the entry exists.
-_FRAGMENT_CACHE_MAX = 16384
-_fragment_cache: Dict[int, tuple] = {}
 _cache_hits = 0
 _cache_misses = 0
 
 
-def _encode(value: Any) -> Any:
-    """Convert ``value`` into JSON-encodable canonical form.
+class Wire(dict):
+    """An immutable wire-form dict that memoizes its canonical fragment."""
 
-    Key order need not be normalized here: dictionaries are sorted when
-    the fragment is rendered. Kept for callers that want the
-    intermediate form; :func:`canonical_bytes` renders fragments
-    directly.
-    """
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, dict):
-        return {str(key): _encode(val) for key, val in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(item) for item in value]
-    if isinstance(value, bytes):
-        return {"__bytes__": value.hex()}
-    if hasattr(value, "to_wire"):
-        return _encode(value.to_wire())
-    raise TypeError(f"cannot canonically encode {type(value).__name__}")
+    __slots__ = ("fragment",)
+
+    def _immutable(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("Wire payloads are immutable; edit a dict(wire) copy instead")
+
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    update = pop = popitem = setdefault = clear = _immutable
+
+    def __reduce__(self) -> tuple:
+        # copy, deepcopy and pickle all come through here: the copy is
+        # a plain dict, free to be edited and carrying no fragment.
+        return dict, (dict(self),)
 
 
 def _fragment(value: Any) -> str:
-    """Canonical JSON fragment of ``value`` (cached for containers).
+    """Canonical JSON fragment of ``value`` (memoized on :class:`Wire`).
 
-    Byte-identical to ``json.dumps(_encode(value), sort_keys=True,
-    separators=(",", ":"))`` — pinned by tests/crypto/test_hashing.py.
+    Byte-identical to ``json.dumps(reference_encode(value),
+    sort_keys=True, separators=(",", ":"))`` — the oracle lives in
+    tests/crypto/reference_encoder.py.
     """
     global _cache_hits, _cache_misses
     # Exact-type scalar fast paths (the bulk of all calls) render
@@ -93,35 +90,36 @@ def _fragment(value: Any) -> str:
         return "null"
     if isinstance(value, (str, int, float)):
         return _scalar_dumps(value)
-    if isinstance(value, (dict, list, tuple)):
-        key = id(value)
-        cached = _fragment_cache.get(key)
-        if cached is not None and cached[0] is value:
-            _cache_hits += 1
-            return cached[1]
-        _cache_misses += 1
-        if isinstance(value, dict):
-            # str(key) first (duplicates collapse, last one wins, as in
-            # the dict comprehension of _encode), then sort. All-str
-            # keys — the wire convention — skip the normalization pass.
-            if all(type(k) is str for k in value):
-                normalized = value
+    if isinstance(value, dict):
+        if cls is Wire:
+            try:
+                fragment = value.fragment
+            except AttributeError:  # slot still empty: first rendering
+                pass
             else:
-                normalized = {str(k): v for k, v in value.items()}
-            fragment = (
-                "{"
-                + ",".join(
-                    f"{_escape_str(k)}:{_fragment(v)}"
-                    for k, v in sorted(normalized.items(), key=lambda kv: kv[0])
-                )
-                + "}"
-            )
+                _cache_hits += 1
+                return fragment
+        _cache_misses += 1
+        # str(key) first (duplicates collapse, last one wins), then
+        # sort. All-str keys — the wire convention — skip that pass.
+        if all(type(k) is str for k in value):
+            normalized = value
         else:
-            fragment = "[" + ",".join(_fragment(item) for item in value) + "]"
-        if len(_fragment_cache) >= _FRAGMENT_CACHE_MAX:
-            _fragment_cache.clear()
-        _fragment_cache[key] = (value, fragment)
+            normalized = {str(k): v for k, v in value.items()}
+        fragment = (
+            "{"
+            + ",".join(
+                f"{_escape_str(k)}:{_fragment(v)}"
+                for k, v in sorted(normalized.items(), key=lambda kv: kv[0])
+            )
+            + "}"
+        )
+        if cls is Wire:
+            value.fragment = fragment
         return fragment
+    if isinstance(value, (list, tuple)):
+        _cache_misses += 1
+        return "[" + ",".join(_fragment(item) for item in value) + "]"
     if isinstance(value, bytes):
         return '{"__bytes__":' + _scalar_dumps(value.hex()) + "}"
     if hasattr(value, "to_wire"):
@@ -145,25 +143,21 @@ def chain_hash(previous_hash: str, payload: Any) -> str:
 
 
 def hashing_cache_info() -> Dict[str, int]:
-    """Hit/miss counters and occupancy of the fragment cache."""
-    return {
-        "hits": _cache_hits,
-        "misses": _cache_misses,
-        "size": len(_fragment_cache),
-        "max_size": _FRAGMENT_CACHE_MAX,
-    }
+    """Encode-once counters: ``hits`` are :class:`Wire` fragments served
+    from their slot, ``misses`` are container nodes rendered."""
+    return {"hits": _cache_hits, "misses": _cache_misses}
 
 
 def hashing_cache_clear() -> None:
-    """Drop every cached fragment and reset the counters."""
+    """Reset the counters (fragments live on their ``Wire``, not here)."""
     global _cache_hits, _cache_misses
-    _fragment_cache.clear()
     _cache_hits = 0
     _cache_misses = 0
 
 
 __all__ = [
     "GENESIS_HASH",
+    "Wire",
     "canonical_bytes",
     "sha256_hex",
     "chain_hash",

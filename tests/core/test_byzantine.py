@@ -9,7 +9,12 @@ from repro.core import (
     OrderlessChainSettings,
 )
 from repro.core.client import ClientConfig
+from repro.core.organization import MSG_COMMIT, MSG_PROPOSAL, Organization
+from repro.core.transaction import write_set_digest
 from repro.contracts import VotingContract
+from repro.crdt.clock import OpClock
+from repro.crdt.operation import TYPE_GCOUNTER, TYPE_MVREGISTER, Operation
+from repro.crypto.hashing import Wire, sha256_hex
 
 
 def build(num_orgs=4, quorum=2, seed=5):
@@ -190,3 +195,63 @@ class TestByzantineClients:
         assert process.value is False
         for org in net.organizations:
             assert org.endorsed_count == 0
+
+
+def _sent_bodies(net, msg_type):
+    """Record the body of every ``msg_type`` message the network sends."""
+    bodies = []
+    send = net.network.send
+
+    def recording_send(message):
+        if message.msg_type == msg_type:
+            bodies.append(message.body)
+        send(message)
+
+    net.network.send = recording_send
+    return bodies
+
+
+class TestTamperedCopiesHashAfresh:
+    """Wire payloads memoize their canonical bytes and refuse mutation,
+    so every tamper path edits a plain ``dict`` copy — which must hash
+    by its own content, never by the original's memo."""
+
+    def test_org_tampered_write_set(self):
+        clock = OpClock("voter0", 1)
+        write_set = [
+            Operation("voting/e0/party0", ("voter0",), 1, TYPE_GCOUNTER, clock, 0).to_wire(),
+            Operation("voting/e0/party1", ("voter0",), "x", TYPE_MVREGISTER, clock, 1).to_wire(),
+        ]
+        honest = write_set_digest(write_set)  # fills every operation's memo
+        tampered = Organization._tamper_write_set(write_set)
+        assert all(type(op) is dict for op in tampered)
+        assert write_set_digest(tampered) != honest
+        assert write_set_digest(write_set) == honest
+
+    def test_client_tampered_write_set(self):
+        net = build(num_orgs=4, quorum=2)
+        voter = net.add_client(
+            "voter0", byzantine=ByzantineClientConfig(faults=frozenset({"tamper"}))
+        )
+        commits = _sent_bodies(net, MSG_COMMIT)
+        vote(net, voter)
+        net.run(until=30.0)
+        assert commits
+        for wire in commits:
+            endorsed = wire["endorsements"][0]["write_set"]
+            assert all(type(op) is Wire for op in endorsed)
+            assert all(type(op) is dict for op in wire["write_set"])
+            assert write_set_digest(wire["write_set"]) != write_set_digest(endorsed)
+
+    def test_client_split_clock_proposals(self):
+        net = build()
+        splitter = net.add_client(
+            "splitter", byzantine=ByzantineClientConfig(faults=frozenset({"split_clock"}))
+        )
+        proposals = _sent_bodies(net, MSG_PROPOSAL)
+        vote(net, splitter)
+        net.run(until=30.0)
+        first, *rest = proposals
+        assert type(first) is Wire and rest
+        assert all(type(body) is dict for body in rest)
+        assert len({sha256_hex(body) for body in proposals}) == len(proposals)

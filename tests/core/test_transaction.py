@@ -1,5 +1,7 @@
 """Tests for proposals, endorsements, transactions, and receipts."""
 
+import json
+
 import pytest
 
 from repro.core.transaction import (
@@ -11,6 +13,7 @@ from repro.core.transaction import (
 )
 from repro.crdt.clock import OpClock
 from repro.crdt.operation import Operation
+from repro.crypto.hashing import Wire, sha256_hex
 from repro.crypto.identity import CertificateAuthority
 
 
@@ -48,6 +51,24 @@ def test_proposal_id_is_client_scoped(ca):
 def test_proposal_wire_roundtrip():
     proposal = make_proposal()
     assert Proposal.from_wire(proposal.to_wire()) == proposal
+
+
+def test_every_message_type_hands_out_one_immutable_wire(ca):
+    org = ca.enroll("org0", "organization")
+    client = ca.enroll("client0", "client")
+    proposal = make_proposal()
+    endorsement = Endorsement.create(org, proposal.proposal_id, make_write_set())
+    transaction = Transaction.assemble(client, proposal, make_write_set(), [endorsement])
+    operation = transaction.operations()[0]
+    for message in (proposal, endorsement, transaction, operation):
+        wire = message.to_wire()
+        assert type(wire) is Wire
+        assert message.to_wire() is wire
+    # from_wire keeps whatever dict it parsed, Wire or plain (JSON).
+    assert Transaction.from_wire(transaction.to_wire()).to_wire() is transaction.to_wire()
+    plain = json.loads(json.dumps(transaction.to_wire()))
+    assert Transaction.from_wire(plain).to_wire() is plain
+    assert sha256_hex(plain) == sha256_hex(transaction.to_wire())
 
 
 def test_write_set_digest_is_content_addressed():

@@ -1,71 +1,125 @@
-"""The hot-path crypto caches: fragment memoization and verify cache.
+"""The hot-path crypto caches: the encode-once memo and verify cache.
 
-Both caches exist purely for speed; these tests pin the property that
-makes them safe — a cached answer is never wrong, in particular a
-forged or tampered signature can never be served from the cache as
-valid.
+Both exist purely for speed; these tests pin the property that makes
+them safe — a memoized answer is never wrong, in particular a tampered
+copy of a payload or a forged signature can never be served the
+original's answer.
 """
 
-import json
+import copy
+import pickle
 
 import pytest
 
 from repro.crypto.hashing import (
-    _encode,
+    Wire,
     canonical_bytes,
     hashing_cache_clear,
     hashing_cache_info,
 )
 from repro.crypto.identity import CertificateAuthority
+from tests.crypto.reference_encoder import reference_bytes
 
 
 @pytest.fixture(autouse=True)
-def _fresh_fragment_cache():
+def _fresh_counters():
     hashing_cache_clear()
     yield
     hashing_cache_clear()
 
 
-class TestFragmentCache:
-    def test_repeat_encoding_hits_the_cache(self):
-        payload = {"write_set": [{"op": "inc", "value": 1}, {"op": "inc", "value": 2}]}
-        first = canonical_bytes(payload)
-        before = hashing_cache_info()
-        second = canonical_bytes(payload)
-        after = hashing_cache_info()
-        assert first == second
-        assert after["hits"] > before["hits"]
-        assert after["misses"] == before["misses"]
+class TestEncodeOnce:
+    def test_wire_renders_once_plain_dict_renders_every_time(self):
+        wire = Wire({"op": "inc", "value": 1})
+        assert canonical_bytes(wire) == canonical_bytes(wire)
+        assert hashing_cache_info() == {"hits": 1, "misses": 1}
+        hashing_cache_clear()
+        plain = {"op": "inc", "value": 1}
+        assert canonical_bytes(plain) == canonical_bytes(plain) == canonical_bytes(wire)
+        assert hashing_cache_info() == {"hits": 1, "misses": 2}
 
-    def test_shared_inner_containers_hit_under_fresh_wrappers(self):
+    def test_wire_nodes_hit_under_fresh_plain_wrappers(self):
         # The protocol re-wraps the same write-set list in fresh outer
-        # dicts (write_set_digest does exactly this); the inner list's
-        # fragment must still be served from cache.
-        write_set = [{"op": "inc", "value": index} for index in range(4)]
+        # dicts (write_set_digest does exactly this): only the wrapper
+        # and the list are rendered again, every operation is a hit.
+        write_set = [Wire({"op": "inc", "value": index}) for index in range(4)]
         canonical_bytes({"write_set": write_set})
-        before = hashing_cache_info()
+        assert hashing_cache_info() == {"hits": 0, "misses": 6}
         canonical_bytes({"write_set": write_set})  # fresh wrapper dict
-        after = hashing_cache_info()
-        assert after["hits"] > before["hits"]
+        assert hashing_cache_info() == {"hits": 4, "misses": 8}
 
-    def test_cached_encoding_matches_plain_json_dumps(self):
-        payload = {
-            "b": [1, 2.5, True, None, "x"],
-            "a": {"nested": (1, 2)},
-            1: "int-key",
-            "raw": b"\x00\xff",
-        }
-        expected = json.dumps(
-            _encode(payload), sort_keys=True, separators=(",", ":")
-        ).encode()
+    def test_memoized_encoding_matches_reference(self):
+        payload = Wire(
+            {
+                "b": [1, 2.5, True, None, "x"],
+                "a": Wire({"nested": (1, 2)}),
+                1: "int-key",
+                "raw": b"\x00\xff",
+            }
+        )
+        expected = reference_bytes(payload)
         assert canonical_bytes(payload) == expected
-        assert canonical_bytes(payload) == expected  # cache-hit path too
+        assert canonical_bytes(payload) == expected  # slot-read path too
 
-    def test_clear_resets_counters_and_entries(self):
+    def test_clear_resets_counters(self):
         canonical_bytes({"k": [1, 2, 3]})
         hashing_cache_clear()
-        info = hashing_cache_info()
-        assert info == {"hits": 0, "misses": 0, "size": 0, "max_size": info["max_size"]}
+        assert hashing_cache_info() == {"hits": 0, "misses": 0}
+
+
+class TestWireIsImmutable:
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda w: w.__setitem__("value", 2),
+            lambda w: w.__delitem__("value"),
+            lambda w: w.update(value=2),
+            lambda w: w.pop("value"),
+            lambda w: w.popitem(),
+            lambda w: w.setdefault("other", 2),
+            lambda w: w.clear(),
+            lambda w: w.__ior__({"value": 2}),
+        ],
+        ids=["setitem", "delitem", "update", "pop", "popitem", "setdefault", "clear", "ior"],
+    )
+    def test_in_place_mutation_raises(self, mutate):
+        wire = Wire({"op": "inc", "value": 1})
+        before = canonical_bytes(wire)
+        with pytest.raises(TypeError):
+            mutate(wire)
+        assert wire == {"op": "inc", "value": 1}
+        assert canonical_bytes(wire) == before
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [
+            copy.copy,
+            copy.deepcopy,
+            dict,
+            lambda w: {**w},
+            lambda w: w.copy(),
+            lambda w: w | {},
+            lambda w: pickle.loads(pickle.dumps(w)),
+        ],
+        ids=["copy", "deepcopy", "dict", "unpack", "dict.copy", "or", "pickle"],
+    )
+    def test_copies_are_plain_dicts_without_a_stale_fragment(self, duplicate):
+        inner = Wire({"value": 1})
+        wire = Wire({"op": "inc", "inner": inner, "items": [1, 2]})
+        original = canonical_bytes(wire)  # fills both slots
+        clone = duplicate(wire)
+        assert type(clone) is dict and clone == wire
+        clone["op"] = "dec"  # a copy is free to be edited ...
+        assert canonical_bytes(clone) == reference_bytes(clone) != original
+        assert canonical_bytes(wire) == original  # ... the original is not touched
+
+    def test_deepcopy_and_pickle_also_unwrap_nested_wires(self):
+        wire = Wire({"inner": Wire({"value": 1})})
+        canonical_bytes(wire)
+        for clone in (copy.deepcopy(wire), pickle.loads(pickle.dumps(wire))):
+            assert type(clone["inner"]) is dict
+            clone["inner"]["value"] = 2
+            assert canonical_bytes(clone) == b'{"inner":{"value":2}}'
 
 
 class TestVerifyCache:
