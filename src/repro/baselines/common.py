@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ContractError
+from repro.net.message import Message
 from repro.sim.core import Simulator
-from repro.sim.events import Event
+from repro.sim.events import AnyOf, Event
 from repro.sim.resources import Resource
 
 
@@ -275,7 +276,7 @@ class BatchServer:
                     break
                 self._wakeup = Event(self._sim)
                 winner_event = self._wakeup
-                yield_event = yield _any_of(self._sim, [winner_event, self._sim.timeout(remaining)])
+                yield_event = yield AnyOf(self._sim, [winner_event, self._sim.timeout(remaining)])
                 self._wakeup = None
                 del yield_event
             batch_items = self._queue[: self.max_batch]
@@ -289,12 +290,6 @@ class BatchServer:
             self.batches_cut += 1
             self.items_processed += len(batch.items)
             yield from self._on_batch(batch)
-
-
-def _any_of(sim: Simulator, events):
-    from repro.sim.events import AnyOf
-
-    return AnyOf(sim, events)
 
 
 class InOrderApplier:
@@ -417,8 +412,6 @@ def announce_loop(sim, network, sender: str, recipients, latest, msg_type: str, 
     length are read at send time. Drives
     :meth:`InOrderApplier.on_announce` on the receiving side.
     """
-    from repro.net.message import Message
-
     while True:
         yield sim.timeout(interval)
         latest_index = latest()

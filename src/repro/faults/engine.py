@@ -72,9 +72,7 @@ class FaultInjector:
         self._installed = True
         sim = self.adapter.sim
         for event in self.schedule:
-            # Default arg binds the current event (late binding would
-            # apply the last event N times).
-            sim.schedule_at(event.at, lambda event=event: self._apply(event))
+            sim.schedule_at(event.at, self._apply, event)
         return self
 
     def finalize(self) -> None:
@@ -150,40 +148,40 @@ class FaultInjector:
     def _apply_loss_burst(self, event: FaultEvent) -> None:
         network = self.adapter.network
         previous = network.faults
-        started = self.adapter.sim.now
         network.faults = LinkFaults(
             loss_probability=event.loss_probability,
             duplicate_probability=event.duplicate_probability,
             corrupt_probability=previous.corrupt_probability,
         )
+        sim = self.adapter.sim
+        sim.schedule(event.duration, self._restore_faults, (previous, sim.now))
 
-        def restore() -> None:
-            # Restore the pre-burst model (overlapping bursts restore
-            # their own predecessor — last restore wins, documented).
-            network.faults = previous
-            if self.tracer is not None:
-                self.tracer.span(SPAN_LOSS, started, self.adapter.sim.now, node="")
-
-        self.adapter.sim.schedule(event.duration, restore)
+    def _restore_faults(self, burst: Tuple[LinkFaults, float]) -> None:
+        # Restore the pre-burst model (overlapping bursts restore
+        # their own predecessor — last restore wins, documented).
+        previous, started = burst
+        self.adapter.network.faults = previous
+        if self.tracer is not None:
+            self.tracer.span(SPAN_LOSS, started, self.adapter.sim.now, node="")
 
     def _apply_slow_node(self, event: FaultEvent) -> None:
         cpu = self.adapter.cpu(event.node)
         previous = cpu.slowdown
-        started = self.adapter.sim.now
         cpu.slowdown = previous * event.factor
+        sim = self.adapter.sim
+        sim.schedule(event.duration, self._restore_speed, (event, cpu, previous, sim.now))
 
-        def restore() -> None:
-            cpu.slowdown = previous
-            if self.tracer is not None:
-                self.tracer.span(
-                    SPAN_SLOW,
-                    started,
-                    self.adapter.sim.now,
-                    node=event.node,
-                    attrs={"factor": event.factor},
-                )
-
-        self.adapter.sim.schedule(event.duration, restore)
+    def _restore_speed(self, slowed: Tuple[FaultEvent, Any, float, float]) -> None:
+        event, cpu, previous, started = slowed
+        cpu.slowdown = previous
+        if self.tracer is not None:
+            self.tracer.span(
+                SPAN_SLOW,
+                started,
+                self.adapter.sim.now,
+                node=event.node,
+                attrs={"factor": event.factor},
+            )
 
 
 def install_schedule(

@@ -226,34 +226,34 @@ class Network:
         delay = latency.delay_for(message.size_bytes, self._rng)
         if self.delivery_jitter is not None:
             delay = self.delivery_jitter(delay)
-        handler = self._handlers[message.recipient]
         self.in_flight += 1
-        sent_at = self._sim.now
+        self._sim.schedule(
+            delay, self._deliver, (message, self._handlers[message.recipient], self._sim.now)
+        )
 
-        def deliver() -> None:
-            self.in_flight -= 1
-            # Re-check the world at delivery time: a crash loses the
-            # recipient's in-flight inbox, and a partition installed
-            # while this message was on the wire cuts the link.
-            if message.recipient in self._down:
-                self._drop("delivery_down")
-                return
-            if not self._connected(message.sender, message.recipient):
-                self._drop("delivery_partition")
-                return
-            self.delivered_count += 1
-            if self.tracer is not None:
-                self.tracer.span(
-                    "net/hop",
-                    sent_at,
-                    self._sim.now,
-                    node=message.recipient,
-                    txn_id=_txn_id_of(message),
-                    attrs={"type": message.msg_type, "sender": message.sender},
-                )
-            handler(message)
-
-        self._sim.schedule(delay, deliver)
+    def _deliver(self, delivery: Tuple[Message, DeliveryHandler, float]) -> None:
+        message, handler, sent_at = delivery
+        self.in_flight -= 1
+        # Re-check the world at delivery time: a crash loses the
+        # recipient's in-flight inbox, and a partition installed
+        # while this message was on the wire cuts the link.
+        if message.recipient in self._down:
+            self._drop("delivery_down")
+            return
+        if not self._connected(message.sender, message.recipient):
+            self._drop("delivery_partition")
+            return
+        self.delivered_count += 1
+        if self.tracer is not None:
+            self.tracer.span(
+                "net/hop",
+                sent_at,
+                self._sim.now,
+                node=message.recipient,
+                txn_id=_txn_id_of(message),
+                attrs={"type": message.msg_type, "sender": message.sender},
+            )
+        handler(message)
 
 
 __all__ = ["Network", "DeliveryHandler"]

@@ -1,9 +1,9 @@
 """The discrete-event simulator core.
 
-The simulator is a priority queue of ``(time, sequence, callback)``
-entries. Time is a float in seconds. The ``sequence`` counter breaks
-ties so that events scheduled earlier run earlier, which makes runs
-fully deterministic for a fixed seed.
+The simulator is a priority queue of ``(time, sequence, callback,
+arg)`` entries. Time is a float in seconds. The ``sequence`` counter
+breaks ties so that events scheduled earlier run earlier, which makes
+runs fully deterministic for a fixed seed.
 
 Event-loop contract
 -------------------
@@ -20,6 +20,20 @@ and the observability layer — relies on these guarantees:
   permutes same-time ties via seeded priorities — the permutation is
   itself a pure function of the explore profile, so every explored
   interleaving remains exactly replayable.
+* **Tail-run: one heap entry per wait.** A zero-delay entry takes the
+  largest sequence so far, so when nothing else is pending at the
+  current instant it *would* be the very next pop. At the two places
+  where that push would be the last act of a popped callback — a
+  ``Timeout`` firing with a single waiter, a ``Process`` yielding an
+  already-triggered event — the hop is run in place instead
+  (``_skip_hop``), which is the same execution order with one heap
+  entry per wait. Several waiters, anything else pending at ``now``,
+  ``Event.trigger`` called mid-callback and process start go through
+  the heap. It holds under a tie breaker too: a lone event has no tie
+  to permute, and its priority is still drawn so later draws line up.
+  ``tests/sim/test_kernel_differential.py`` checks the order against
+  the retired all-heap kernel. ``processed_events`` counts heap pops,
+  so ``perfbench`` events/s from before this rule are not comparable.
 * **Seeded randomness only.** The kernel itself draws no randomness.
   All stochastic behaviour flows through named streams from
   ``repro.sim.rng.RngRegistry``; a component must never share another
@@ -38,12 +52,17 @@ and the observability layer — relies on these guarantees:
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import SimulationError
+from repro.sim.events import Event, Timeout
+from repro.sim.process import Process
+
+# "No argument": ``schedule(delay, callback)`` runs ``callback()``.
+_NO_ARG: Any = object()
+_INF = math.inf
 
 
 class Simulator:
@@ -64,8 +83,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[tuple[float, Any, Callable[[], None]]] = []
-        self._seq = itertools.count()
+        self._heap: list[tuple[float, Any, Callable[..., None], Any]] = []
+        self._seq = 0
         self._running = False
         # Optional same-time tie permutation (schedule exploration, see
         # ``repro.sim.nondeterminism``): when set, each scheduled event
@@ -73,8 +92,8 @@ class Simulator:
         # order instead of scheduling order. None keeps the plain
         # sequence key — the historical, golden-seed-pinned behavior.
         self._tie_breaker: Optional[Callable[[], int]] = None
-        # Cumulative count of executed callbacks; the perf harness
-        # divides this by wall time to get events/sec.
+        # Cumulative count of heap pops; the perf harness divides this
+        # by wall time to get events/sec.
         self.processed_events = 0
 
     def install_tie_breaker(self, tie_breaker: Callable[[], int]) -> None:
@@ -96,59 +115,61 @@ class Simulator:
         """Current simulated time in seconds."""
         return self._now
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` after ``delay`` simulated seconds.
+    def schedule(self, delay: float, callback: Callable[..., None], arg: Any = _NO_ARG) -> None:
+        """Run ``callback()`` — or ``callback(arg)`` — after ``delay`` seconds.
 
         ``delay`` must be finite and non-negative. A NaN or infinite
         delay would silently corrupt the event heap's ordering (NaN
         compares false against everything), so both are rejected here
         rather than surfacing as a confusing mis-ordering later.
         """
-        if not math.isfinite(delay):
-            raise ValueError(f"delay must be finite, got {delay!r}")
-        if delay < 0:
+        if not 0.0 <= delay < _INF:
+            if not math.isfinite(delay):
+                raise ValueError(f"delay must be finite, got {delay!r}")
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        heapq.heappush(self._heap, (self._now + delay, self._order_key(), callback))
+        self._seq = key = self._seq + 1
+        if self._tie_breaker is not None:
+            key = (self._tie_breaker(), key)
+        heappush(self._heap, (self._now + delay, key, callback, arg))
 
-    def schedule_at(self, when: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` at absolute simulated time ``when``.
+    def schedule_at(self, when: float, callback: Callable[..., None], arg: Any = _NO_ARG) -> None:
+        """Run ``callback()`` — or ``callback(arg)`` — at absolute time ``when``.
 
         ``when`` must be finite and not in the past; NaN/infinity are
         rejected for the same heap-ordering reason as in ``schedule``.
         """
-        if not math.isfinite(when):
-            raise ValueError(f"scheduled time must be finite, got {when!r}")
-        if when < self._now:
+        if not self._now <= when < _INF:
+            if not math.isfinite(when):
+                raise ValueError(f"scheduled time must be finite, got {when!r}")
             raise ValueError(f"cannot schedule in the past (when={when}, now={self._now})")
-        heapq.heappush(self._heap, (when, self._order_key(), callback))
+        self._seq = key = self._seq + 1
+        if self._tie_breaker is not None:
+            key = (self._tie_breaker(), key)
+        heappush(self._heap, (when, key, callback, arg))
 
-    def _order_key(self):
-        """Within-instant ordering key for the next scheduled event.
+    def _skip_hop(self) -> bool:
+        """Tail-run: may a zero-delay hop run in place, being the next pop?
 
-        A bare sequence number normally (events at one instant run in
-        scheduling order); under an installed tie breaker, a drawn
-        priority first and the sequence only as the final tie-break.
+        If so the skipped entry's tie-breaker priority is drawn and
+        dropped here, so later draws match the all-heap schedule.
         """
-        if self._tie_breaker is None:
-            return next(self._seq)
-        return (self._tie_breaker(), next(self._seq))
+        heap = self._heap
+        if heap and heap[0][0] <= self._now:
+            return False
+        if self._tie_breaker is not None:
+            self._tie_breaker()
+        return True
 
-    def timeout(self, delay: float, value: Any = None) -> "Event":
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Return an event that triggers after ``delay`` seconds."""
-        from repro.sim.events import Timeout
-
         return Timeout(self, delay, value)
 
-    def event(self) -> "Event":
+    def event(self) -> Event:
         """Return a fresh, untriggered event."""
-        from repro.sim.events import Event
-
         return Event(self)
 
-    def process(self, generator: Generator[Any, Any, Any], name: str = "") -> "Process":
+    def process(self, generator: Generator[Any, Any, Any], name: str = "") -> Process:
         """Start a new process running ``generator``."""
-        from repro.sim.process import Process
-
         return Process(self, generator, name=name)
 
     def run(self, until: Optional[float] = None) -> None:
@@ -156,35 +177,31 @@ class Simulator:
 
         When ``until`` is given, the clock is advanced to exactly
         ``until`` even if the queue drains earlier, so periodic
-        measurements can rely on the final time.
+        measurements can rely on the final time. ``until`` may be
+        ``+inf`` but not NaN, which no event time ever exceeds.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
+        limit = _INF if until is None else until
+        if math.isnan(limit):
+            raise ValueError(f"until must not be NaN, got {until!r}")
         self._running = True
-        # The loop is the simulator's innermost hot path: heap and
-        # heappop are bound locally and the unbounded case pops
-        # directly (no peek). ``processed_events`` must advance before
-        # each callback runs — callbacks may read it live.
+        # The loop is the simulator's innermost hot path: the heap is
+        # bound locally and a missing ``until`` is an infinite limit, so
+        # one loop with one ``heappop`` serves both cases (chainbench
+        # counts ``sim.events`` on that edge). ``processed_events`` must
+        # advance before each callback runs — callbacks may read it live.
         heap = self._heap
-        heappop = heapq.heappop
         try:
-            if until is None:
-                while heap:
-                    when, _, callback = heappop(heap)
-                    self._now = when
-                    self.processed_events += 1
+            while heap and heap[0][0] <= limit:
+                self._now, _, callback, arg = heappop(heap)
+                self.processed_events += 1
+                if arg is _NO_ARG:
                     callback()
-            else:
-                while heap:
-                    when = heap[0][0]
-                    if when > until:
-                        break
-                    when, _, callback = heappop(heap)
-                    self._now = when
-                    self.processed_events += 1
-                    callback()
-                if until > self._now:
-                    self._now = until
+                else:
+                    callback(arg)
+            if until is not None and until > self._now:
+                self._now = until
         finally:
             self._running = False
 
@@ -192,10 +209,5 @@ class Simulator:
         """Number of scheduled-but-unprocessed callbacks."""
         return len(self._heap)
 
-
-# Imported at the bottom for type checkers; runtime imports are lazy to
-# avoid a circular import between core, events, and process.
-from repro.sim.events import Event  # noqa: E402
-from repro.sim.process import Process  # noqa: E402
 
 __all__ = ["Simulator", "Event", "Process"]

@@ -6,11 +6,13 @@ process resumes and the ``yield`` expression evaluates to the event's
 value.
 
 Event-loop contract (see ``repro.sim.core``): trigger callbacks are
-scheduled — never invoked inline — so waiters always resume through the
-simulator's deterministic ``(time, sequence)`` order. Multiple waiters
-on one event wake in registration order. None of these primitives draw
-randomness; observability hooks may inspect ``triggered``/``value``
-freely but must not call :meth:`Event.trigger` themselves.
+scheduled, so waiters resume through the simulator's deterministic
+``(time, sequence)`` order; only a :class:`Timeout` calls a lone waiter
+in place, when that is the very order the heap would produce (the
+tail-run rule). Multiple waiters on one event wake in registration
+order. None of these primitives draw randomness; observability hooks
+may inspect ``triggered``/``value`` freely but must not call
+:meth:`Event.trigger` themselves.
 """
 
 from __future__ import annotations
@@ -45,13 +47,13 @@ class Event:
         self.value = value
         callbacks, self._callbacks = self._callbacks, []
         for callback in callbacks:
-            self._sim.schedule(0.0, lambda cb=callback: cb(self))
+            self._sim.schedule(0.0, callback, self)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Invoke ``callback(event)`` once the event has triggered."""
         if self.triggered:
-            self._sim.schedule(0.0, lambda: callback(self))
+            self._sim.schedule(0.0, callback, self)
         else:
             self._callbacks.append(callback)
 
@@ -64,7 +66,17 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         super().__init__(sim)
         self.delay = delay
-        sim.schedule(delay, lambda: self.trigger(value))
+        sim.schedule(delay, self._fire, value)
+
+    def _fire(self, value: Any) -> None:
+        """The timeout's one heap entry; a lone waiter is tail-run."""
+        waiters = self._callbacks
+        if len(waiters) == 1 and self._sim._skip_hop():
+            self._callbacks = []
+            self.trigger(value)
+            waiters[0](self)
+        else:
+            self.trigger(value)
 
 
 class AnyOf(Event):
@@ -106,7 +118,7 @@ class AllOf(Event):
         self._remaining = len(self.events)
         if self._remaining == 0:
             # Trigger on the next tick to keep semantics uniform.
-            sim.schedule(0.0, lambda: self.trigger([]))
+            sim.schedule(0.0, self.trigger, [])
             return
         for event in self.events:
             event.add_callback(self._on_child)

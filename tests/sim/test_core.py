@@ -125,7 +125,7 @@ def test_schedule_at_rejects_non_finite_time():
         sim.schedule_at(float("-inf"), lambda: None)
 
 
-def test_processed_events_counts_executed_callbacks():
+def test_processed_events_counts_heap_pops():
     sim = Simulator()
     for _ in range(5):
         sim.schedule(1.0, lambda: None)
@@ -134,3 +134,48 @@ def test_processed_events_counts_executed_callbacks():
     assert sim.processed_events == 5
     sim.run()
     assert sim.processed_events == 6
+
+
+def test_processed_events_does_not_count_tail_run_wakes():
+    # Heap pops, not callbacks: the lone waiter a timeout wakes in place
+    # (the tail-run rule) runs without an entry of its own.
+    sim = Simulator()
+    woken = []
+
+    def waiter():
+        woken.append((yield sim.timeout(1.0, "done")))
+
+    sim.process(waiter())
+    sim.run()
+    assert woken == ["done"]
+    assert sim.processed_events == 2  # process start + the timeout
+
+
+def test_schedule_passes_the_optional_argument():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, seen.append, "later")
+    sim.schedule_at(0.5, seen.append, None)  # None is an argument, not "no argument"
+    sim.schedule(2.0, lambda: seen.append("bare"))
+    sim.run()
+    assert seen == [None, "later", "bare"]
+
+
+def test_run_rejects_nan_until():
+    # ``when > nan`` is never true: a NaN bound used to run the queue dry.
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(1))
+    with pytest.raises(ValueError, match="NaN"):
+        sim.run(until=float("nan"))
+    assert seen == [] and sim.now == 0.0
+    sim.run()  # the rejected call left the simulator runnable
+    assert seen == [1]
+
+
+def test_run_until_infinity_drains_the_queue():
+    sim = Simulator()
+    sim.schedule(3.0, lambda: None)
+    sim.run(until=float("inf"))
+    assert sim.pending_events() == 0
+    assert sim.now == float("inf")
