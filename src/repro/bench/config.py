@@ -87,9 +87,6 @@ class ExperimentConfig:
     # recovery. Off by default (legacy fixed-timeout behavior).
     resilience: bool = False
     snapshot_interval: float = 0.0
-    # Anti-entropy ablation (docs/PERFORMANCE.md): ship the legacy
-    # full-id-set digests instead of O(clients + gaps) watermarks.
-    legacy_digests: bool = False
     # Workload skew (Table 2 row 8): None = uniform; otherwise relative
     # per-organization weights.
     org_weights: Optional[Tuple[float, ...]] = None
@@ -120,8 +117,8 @@ class ExperimentConfig:
     # explorer's mutation smoke). None/None is the historical behavior.
     explore: Optional[ExploreProfile] = None
     planted_bug: Optional[str] = None
-    # Multi-application channels (repro.core.channel): empty () is the
-    # legacy single-channel deployment (byte-identical golden seeds);
+    # Multi-application channels (repro.core.channel): empty () deploys
+    # the one contract on the default channel (the golden-seed shape);
     # otherwise one channel per spec, each binding its own contract and
     # sharded ledger, driven at ``arrival_rate * rate_share / total``.
     # OrderlessChain only.

@@ -622,7 +622,6 @@ def chaos_run(
     resilience: bool = False,
     max_retries: int = 0,
     snapshot_interval: float = 0.0,
-    legacy_digests: bool = False,
 ) -> ExperimentResult:
     """One system under a fault schedule, oracle-checked at quiescence.
 
@@ -647,7 +646,6 @@ def chaos_run(
         resilience=resilience,
         max_retries=max_retries,
         snapshot_interval=snapshot_interval,
-        legacy_digests=legacy_digests,
         **_base(max(duration, schedule.horizon + 5.0), scale, seed),
     )
     return run_experiment(config)

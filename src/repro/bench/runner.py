@@ -16,7 +16,6 @@ results (docs/OBSERVABILITY.md).
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Callable, List, Optional, Sequence
 
 from repro.baselines.bidl import BIDLNetwork, BIDLSettings
@@ -71,31 +70,6 @@ def _drive(
 
 
 # -- OrderlessChain ----------------------------------------------------------
-
-
-_settings_shim_warned = False
-
-
-def settings_from_config(config: ExperimentConfig) -> OrderlessChainSettings:
-    """Deprecated shim for the old runner-local knob copying.
-
-    Use :meth:`repro.core.OrderlessChainSettings.from_config` — the
-    single canonical conversion — instead. Warns once per process.
-    """
-    global _settings_shim_warned
-    if not _settings_shim_warned:
-        _settings_shim_warned = True
-        # DeprecationWarning is hidden by the default filter outside
-        # __main__; force it through so callers actually see it.
-        with warnings.catch_warnings():
-            warnings.simplefilter("always", DeprecationWarning)
-            warnings.warn(
-                "repro.bench.runner.settings_from_config is deprecated; "
-                "use OrderlessChainSettings.from_config(config)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-    return OrderlessChainSettings.from_config(config)
 
 
 def _orderless_contract_factory(config: ExperimentConfig) -> Callable[[], object]:
@@ -477,4 +451,4 @@ def run_experiment(
     )
 
 
-__all__ = ["build_network", "run_experiment", "settings_from_config"]
+__all__ = ["build_network", "run_experiment"]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import Callable, Dict, List, Optional
 
 from repro.bench import experiments, export
@@ -134,7 +133,7 @@ def _run_table3(args):
     return text, rows
 
 
-def _run_multichannel(args):
+def _run_channels(args):
     results = experiments.multichannel_scaling(
         duration=args.duration, scale=args.scale, seed=args.seed, jobs=args.jobs
     )
@@ -168,7 +167,6 @@ def _run_chaos(args):
             resilience=getattr(args, "resilience", False),
             max_retries=getattr(args, "max_retries", 0),
             snapshot_interval=getattr(args, "snapshot_interval", 0.0),
-            legacy_digests=getattr(args, "legacy_digests", False),
         )
         report = result.check_report
         failed = failed or not report.ok
@@ -198,7 +196,7 @@ EXPERIMENTS: Dict[str, tuple[str, Callable]] = {
     "fig8b": ("Byzantine organizations, clients avoid", _run_fig8b),
     "fig9": ("voting/auction vs Fabric & FabricCRDT", _run_fig9),
     "fig10": ("voting/auction vs BIDL & Sync HotStuff", _run_fig10),
-    "multichannel": ("channel-count scaling, mixed applications", _run_multichannel),
+    "multichannel": ("channel-count scaling, mixed applications", _run_channels),
     "table3": ("transaction processing time breakdown", _run_table3),
 }
 
@@ -207,31 +205,10 @@ EXPERIMENTS: Dict[str, tuple[str, Callable]] = {
 #
 # ``run``, ``bench``, ``explore``, and ``report`` all take subsets of
 # the same four flags; one table keeps their spelling, default, and
-# help text identical everywhere (tests/bench/test_cli.py pins this).
+# help text identical everywhere (tests/core/test_cli.py pins this).
 
 _SYSTEM_CHOICES = ["orderlesschain", "fabric", "fabriccrdt", "bidl", "synchotstuff"]
 _APP_CHOICES = ["synthetic", "voting", "auction"]
-
-
-class _DeprecatedAlias(argparse.Action):
-    """An old flag spelling: forwards to ``dest``, warns once per flag."""
-
-    _warned: set = set()
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        replacement = "--" + self.dest.replace("_", "-")
-        if option_string not in self._warned:
-            self._warned.add(option_string)
-            # DeprecationWarning is hidden by the default filter outside
-            # __main__; force it through so CLI users actually see it.
-            with warnings.catch_warnings():
-                warnings.simplefilter("always", DeprecationWarning)
-                warnings.warn(
-                    f"{option_string} is deprecated; use {replacement}",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-        setattr(namespace, self.dest, values)
 
 
 def _add_common_flags(sub: argparse.ArgumentParser, *names: str) -> None:
@@ -552,24 +529,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="chaos only: client retry budget per phase (default 0)",
     )
     run.add_argument(
-        "--retries",
-        dest="max_retries",
-        type=int,
-        action=_DeprecatedAlias,
-        help=argparse.SUPPRESS,
-    )
-    run.add_argument(
         "--snapshot-interval",
         type=float,
         default=0.0,
         help="chaos only: organization checkpoint period in simulated seconds"
         " (0 disables snapshot-based recovery)",
-    )
-    run.add_argument(
-        "--legacy-digests",
-        action="store_true",
-        help="chaos only: full-id-set anti-entropy digests instead of"
-        " watermark digests — the A/B ablation arm (docs/PERFORMANCE.md)",
     )
     run.set_defaults(func=_cmd_run)
 

@@ -1,6 +1,6 @@
 """Watermark-based anti-entropy digests (docs/PERFORMANCE.md).
 
-The legacy anti-entropy step shipped the *entire* committed
+Anti-entropy once shipped the *entire* committed
 transaction-id set every sync round — O(n log n) Python work and O(n)
 modeled bytes per round, so long runs spent more time summarizing
 history than committing transactions. Transaction ids are

@@ -8,11 +8,11 @@ transactions from different applications never need a global order
 (Section 3), so channels share only the WAN and the crypto caches.
 
 Every organization owns one :class:`ChannelState` per channel. The
-implicit ``default`` channel reproduces the historical single-channel
-behaviour byte-for-byte: its state objects double as the
-organization's legacy attributes (``org.ledger`` etc.), no wire body
-grows a ``channel`` key, and no extra RNG draw or event is introduced
-until a second channel is created.
+``default`` channel every organization starts with is an ordinary
+channel — keyed, gossiped, digested, and snapshotted like any other —
+except that contracts installed on it keep their bare ids and
+``org.ledger`` is a read-only shorthand for its ledger. Channels add no
+shared RNG draw or event: a second channel brings only its own traffic.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.core.antientropy import CommittedIndex
-from repro.core.contract import SmartContract
 from repro.ledger.ledger import Ledger
 
-#: The implicit channel every organization starts with; contracts
-#: installed here keep their bare contract ids (legacy behaviour).
+#: The channel every organization starts with; contracts installed
+#: here keep their bare contract ids.
 DEFAULT_CHANNEL = "default"
 
 
@@ -48,16 +47,15 @@ class ChannelState:
 
     Holds everything the commit/gossip/anti-entropy hot path touches
     per channel: the ledger (hash-chain log + database + CRDT value
-    cache), the contracts bound to the channel, the gossip backlog,
-    the committed wire forms, the incrementally maintained
-    :class:`CommittedIndex` (watermark digests), the per-object
-    transaction index used by sealing, and the recovery snapshot.
+    cache), the gossip backlog, the committed wire forms, the
+    incrementally maintained :class:`CommittedIndex` (watermark
+    digests), the per-object transaction index used by sealing, and
+    the recovery snapshot.
     """
 
     __slots__ = (
         "channel_id",
         "ledger",
-        "contracts",
         "gossip_backlog",
         "valid_txn_wire",
         "commit_index",
@@ -71,7 +69,6 @@ class ChannelState:
     def __init__(self, channel_id: str, cache_enabled: bool = True) -> None:
         self.channel_id = channel_id
         self.ledger = Ledger(cache_enabled=cache_enabled)
-        self.contracts: Dict[str, SmartContract] = {}
         # (transaction wire, remaining push rounds) pairs; see
         # Organization._gossip_loop.
         self.gossip_backlog: List[tuple[Dict[str, Any], int]] = []

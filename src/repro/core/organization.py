@@ -27,6 +27,7 @@ from repro.core.recording import TransactionRecorder
 from repro.core.transaction import Endorsement, Proposal, Receipt, Transaction
 from repro.crypto.identity import CertificateAuthority, Identity
 from repro.errors import ContractError, CRDTError
+from repro.ledger.ledger import Ledger
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.core import Simulator
@@ -62,7 +63,6 @@ class Organization:
         gossip_ttl: int = 3,
         sync_interval: float = 5.0,
         snapshot_interval: float = 0.0,
-        legacy_digests: bool = False,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -78,20 +78,18 @@ class Organization:
         self.tracer = None
         # Per-channel sharded state (repro.core.channel): each channel
         # owns its own ledger, gossip backlog, committed index, and
-        # snapshot. The implicit default channel's objects double as
-        # the legacy single-channel attributes below, so existing code
-        # (tests, adapters, extensions) keeps working unchanged.
+        # snapshot. The default channel is an ordinary channel that
+        # every organization starts with.
         self._cache_enabled = cache_enabled
-        default_channel = ChannelState(DEFAULT_CHANNEL, cache_enabled=cache_enabled)
-        self.channels: Dict[str, ChannelState] = {DEFAULT_CHANNEL: default_channel}
+        self.channels: Dict[str, ChannelState] = {}
+        self.create_channel(DEFAULT_CHANNEL)
         # contract id -> channel id routing map; proposals, commits,
         # gossip, and reads are steered to a channel by contract id.
         self._contract_channel: Dict[str, str] = {}
-        self.ledger = default_channel.ledger
         self.cpu = Resource(sim, capacity=perf.vcpus)
         self.cache_lock = Lock(sim)
         # Global contract registry across all channels (endorsement
-        # dispatch); per-channel registries live on the ChannelState.
+        # dispatch).
         self.contracts: Dict[str, SmartContract] = {}
         self.peer_ids: List[str] = []
         self.gossip_interval = gossip_interval
@@ -101,17 +99,12 @@ class Organization:
         # replicas reconcile even after push-gossip rounds are spent
         # (e.g. across a healed partition). 0 disables it.
         self.sync_interval = sync_interval
-        self._valid_txn_wire = default_channel.valid_txn_wire
-        # Watermark-based anti-entropy (repro.core.antientropy): the
-        # committed set summarized incrementally at commit time as
-        # per-client watermarks + gap ranges, an insertion-ordered id
-        # log, and a running order-independent state digest — so no
-        # sync/snapshot/recovery call site ever sorts or copies the
-        # full set. ``legacy_digests=True`` keeps the old full-set
-        # digest wire format (byte-identical event order) for A/B
-        # ablations; the index is maintained either way.
-        self.legacy_digests = legacy_digests
-        self._commit_index = default_channel.commit_index
+        # Watermark-based anti-entropy (repro.core.antientropy): each
+        # channel's committed set is summarized incrementally at commit
+        # time as per-client watermarks + gap ranges, an
+        # insertion-ordered id log, and a running order-independent
+        # state digest — so no sync/snapshot/recovery call site ever
+        # sorts or copies the full set.
         # Snapshot-based crash recovery (docs/RESILIENCE.md): with a
         # positive interval, a background loop periodically checkpoints
         # the committed-transaction set; recover() then replays only
@@ -134,19 +127,15 @@ class Organization:
         # Proposal guards run before endorsement; returning False drops
         # the proposal (the Section 8 DDoS-detection hook).
         self.proposal_guards: List[Any] = []
-        # Valid transaction ids per touched object (used by sealing).
-        self._txns_by_object = default_channel.txns_by_object
         # Fail-stop crash flag (set by the fault-injection layer in
         # tandem with ``Network.crash``): a crashed organization ignores
         # incoming messages and skips its background loops. Compute
         # already in progress finishes — fail-stop at message
         # boundaries, matching the network's crash semantics.
         self.crashed = False
-        # Counters for assertions and reporting.
+        # Counters for assertions and reporting (the commit counters
+        # are per channel; see the properties below).
         self.endorsed_count = 0
-        self.committed_valid = 0
-        self.committed_invalid = 0
-        self.gossip_commits = 0
         self.dropped_requests = 0
         network.register(self.org_id, self._on_message)
 
@@ -157,22 +146,21 @@ class Organization:
     # -- channels (repro.core.channel) -----------------------------------
 
     @property
-    def _multichannel(self) -> bool:
-        """More than one channel exists; wire bodies then carry the
-        channel id so digests and sync requests route to the right
-        shard. Single-channel bodies stay byte-identical to the legacy
-        format."""
-        return len(self.channels) > 1
+    def ledger(self) -> Ledger:
+        """Read-only convenience: the default channel's ledger."""
+        return self.channels[DEFAULT_CHANNEL].ledger
 
     @property
-    def _gossip_backlog(self) -> List[tuple[Dict[str, Any], int]]:
-        """Legacy alias: the default channel's gossip backlog."""
-        return self.channels[DEFAULT_CHANNEL].gossip_backlog
+    def committed_valid(self) -> int:
+        return sum(channel.committed_valid for channel in self.channels.values())
 
     @property
-    def _snapshot(self) -> Optional[Dict[str, Any]]:
-        """Legacy alias: the default channel's recovery snapshot."""
-        return self.channels[DEFAULT_CHANNEL].snapshot
+    def committed_invalid(self) -> int:
+        return sum(channel.committed_invalid for channel in self.channels.values())
+
+    @property
+    def gossip_commits(self) -> int:
+        return sum(channel.gossip_commits for channel in self.channels.values())
 
     def create_channel(self, channel_id: str) -> ChannelState:
         """Create (or return) the named channel's state shard."""
@@ -191,9 +179,8 @@ class Organization:
     def install_contract(
         self, contract: SmartContract, channel: str = DEFAULT_CHANNEL
     ) -> None:
-        state = self.create_channel(channel)
+        self.create_channel(channel)
         contract.contract_id = scoped_contract_id(channel, contract.contract_id)
-        state.contracts[contract.contract_id] = contract
         self.contracts[contract.contract_id] = contract
         self._contract_channel[contract.contract_id] = channel
 
@@ -379,7 +366,7 @@ class Organization:
         self,
         transaction: Transaction,
         via_gossip: bool,
-        channel: Optional[ChannelState] = None,
+        channel: ChannelState,
     ):
         """Shared commit path; returns (valid, block_or_None, reason).
 
@@ -387,8 +374,6 @@ class Organization:
         shard (routed by contract id); the CPU and cache lock stay
         org-wide — channels share compute, not state.
         """
-        if channel is None:
-            channel = self._channel_of(transaction.proposal.contract_id)
         ledger = channel.ledger
         txn_id = transaction.transaction_id
         if ledger.is_valid_transaction(txn_id):
@@ -443,7 +428,6 @@ class Organization:
             block = ledger.commit(
                 transaction.transaction_id, operations, wire, valid=True
             )
-            self.committed_valid += 1
             channel.committed_valid += 1
             channel.gossip_backlog.append((wire, self.gossip_ttl))
             channel.valid_txn_wire[txn_id] = wire
@@ -451,7 +435,6 @@ class Organization:
             for operation in operations:
                 channel.txns_by_object.setdefault(operation.object_id, set()).add(txn_id)
             if via_gossip:
-                self.gossip_commits += 1
                 channel.gossip_commits += 1
             return True, block, reason
         if via_gossip:
@@ -465,7 +448,6 @@ class Organization:
         block = ledger.commit(
             transaction.transaction_id, [], transaction.to_wire(), valid=False
         )
-        self.committed_invalid += 1
         channel.committed_invalid += 1
         return False, block, reason
 
@@ -615,41 +597,22 @@ class Organization:
 
     # -- anti-entropy reconciliation ---------------------------------------------
 
-    def _digest_body_and_size(
-        self, channel: Optional[ChannelState] = None
-    ) -> tuple[Dict[str, Any], int]:
-        """The digest wire form + modeled size for the active mode.
+    def _digest_body_and_size(self, channel: ChannelState) -> tuple[Dict[str, Any], int]:
+        """The digest wire form + modeled size.
 
-        Legacy: the full sorted id list, ``digest_base_bytes +
-        digest_per_id_bytes`` per id — O(n) bytes and O(n log n) work
-        per round. Watermark: the per-client watermark + gap summary,
-        O(clients + gaps) bytes and O(clients) work, read straight off
-        the incrementally maintained :class:`CommittedIndex`.
-
-        Digests summarize one channel's committed set. Only in
-        multichannel mode does the body carry the channel id — the
-        single-channel wire form is byte-identical to the legacy one.
+        The per-client watermark + gap summary of one channel's
+        committed set, O(clients + gaps) bytes and O(clients) work,
+        read straight off the incrementally maintained
+        :class:`CommittedIndex`. The body names its channel so the
+        receiver reconciles the right shard.
         """
-        if channel is None:
-            channel = self.channels[DEFAULT_CHANNEL]
-        tag = {"channel": channel.channel_id} if self._multichannel else {}
-        if self.legacy_digests:
-            txn_ids = sorted(channel.valid_txn_wire)
-            return (
-                {"txn_ids": txn_ids, **tag},
-                self.perf.legacy_digest_bytes(len(txn_ids)),
-            )
         marks = channel.commit_index.watermarks
         return (
-            {"watermarks": marks.to_wire(), **tag},
+            {"watermarks": marks.to_wire(), "channel": channel.channel_id},
             self.perf.watermark_digest_bytes(marks.client_count, marks.gap_count),
         )
 
-    def _send_digest(
-        self, recipient: str, context: str, channel: Optional[ChannelState] = None
-    ) -> None:
-        if channel is None:
-            channel = self.channels[DEFAULT_CHANNEL]
+    def _send_digest(self, recipient: str, context: str, channel: ChannelState) -> None:
         body, size = self._digest_body_and_size(channel)
         self.network.send(
             Message(
@@ -666,11 +629,7 @@ class Organization:
                 "org/sync_digest",
                 self.sim.now,
                 node=self.org_id,
-                attrs={
-                    "mode": "legacy" if self.legacy_digests else "watermark",
-                    "bytes": size,
-                    "context": context,
-                },
+                attrs={"bytes": size, "context": context},
             )
 
     def _antientropy_loop(self):
@@ -710,64 +669,44 @@ class Organization:
         digest to peers (see :meth:`resync`), and halves the number of
         anti-entropy rounds needed after a partition heals.
 
-        Watermark digests reconstruct both sides of the symmetric
-        difference from watermark deltas (O(clients + gaps +
-        divergence)); the legacy path set-diffs the full id list.
+        Both sides of the symmetric difference are reconstructed from
+        watermark deltas (O(clients + gaps + divergence)).
         """
         body = message.body
-        channel = self.channels.get(body.get("channel", DEFAULT_CHANNEL))
-        if channel is None:
-            return  # digest for a channel this organization never joined
-        if "watermarks" in body:
-            remote = WatermarkDigest.from_wire(body["watermarks"])
-            missing = [
-                txn_id
-                for txn_id in channel.commit_index.missing_from(remote)
-                if not channel.ledger.has_transaction(txn_id)
-            ]
-            surplus = list(channel.commit_index.surplus_over(remote))
-        else:
-            digest = set(body["txn_ids"])
-            missing = [
-                txn_id
-                for txn_id in body["txn_ids"]
-                if not channel.ledger.has_transaction(txn_id)
-            ]
-            surplus = [
-                txn_id
-                for txn_id in sorted(channel.valid_txn_wire)
-                if txn_id not in digest
-            ]
-        pages = 0
-        if missing:
-            pages += self._send_sync_requests(message.sender, missing, channel)
-        if surplus:
-            pages += self._send_txn_batches(
-                message.sender,
-                (channel.valid_txn_wire[txn_id] for txn_id in surplus),
-                channel,
-            )
+        channel_id, marks = body.get("channel"), body.get("watermarks")
+        channel = self.channels.get(channel_id) if isinstance(channel_id, str) else None
+        if channel is None or not isinstance(marks, dict):
+            # Malformed, or for a channel this organization never
+            # joined: drop it and keep serving.
+            self.dropped_requests += 1
+            return
+        remote = WatermarkDigest.from_wire(marks)
+        missing = [
+            txn_id
+            for txn_id in channel.commit_index.missing_from(remote)
+            if not channel.ledger.has_transaction(txn_id)
+        ]
+        surplus = list(channel.commit_index.surplus_over(remote))
+        # Both senders page their input; an empty side sends nothing.
+        pages = self._send_sync_requests(message.sender, missing, channel)
+        pages += self._send_txn_batches(
+            message.sender,
+            (channel.valid_txn_wire[txn_id] for txn_id in surplus),
+            channel,
+        )
         if self.tracer is not None:
             self.tracer.instant(
                 "org/sync_reconcile",
                 self.sim.now,
                 node=self.org_id,
-                attrs={
-                    "mode": "watermark" if "watermarks" in body else "legacy",
-                    "missing": len(missing),
-                    "surplus": len(surplus),
-                    "pages": pages,
-                },
+                attrs={"missing": len(missing), "surplus": len(surplus), "pages": pages},
             )
 
     def _send_sync_requests(
-        self, recipient: str, txn_ids: List[str], channel: Optional[ChannelState] = None
+        self, recipient: str, txn_ids: List[str], channel: ChannelState
     ) -> int:
-        """Request ids from a peer, paginated in watermark mode."""
-        if channel is None:
-            channel = self.channels[DEFAULT_CHANNEL]
-        tag = {"channel": channel.channel_id} if self._multichannel else {}
-        page = len(txn_ids) if self.legacy_digests else max(1, self.perf.sync_page_txns)
+        """Request ids from a peer, ``sync_page_txns`` ids per message."""
+        page = max(1, self.perf.sync_page_txns)
         pages = 0
         for start in range(0, len(txn_ids), page):
             chunk = txn_ids[start : start + page]
@@ -776,8 +715,8 @@ class Organization:
                     sender=self.org_id,
                     recipient=recipient,
                     msg_type=MSG_SYNC_REQUEST,
-                    body={"txn_ids": chunk, **tag},
-                    size_bytes=self.perf.legacy_digest_bytes(len(chunk)),
+                    body={"txn_ids": chunk, "channel": channel.channel_id},
+                    size_bytes=self.perf.id_list_bytes(len(chunk)),
                     channel=channel.channel_id,
                 )
             )
@@ -788,21 +727,16 @@ class Organization:
         self,
         recipient: str,
         wires: Iterable[Dict[str, Any]],
-        channel: Optional[ChannelState] = None,
+        channel: ChannelState,
     ) -> int:
         """Ship transaction wires as gossip batches.
 
-        In watermark mode batches are capped at ``sync_page_txns``
-        transactions so a freshly recovered organization receives its
-        backlog as a paginated stream, never one unbounded message;
-        the legacy path keeps the old single-message behavior.
+        Batches are capped at ``sync_page_txns`` transactions so a
+        freshly recovered organization receives its backlog as a
+        paginated stream, never one unbounded message.
         """
-        if channel is None:
-            channel = self.channels[DEFAULT_CHANNEL]
         wires = list(wires)
-        if not wires:
-            return 0
-        page = len(wires) if self.legacy_digests else max(1, self.perf.sync_page_txns)
+        page = max(1, self.perf.sync_page_txns)
         pages = 0
         for start in range(0, len(wires), page):
             chunk = wires[start : start + page]
@@ -825,14 +759,17 @@ class Organization:
         return pages
 
     def _handle_sync_request(self, message: Message) -> None:
-        channel = self.channels.get(message.body.get("channel", DEFAULT_CHANNEL))
-        if channel is None:
+        body = message.body
+        channel_id, txn_ids = body.get("channel"), body.get("txn_ids")
+        channel = self.channels.get(channel_id) if isinstance(channel_id, str) else None
+        if channel is None or not isinstance(txn_ids, list):
+            self.dropped_requests += 1  # malformed; see _handle_sync_digest
             return
         self._send_txn_batches(
             message.sender,
             (
                 channel.valid_txn_wire[txn_id]
-                for txn_id in message.body["txn_ids"]
+                for txn_id in txn_ids
                 if txn_id in channel.valid_txn_wire
             ),
             channel,
@@ -868,18 +805,6 @@ class Organization:
 
     # -- snapshot checkpoints (docs/RESILIENCE.md) ---------------------------------
 
-    def _state_digest(self, channel: Optional[ChannelState] = None) -> str:
-        """Order-independent digest of a channel's valid committed set.
-
-        Read in O(1) off the running per-id SHA-256 XOR accumulator the
-        :class:`CommittedIndex` updates at commit time — the old
-        implementation sorted and joined every id (O(n log n)) on each
-        checkpoint.
-        """
-        if channel is None:
-            channel = self.channels[DEFAULT_CHANNEL]
-        return channel.commit_index.state_digest()
-
     def _snapshot_loop(self):
         """Periodically checkpoint the committed set for fast recovery.
 
@@ -907,7 +832,7 @@ class Organization:
                 channel.snapshot = {
                     "log_position": len(channel.commit_index.log),
                     "count": known,
-                    "digest": self._state_digest(channel),
+                    "digest": channel.commit_index.state_digest(),
                     "taken_at": self.sim.now,
                 }
                 self.snapshots_taken += 1
@@ -993,7 +918,9 @@ class Organization:
             )
         else:
             # Ablation: replay the object's operations from the DB.
-            replay_ops = self._replay_cost_estimate(proposal, channel)
+            # The operations replayed on a cache-miss read (the O(n)
+            # problem) are driven by total committed operations.
+            replay_ops = max(1, ledger.valid_transaction_count)
             yield from self.cpu.serve(self.perf.log_replay_per_op * replay_ops)
         reader = StateReader(ledger.read)
         context = ContractContext(
@@ -1014,14 +941,6 @@ class Organization:
             )
         )
 
-    def _replay_cost_estimate(
-        self, proposal: Proposal, channel: Optional[ChannelState] = None
-    ) -> int:
-        """Operations replayed on a cache-miss read (the O(n) problem)."""
-        del proposal  # cost driven by total committed operations
-        ledger = (channel or self.channels[DEFAULT_CHANNEL]).ledger
-        return max(1, ledger.valid_transaction_count)
-
     def transactions_for_object(
         self, object_id: str, channel: str = DEFAULT_CHANNEL
     ) -> Dict[str, Dict[str, Any]]:
@@ -1040,7 +959,8 @@ class Organization:
         transactions; still runs full validation. A generator — run it
         with ``yield from`` inside a process.
         """
-        return self._commit_transaction(transaction, via_gossip=True)
+        channel = self._channel_of(transaction.proposal.contract_id)
+        return self._commit_transaction(transaction, via_gossip=True, channel=channel)
 
     # -- state access -------------------------------------------------------
 
@@ -1048,12 +968,10 @@ class Organization:
         """Direct (zero-time) state read for tests and assertions."""
         return self.channels[channel].ledger.read(object_id, path)
 
-    def state_snapshot(self) -> Any:
-        """Application state: the legacy single-ledger snapshot with one
-        channel, else one snapshot per channel keyed by channel id (the
-        convergence oracle then compares shards pairwise for free)."""
-        if not self._multichannel:
-            return self.ledger.state_snapshot()
+    def state_snapshot(self) -> Dict[str, Any]:
+        """Application state: one snapshot per channel keyed by channel
+        id (the convergence oracle then compares shards pairwise for
+        free)."""
         return {
             channel_id: channel.ledger.state_snapshot()
             for channel_id, channel in sorted(self.channels.items())

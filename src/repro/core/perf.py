@@ -78,11 +78,10 @@ class PerfModel:
     receipt_bytes: int = 160
     read_response_bytes: int = 220
     # Anti-entropy digest / sync wire sizes (docs/PERFORMANCE.md).
-    # The legacy digest ships every committed id (base + per_id * n);
-    # the watermark digest ships one entry per client plus one per gap
+    # The watermark digest ships one entry per client plus one per gap
     # range (base + per_client * clients + per_gap * gaps). Sync
-    # requests list explicit ids (per_id each) and responses are
-    # paginated at ``sync_page_txns`` transactions per gossip message.
+    # requests list explicit ids (base + per_id each) and both they and
+    # the responses are paginated at ``sync_page_txns`` per message.
     digest_base_bytes: int = 64
     digest_per_id_bytes: int = 24
     digest_per_client_bytes: int = 20
@@ -133,8 +132,8 @@ class PerfModel:
     def endorsement_bytes(self, op_count: int) -> int:
         return self.endorsement_base_bytes + self.per_op_bytes * op_count
 
-    def legacy_digest_bytes(self, id_count: int) -> int:
-        """Full-set digest / sync-request size: every id on the wire."""
+    def id_list_bytes(self, id_count: int) -> int:
+        """Sync-request size: an explicit id list, every id on the wire."""
         return self.digest_base_bytes + self.digest_per_id_bytes * id_count
 
     def watermark_digest_bytes(self, client_count: int, gap_count: int) -> int:

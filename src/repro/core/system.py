@@ -47,11 +47,6 @@ class OrderlessChainSettings:
     # Snapshot-based crash recovery (docs/RESILIENCE.md); 0 keeps the
     # legacy full-resync recovery and takes no checkpoints.
     snapshot_interval: float = 0.0
-    # Anti-entropy digest wire format (docs/PERFORMANCE.md): False (the
-    # default) exchanges O(clients + gaps) watermark digests; True is
-    # the ablation arm that ships the full committed-id set per round
-    # (the pre-watermark behavior, byte-identical event order).
-    legacy_digests: bool = False
     cache_enabled: bool = True
     client_config: ClientConfig = field(default_factory=ClientConfig)
     # Controlled nondeterminism for schedule exploration
@@ -73,8 +68,8 @@ class OrderlessChainSettings:
         """The canonical ``ExperimentConfig`` → settings conversion.
 
         Every runner that builds an OrderlessChain network from a bench
-        config goes through here (``repro.bench.runner``, perfbench,
-        the ``repro.api`` facade) — there is exactly one place that
+        config goes through here (``repro.bench.runner``, the
+        ``repro.api`` facade) — there is exactly one place that
         knows how the two configuration layers map onto each other.
         ``config`` is duck-typed (any object with the
         ``ExperimentConfig`` knob attributes works), which keeps the
@@ -92,7 +87,6 @@ class OrderlessChainSettings:
             gossip_interval=config.gossip_interval,
             gossip_fanout=config.gossip_fanout,
             snapshot_interval=config.snapshot_interval,
-            legacy_digests=config.legacy_digests,
             cache_enabled=config.cache_enabled,
             explore=config.explore,
             client_config=ClientConfig(
@@ -144,7 +138,6 @@ class OrderlessChainNetwork:
                 gossip_ttl=settings.gossip_ttl,
                 sync_interval=settings.sync_interval,
                 snapshot_interval=settings.snapshot_interval,
-                legacy_digests=settings.legacy_digests,
             )
             self.organizations.append(org)
         org_ids = [org.org_id for org in self.organizations]
@@ -184,9 +177,7 @@ class OrderlessChainNetwork:
         Each organization grows an independent ledger, committed
         index, gossip backlog, and watermark digest for the channel;
         ``contract_factory`` (optional) is installed on it right away.
-        Creating the first extra channel switches sync wire bodies to
-        carry channel ids — call before :meth:`run` for deterministic
-        results.
+        Call before :meth:`run` for deterministic results.
         """
         for org in self.organizations:
             org.create_channel(channel_id)

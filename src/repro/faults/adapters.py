@@ -171,22 +171,16 @@ class OrderlessChainAdapter(SystemAdapter):
         return self._node(self._orgs, node_id).state_snapshot()
 
     def ledgers(self) -> Dict[str, Any]:
-        # Single-channel keys stay the bare org ids (golden-seed
-        # fingerprints hash these); multichannel deployments expose one
-        # ledger per channel shard as "org/channel".
-        out: Dict[str, Any] = {}
-        for org_id, org in self._orgs.items():
-            if len(org.channels) == 1:
-                out[org_id] = org.ledger
-            else:
-                for channel_id, channel in sorted(org.channels.items()):
-                    out[f"{org_id}/{channel_id}"] = channel.ledger
-        return out
+        # One ledger per channel shard, keyed "org/channel" (the run
+        # fingerprint hashes these keys with the ledger heads).
+        return {
+            f"{org_id}/{channel_id}": channel.ledger
+            for org_id, org in self._orgs.items()
+            for channel_id, channel in sorted(org.channels.items())
+        }
 
     def committed_wires(self, node_id: str) -> Optional[Dict[str, Dict[str, Any]]]:
         org = self._node(self._orgs, node_id)
-        if len(org.channels) == 1:
-            return dict(org._valid_txn_wire)
         # Transaction ids are network-wide unique (client id + Lamport
         # counter), so the policy-safety audit can scan a flat merge.
         merged: Dict[str, Dict[str, Any]] = {}

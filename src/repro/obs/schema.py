@@ -278,9 +278,8 @@ _SPECS: List[MetricSpec] = [
         INSTANT,
         "core.organization.Organization",
         "-",
-        "An anti-entropy digest was sent. attrs: mode "
-        "(watermark|legacy), bytes (modeled wire size), context "
-        "(sync|resync|recover).",
+        "An anti-entropy digest was sent. attrs: bytes (modeled wire "
+        "size), context (sync|resync|recover).",
     ),
     _spec(
         "org/sync_reconcile",
@@ -288,8 +287,8 @@ _SPECS: List[MetricSpec] = [
         "core.organization.Organization",
         "-",
         "A received digest was reconciled against local state. attrs: "
-        "mode, missing (ids requested), surplus (txns pushed), pages "
-        "(sync messages sent).",
+        "missing (ids requested), surplus (txns pushed), pages (sync "
+        "messages sent).",
     ),
     # -- report pipeline (repro.report.pipeline) -----------------------------------
     # These are the only spans measured in *wall* seconds: they time the

@@ -8,8 +8,7 @@ that diff tools and the ``--check`` drift gate ignore. The rest of an
 artifact (results, tables, manifests) is a pure function of seeds and
 configs and therefore byte-stable across reruns.
 
-Used by ``repro.bench.perfbench`` (``BENCH_perf.json``) and
-``repro.report.manifest`` (``experiments.json``).
+Used by ``repro.report.manifest`` (``experiments.json``).
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ import platform
 import time
 from typing import Dict
 
-# Keys every environment block carries; tests pin this so the two
-# writers cannot drift apart.
+# Keys every environment block carries; tests pin this.
 ENVIRONMENT_KEYS = ("python", "platform", "timestamp")
 
 

@@ -33,7 +33,8 @@ and the observability layer — relies on these guarantees:
   to permute, and its priority is still drawn so later draws line up.
   ``tests/sim/test_kernel_differential.py`` checks the order against
   the retired all-heap kernel. ``processed_events`` counts heap pops,
-  so ``perfbench`` events/s from before this rule are not comparable.
+  so events/s figures recorded before this rule (the retired
+  ``perfbench`` tables in docs/PERFORMANCE.md) are not comparable.
 * **Seeded randomness only.** The kernel itself draws no randomness.
   All stochastic behaviour flows through named streams from
   ``repro.sim.rng.RngRegistry``; a component must never share another
@@ -92,8 +93,8 @@ class Simulator:
         # order instead of scheduling order. None keeps the plain
         # sequence key — the historical, golden-seed-pinned behavior.
         self._tie_breaker: Optional[Callable[[], int]] = None
-        # Cumulative count of heap pops; the perf harness divides this
-        # by wall time to get events/sec.
+        # Cumulative count of heap pops (benchmarks/chainbench's event
+        # kernel and tests/sim/test_events_per_wait.py read it).
         self.processed_events = 0
 
     def install_tie_breaker(self, tie_breaker: Callable[[], int]) -> None:

@@ -17,7 +17,7 @@ may inspect ``triggered``/``value`` freely but must not call
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:
     from repro.sim.core import Simulator
@@ -129,28 +129,4 @@ class AllOf(Event):
             self.trigger([event.value for event in self.events])
 
 
-class Gate:
-    """A resettable barrier built from one-shot events.
-
-    Waiters call :meth:`wait` to obtain an event for the *current*
-    generation; :meth:`open` wakes them all and starts a new
-    generation. Used for "wake me when a new message arrives" queues.
-    """
-
-    __slots__ = ("_sim", "_event")
-
-    def __init__(self, sim: "Simulator") -> None:
-        self._sim = sim
-        self._event: Optional[Event] = None
-
-    def wait(self) -> Event:
-        if self._event is None or self._event.triggered:
-            self._event = Event(self._sim)
-        return self._event
-
-    def open(self, value: Any = None) -> None:
-        if self._event is not None and not self._event.triggered:
-            self._event.trigger(value)
-
-
-__all__ = ["Event", "Timeout", "AnyOf", "AllOf", "Gate"]
+__all__ = ["Event", "Timeout", "AnyOf", "AllOf"]

@@ -1,72 +1,95 @@
-"""Anti-entropy digest scaling: watermarks flat, legacy linear.
+"""Anti-entropy digest scaling: bytes per round flat in run length.
 
-Runs the ``orderless/antientropy`` perf workload at smoke scale and
-asserts the *shape* claim behind the watermark subsystem: per-round
-digest bytes are bounded by clients + gap ranges (independent of how
-many transactions have committed), while the legacy full-set digest
-grows with run length. Modeled byte counts are deterministic in
+Drives a small OrderlessChain network (built through ``repro.api``)
+with frequent anti-entropy rounds and a 100 % modify workload, so the
+committed set grows steadily while digests keep flowing, and asserts
+the *shape* claim behind the watermark digest: per-round digest bytes
+are bounded by clients + gap ranges, independent of how many
+transactions have committed. Modeled byte counts are deterministic in
 simulated time, so unlike wall-clock numbers these assertions are
-stable on loaded machines.
+stable on loaded machines. (The full-id-set digest this replaced grew
+7 926 -> 25 358 B/round over the same doubling; docs/PERFORMANCE.md
+keeps that one-time record.)
 """
 
 import pytest
 
-from repro.bench.perfbench import bench_antientropy
+from repro.api import ExperimentConfig, build_network
+from repro.bench.workload import make_workload
+from repro.core.organization import MSG_SYNC_DIGEST
 from repro.core.perf import PerfModel
 
 pytestmark = pytest.mark.perf_smoke
 
-# Must match the workload's ExperimentConfig (num_clients=1000, scale=20).
-EFFECTIVE_CLIENTS = 50
+DURATIONS = (2.0, 4.0)
+
+
+def digest_run(duration):
+    config = ExperimentConfig(
+        system="orderlesschain",
+        app="synthetic",
+        arrival_rate=2000.0,
+        num_orgs=4,
+        quorum=2,
+        modify_ratio=1.0,
+        duration=duration,
+        scale=20.0,
+        seed=0,
+    )
+    net = build_network(config)
+    for org in net.organizations:
+        org.sync_interval = 1.0  # a digest round per simulated second
+    workload = make_workload(config)
+    rng = net.rng.stream("workload")
+
+    def driver():
+        index = 0
+        while net.sim.now < config.duration:
+            client = net.clients[index % len(net.clients)]
+            net.sim.process(
+                client.submit_modify(*workload.orderless_modify(rng, client.client_id))
+            )
+            index += 1
+            yield net.sim.timeout(1.0 / config.effective_rate)
+
+    net.sim.process(driver(), name="antientropy-driver")
+    net.run(until=config.duration + config.drain)
+    rounds = net.network.sent_by_type.get(MSG_SYNC_DIGEST, 0)
+    return {
+        "clients": config.effective_clients,
+        "rounds": rounds,
+        "digest_bytes_per_round": net.network.bytes_by_type.get(MSG_SYNC_DIGEST, 0)
+        / max(1, rounds),
+        "committed_txns": min(
+            org.ledger.valid_transaction_count for org in net.organizations
+        ),
+    }
 
 
 @pytest.fixture(scope="module")
-def sweeps():
-    record = bench_antientropy(smoke=True)
-    return record["watermark"], record["legacy"]
+def sweep():
+    return [digest_run(duration) for duration in DURATIONS]
 
 
-def test_sweeps_cover_growing_runs(sweeps):
-    watermark, legacy = sweeps
-    assert len(watermark) == len(legacy) >= 2
-    for arm in (watermark, legacy):
-        committed = [run["committed_txns"] for run in arm]
-        assert committed == sorted(committed) and committed[-1] > committed[0]
-        assert all(run["rounds"] > 0 for run in arm)
+def test_sweeps_cover_growing_runs(sweep):
+    committed = [run["committed_txns"] for run in sweep]
+    assert committed == sorted(committed) and committed[-1] > committed[0]
+    assert all(run["rounds"] > 0 for run in sweep)
 
 
-def test_watermark_digest_bytes_flat_in_run_length(sweeps):
-    watermark, _ = sweeps
-    first, last = watermark[0], watermark[-1]
+def test_watermark_digest_bytes_flat_in_run_length(sweep):
+    first, last = sweep[0], sweep[-1]
     # Committed history roughly doubles; the digest must not follow.
     assert last["committed_txns"] >= 1.8 * first["committed_txns"]
     assert last["digest_bytes_per_round"] <= 1.5 * first["digest_bytes_per_round"]
 
 
-def test_legacy_digest_bytes_grow_with_run_length(sweeps):
-    _, legacy = sweeps
-    first, last = legacy[0], legacy[-1]
-    assert last["digest_bytes_per_round"] >= 1.4 * first["digest_bytes_per_round"]
-
-
-def test_watermark_bounded_by_clients_and_gaps_not_committed_count(sweeps):
-    watermark, legacy = sweeps
+def test_watermark_bounded_by_clients_and_gaps_not_committed_count(sweep):
     perf = PerfModel()
-    for run in watermark:
+    for run in sweep:
         # A generous envelope: every client present plus one gap range
-        # per client. The committed-count-proportional legacy size
-        # blows through this within a few simulated seconds.
-        bound = perf.watermark_digest_bytes(EFFECTIVE_CLIENTS, EFFECTIVE_CLIENTS)
-        assert run["digest_bytes_per_round"] <= bound
-        assert run["digest_bytes_per_round"] >= perf.digest_base_bytes
-    assert legacy[-1]["digest_bytes_per_round"] > perf.watermark_digest_bytes(
-        EFFECTIVE_CLIENTS, EFFECTIVE_CLIENTS
-    )
-
-
-def test_arms_commit_the_same_workload(sweeps):
-    # The ablation changes digest traffic, not what commits.
-    watermark, legacy = sweeps
-    for w_run, l_run in zip(watermark, legacy):
-        assert w_run["committed_txns"] == l_run["committed_txns"]
-        assert w_run["rounds"] == l_run["rounds"]
+        # per client. An explicit id list of the committed set blows
+        # through this within a few simulated seconds.
+        bound = perf.watermark_digest_bytes(run["clients"], run["clients"])
+        assert perf.digest_base_bytes <= run["digest_bytes_per_round"] <= bound
+        assert perf.id_list_bytes(run["committed_txns"]) > bound

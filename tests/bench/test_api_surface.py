@@ -37,7 +37,6 @@ SETTINGS_FIELDS = {
     "gossip_interval",
     "gossip_ttl",
     "latency",
-    "legacy_digests",
     "num_orgs",
     "perf",
     "quorum",
@@ -66,7 +65,6 @@ CONFIG_FIELDS = {
     "fault_schedule",
     "gossip_fanout",
     "gossip_interval",
-    "legacy_digests",
     "max_retries",
     "modify_ratio",
     "num_clients",
@@ -125,7 +123,6 @@ def test_from_config_is_the_canonical_conversion():
         gossip_interval=2.0,
         gossip_fanout=4,
         snapshot_interval=5.0,
-        legacy_digests=True,
         cache_enabled=False,
         max_retries=2,
         avoid_byzantine=True,
@@ -137,7 +134,6 @@ def test_from_config_is_the_canonical_conversion():
     assert settings.gossip_interval == 2.0
     assert settings.gossip_fanout == 4
     assert settings.snapshot_interval == 5.0
-    assert settings.legacy_digests is True
     assert settings.cache_enabled is False
     assert settings.client_config.max_retries == 2
     assert settings.client_config.avoid_byzantine is True

@@ -76,8 +76,7 @@ def chaos_run(
     """One full chaos run; returns ``(net, schedule)`` after the drain.
 
     Extra keyword arguments reach ``OrderlessChainSettings``
-    (orderlesschain only) — e.g. ``legacy_digests=True`` for the
-    anti-entropy ablation arm or ``snapshot_interval`` for
+    (orderlesschain only) — e.g. ``snapshot_interval`` for
     snapshot-based recovery.
     """
     if schedule is None:

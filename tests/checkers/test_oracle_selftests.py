@@ -16,6 +16,7 @@ reachable from genuine state damage.
 from repro.checkers.report import FAIL
 from repro.contracts import VotingContract
 from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.core.channel import DEFAULT_CHANNEL
 
 
 def build(seed=1):
@@ -87,7 +88,7 @@ def test_policy_safety_fails_when_nested_endorsements_are_truncated():
     # org's dict entry): the oracle must audit the nested content.
     def injure(net):
         org = net.org("org0")
-        _, wire = next(iter(sorted(org._valid_txn_wire.items())))
+        _, wire = next(iter(sorted(org.channels[DEFAULT_CHANNEL].valid_txn_wire.items())))
         wire["endorsements"][:] = wire["endorsements"][:1]  # below q=2
 
     report = injured(build(), injure)

@@ -14,6 +14,7 @@ from repro.checkers.report import FAIL, PASS, SKIP
 from repro.contracts import VotingContract
 from repro.core import OrderlessChainNetwork, OrderlessChainSettings
 from repro.core.byzantine import ByzantineOrgConfig
+from repro.core.channel import DEFAULT_CHANNEL
 from repro.core.client import ClientConfig
 from repro.faults import FaultEvent, FaultSchedule
 
@@ -110,10 +111,10 @@ def test_policy_safety_fails_when_endorsements_stripped_below_quorum():
     net = build()
     run_votes(net)
     org = net.org("org0")
-    txn_id, wire = next(iter(sorted(org._valid_txn_wire.items())))
+    txn_id, wire = next(iter(sorted(org.channels[DEFAULT_CHANNEL].valid_txn_wire.items())))
     tampered = dict(wire)
     tampered["endorsements"] = wire["endorsements"][:1]  # below q=2
-    org._valid_txn_wire[txn_id] = tampered
+    org.channels[DEFAULT_CHANNEL].valid_txn_wire[txn_id] = tampered
     report = net.check_invariants()
     safety = report.result("policy-safety")
     assert safety.status == FAIL
@@ -124,13 +125,13 @@ def test_policy_safety_fails_when_signature_is_forged():
     net = build()
     run_votes(net)
     org = net.org("org0")
-    txn_id, wire = next(iter(sorted(org._valid_txn_wire.items())))
+    txn_id, wire = next(iter(sorted(org.channels[DEFAULT_CHANNEL].valid_txn_wire.items())))
     tampered = dict(wire)
     endorsements = [dict(e) for e in wire["endorsements"]]
     for endorsement in endorsements:
         endorsement["signature"] = "forged"
     tampered["endorsements"] = endorsements
-    org._valid_txn_wire[txn_id] = tampered
+    org.channels[DEFAULT_CHANNEL].valid_txn_wire[txn_id] = tampered
     report = net.check_invariants()
     assert report.result("policy-safety").status == FAIL
 

@@ -2,8 +2,9 @@
 
 Each channel binds one contract to its own CRDT store, hash chain,
 committed index, and watermark digest (repro.core.channel). These
-tests cover the scoping rules, the single-channel aliasing invariant
-the golden seeds depend on, and a two-application end-to-end run.
+tests cover the scoping rules, the one channel-keyed shape every
+organization has (the default channel is an ordinary channel), and a
+two-application end-to-end run.
 """
 
 import pytest
@@ -34,19 +35,21 @@ def test_channel_state_starts_empty():
     assert channel.snapshot is None
 
 
-def test_default_channel_aliases_legacy_attributes():
-    # Single-channel orgs expose the default channel's state through
-    # the historical attribute names — as the *same objects*, so the
-    # golden-seed fingerprints and any direct mutation keep working.
+def test_default_channel_is_an_ordinary_channel():
+    # An org with only the default channel is channel-keyed like any
+    # other: its digest names the channel, its snapshot is keyed by
+    # it, and ``org.ledger`` is just a read-only shorthand.
     net = OrderlessChainNetwork(OrderlessChainSettings(num_orgs=2, quorum=1))
     net.install_contract(SyntheticContract)
     org = net.organizations[0]
     default = org.channels[DEFAULT_CHANNEL]
+    assert isinstance(default, ChannelState)
     assert org.ledger is default.ledger
-    assert org._valid_txn_wire is default.valid_txn_wire
-    assert org._commit_index is default.commit_index
-    assert org._txns_by_object is default.txns_by_object
-    assert not org._multichannel
+    with pytest.raises(AttributeError):
+        org.ledger = default.ledger
+    body, _size = org._digest_body_and_size(default)
+    assert body["channel"] == DEFAULT_CHANNEL
+    assert org.state_snapshot() == {DEFAULT_CHANNEL: default.ledger.state_snapshot()}
 
 
 def test_create_channel_is_get_or_create():
@@ -80,6 +83,9 @@ def test_two_channels_commit_independently():
         assert org.channels["ch1"].ledger.valid_transaction_count == 1
         # The default channel carries nothing in a pure channel deployment.
         assert org.channels[DEFAULT_CHANNEL].ledger.valid_transaction_count == 0
+        # Org-level counters are sums over the channel shards.
+        assert org.committed_valid == 2
+        assert org.gossip_commits == sum(c.gossip_commits for c in org.channels.values())
     net.verify_all_ledgers()  # raises on any channel's hash-chain break
     # Per-channel reads and snapshots see only their shard.
     snapshot = net.organizations[0].state_snapshot()
@@ -87,10 +93,10 @@ def test_two_channels_commit_independently():
     assert snapshot["default"] == {}
 
 
-def test_adapter_ledger_keys_single_vs_multichannel():
+def test_adapter_ledger_keys_are_always_org_slash_channel():
     single = OrderlessChainNetwork(OrderlessChainSettings(num_orgs=2, quorum=1))
     single.install_contract(SyntheticContract)
-    assert sorted(OrderlessChainAdapter(single).ledgers()) == ["org0", "org1"]
+    assert sorted(OrderlessChainAdapter(single).ledgers()) == ["org0/default", "org1/default"]
 
     multi = OrderlessChainNetwork(OrderlessChainSettings(num_orgs=2, quorum=1))
     multi.create_channel("ch0", SyntheticContract)

@@ -44,6 +44,24 @@ def test_parser_defaults():
     assert args.scale is None
 
 
+@pytest.mark.parametrize("command", ["run", "bench", "explore", "report"])
+def test_shared_flags_are_uniform(command):
+    parser = build_parser()
+    argv = [command, "fig6b"] if command == "run" else [command]
+    args = parser.parse_args(argv)
+    # --jobs exists everywhere with the same default.
+    assert args.jobs is None
+    if command != "report":
+        assert args.seed == 0
+        assert args.app == "voting"
+        assert args.system is None
+
+
+def test_max_retries_flag_sets_the_retry_budget():
+    args = build_parser().parse_args(["run", "chaos", "--max-retries", "4"])
+    assert args.max_retries == 4
+
+
 def test_run_with_output_writes_json(tmp_path, capsys):
     import json
 

@@ -1,9 +1,9 @@
 """Unit tests of the organization's watermark anti-entropy plumbing.
 
-Covers the digest wire forms and modeled sizes per mode, sync-response
-pagination, the O(1) snapshot payload (log position + count, never a
-copy of the committed set), and end-to-end reconciliation through a
-partition heal in both modes.
+Covers the digest wire form and modeled size, sync pagination, the O(1)
+snapshot payload (log position + count, never a copy of the committed
+set), end-to-end reconciliation through a partition heal, and malformed
+sync bodies (dropped and counted, never raised).
 """
 
 from dataclasses import replace
@@ -12,7 +12,9 @@ import pytest
 
 from repro.contracts import VotingContract
 from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.core.channel import DEFAULT_CHANNEL
 from repro.core.organization import MSG_GOSSIP, MSG_SYNC_DIGEST, MSG_SYNC_REQUEST
+from repro.net.message import Message
 
 
 def build_net(**settings_kwargs):
@@ -38,51 +40,59 @@ def run_votes(net, votes=6, until=30.0):
     return net
 
 
+def default_channel(net):
+    return net.organizations[0].channels[DEFAULT_CHANNEL]
+
+
+def state_digests(net):
+    return {
+        org.channels[DEFAULT_CHANNEL].commit_index.state_digest()
+        for org in net.organizations
+    }
+
+
 class TestDigestBody:
     def test_watermark_body_and_size(self):
         net = run_votes(build_net())
+        channel = default_channel(net)
         org = net.organizations[0]
-        assert len(org._valid_txn_wire) > 0
-        body, size = org._digest_body_and_size()
-        assert "watermarks" in body and "txn_ids" not in body
-        marks = org._commit_index.watermarks
+        assert len(channel.valid_txn_wire) > 0
+        body, size = org._digest_body_and_size(channel)
+        assert set(body) == {"watermarks", "channel"}
+        assert body["channel"] == DEFAULT_CHANNEL
+        marks = channel.commit_index.watermarks
         assert size == org.perf.watermark_digest_bytes(
             marks.client_count, marks.gap_count
         )
         # The watermark digest covers exactly the committed set.
-        assert set(marks.ids()) == set(org._valid_txn_wire)
-
-    def test_legacy_body_and_size(self):
-        net = run_votes(build_net(legacy_digests=True))
-        org = net.organizations[0]
-        body, size = org._digest_body_and_size()
-        assert body == {"txn_ids": sorted(org._valid_txn_wire)}
-        assert size == org.perf.legacy_digest_bytes(len(org._valid_txn_wire))
+        assert set(marks.ids()) == set(channel.valid_txn_wire)
 
     def test_watermark_digest_is_smaller_for_long_histories(self):
+        # ...than the explicit id list of the same committed set.
         net = run_votes(build_net(), votes=8, until=40.0)
+        channel = default_channel(net)
         org = net.organizations[0]
-        _, watermark_size = org._digest_body_and_size()
-        legacy_size = org.perf.legacy_digest_bytes(len(org._valid_txn_wire))
-        assert watermark_size < legacy_size
+        _, watermark_size = org._digest_body_and_size(channel)
+        assert watermark_size < org.perf.id_list_bytes(len(channel.valid_txn_wire))
 
 
 class TestSnapshots:
     def test_snapshot_stores_position_not_id_set(self):
         net = run_votes(build_net(snapshot_interval=5.0))
-        org = net.organizations[0]
-        assert org.snapshots_taken > 0
-        snapshot = org._snapshot
+        channel = default_channel(net)
+        assert net.organizations[0].snapshots_taken > 0
+        snapshot = channel.snapshot
         assert set(snapshot) == {"log_position", "count", "digest", "taken_at"}
-        assert snapshot["count"] == len(org._valid_txn_wire)
-        assert snapshot["log_position"] == len(org._commit_index.log)
-        assert snapshot["digest"] == org._state_digest()
+        assert snapshot["count"] == len(channel.valid_txn_wire)
+        assert snapshot["log_position"] == len(channel.commit_index.log)
+        assert snapshot["digest"] == channel.commit_index.state_digest()
 
     def test_state_digest_matches_across_converged_orgs(self):
         net = run_votes(build_net())
-        digests = {org._state_digest() for org in net.organizations}
-        assert len(digests) == 1
-        counts = {len(org._valid_txn_wire) for org in net.organizations}
+        assert len(state_digests(net)) == 1
+        counts = {
+            len(org.channels[DEFAULT_CHANNEL].valid_txn_wire) for org in net.organizations
+        }
         assert counts != {0}
 
 
@@ -93,24 +103,88 @@ class TestPagination:
         org.perf = replace(org.perf, sync_page_txns=2)
         wires = [{"write_set": []} for _ in range(5)]
         before = net.network.sent_by_type.get(MSG_GOSSIP, 0)
-        pages = org._send_txn_batches(net.organizations[1].org_id, wires)
+        pages = org._send_txn_batches(
+            net.organizations[1].org_id, wires, default_channel(net)
+        )
         assert pages == 3
         assert net.network.sent_by_type.get(MSG_GOSSIP, 0) - before == 3
 
-    def test_sync_requests_single_message_in_legacy_mode(self):
-        net = build_net(legacy_digests=True)
+    def test_sync_requests_paginate(self):
+        net = build_net()
         org = net.organizations[0]
         org.perf = replace(org.perf, sync_page_txns=2)
         ids = [f"c:{n}" for n in range(1, 8)]
-        pages = org._send_sync_requests(net.organizations[1].org_id, ids)
-        assert pages == 1
-        assert net.network.sent_by_type.get(MSG_SYNC_REQUEST, 0) == 1
+        pages = org._send_sync_requests(
+            net.organizations[1].org_id, ids, default_channel(net)
+        )
+        assert pages == 4
+        assert net.network.sent_by_type.get(MSG_SYNC_REQUEST, 0) == 4
+        assert net.network.bytes_by_type[MSG_SYNC_REQUEST] == (
+            3 * org.perf.id_list_bytes(2) + org.perf.id_list_bytes(1)
+        )
 
 
-@pytest.mark.parametrize("legacy", [False, True])
-def test_partition_heal_reconciles_through_sync(legacy):
-    """Anti-entropy must repair a healed partition in both modes."""
-    net = build_net(legacy_digests=legacy, sync_interval=2.0)
+class TestMalformedSyncBodies:
+    """A malformed sync body is dropped and counted, never raised out
+    of ``_on_message`` — and the organization keeps serving."""
+
+    WATERMARKS = {"clients": {}, "extras": []}
+
+    CASES = {
+        "digest-no-watermarks": (MSG_SYNC_DIGEST, {"channel": DEFAULT_CHANNEL}),
+        "digest-watermarks-not-a-mapping": (
+            MSG_SYNC_DIGEST,
+            {"channel": DEFAULT_CHANNEL, "watermarks": ["c0:1"]},
+        ),
+        "digest-retired-id-list-form": (
+            MSG_SYNC_DIGEST,
+            {"channel": DEFAULT_CHANNEL, "txn_ids": ["c0:1"]},
+        ),
+        "digest-no-channel": (MSG_SYNC_DIGEST, {"watermarks": WATERMARKS}),
+        "digest-unknown-channel": (
+            MSG_SYNC_DIGEST,
+            {"channel": "nowhere", "watermarks": WATERMARKS},
+        ),
+        "digest-unhashable-channel": (
+            MSG_SYNC_DIGEST,
+            {"channel": ["default"], "watermarks": WATERMARKS},
+        ),
+        "request-no-ids": (MSG_SYNC_REQUEST, {"channel": DEFAULT_CHANNEL}),
+        "request-ids-not-a-list": (
+            MSG_SYNC_REQUEST,
+            {"channel": DEFAULT_CHANNEL, "txn_ids": "c0:1"},
+        ),
+        "request-no-channel": (MSG_SYNC_REQUEST, {"txn_ids": ["c0:1"]}),
+        "request-unknown-channel": (
+            MSG_SYNC_REQUEST,
+            {"channel": "nowhere", "txn_ids": ["c0:1"]},
+        ),
+    }
+
+    @pytest.mark.parametrize("msg_type, body", CASES.values(), ids=CASES.keys())
+    def test_dropped_counted_and_org_keeps_serving(self, msg_type, body):
+        net = build_net()
+        victim, sender = net.organizations[0], net.organizations[1]
+        net.sim.schedule_at(
+            0.1,
+            net.network.send,
+            Message(
+                sender=sender.org_id,
+                recipient=victim.org_id,
+                msg_type=msg_type,
+                body=body,
+                size_bytes=64,
+            ),
+        )
+        run_votes(net)
+        assert victim.dropped_requests == 1
+        assert victim.channels[DEFAULT_CHANNEL].ledger.valid_transaction_count == 6
+        assert net.converged()
+
+
+def test_partition_heal_reconciles_through_sync():
+    """Anti-entropy must repair a healed partition."""
+    net = build_net(sync_interval=2.0)
     orgs = [org.org_id for org in net.organizations]
     net.sim.schedule_at(0.1, lambda: net.network.partition(set(orgs[:2]), set(orgs[2:])))
     net.sim.schedule_at(12.0, net.network.heal_partition)
@@ -129,4 +203,4 @@ def test_partition_heal_reconciles_through_sync(legacy):
     net.run(until=40.0)
     assert net.network.sent_by_type.get(MSG_SYNC_DIGEST, 0) > 0
     assert net.converged()
-    assert len({org._state_digest() for org in net.organizations}) == 1
+    assert len(state_digests(net)) == 1

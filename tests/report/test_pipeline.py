@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.report import pipeline as pipeline_mod
+from repro.report.envinfo import ENVIRONMENT_KEYS
 from repro.report.pipeline import run_report
 from repro.report.spec import ExperimentSpec
 
@@ -84,7 +85,10 @@ def test_first_run_writes_everything(stubbed, paths):
     manifest = json.loads(paths["manifest_path"].read_text())
     assert set(manifest["experiments"]) == {"fake-a", "fake-b"}
     assert manifest["experiments"]["fake-a"]["records"] == CANNED["fake-a"]
-    assert set(manifest["environment"]) == {"python", "platform", "timestamp"}
+    # The volatile block carries exactly the shared keys, all filled.
+    assert set(manifest["environment"]) == set(ENVIRONMENT_KEYS)
+    assert set(ENVIRONMENT_KEYS) == {"python", "platform", "timestamp"}
+    assert all(manifest["environment"].values())
     assert (paths["out_dir"] / "fake-a.csv").exists()
     assert (paths["out_dir"] / "fake-b.csv").exists()
 

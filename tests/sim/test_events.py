@@ -1,9 +1,8 @@
-"""Tests for events, timeouts, AnyOf/AllOf, and the Gate."""
+"""Tests for events, timeouts, and AnyOf/AllOf."""
 
 import pytest
 
 from repro.sim import AllOf, AnyOf, Event, Simulator, Timeout
-from repro.sim.events import Gate
 
 
 def test_event_trigger_carries_value():
@@ -86,21 +85,3 @@ def test_allof_with_pre_triggered_events():
     all_of = AllOf(sim, [done, Timeout(sim, 1.0, "y")])
     sim.run()
     assert all_of.value == ["x", "y"]
-
-
-def test_gate_is_resettable():
-    sim = Simulator()
-    gate = Gate(sim)
-    first = gate.wait()
-    gate.open("one")
-    assert first.triggered
-    second = gate.wait()
-    assert second is not first
-    assert not second.triggered
-    gate.open("two")
-    assert second.value == "two"
-
-
-def test_gate_open_without_waiters_is_noop():
-    gate = Gate(Simulator())
-    gate.open()  # must not raise
