@@ -49,17 +49,16 @@ def emit_report():
 def run_spec(benchmark, bench_duration, bench_jobs, emit_report):
     """Run one catalog experiment the way ``repro report`` would.
 
-    Benchmarks are thin shells over the spec catalog
+    ``bench_catalog.py`` is parametrized over the spec catalog
     (``repro.report.catalog``): the fixture runs the spec's full grid
     at the bench duration, prints its markdown table, and asserts the
     spec's registered shape checks — the same checks that decide the
     generated EXPERIMENTS.md verdicts.
     """
-    from repro.report import assert_records, get_spec
+    from repro.report import assert_records
     from repro.report.render import render_table
 
-    def run(spec_id: str, duration: float = None, **extra_overrides):
-        spec = get_spec(spec_id)
+    def run(spec, duration: float = None, **extra_overrides):
         overrides = {"duration": bench_duration if duration is None else duration}
         overrides.update(extra_overrides)
         records = benchmark.pedantic(

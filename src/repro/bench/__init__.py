@@ -2,8 +2,9 @@
 that regenerates every table and figure of the paper's evaluation.
 
 Entry point: :func:`repro.bench.runner.run_experiment` with an
-:class:`repro.bench.config.ExperimentConfig`; per-figure sweeps live in
-:mod:`repro.bench.experiments`.
+:class:`repro.bench.config.ExperimentConfig`; the panel builders and
+the one executor that runs them live in :mod:`repro.bench.experiments`,
+registered by :mod:`repro.report.catalog`.
 """
 
 from repro.bench.config import ExperimentConfig

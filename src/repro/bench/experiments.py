@@ -1,56 +1,91 @@
-"""Per-figure experiment definitions (the E1-E15 index in DESIGN.md).
+"""Panel builders and the one executor (the E1-E16 index in DESIGN.md).
 
-Every function returns the data its figure plots, as
-``(x_value, ExperimentResult)`` pairs or dictionaries of such series.
+A panel of the paper's evaluation is a list of labelled configs. Each
+builder below returns ``(series, x, config)`` points and contributes
+only what is particular to its panel: which
+:class:`~repro.bench.config.ExperimentConfig` field varies, which are
+fixed, how a point is labelled and, for comparisons, what the series
+are. The values a builder varies over are not its own: they arrive as
+``grid`` from the panel's spec in :mod:`repro.report.catalog` — the one
+registry of panels, read by ``repro run``, ``repro bench``, ``repro
+report`` and ``benchmarks/`` — so the spec hash covers them.
+:func:`run_points` is the one executor that turns points into results.
+
 Rates and sizes are paper-scale; the ``scale`` parameter (default from
 ``REPRO_BENCH_SCALE``, see DESIGN.md) makes the runs laptop-sized while
 preserving utilization, contention, and therefore shape.
 
-Durations default to a fraction of the paper's 180 s so the full suite
-completes quickly; pass ``duration=180`` for the paper's length.
+Durations in the catalog are a fraction of the paper's 180 s so the
+full suite completes quickly; override ``duration=180`` for the paper's
+length.
 
-Every sweep accepts ``jobs``: the number of worker processes used to
-run its points concurrently via :func:`repro.bench.parallel.run_sweep`.
-``None`` defers to the ``REPRO_BENCH_JOBS`` environment variable
-(default 1 = serial). Results are identical for any job count — each
-point is an isolated, seeded simulation (docs/PERFORMANCE.md).
+``jobs`` is the number of worker processes :func:`run_points` hands to
+:func:`repro.bench.parallel.run_sweep`. ``None`` defers to the
+``REPRO_BENCH_JOBS`` environment variable (default 1 = serial). Results
+are identical for any job count — each point is an isolated, seeded
+simulation (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.config import (
+    SYSTEMS,
     ByzantineWindow,
     ChannelSpec,
     ExperimentConfig,
     default_scale,
 )
-from repro.bench.metrics import ExperimentResult
+from repro.bench.metrics import ExperimentResult, compute_result
 from repro.bench.parallel import expect_results, run_sweep
-from repro.bench.runner import run_experiment
+from repro.bench.runner import run_baseline, run_experiment
+from repro.bench.workload import make_workload
 from repro.faults import FaultSchedule, default_node_ids, smoke_schedule
 
+# One point of a panel: (series, x, config). ``series`` is None except
+# for comparison / breakdown / scalar panels; ``x`` is the point's label
+# on the panel's axis (None where the panel has no axis).
+Point = Tuple[Optional[str], object, ExperimentConfig]
 SweepResult = List[Tuple[object, ExperimentResult]]
 
-# The paper's sweep grids (Table 2 and Section 9).
-PAPER_ARRIVAL_RATES = [1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10000]
-PAPER_ORG_COUNTS = [8, 16, 24, 32]
-PAPER_QUORUMS = [2, 4, 6, 8, 10, 12, 14, 16]
-PAPER_OBJECT_COUNTS = [2, 4, 6, 8, 10, 12, 14, 16]
-PAPER_OPS_PER_OBJ = [2, 4, 8, 16]
-PAPER_FIG9_RATES = [500, 1000, 1500, 2000, 2500]
-PAPER_FIG10_RATES = [500, 1000, 1500, 2000, 2500, 3000, 3500, 4000]
 
-# Default (reduced) grids keep benchmark wall time reasonable while
-# spanning each sweep's full range, including the knees.
-DEFAULT_ARRIVAL_RATES = [1000, 3000, 5000, 8000, 10000]
-DEFAULT_OBJECT_COUNTS = [2, 4, 8, 12, 16]
-DEFAULT_QUORUMS = [2, 4, 8, 12, 16]
-DEFAULT_FIG10_RATES = [500, 1500, 2500, 3500, 4000]
+def run_points(kind: str, points: Sequence[Point], jobs: Optional[int] = None):
+    """The one executor: simulate every point, shape the results by ``kind``.
+
+    * ``sweep`` — ``[(x, result), ...]``;
+    * ``comparison`` — ``{series: [(x, result), ...]}``;
+    * ``timeline`` — the single point's result;
+    * ``breakdown`` — ``{series: result.phase_means_ms}``;
+    * ``scalar`` — ``{series: mean organization CPU utilization}``.
+
+    All points run as one flat :func:`run_sweep`, so parallel workers
+    stay busy across series boundaries.
+    """
+    runs = [run for _, _, run in points]
+    # The Fabric orderer ablation hands in results it ran itself: its
+    # knob is no ExperimentConfig field, so run_sweep cannot run it.
+    if all(isinstance(run, ExperimentConfig) for run in runs):
+        runs = expect_results(run_sweep(runs, jobs=jobs))
+    if kind == "timeline":
+        return runs[0]
+    if kind == "sweep":
+        return [(x, result) for (_, x, _), result in zip(points, runs)]
+    if kind == "breakdown":
+        return {name: result.phase_means_ms for (name, _, _), result in zip(points, runs)}
+    if kind == "scalar":
+        return {
+            name: result.extra.get("mean_org_cpu_utilization", 0.0)
+            for (name, _, _), result in zip(points, runs)
+        }
+    series: Dict[str, SweepResult] = {}
+    for (name, x, _), result in zip(points, runs):
+        series.setdefault(name, []).append((x, result))
+    return series
 
 
-def _base(duration: float, scale: Optional[float], seed: int) -> Dict[str, object]:
+def _base(duration: float, scale: Optional[float] = None, seed: int = 0) -> Dict[str, object]:
     return {
         "duration": duration,
         "scale": scale if scale is not None else default_scale(),
@@ -58,255 +93,117 @@ def _base(duration: float, scale: Optional[float], seed: int) -> Dict[str, objec
     }
 
 
-def _sweep(
-    labels: Sequence[object],
-    configs: Sequence[ExperimentConfig],
-    jobs: Optional[int],
-) -> SweepResult:
-    """Run ``configs`` (possibly in parallel) and pair with ``labels``."""
-    return list(zip(labels, expect_results(run_sweep(configs, jobs=jobs))))
+def _synthetic(base: Dict[str, object], **fields) -> ExperimentConfig:
+    return ExperimentConfig(
+        system="orderlesschain", app="synthetic", **fields, **_base(**base)
+    )
 
 
-# -- E1, Figure 6(a): transaction arrival rate -----------------------------
+def _application(
+    system: str, app: str, num_orgs: int, rate: float, base: Dict[str, object]
+) -> ExperimentConfig:
+    """An application run under EP {4 of ``num_orgs``}."""
+    return ExperimentConfig(
+        system=system, app=app, num_orgs=num_orgs, quorum=4, arrival_rate=rate, **_base(**base)
+    )
 
 
-def fig6a_arrival_rate(
-    rates: Optional[Sequence[float]] = None,
-    duration: float = 20.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> SweepResult:
-    rates = rates or DEFAULT_ARRIVAL_RATES
-    configs = [
-        ExperimentConfig(
-            system="orderlesschain", app="synthetic", arrival_rate=rate, **_base(duration, scale, seed)
-        )
-        for rate in rates
+def _vary(
+    field: str,
+    grid: Sequence[object],
+    base: Dict[str, object],
+    label: Optional[Callable[[object], object]] = None,
+    **fixed,
+) -> List[Point]:
+    """A one-variable sweep of the synthetic application: ``field``
+    takes each ``grid`` value, ``fixed`` pins others, ``label`` names x."""
+    return [
+        (None, label(value) if label else value, _synthetic(base, **{field: value}, **fixed))
+        for value in grid
     ]
-    return _sweep(rates, configs, jobs)
 
 
-# -- E2, Figure 6(b): number of organizations, EP {4 of n} ---------------------
+# -- E1-E4, Figure 6: one control variable at a time ------------------------
 
 
-def fig6b_organizations(
-    org_counts: Optional[Sequence[int]] = None,
-    duration: float = 20.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> SweepResult:
-    org_counts = org_counts or PAPER_ORG_COUNTS
-    configs = [
-        ExperimentConfig(
-            system="orderlesschain",
-            app="synthetic",
-            num_orgs=num_orgs,
-            quorum=4,
-            **_base(duration, scale, seed),
-        )
-        for num_orgs in org_counts
-    ]
-    return _sweep(org_counts, configs, jobs)
+def fig6a_arrival_rate(grid, **base) -> List[Point]:
+    return _vary("arrival_rate", grid, base)
 
 
-# -- E3, Figure 6(c): endorsement policy {q of 16} ------------------------------
+def fig6b_organizations(grid, **base) -> List[Point]:
+    """Number of organizations under EP {4 of n}."""
+    return _vary("num_orgs", grid, base, quorum=4)
 
 
-def fig6c_endorsement_policy(
-    quorums: Optional[Sequence[int]] = None,
-    duration: float = 20.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> SweepResult:
-    quorums = quorums or DEFAULT_QUORUMS
-    configs = [
-        ExperimentConfig(
-            system="orderlesschain",
-            app="synthetic",
-            num_orgs=16,
-            quorum=quorum,
-            **_base(duration, scale, seed),
-        )
-        for quorum in quorums
-    ]
-    return _sweep([f"{quorum} of 16" for quorum in quorums], configs, jobs)
+def fig6c_endorsement_policy(grid, **base) -> List[Point]:
+    """Endorsement policy {q of 16}."""
+    return _vary("quorum", grid, base, label="{} of 16".format, num_orgs=16)
 
 
-# -- E4, Figure 6(d): number of objects per transaction ----------------------------
-
-
-def fig6d_object_count(
-    object_counts: Optional[Sequence[int]] = None,
-    duration: float = 20.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> SweepResult:
-    object_counts = object_counts or DEFAULT_OBJECT_COUNTS
-    configs = [
-        ExperimentConfig(
-            system="orderlesschain",
-            app="synthetic",
-            obj_count=obj_count,
-            **_base(duration, scale, seed),
-        )
-        for obj_count in object_counts
-    ]
-    return _sweep(object_counts, configs, jobs)
+def fig6d_object_count(grid, **base) -> List[Point]:
+    return _vary("obj_count", grid, base)
 
 
 # -- E5, configurations 5-9 (reported in the text of Section 9) ------------------
 
 
-def text_config_ops_per_object(
-    ops_counts: Optional[Sequence[int]] = None,
-    duration: float = 15.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> SweepResult:
+def text_config_ops_per_object(grid, **base) -> List[Point]:
     """Config 5: operations per object (text: unaffected)."""
-    ops_counts = ops_counts or PAPER_OPS_PER_OBJ
-    configs = [
-        ExperimentConfig(
-            system="orderlesschain",
-            app="synthetic",
-            ops_per_obj=ops,
-            **_base(duration, scale, seed),
-        )
-        for ops in ops_counts
-    ]
-    return _sweep(ops_counts, configs, jobs)
+    return _vary("ops_per_obj", grid, base)
 
 
-def text_config_crdt_type(
-    duration: float = 15.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> SweepResult:
+def text_config_crdt_type(grid, **base) -> List[Point]:
     """Config 6: CRDT type (text: independent of type)."""
-    crdt_types = ("gcounter", "mvregister", "map")
-    configs = [
-        ExperimentConfig(
-            system="orderlesschain",
-            app="synthetic",
-            crdt_type=crdt_type,
-            **_base(duration, scale, seed),
-        )
-        for crdt_type in crdt_types
+    return _vary("crdt_type", grid, base)
+
+
+def text_config_workload_mix(grid, **base) -> List[Point]:
+    """Config 7: read/modify mix from R10M90 to R90M10 (text: unaffected).
+
+    ``grid`` holds the modify percentages.
+    """
+    return [
+        (None, f"R{100 - pct}M{pct}", _synthetic(base, modify_ratio=pct / 100.0))
+        for pct in grid
     ]
-    return _sweep(crdt_types, configs, jobs)
 
 
-def text_config_workload_mix(
-    duration: float = 15.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> SweepResult:
-    """Config 7: read/modify mix from R10M90 to R90M10 (text: unaffected)."""
-    modify_pcts = (90, 70, 50, 30, 10)
-    configs = [
-        ExperimentConfig(
-            system="orderlesschain",
-            app="synthetic",
-            modify_ratio=modify_pct / 100.0,
-            **_base(duration, scale, seed),
-        )
-        for modify_pct in modify_pcts
-    ]
-    labels = [f"R{100 - modify_pct}M{modify_pct}" for modify_pct in modify_pcts]
-    return _sweep(labels, configs, jobs)
-
-
-def text_config_workload_skew(
-    duration: float = 15.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> SweepResult:
+def text_config_workload_skew(**base) -> List[Point]:
     """Config 8: uniform vs normally-distributed load per organization."""
-    import math
-
-    uniform = ExperimentConfig(
-        system="orderlesschain", app="synthetic", **_base(duration, scale, seed)
-    )
+    uniform = _synthetic(base)
     # A bell over the organization indexes: middle orgs get more load.
     n = uniform.num_orgs
     weights = tuple(math.exp(-(((i - (n - 1) / 2) / (n / 4)) ** 2)) for i in range(n))
-    skewed = uniform.with_(org_weights=weights)
-    return _sweep(["uniform", "normal"], [uniform, skewed], jobs)
+    return [(None, "uniform", uniform), (None, "normal", uniform.with_(org_weights=weights))]
 
 
-def text_config_gossip_ratio(
-    ratios: Optional[Sequence[int]] = None,
-    duration: float = 15.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> SweepResult:
+def text_config_gossip_ratio(grid, **base) -> List[Point]:
     """Config 9: gossip ratio 1..15 organizations (text: no change)."""
-    ratios = ratios or [1, 3, 7, 15]
-    configs = [
-        ExperimentConfig(
-            system="orderlesschain",
-            app="synthetic",
-            gossip_fanout=fanout,
-            **_base(duration, scale, seed),
-        )
-        for fanout in ratios
-    ]
-    return _sweep(ratios, configs, jobs)
+    return _vary("gossip_fanout", grid, base)
 
 
 # -- E6, Figure 7: latency vs throughput for 16/24/32 organizations ---------------
 
 
-def fig7_latency_vs_throughput(
-    org_counts: Optional[Sequence[int]] = None,
-    rates: Optional[Sequence[float]] = None,
-    duration: float = 20.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> Dict[str, SweepResult]:
-    org_counts = org_counts or [16, 24, 32]
-    rates = rates or DEFAULT_ARRIVAL_RATES
-    # One flat sweep over the whole (orgs x rate) grid, so parallel
-    # workers stay busy across series boundaries.
-    grid = [(num_orgs, rate) for num_orgs in org_counts for rate in rates]
-    configs = [
-        ExperimentConfig(
-            system="orderlesschain",
-            app="synthetic",
-            num_orgs=num_orgs,
-            quorum=4,
-            arrival_rate=rate,
-            **_base(duration, scale, seed),
+def fig7_latency_vs_throughput(org_counts, grid, **base) -> List[Point]:
+    """One series per organization count, EP {4 of n}, over the rate grid."""
+    return [
+        (
+            f"{num_orgs} orgs",
+            rate,
+            _synthetic(base, num_orgs=num_orgs, quorum=4, arrival_rate=rate),
         )
-        for num_orgs, rate in grid
+        for num_orgs in org_counts
+        for rate in grid
     ]
-    results = expect_results(run_sweep(configs, jobs=jobs))
-    series: Dict[str, SweepResult] = {f"{num_orgs} orgs": [] for num_orgs in org_counts}
-    for (num_orgs, rate), result in zip(grid, results):
-        series[f"{num_orgs} orgs"].append((rate, result))
-    return series
 
 
 # -- E7, Figure 8: Byzantine organizations over time ------------------------------
 
 
 def fig8_byzantine_orgs(
-    avoidance: bool,
-    duration: float = 90.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    arrival_rate: float = 3000.0,
-) -> ExperimentResult:
+    avoidance: bool, duration: float, scale: Optional[float] = None, seed: int = 0
+) -> List[Point]:
     """Escalating Byzantine windows f:1 -> f:2 -> f:3 -> f:0.
 
     The window boundaries follow the paper's 30/70/110/150 s marks,
@@ -322,291 +219,129 @@ def fig8_byzantine_orgs(
     config = ExperimentConfig(
         system="orderlesschain",
         app="synthetic",
-        arrival_rate=arrival_rate,
         byzantine_org_windows=windows,
         avoid_byzantine=avoidance,
         max_retries=1 if avoidance else 0,
         timeline_bucket=duration / 18,
         **_base(duration, scale, seed),
     )
-    return run_experiment(config)
+    return [(None, None, config)]
 
 
-def fig8_text_byzantine_clients(
-    fractions: Optional[Sequence[float]] = None,
-    with_byzantine_orgs: bool = False,
-    duration: float = 20.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> SweepResult:
+def fig8_text_byzantine_clients(grid, with_byzantine_orgs: bool = False, **base) -> List[Point]:
     """E8: Byzantine client fractions 50/75/100 %, optionally with
     three Byzantine organizations (Table 2 rows 11-12)."""
-    fractions = fractions or [0.5, 0.75, 1.0]
     windows = (
         (ByzantineWindow(count=3, start=0.0, end=None),) if with_byzantine_orgs else ()
     )
-    configs = [
-        ExperimentConfig(
-            system="orderlesschain",
-            app="synthetic",
-            byzantine_client_fraction=fraction,
-            byzantine_client_faults=("proposal_only", "tamper"),
-            byzantine_org_windows=windows,
-            **_base(duration, scale, seed),
-        )
-        for fraction in fractions
-    ]
-    labels = [f"{int(fraction * 100)}%" for fraction in fractions]
-    return _sweep(labels, configs, jobs)
+    return _vary(
+        "byzantine_client_fraction",
+        grid,
+        base,
+        label=lambda fraction: f"{int(fraction * 100)}%",
+        byzantine_client_faults=("proposal_only", "tamper"),
+        byzantine_org_windows=windows,
+    )
 
 
 # -- E9-E12, Figures 9 and 10: voting and auction across systems --------------------
 
 
 def _comparison(
-    systems: Sequence[str],
-    app: str,
-    rates: Sequence[float],
-    num_orgs: int,
-    duration: float,
-    scale: Optional[float],
-    seed: int,
-    jobs: Optional[int],
-) -> Dict[str, SweepResult]:
-    """Shared system-comparison grid for Figures 9 and 10."""
-    grid = [(system, rate) for system in systems for rate in rates]
-    configs = [
-        ExperimentConfig(
-            system=system,
-            app=app,
-            num_orgs=num_orgs,
-            quorum=4,
-            arrival_rate=rate,
-            **_base(duration, scale, seed + int(rate)),
-        )
-        for system, rate in grid
+    systems: Sequence[str], num_orgs: int, app: str, grid: Sequence[float], seed: int = 0, **base
+) -> List[Point]:
+    """Shared system-comparison grid for Figures 9 and 10.
+
+    Known quirk, kept on purpose: a point is seeded ``seed + int(rate)``,
+    not ``seed``. The seed is a simulated input; changing it would move
+    every committed comparison number.
+    """
+    return [
+        (system, rate, _application(system, app, num_orgs, rate, {**base, "seed": seed + int(rate)}))
+        for system in systems
+        for rate in grid
     ]
-    results = expect_results(run_sweep(configs, jobs=jobs))
-    series: Dict[str, SweepResult] = {system: [] for system in systems}
-    for (system, rate), result in zip(grid, results):
-        series[system].append((rate, result))
-    return series
 
 
-def fig9_comparison(
-    app: str,
-    rates: Optional[Sequence[float]] = None,
-    duration: float = 20.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> Dict[str, SweepResult]:
+def fig9_comparison(app: str, grid, **base) -> List[Point]:
     """OrderlessChain vs Fabric vs FabricCRDT, 8 orgs, EP {4 of 8}."""
-    rates = rates or PAPER_FIG9_RATES
-    return _comparison(
-        ("orderlesschain", "fabric", "fabriccrdt"),
-        app,
-        rates,
-        num_orgs=8,
-        duration=duration,
-        scale=scale,
-        seed=seed,
-        jobs=jobs,
-    )
+    return _comparison(("orderlesschain", "fabric", "fabriccrdt"), 8, app, grid, **base)
 
 
-def fig10_comparison(
-    app: str,
-    rates: Optional[Sequence[float]] = None,
-    duration: float = 20.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> Dict[str, SweepResult]:
+def fig10_comparison(app: str, grid, **base) -> List[Point]:
     """OrderlessChain vs BIDL vs Sync HotStuff, 16 orgs, EP {4 of 16}."""
-    rates = rates or DEFAULT_FIG10_RATES
-    return _comparison(
-        ("orderlesschain", "bidl", "synchotstuff"),
-        app,
-        rates,
-        num_orgs=16,
-        duration=duration,
-        scale=scale,
-        seed=seed,
-        jobs=jobs,
-    )
+    return _comparison(("orderlesschain", "bidl", "synchotstuff"), 16, app, grid, **base)
 
 
 # -- E13, Table 3: transaction processing time breakdown -----------------------------
 
 
-def table3_breakdown(
-    duration: float = 20.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> Dict[str, Dict[str, float]]:
+def table3_breakdown(**base) -> List[Point]:
     """Phase means per system at the paper's operating points.
 
     OrderlessChain and Fabric at 2500 tps voting (8 orgs, EP {4 of 8});
     BIDL and Sync HotStuff at 4000 tps voting (16 orgs).
     """
-    points = (
+    operating_points = (
         ("orderlesschain", 2500, 8),
         ("fabric", 2500, 8),
         ("bidl", 4000, 16),
         ("synchotstuff", 4000, 16),
     )
-    configs = [
-        ExperimentConfig(
-            system=system,
-            app="voting",
-            num_orgs=num_orgs,
-            quorum=4,
-            arrival_rate=rate,
-            **_base(duration, scale, seed),
-        )
-        for system, rate, num_orgs in points
+    return [
+        (system, None, _application(system, "voting", num_orgs, rate, base))
+        for system, rate, num_orgs in operating_points
     ]
-    results = expect_results(run_sweep(configs, jobs=jobs))
-    return {
-        system: result.phase_means_ms
-        for (system, _, _), result in zip(points, results)
-    }
 
 
-def resource_utilization_comparison(
-    duration: float = 15.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> Dict[str, float]:
+def resource_utilization_comparison(**base) -> List[Point]:
     """Section 9's resource-utilization observation: at 2500 tps voting,
     OrderlessChain organizations run at higher CPU utilization than
     Fabric organizations (the paper reports ~50 % vs ~30 %), because of
     applying CRDT operations to the cache — and the extra utilization
     is bounded by the cache lock's serialization."""
-    systems = ("orderlesschain", "fabric")
-    configs = [
-        ExperimentConfig(
-            system=system,
-            app="voting",
-            num_orgs=8,
-            quorum=4,
-            arrival_rate=2500,
-            **_base(duration, scale, seed),
-        )
-        for system in systems
+    return [
+        (system, None, _application(system, "voting", 8, 2500, base))
+        for system in ("orderlesschain", "fabric")
     ]
-    results = expect_results(run_sweep(configs, jobs=jobs))
-    return {
-        system: result.extra.get("mean_org_cpu_utilization", 0.0)
-        for system, result in zip(systems, results)
-    }
 
 
 # -- E15, ablations of DESIGN.md's design choices ---------------------------------------
 
 
-def ablation_cache(
-    duration: float = 15.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> SweepResult:
+def ablation_cache(**base) -> List[Point]:
     """CRDT value cache on vs off (reads replay the operation log)."""
-    labeled = (("cache on", True), ("cache off", False))
-    configs = [
-        ExperimentConfig(
-            system="orderlesschain",
-            app="synthetic",
-            cache_enabled=enabled,
-            **_base(duration, scale, seed),
-        )
-        for _, enabled in labeled
+    return [
+        (None, label, _synthetic(base, cache_enabled=enabled))
+        for label, enabled in (("cache on", True), ("cache off", False))
     ]
-    return _sweep([label for label, _ in labeled], configs, jobs)
 
 
-def ablation_fabric_orderer(
-    duration: float = 15.0, scale: Optional[float] = None, seed: int = 0
-) -> SweepResult:
+def ablation_fabric_orderer(**base) -> List[Tuple[None, str, ExperimentResult]]:
     """Solo vs Raft ordering service for Fabric (Raft adds a WAN round
     trip of follower replication per block; neither is BFT).
 
-    Builds its networks by hand (the orderer type is not an
-    :class:`ExperimentConfig` field), so it runs serially.
+    The orderer type is a ``FabricSettings`` field, not an
+    :class:`ExperimentConfig` one, so the builder runs its two networks
+    itself (serially) and its points carry finished results.
     """
-    from repro.baselines.fabric import FabricNetwork, FabricSettings
-    from repro.bench.metrics import compute_result
-    from repro.bench.runner import _baseline_submit, _drive
-    from repro.bench.workload import make_workload
-
-    results = []
-    base = ExperimentConfig(
-        system="fabric", app="voting", num_orgs=8, quorum=4, arrival_rate=500, **_base(duration, scale, seed)
-    )
+    config = _application("fabric", "voting", 8, 500, base)
+    points = []
     for orderer_type in ("solo", "raft"):
-        workload = make_workload(base)
-        net = FabricNetwork(
-            FabricSettings(
-                num_orgs=base.num_orgs,
-                quorum=base.quorum,
-                app=base.app,
-                seed=base.seed,
-                perf=base.perf(),
-                orderer_type=orderer_type,
-            )
+        net, extra = run_baseline(config, make_workload(config), orderer_type=orderer_type)
+        result = compute_result(
+            net.recorder, config.system, config.app, config.arrival_rate, config.scale, extra=extra
         )
-        for _ in range(base.effective_clients):
-            net.add_client()
-        workload_rng = net.rng.stream("workload")
-        _drive(
-            net.sim,
-            workload_rng,
-            net.clients,
-            _baseline_submit(workload, workload_rng),
-            base.effective_rate,
-            base.duration,
-            base.modify_ratio,
-        )
-        net.run(until=base.duration + base.drain)
-        results.append(
-            (
-                orderer_type,
-                compute_result(
-                    net.recorder, "fabric", base.app, base.arrival_rate, base.scale
-                ),
-            )
-        )
-    return results
+        points.append((None, orderer_type, result))
+    return points
 
 
-def ablation_gossip_interval(
-    intervals: Optional[Sequence[float]] = None,
-    duration: float = 15.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> SweepResult:
+def ablation_gossip_interval(grid, **base) -> List[Point]:
     """Gossip period sweep (the paper fixes it at 1 s)."""
-    intervals = intervals or [0.5, 1.0, 2.0, 5.0]
-    configs = [
-        ExperimentConfig(
-            system="orderlesschain",
-            app="synthetic",
-            gossip_interval=interval,
-            **_base(duration, scale, seed),
-        )
-        for interval in intervals
-    ]
-    return _sweep(intervals, configs, jobs)
+    return _vary("gossip_interval", grid, base)
 
 
 # -- chaos: fault schedules + invariant oracles (docs/FAULTS.md) ---------------
-
-SYSTEMS_UNDER_CHAOS = ("orderlesschain", "fabric", "fabriccrdt", "bidl", "synchotstuff")
 
 
 def chaos_run(
@@ -652,7 +387,7 @@ def chaos_run(
 
 
 def resilience_availability(
-    seeds: Sequence[int] = (1, 2, 3),
+    grid: Sequence[int],
     app: str = "voting",
     arrival_rate: float = 400.0,
     num_orgs: int = 4,
@@ -660,8 +395,7 @@ def resilience_availability(
     duration: float = 20.0,
     scale: Optional[float] = None,
     seed: int = 0,
-    jobs: Optional[int] = None,
-) -> SweepResult:
+) -> List[Point]:
     """Availability under chaos: fixed timeouts vs adaptive resilience.
 
     Both arms run OrderlessChain under the standard crash + partition
@@ -675,30 +409,32 @@ def resilience_availability(
     """
     schedule = smoke_schedule(default_node_ids("orderlesschain", num_orgs))
     # ``seed`` (pinned by the report pipeline) offsets the whole seed set.
-    seeds = tuple(seed + s for s in seeds)
-    grid = [(mode, s) for mode in ("fixed", "adaptive") for s in seeds]
-    configs = [
-        ExperimentConfig(
-            system="orderlesschain",
-            app=app,
-            arrival_rate=arrival_rate,
-            num_orgs=num_orgs,
-            quorum=quorum,
-            fault_schedule=schedule,
-            check=True,
-            max_retries=2,
-            resilience=mode == "adaptive",
-            snapshot_interval=5.0 if mode == "adaptive" else 0.0,
-            **_base(max(duration, schedule.horizon + 5.0), scale, seed),
+    seeds = tuple(seed + offset for offset in grid)
+    return [
+        (
+            None,
+            f"{mode}/seed{run_seed}",
+            ExperimentConfig(
+                system="orderlesschain",
+                app=app,
+                arrival_rate=arrival_rate,
+                num_orgs=num_orgs,
+                quorum=quorum,
+                fault_schedule=schedule,
+                check=True,
+                max_retries=2,
+                resilience=mode == "adaptive",
+                snapshot_interval=5.0 if mode == "adaptive" else 0.0,
+                **_base(max(duration, schedule.horizon + 5.0), scale, run_seed),
+            ),
         )
-        for mode, seed in grid
+        for mode in ("fixed", "adaptive")
+        for run_seed in seeds
     ]
-    labels = [f"{mode}/seed{seed}" for mode, seed in grid]
-    return _sweep(labels, configs, jobs)
 
 
 def multichannel_scaling(
-    channel_counts: Sequence[int] = (1, 2, 4),
+    grid: Sequence[int],
     apps: Sequence[str] = ("synthetic", "voting"),
     per_channel_rate: float = 400.0,
     num_orgs: int = 4,
@@ -706,8 +442,7 @@ def multichannel_scaling(
     duration: float = 10.0,
     scale: Optional[float] = None,
     seed: int = 0,
-    jobs: Optional[int] = None,
-) -> SweepResult:
+) -> List[Point]:
     """Aggregate committed throughput vs channel count at fixed
     per-channel load.
 
@@ -722,24 +457,26 @@ def multichannel_scaling(
     the per-channel convergence and ledger-integrity oracles stay
     green. Labels are the channel counts (the panel's x axis).
     """
-    configs = [
-        ExperimentConfig(
-            system="orderlesschain",
-            app=apps[0],
-            arrival_rate=per_channel_rate * count,
-            num_orgs=num_orgs,
-            quorum=quorum,
-            check=True,
-            channels=tuple(
-                ChannelSpec(f"ch{index}", app=apps[index % len(apps)])
-                for index in range(count)
+    return [
+        (
+            None,
+            str(count),
+            ExperimentConfig(
+                system="orderlesschain",
+                app=apps[0],
+                arrival_rate=per_channel_rate * count,
+                num_orgs=num_orgs,
+                quorum=quorum,
+                check=True,
+                channels=tuple(
+                    ChannelSpec(f"ch{index}", app=apps[index % len(apps)])
+                    for index in range(count)
+                ),
+                **_base(duration, scale, seed),
             ),
-            **_base(duration, scale, seed),
         )
-        for count in channel_counts
+        for count in grid
     ]
-    labels = [str(count) for count in channel_counts]
-    return _sweep(labels, configs, jobs)
 
 
 def multichannel_chaos(
@@ -782,7 +519,7 @@ def multichannel_chaos(
 
 
 def chaos_suite(
-    systems: Sequence[str] = SYSTEMS_UNDER_CHAOS,
+    systems: Sequence[str] = SYSTEMS,
     app: str = "voting",
     duration: float = 20.0,
     scale: Optional[float] = None,
@@ -798,16 +535,12 @@ def chaos_suite(
 
 
 __all__ = [
-    "DEFAULT_ARRIVAL_RATES",
-    "PAPER_ARRIVAL_RATES",
-    "PAPER_FIG9_RATES",
-    "PAPER_FIG10_RATES",
-    "SYSTEMS_UNDER_CHAOS",
+    "Point",
     "ablation_cache",
-    "chaos_run",
-    "chaos_suite",
     "ablation_fabric_orderer",
     "ablation_gossip_interval",
+    "chaos_run",
+    "chaos_suite",
     "fig6a_arrival_rate",
     "fig6b_organizations",
     "fig6c_endorsement_policy",
@@ -816,11 +549,12 @@ __all__ = [
     "fig8_byzantine_orgs",
     "fig8_text_byzantine_clients",
     "fig9_comparison",
+    "fig10_comparison",
     "multichannel_chaos",
     "multichannel_scaling",
     "resilience_availability",
     "resource_utilization_comparison",
-    "fig10_comparison",
+    "run_points",
     "table3_breakdown",
     "text_config_crdt_type",
     "text_config_gossip_ratio",

@@ -1,9 +1,11 @@
 """Serialize experiment results to JSON/CSV for plotting pipelines.
 
-``python -m repro run fig6a --output results/fig6a.json`` lands here:
-sweeps become a list of records; comparisons become one list per
-system; breakdowns become phase dictionaries. The JSON shape is stable
-and documented by the tests.
+Every catalog spec's results pass through here
+(:func:`repro.report.spec.results_to_records`), so ``python -m repro
+run fig6a --output results/fig6a.json`` writes what ``repro report``
+caches: sweeps become a list of records; comparisons become one list
+per system; breakdowns become phase dictionaries. The JSON shape is
+stable and documented by the tests.
 """
 
 from __future__ import annotations

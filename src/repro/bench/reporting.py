@@ -1,15 +1,15 @@
-"""Plain-text reporting of experiment results.
+"""Plain-text reporting for ``repro trace`` and the observability smoke.
 
-Each benchmark prints the rows/series the paper's figures and tables
-plot, in a fixed-width layout that is easy to diff across runs.
+Fixed-width layouts that are easy to diff across runs. Figure and
+table panels are rendered by :func:`repro.report.render.render_table`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
-from repro.bench.metrics import ExperimentResult, SeriesStats
+from repro.bench.metrics import SeriesStats
 
 
 def _fmt(value: object, width: int = 9) -> str:
@@ -31,62 +31,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     return "\n".join(lines)
 
 
-def format_sweep(
-    title: str,
-    x_label: str,
-    results: Sequence[tuple[object, ExperimentResult]],
-) -> str:
-    """One figure panel: x value vs throughput and latency series."""
-    headers = [
-        x_label,
-        "tput",
-        "tput_mod",
-        "tput_rd",
-        "lat_mod",
-        "lat_rd",
-        "p1_mod",
-        "p99_mod",
-        "failed",
-    ]
-    rows = []
-    for x_value, result in results:
-        rows.append(
-            [
-                x_value,
-                result.throughput_tps,
-                result.throughput_modify_tps,
-                result.throughput_read_tps,
-                result.latency_modify.avg_ms,
-                result.latency_read.avg_ms,
-                result.latency_modify.p1_ms,
-                result.latency_modify.p99_ms,
-                result.failed,
-            ]
-        )
-    return f"== {title} ==\n(latencies in ms; throughput in paper-scale tps)\n" + format_table(
-        headers, rows
-    )
-
-
-def format_comparison(
-    title: str,
-    x_label: str,
-    series: Dict[str, Sequence[tuple[object, ExperimentResult]]],
-) -> str:
-    """A multi-system figure: one block per system."""
-    blocks = [f"== {title} =="]
-    for system, results in series.items():
-        blocks.append(format_sweep(system, x_label, results))
-    return "\n\n".join(blocks)
-
-
-def format_timeline(title: str, result: ExperimentResult) -> str:
-    """Figure 8-style committed-throughput-over-time series."""
-    headers = ["t_start", "tput_tps"]
-    rows = [[start, tps] for start, tps in result.timeline]
-    return f"== {title} ==\n" + format_table(headers, rows)
-
-
 def format_node_metrics(title: str, rows: Sequence[SeriesStats]) -> str:
     """Per-node time-series summary (mean/peak of each sampled gauge).
 
@@ -105,19 +49,10 @@ def format_node_metrics(title: str, rows: Sequence[SeriesStats]) -> str:
 
 def format_breakdown(title: str, phase_means_ms: Dict[str, float]) -> str:
     """Table 3-style phase breakdown."""
-    headers = ["phase", "mean_ms"]
-    rows = [[name, mean] for name, mean in sorted(phase_means_ms.items())]
     lines = [f"== {title} =="]
     for name, mean in sorted(phase_means_ms.items()):
         lines.append(f"  {name:<40} {mean:>10.1f} ms")
     return "\n".join(lines)
 
 
-__all__ = [
-    "format_breakdown",
-    "format_comparison",
-    "format_node_metrics",
-    "format_sweep",
-    "format_table",
-    "format_timeline",
-]
+__all__ = ["format_breakdown", "format_node_metrics", "format_table"]

@@ -16,7 +16,7 @@ results (docs/OBSERVABILITY.md).
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.baselines.bidl import BIDLNetwork, BIDLSettings
 from repro.baselines.fabric import FabricNetwork, FabricSettings
@@ -29,7 +29,6 @@ from repro.contracts.auction import AuctionContract
 from repro.contracts.synthetic import SyntheticContract
 from repro.contracts.voting import VotingContract
 from repro.core.byzantine import ByzantineClientConfig
-from repro.core.recording import TransactionRecorder
 from repro.core.system import OrderlessChainNetwork, OrderlessChainSettings
 from repro.errors import ConfigError
 from repro.obs import Observability
@@ -231,155 +230,65 @@ def _baseline_submit(workload: AppWorkload, workload_rng: random.Random):
     return submit
 
 
-def _run_fabric(
-    config: ExperimentConfig,
-    workload: AppWorkload,
-    obs: Optional[Observability] = None,
-    prepare: Optional[Callable[[object], None]] = None,
-):
-    net = FabricNetwork(
-        FabricSettings(
-            num_orgs=config.num_orgs,
-            quorum=config.quorum,
-            app=config.app,
-            seed=config.seed,
-            perf=config.perf(),
-            explore=config.explore,
-        )
-    )
-    if obs is not None:
-        net.attach_observability(obs)
-    for _ in range(config.effective_clients):
-        net.add_client()
-    workload_rng = net.rng.stream("workload")
-    _drive(
-        net.sim,
-        workload_rng,
-        net.clients,
-        _baseline_submit(workload, workload_rng),
-        config.effective_rate,
-        config.duration,
-        config.modify_ratio,
-    )
-    if prepare is not None:
-        prepare(net)
-    net.run(until=config.duration + config.drain)
-    return net, {"mean_org_cpu_utilization": _mean_cpu_utilization(p.cpu for p in net.peers)}
-
-
-def _run_fabriccrdt(
-    config: ExperimentConfig,
-    workload: AppWorkload,
-    obs: Optional[Observability] = None,
-    prepare: Optional[Callable[[object], None]] = None,
-):
-    net = FabricCRDTNetwork(
-        FabricCRDTSettings(
-            num_orgs=config.num_orgs,
-            quorum=config.quorum,
-            app=config.app,
-            seed=config.seed,
-            perf=config.perf(),
-            explore=config.explore,
-        )
-    )
-    if obs is not None:
-        net.attach_observability(obs)
-    for _ in range(config.effective_clients):
-        net.add_client()
-    workload_rng = net.rng.stream("workload")
-    _drive(
-        net.sim,
-        workload_rng,
-        net.clients,
-        _baseline_submit(workload, workload_rng),
-        config.effective_rate,
-        config.duration,
-        config.modify_ratio,
-    )
-    if prepare is not None:
-        prepare(net)
-    net.run(until=config.duration + config.drain)
-    return net, {"mean_org_cpu_utilization": _mean_cpu_utilization(p.cpu for p in net.peers)}
-
-
-def _run_bidl(
-    config: ExperimentConfig,
-    workload: AppWorkload,
-    obs: Optional[Observability] = None,
-    prepare: Optional[Callable[[object], None]] = None,
-):
-    net = BIDLNetwork(
-        BIDLSettings(
-            num_orgs=config.num_orgs,
-            app=config.app,
-            seed=config.seed,
-            perf=config.perf(),
-            explore=config.explore,
-        )
-    )
-    if obs is not None:
-        net.attach_observability(obs)
-    for _ in range(config.effective_clients):
-        net.add_client()
-    workload_rng = net.rng.stream("workload")
-    _drive(
-        net.sim,
-        workload_rng,
-        net.clients,
-        _baseline_submit(workload, workload_rng),
-        config.effective_rate,
-        config.duration,
-        config.modify_ratio,
-    )
-    if prepare is not None:
-        prepare(net)
-    net.run(until=config.duration + config.drain)
-    return net, {"mean_org_cpu_utilization": _mean_cpu_utilization(o.cpu for o in net.orgs)}
-
-
-def _run_synchotstuff(
-    config: ExperimentConfig,
-    workload: AppWorkload,
-    obs: Optional[Observability] = None,
-    prepare: Optional[Callable[[object], None]] = None,
-):
-    net = SyncHotStuffNetwork(
-        SyncHotStuffSettings(
-            num_orgs=config.num_orgs,
-            app=config.app,
-            seed=config.seed,
-            perf=config.perf(),
-            explore=config.explore,
-        )
-    )
-    if obs is not None:
-        net.attach_observability(obs)
-    for _ in range(config.effective_clients):
-        net.add_client()
-    workload_rng = net.rng.stream("workload")
-    _drive(
-        net.sim,
-        workload_rng,
-        net.clients,
-        _baseline_submit(workload, workload_rng),
-        config.effective_rate,
-        config.duration,
-        config.modify_ratio,
-    )
-    if prepare is not None:
-        prepare(net)
-    net.run(until=config.duration + config.drain)
-    return net, {"mean_org_cpu_utilization": _mean_cpu_utilization(o.cpu for o in net.orgs)}
-
-
-_RUNNERS = {
-    "orderlesschain": _run_orderlesschain,
-    "fabric": _run_fabric,
-    "fabriccrdt": _run_fabriccrdt,
-    "bidl": _run_bidl,
-    "synchotstuff": _run_synchotstuff,
+# system -> (network class, settings class, settings take ``quorum``,
+# network attribute listing the nodes whose CPUs count as organizations)
+_BASELINES = {
+    "fabric": (FabricNetwork, FabricSettings, True, "peers"),
+    "fabriccrdt": (FabricCRDTNetwork, FabricCRDTSettings, True, "peers"),
+    "bidl": (BIDLNetwork, BIDLSettings, False, "orgs"),
+    "synchotstuff": (SyncHotStuffNetwork, SyncHotStuffSettings, False, "orgs"),
 }
+
+
+def run_baseline(
+    config: ExperimentConfig,
+    workload: AppWorkload,
+    obs: Optional[Observability] = None,
+    prepare: Optional[Callable[[object], None]] = None,
+    **settings,
+):
+    """Build and drive the baseline named by ``config.system``.
+
+    Internal to :mod:`repro.bench`: ``settings`` are extra fields for
+    the system's settings class that are deliberately not
+    :class:`ExperimentConfig` fields — the Fabric orderer ablation
+    passes ``orderer_type``; nothing else passes any.
+    """
+    network_class, settings_class, takes_quorum, nodes = _BASELINES[config.system]
+    if takes_quorum:
+        settings["quorum"] = config.quorum
+    net = network_class(
+        settings_class(
+            num_orgs=config.num_orgs,
+            app=config.app,
+            seed=config.seed,
+            perf=config.perf(),
+            explore=config.explore,
+            **settings,
+        )
+    )
+    if obs is not None:
+        net.attach_observability(obs)
+    for _ in range(config.effective_clients):
+        net.add_client()
+    workload_rng = net.rng.stream("workload")
+    _drive(
+        net.sim,
+        workload_rng,
+        net.clients,
+        _baseline_submit(workload, workload_rng),
+        config.effective_rate,
+        config.duration,
+        config.modify_ratio,
+    )
+    # Driver first, then ``prepare`` (fault installation) — the reverse
+    # of OrderlessChain's start -> prepare -> drive. Either order is part
+    # of the deterministic event order the golden seeds pin.
+    if prepare is not None:
+        prepare(net)
+    net.run(until=config.duration + config.drain)
+    utilization = _mean_cpu_utilization(node.cpu for node in getattr(net, nodes))
+    return net, {"mean_org_cpu_utilization": utilization}
 
 
 def _mean_cpu_utilization(cpus) -> float:
@@ -428,8 +337,9 @@ def run_experiment(
     # buggy code produced (e.g. state snapshots replayed through the
     # buggy CRDT merge). It is restored before returning, which also
     # protects reused sweep-pool workers from a leaked patch.
+    runner = _run_orderlesschain if config.system == "orderlesschain" else run_baseline
     with planted(config.planted_bug):
-        net, extra = _RUNNERS[config.system](config, workload, obs, prepare)
+        net, extra = runner(config, workload, obs, prepare)
         if injector is not None:
             injector.finalize()
         check_report = None

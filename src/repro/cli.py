@@ -1,11 +1,15 @@
 """Command-line interface: run experiments and demos from a shell.
 
+``list``, ``run`` and ``bench`` read the experiment catalog
+(``repro.report.catalog``): every panel of EXPERIMENTS.md is runnable
+by its spec id or group, plus the one non-catalog entry ``chaos``.
+
 Usage::
 
     python -m repro list
     python -m repro run fig6a --duration 15 --scale 20
     python -m repro run table3
-    python -m repro run fig9 --app auction
+    python -m repro run fig9-auction
     python -m repro trace --system orderlesschain --trace-out trace.json
     python -m repro report --quick --jobs 2
     python -m repro report --quick --check
@@ -17,132 +21,19 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.bench import experiments, export
-from repro.bench.reporting import (
-    format_breakdown,
-    format_comparison,
-    format_node_metrics,
-    format_sweep,
-    format_table,
-    format_timeline,
-)
+from repro.bench.config import APPS, SYSTEMS
+from repro.bench.reporting import format_breakdown, format_node_metrics, format_table
+from repro.errors import ConfigError
+from repro.report.catalog import all_specs, select_specs
+from repro.report.render import render_table
 
-# Experiment id -> (description, runner(args) -> printable string).
-
-
-def _run_fig6a(args):
-    results = experiments.fig6a_arrival_rate(
-        duration=args.duration, scale=args.scale, seed=args.seed, jobs=args.jobs
-    )
-    return (
-        format_sweep("Figure 6(a): transaction arrival rate", "rate", results),
-        export.sweep_to_records(results, "rate"),
-    )
-
-
-def _run_fig6b(args):
-    results = experiments.fig6b_organizations(
-        duration=args.duration, scale=args.scale, seed=args.seed, jobs=args.jobs
-    )
-    return (
-        format_sweep("Figure 6(b): number of organizations", "orgs", results),
-        export.sweep_to_records(results, "orgs"),
-    )
-
-
-def _run_fig6c(args):
-    results = experiments.fig6c_endorsement_policy(
-        duration=args.duration, scale=args.scale, seed=args.seed, jobs=args.jobs
-    )
-    return (
-        format_sweep("Figure 6(c): endorsement policy", "EP", results),
-        export.sweep_to_records(results, "EP"),
-    )
-
-
-def _run_fig6d(args):
-    results = experiments.fig6d_object_count(
-        duration=args.duration, scale=args.scale, seed=args.seed, jobs=args.jobs
-    )
-    return (
-        format_sweep("Figure 6(d): objects per transaction", "objects", results),
-        export.sweep_to_records(results, "objects"),
-    )
-
-
-def _run_fig7(args):
-    series = experiments.fig7_latency_vs_throughput(
-        duration=args.duration, scale=args.scale, seed=args.seed, jobs=args.jobs
-    )
-    return (
-        format_comparison("Figure 7: latency vs throughput", "rate", series),
-        export.comparison_to_records(series, "rate"),
-    )
-
-
-def _run_fig8a(args):
-    result = experiments.fig8_byzantine_orgs(
-        avoidance=False, duration=max(60.0, args.duration), scale=args.scale, seed=args.seed
-    )
-    return (
-        format_timeline("Figure 8(a): Byzantine organizations (no avoidance)", result),
-        export.result_to_record(result),
-    )
-
-
-def _run_fig8b(args):
-    result = experiments.fig8_byzantine_orgs(
-        avoidance=True, duration=max(60.0, args.duration), scale=args.scale, seed=args.seed
-    )
-    return (
-        format_timeline("Figure 8(b): Byzantine organizations (avoidance)", result),
-        export.result_to_record(result),
-    )
-
-
-def _run_fig9(args):
-    series = experiments.fig9_comparison(
-        args.app, duration=args.duration, scale=args.scale, seed=args.seed, jobs=args.jobs
-    )
-    return (
-        format_comparison(f"Figure 9: {args.app} vs Fabric/FabricCRDT", "rate", series),
-        export.comparison_to_records(series, "rate"),
-    )
-
-
-def _run_fig10(args):
-    series = experiments.fig10_comparison(
-        args.app, duration=args.duration, scale=args.scale, seed=args.seed, jobs=args.jobs
-    )
-    return (
-        format_comparison(f"Figure 10: {args.app} vs BIDL/Sync HotStuff", "rate", series),
-        export.comparison_to_records(series, "rate"),
-    )
-
-
-def _run_table3(args):
-    rows = experiments.table3_breakdown(
-        duration=args.duration, scale=args.scale, seed=args.seed, jobs=args.jobs
-    )
-    text = "\n\n".join(
-        format_breakdown(f"Table 3 - {system}", phases) for system, phases in rows.items()
-    )
-    return text, rows
-
-
-def _run_channels(args):
-    results = experiments.multichannel_scaling(
-        duration=args.duration, scale=args.scale, seed=args.seed, jobs=args.jobs
-    )
-    return (
-        format_sweep(
-            "Multi-application channels: committed vs channel count", "channels", results
-        ),
-        export.sweep_to_records(results, "channels"),
-    )
+# The one runnable entry that is not a catalog panel.
+CHAOS = "chaos"
 
 
 def _run_chaos(args):
@@ -150,9 +41,8 @@ def _run_chaos(args):
     from repro.faults import FaultSchedule
 
     faults = getattr(args, "faults", None)
-    system = getattr(args, "system", None)
     schedule = FaultSchedule.from_file(faults) if faults else None
-    systems = [system] if system else list(experiments.SYSTEMS_UNDER_CHAOS)
+    systems = [args.system] if args.system else list(SYSTEMS)
     lines: List[str] = []
     payload: List[Dict] = []
     failed = False
@@ -161,12 +51,10 @@ def _run_chaos(args):
             system=system,
             app=args.app,
             schedule=schedule,
-            duration=args.duration,
-            scale=args.scale,
-            seed=args.seed,
             resilience=getattr(args, "resilience", False),
             max_retries=getattr(args, "max_retries", 0),
             snapshot_interval=getattr(args, "snapshot_interval", 0.0),
+            **_overrides(args),
         )
         report = result.check_report
         failed = failed or not report.ok
@@ -185,20 +73,37 @@ def _run_chaos(args):
     return "\n".join(lines), payload, (1 if failed else 0)
 
 
-EXPERIMENTS: Dict[str, tuple[str, Callable]] = {
-    "chaos": ("fault schedule + invariant oracles, all systems", _run_chaos),
-    "fig6a": ("synthetic arrival-rate sweep", _run_fig6a),
-    "fig6b": ("synthetic organization sweep", _run_fig6b),
-    "fig6c": ("synthetic endorsement-policy sweep", _run_fig6c),
-    "fig6d": ("synthetic objects-per-transaction sweep", _run_fig6d),
-    "fig7": ("latency vs throughput, 16/24/32 orgs", _run_fig7),
-    "fig8a": ("Byzantine organizations, no avoidance", _run_fig8a),
-    "fig8b": ("Byzantine organizations, clients avoid", _run_fig8b),
-    "fig9": ("voting/auction vs Fabric & FabricCRDT", _run_fig9),
-    "fig10": ("voting/auction vs BIDL & Sync HotStuff", _run_fig10),
-    "multichannel": ("channel-count scaling, mixed applications", _run_channels),
-    "table3": ("transaction processing time breakdown", _run_table3),
-}
+def _overrides(args) -> Dict[str, object]:
+    """``--duration`` / ``--scale`` / ``--seed`` as spec overrides.
+
+    An omitted ``--duration`` or ``--scale`` leaves the spec's own value
+    in place; ``--seed`` defaults to 0, which is every spec's own seed.
+    """
+    given = {"duration": args.duration, "scale": args.scale, "seed": args.seed}
+    return {key: value for key, value in given.items() if value is not None}
+
+
+def _run_selection(names: List[str], args) -> Iterator[Tuple[str, str, object, int]]:
+    """Run the named panels: ``(id, printable text, JSON payload, exit
+    code)`` per catalog spec in catalog order, then ``chaos`` if named."""
+    catalog_names = [name for name in names if name != CHAOS]
+    # select_specs([]) would mean the whole catalog, not none of it.
+    for spec in select_specs(catalog_names) if catalog_names else ():
+        records = spec.run(jobs=args.jobs, overrides=_overrides(args))
+        text = f"== {spec.section_title} ==\n\n{render_table(spec, records)}"
+        yield spec.spec_id, text, records, 0
+    if CHAOS in names:
+        yield (CHAOS, *_run_chaos(args))
+
+
+def _experiment_name(name: str) -> str:
+    """argparse type for ``run`` / ``bench``: a spec id, a group, or chaos."""
+    if name != CHAOS:
+        try:
+            select_specs([name])
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(f"{exc} or {CHAOS}") from None
+    return name
 
 
 # -- shared flags ------------------------------------------------------------
@@ -207,24 +112,22 @@ EXPERIMENTS: Dict[str, tuple[str, Callable]] = {
 # the same four flags; one table keeps their spelling, default, and
 # help text identical everywhere (tests/core/test_cli.py pins this).
 
-_SYSTEM_CHOICES = ["orderlesschain", "fabric", "fabriccrdt", "bidl", "synchotstuff"]
-_APP_CHOICES = ["synthetic", "voting", "auction"]
-
 
 def _add_common_flags(sub: argparse.ArgumentParser, *names: str) -> None:
     adders = {
         "system": lambda: sub.add_argument(
             "--system",
-            choices=_SYSTEM_CHOICES,
+            choices=SYSTEMS,
             default=None,
             help="restrict to one system (experiments that fix their own"
             " system set ignore this)",
         ),
         "app": lambda: sub.add_argument(
             "--app",
-            choices=_APP_CHOICES,
+            choices=APPS,
             default="voting",
-            help="application contract and workload",
+            help="application contract and workload (catalog panels fix"
+            " their own; pick e.g. fig9-auction by id)",
         ),
         "seed": lambda: sub.add_argument(
             "--seed", type=int, default=0, help="base RNG seed"
@@ -240,23 +143,42 @@ def _add_common_flags(sub: argparse.ArgumentParser, *names: str) -> None:
         adders[name]()
 
 
+def _add_run_flags(sub: argparse.ArgumentParser) -> None:
+    """The overrides ``run`` and ``bench`` share."""
+    _add_common_flags(sub, "system", "app", "seed", "jobs")
+    sub.add_argument(
+        "--duration",
+        type=float,
+        default=None,
+        help="simulated seconds per run (default: the experiment's own)",
+    )
+    sub.add_argument("--scale", type=float, default=None, help="scale-down factor (default: env)")
+
+
 def _cmd_list(args) -> int:
     print("available experiments:")
-    for name, (description, _) in EXPERIMENTS.items():
-        print(f"  {name:<8} {description}")
+    for spec in all_specs():
+        group = f" [{spec.group}]" if spec.group else ""
+        print(f"  {spec.spec_id:<17} {spec.section_title}{group}")
+    print(f"  {CHAOS:<17} fault schedule + invariant oracles, all systems")
     return 0
 
 
 def _cmd_run(args) -> int:
-    _, runner = EXPERIMENTS[args.experiment]
-    text, payload, *rest = runner(args)
-    print(text)
+    payloads = {}
+    code = 0
+    for name, text, payload, exit_code in _run_selection([args.experiment], args):
+        print(text)
+        print()
+        payloads[name] = payload
+        # chaos fails the invocation when an oracle fails.
+        code = max(code, exit_code)
     if args.output:
-        export.to_json(payload, path=args.output)
-        print(f"\nwrote {args.output}")
-    # A runner may return a third element: its exit code (chaos uses
-    # this to fail the invocation when an oracle fails).
-    return rest[0] if rest else 0
+        # One panel writes its records bare; a group, one entry per id.
+        single = len(payloads) == 1
+        export.to_json(next(iter(payloads.values())) if single else payloads, path=args.output)
+        print(f"wrote {args.output}")
+    return code
 
 
 def _cmd_bench(args) -> int:
@@ -267,23 +189,11 @@ def _cmd_bench(args) -> int:
     another so their reports print in a stable order. Results are
     identical for any job count (docs/PERFORMANCE.md).
     """
-    import os
-
-    names = args.experiments or sorted(EXPERIMENTS)
-    unknown = [name for name in names if name not in EXPERIMENTS]
-    if unknown:
-        print(
-            f"unknown experiment(s): {', '.join(unknown)} "
-            f"(choose from {', '.join(sorted(EXPERIMENTS))})",
-            file=sys.stderr,
-        )
-        return 2
+    names = args.experiments or [spec.spec_id for spec in all_specs()] + [CHAOS]
     code = 0
-    for name in names:
-        _, runner = EXPERIMENTS[name]
+    for name, text, payload, exit_code in _run_selection(names, args):
         print(f"== {name} (jobs={args.jobs}) ==")
-        text, payload, *rest = runner(args)
-        code = max(code, rest[0] if rest else 0)
+        code = max(code, exit_code)
         print(text)
         if args.output_dir:
             os.makedirs(args.output_dir, exist_ok=True)
@@ -401,7 +311,6 @@ def _cmd_explore(args) -> int:
     that reproduced its artifact), 1 = violation found (artifact
     written) or replay mismatch.
     """
-    from repro.bench.config import SYSTEMS
     from repro.explore import explore, replay
 
     if args.replay:
@@ -499,21 +408,18 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("list", help="list available experiments").set_defaults(func=_cmd_list)
 
     run = subparsers.add_parser("run", help="run one experiment and print its figure/table")
-    run.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    _add_common_flags(run, "system", "app", "seed", "jobs")
-    run.add_argument("--duration", type=float, default=15.0, help="simulated seconds per run")
-    run.add_argument("--scale", type=float, default=None, help="scale-down factor (default: env)")
+    run.add_argument(
+        "experiment",
+        type=_experiment_name,
+        help=f"a spec id or group from `repro list`, or {CHAOS}",
+    )
+    _add_run_flags(run)
     run.add_argument("--output", default=None, help="write the figure data as JSON")
     run.add_argument(
         "--faults",
         default=None,
         metavar="SCHEDULE.json",
         help="chaos only: a fault schedule file (default: the built-in smoke schedule)",
-    )
-    run.add_argument(
-        "--check",
-        action="store_true",
-        help="run the invariant oracles at quiescence (chaos always checks)",
     )
     run.add_argument(
         "--resilience",
@@ -544,12 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "experiments",
         nargs="*",
+        type=_experiment_name,
         metavar="experiment",
-        help=f"experiments to run (default: all of {', '.join(sorted(EXPERIMENTS))})",
+        help=f"spec ids or groups to run (default: the whole catalog, then {CHAOS})",
     )
-    _add_common_flags(bench, "system", "app", "seed", "jobs")
-    bench.add_argument("--duration", type=float, default=15.0, help="simulated seconds per run")
-    bench.add_argument("--scale", type=float, default=None, help="scale-down factor (default: env)")
+    _add_run_flags(bench)
     bench.add_argument("--output-dir", default=None, help="write each experiment's data as JSON here")
     bench.set_defaults(func=_cmd_bench)
 
@@ -557,12 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run one traced experiment; export a chrome://tracing JSON and node metrics",
     )
-    trace.add_argument(
-        "--system",
-        choices=["orderlesschain", "fabric", "fabriccrdt", "bidl", "synchotstuff"],
-        default="orderlesschain",
-    )
-    trace.add_argument("--app", choices=["synthetic", "voting", "auction"], default="voting")
+    trace.add_argument("--system", choices=SYSTEMS, default="orderlesschain")
+    trace.add_argument("--app", choices=APPS, default="voting")
     trace.add_argument("--rate", type=float, default=2000.0, help="arrival rate, paper-scale tps")
     trace.add_argument("--orgs", type=int, default=8)
     trace.add_argument("--quorum", type=int, default=4)

@@ -2,11 +2,12 @@
 
 Each completed experiment is written as one JSON artifact named
 ``<spec_id>-<hash12>.json`` where ``hash12`` prefixes the spec hash
-(:meth:`~repro.report.spec.ExperimentSpec.spec_hash` — runner + every
-resolved simulation input, including seed and scale). A report run
-consults the cache before executing: a killed or interrupted sweep
-restarts exactly at its first missing experiment, and a parameter or
-seed change misses cleanly because the key changes with it.
+(:meth:`~repro.report.spec.ExperimentSpec.spec_hash` — builder name +
+every resolved simulation input: grid, duration, seed and scale). A
+report run consults the cache before executing: a killed or
+interrupted sweep restarts exactly at its first missing experiment,
+and a parameter or seed change misses cleanly because the key changes
+with it.
 
 Artifacts hold *records* (plain JSON data, never pickled result
 objects), so a cache hit and a fresh run are indistinguishable to the
@@ -77,7 +78,7 @@ class ResultCache:
         }
         tmp = path.with_suffix(".json.tmp")
         # No sort_keys: record dicts carry meaning in their insertion
-        # order (comparison series render in runner order, with the
+        # order (comparison series render in builder order, with the
         # paper's system first), and a cache hit must render
         # byte-identically to the fresh run that produced it.
         tmp.write_text(json.dumps(payload, indent=2) + "\n")

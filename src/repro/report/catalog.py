@@ -2,10 +2,12 @@
 
 One :class:`~repro.report.spec.ExperimentSpec` per panel, in the
 document order of EXPERIMENTS.md. Each spec carries the paper's claim,
-the sweep entry point and grids (full and ``--quick``), and the shape
-checks that turn the claim into a mechanical verdict — this module is
-the single source of truth shared by ``python -m repro report``, the
-``benchmarks/`` suite, and the generated EXPERIMENTS.md.
+the panel's builder (:mod:`repro.bench.experiments`), every grid value
+it sweeps (``grid``, full and ``--quick``), and the shape checks that
+turn the claim into a mechanical verdict — this module is the only
+registry of panels: ``python -m repro list / run / bench / report``,
+``benchmarks/bench_catalog.py``, the tier-1 smoke tests and the
+generated EXPERIMENTS.md all read it.
 
 ``--quick`` grids shrink each sweep to its endpoints plus the knee and
 cut durations (6 simulated seconds for sweeps, 40 for the Figure 8
@@ -18,25 +20,24 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.bench import experiments as E
 from repro.errors import ConfigError
 from repro.report.spec import ExperimentSpec
-
-_E = "repro.bench.experiments"
 
 _SPECS: List[ExperimentSpec] = [
     # -- Figure 6: synthetic application sweeps -----------------------------
     ExperimentSpec(
         spec_id="fig6a",
         kind="sweep",
-        runner=f"{_E}:fig6a_arrival_rate",
+        build=E.fig6a_arrival_rate,
         x_label="rate",
         section_title="Figure 6(a) — synthetic, arrival-rate sweep (E1)",
         paper_claim=(
             "Throughput tracks the arrival rate up to 10,000 tps; latency "
             "rises (toward ~1 s at the top of the sweep)."
         ),
-        params={"duration": 20.0},
-        quick_params={"duration": 6.0, "rates": [1000, 5000, 10000]},
+        params={"duration": 20.0, "grid": [1000, 3000, 5000, 8000, 10000]},
+        quick_params={"duration": 6.0, "grid": [1000, 5000, 10000]},
         checks=("fig6a-tput-tracks-rate", "fig6a-latency-rises"),
         notes=(
             "Throughput ≈ arrival across the sweep; average and p99 latency "
@@ -46,30 +47,30 @@ _SPECS: List[ExperimentSpec] = [
     ExperimentSpec(
         spec_id="fig6b",
         kind="sweep",
-        runner=f"{_E}:fig6b_organizations",
+        build=E.fig6b_organizations,
         x_label="orgs",
         section_title="Figure 6(b) — organizations sweep, EP {4 of n} (E2)",
         paper_claim=(
             "Scales from 8 to 32 organizations \"without affecting the "
             "throughput and latency\"."
         ),
-        params={"duration": 20.0},
-        quick_params={"duration": 6.0, "org_counts": [8, 16, 32]},
+        params={"duration": 20.0, "grid": [8, 16, 24, 32]},
+        quick_params={"duration": 6.0, "grid": [8, 16, 32]},
         checks=("tput-flat-1.2", "lat-flat-1.5"),
         notes="Throughput and latency stay flat as the network grows under EP {4 of n}.",
     ),
     ExperimentSpec(
         spec_id="fig6c",
         kind="sweep",
-        runner=f"{_E}:fig6c_endorsement_policy",
+        build=E.fig6c_endorsement_policy,
         x_label="EP",
         section_title="Figure 6(c) — endorsement policy {q of 16} (E3)",
         paper_claim=(
             "Latency increases with q (toward ~2 s); throughput degrades at "
             "large quorums."
         ),
-        params={"duration": 20.0},
-        quick_params={"duration": 6.0, "quorums": [2, 8, 16]},
+        params={"duration": 20.0, "grid": [2, 4, 8, 12, 16]},
+        quick_params={"duration": 6.0, "grid": [2, 8, 16]},
         checks=("fig6c-latency-grows", "fig6c-throughput-degrades"),
         notes=(
             "Monotone rise with the blow-up at the full-quorum policy "
@@ -79,15 +80,15 @@ _SPECS: List[ExperimentSpec] = [
     ExperimentSpec(
         spec_id="fig6d",
         kind="sweep",
-        runner=f"{_E}:fig6d_object_count",
+        build=E.fig6d_object_count,
         x_label="objects",
         section_title="Figure 6(d) — objects per transaction (E4)",
         paper_claim=(
             "Latency increases with the number of objects \"due to the "
             "locking mechanism used in the cache\"."
         ),
-        params={"duration": 20.0},
-        quick_params={"duration": 6.0, "object_counts": [2, 8, 16]},
+        params={"duration": 20.0, "grid": [2, 4, 8, 12, 16]},
+        quick_params={"duration": 6.0, "grid": [2, 8, 16]},
         checks=("fig6d-latency-grows",),
         notes="The cache lock is acquired once per touched object.",
     ),
@@ -95,43 +96,43 @@ _SPECS: List[ExperimentSpec] = [
     ExperimentSpec(
         spec_id="fig6t-ops",
         kind="sweep",
-        runner=f"{_E}:text_config_ops_per_object",
+        build=E.text_config_ops_per_object,
         x_label="ops",
         group="fig6text",
         section_title="Section 9 text, config 5 — operations per object (E5)",
         paper_claim="Throughput and latency are unaffected by operations per object.",
-        params={"duration": 15.0},
-        quick_params={"duration": 6.0, "ops_counts": [2, 16]},
+        params={"duration": 15.0, "grid": [2, 4, 8, 16]},
+        quick_params={"duration": 6.0, "grid": [2, 16]},
         checks=("lat-flat-1.6",),
     ),
     ExperimentSpec(
         spec_id="fig6t-crdt",
         kind="sweep",
-        runner=f"{_E}:text_config_crdt_type",
+        build=E.text_config_crdt_type,
         x_label="type",
         group="fig6text",
         section_title="Section 9 text, config 6 — CRDT type (E5)",
         paper_claim="Results are independent of the CRDT type.",
-        params={"duration": 15.0},
+        params={"duration": 15.0, "grid": ["gcounter", "mvregister", "map"]},
         quick_params={"duration": 6.0},
         checks=("lat-flat-1.5", "tput-flat-1.2"),
     ),
     ExperimentSpec(
         spec_id="fig6t-mix",
         kind="sweep",
-        runner=f"{_E}:text_config_workload_mix",
+        build=E.text_config_workload_mix,
         x_label="mix",
         group="fig6text",
         section_title="Section 9 text, config 7 — read/modify mix (E5)",
         paper_claim="Throughput/latency unaffected from R10M90 to R90M10.",
-        params={"duration": 15.0},
+        params={"duration": 15.0, "grid": [90, 70, 50, 30, 10]},  # modify %
         quick_params={"duration": 6.0},
         checks=("tput-flat-1.25",),
     ),
     ExperimentSpec(
         spec_id="fig6t-skew",
         kind="sweep",
-        runner=f"{_E}:text_config_workload_skew",
+        build=E.text_config_workload_skew,
         x_label="dist",
         group="fig6text",
         section_title="Section 9 text, config 8 — load distribution (E5)",
@@ -146,31 +147,35 @@ _SPECS: List[ExperimentSpec] = [
     ExperimentSpec(
         spec_id="fig6t-gossip",
         kind="sweep",
-        runner=f"{_E}:text_config_gossip_ratio",
+        build=E.text_config_gossip_ratio,
         x_label="fanout",
         group="fig6text",
         section_title="Section 9 text, config 9 — gossip ratio (E5)",
         paper_claim="Insensitive to the gossip ratio.",
-        params={"duration": 15.0},
-        quick_params={"duration": 6.0, "ratios": [1, 15]},
+        params={"duration": 15.0, "grid": [1, 3, 7, 15]},
+        quick_params={"duration": 6.0, "grid": [1, 15]},
         checks=("lat-flat-1.5", "tput-flat-1.2"),
     ),
     # -- Figure 7 ------------------------------------------------------------
     ExperimentSpec(
         spec_id="fig7",
         kind="comparison",
-        runner=f"{_E}:fig7_latency_vs_throughput",
+        build=E.fig7_latency_vs_throughput,
         x_label="rate",
         section_title="Figure 7 — latency vs throughput for 16/24/32 orgs (E6)",
         paper_claim=(
             "OrderlessChain scales; the latency-throughput curves stay low "
             "and flat for all three network sizes."
         ),
-        params={"duration": 20.0, "rates": [1000, 3000, 5000, 8000, 10000]},
+        params={
+            "duration": 20.0,
+            "org_counts": [16, 24, 32],
+            "grid": [1000, 3000, 5000, 8000, 10000],
+        },
         quick_params={
             "duration": 6.0,
             "org_counts": [16, 32],
-            "rates": [1000, 5000, 10000],
+            "grid": [1000, 5000, 10000],
         },
         checks=("fig7-scales",),
         notes=(
@@ -182,7 +187,7 @@ _SPECS: List[ExperimentSpec] = [
     ExperimentSpec(
         spec_id="fig8a",
         kind="timeline",
-        runner=f"{_E}:fig8_byzantine_orgs",
+        build=E.fig8_byzantine_orgs,
         section_title="Figure 8(a) — Byzantine organizations, no avoidance (E7)",
         paper_claim=(
             "Throughput drops with each escalation f:1 → f:2 → f:3 and "
@@ -200,7 +205,7 @@ _SPECS: List[ExperimentSpec] = [
     ExperimentSpec(
         spec_id="fig8b",
         kind="timeline",
-        runner=f"{_E}:fig8_byzantine_orgs",
+        build=E.fig8_byzantine_orgs,
         section_title="Figure 8(b) — Byzantine organizations, avoidance (E7)",
         paper_claim=(
             "With avoidance, throughput returns to its pre-failure value "
@@ -214,7 +219,7 @@ _SPECS: List[ExperimentSpec] = [
     ExperimentSpec(
         spec_id="fig8t-clients",
         kind="sweep",
-        runner=f"{_E}:fig8_text_byzantine_clients",
+        build=E.fig8_text_byzantine_clients,
         x_label="frac",
         group="fig8text",
         section_title="Section 9 text — Byzantine clients (E8)",
@@ -222,8 +227,8 @@ _SPECS: List[ExperimentSpec] = [
             "All faulty transactions are rejected while latency is "
             "unaffected (safe and live)."
         ),
-        params={"duration": 20.0},
-        quick_params={"duration": 6.0, "fractions": [0.5, 1.0]},
+        params={"duration": 20.0, "grid": [0.5, 0.75, 1.0]},
+        quick_params={"duration": 6.0, "grid": [0.5, 1.0]},
         checks=("fig8t-safety-and-liveness",),
         notes=(
             "Modify throughput falls exactly with the honest fraction; no "
@@ -234,7 +239,7 @@ _SPECS: List[ExperimentSpec] = [
     ExperimentSpec(
         spec_id="fig8t-combined",
         kind="sweep",
-        runner=f"{_E}:fig8_text_byzantine_clients",
+        build=E.fig8_text_byzantine_clients,
         x_label="frac",
         group="fig8text",
         section_title="Section 9 text — Byzantine clients + 3 Byzantine orgs (E8)",
@@ -242,7 +247,7 @@ _SPECS: List[ExperimentSpec] = [
             "Three Byzantine organizations plus Byzantine clients decrease "
             "throughput without affecting latency."
         ),
-        params={"duration": 20.0, "fractions": [0.5], "with_byzantine_orgs": True},
+        params={"duration": 20.0, "grid": [0.5], "with_byzantine_orgs": True},
         quick_params={"duration": 6.0},
         checks=("fig8t-combined-degrades-safely",),
     ),
@@ -250,7 +255,7 @@ _SPECS: List[ExperimentSpec] = [
     ExperimentSpec(
         spec_id="fig9-voting",
         kind="comparison",
-        runner=f"{_E}:fig9_comparison",
+        build=E.fig9_comparison,
         x_label="rate",
         group="fig9",
         section_title="Figure 9(a)/(c) — voting vs Fabric and FabricCRDT (E9)",
@@ -261,14 +266,14 @@ _SPECS: List[ExperimentSpec] = [
             "FabricCRDT's merge is a bottleneck; OrderlessChain's latency "
             "stays constant."
         ),
-        params={"app": "voting", "duration": 20.0},
-        quick_params={"duration": 6.0, "rates": [500, 1500, 2500]},
+        params={"app": "voting", "duration": 20.0, "grid": [500, 1000, 1500, 2000, 2500]},
+        quick_params={"duration": 6.0, "grid": [500, 1500, 2500]},
         checks=("fig9-orderless-wins", "fig9-fabric-mvcc-fails", "fig9-latency-shapes"),
     ),
     ExperimentSpec(
         spec_id="fig9-auction",
         kind="comparison",
-        runner=f"{_E}:fig9_comparison",
+        build=E.fig9_comparison,
         x_label="rate",
         group="fig9",
         section_title="Figure 9(b)/(d) — auction vs Fabric and FabricCRDT (E10)",
@@ -277,14 +282,14 @@ _SPECS: List[ExperimentSpec] = [
             "keys fail MVCC on Fabric, FabricCRDT merges grow, "
             "OrderlessChain stays flat."
         ),
-        params={"app": "auction", "duration": 20.0},
-        quick_params={"duration": 6.0, "rates": [500, 1500, 2500]},
+        params={"app": "auction", "duration": 20.0, "grid": [500, 1000, 1500, 2000, 2500]},
+        quick_params={"duration": 6.0, "grid": [500, 1500, 2500]},
         checks=("fig9-auction-wins", "fig9-latency-shapes"),
     ),
     ExperimentSpec(
         spec_id="fig10-voting",
         kind="comparison",
-        runner=f"{_E}:fig10_comparison",
+        build=E.fig10_comparison,
         x_label="rate",
         group="fig10",
         section_title="Figure 10(a)/(c) — voting vs BIDL and Sync HotStuff (E11)",
@@ -293,8 +298,8 @@ _SPECS: List[ExperimentSpec] = [
             "OrderlessChain still wins; BIDL blows up past ~3000 tps; Sync "
             "HotStuff at 4000 tps; OrderlessChain constant."
         ),
-        params={"app": "voting", "duration": 20.0},
-        quick_params={"duration": 6.0, "rates": [500, 2500, 4000]},
+        params={"app": "voting", "duration": 20.0, "grid": [500, 1500, 2500, 3500, 4000]},
+        quick_params={"duration": 6.0, "grid": [500, 2500, 4000]},
         checks=("fig10-orderless-flat", "fig10-knees", "fig10-top-rate-ranking"),
         notes=(
             "BIDL's read and modify latencies track each other (BFT reads "
@@ -305,20 +310,20 @@ _SPECS: List[ExperimentSpec] = [
     ExperimentSpec(
         spec_id="fig10-auction",
         kind="comparison",
-        runner=f"{_E}:fig10_comparison",
+        build=E.fig10_comparison,
         x_label="rate",
         group="fig10",
         section_title="Figure 10(b)/(d) — auction vs BIDL and Sync HotStuff (E12)",
         paper_claim="The auction application matches the voting shapes.",
-        params={"app": "auction", "duration": 20.0},
-        quick_params={"duration": 6.0, "rates": [500, 2500, 4000]},
+        params={"app": "auction", "duration": 20.0, "grid": [500, 1500, 2500, 3500, 4000]},
+        quick_params={"duration": 6.0, "grid": [500, 2500, 4000]},
         checks=("fig10-orderless-flat", "fig10-knees", "fig10-top-rate-ranking"),
     ),
     # -- Table 3 and resource utilization ------------------------------------
     ExperimentSpec(
         spec_id="table3",
         kind="breakdown",
-        runner=f"{_E}:table3_breakdown",
+        build=E.table3_breakdown,
         section_title="Table 3 — transaction processing time breakdown (E13)",
         paper_claim=(
             "OrderlessChain's two phases are small and same-order (paper: "
@@ -336,7 +341,7 @@ _SPECS: List[ExperimentSpec] = [
     ExperimentSpec(
         spec_id="resource-util",
         kind="scalar",
-        runner=f"{_E}:resource_utilization_comparison",
+        build=E.resource_utilization_comparison,
         section_title="Section 9 text — resource utilization",
         paper_claim=(
             "At 2,500 tps voting, OrderlessChain organizations run at ~50 % "
@@ -351,7 +356,7 @@ _SPECS: List[ExperimentSpec] = [
     ExperimentSpec(
         spec_id="abl-cache",
         kind="sweep",
-        runner=f"{_E}:ablation_cache",
+        build=E.ablation_cache,
         x_label="cache",
         group="ablations",
         section_title="Ablation — CRDT value cache off (E15)",
@@ -366,7 +371,7 @@ _SPECS: List[ExperimentSpec] = [
     ExperimentSpec(
         spec_id="abl-gossip",
         kind="sweep",
-        runner=f"{_E}:ablation_gossip_interval",
+        build=E.ablation_gossip_interval,
         x_label="period",
         group="ablations",
         section_title="Ablation — gossip interval (E15)",
@@ -374,15 +379,15 @@ _SPECS: List[ExperimentSpec] = [
             "Client-visible latency is unchanged across gossip periods — "
             "commits need only the q contacted organizations."
         ),
-        params={"duration": 15.0},
-        quick_params={"duration": 6.0, "intervals": [0.5, 5.0]},
+        params={"duration": 15.0, "grid": [0.5, 1.0, 2.0, 5.0]},
+        quick_params={"duration": 6.0, "grid": [0.5, 5.0]},
         checks=("lat-flat-1.5",),
     ),
     # -- resilience (beyond the paper; docs/RESILIENCE.md) -------------------
     ExperimentSpec(
         spec_id="resilience-avail",
         kind="sweep",
-        runner=f"{_E}:resilience_availability",
+        build=E.resilience_availability,
         x_label="run",
         section_title="Availability under chaos — fixed vs adaptive resilience",
         paper_claim=(
@@ -393,8 +398,8 @@ _SPECS: List[ExperimentSpec] = [
             "transactions than the fixed-timeout client with the same "
             "retry budget, with every invariant oracle green."
         ),
-        params={"duration": 20.0},
-        quick_params={"duration": 20.0, "seeds": [1, 2]},
+        params={"duration": 20.0, "grid": [1, 2, 3]},  # seed offsets
+        quick_params={"duration": 20.0, "grid": [1, 2]},
         checks=("resilience-adaptive-wins",),
         notes=(
             "Both arms run max_retries=2 under the same smoke schedule; "
@@ -406,7 +411,7 @@ _SPECS: List[ExperimentSpec] = [
     ExperimentSpec(
         spec_id="multichannel",
         kind="sweep",
-        runner=f"{_E}:multichannel_scaling",
+        build=E.multichannel_scaling,
         x_label="channels",
         section_title="Multi-application channels — throughput vs channel count",
         paper_claim=(
@@ -417,8 +422,8 @@ _SPECS: List[ExperimentSpec] = [
             "of one network grows monotonically with the number of "
             "deployed applications, with every invariant oracle green."
         ),
-        params={"duration": 10.0},
-        quick_params={"duration": 10.0, "channel_counts": [1, 2, 4]},
+        params={"duration": 10.0, "grid": [1, 2, 4]},
+        quick_params={"duration": 10.0},
         checks=("multichannel-throughput-scales",),
         notes=(
             "Each channel binds one contract to its own state shard; "
@@ -429,7 +434,7 @@ _SPECS: List[ExperimentSpec] = [
     ExperimentSpec(
         spec_id="abl-orderer",
         kind="sweep",
-        runner=f"{_E}:ablation_fabric_orderer",
+        build=E.ablation_fabric_orderer,
         x_label="orderer",
         group="ablations",
         section_title="Ablation — Fabric Solo vs Raft orderer (E15)",

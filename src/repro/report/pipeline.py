@@ -2,7 +2,7 @@
 
 ``run_report`` is the engine behind ``python -m repro report``. For
 each selected spec it (1) consults the result cache, (2) runs the
-experiment on a miss (sweep-level parallelism via the spec's runner
+experiment on a miss (sweep-level parallelism via the one executor
 and ``--jobs``), (3) evaluates the registered shape checks into a
 verdict, then renders everything into:
 

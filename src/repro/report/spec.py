@@ -3,10 +3,13 @@
 One :class:`ExperimentSpec` registers a paper figure/table with
 everything the report pipeline needs to regenerate it mechanically:
 
-* ``runner`` — a ``"module:function"`` entry point into
-  :mod:`repro.bench.experiments` (or any importable callable);
-* ``params`` / ``quick_params`` — the full-run kwargs and the reduced
-  ``--quick`` overrides (smaller grids, shorter durations);
+* ``build`` — the panel's builder in :mod:`repro.bench.experiments`
+  (or any callable): called with the resolved params, it returns the
+  ``(series, x, config)`` points the one executor
+  (:func:`~repro.bench.experiments.run_points`) simulates;
+* ``params`` / ``quick_params`` — the full-run kwargs (the sweep's
+  ``grid`` included) and the reduced ``--quick`` overrides (smaller
+  grids, shorter durations);
 * ``kind`` — the result shape (``sweep``, ``comparison``,
   ``timeline``, ``breakdown``, ``scalar``), which fixes how results
   serialize to JSON records and render to tables;
@@ -16,8 +19,8 @@ everything the report pipeline needs to regenerate it mechanically:
   the generated EXPERIMENTS.md.
 
 The spec hash — :meth:`ExperimentSpec.spec_hash` — is a SHA-256 over
-the canonical JSON of the *resolved* run parameters plus the runner
-entry point. It keys the result cache and is recorded in the
+the canonical JSON of the *resolved* run parameters plus the builder's
+name. It keys the result cache and is recorded in the
 ``experiments.json`` manifest, so a cached artifact can never be
 replayed against a spec whose inputs changed.
 """
@@ -25,13 +28,12 @@ replayed against a spec whose inputs changed.
 from __future__ import annotations
 
 import hashlib
-import importlib
-import inspect
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.bench.config import default_scale
+from repro.bench.experiments import run_points
 from repro.errors import ConfigError
 
 # Result shapes a spec may declare.
@@ -43,25 +45,13 @@ def _canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def resolve_runner(entry_point: str) -> Callable:
-    """Import ``"module:function"`` and return the callable."""
-    module_name, _, attr = entry_point.partition(":")
-    if not module_name or not attr:
-        raise ConfigError(f"runner must look like 'module:function', got {entry_point!r}")
-    module = importlib.import_module(module_name)
-    try:
-        return getattr(module, attr)
-    except AttributeError:
-        raise ConfigError(f"runner {entry_point!r} does not resolve") from None
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One registered figure/table of the paper's evaluation."""
 
     spec_id: str
     kind: str
-    runner: str
+    build: Callable[..., Any]
     section_title: str
     paper_claim: str
     params: Mapping[str, Any] = field(default_factory=dict)
@@ -76,6 +66,11 @@ class ExperimentSpec:
             raise ConfigError(f"unknown spec kind {self.kind!r}; choose from {KINDS}")
         if not self.spec_id or any(ch.isspace() for ch in self.spec_id):
             raise ConfigError(f"spec_id must be a non-empty token, got {self.spec_id!r}")
+
+    @property
+    def runner(self) -> str:
+        """The builder's ``module:function`` name (manifest, spec hash)."""
+        return f"{self.build.__module__}:{self.build.__qualname__}"
 
     # -- parameter resolution ------------------------------------------------
 
@@ -102,7 +97,7 @@ class ExperimentSpec:
     def spec_hash(
         self, quick: bool = False, overrides: Optional[Mapping[str, Any]] = None
     ) -> str:
-        """SHA-256 hex digest over runner + resolved run parameters.
+        """SHA-256 hex digest over builder name + resolved run parameters.
 
         Deliberately excludes prose, checks, and ``jobs`` (parallelism
         cannot change results — docs/PERFORMANCE.md), so re-wording a
@@ -127,22 +122,19 @@ class ExperimentSpec:
     ) -> Any:
         """Run the experiment and return JSON-ready records.
 
-        ``jobs`` is passed through to the sweep function only when its
-        signature accepts it (timeline/serial experiments do not).
-        The raw :class:`~repro.bench.metrics.ExperimentResult` objects
-        are converted to flat records immediately (see
+        The builder's points go through the one executor, which is the
+        only place ``jobs`` is handled. The raw
+        :class:`~repro.bench.metrics.ExperimentResult` objects are
+        converted to flat records immediately (see
         :func:`results_to_records`), so callers — the cache, the
-        renderers, the checks — only ever see plain data.
+        renderers, the checks, the CLI — only ever see plain data.
         """
-        fn = resolve_runner(self.runner)
-        kwargs = self.resolved_params(quick=quick, overrides=overrides)
-        if jobs is not None and "jobs" in inspect.signature(fn).parameters:
-            kwargs["jobs"] = jobs
-        return results_to_records(self.kind, fn(**kwargs), self.x_label)
+        points = self.build(**self.resolved_params(quick=quick, overrides=overrides))
+        return results_to_records(self.kind, run_points(self.kind, points, jobs), self.x_label)
 
 
 def results_to_records(kind: str, raw: Any, x_label: str = "x") -> Any:
-    """Convert a runner's native return value to JSON-ready records.
+    """Convert the executor's native return value to JSON-ready records.
 
     * ``sweep`` — ``[(x, ExperimentResult), ...]`` becomes a list of
       flat records each carrying ``x_label``;
@@ -164,4 +156,4 @@ def results_to_records(kind: str, raw: Any, x_label: str = "x") -> Any:
     raise ConfigError(f"unknown spec kind {kind!r}")
 
 
-__all__ = ["ExperimentSpec", "KINDS", "resolve_runner", "results_to_records"]
+__all__ = ["ExperimentSpec", "KINDS", "results_to_records"]

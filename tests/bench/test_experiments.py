@@ -1,107 +1,144 @@
-"""Smoke tests for the per-figure experiment functions.
+"""Smoke tests for every panel of the experiment catalog.
 
-Each sweep runs at a tiny scale (high scale-down, short duration) —
-enough to exercise configuration plumbing and result shapes; the
-paper-shape assertions live in ``benchmarks/``.
+Each spec runs once at a tiny operating point (high scale-down, short
+duration, trimmed grids) — enough to exercise the builders, the one
+executor and the result shapes; the paper-shape assertions live in the
+specs' checks (``benchmarks/bench_catalog.py``, ``repro report``).
 """
+
+import functools
 
 import pytest
 
 from repro.bench import experiments
+from repro.report import all_specs, get_spec
 
 TINY = dict(duration=4.0, scale=60.0, seed=7)
 
+# Per-panel overrides on top of TINY; panels not listed run their
+# full-mode grid.
+TRIMMED = {
+    "fig6a": {"grid": [1000, 3000]},
+    "fig6b": {"grid": [8, 16]},
+    "fig6c": {"grid": [2, 4]},
+    "fig6d": {"grid": [2, 4]},
+    "fig6t-ops": {"grid": [2]},
+    "fig6t-gossip": {"grid": [1, 15]},
+    "fig7": {"org_counts": [16], "grid": [1000, 2000]},
+    # Long enough for the f:3 window to hurt.
+    "fig8a": {"duration": 24.0, "seed": 3},
+    "fig8b": {"duration": 2.0},
+    "fig8t-clients": {"grid": [0.5]},
+    "fig9-voting": {"grid": [500]},
+    "fig9-auction": {"grid": [500], "duration": 2.0},
+    "fig10-voting": {"grid": [500], "duration": 2.0},
+    "fig10-auction": {"grid": [500]},
+    "abl-gossip": {"grid": [1.0]},
+    "resilience-avail": {"grid": [1]},
+    "multichannel": {"grid": [1, 2]},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def tiny(spec_id):
+    """The spec's records at the tiny point (each panel simulated once)."""
+    return get_spec(spec_id).run(overrides={**TINY, **TRIMMED.get(spec_id, {})})
+
+
+def labels(spec_id):
+    return [record[get_spec(spec_id).x_label] for record in tiny(spec_id)]
+
+
+@pytest.mark.parametrize("spec", all_specs(), ids=lambda spec: spec.spec_id)
+def test_every_panel_runs(spec):
+    records = tiny(spec.spec_id)
+    if spec.kind == "sweep":
+        assert records and all(spec.x_label in record for record in records)
+    elif spec.kind == "comparison":
+        assert records and all(sweep for sweep in records.values())
+    elif spec.kind == "timeline":
+        assert records["timeline"]  # bucketized committed throughput
+    else:  # breakdown / scalar: one projection per system
+        assert records and all(value is not None for value in records.values())
+
 
 def test_fig6a_shape():
-    results = experiments.fig6a_arrival_rate(rates=[1000, 3000], **TINY)
-    assert [rate for rate, _ in results] == [1000, 3000]
-    assert all(r.committed > 0 for _, r in results)
+    assert labels("fig6a") == [1000, 3000]
+    assert all(r["committed"] > 0 for r in tiny("fig6a"))
 
 
 def test_fig6b_shape():
-    results = experiments.fig6b_organizations(org_counts=[8, 16], **TINY)
-    assert [n for n, _ in results] == [8, 16]
+    assert labels("fig6b") == [8, 16]
 
 
 def test_fig6c_labels():
-    results = experiments.fig6c_endorsement_policy(quorums=[2, 4], **TINY)
-    assert [label for label, _ in results] == ["2 of 16", "4 of 16"]
+    assert labels("fig6c") == ["2 of 16", "4 of 16"]
 
 
 def test_fig6d_shape():
-    results = experiments.fig6d_object_count(object_counts=[2, 4], **TINY)
-    assert all(r.committed > 0 for _, r in results)
+    assert all(r["committed"] > 0 for r in tiny("fig6d"))
 
 
 def test_text_configs_run():
-    assert len(experiments.text_config_ops_per_object(ops_counts=[2], **TINY)) == 1
-    assert len(experiments.text_config_crdt_type(**TINY)) == 3
-    mixes = experiments.text_config_workload_mix(**TINY)
-    assert [label for label, _ in mixes] == ["R10M90", "R30M70", "R50M50", "R70M30", "R90M10"]
-    skew = experiments.text_config_workload_skew(**TINY)
-    assert [label for label, _ in skew] == ["uniform", "normal"]
-    assert len(experiments.text_config_gossip_ratio(ratios=[1, 15], **TINY)) == 2
+    assert len(tiny("fig6t-ops")) == 1
+    assert len(tiny("fig6t-crdt")) == 3
+    assert labels("fig6t-mix") == ["R10M90", "R30M70", "R50M50", "R70M30", "R90M10"]
+    assert labels("fig6t-skew") == ["uniform", "normal"]
+    assert len(tiny("fig6t-gossip")) == 2
 
 
 def test_fig7_series_per_org_count():
-    series = experiments.fig7_latency_vs_throughput(
-        org_counts=[16], rates=[1000, 2000], **TINY
-    )
+    series = tiny("fig7")
     assert set(series) == {"16 orgs"}
     assert len(series["16 orgs"]) == 2
 
 
 def test_fig8_timeline_and_failures():
-    result = experiments.fig8_byzantine_orgs(
-        avoidance=False, duration=24.0, scale=60.0, seed=3, arrival_rate=3000
-    )
-    assert result.timeline  # bucketized committed throughput
-    assert result.failed > 0  # the f:3 window hurts
+    record = tiny("fig8a")
+    assert record["timeline"]  # bucketized committed throughput
+    assert record["failed"] > 0  # the f:3 window hurts
 
 
 def test_fig8_byzantine_clients():
-    results = experiments.fig8_text_byzantine_clients(fractions=[0.5], **TINY)
-    label, result = results[0]
-    assert label == "50%"
-    assert result.failed > 0
+    assert labels("fig8t-clients") == ["50%"]
+    assert tiny("fig8t-clients")[0]["failed"] > 0
 
 
 def test_fig9_and_fig10_series():
-    fig9 = experiments.fig9_comparison("voting", rates=[500], **TINY)
-    assert set(fig9) == {"orderlesschain", "fabric", "fabriccrdt"}
-    fig10 = experiments.fig10_comparison("auction", rates=[500], **TINY)
-    assert set(fig10) == {"orderlesschain", "bidl", "synchotstuff"}
+    for app in ("voting", "auction"):
+        assert set(tiny(f"fig9-{app}")) == {"orderlesschain", "fabric", "fabriccrdt"}
+        assert set(tiny(f"fig10-{app}")) == {"orderlesschain", "bidl", "synchotstuff"}
 
 
 def test_table3_systems_and_phases():
-    rows = experiments.table3_breakdown(**TINY)
+    rows = tiny("table3")
     assert set(rows) == {"orderlesschain", "fabric", "bidl", "synchotstuff"}
     assert "orderlesschain/P1/Execution" in rows["orderlesschain"]
     assert "fabric/P2/Consensus" in rows["fabric"]
 
 
 def test_ablations_run():
-    cache = dict(experiments.ablation_cache(**TINY))
-    assert set(cache) == {"cache on", "cache off"}
-    orderers = dict(experiments.ablation_fabric_orderer(**TINY))
-    assert set(orderers) == {"solo", "raft"}
-    gossip = experiments.ablation_gossip_interval(intervals=[1.0], **TINY)
-    assert len(gossip) == 1
+    assert labels("abl-cache") == ["cache on", "cache off"]
+    assert labels("abl-orderer") == ["solo", "raft"]
+    assert len(tiny("abl-gossip")) == 1
 
 
 def test_resource_utilization_comparison():
-    utilizations = experiments.resource_utilization_comparison(**TINY)
+    utilizations = tiny("resource-util")
     assert set(utilizations) == {"orderlesschain", "fabric"}
     assert all(0.0 <= u <= 1.0 for u in utilizations.values())
 
 
 def test_multichannel_scaling_monotone_committed():
-    results = experiments.multichannel_scaling(channel_counts=(1, 2), **TINY)
-    labels = [label for label, _ in results]
-    assert labels == ["1", "2"]
-    committed = [r.committed for _, r in results]
+    assert labels("multichannel") == ["1", "2"]
+    committed = [r["committed"] for r in tiny("multichannel")]
     assert committed[1] > committed[0] > 0
-    assert all(r.check_report.ok for _, r in results)
+    assert all(r["oracles_ok"] for r in tiny("multichannel"))
+
+
+def test_resilience_arms_are_labelled_and_green():
+    assert labels("resilience-avail") == ["fixed/seed8", "adaptive/seed8"]
+    assert all(r["oracles_ok"] for r in tiny("resilience-avail"))
 
 
 def test_multichannel_chaos_smoke():

@@ -2,33 +2,7 @@
 
 import math
 
-from repro.bench.metrics import ExperimentResult, LatencyStats
-from repro.bench.reporting import (
-    format_breakdown,
-    format_comparison,
-    format_sweep,
-    format_table,
-    format_timeline,
-)
-
-
-def make_result(**overrides):
-    defaults = dict(
-        system="orderlesschain",
-        app="voting",
-        arrival_rate=1000.0,
-        duration=20.0,
-        submitted=100,
-        committed=95,
-        failed=5,
-        throughput_tps=950.0,
-        throughput_modify_tps=475.0,
-        throughput_read_tps=475.0,
-        latency_modify=LatencyStats(95, 250.0, 200.0, 400.0),
-        latency_read=LatencyStats(95, 120.0, 100.0, 150.0),
-    )
-    defaults.update(overrides)
-    return ExperimentResult(**defaults)
+from repro.bench.reporting import format_breakdown, format_table
 
 
 def test_format_table_alignment_and_rule():
@@ -42,32 +16,6 @@ def test_format_table_alignment_and_rule():
 def test_format_table_handles_nan():
     text = format_table(["v"], [[math.nan]])
     assert "nan" not in text
-
-
-def test_format_sweep_contains_rows():
-    text = format_sweep("Figure X", "rate", [(1000, make_result())])
-    assert "Figure X" in text
-    assert "1000" in text
-    assert "950.0" in text
-    assert "250.0" in text
-
-
-def test_format_comparison_has_block_per_system():
-    series = {
-        "orderlesschain": [(1000, make_result())],
-        "fabric": [(1000, make_result(system="fabric"))],
-    }
-    text = format_comparison("Figure Y", "rate", series)
-    assert "orderlesschain" in text
-    assert "fabric" in text
-
-
-def test_format_timeline():
-    result = make_result(timeline=[(0.0, 100.0), (10.0, 50.0)])
-    text = format_timeline("Figure 8", result)
-    assert "t_start" in text
-    assert "100.0" in text
-    assert "50.0" in text
 
 
 def test_format_breakdown_sorted_phases():

@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.report import all_specs
 
 
 def test_list_command(capsys):
     assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    for name in EXPERIMENTS:
-        assert name in out
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(all_specs()) == 25
+    assert listed == [spec.spec_id for spec in all_specs()] + ["chaos"]
 
 
 def test_run_requires_known_experiment():
@@ -40,8 +41,49 @@ def test_parser_defaults():
     parser = build_parser()
     args = parser.parse_args(["run", "fig9"])
     assert args.app == "voting"
-    assert args.duration == 15.0
+    # Omitted --duration / --scale leave the spec's own values in place.
+    assert args.duration is None
     assert args.scale is None
+
+
+@pytest.fixture
+def spec_runs(monkeypatch):
+    """Stub ``ExperimentSpec.run``; collect (spec id, overrides) per call."""
+    from repro.report.spec import ExperimentSpec
+
+    calls = []
+
+    def fake_run(self, jobs=None, quick=False, overrides=None):
+        calls.append((self.spec_id, overrides))
+        return {} if self.kind == "comparison" else []
+
+    monkeypatch.setattr(ExperimentSpec, "run", fake_run)
+    return calls
+
+
+def test_panels_are_selected_by_id_not_by_app(spec_runs):
+    assert main(["run", "fig9-auction"]) == 0
+    assert [spec_id for spec_id, _ in spec_runs] == ["fig9-auction"]
+    # --app no longer picks the panel: fig9 is the group, and both of
+    # its panels run with the application the catalog gives them.
+    spec_runs.clear()
+    assert main(["run", "fig9", "--app", "auction"]) == 0
+    assert [spec_id for spec_id, _ in spec_runs] == ["fig9-voting", "fig9-auction"]
+    assert all("app" not in overrides for _, overrides in spec_runs)
+
+
+def test_run_overrides_default_to_the_specs_own_values(spec_runs):
+    assert main(["run", "fig6b"]) == 0
+    assert main(["run", "fig6b", "--duration", "5", "--scale", "50", "--seed", "1"]) == 0
+    assert [overrides for _, overrides in spec_runs] == [
+        {"seed": 0},
+        {"duration": 5.0, "scale": 50.0, "seed": 1},
+    ]
+
+
+def test_run_check_flag_is_gone():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "chaos", "--check"])
 
 
 @pytest.mark.parametrize("command", ["run", "bench", "explore", "report"])

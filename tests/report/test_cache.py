@@ -2,6 +2,7 @@
 
 import json
 
+from repro.bench.experiments import resource_utilization_comparison
 from repro.report.cache import ARTIFACT_SCHEMA, HASH_PREFIX, ResultCache
 from repro.report.spec import ExperimentSpec
 
@@ -10,7 +11,7 @@ def make_spec():
     return ExperimentSpec(
         spec_id="toy",
         kind="scalar",
-        runner="repro.bench.experiments:resource_utilization_comparison",
+        build=resource_utilization_comparison,
         section_title="Toy",
         paper_claim="toy",
         params={"duration": 6.0},

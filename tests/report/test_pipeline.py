@@ -15,12 +15,16 @@ from repro.report.pipeline import run_report
 from repro.report.spec import ExperimentSpec
 
 
+def never_built(**params):
+    raise AssertionError("stubbed specs are never built: ExperimentSpec.run is patched")
+
+
 def fake_specs():
     return [
         ExperimentSpec(
             spec_id=spec_id,
             kind="scalar",
-            runner=f"fake.runners:{spec_id.replace('-', '_')}",
+            build=never_built,
             section_title=f"Fake {spec_id}",
             paper_claim=f"claim for {spec_id}",
             params={"duration": 6.0},
@@ -186,7 +190,7 @@ def test_failing_check_sets_exit_code(stubbed, paths, monkeypatch):
         ExperimentSpec(
             spec_id="fake-a",
             kind="scalar",
-            runner="fake.runners:fake_a",
+            build=never_built,
             section_title="Fake fake-a",
             paper_claim="claim",
             params={"duration": 6.0},

@@ -1,19 +1,23 @@
 """Spec hashing, parameter resolution, and catalog integrity."""
 
+import inspect
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.report import all_specs, get_spec, select_specs
 from repro.report.catalog import SMOKE_SPEC_IDS
 from repro.report.checks import CHECKS
-from repro.report.spec import KINDS, ExperimentSpec, resolve_runner
+from repro.bench import experiments
+from repro.report.spec import KINDS, ExperimentSpec
 
 
 def make_spec(**overrides):
     fields = dict(
         spec_id="toy",
         kind="scalar",
-        runner="repro.bench.experiments:resource_utilization_comparison",
+        build=experiments.resource_utilization_comparison,
         section_title="Toy",
         paper_claim="toy claim",
         params={"duration": 20.0},
@@ -54,10 +58,21 @@ class TestSpecHash:
     def test_runner_and_id_included(self):
         a = make_spec()
         assert a.spec_hash() != make_spec(spec_id="other").spec_hash()
-        assert (
-            a.spec_hash()
-            != make_spec(runner="repro.bench.experiments:table3_breakdown").spec_hash()
-        )
+        assert a.spec_hash() != make_spec(build=experiments.table3_breakdown).spec_hash()
+
+    def test_grid_value_changes_hash(self):
+        # The values a panel sweeps are simulated inputs like any other.
+        # They live in the spec's params (never in a builder default,
+        # which the hash cannot see), so changing one changes the hash.
+        swept = [spec for spec in all_specs() if "grid" in spec.params]
+        assert len(swept) == 18
+        for spec in swept:
+            shorter = {**spec.params, "grid": spec.params["grid"][:-1]}
+            assert replace(spec, params=shorter).spec_hash() != spec.spec_hash(), spec.spec_id
+        for spec in all_specs():
+            grid = inspect.signature(spec.build).parameters.get("grid")
+            assert (grid is not None) == (spec in swept), spec.spec_id
+            assert grid is None or grid.default is inspect.Parameter.empty, spec.spec_id
 
     def test_scale_is_pinned_into_hash(self, monkeypatch):
         spec = make_spec()
@@ -95,17 +110,15 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             make_spec(spec_id="has space")
 
-    def test_bad_runner_rejected(self):
-        with pytest.raises(ConfigError):
-            resolve_runner("no-colon")
-        with pytest.raises(ConfigError):
-            resolve_runner("repro.bench.experiments:not_a_function")
-
 
 class TestCatalogIntegrity:
-    def test_every_runner_resolves(self):
+    def test_every_builder_lives_in_the_experiments_module(self):
+        # One module of builders: the manifest's ``runner`` name is
+        # then enough to find the code that produced an entry.
         for spec in all_specs():
-            assert callable(resolve_runner(spec.runner)), spec.spec_id
+            module, _, name = spec.runner.partition(":")
+            assert module == experiments.__name__, spec.spec_id
+            assert getattr(experiments, name) is spec.build, spec.spec_id
 
     def test_every_check_registered(self):
         for spec in all_specs():
