@@ -107,6 +107,16 @@ class LedgerIntegrityChecker:
         return CheckResult(self.name, PASS, f"{len(ledgers)} ledgers verified")
 
 
+def _plain_copy(value: Any) -> Any:
+    """Deep copy of a wire tree as plain dicts and lists: decoding it
+    re-parses the content and shares no memo with the protocol."""
+    if isinstance(value, dict):
+        return {key: _plain_copy(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain_copy(item) for item in value]
+    return value
+
+
 class PolicySafetyChecker:
     """No committed transaction lacks a valid, honest-capable quorum.
 
@@ -128,7 +138,7 @@ class PolicySafetyChecker:
             return CheckResult(
                 self.name, SKIP, f"{adapter.system} has no endorsement policy to audit"
             )
-        from repro.core.transaction import Endorsement, Transaction
+        from repro.core.transaction import Transaction
 
         ca = adapter.net.ca
         policy = adapter.net.policy
@@ -138,11 +148,8 @@ class PolicySafetyChecker:
             wires = adapter.committed_wires(node_id) or {}
             for txn_id, wire in sorted(wires.items()):
                 audited += 1
-                transaction = Transaction.from_wire(wire)
-                digest = transaction.digest()
-                payload = Endorsement.signed_payload_from_digest(
-                    transaction.transaction_id, digest
-                )
+                transaction = Transaction.from_wire(_plain_copy(wire))
+                _, payload = transaction.signed_payloads()
                 valid_endorsers = set()
                 for endorsement in transaction.endorsements:
                     enrolled = (

@@ -224,6 +224,15 @@ class Organization:
         elif message.msg_type in self.extension_handlers:
             self.extension_handlers[message.msg_type](message)
 
+    def _decode(self, cls: Any, wire: Any) -> Any:
+        """``cls.from_wire(wire)``, or None — dropped and counted, never
+        raised — when a peer-supplied body does not decode."""
+        try:
+            return cls.from_wire(wire)
+        except (KeyError, TypeError, ValueError, AttributeError):
+            self.dropped_requests += 1
+            return None
+
     # -- phase 1: endorsement ----------------------------------------------
 
     def _handle_proposal(self, message: Message):
@@ -232,7 +241,9 @@ class Organization:
             if self.rng.random() < self.byzantine.drop_probability:
                 self.dropped_requests += 1
                 return
-        proposal = Proposal.from_wire(message.body)
+        proposal = self._decode(Proposal, message.body)
+        if proposal is None:
+            return
         if self.ca.is_revoked(proposal.client_id) or not self.ca.is_enrolled(proposal.client_id):
             return
         for guard in self.proposal_guards:
@@ -329,18 +340,12 @@ class Organization:
         proposal = transaction.proposal
         if not self.ca.is_enrolled(proposal.client_id) or self.ca.is_revoked(proposal.client_id):
             return False, "unknown or revoked client"
-        digest = transaction.digest()
-        client_payload = Transaction.signed_payload_from_digest(
-            transaction.transaction_id, digest
-        )
+        client_payload, endorsement_payload = transaction.signed_payloads()
         if not self.ca.verify(proposal.client_id, client_payload, transaction.client_signature):
             return False, "invalid client signature"
         # Verify against the *transaction's* write-set digest: this both
         # checks each endorser's signature and proves the client did not
         # swap in different operations.
-        endorsement_payload = Endorsement.signed_payload_from_digest(
-            transaction.transaction_id, digest
-        )
         valid_endorsers: set[str] = set()
         for endorsement in transaction.endorsements:
             certificate_ok = (
@@ -457,7 +462,9 @@ class Organization:
             if self.rng.random() < self.byzantine.drop_probability:
                 self.dropped_requests += 1
                 return
-        transaction = Transaction.from_wire(message.body)
+        transaction = self._decode(Transaction, message.body)
+        if transaction is None:
+            return
         txn_id = transaction.transaction_id
         channel = self._channel_of(transaction.proposal.contract_id)
         ledger = channel.ledger
@@ -573,21 +580,23 @@ class Organization:
                     )
 
     def _handle_gossip(self, message: Message):
-        for wire in message.body["transactions"]:
-            # Dedup straight from the wire form: the transaction id is
-            # the proposal's (client id, Lamport counter) pair, so a
-            # duplicate — the overwhelmingly common case at steady
-            # state — is skipped without parsing the full transaction.
-            proposal_wire = wire["proposal"]
-            txn_id = f"{proposal_wire['client_id']}:{proposal_wire['clock']['counter']}"
+        wires = message.body.get("transactions")
+        if not isinstance(wires, list):
+            self.dropped_requests += 1  # malformed; see _handle_sync_digest
+            return
+        for wire in wires:
+            # A duplicate — the common case at steady state — is a Wire
+            # already decoded elsewhere: decoding it is one slot read.
+            transaction = self._decode(Transaction, wire)
+            if transaction is None:
+                continue
             # Route by the proposal's contract id: gossip batches need
             # no channel key on the wire because every transaction
             # already names its contract.
-            channel = self._channel_of(proposal_wire["contract_id"])
-            if channel.ledger.is_valid_transaction(txn_id):
+            channel = self._channel_of(transaction.proposal.contract_id)
+            if channel.ledger.is_valid_transaction(transaction.transaction_id):
                 yield from self.cpu.serve(self.perf.dedup_check)
                 continue
-            transaction = Transaction.from_wire(wire)
             # Batched, amortized verification: cheaper than the client
             # path, off any client's critical path.
             yield from self.cpu.serve(self.perf.gossip_commit_per_txn)
@@ -902,8 +911,9 @@ class Organization:
     # -- reads --------------------------------------------------------------------
 
     def _handle_read(self, message: Message):
-        body = message.body
-        proposal = Proposal.from_wire(body)
+        proposal = self._decode(Proposal, message.body)
+        if proposal is None:
+            return
         contract = self.contracts.get(proposal.contract_id)
         if contract is None:
             return

@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.crdt.clock import OpClock
 from repro.crdt.operation import Operation
-from repro.crypto.hashing import Wire, sha256_hex
+from repro.crypto.hashing import Wire, decode_once, sha256_hex
 from repro.crypto.identity import Identity
 
 
@@ -54,7 +54,7 @@ class Proposal:
             object.__setattr__(self, "_wire_cache", wire)
         return wire
 
-    @classmethod
+    @decode_once
     def from_wire(cls, wire: Mapping[str, Any]) -> "Proposal":
         return cls(
             client_id=wire["client_id"],
@@ -88,12 +88,6 @@ class Endorsement:
     def signed_payload(proposal_id: str, write_set: List[Dict[str, Any]]) -> Dict[str, Any]:
         return Wire({"proposal_id": proposal_id, "digest": write_set_digest(write_set)})
 
-    @staticmethod
-    def signed_payload_from_digest(proposal_id: str, digest: str) -> Dict[str, Any]:
-        # A Wire: validation verifies every endorsement against this one
-        # payload object, so it serializes once per validation.
-        return Wire({"proposal_id": proposal_id, "digest": digest})
-
     @classmethod
     def create(
         cls, identity: Identity, proposal_id: str, write_set: List[Dict[str, Any]]
@@ -122,7 +116,7 @@ class Endorsement:
             object.__setattr__(self, "_wire_cache", wire)
         return wire
 
-    @classmethod
+    @decode_once
     def from_wire(cls, wire: Mapping[str, Any]) -> "Endorsement":
         # The wire write-set is shared, not copied: wire payloads are
         # immutable (tamper paths build new lists of dict(op) copies),
@@ -164,13 +158,23 @@ class Transaction:
             object.__setattr__(self, "_digest_cache", cached)
         return cached
 
+    def signed_payloads(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        """What the client and what every endorser signed (each class's
+        ``signed_payload`` over :meth:`digest`), as validation verifies
+        them: built, and so rendered, once per transaction object."""
+        cached = self.__dict__.get("_payloads_cache")
+        if cached is None:
+            txn_id, digest = self.transaction_id, self.digest()
+            cached = (
+                Wire({"transaction_id": txn_id, "digest": digest}),
+                Wire({"proposal_id": txn_id, "digest": digest}),
+            )
+            object.__setattr__(self, "_payloads_cache", cached)
+        return cached
+
     @staticmethod
     def signed_payload(proposal_id: str, write_set: List[Dict[str, Any]]) -> Dict[str, Any]:
         return Wire({"transaction_id": proposal_id, "digest": write_set_digest(write_set)})
-
-    @staticmethod
-    def signed_payload_from_digest(proposal_id: str, digest: str) -> Dict[str, Any]:
-        return Wire({"transaction_id": proposal_id, "digest": digest})
 
     @classmethod
     def assemble(
@@ -220,7 +224,7 @@ class Transaction:
             object.__setattr__(self, "_wire_cache", wire)
         return wire
 
-    @classmethod
+    @decode_once
     def from_wire(cls, wire: Mapping[str, Any]) -> "Transaction":
         # Shared, not copied — same immutable-wire rule as
         # Endorsement.from_wire.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Tuple
 
 from repro.crdt.clock import OpClock, clock_from_wire
-from repro.crypto.hashing import Wire, canonical_bytes
+from repro.crypto.hashing import Wire, canonical_bytes, decode_once
 from repro.errors import CRDTError
 
 TYPE_GCOUNTER = "gcounter"
@@ -85,7 +85,7 @@ class Operation:
             object.__setattr__(self, "_wire_cache", wire)
         return wire
 
-    @classmethod
+    @decode_once
     def from_wire(cls, wire: Mapping[str, Any]) -> "Operation":
         operation = cls(
             object_id=wire["object_id"],

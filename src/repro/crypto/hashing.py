@@ -32,6 +32,28 @@ and any copy — ``dict()``, ``{**w}``, ``copy``/``deepcopy``, pickle —
 is a plain ``dict`` that renders afresh. The lists and plain dicts
 nested *inside* a ``Wire`` (a path, a write-set list, contract
 parameters) stay immutable by convention, as they always were.
+
+Decode once
+-----------
+
+The receiving side has the same shape — all ``n`` organizations are
+handed the same ``Wire`` by reference — so a ``Wire`` has a second
+slot, ``decoded``: the object ``from_wire`` built from it.
+:func:`decode_once` is the one idiom that reads and fills it: an
+exact-type ``Wire`` whose slot holds an instance of the asked-for class
+returns it; any other mapping (plain ``dict``, parsed JSON, a
+``dict(wire)`` tamper copy) runs the same decoding body and is never
+memoized. Only ``from_wire`` fills the slot, never ``to_wire``, so the
+shared object is a pure function of the wire's content, and the memos
+it carries (digest, parsed operations, signed payloads) are computed
+once network-wide. Validation, verification, apply and commit still run
+at every organization; only the parse is shared.
+
+Copies carry no decoded object for the reason they carry no fragment,
+and audit paths (the policy-safety oracle, ``Ledger.state_snapshot``)
+decode a plain copy on purpose, so they never read a memo — which
+matters because of the convention above: a list edited in place inside
+a ``Wire`` is as invisible to the decoded object as to the fragment.
 """
 
 from __future__ import annotations
@@ -39,7 +61,7 @@ from __future__ import annotations
 import hashlib
 import json
 from json.encoder import encode_basestring_ascii as _escape_str
-from typing import Any, Dict
+from typing import Any, Callable, Dict, Mapping
 
 GENESIS_HASH = "0" * 64
 """The hash-chain predecessor of the first block."""
@@ -51,9 +73,9 @@ _cache_misses = 0
 
 
 class Wire(dict):
-    """An immutable wire-form dict that memoizes its canonical fragment."""
+    """An immutable wire-form dict that memoizes its canonical fragment and decoded object."""
 
-    __slots__ = ("fragment",)
+    __slots__ = ("fragment", "decoded")
 
     def _immutable(self, *args: Any, **kwargs: Any) -> None:
         raise TypeError("Wire payloads are immutable; edit a dict(wire) copy instead")
@@ -63,8 +85,24 @@ class Wire(dict):
 
     def __reduce__(self) -> tuple:
         # copy, deepcopy and pickle all come through here: the copy is
-        # a plain dict, free to be edited and carrying no fragment.
+        # a plain dict, free to be edited and carrying neither memo.
         return dict, (dict(self),)
+
+
+def decode_once(decode: Callable[[Any, Mapping[str, Any]], Any]) -> classmethod:
+    """Make ``decode(cls, wire)`` a ``from_wire`` classmethod that runs
+    once per :class:`Wire`: the result rides in the wire's ``decoded``
+    slot. Any other mapping is decoded by the same body, unmemoized."""
+
+    def from_wire(cls: type, wire: Mapping[str, Any]) -> Any:
+        if wire.__class__ is not Wire:
+            return decode(cls, wire)
+        decoded = getattr(wire, "decoded", None)
+        if decoded.__class__ is not cls:
+            decoded = wire.decoded = decode(cls, wire)
+        return decoded
+
+    return classmethod(from_wire)
 
 
 def _fragment(value: Any) -> str:
@@ -159,6 +197,7 @@ __all__ = [
     "GENESIS_HASH",
     "Wire",
     "canonical_bytes",
+    "decode_once",
     "sha256_hex",
     "chain_hash",
     "hashing_cache_clear",

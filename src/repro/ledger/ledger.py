@@ -119,12 +119,12 @@ class Ledger:
     def state_snapshot(self) -> Any:
         """Canonical application state at this organization (ST_Oi).
 
-        Rebuilt from the database so it is cache-independent; two
-        organizations converged iff their snapshots are equal.
+        Rebuilt from ``dict(wire)`` copies of the database — no cache, no
+        decode memo; organizations converged iff their snapshots are equal.
         """
         replay = CRDTStore()
         for _, wire in self.db.scan_prefix("ops/"):
-            replay.apply([Operation.from_wire(wire)])
+            replay.apply([Operation.from_wire(dict(wire))])
         return replay.snapshot()
 
     def rebuild_cache(self) -> None:

@@ -10,7 +10,7 @@ from repro.core import (
 )
 from repro.core.client import ClientConfig
 from repro.core.organization import MSG_COMMIT, MSG_PROPOSAL, Organization
-from repro.core.transaction import write_set_digest
+from repro.core.transaction import Proposal, Transaction, write_set_digest
 from repro.contracts import VotingContract
 from repro.crdt.clock import OpClock
 from repro.crdt.operation import TYPE_GCOUNTER, TYPE_MVREGISTER, Operation
@@ -212,9 +212,10 @@ def _sent_bodies(net, msg_type):
 
 
 class TestTamperedCopiesHashAfresh:
-    """Wire payloads memoize their canonical bytes and refuse mutation,
-    so every tamper path edits a plain ``dict`` copy — which must hash
-    by its own content, never by the original's memo."""
+    """Wire payloads memoize their canonical bytes and the object
+    decoded from them, and refuse mutation, so every tamper path edits
+    a plain ``dict`` copy — which must hash and decode by its own
+    content, never by the original's memos."""
 
     def test_org_tampered_write_set(self):
         clock = OpClock("voter0", 1)
@@ -223,10 +224,16 @@ class TestTamperedCopiesHashAfresh:
             Operation("voting/e0/party1", ("voter0",), "x", TYPE_MVREGISTER, clock, 1).to_wire(),
         ]
         honest = write_set_digest(write_set)  # fills every operation's memo
+        honest_ops = [Operation.from_wire(op) for op in write_set]  # both memos
         tampered = Organization._tamper_write_set(write_set)
         assert all(type(op) is dict for op in tampered)
         assert write_set_digest(tampered) != honest
         assert write_set_digest(write_set) == honest
+        for op, honest_op in zip(tampered, honest_ops):
+            decoded = Operation.from_wire(op)
+            assert decoded is not honest_op and decoded.value != honest_op.value
+            assert Operation.from_wire(op) is not decoded  # plain: never memoized
+        assert [Operation.from_wire(op) for op in write_set] == honest_ops
 
     def test_client_tampered_write_set(self):
         net = build(num_orgs=4, quorum=2)
@@ -242,6 +249,14 @@ class TestTamperedCopiesHashAfresh:
             assert all(type(op) is Wire for op in endorsed)
             assert all(type(op) is dict for op in wire["write_set"])
             assert write_set_digest(wire["write_set"]) != write_set_digest(endorsed)
+            # The organizations decoded this very Wire; what they (and
+            # we) get carries the tampered values, decoded afresh, never
+            # the endorsed operations' decoded objects.
+            transaction = Transaction.from_wire(wire)
+            assert transaction.endorsements[0].write_set is endorsed
+            for op, endorsed_op in zip(transaction.operations(), endorsed):
+                honest_op = Operation.from_wire(endorsed_op)
+                assert op is not honest_op and op.value != honest_op.value
 
     def test_client_split_clock_proposals(self):
         net = build()
@@ -255,3 +270,7 @@ class TestTamperedCopiesHashAfresh:
         assert type(first) is Wire and rest
         assert all(type(body) is dict for body in rest)
         assert len({sha256_hex(body) for body in proposals}) == len(proposals)
+        assert Proposal.from_wire(first) is Proposal.from_wire(first)
+        assert all(Proposal.from_wire(body) is not Proposal.from_wire(body) for body in rest)
+        counters = {Proposal.from_wire(body).clock.counter for body in proposals}
+        assert len(counters) == len(proposals)

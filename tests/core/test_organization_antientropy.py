@@ -3,7 +3,7 @@
 Covers the digest wire form and modeled size, sync pagination, the O(1)
 snapshot payload (log position + count, never a copy of the committed
 set), end-to-end reconciliation through a partition heal, and malformed
-sync bodies (dropped and counted, never raised).
+bodies of all six peer message types (dropped and counted, never raised).
 """
 
 from dataclasses import replace
@@ -13,7 +13,14 @@ import pytest
 from repro.contracts import VotingContract
 from repro.core import OrderlessChainNetwork, OrderlessChainSettings
 from repro.core.channel import DEFAULT_CHANNEL
-from repro.core.organization import MSG_GOSSIP, MSG_SYNC_DIGEST, MSG_SYNC_REQUEST
+from repro.core.organization import (
+    MSG_COMMIT,
+    MSG_GOSSIP,
+    MSG_PROPOSAL,
+    MSG_READ,
+    MSG_SYNC_DIGEST,
+    MSG_SYNC_REQUEST,
+)
 from repro.net.message import Message
 
 
@@ -163,23 +170,71 @@ class TestMalformedSyncBodies:
 
     @pytest.mark.parametrize("msg_type, body", CASES.values(), ids=CASES.keys())
     def test_dropped_counted_and_org_keeps_serving(self, msg_type, body):
-        net = build_net()
-        victim, sender = net.organizations[0], net.organizations[1]
-        net.sim.schedule_at(
-            0.1,
-            net.network.send,
-            Message(
-                sender=sender.org_id,
-                recipient=victim.org_id,
-                msg_type=msg_type,
-                body=body,
-                size_bytes=64,
-            ),
+        assert_dropped_and_org_keeps_serving(msg_type, body)
+
+
+def assert_dropped_and_org_keeps_serving(msg_type, body):
+    net = build_net()
+    victim, sender = net.organizations[0], net.organizations[1]
+    net.sim.schedule_at(
+        0.1,
+        net.network.send,
+        Message(
+            sender=sender.org_id,
+            recipient=victim.org_id,
+            msg_type=msg_type,
+            body=body,
+            size_bytes=64,
+        ),
+    )
+    run_votes(net)
+    assert victim.dropped_requests == 1
+    assert victim.channels[DEFAULT_CHANNEL].ledger.valid_transaction_count == 6
+    assert net.converged()
+
+
+class TestMalformedProtocolBodies:
+    """The same rule for the four handlers that run as processes, where
+    an undecodable body used to escape as ``SimulationError`` and abort
+    the whole run."""
+
+    CASES = {
+        "gossip-empty": (MSG_GOSSIP, {}),
+        "gossip-entry-not-a-mapping": (MSG_GOSSIP, {"transactions": ["c0:1"]}),
+        "gossip-entry-not-a-transaction": (MSG_GOSSIP, {"transactions": [{"write_set": []}]}),
+        "commit-empty": (MSG_COMMIT, {}),
+        "proposal-empty": (MSG_PROPOSAL, {}),
+        "read-empty": (MSG_READ, {}),
+    }
+
+    @pytest.mark.parametrize("msg_type, body", CASES.values(), ids=CASES.keys())
+    def test_dropped_counted_and_org_keeps_serving(self, msg_type, body):
+        assert_dropped_and_org_keeps_serving(msg_type, body)
+
+    def test_rest_of_a_gossip_batch_is_still_processed(self):
+        # No push gossip and no anti-entropy: each vote lands only at
+        # the q organizations its client chose, so some organization
+        # lacks one that another holds.
+        net = run_votes(build_net(gossip_interval=1e9, sync_interval=0.0))
+        holder, victim, txn_id, wire = next(
+            (holder, victim, txn_id, wire)
+            for holder in net.organizations
+            for victim in net.organizations
+            for txn_id, wire in sorted(holder.channels[DEFAULT_CHANNEL].valid_txn_wire.items())
+            if not victim.ledger.is_valid_transaction(txn_id)
         )
-        run_votes(net)
-        assert victim.dropped_requests == 1
-        assert victim.channels[DEFAULT_CHANNEL].ledger.valid_transaction_count == 6
-        assert net.converged()
+        net.network.send(
+            Message(
+                sender=holder.org_id,
+                recipient=victim.org_id,
+                msg_type=MSG_GOSSIP,
+                body={"transactions": ["c0:1", {"write_set": []}, wire]},
+                size_bytes=64,
+            )
+        )
+        net.run(until=40.0)
+        assert victim.dropped_requests == 2
+        assert victim.ledger.is_valid_transaction(txn_id)
 
 
 def test_partition_heal_reconciles_through_sync():

@@ -11,6 +11,8 @@ import pickle
 
 import pytest
 
+from repro.crdt.clock import OpClock
+from repro.crdt.operation import TYPE_MVREGISTER, Operation
 from repro.crypto.hashing import (
     Wire,
     canonical_bytes,
@@ -90,7 +92,7 @@ class TestWireIsImmutable:
         assert wire == {"op": "inc", "value": 1}
         assert canonical_bytes(wire) == before
 
-    @pytest.mark.parametrize(
+    every_way_to_copy = pytest.mark.parametrize(
         "duplicate",
         [
             copy.copy,
@@ -103,6 +105,8 @@ class TestWireIsImmutable:
         ],
         ids=["copy", "deepcopy", "dict", "unpack", "dict.copy", "or", "pickle"],
     )
+
+    @every_way_to_copy
     def test_copies_are_plain_dicts_without_a_stale_fragment(self, duplicate):
         inner = Wire({"value": 1})
         wire = Wire({"op": "inc", "inner": inner, "items": [1, 2]})
@@ -112,6 +116,18 @@ class TestWireIsImmutable:
         clone["op"] = "dec"  # a copy is free to be edited ...
         assert canonical_bytes(clone) == reference_bytes(clone) != original
         assert canonical_bytes(wire) == original  # ... the original is not touched
+
+    @every_way_to_copy
+    def test_copies_carry_no_decoded_object(self, duplicate):
+        wire = Operation("obj", ("k",), "v", TYPE_MVREGISTER, OpClock("c0", 1)).to_wire()
+        decoded = Operation.from_wire(wire)  # fills the slot
+        assert type(wire) is Wire and wire.decoded is decoded
+        clone = duplicate(wire)
+        assert type(clone) is dict and not hasattr(clone, "decoded")
+        clone["value"] = "tampered"
+        assert Operation.from_wire(clone).value == "tampered"
+        assert Operation.from_wire(clone) is not Operation.from_wire(clone)
+        assert Operation.from_wire(wire) is decoded and decoded.value == "v"
 
     def test_deepcopy_and_pickle_also_unwrap_nested_wires(self):
         wire = Wire({"inner": Wire({"value": 1})})
