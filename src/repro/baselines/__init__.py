@@ -13,21 +13,34 @@
 
 As in the paper, these are reimplementations of each system's
 *concepts* (the coordination structure that determines performance),
-not of every production feature.
+not of every production feature. Each system file keeps only that
+structure; all four run on one skeleton in
+:mod:`repro.baselines.common` — one :class:`BaselineSettings`, one
+network shell (:class:`BaselineNetwork`), one ordered-log source with
+its repair protocol (:class:`~repro.baselines.common.OrderedLog`) and
+one client per pipeline shape (submit-and-await for BIDL and Sync
+HotStuff, endorse-order-await for the Fabric pair). :data:`BASELINES`
+maps each system name to its network class.
 """
 
-from repro.baselines.bidl import BIDLNetwork, BIDLSettings
-from repro.baselines.fabric import FabricNetwork, FabricSettings
-from repro.baselines.fabric_crdt import FabricCRDTNetwork, FabricCRDTSettings
-from repro.baselines.sync_hotstuff import SyncHotStuffNetwork, SyncHotStuffSettings
+from repro.baselines.bidl import BIDLNetwork
+from repro.baselines.common import BaselineNetwork, BaselineSettings
+from repro.baselines.fabric import FabricNetwork
+from repro.baselines.fabric_crdt import FabricCRDTNetwork
+from repro.baselines.sync_hotstuff import SyncHotStuffNetwork
+
+# System name (``ExperimentConfig.system``) → network class.
+BASELINES = {
+    cls.system: cls
+    for cls in (FabricNetwork, FabricCRDTNetwork, BIDLNetwork, SyncHotStuffNetwork)
+}
 
 __all__ = [
+    "BASELINES",
     "BIDLNetwork",
-    "BIDLSettings",
+    "BaselineNetwork",
+    "BaselineSettings",
     "FabricCRDTNetwork",
-    "FabricCRDTSettings",
     "FabricNetwork",
-    "FabricSettings",
     "SyncHotStuffNetwork",
-    "SyncHotStuffSettings",
 ]

@@ -26,29 +26,22 @@ paper's BIDL read and modify latencies track each other).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.baselines.common import (
     FABRIC_CONTRACTS,
-    Batch,
+    BaselineNetwork,
+    BaselineSettings,
     BatchServer,
-    InOrderApplier,
     Nic,
+    OrderedLog,
+    Replica,
+    SubmitClient,
     VersionedState,
-    announce_loop,
 )
-from repro.core.perf import PerfModel
-from repro.core.recording import TransactionRecorder
 from repro.errors import ConfigError
-from repro.net.latency import LatencyModel
 from repro.net.message import Message
-from repro.net.network import Network
-from repro.sim.core import Simulator
-from repro.sim.nondeterminism import ExploreProfile
-from repro.sim.events import AnyOf, Event
-from repro.sim.resources import Resource
-from repro.sim.rng import RngRegistry
+from repro.sim.events import Event
 
 MSG_SUBMIT = "bidl.submit"
 MSG_SEQUENCED = "bidl.sequenced"
@@ -65,56 +58,18 @@ LEADER_ID = "bidl-leader"
 TXN_BYTES = 220
 
 
-@dataclass
-class BIDLSettings:
-    num_orgs: int = 16
-    app: str = "voting"
-    seed: int = 0
-    perf: PerfModel = field(default_factory=PerfModel)
-    latency: LatencyModel = field(default_factory=LatencyModel)
-    # Controlled nondeterminism for schedule exploration
-    # (repro.sim.nondeterminism); None keeps the golden-seed order.
-    explore: Optional[ExploreProfile] = None
-    commit_timeout: float = 240.0
-
-    def __post_init__(self) -> None:
-        if self.num_orgs < 4:
-            raise ConfigError(f"BIDL consensus needs >= 4 organizations, got {self.num_orgs}")
-        if self.app not in FABRIC_CONTRACTS:
-            raise ConfigError(f"unknown app {self.app!r}; choose from {sorted(FABRIC_CONTRACTS)}")
-
-    @property
-    def fault_tolerance(self) -> int:
-        return (self.num_orgs - 1) // 3
-
-    @property
-    def vote_quorum(self) -> int:
-        return 2 * self.fault_tolerance + 1
-
-
-class BIDLOrg:
+class BIDLOrg(Replica):
     """An organization: speculative execution + consensus votes."""
 
-    def __init__(self, net: "BIDLNetwork", org_id: str) -> None:
-        self.net = net
-        self.org_id = org_id
-        self.cpu = Resource(net.sim, capacity=net.settings.perf.vcpus)
+    def __init__(self, net: "BIDLNetwork", node_id: str) -> None:
+        # BIDL's defining property is that every org executes the
+        # sequenced stream in sequencer order; the applier also dedups
+        # the sequencer's multicast duplicates.
+        super().__init__(net, node_id, self._apply_sequenced, "seq")
         self.state = VersionedState()
         self.contract = FABRIC_CONTRACTS[net.settings.app]()
         self.executed: Dict[str, Any] = {}
         self.committed = 0
-        # BIDL's defining property is that every org executes the
-        # sequenced stream in sequencer order; the applier enforces
-        # that, dedups the sequencer's multicast duplicates, and
-        # repairs gaps (lost transactions, crash recovery) by fetching
-        # from the sequencer's log (see repro.faults).
-        self.applier = InOrderApplier(
-            net.sim,
-            self._apply_sequenced,
-            self._request_sequenced,
-            name=f"{org_id}.seq",
-        )
-        net.network.register(org_id, self._on_message)
 
     def _on_message(self, message: Message) -> None:
         if message.corrupted:
@@ -122,22 +77,11 @@ class BIDLOrg:
         if message.msg_type == MSG_SEQUENCED:
             self.applier.offer(message.body["seq"], message.body)
         elif message.msg_type == MSG_SEQ_ANNOUNCE:
-            self.applier.on_announce(message.body["latest"])
+            self.net.log.on_announce(self.applier, message.body)
         elif message.msg_type == MSG_PREPARE:
             self._vote(message)
         elif message.msg_type == MSG_DECIDE:
-            self.net.sim.process(self._commit(message), name=f"{self.org_id}.commit")
-
-    def _request_sequenced(self, from_seq: int) -> None:
-        self.net.network.send(
-            Message(
-                sender=self.org_id,
-                recipient=SEQUENCER_ID,
-                msg_type=MSG_SEQ_FETCH,
-                body={"from": from_seq},
-                size_bytes=96,
-            )
-        )
+            self.net.sim.process(self._commit(message), name=f"{self.node_id}.commit")
 
     def _apply_sequenced(self, txn: Dict[str, Any]):
         """Speculative execution, in parallel with consensus."""
@@ -156,14 +100,14 @@ class BIDLOrg:
                 "bidl/P3/Execution",
                 started,
                 self.net.sim.now,
-                node=self.org_id,
+                node=self.node_id,
                 txn_id=txn["txn_id"],
             )
 
     def _vote(self, message: Message) -> None:
         self.net.network.send(
             Message(
-                sender=self.org_id,
+                sender=self.node_id,
                 recipient=LEADER_ID,
                 msg_type=MSG_VOTE,
                 body={"batch_id": message.body["batch_id"], "round": message.body["round"]},
@@ -177,10 +121,10 @@ class BIDLOrg:
             started = self.net.sim.now
             yield from self.cpu.serve(perf.hotstuff_commit_per_txn)
             self.committed += 1
-            if txn["event_peer"] == self.org_id:
+            if txn["event_peer"] == self.node_id:
                 self.net.network.send(
                     Message(
-                        sender=self.org_id,
+                        sender=self.node_id,
                         recipient=txn["client_id"],
                         msg_type=MSG_COMMIT_EVENT,
                         body={
@@ -196,162 +140,85 @@ class BIDLOrg:
                     "bidl/P4/Commit",
                     started,
                     self.net.sim.now,
-                    node=self.org_id,
+                    node=self.node_id,
                     txn_id=txn["txn_id"],
                 )
 
 
-class BIDLClient:
-    """Submits transactions to the sequencer, awaits the commit event."""
-
-    def __init__(self, net: "BIDLNetwork", client_id: str) -> None:
-        self.net = net
-        self.client_id = client_id
-        self.rng = net.rng.stream(f"client:{client_id}")
-        self._counter = 0
-        self._pending: Dict[str, Event] = {}
-        self.committed = 0
-        self.failed = 0
-        net.network.register(client_id, self._on_message)
-
-    def _on_message(self, message: Message) -> None:
-        if message.corrupted or message.msg_type != MSG_COMMIT_EVENT:
-            return
-        event = self._pending.get(message.body["txn_id"])
-        if event is not None and not event.triggered:
-            event.trigger(message.body)
-
-    def _submit(self, kind: str, params: Dict[str, Any]):
-        sim = self.net.sim
-        self._counter += 1
-        txn_id = f"{self.client_id}:{self._counter}"
-        self.net.recorder.submitted(txn_id, self.client_id, kind, sim.now)
-        event = Event(sim)
-        self._pending[txn_id] = event
-        self.net.network.send(
-            Message(
-                sender=self.client_id,
-                recipient=SEQUENCER_ID,
-                msg_type=MSG_SUBMIT,
-                body={
-                    "txn_id": txn_id,
-                    "client_id": self.client_id,
-                    "kind": kind,
-                    "params": params,
-                    "event_peer": self.rng.choice(self.net.org_ids),
-                },
-                size_bytes=TXN_BYTES,
-            )
-        )
-        winner = yield AnyOf(sim, [event, sim.timeout(self.net.settings.commit_timeout)])
-        del self._pending[txn_id]
-        if winner is event:
-            self.committed += 1
-            self.net.recorder.committed(txn_id, sim.now)
-            return winner.value.get("value", True) if isinstance(winner.value, dict) else True
-        self.failed += 1
-        self.net.recorder.failed(txn_id, sim.now, "timeout")
-        return None
-
-    def submit_modify(self, params: Dict[str, Any]):
-        return self._submit("modify", params)
-
-    def submit_read(self, params: Dict[str, Any]):
-        return self._submit("read", params)
-
-
-class BIDLNetwork:
+class BIDLNetwork(BaselineNetwork):
     """A built BIDL network: sequencer + consensus leader + orgs."""
 
-    def __init__(self, settings: BIDLSettings) -> None:
-        self.settings = settings
-        self.sim = Simulator()
-        self.rng = RngRegistry(seed=settings.seed)
-        self.network = Network(self.sim, self.rng.stream("net"), latency=settings.latency)
-        if settings.explore is not None:
-            # Before anything is scheduled, so heap keys stay homogeneous.
-            settings.explore.install(self.sim, self.network)
-        self.recorder = TransactionRecorder()
-        self.tracer = None
-        self.orgs = [BIDLOrg(self, f"org{i}") for i in range(settings.num_orgs)]
-        self.org_ids = [org.org_id for org in self.orgs]
-        self.clients: List[BIDLClient] = []
+    system = "bidl"
+    replica_class = BIDLOrg
+    client_class = SubmitClient
+    msg_submit, msg_commit_event, txn_bytes = MSG_SUBMIT, MSG_COMMIT_EVENT, TXN_BYTES
+
+    def __init__(self, settings: BaselineSettings) -> None:
+        if settings.num_orgs < 4:
+            raise ConfigError(f"BIDL consensus needs >= 4 organizations, got {settings.num_orgs}")
+        super().__init__(settings)
+        perf = settings.perf
+        bandwidth = self.network.latency.bandwidth_bytes_per_s
         self._batch_ids = itertools.count()
         self._vote_state: Dict[int, Tuple[Event, int]] = {}
         self._sequence_arrivals: Dict[str, float] = {}
         self._consensus_enqueued: Dict[str, float] = {}
         # Sequencer: a fast single server whose outgoing link serializes
         # the n-way multicast (the WAN bandwidth bottleneck).
-        self.sequencer_nic = Nic(self.sim, settings.latency.bandwidth_bytes_per_s)
+        self.sequencer_nic = Nic(self.sim, bandwidth)
         self.sequencer = BatchServer(
             self.sim,
-            per_item=settings.perf.bidl_sequencer_per_txn,
+            per_item=perf.bidl_sequencer_per_txn,
             batch_timeout=0.02,
             max_batch=256,
             on_batch=self._sequence_batch,
             name="bidl-sequencer",
         )
-        self.network.register(SEQUENCER_ID, self._sequencer_receive)
-        # The sequencer's ordered log: orgs fetch missed transactions
-        # from here (gap repair + crash recovery), and the periodic
-        # announcement exposes transactions lost at the tail.
-        self.sequenced_log: List[Dict[str, Any]] = []
-        self.sim.process(
-            announce_loop(
-                self.sim,
-                self.network,
-                SEQUENCER_ID,
-                lambda: self.org_ids,
-                lambda: len(self.sequenced_log) - 1,
-                MSG_SEQ_ANNOUNCE,
-            ),
-            name="bidl.announce",
+        self.log = OrderedLog(
+            self,
+            SEQUENCER_ID,
+            entry_type=MSG_SEQUENCED,
+            announce_type=MSG_SEQ_ANNOUNCE,
+            fetch_type=MSG_SEQ_FETCH,
+            entry_bytes=lambda txn: TXN_BYTES,
+            on_message=self._sequencer_receive,
+            name="bidl",
         )
         # Consensus leader.
-        self.leader_nic = Nic(self.sim, settings.latency.bandwidth_bytes_per_s)
+        self.leader_nic = Nic(self.sim, bandwidth)
         self.leader = BatchServer(
             self.sim,
-            per_item=settings.perf.bidl_leader_per_txn,
-            batch_timeout=settings.perf.bidl_batch_interval,
+            per_item=perf.bidl_leader_per_txn,
+            batch_timeout=perf.bidl_batch_interval,
             max_batch=100000,
             on_batch=self._consensus_batch,
             name="bidl-leader",
         )
         self.network.register(LEADER_ID, self._leader_receive)
+        self.queues = {SEQUENCER_ID: self.sequencer, LEADER_ID: self.leader}
+
+    @property
+    def fault_tolerance(self) -> int:
+        return (self.settings.num_orgs - 1) // 3
+
+    @property
+    def vote_quorum(self) -> int:
+        return 2 * self.fault_tolerance + 1
 
     # -- sequencer ---------------------------------------------------------
 
     def _sequencer_receive(self, message: Message) -> None:
-        if message.corrupted:
-            return
-        if message.msg_type == MSG_SEQ_FETCH:
-            self._resend_sequenced(message.sender, message.body["from"])
-            return
         if message.msg_type != MSG_SUBMIT:
             return
         self._sequence_arrivals[message.body["txn_id"]] = self.sim.now
         self.sequencer.enqueue(message.body)
 
-    def _resend_sequenced(self, org_id: str, from_seq: int) -> None:
-        """Re-send sequenced transactions ``from_seq``.. to one org."""
-        for seq in range(max(0, from_seq), len(self.sequenced_log)):
-            self.network.send(
-                Message(
-                    sender=SEQUENCER_ID,
-                    recipient=org_id,
-                    msg_type=MSG_SEQUENCED,
-                    body=self.sequenced_log[seq],
-                    size_bytes=TXN_BYTES,
-                )
-            )
-
-    def _sequence_batch(self, batch: Batch):
-        total_bytes = sum(TXN_BYTES for _ in batch.items) * (len(self.org_ids) + 1)
+    def _sequence_batch(self, batch: List[Dict[str, Any]]):
+        total_bytes = sum(TXN_BYTES for _ in batch) * (len(self.replica_ids) + 1)
         yield from self.sequencer_nic.transmit(total_bytes)
         now = self.sim.now
-        for txn in batch.items:
-            txn["seq"] = len(self.sequenced_log)
-            self.sequenced_log.append(txn)
+        for txn in batch:
+            txn["seq"] = len(self.log.entries)
             arrived = self._sequence_arrivals.pop(txn["txn_id"], now)
             self.recorder.phase("bidl/P1/Sequence", now - arrived)
             if self.tracer is not None:
@@ -359,16 +226,7 @@ class BIDLNetwork:
                     "bidl/P1/Sequence", arrived, now, node=SEQUENCER_ID, txn_id=txn["txn_id"]
                 )
             self._consensus_enqueued[txn["txn_id"]] = now
-            for org_id in self.org_ids:
-                self.network.send(
-                    Message(
-                        sender=SEQUENCER_ID,
-                        recipient=org_id,
-                        msg_type=MSG_SEQUENCED,
-                        body=txn,
-                        size_bytes=TXN_BYTES,
-                    )
-                )
+            self.log.publish(txn)
             # The sequenced transaction also enters consensus.
             self.leader.enqueue(txn)
 
@@ -388,7 +246,7 @@ class BIDLNetwork:
         else:
             self._vote_state[message.body["batch_id"]] = (event, needed)
 
-    def _consensus_batch(self, batch: Batch):
+    def _consensus_batch(self, batch: List[Dict[str, Any]]):
         """Spawn a pipelined consensus instance for the batch.
 
         Instances run concurrently (BFT leaders pipeline consensus);
@@ -400,17 +258,17 @@ class BIDLNetwork:
         return
         yield  # pragma: no cover - marks this as a generator for BatchServer
 
-    def _consensus_instance(self, batch: Batch):
+    def _consensus_instance(self, batch: List[Dict[str, Any]]):
         settings = self.settings
         batch_id = next(self._batch_ids)
         # Consensus carries ordering digests only: the payload was
         # already multicast by the sequencer (BIDL's key design).
-        batch_bytes = 200 + 48 * len(batch.items)
+        batch_bytes = 200 + 48 * len(batch)
         for round_number in range(settings.perf.bidl_consensus_rounds):
-            yield from self.leader_nic.transmit(batch_bytes * len(self.org_ids))
+            yield from self.leader_nic.transmit(batch_bytes * len(self.replica_ids))
             votes = Event(self.sim)
-            self._vote_state[batch_id] = (votes, settings.vote_quorum)
-            for org_id in self.org_ids:
+            self._vote_state[batch_id] = (votes, self.vote_quorum)
+            for org_id in self.replica_ids:
                 self.network.send(
                     Message(
                         sender=LEADER_ID,
@@ -432,54 +290,27 @@ class BIDLNetwork:
                     "client_id": txn["client_id"],
                     "event_peer": txn["event_peer"],
                 }
-                for txn in batch.items
+                for txn in batch
             ]
         }
-        for txn in batch.items:
+        for txn in batch:
             enqueued = self._consensus_enqueued.pop(txn["txn_id"], now)
             self.recorder.phase("bidl/P2/Consensus", now - enqueued)
             if self.tracer is not None:
                 self.tracer.span(
                     "bidl/P2/Consensus", enqueued, now, node=LEADER_ID, txn_id=txn["txn_id"]
                 )
-        yield from self.leader_nic.transmit(160 * len(self.org_ids))
-        for org_id in self.org_ids:
+        yield from self.leader_nic.transmit(160 * len(self.replica_ids))
+        for org_id in self.replica_ids:
             self.network.send(
                 Message(
                     sender=LEADER_ID,
                     recipient=org_id,
                     msg_type=MSG_DECIDE,
                     body=decide,
-                    size_bytes=200 + 60 * len(batch.items),
+                    size_bytes=200 + 60 * len(batch),
                 )
             )
 
-    # -- clients ---------------------------------------------------------------
 
-    def attach_observability(self, obs) -> None:
-        """Wire a :class:`repro.obs.Observability` into this network."""
-        self.tracer = obs.recorder
-        self.network.tracer = obs.recorder
-        sampler = obs.bind(self.sim)
-        if sampler is not None:
-            for org in self.orgs:
-                sampler.watch_resource(org.org_id, "cpu", org.cpu)
-            sampler.watch_gauge(
-                SEQUENCER_ID, "node/queue/depth", lambda: self.sequencer.queue_length
-            )
-            sampler.watch_gauge(
-                LEADER_ID, "node/queue/depth", lambda: self.leader.queue_length
-            )
-            sampler.watch_network(self.network)
-            sampler.start()
-
-    def add_client(self, name: Optional[str] = None) -> BIDLClient:
-        client = BIDLClient(self, name or f"client{len(self.clients)}")
-        self.clients.append(client)
-        return client
-
-    def run(self, until: float) -> None:
-        self.sim.run(until=until)
-
-
-__all__ = ["BIDLNetwork", "BIDLSettings", "BIDLClient", "BIDLOrg"]
+__all__ = ["BIDLNetwork", "BIDLOrg"]

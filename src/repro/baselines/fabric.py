@@ -15,30 +15,22 @@ The coordination structure that the paper measures:
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.baselines.common import (
+    COMMIT_TIMEOUT,
     FABRIC_CONTRACTS,
-    Batch,
+    BaselineNetwork,
+    BaselineSettings,
     BatchServer,
     FabricStyleContract,
-    InOrderApplier,
+    OrderedLog,
+    Replica,
     VersionedState,
-    announce_loop,
 )
-from repro.core.perf import PerfModel
-from repro.core.recording import TransactionRecorder
 from repro.errors import ConfigError
-from repro.net.latency import LatencyModel
 from repro.net.message import Message
-from repro.net.network import Network
-from repro.sim.core import Simulator
-from repro.sim.nondeterminism import ExploreProfile
 from repro.sim.events import AnyOf, Event
-from repro.sim.resources import Resource
-from repro.sim.rng import RngRegistry
 
 MSG_PROPOSAL = "fabric.proposal"
 MSG_ENDORSEMENT = "fabric.endorsement"
@@ -53,86 +45,33 @@ MSG_BLOCK_ANNOUNCE = "fabric.block_announce"
 MSG_BLOCK_FETCH = "fabric.block_fetch"
 
 ORDERER_ID = "fabric-orderer"
+# Followers of the Raft orderer: with the leader, a three-node cluster.
+RAFT_FOLLOWERS = 2
 
 
-@dataclass
-class FabricSettings:
-    """Configuration of a Fabric network."""
-
-    num_orgs: int = 8
-    quorum: int = 4
-    app: str = "voting"
-    seed: int = 0
-    perf: PerfModel = field(default_factory=PerfModel)
-    latency: LatencyModel = field(default_factory=LatencyModel)
-    # Controlled nondeterminism for schedule exploration
-    # (repro.sim.nondeterminism); None keeps the golden-seed order.
-    explore: Optional[ExploreProfile] = None
-    commit_timeout: float = 240.0  # paper: transactions time out at 240 s
-    # The paper benchmarks the Solo ordering service; "raft" models the
-    # crash-fault-tolerant production orderer (leader + followers, a
-    # block ships only after a majority of the cluster acknowledged
-    # it). The paper notes Raft is not BFT — neither variant tolerates
-    # a Byzantine orderer.
-    orderer_type: str = "solo"
-    raft_followers: int = 2
-
-    def __post_init__(self) -> None:
-        if not 0 < self.quorum <= self.num_orgs:
-            raise ConfigError(f"need 0 < q <= n, got q={self.quorum}, n={self.num_orgs}")
-        if self.app not in FABRIC_CONTRACTS:
-            raise ConfigError(f"unknown app {self.app!r}; choose from {sorted(FABRIC_CONTRACTS)}")
-        if self.orderer_type not in ("solo", "raft"):
-            raise ConfigError(f"orderer_type must be 'solo' or 'raft', got {self.orderer_type!r}")
-        if self.orderer_type == "raft" and self.raft_followers < 1:
-            raise ConfigError("a raft orderer needs at least one follower")
-
-
-class FabricPeer:
+class FabricPeer(Replica):
     """A Fabric peer: endorses proposals and validates blocks."""
 
-    def __init__(self, net: "FabricNetwork", peer_id: str) -> None:
-        self.net = net
-        self.peer_id = peer_id
-        self.cpu = Resource(net.sim, capacity=net.settings.perf.vcpus)
+    def __init__(self, net: "FabricNetwork", node_id: str) -> None:
+        # Blocks apply strictly in ledger order: Fabric peers commit
+        # block k before k+1 (MVCC verdicts depend on it).
+        super().__init__(net, node_id, self._apply_block, "blocks")
         self.state = VersionedState()
         self.contract: FabricStyleContract = FABRIC_CONTRACTS[net.settings.app]()
         self.committed_valid = 0
         self.committed_invalid = 0
-        # Blocks apply strictly in ledger order: Fabric peers commit
-        # block k before k+1 (MVCC verdicts depend on it). The applier
-        # also dedups re-sent blocks and repairs gaps after message
-        # loss, partitions, or a crash (see repro.faults).
-        self.applier = InOrderApplier(
-            net.sim,
-            self._apply_block,
-            self._request_blocks,
-            name=f"{peer_id}.blocks",
-        )
-        net.network.register(peer_id, self._on_message)
 
     def _on_message(self, message: Message) -> None:
         if message.corrupted:
             return
         if message.msg_type == MSG_PROPOSAL:
-            self.net.sim.process(self._endorse(message), name=f"{self.peer_id}.endorse")
+            self.net.sim.process(self._endorse(message), name=f"{self.node_id}.endorse")
         elif message.msg_type == MSG_BLOCK:
             self.applier.offer(message.body["index"], message.body["transactions"])
         elif message.msg_type == MSG_BLOCK_ANNOUNCE:
-            self.applier.on_announce(message.body["latest"])
+            self.net.log.on_announce(self.applier, message.body)
         elif message.msg_type == MSG_READ:
-            self.net.sim.process(self._read(message), name=f"{self.peer_id}.read")
-
-    def _request_blocks(self, from_index: int) -> None:
-        self.net.network.send(
-            Message(
-                sender=self.peer_id,
-                recipient=ORDERER_ID,
-                msg_type=MSG_BLOCK_FETCH,
-                body={"from": from_index},
-                size_bytes=96,
-            )
-        )
+            self.net.sim.process(self._read(message), name=f"{self.node_id}.read")
 
     def _endorse(self, message: Message):
         arrived = self.net.sim.now
@@ -145,12 +84,12 @@ class FabricPeer:
                 "fabric/P1/Endorse",
                 arrived,
                 self.net.sim.now,
-                node=self.peer_id,
+                node=self.node_id,
                 txn_id=body["txn_id"],
             )
         self.net.network.send(
             Message(
-                sender=self.peer_id,
+                sender=self.node_id,
                 recipient=message.sender,
                 msg_type=MSG_ENDORSEMENT,
                 body={
@@ -174,10 +113,10 @@ class FabricPeer:
                 self.committed_valid += 1
             else:
                 self.committed_invalid += 1
-            if txn["event_peer"] == self.peer_id:
+            if txn["event_peer"] == self.node_id:
                 self.net.network.send(
                     Message(
-                        sender=self.peer_id,
+                        sender=self.node_id,
                         recipient=txn["client_id"],
                         msg_type=MSG_COMMIT_EVENT,
                         body={"txn_id": txn["txn_id"], "valid": valid},
@@ -190,7 +129,7 @@ class FabricPeer:
                     "fabric/P3/Commit",
                     arrived,
                     self.net.sim.now,
-                    node=self.peer_id,
+                    node=self.node_id,
                     txn_id=txn["txn_id"],
                     attrs={"valid": valid},
                 )
@@ -200,7 +139,7 @@ class FabricPeer:
         value = self.contract.read(self.state, message.body["params"])
         self.net.network.send(
             Message(
-                sender=self.peer_id,
+                sender=self.node_id,
                 recipient=message.sender,
                 msg_type=MSG_READ_RESPONSE,
                 body={"txn_id": message.body["txn_id"], "value": value},
@@ -210,9 +149,26 @@ class FabricPeer:
 
 
 class FabricClient:
-    """A Fabric client: endorse, submit to orderer, await commit event."""
+    """A Fabric client: endorse at ``q`` peers, order, await the commit event.
 
-    def __init__(self, net: "FabricNetwork", client_id: str) -> None:
+    The network names the wire vocabulary (``msg_proposal``,
+    ``msg_read``, ``msg_order`` and the ``client_replies`` types).
+    FabricCRDT's client specialises the two per-system steps —
+    assembling the ordered transaction (:meth:`_transaction`) and
+    judging its commit event (:meth:`_judge`) — plus its reply timeout
+    and commit-timeout wording.
+    """
+
+    reply_timeout = 10.0  # endorsements and reads
+    commit_timeout_reason = "commit timeout"
+
+    @classmethod
+    def longest_pending(cls) -> float:
+        """How long a transaction can legitimately stay unresolved:
+        endorsement, then ordering and commit."""
+        return cls.reply_timeout + COMMIT_TIMEOUT
+
+    def __init__(self, net: BaselineNetwork, client_id: str) -> None:
         self.net = net
         self.client_id = client_id
         self.rng = net.rng.stream(f"client:{client_id}")
@@ -225,7 +181,7 @@ class FabricClient:
     def _on_message(self, message: Message) -> None:
         if message.corrupted:
             return
-        if message.msg_type in (MSG_ENDORSEMENT, MSG_READ_RESPONSE, MSG_COMMIT_EVENT):
+        if message.msg_type in self.net.client_replies:
             entry = self._pending.get(message.body["txn_id"])
             if entry is None:
                 return
@@ -238,31 +194,62 @@ class FabricClient:
         self._counter += 1
         return f"{self.client_id}:{self._counter}"
 
-    def submit_modify(self, params: Dict[str, Any]):
-        """Full modify lifecycle; returns True on successful commit."""
+    def _solicit(self, txn_id: str, msg_type: str, params: Dict[str, Any]):
+        """Send ``msg_type`` to ``q`` sampled peers and await ``q`` replies.
+
+        Returns the peers and their replies (None on timeout).
+        """
         sim = self.net.sim
-        settings = self.net.settings
-        txn_id = self._next_txn_id()
-        self.net.recorder.submitted(txn_id, self.client_id, "modify", sim.now)
-        peers = self.rng.sample(self.net.peer_ids, settings.quorum)
+        quorum = self.net.settings.quorum
+        peers = self.rng.sample(self.net.replica_ids, quorum)
         event = Event(sim)
-        self._pending[txn_id] = (event, [], settings.quorum)
+        self._pending[txn_id] = (event, [], quorum)
         for peer_id in peers:
             self.net.network.send(
                 Message(
                     sender=self.client_id,
                     recipient=peer_id,
-                    msg_type=MSG_PROPOSAL,
+                    msg_type=msg_type,
                     body={"txn_id": txn_id, "params": params},
-                    size_bytes=settings.perf.proposal_bytes,
+                    size_bytes=self.net.settings.perf.proposal_bytes,
                 )
             )
-        winner = yield AnyOf(sim, [event, sim.timeout(10.0)])
-        _, endorsements, _ = self._pending.pop(txn_id)
-        if winner is not event or not endorsements:
+        winner = yield AnyOf(sim, [event, sim.timeout(self.reply_timeout)])
+        _, replies, _ = self._pending.pop(txn_id)
+        return peers, (replies if winner is event else None)
+
+    def submit_modify(self, params: Dict[str, Any]):
+        """Full modify lifecycle; returns True on successful commit."""
+        sim = self.net.sim
+        txn_id = self._next_txn_id()
+        self.net.recorder.submitted(txn_id, self.client_id, "modify", sim.now)
+        peers, endorsements = yield from self._solicit(txn_id, self.net.msg_proposal, params)
+        if endorsements is None:
             self.failed += 1
             self.net.recorder.failed(txn_id, sim.now, "endorsement timeout")
             return False
+        transaction, size = self._transaction(txn_id, peers, endorsements)
+        commit_event = Event(sim)
+        self._pending[txn_id] = (commit_event, [], 1)
+        self.net.network.send(
+            Message(
+                sender=self.client_id,
+                recipient=self.net.log.source_id,
+                msg_type=self.net.msg_order,
+                body=transaction,
+                size_bytes=size,
+            )
+        )
+        winner = yield AnyOf(sim, [commit_event, sim.timeout(COMMIT_TIMEOUT)])
+        _, events, _ = self._pending.pop(txn_id)
+        if winner is not commit_event or not events:
+            self.failed += 1
+            self.net.recorder.failed(txn_id, sim.now, self.commit_timeout_reason)
+            return False
+        return self._judge(txn_id, events[0])
+
+    def _transaction(self, txn_id: str, peers: List[str], endorsements: List[Dict[str, Any]]):
+        """The transaction to order and its modelled size in bytes."""
         endorsement = endorsements[0]
         transaction = {
             "txn_id": txn_id,
@@ -271,53 +258,26 @@ class FabricClient:
             "write_set": endorsement["write_set"],
             "event_peer": peers[0],
         }
-        commit_event = Event(sim)
-        self._pending[txn_id] = (commit_event, [], 1)
-        self.net.network.send(
-            Message(
-                sender=self.client_id,
-                recipient=ORDERER_ID,
-                msg_type=MSG_ORDER,
-                body=transaction,
-                size_bytes=400 + 60 * (len(transaction["read_set"]) + len(transaction["write_set"])),
-            )
-        )
-        winner = yield AnyOf(sim, [commit_event, sim.timeout(settings.commit_timeout)])
-        _, events, _ = self._pending.pop(txn_id)
-        if winner is not commit_event or not events:
-            self.failed += 1
-            self.net.recorder.failed(txn_id, sim.now, "commit timeout")
-            return False
-        if events[0]["valid"]:
+        return transaction, 400 + 60 * (len(transaction["read_set"]) + len(transaction["write_set"]))
+
+    def _judge(self, txn_id: str, event: Dict[str, Any]) -> bool:
+        """Record the outcome the commit event reports."""
+        now = self.net.sim.now
+        if event["valid"]:
             self.committed += 1
-            self.net.recorder.committed(txn_id, sim.now)
+            self.net.recorder.committed(txn_id, now)
             return True
         self.failed += 1
-        self.net.recorder.failed(txn_id, sim.now, "mvcc conflict")
+        self.net.recorder.failed(txn_id, now, "mvcc conflict")
         return False
 
     def submit_read(self, params: Dict[str, Any]):
         """Read from q peers (no ordering)."""
         sim = self.net.sim
-        settings = self.net.settings
         txn_id = self._next_txn_id()
         self.net.recorder.submitted(txn_id, self.client_id, "read", sim.now)
-        peers = self.rng.sample(self.net.peer_ids, settings.quorum)
-        event = Event(sim)
-        self._pending[txn_id] = (event, [], settings.quorum)
-        for peer_id in peers:
-            self.net.network.send(
-                Message(
-                    sender=self.client_id,
-                    recipient=peer_id,
-                    msg_type=MSG_READ,
-                    body={"txn_id": txn_id, "params": params},
-                    size_bytes=settings.perf.proposal_bytes,
-                )
-            )
-        winner = yield AnyOf(sim, [event, sim.timeout(10.0)])
-        _, responses, _ = self._pending.pop(txn_id)
-        if winner is event:
+        _, responses = yield from self._solicit(txn_id, self.net.msg_read, params)
+        if responses is not None:
             self.committed += 1
             self.net.recorder.committed(txn_id, sim.now)
             return [r["value"] for r in responses]
@@ -326,65 +286,52 @@ class FabricClient:
         return None
 
 
-class FabricNetwork:
-    """A built Fabric network: peers + Solo orderer + clients."""
+class FabricNetwork(BaselineNetwork):
+    """A built Fabric network: peers + Solo (or Raft) orderer + clients."""
 
-    def __init__(self, settings: FabricSettings) -> None:
-        self.settings = settings
-        self.sim = Simulator()
-        self.rng = RngRegistry(seed=settings.seed)
-        self.network = Network(self.sim, self.rng.stream("net"), latency=settings.latency)
-        if settings.explore is not None:
-            # Before anything is scheduled, so heap keys stay homogeneous.
-            settings.explore.install(self.sim, self.network)
-        self.recorder = TransactionRecorder()
-        self.tracer = None
-        self.peers = [FabricPeer(self, f"peer{i}") for i in range(settings.num_orgs)]
-        self.peer_ids = [peer.peer_id for peer in self.peers]
-        self.clients: List[FabricClient] = []
+    system = "fabric"
+    replica_prefix = "peer"
+    replica_class = FabricPeer
+    client_class = FabricClient
+    msg_proposal, msg_read, msg_order = MSG_PROPOSAL, MSG_READ, MSG_ORDER
+    client_replies = (MSG_ENDORSEMENT, MSG_READ_RESPONSE, MSG_COMMIT_EVENT)
+
+    def __init__(self, settings: BaselineSettings) -> None:
+        if not 0 < settings.quorum <= settings.num_orgs:
+            raise ConfigError(f"need 0 < q <= n, got q={settings.quorum}, n={settings.num_orgs}")
+        if settings.orderer_type not in ("solo", "raft"):
+            raise ConfigError(f"orderer_type must be 'solo' or 'raft', got {settings.orderer_type!r}")
+        super().__init__(settings)
+        perf = settings.perf
         self._orderer_arrivals: Dict[str, float] = {}
         self.orderer = BatchServer(
             self.sim,
-            per_item=settings.perf.fabric_orderer_per_txn,
-            batch_timeout=settings.perf.fabric_batch_timeout,
-            max_batch=settings.perf.fabric_max_batch,
+            per_item=perf.fabric_orderer_per_txn,
+            batch_timeout=perf.fabric_batch_timeout,
+            max_batch=perf.fabric_max_batch,
             on_batch=self._broadcast_block,
             name=f"{settings.orderer_type}-orderer",
         )
-        self.network.register(ORDERER_ID, self._orderer_receive)
-        # The ordered block log: peers fetch missed blocks from here
-        # (gap repair + crash recovery), and a periodic announcement of
-        # the latest index exposes blocks lost at the tail.
-        self.block_log: List[List[Dict[str, Any]]] = []
-        self.sim.process(
-            announce_loop(
-                self.sim,
-                self.network,
-                ORDERER_ID,
-                lambda: self.peer_ids,
-                lambda: len(self.block_log) - 1,
-                MSG_BLOCK_ANNOUNCE,
-            ),
-            name="fabric.announce",
+        self.queues = {ORDERER_ID: self.orderer}
+        self.log = OrderedLog(
+            self,
+            ORDERER_ID,
+            entry_type=MSG_BLOCK,
+            announce_type=MSG_BLOCK_ANNOUNCE,
+            fetch_type=MSG_BLOCK_FETCH,
+            entry_bytes=self._block_bytes,
+            on_message=self._orderer_receive,
+            name="fabric",
         )
         self._raft_acks: dict = {}
         self._raft_block_ids = 0
         if settings.orderer_type == "raft":
-            for index in range(settings.raft_followers):
+            for index in range(RAFT_FOLLOWERS):
                 self.network.register(
                     f"{ORDERER_ID}-follower{index}", self._follower_receive
                 )
 
     def _orderer_receive(self, message: Message) -> None:
-        if message.corrupted or message.msg_type not in (
-            MSG_ORDER,
-            MSG_RAFT_ACK,
-            MSG_BLOCK_FETCH,
-        ):
-            return
-        if message.msg_type == MSG_BLOCK_FETCH:
-            self._resend_blocks(message.sender, message.body["from"])
-            return
         if message.msg_type == MSG_RAFT_ACK:
             entry = self._raft_acks.get(message.body["block_id"])
             if entry is not None:
@@ -395,9 +342,9 @@ class FabricNetwork:
                         event.trigger()
                 else:
                     self._raft_acks[message.body["block_id"]] = (event, needed)
-            return
-        self._orderer_arrivals[message.body["txn_id"]] = self.sim.now
-        self.orderer.enqueue(message.body)
+        elif message.msg_type == MSG_ORDER:
+            self._orderer_arrivals[message.body["txn_id"]] = self.sim.now
+            self.orderer.enqueue(message.body)
 
     def _follower_receive(self, message: Message) -> None:
         """A Raft follower: append to its log and acknowledge."""
@@ -418,11 +365,10 @@ class FabricNetwork:
         (leader + followers) has it — one WAN round trip."""
         self._raft_block_ids += 1
         block_id = self._raft_block_ids
-        followers = self.settings.raft_followers
-        majority_acks = (followers + 1) // 2  # leader already has it
         event = Event(self.sim)
-        self._raft_acks[block_id] = (event, max(1, majority_acks))
-        for index in range(followers):
+        # The leader already has the block; a majority needs the rest.
+        self._raft_acks[block_id] = (event, (RAFT_FOLLOWERS + 1) // 2)
+        for index in range(RAFT_FOLLOWERS):
             self.network.send(
                 Message(
                     sender=ORDERER_ID,
@@ -435,13 +381,12 @@ class FabricNetwork:
         yield event
         del self._raft_acks[block_id]
 
-    def _broadcast_block(self, batch: Batch):
+    def _broadcast_block(self, batch: List[Dict[str, Any]]):
         """Deliver a cut block to every peer."""
         if self.settings.orderer_type == "raft":
-            size = 200 + 100 * len(batch.items)
-            yield from self._replicate_to_followers(size)
+            yield from self._replicate_to_followers(200 + 100 * len(batch))
         now = self.sim.now
-        for txn in batch.items:
+        for txn in batch:
             arrived = self._orderer_arrivals.pop(txn["txn_id"], now)
             self.recorder.phase("fabric/P2/Consensus", now - arrived)
             if self.tracer is not None:
@@ -452,69 +397,14 @@ class FabricNetwork:
                     node=ORDERER_ID,
                     txn_id=txn["txn_id"],
                 )
-        index = len(self.block_log)
-        self.block_log.append(batch.items)
-        size = self._block_bytes(batch.items)
-        for peer_id in self.peer_ids:
-            self.network.send(
-                Message(
-                    sender=ORDERER_ID,
-                    recipient=peer_id,
-                    msg_type=MSG_BLOCK,
-                    body={"index": index, "transactions": batch.items},
-                    size_bytes=size,
-                )
-            )
-        return
-        yield  # pragma: no cover - marks this as a generator for BatchServer
+        self.log.publish({"index": len(self.log.entries), "transactions": batch})
 
     @staticmethod
-    def _block_bytes(transactions: List[Dict[str, Any]]) -> int:
+    def _block_bytes(block: Dict[str, Any]) -> int:
         return 200 + sum(
             100 + 60 * (len(txn["read_set"]) + len(txn["write_set"]))
-            for txn in transactions
+            for txn in block["transactions"]
         )
 
-    def _resend_blocks(self, peer_id: str, from_index: int) -> None:
-        """Re-send blocks ``from_index``.. to one peer (gap repair)."""
-        for index in range(max(0, from_index), len(self.block_log)):
-            transactions = self.block_log[index]
-            self.network.send(
-                Message(
-                    sender=ORDERER_ID,
-                    recipient=peer_id,
-                    msg_type=MSG_BLOCK,
-                    body={"index": index, "transactions": transactions},
-                    size_bytes=self._block_bytes(transactions),
-                )
-            )
 
-    def attach_observability(self, obs) -> None:
-        """Wire a :class:`repro.obs.Observability` into this network."""
-        self.tracer = obs.recorder
-        self.network.tracer = obs.recorder
-        sampler = obs.bind(self.sim)
-        if sampler is not None:
-            for peer in self.peers:
-                sampler.watch_resource(peer.peer_id, "cpu", peer.cpu)
-            sampler.watch_gauge(
-                ORDERER_ID, "node/queue/depth", lambda: self.orderer.queue_length
-            )
-            sampler.watch_network(self.network)
-            sampler.start()
-
-    def add_client(self, name: Optional[str] = None) -> FabricClient:
-        client = FabricClient(self, name or f"client{len(self.clients)}")
-        self.clients.append(client)
-        return client
-
-    def run(self, until: float) -> None:
-        self.sim.run(until=until)
-
-    def converged(self) -> bool:
-        """All peers hold identical state (they apply the same blocks)."""
-        snapshots = [sorted(peer.state._state.items()) for peer in self.peers]
-        return all(snapshot == snapshots[0] for snapshot in snapshots)
-
-
-__all__ = ["FabricNetwork", "FabricSettings", "FabricClient", "FabricPeer", "ORDERER_ID"]
+__all__ = ["FabricNetwork", "FabricClient", "FabricPeer", "ORDERER_ID"]

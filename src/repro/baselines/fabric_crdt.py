@@ -16,28 +16,25 @@ Consequences modeled here:
 * commit merges update histories — CPU cost grows;
 * per the paper's fairness note, the peers keep a *cache* of merged
   documents (we model the cache as the resident `JSONCRDTDocument`);
-* transactions taking longer than ``fabriccrdt_timeout`` (240 s) are
-  timed out and excluded from throughput/latency, as in the paper.
+* transactions taking longer than ``COMMIT_TIMEOUT`` (240 s) are timed
+  out and excluded from throughput/latency, as in the paper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.baselines.common import Batch, BatchServer, InOrderApplier, announce_loop
-from repro.core.perf import PerfModel
-from repro.core.recording import TransactionRecorder
+from repro.baselines.common import (
+    BaselineNetwork,
+    BaselineSettings,
+    BatchServer,
+    OrderedLog,
+    Replica,
+)
+from repro.baselines.fabric import FabricClient
 from repro.crdt.json_crdt import JSONCRDTDocument
 from repro.errors import ConfigError
-from repro.net.latency import LatencyModel
 from repro.net.message import Message
-from repro.net.network import Network
-from repro.sim.core import Simulator
-from repro.sim.nondeterminism import ExploreProfile
-from repro.sim.events import AnyOf, Event
-from repro.sim.resources import Resource
-from repro.sim.rng import RngRegistry
 
 MSG_PROPOSAL = "fabriccrdt.proposal"
 MSG_ENDORSEMENT = "fabriccrdt.endorsement"
@@ -100,44 +97,15 @@ def read_value(documents: Dict[str, JSONCRDTDocument], app: str, params: Dict[st
     return [doc.value() if doc else None for doc in docs]
 
 
-@dataclass
-class FabricCRDTSettings:
-    num_orgs: int = 8
-    quorum: int = 4
-    app: str = "voting"
-    seed: int = 0
-    perf: PerfModel = field(default_factory=PerfModel)
-    latency: LatencyModel = field(default_factory=LatencyModel)
-    # Controlled nondeterminism for schedule exploration
-    # (repro.sim.nondeterminism); None keeps the golden-seed order.
-    explore: Optional[ExploreProfile] = None
-
-    def __post_init__(self) -> None:
-        if not 0 < self.quorum <= self.num_orgs:
-            raise ConfigError(f"need 0 < q <= n, got q={self.quorum}, n={self.num_orgs}")
-        if self.app not in APP_UPDATES:
-            raise ConfigError(f"unknown app {self.app!r}; choose from {sorted(APP_UPDATES)}")
-
-
-class FabricCRDTPeer:
+class FabricCRDTPeer(Replica):
     """A peer holding state-based JSON CRDT documents."""
 
-    def __init__(self, net: "FabricCRDTNetwork", peer_id: str) -> None:
-        self.net = net
-        self.peer_id = peer_id
-        self.cpu = Resource(net.sim, capacity=net.settings.perf.vcpus)
+    def __init__(self, net: "FabricCRDTNetwork", node_id: str) -> None:
+        # CRDT merges commute, but blocks still apply in order through
+        # the shared applier for its dedup and gap repair.
+        super().__init__(net, node_id, self._apply_block, "blocks")
         self.documents: Dict[str, JSONCRDTDocument] = {}
         self.committed = 0
-        # CRDT merges commute, but blocks still apply in order through
-        # the shared applier for its dedup and gap repair (message
-        # loss, partitions, crash recovery — see repro.faults).
-        self.applier = InOrderApplier(
-            net.sim,
-            self._apply_block,
-            self._request_blocks,
-            name=f"{peer_id}.blocks",
-        )
-        net.network.register(peer_id, self._on_message)
 
     def document(self, key: str) -> JSONCRDTDocument:
         if key not in self.documents:
@@ -148,17 +116,20 @@ class FabricCRDTPeer:
         doc = self.documents.get(key)
         return doc.size() if doc is not None else 0
 
+    def snapshot(self) -> Dict[str, Any]:
+        return {key: self.documents[key].snapshot() for key in sorted(self.documents)}
+
     def _on_message(self, message: Message) -> None:
         if message.corrupted:
             return
         if message.msg_type == MSG_PROPOSAL:
-            self.net.sim.process(self._endorse(message), name=f"{self.peer_id}.endorse")
+            self.net.sim.process(self._endorse(message), name=f"{self.node_id}.endorse")
         elif message.msg_type == MSG_BLOCK:
             self.applier.offer(message.body["index"], message.body["transactions"])
         elif message.msg_type == MSG_BLOCK_ANNOUNCE:
-            self.applier.on_announce(message.body["latest"])
+            self.net.log.on_announce(self.applier, message.body)
         elif message.msg_type == MSG_READ:
-            self.net.sim.process(self._read(message), name=f"{self.peer_id}.read")
+            self.net.sim.process(self._read(message), name=f"{self.node_id}.read")
 
     def _endorse(self, message: Message):
         perf = self.net.settings.perf
@@ -176,28 +147,17 @@ class FabricCRDTPeer:
                 "fabriccrdt/P1/Endorse",
                 arrived,
                 self.net.sim.now,
-                node=self.peer_id,
+                node=self.node_id,
                 txn_id=body["txn_id"],
                 attrs={"history": history},
             )
         self.net.network.send(
             Message(
-                sender=self.peer_id,
+                sender=self.node_id,
                 recipient=message.sender,
                 msg_type=MSG_ENDORSEMENT,
                 body={"txn_id": body["txn_id"], "updates": updates, "history": history},
                 size_bytes=300 + perf.fabriccrdt_bytes_per_update * history,
-            )
-        )
-
-    def _request_blocks(self, from_index: int) -> None:
-        self.net.network.send(
-            Message(
-                sender=self.peer_id,
-                recipient=ORDERER_ID,
-                msg_type=MSG_BLOCK_FETCH,
-                body={"from": from_index},
-                size_bytes=96,
             )
         )
 
@@ -214,7 +174,7 @@ class FabricCRDTPeer:
                     "fabriccrdt/P3/Merge",
                     arrived,
                     self.net.sim.now,
-                    node=self.peer_id,
+                    node=self.node_id,
                     txn_id=txn["txn_id"],
                     attrs={"history": history},
                 )
@@ -223,10 +183,10 @@ class FabricCRDTPeer:
                     path, value, txn["client_id"], txn["counter"]
                 )
             self.committed += 1
-            if txn["event_peer"] == self.peer_id:
+            if txn["event_peer"] == self.node_id:
                 self.net.network.send(
                     Message(
-                        sender=self.peer_id,
+                        sender=self.node_id,
                         recipient=txn["client_id"],
                         msg_type=MSG_COMMIT_EVENT,
                         body={"txn_id": txn["txn_id"], "valid": True},
@@ -240,7 +200,7 @@ class FabricCRDTPeer:
         value = read_value(self.documents, self.net.settings.app, message.body["params"])
         self.net.network.send(
             Message(
-                sender=self.peer_id,
+                sender=self.node_id,
                 recipient=message.sender,
                 msg_type=MSG_READ_RESPONSE,
                 body={"txn_id": message.body["txn_id"], "value": value},
@@ -249,233 +209,78 @@ class FabricCRDTPeer:
         )
 
 
-class FabricCRDTClient:
+class FabricCRDTClient(FabricClient):
     """Endorse (retrieve object), order, await merge notification."""
 
-    def __init__(self, net: "FabricCRDTNetwork", client_id: str) -> None:
-        self.net = net
-        self.client_id = client_id
-        self.rng = net.rng.stream(f"client:{client_id}")
-        self._counter = 0
-        self._pending: Dict[str, Tuple[Event, List[Any], int]] = {}
-        self.committed = 0
-        self.failed = 0
-        net.network.register(client_id, self._on_message)
+    reply_timeout = 30.0
+    commit_timeout_reason = "timeout (240s cap)"
 
-    def _on_message(self, message: Message) -> None:
-        if message.corrupted:
-            return
-        if message.msg_type in (MSG_ENDORSEMENT, MSG_READ_RESPONSE, MSG_COMMIT_EVENT):
-            entry = self._pending.get(message.body["txn_id"])
-            if entry is None:
-                return
-            event, responses, needed = entry
-            responses.append(message.body)
-            if len(responses) >= needed and not event.triggered:
-                event.trigger(responses)
-
-    def _next_txn_id(self) -> str:
-        self._counter += 1
-        return f"{self.client_id}:{self._counter}"
-
-    def submit_modify(self, params: Dict[str, Any]):
-        sim = self.net.sim
-        settings = self.net.settings
-        txn_id = self._next_txn_id()
-        self.net.recorder.submitted(txn_id, self.client_id, "modify", sim.now)
-        peers = self.rng.sample(self.net.peer_ids, settings.quorum)
-        event = Event(sim)
-        self._pending[txn_id] = (event, [], settings.quorum)
-        for peer_id in peers:
-            self.net.network.send(
-                Message(
-                    sender=self.client_id,
-                    recipient=peer_id,
-                    msg_type=MSG_PROPOSAL,
-                    body={"txn_id": txn_id, "params": params},
-                    size_bytes=settings.perf.proposal_bytes,
-                )
-            )
-        winner = yield AnyOf(sim, [event, sim.timeout(30.0)])
-        _, endorsements, _ = self._pending.pop(txn_id)
-        if winner is not event or not endorsements:
-            self.failed += 1
-            self.net.recorder.failed(txn_id, sim.now, "endorsement timeout")
-            return False
-        endorsement = endorsements[0]
+    def _transaction(self, txn_id: str, peers: List[str], endorsements: List[Dict[str, Any]]):
         history = max(e["history"] for e in endorsements)
         transaction = {
             "txn_id": txn_id,
             "client_id": self.client_id,
             "counter": self._counter,
-            "updates": endorsement["updates"],
+            "updates": endorsements[0]["updates"],
             "event_peer": peers[0],
         }
-        commit_event = Event(sim)
-        self._pending[txn_id] = (commit_event, [], 1)
         # The transaction carries the whole (retrieved) object.
-        self.net.network.send(
-            Message(
-                sender=self.client_id,
-                recipient=ORDERER_ID,
-                msg_type=MSG_ORDER,
-                body=transaction,
-                size_bytes=400 + settings.perf.fabriccrdt_bytes_per_update * history,
-            )
-        )
-        winner = yield AnyOf(
-            sim, [commit_event, sim.timeout(settings.perf.fabriccrdt_timeout)]
-        )
-        _, events, _ = self._pending.pop(txn_id)
-        if winner is not commit_event or not events:
-            self.failed += 1
-            self.net.recorder.failed(txn_id, sim.now, "timeout (240s cap)")
-            return False
+        return transaction, 400 + self.net.settings.perf.fabriccrdt_bytes_per_update * history
+
+    def _judge(self, txn_id: str, event: Dict[str, Any]) -> bool:
+        # No MVCC validation: every ordered transaction merges.
         self.committed += 1
-        self.net.recorder.committed(txn_id, sim.now)
+        self.net.recorder.committed(txn_id, self.net.sim.now)
         return True
 
-    def submit_read(self, params: Dict[str, Any]):
-        sim = self.net.sim
-        settings = self.net.settings
-        txn_id = self._next_txn_id()
-        self.net.recorder.submitted(txn_id, self.client_id, "read", sim.now)
-        peers = self.rng.sample(self.net.peer_ids, settings.quorum)
-        event = Event(sim)
-        self._pending[txn_id] = (event, [], settings.quorum)
-        for peer_id in peers:
-            self.net.network.send(
-                Message(
-                    sender=self.client_id,
-                    recipient=peer_id,
-                    msg_type=MSG_READ,
-                    body={"txn_id": txn_id, "params": params},
-                    size_bytes=settings.perf.proposal_bytes,
-                )
-            )
-        winner = yield AnyOf(sim, [event, sim.timeout(30.0)])
-        _, responses, _ = self._pending.pop(txn_id)
-        if winner is event:
-            self.committed += 1
-            self.net.recorder.committed(txn_id, sim.now)
-            return [r["value"] for r in responses]
-        self.failed += 1
-        self.net.recorder.failed(txn_id, sim.now, "read timeout")
-        return None
 
-
-class FabricCRDTNetwork:
+class FabricCRDTNetwork(BaselineNetwork):
     """A built FabricCRDT network."""
 
-    def __init__(self, settings: FabricCRDTSettings) -> None:
-        self.settings = settings
-        self.sim = Simulator()
-        self.rng = RngRegistry(seed=settings.seed)
-        self.network = Network(self.sim, self.rng.stream("net"), latency=settings.latency)
-        if settings.explore is not None:
-            # Before anything is scheduled, so heap keys stay homogeneous.
-            settings.explore.install(self.sim, self.network)
-        self.recorder = TransactionRecorder()
-        self.tracer = None
-        self.peers = [FabricCRDTPeer(self, f"peer{i}") for i in range(settings.num_orgs)]
-        self.peer_ids = [peer.peer_id for peer in self.peers]
-        self.clients: List[FabricCRDTClient] = []
+    system = "fabriccrdt"
+    replica_prefix = "peer"
+    replica_class = FabricCRDTPeer
+    client_class = FabricCRDTClient
+    msg_proposal, msg_read, msg_order = MSG_PROPOSAL, MSG_READ, MSG_ORDER
+    client_replies = (MSG_ENDORSEMENT, MSG_READ_RESPONSE, MSG_COMMIT_EVENT)
+
+    def __init__(self, settings: BaselineSettings) -> None:
+        if not 0 < settings.quorum <= settings.num_orgs:
+            raise ConfigError(f"need 0 < q <= n, got q={settings.quorum}, n={settings.num_orgs}")
+        super().__init__(settings)
+        perf = settings.perf
         self.orderer = BatchServer(
             self.sim,
-            per_item=settings.perf.fabric_orderer_per_txn,
-            batch_timeout=settings.perf.fabric_batch_timeout,
-            max_batch=settings.perf.fabric_max_batch,
+            per_item=perf.fabric_orderer_per_txn,
+            batch_timeout=perf.fabric_batch_timeout,
+            max_batch=perf.fabric_max_batch,
             on_batch=self._broadcast_block,
             name="fabriccrdt-orderer",
         )
-        self.network.register(ORDERER_ID, self._orderer_receive)
-        # Ordered block log for gap repair and crash recovery.
-        self.block_log: List[List[Dict[str, Any]]] = []
-        self.sim.process(
-            announce_loop(
-                self.sim,
-                self.network,
-                ORDERER_ID,
-                lambda: self.peer_ids,
-                lambda: len(self.block_log) - 1,
-                MSG_BLOCK_ANNOUNCE,
-            ),
-            name="fabriccrdt.announce",
+        self.queues = {ORDERER_ID: self.orderer}
+        self.log = OrderedLog(
+            self,
+            ORDERER_ID,
+            entry_type=MSG_BLOCK,
+            announce_type=MSG_BLOCK_ANNOUNCE,
+            fetch_type=MSG_BLOCK_FETCH,
+            entry_bytes=lambda block: 200 + 150 * len(block["transactions"]),
+            on_message=self._orderer_receive,
+            name="fabriccrdt",
         )
 
     def _orderer_receive(self, message: Message) -> None:
-        if message.corrupted:
-            return
-        if message.msg_type == MSG_BLOCK_FETCH:
-            self._resend_blocks(message.sender, message.body["from"])
-            return
-        if message.msg_type != MSG_ORDER:
-            return
-        self.orderer.enqueue(message.body)
+        if message.msg_type == MSG_ORDER:
+            self.orderer.enqueue(message.body)
 
-    def _broadcast_block(self, batch: Batch):
-        index = len(self.block_log)
-        self.block_log.append(batch.items)
-        size = 200 + 150 * len(batch.items)
-        for peer_id in self.peer_ids:
-            self.network.send(
-                Message(
-                    sender=ORDERER_ID,
-                    recipient=peer_id,
-                    msg_type=MSG_BLOCK,
-                    body={"index": index, "transactions": batch.items},
-                    size_bytes=size,
-                )
-            )
+    def _broadcast_block(self, batch: List[Dict[str, Any]]):
+        self.log.publish({"index": len(self.log.entries), "transactions": batch})
         return
         yield  # pragma: no cover - marks this as a generator for BatchServer
-
-    def _resend_blocks(self, peer_id: str, from_index: int) -> None:
-        """Re-send blocks ``from_index``.. to one peer (gap repair)."""
-        for index in range(max(0, from_index), len(self.block_log)):
-            transactions = self.block_log[index]
-            self.network.send(
-                Message(
-                    sender=ORDERER_ID,
-                    recipient=peer_id,
-                    msg_type=MSG_BLOCK,
-                    body={"index": index, "transactions": transactions},
-                    size_bytes=200 + 150 * len(transactions),
-                )
-            )
-
-    def attach_observability(self, obs) -> None:
-        """Wire a :class:`repro.obs.Observability` into this network."""
-        self.tracer = obs.recorder
-        self.network.tracer = obs.recorder
-        sampler = obs.bind(self.sim)
-        if sampler is not None:
-            for peer in self.peers:
-                sampler.watch_resource(peer.peer_id, "cpu", peer.cpu)
-            sampler.watch_gauge(
-                ORDERER_ID, "node/queue/depth", lambda: self.orderer.queue_length
-            )
-            sampler.watch_network(self.network)
-            sampler.start()
-
-    def add_client(self, name: Optional[str] = None) -> FabricCRDTClient:
-        client = FabricCRDTClient(self, name or f"client{len(self.clients)}")
-        self.clients.append(client)
-        return client
-
-    def run(self, until: float) -> None:
-        self.sim.run(until=until)
-
-    def converged(self) -> bool:
-        snapshots = [
-            {key: doc.snapshot() for key, doc in peer.documents.items()} for peer in self.peers
-        ]
-        return all(snapshot == snapshots[0] for snapshot in snapshots)
 
 
 __all__ = [
     "FabricCRDTNetwork",
-    "FabricCRDTSettings",
     "FabricCRDTClient",
     "FabricCRDTPeer",
 ]

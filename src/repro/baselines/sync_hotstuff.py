@@ -21,29 +21,21 @@ Sync HotStuff read/modify latencies track each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.baselines.common import (
     FABRIC_CONTRACTS,
-    Batch,
+    BaselineNetwork,
+    BaselineSettings,
     BatchServer,
-    InOrderApplier,
     Nic,
+    OrderedLog,
+    Replica,
+    SubmitClient,
     VersionedState,
-    announce_loop,
 )
-from repro.core.perf import PerfModel
-from repro.core.recording import TransactionRecorder
 from repro.errors import ConfigError
-from repro.net.latency import LatencyModel
 from repro.net.message import Message
-from repro.net.network import Network
-from repro.sim.core import Simulator
-from repro.sim.nondeterminism import ExploreProfile
-from repro.sim.events import AnyOf, Event
-from repro.sim.resources import Resource
-from repro.sim.rng import RngRegistry
 
 MSG_SUBMIT = "hotstuff.submit"
 MSG_PROPOSE = "hotstuff.propose"
@@ -57,46 +49,16 @@ LEADER_ID = "hotstuff-leader"
 TXN_BYTES = 190
 
 
-@dataclass
-class SyncHotStuffSettings:
-    num_orgs: int = 16
-    app: str = "voting"
-    seed: int = 0
-    perf: PerfModel = field(default_factory=PerfModel)
-    latency: LatencyModel = field(default_factory=LatencyModel)
-    # Controlled nondeterminism for schedule exploration
-    # (repro.sim.nondeterminism); None keeps the golden-seed order.
-    explore: Optional[ExploreProfile] = None
-    commit_timeout: float = 240.0
-
-    def __post_init__(self) -> None:
-        if self.num_orgs < 2:
-            raise ConfigError(f"need at least 2 organizations, got {self.num_orgs}")
-        if self.app not in FABRIC_CONTRACTS:
-            raise ConfigError(f"unknown app {self.app!r}; choose from {sorted(FABRIC_CONTRACTS)}")
-
-
-class SyncHotStuffOrg:
+class SyncHotStuffOrg(Replica):
     """A replica: votes on proposals and commits 2Δ later."""
 
-    def __init__(self, net: "SyncHotStuffNetwork", org_id: str) -> None:
-        self.net = net
-        self.org_id = org_id
-        self.cpu = Resource(net.sim, capacity=net.settings.perf.vcpus)
+    def __init__(self, net: "SyncHotStuffNetwork", node_id: str) -> None:
+        # Proposals apply strictly in batch order (replicas replicate
+        # the leader's log).
+        super().__init__(net, node_id, self._apply_proposal, "proposals")
         self.state = VersionedState()
         self.contract = FABRIC_CONTRACTS[net.settings.app]()
         self.committed = 0
-        # Proposals apply strictly in batch order (replicas replicate
-        # the leader's log); the applier dedups re-sent proposals and
-        # repairs gaps after message loss, partitions, or a crash
-        # (see repro.faults).
-        self.applier = InOrderApplier(
-            net.sim,
-            self._apply_proposal,
-            self._request_proposals,
-            name=f"{org_id}.proposals",
-        )
-        net.network.register(org_id, self._on_message)
 
     def _on_message(self, message: Message) -> None:
         if message.corrupted:
@@ -113,7 +75,7 @@ class SyncHotStuffOrg:
             # replica votes, so commit stays time-driven.
             self.net.network.send(
                 Message(
-                    sender=self.org_id,
+                    sender=self.node_id,
                     recipient=LEADER_ID,
                     msg_type=MSG_VOTE,
                     body={"batch_id": body["batch_id"]},
@@ -121,18 +83,7 @@ class SyncHotStuffOrg:
                 )
             )
         elif message.msg_type == MSG_PROPOSE_ANNOUNCE:
-            self.applier.on_announce(message.body["latest"])
-
-    def _request_proposals(self, from_index: int) -> None:
-        self.net.network.send(
-            Message(
-                sender=self.org_id,
-                recipient=LEADER_ID,
-                msg_type=MSG_PROPOSE_FETCH,
-                body={"from": from_index},
-                size_bytes=96,
-            )
-        )
+            self.net.log.on_announce(self.applier, message.body)
 
     def _apply_proposal(self, entry):
         transactions, ready_at = entry
@@ -149,10 +100,10 @@ class SyncHotStuffOrg:
                 self.state.apply_write_set(write_set)
                 value = True
             self.committed += 1
-            if txn["event_peer"] == self.org_id:
+            if txn["event_peer"] == self.node_id:
                 self.net.network.send(
                     Message(
-                        sender=self.org_id,
+                        sender=self.node_id,
                         recipient=txn["client_id"],
                         msg_type=MSG_COMMIT_EVENT,
                         body={"txn_id": txn["txn_id"], "value": value},
@@ -165,89 +116,26 @@ class SyncHotStuffOrg:
                     "hotstuff/P2/Commit",
                     started,
                     self.net.sim.now,
-                    node=self.org_id,
+                    node=self.node_id,
                     txn_id=txn["txn_id"],
                 )
 
 
-class SyncHotStuffClient:
-    """Sends transactions to the leader, awaits the commit event."""
-
-    def __init__(self, net: "SyncHotStuffNetwork", client_id: str) -> None:
-        self.net = net
-        self.client_id = client_id
-        self.rng = net.rng.stream(f"client:{client_id}")
-        self._counter = 0
-        self._pending: Dict[str, Event] = {}
-        self.committed = 0
-        self.failed = 0
-        net.network.register(client_id, self._on_message)
-
-    def _on_message(self, message: Message) -> None:
-        if message.corrupted or message.msg_type != MSG_COMMIT_EVENT:
-            return
-        event = self._pending.get(message.body["txn_id"])
-        if event is not None and not event.triggered:
-            event.trigger(message.body)
-
-    def _submit(self, kind: str, params: Dict[str, Any]):
-        sim = self.net.sim
-        self._counter += 1
-        txn_id = f"{self.client_id}:{self._counter}"
-        self.net.recorder.submitted(txn_id, self.client_id, kind, sim.now)
-        event = Event(sim)
-        self._pending[txn_id] = event
-        self.net.network.send(
-            Message(
-                sender=self.client_id,
-                recipient=LEADER_ID,
-                msg_type=MSG_SUBMIT,
-                body={
-                    "txn_id": txn_id,
-                    "client_id": self.client_id,
-                    "kind": kind,
-                    "params": params,
-                    "event_peer": self.rng.choice(self.net.org_ids),
-                },
-                size_bytes=TXN_BYTES,
-            )
-        )
-        winner = yield AnyOf(sim, [event, sim.timeout(self.net.settings.commit_timeout)])
-        del self._pending[txn_id]
-        if winner is event:
-            self.committed += 1
-            self.net.recorder.committed(txn_id, sim.now)
-            return winner.value.get("value", True) if isinstance(winner.value, dict) else True
-        self.failed += 1
-        self.net.recorder.failed(txn_id, sim.now, "timeout")
-        return None
-
-    def submit_modify(self, params: Dict[str, Any]):
-        return self._submit("modify", params)
-
-    def submit_read(self, params: Dict[str, Any]):
-        return self._submit("read", params)
-
-
-class SyncHotStuffNetwork:
+class SyncHotStuffNetwork(BaselineNetwork):
     """A built Sync HotStuff network: leader + replicas + clients."""
 
-    def __init__(self, settings: SyncHotStuffSettings) -> None:
-        self.settings = settings
-        self.sim = Simulator()
-        self.rng = RngRegistry(seed=settings.seed)
-        self.network = Network(self.sim, self.rng.stream("net"), latency=settings.latency)
-        if settings.explore is not None:
-            # Before anything is scheduled, so heap keys stay homogeneous.
-            settings.explore.install(self.sim, self.network)
-        self.recorder = TransactionRecorder()
-        self.tracer = None
-        self.orgs = [SyncHotStuffOrg(self, f"org{i}") for i in range(settings.num_orgs)]
-        self.org_ids = [org.org_id for org in self.orgs]
-        self.clients: List[SyncHotStuffClient] = []
+    system = "synchotstuff"
+    replica_class = SyncHotStuffOrg
+    client_class = SubmitClient
+    msg_submit, msg_commit_event, txn_bytes = MSG_SUBMIT, MSG_COMMIT_EVENT, TXN_BYTES
+
+    def __init__(self, settings: BaselineSettings) -> None:
+        if settings.num_orgs < 2:
+            raise ConfigError(f"need at least 2 organizations, got {settings.num_orgs}")
+        super().__init__(settings)
         self._batch_counter = 0
         self._submit_arrivals: Dict[str, float] = {}
-        self.leader_nic = Nic(self.sim, settings.latency.bandwidth_bytes_per_s)
+        self.leader_nic = Nic(self.sim, self.network.latency.bandwidth_bytes_per_s)
         self.leader = BatchServer(
             self.sim,
             per_item=settings.perf.hotstuff_leader_per_txn,
@@ -256,29 +144,19 @@ class SyncHotStuffNetwork:
             on_batch=self._propose_batch,
             name="hotstuff-leader",
         )
-        self.network.register(LEADER_ID, self._leader_receive)
-        # The leader's ordered proposal log: replicas fetch missed
-        # proposals (gap repair + crash recovery); the announcement
-        # loop exposes proposals lost at the tail.
-        self.proposal_log: List[Dict[str, Any]] = []
-        self.sim.process(
-            announce_loop(
-                self.sim,
-                self.network,
-                LEADER_ID,
-                lambda: self.org_ids,
-                lambda: len(self.proposal_log) - 1,
-                MSG_PROPOSE_ANNOUNCE,
-            ),
-            name="hotstuff.announce",
+        self.queues = {LEADER_ID: self.leader}
+        self.log = OrderedLog(
+            self,
+            LEADER_ID,
+            entry_type=MSG_PROPOSE,
+            announce_type=MSG_PROPOSE_ANNOUNCE,
+            fetch_type=MSG_PROPOSE_FETCH,
+            entry_bytes=lambda proposal: 200 + TXN_BYTES * len(proposal["transactions"]),
+            on_message=self._leader_receive,
+            name="hotstuff",
         )
 
     def _leader_receive(self, message: Message) -> None:
-        if message.corrupted:
-            return
-        if message.msg_type == MSG_PROPOSE_FETCH:
-            self._resend_proposals(message.sender, message.body["from"])
-            return
         if message.msg_type == MSG_SUBMIT:
             self._submit_arrivals[message.body["txn_id"]] = self.sim.now
             self.leader.enqueue(message.body)
@@ -286,12 +164,12 @@ class SyncHotStuffNetwork:
         # replica votes, and commit is time-driven (2Δ), so the leader
         # does not gate progress on them.
 
-    def _propose_batch(self, batch: Batch):
+    def _propose_batch(self, batch: List[Dict[str, Any]]):
         self._batch_counter += 1
-        batch_bytes = 200 + TXN_BYTES * len(batch.items)
-        yield from self.leader_nic.transmit(batch_bytes * len(self.org_ids))
+        batch_bytes = 200 + TXN_BYTES * len(batch)
+        yield from self.leader_nic.transmit(batch_bytes * len(self.replica_ids))
         now = self.sim.now
-        for txn in batch.items:
+        for txn in batch:
             arrived = self._submit_arrivals.pop(txn["txn_id"], now)
             # Leader-side consensus latency: queueing + batching + NIC.
             self.recorder.phase("hotstuff/P1/Consensus", now - arrived)
@@ -299,63 +177,9 @@ class SyncHotStuffNetwork:
                 self.tracer.span(
                     "hotstuff/P1/Consensus", arrived, now, node=LEADER_ID, txn_id=txn["txn_id"]
                 )
-        proposal = {
-            "index": len(self.proposal_log),
-            "batch_id": self._batch_counter,
-            "transactions": batch.items,
-        }
-        self.proposal_log.append(proposal)
-        for org_id in self.org_ids:
-            self.network.send(
-                Message(
-                    sender=LEADER_ID,
-                    recipient=org_id,
-                    msg_type=MSG_PROPOSE,
-                    body=proposal,
-                    size_bytes=batch_bytes,
-                )
-            )
-
-    def _resend_proposals(self, org_id: str, from_index: int) -> None:
-        """Re-send proposals ``from_index``.. to one replica."""
-        for index in range(max(0, from_index), len(self.proposal_log)):
-            proposal = self.proposal_log[index]
-            self.network.send(
-                Message(
-                    sender=LEADER_ID,
-                    recipient=org_id,
-                    msg_type=MSG_PROPOSE,
-                    body=proposal,
-                    size_bytes=200 + TXN_BYTES * len(proposal["transactions"]),
-                )
-            )
-
-    def attach_observability(self, obs) -> None:
-        """Wire a :class:`repro.obs.Observability` into this network."""
-        self.tracer = obs.recorder
-        self.network.tracer = obs.recorder
-        sampler = obs.bind(self.sim)
-        if sampler is not None:
-            for org in self.orgs:
-                sampler.watch_resource(org.org_id, "cpu", org.cpu)
-            sampler.watch_gauge(
-                LEADER_ID, "node/queue/depth", lambda: self.leader.queue_length
-            )
-            sampler.watch_network(self.network)
-            sampler.start()
-
-    def add_client(self, name: Optional[str] = None) -> SyncHotStuffClient:
-        client = SyncHotStuffClient(self, name or f"client{len(self.clients)}")
-        self.clients.append(client)
-        return client
-
-    def run(self, until: float) -> None:
-        self.sim.run(until=until)
+        self.log.publish(
+            {"index": len(self.log.entries), "batch_id": self._batch_counter, "transactions": batch}
+        )
 
 
-__all__ = [
-    "SyncHotStuffNetwork",
-    "SyncHotStuffSettings",
-    "SyncHotStuffClient",
-    "SyncHotStuffOrg",
-]
+__all__ = ["SyncHotStuffNetwork", "SyncHotStuffOrg"]

@@ -321,7 +321,7 @@ def ablation_fabric_orderer(**base) -> List[Tuple[None, str, ExperimentResult]]:
     """Solo vs Raft ordering service for Fabric (Raft adds a WAN round
     trip of follower replication per block; neither is BFT).
 
-    The orderer type is a ``FabricSettings`` field, not an
+    The orderer type is a ``BaselineSettings`` field, not an
     :class:`ExperimentConfig` one, so the builder runs its two networks
     itself (serially) and its points carry finished results.
     """

@@ -18,10 +18,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional, Sequence
 
-from repro.baselines.bidl import BIDLNetwork, BIDLSettings
-from repro.baselines.fabric import FabricNetwork, FabricSettings
-from repro.baselines.fabric_crdt import FabricCRDTNetwork, FabricCRDTSettings
-from repro.baselines.sync_hotstuff import SyncHotStuffNetwork, SyncHotStuffSettings
+from repro.baselines import BASELINES, BaselineSettings
 from repro.bench.config import ExperimentConfig
 from repro.bench.metrics import ExperimentResult, compute_result
 from repro.bench.workload import AppWorkload, make_channel_workloads, make_workload
@@ -230,16 +227,6 @@ def _baseline_submit(workload: AppWorkload, workload_rng: random.Random):
     return submit
 
 
-# system -> (network class, settings class, settings take ``quorum``,
-# network attribute listing the nodes whose CPUs count as organizations)
-_BASELINES = {
-    "fabric": (FabricNetwork, FabricSettings, True, "peers"),
-    "fabriccrdt": (FabricCRDTNetwork, FabricCRDTSettings, True, "peers"),
-    "bidl": (BIDLNetwork, BIDLSettings, False, "orgs"),
-    "synchotstuff": (SyncHotStuffNetwork, SyncHotStuffSettings, False, "orgs"),
-}
-
-
 def run_baseline(
     config: ExperimentConfig,
     workload: AppWorkload,
@@ -249,17 +236,15 @@ def run_baseline(
 ):
     """Build and drive the baseline named by ``config.system``.
 
-    Internal to :mod:`repro.bench`: ``settings`` are extra fields for
-    the system's settings class that are deliberately not
-    :class:`ExperimentConfig` fields — the Fabric orderer ablation
-    passes ``orderer_type``; nothing else passes any.
+    Internal to :mod:`repro.bench`: ``settings`` are extra
+    :class:`~repro.baselines.BaselineSettings` fields that are
+    deliberately not :class:`ExperimentConfig` fields — the Fabric
+    orderer ablation passes ``orderer_type``; nothing else passes any.
     """
-    network_class, settings_class, takes_quorum, nodes = _BASELINES[config.system]
-    if takes_quorum:
-        settings["quorum"] = config.quorum
-    net = network_class(
-        settings_class(
+    net = BASELINES[config.system](
+        BaselineSettings(
             num_orgs=config.num_orgs,
+            quorum=config.quorum,
             app=config.app,
             seed=config.seed,
             perf=config.perf(),
@@ -287,7 +272,7 @@ def run_baseline(
     if prepare is not None:
         prepare(net)
     net.run(until=config.duration + config.drain)
-    utilization = _mean_cpu_utilization(node.cpu for node in getattr(net, nodes))
+    utilization = _mean_cpu_utilization(replica.cpu for replica in net.replicas)
     return net, {"mean_org_cpu_utilization": utilization}
 
 

@@ -56,7 +56,6 @@ class PerfModel:
     fabriccrdt_merge_base: float = 0.0005
     fabriccrdt_merge_per_update: float = 0.00001
     fabriccrdt_bytes_per_update: int = 64
-    fabriccrdt_timeout: float = 240.0  # paper: timed out and excluded
 
     # -- BIDL ---------------------------------------------------------------
     bidl_sequencer_per_txn: float = 0.00005
@@ -117,7 +116,6 @@ class PerfModel:
         # (like the WAN delay), not service rates — scaling them would
         # distort latency floors without affecting utilization.
         no_scale = keep | {
-            "fabriccrdt_timeout",
             "fabric_batch_timeout",
             "bidl_batch_interval",
             "hotstuff_batch_interval",

@@ -3,11 +3,13 @@
 The fault engine and the invariant oracles need the same handful of
 capabilities from every simulated system — enumerate the replica
 nodes, crash/recover one, reach its CPU resource, snapshot its
-application state — but each system spells them differently
-(``organizations`` vs ``peers`` vs ``orgs``, ledgers vs versioned
-state vs CRDT documents). A :class:`SystemAdapter` normalizes that
-surface; :func:`adapter_for` picks the right one for a built network
-object.
+application state. A :class:`SystemAdapter` is that surface; there are
+two: :class:`OrderlessChainAdapter` (channel-keyed organizations with
+hash-chain ledgers) and :class:`BaselineAdapter`, which serves all four
+baselines through their shared skeleton
+(:class:`repro.baselines.common.BaselineNetwork`: one replica list,
+one snapshot method, one ordered-log repair path). :func:`adapter_for`
+picks the right one for a built network object.
 
 Crash/recover contract (shared by all adapters):
 
@@ -102,10 +104,6 @@ class SystemAdapter:
         """Nodes configured to misbehave at any point in the run."""
         return frozenset()
 
-    def quorum(self) -> Optional[int]:
-        """The endorsement quorum q, where the system has one."""
-        return None
-
     def pending_grace(self) -> float:
         """Longest time a submitted transaction may legitimately stay
         pending (all client timeouts and retries included); the
@@ -193,9 +191,6 @@ class OrderlessChainAdapter(SystemAdapter):
             org_id for org_id, org in self._orgs.items() if org.byzantine is not None
         )
 
-    def quorum(self) -> Optional[int]:
-        return self.net.settings.quorum
-
     def pending_grace(self) -> float:
         # A modify transaction can wait out the proposal and commit
         # timeouts once per attempt.
@@ -213,12 +208,13 @@ class OrderlessChainAdapter(SystemAdapter):
         return (config.max_retries + 1) * per_attempt + max(config.read_timeout, 1.0)
 
 
-class _BaselineAdapter(SystemAdapter):
-    """Shared shape for the four ordered baselines."""
+class BaselineAdapter(SystemAdapter):
+    """The four ordered baselines, through their shared network shell."""
 
-    def __init__(self, net: Any, replicas: List[Any], id_attr: str) -> None:
+    def __init__(self, net: Any) -> None:
         super().__init__(net)
-        self._replicas = {getattr(replica, id_attr): replica for replica in replicas}
+        self.system = net.system
+        self._replicas = {replica.node_id: replica for replica in net.replicas}
 
     def node_ids(self) -> List[str]:
         return list(self._replicas)
@@ -238,53 +234,10 @@ class _BaselineAdapter(SystemAdapter):
         return self._node(self._replicas, node_id).cpu
 
     def state_snapshot(self, node_id: str) -> Any:
-        return self._node(self._replicas, node_id).state.snapshot()
+        return self._node(self._replicas, node_id).snapshot()
 
     def pending_grace(self) -> float:
-        settings = self.net.settings
-        # FabricCRDT keeps its 240 s cap on the perf model instead.
-        timeout = getattr(
-            settings, "commit_timeout", getattr(settings.perf, "fabriccrdt_timeout", 240.0)
-        )
-        return timeout + 10.0
-
-
-class FabricAdapter(_BaselineAdapter):
-    system = "fabric"
-
-    def __init__(self, net: Any) -> None:
-        super().__init__(net, net.peers, "peer_id")
-
-    def quorum(self) -> Optional[int]:
-        return self.net.settings.quorum
-
-
-class FabricCRDTAdapter(_BaselineAdapter):
-    system = "fabriccrdt"
-
-    def __init__(self, net: Any) -> None:
-        super().__init__(net, net.peers, "peer_id")
-
-    def state_snapshot(self, node_id: str) -> Any:
-        peer = self._node(self._replicas, node_id)
-        return {key: peer.documents[key].snapshot() for key in sorted(peer.documents)}
-
-    def quorum(self) -> Optional[int]:
-        return self.net.settings.quorum
-
-
-class BIDLAdapter(_BaselineAdapter):
-    system = "bidl"
-
-    def __init__(self, net: Any) -> None:
-        super().__init__(net, net.orgs, "org_id")
-
-
-class SyncHotStuffAdapter(_BaselineAdapter):
-    system = "synchotstuff"
-
-    def __init__(self, net: Any) -> None:
-        super().__init__(net, net.orgs, "org_id")
+        return self.net.client_class.longest_pending() + 10.0
 
 
 def adapter_for(net: Any) -> SystemAdapter:
@@ -296,32 +249,17 @@ def adapter_for(net: Any) -> SystemAdapter:
 
     if isinstance(net, OrderlessChainNetwork):
         return OrderlessChainAdapter(net)
-    from repro.baselines.fabric import FabricNetwork
+    from repro.baselines.common import BaselineNetwork
 
-    if isinstance(net, FabricNetwork):
-        return FabricAdapter(net)
-    from repro.baselines.fabric_crdt import FabricCRDTNetwork
-
-    if isinstance(net, FabricCRDTNetwork):
-        return FabricCRDTAdapter(net)
-    from repro.baselines.bidl import BIDLNetwork
-
-    if isinstance(net, BIDLNetwork):
-        return BIDLAdapter(net)
-    from repro.baselines.sync_hotstuff import SyncHotStuffNetwork
-
-    if isinstance(net, SyncHotStuffNetwork):
-        return SyncHotStuffAdapter(net)
+    if isinstance(net, BaselineNetwork):
+        return BaselineAdapter(net)
     raise ConfigError(f"no fault adapter for {type(net).__name__}")
 
 
 __all__ = [
     "SystemAdapter",
     "OrderlessChainAdapter",
-    "FabricAdapter",
-    "FabricCRDTAdapter",
-    "BIDLAdapter",
-    "SyncHotStuffAdapter",
+    "BaselineAdapter",
     "adapter_for",
     "default_node_ids",
 ]

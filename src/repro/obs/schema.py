@@ -351,7 +351,8 @@ _SPECS: List[MetricSpec] = [
         GAUGE,
         "obs.sampler.NodeSampler",
         "items",
-        "Items waiting in a batch server's queue (orderer/sequencer/leader).",
+        "Items waiting in a batch server's queue (orderer/sequencer/leader); "
+        "one track per entry of BaselineNetwork.queues.",
     ),
     _spec("net/in_flight", GAUGE, "obs.sampler.NodeSampler", "messages", "Messages currently in transit."),
     # -- network cumulative counters (sampled) -----------------------------------

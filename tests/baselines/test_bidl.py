@@ -2,25 +2,25 @@
 
 import pytest
 
-from repro.baselines import BIDLNetwork, BIDLSettings
+from repro.baselines import BaselineSettings, BIDLNetwork
 from repro.errors import ConfigError
 
 
 def build(seed=1, num_orgs=4, app="voting"):
-    return BIDLNetwork(BIDLSettings(num_orgs=num_orgs, app=app, seed=seed))
+    return BIDLNetwork(BaselineSettings(num_orgs=num_orgs, app=app, seed=seed))
 
 
 def test_settings_validation():
     with pytest.raises(ConfigError):
-        BIDLSettings(num_orgs=3)
+        build(num_orgs=3)
     with pytest.raises(ConfigError):
-        BIDLSettings(app="poker")
+        build(app="poker")
 
 
 def test_quorum_math():
-    settings = BIDLSettings(num_orgs=16)
-    assert settings.fault_tolerance == 5
-    assert settings.vote_quorum == 11
+    net = build(num_orgs=16)
+    assert net.fault_tolerance == 5
+    assert net.vote_quorum == 11
 
 
 def test_transaction_flows_through_pipeline():
@@ -33,7 +33,7 @@ def test_transaction_flows_through_pipeline():
     assert process.value is True
     assert net.sequencer.items_processed == 1
     assert net.leader.items_processed == 1
-    for org in net.orgs:
+    for org in net.replicas:
         assert org.committed == 1
     # All four phases recorded for Table 3.
     for phase in ("bidl/P1/Sequence", "bidl/P2/Consensus", "bidl/P3/Execution", "bidl/P4/Commit"):
@@ -50,7 +50,8 @@ def test_sequential_execution_avoids_mvcc_style_failures():
     net.run(until=10.0)
     assert all(p.value is True for p in processes)
     # Sequenced execution: the tally equals the number of votes.
-    assert net.orgs[0].contract.read(net.orgs[0].state, {"party": "p1", "election": "e0"}) == 4
+    org = net.replicas[0]
+    assert org.contract.read(org.state, {"party": "p1", "election": "e0"}) == 4
 
 
 def test_reads_travel_the_consensus_pipeline():
@@ -79,5 +80,4 @@ def test_org_states_converge():
             client.submit_modify({"voter": client.client_id, "party": "p2", "election": "e0"})
         )
     net.run(until=10.0)
-    states = [sorted(org.state._state.items()) for org in net.orgs]
-    assert all(state == states[0] for state in states)
+    assert net.converged()

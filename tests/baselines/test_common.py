@@ -116,7 +116,7 @@ class TestBatchServer:
         batches = []
 
         def on_batch(batch):
-            batches.append((sim.now, len(batch.items)))
+            batches.append((sim.now, len(batch)))
             return
             yield
 
@@ -133,7 +133,7 @@ class TestBatchServer:
         batches = []
 
         def on_batch(batch):
-            batches.append((sim.now, len(batch.items)))
+            batches.append((sim.now, len(batch)))
             return
             yield
 

@@ -2,19 +2,19 @@
 
 import pytest
 
-from repro.baselines import FabricNetwork, FabricSettings
+from repro.baselines import BaselineSettings, FabricNetwork
 from repro.errors import ConfigError
 
 
 def build(app="voting", seed=1, num_orgs=4, quorum=2):
-    return FabricNetwork(FabricSettings(num_orgs=num_orgs, quorum=quorum, app=app, seed=seed))
+    return FabricNetwork(BaselineSettings(num_orgs=num_orgs, quorum=quorum, app=app, seed=seed))
 
 
 def test_settings_validation():
     with pytest.raises(ConfigError):
-        FabricSettings(num_orgs=4, quorum=5)
+        FabricNetwork(BaselineSettings(num_orgs=4, quorum=5))
     with pytest.raises(ConfigError):
-        FabricSettings(app="poker")
+        FabricNetwork(BaselineSettings(app="poker"))
 
 
 def test_single_vote_commits_through_ordering():
@@ -27,7 +27,7 @@ def test_single_vote_commits_through_ordering():
     assert process.value is True
     assert client.committed == 1
     # Blocks reach every peer.
-    for peer in net.peers:
+    for peer in net.replicas:
         assert peer.committed_valid == 1
     assert net.converged()
 
@@ -110,13 +110,11 @@ def test_auction_app_on_fabric():
 class TestRaftOrderer:
     def test_raft_settings_validated(self):
         with pytest.raises(ConfigError):
-            FabricSettings(orderer_type="kafka")
-        with pytest.raises(ConfigError):
-            FabricSettings(orderer_type="raft", raft_followers=0)
+            FabricNetwork(BaselineSettings(orderer_type="kafka"))
 
     def test_raft_commits_and_converges(self):
         net = FabricNetwork(
-            FabricSettings(num_orgs=4, quorum=2, app="voting", seed=9, orderer_type="raft")
+            BaselineSettings(num_orgs=4, quorum=2, app="voting", seed=9, orderer_type="raft")
         )
         clients = [net.add_client(f"c{i}") for i in range(3)]
         processes = [
@@ -132,7 +130,7 @@ class TestRaftOrderer:
     def test_raft_replication_adds_latency_over_solo(self):
         def run(orderer_type):
             net = FabricNetwork(
-                FabricSettings(
+                BaselineSettings(
                     num_orgs=4, quorum=2, app="voting", seed=1, orderer_type=orderer_type
                 )
             )

@@ -2,19 +2,19 @@
 
 import pytest
 
-from repro.baselines import FabricCRDTNetwork, FabricCRDTSettings
+from repro.baselines import BaselineSettings, FabricCRDTNetwork
 from repro.errors import ConfigError
 
 
 def build(app="voting", seed=1):
-    return FabricCRDTNetwork(FabricCRDTSettings(num_orgs=4, quorum=2, app=app, seed=seed))
+    return FabricCRDTNetwork(BaselineSettings(num_orgs=4, quorum=2, app=app, seed=seed))
 
 
 def test_settings_validation():
     with pytest.raises(ConfigError):
-        FabricCRDTSettings(num_orgs=4, quorum=0)
+        FabricCRDTNetwork(BaselineSettings(num_orgs=4, quorum=0))
     with pytest.raises(ConfigError):
-        FabricCRDTSettings(app="poker")
+        FabricCRDTNetwork(BaselineSettings(app="poker"))
 
 
 def test_single_vote_merges_at_all_peers():
@@ -25,7 +25,7 @@ def test_single_vote_merges_at_all_peers():
     )
     net.run(until=10.0)
     assert process.value is True
-    for peer in net.peers:
+    for peer in net.replicas:
         doc = peer.documents["voting/e0/p1"]
         assert doc.value() == {"c0": True}
     assert net.converged()
@@ -40,7 +40,7 @@ def test_concurrent_votes_do_not_fail():
     pb = net.sim.process(b.submit_modify({"voter": "b", "party": "p1", "election": "e0"}))
     net.run(until=10.0)
     assert pa.value is True and pb.value is True
-    doc = net.peers[0].documents["voting/e0/p1"]
+    doc = net.replicas[0].documents["voting/e0/p1"]
     assert doc.value() == {"a": True, "b": True}
 
 
@@ -52,7 +52,7 @@ def test_documents_grow_with_modifications():
             client.submit_modify({"voter": client.client_id, "party": "p1", "election": "e0"})
         )
     net.run(until=15.0)
-    doc = net.peers[0].documents["voting/e0/p1"]
+    doc = net.replicas[0].documents["voting/e0/p1"]
     assert doc.size() == 4  # metadata grows with every update
 
 

@@ -2,19 +2,25 @@
 
 import pytest
 
-from repro.baselines import SyncHotStuffNetwork, SyncHotStuffSettings
+from repro.baselines import BaselineSettings, SyncHotStuffNetwork
 from repro.errors import ConfigError
 
 
 def build(seed=1, num_orgs=4, app="voting"):
-    return SyncHotStuffNetwork(SyncHotStuffSettings(num_orgs=num_orgs, app=app, seed=seed))
+    return SyncHotStuffNetwork(BaselineSettings(num_orgs=num_orgs, app=app, seed=seed))
 
 
 def test_settings_validation():
     with pytest.raises(ConfigError):
-        SyncHotStuffSettings(num_orgs=1)
+        build(num_orgs=1)
     with pytest.raises(ConfigError):
-        SyncHotStuffSettings(app="poker")
+        build(app="poker")
+
+
+def test_three_orgs_build_with_default_settings():
+    # Sync HotStuff reads no quorum: the default q=4 > n=3 is not its to reject.
+    net = SyncHotStuffNetwork(BaselineSettings(num_orgs=3))
+    assert net.replica_ids == ["org0", "org1", "org2"]
 
 
 def test_commit_happens_after_two_delta():
@@ -35,9 +41,8 @@ def test_all_replicas_commit_the_block():
     client = net.add_client("c0")
     net.sim.process(client.submit_modify({"voter": "c0", "party": "p1", "election": "e0"}))
     net.run(until=10.0)
-    assert all(org.committed == 1 for org in net.orgs)
-    states = [sorted(org.state._state.items()) for org in net.orgs]
-    assert all(state == states[0] for state in states)
+    assert all(org.committed == 1 for org in net.replicas)
+    assert net.converged()
 
 
 def test_ordered_execution_counts_all_votes():
@@ -49,7 +54,7 @@ def test_ordered_execution_counts_all_votes():
     ]
     net.run(until=10.0)
     assert all(p.value is True for p in processes)
-    org = net.orgs[0]
+    org = net.replicas[0]
     assert org.contract.read(org.state, {"party": "p1", "election": "e0"}) == 5
 
 

@@ -23,19 +23,10 @@ def build_system(system: str, seed: int, num_orgs: int = 4, quorum: int = 2, **s
         net = OrderlessChainNetwork(settings)
         net.install_contract(lambda: VotingContract(parties_per_election=2))
         return net
-    import repro.baselines as baselines
+    from repro.baselines import BASELINES, BaselineSettings
 
-    class_name = {
-        "fabric": "Fabric",
-        "fabriccrdt": "FabricCRDT",
-        "bidl": "BIDL",
-        "synchotstuff": "SyncHotStuff",
-    }[system]
-    kwargs = {"num_orgs": num_orgs, "app": "voting", "seed": seed}
-    if system in ("fabric", "fabriccrdt"):
-        kwargs["quorum"] = quorum
-    return getattr(baselines, class_name + "Network")(
-        getattr(baselines, class_name + "Settings")(**kwargs)
+    return BASELINES[system](
+        BaselineSettings(num_orgs=num_orgs, quorum=quorum, app="voting", seed=seed)
     )
 
 

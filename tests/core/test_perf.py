@@ -25,7 +25,6 @@ def test_scaled_keeps_latency_constants():
     assert scaled.bidl_batch_interval == base.bidl_batch_interval
     assert scaled.hotstuff_batch_interval == base.hotstuff_batch_interval
     assert scaled.hotstuff_delta == base.hotstuff_delta
-    assert scaled.fabriccrdt_timeout == base.fabriccrdt_timeout
 
 
 def test_scaled_keeps_counts_and_sizes():

@@ -185,6 +185,18 @@ def test_adapter_rejects_unknown_node_and_network():
         adapter_for(object())
 
 
+@pytest.mark.parametrize(
+    "system, grace",
+    [("fabric", 260.0), ("fabriccrdt", 280.0), ("bidl", 250.0), ("synchotstuff", 250.0)],
+)
+def test_baseline_grace_covers_the_clients_longest_wait(system, grace):
+    # Endorsement timeout (Fabric pair only) + the 240 s commit cap + 10 s.
+    from repro.baselines import BASELINES, BaselineSettings
+
+    net = BASELINES[system](BaselineSettings(num_orgs=4, quorum=2))
+    assert adapter_for(net).pending_grace() == grace
+
+
 def test_install_is_idempotent():
     net = build()
     schedule = FaultSchedule(events=(FaultEvent(at=1.0, kind="crash", node="org1"),))
