@@ -87,7 +87,7 @@ class BIDLOrg(Replica):
         """Speculative execution, in parallel with consensus."""
         perf = self.net.settings.perf
         started = self.net.sim.now
-        yield from self.cpu.serve(perf.bidl_execute_per_txn)
+        yield self.cpu.serve(perf.bidl_execute_per_txn)
         if txn["kind"] == "read":
             self.executed[txn["txn_id"]] = self.contract.read(self.state, txn["params"])
         else:
@@ -119,7 +119,7 @@ class BIDLOrg(Replica):
         perf = self.net.settings.perf
         for txn in message.body["transactions"]:
             started = self.net.sim.now
-            yield from self.cpu.serve(perf.hotstuff_commit_per_txn)
+            yield self.cpu.serve(perf.hotstuff_commit_per_txn)
             self.committed += 1
             if txn["event_peer"] == self.node_id:
                 self.net.network.send(
@@ -215,7 +215,7 @@ class BIDLNetwork(BaselineNetwork):
 
     def _sequence_batch(self, batch: List[Dict[str, Any]]):
         total_bytes = sum(TXN_BYTES for _ in batch) * (len(self.replica_ids) + 1)
-        yield from self.sequencer_nic.transmit(total_bytes)
+        yield self.sequencer_nic.transmit(total_bytes)
         now = self.sim.now
         for txn in batch:
             txn["seq"] = len(self.log.entries)
@@ -265,7 +265,7 @@ class BIDLNetwork(BaselineNetwork):
         # already multicast by the sequencer (BIDL's key design).
         batch_bytes = 200 + 48 * len(batch)
         for round_number in range(settings.perf.bidl_consensus_rounds):
-            yield from self.leader_nic.transmit(batch_bytes * len(self.replica_ids))
+            yield self.leader_nic.transmit(batch_bytes * len(self.replica_ids))
             votes = Event(self.sim)
             self._vote_state[batch_id] = (votes, self.vote_quorum)
             for org_id in self.replica_ids:
@@ -300,7 +300,7 @@ class BIDLNetwork(BaselineNetwork):
                 self.tracer.span(
                     "bidl/P2/Consensus", enqueued, now, node=LEADER_ID, txn_id=txn["txn_id"]
                 )
-        yield from self.leader_nic.transmit(160 * len(self.replica_ids))
+        yield self.leader_nic.transmit(160 * len(self.replica_ids))
         for org_id in self.replica_ids:
             self.network.send(
                 Message(

@@ -52,7 +52,7 @@ from repro.net.network import Network
 from repro.sim.core import Simulator
 from repro.sim.events import AnyOf, Event
 from repro.sim.nondeterminism import ExploreProfile
-from repro.sim.resources import Resource
+from repro.sim.resources import Resource, Service
 from repro.sim.rng import RngRegistry
 
 # The paper times transactions out (and excludes them) after 240 s.
@@ -66,7 +66,7 @@ class Nic:
         self._resource = Resource(sim, capacity=1)
         self.bandwidth = bandwidth_bytes_per_s
 
-    def transmit(self, total_bytes: float):
+    def transmit(self, total_bytes: float) -> Service:
         """Hold the link while ``total_bytes`` serialize onto it."""
         return self._resource.serve(total_bytes / self.bandwidth)
 

@@ -76,7 +76,7 @@ class FabricPeer(Replica):
     def _endorse(self, message: Message):
         arrived = self.net.sim.now
         body = message.body
-        yield from self.cpu.serve(self.net.settings.perf.fabric_endorse)
+        yield self.cpu.serve(self.net.settings.perf.fabric_endorse)
         read_set, write_set = self.contract.simulate(self.state, body["params"])
         self.net.recorder.phase("fabric/P1/Endorse", self.net.sim.now - arrived)
         if self.net.tracer is not None:
@@ -105,10 +105,10 @@ class FabricPeer(Replica):
         perf = self.net.settings.perf
         for txn in transactions:
             arrived = self.net.sim.now
-            yield from self.cpu.serve(perf.fabric_validate_per_txn)
+            yield self.cpu.serve(perf.fabric_validate_per_txn)
             valid = self.state.mvcc_check([tuple(rs) for rs in txn["read_set"]])
             if valid:
-                yield from self.cpu.serve(perf.fabric_commit_per_txn)
+                yield self.cpu.serve(perf.fabric_commit_per_txn)
                 self.state.apply_write_set([tuple(ws) for ws in txn["write_set"]])
                 self.committed_valid += 1
             else:
@@ -135,7 +135,7 @@ class FabricPeer(Replica):
                 )
 
     def _read(self, message: Message):
-        yield from self.cpu.serve(self.net.settings.perf.fabric_endorse)
+        yield self.cpu.serve(self.net.settings.perf.fabric_endorse)
         value = self.contract.read(self.state, message.body["params"])
         self.net.network.send(
             Message(

@@ -139,7 +139,7 @@ class FabricCRDTPeer(Replica):
         # Retrieving the entire object costs time proportional to its
         # accumulated update history (state-based CRDT).
         history = sum(self.document_size(key) for key, _, _ in updates)
-        yield from self.cpu.serve(
+        yield self.cpu.serve(
             perf.fabric_endorse + perf.fabriccrdt_merge_per_update * history
         )
         if self.net.tracer is not None:
@@ -166,7 +166,7 @@ class FabricCRDTPeer(Replica):
         for txn in transactions:
             arrived = self.net.sim.now
             history = sum(self.document_size(key) for key, _, _ in txn["updates"])
-            yield from self.cpu.serve(
+            yield self.cpu.serve(
                 perf.fabriccrdt_merge_base + perf.fabriccrdt_merge_per_update * history
             )
             if self.net.tracer is not None:
@@ -196,7 +196,7 @@ class FabricCRDTPeer(Replica):
 
     def _read(self, message: Message):
         perf = self.net.settings.perf
-        yield from self.cpu.serve(perf.fabric_endorse)
+        yield self.cpu.serve(perf.fabric_endorse)
         value = read_value(self.documents, self.net.settings.app, message.body["params"])
         self.net.network.send(
             Message(

@@ -92,7 +92,7 @@ class SyncHotStuffOrg(Replica):
             yield self.net.sim.timeout(ready_at - self.net.sim.now)
         for txn in transactions:
             started = self.net.sim.now
-            yield from self.cpu.serve(perf.hotstuff_commit_per_txn)
+            yield self.cpu.serve(perf.hotstuff_commit_per_txn)
             if txn["kind"] == "read":
                 value = self.contract.read(self.state, txn["params"])
             else:
@@ -167,7 +167,7 @@ class SyncHotStuffNetwork(BaselineNetwork):
     def _propose_batch(self, batch: List[Dict[str, Any]]):
         self._batch_counter += 1
         batch_bytes = 200 + TXN_BYTES * len(batch)
-        yield from self.leader_nic.transmit(batch_bytes * len(self.replica_ids))
+        yield self.leader_nic.transmit(batch_bytes * len(self.replica_ids))
         now = self.sim.now
         for txn in batch:
             arrived = self._submit_arrivals.pop(txn["txn_id"], now)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.core.perf import PerfModel
 from repro.errors import ConfigError

@@ -14,7 +14,6 @@ one generator producing both forms.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
 from repro.bench.config import ExperimentConfig

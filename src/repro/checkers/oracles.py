@@ -14,7 +14,7 @@ then pass it in ``run_checkers(..., checkers=[...])`` or extend
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, FrozenSet, List, Optional, Sequence
 
 from repro.checkers.report import FAIL, PASS, SKIP, CheckReport, CheckResult

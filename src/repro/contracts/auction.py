@@ -9,7 +9,7 @@ without coordination.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.core.contract import (
     ContractContext,

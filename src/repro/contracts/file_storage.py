@@ -9,7 +9,7 @@ then present both versions, like a sync service's conflict files).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, List
 
 from repro.core.contract import (
     ContractContext,

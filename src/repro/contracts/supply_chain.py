@@ -12,7 +12,7 @@ happen-after each other.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.core.contract import (
     ContractContext,

@@ -16,7 +16,7 @@ Figure 5).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, List
 
 from repro.core.contract import (
     ContractContext,

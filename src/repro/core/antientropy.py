@@ -205,15 +205,42 @@ class WatermarkDigest:
 
     @classmethod
     def from_wire(cls, body: Dict[str, Any]) -> "WatermarkDigest":
+        """The digest a peer sent; ValueError if the body is malformed.
+
+        A ``clients`` entry must be ``[int, [[int, int], ...]]`` (bools
+        are not ints here) and ``extras`` a list of str.
+        """
+        clients, extras = body.get("clients", {}), body.get("extras", [])
+        if not isinstance(clients, dict) or not isinstance(extras, list):
+            raise ValueError("watermark digest: clients must be a mapping, extras a list")
         digest = cls()
-        for client, (high, gaps) in body.get("clients", {}).items():
+        for client, entry in clients.items():
+            if not (isinstance(client, str) and _is_mark_wire(entry)):
+                raise ValueError(f"watermark digest: malformed entry for {client!r}")
+            high, gaps = entry
             mark = _Mark(high=high, gaps=[tuple(gap) for gap in gaps])
             digest._marks[client] = mark
             digest.count += high - sum(hi - lo + 1 for lo, hi in mark.gaps)
-        for txn_id in body.get("extras", ()):
+        for txn_id in extras:
+            if not isinstance(txn_id, str):
+                raise ValueError("watermark digest: extras must be str ids")
             digest.extras.add(txn_id)
             digest.count += 1
         return digest
+
+
+def _is_mark_wire(entry: Any) -> bool:
+    """``[high, [[lo, hi], ...]]`` with plain ints throughout."""
+    return (
+        isinstance(entry, list)
+        and len(entry) == 2
+        and type(entry[0]) is int
+        and isinstance(entry[1], list)
+        and all(
+            isinstance(gap, list) and len(gap) == 2 and type(gap[0]) is int and type(gap[1]) is int
+            for gap in entry[1]
+        )
+    )
 
 
 class CommittedIndex:

@@ -15,7 +15,6 @@ any retroactive tampering at that organization is detected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.transaction import Receipt
 from repro.crypto.identity import CertificateAuthority

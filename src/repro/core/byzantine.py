@@ -20,7 +20,7 @@ validation rejects the transaction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet
 
 VALID_CLIENT_FAULTS = frozenset(

@@ -15,7 +15,7 @@ disagree with the majority get blacklisted and replaced on retry.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.byzantine import ByzantineClientConfig

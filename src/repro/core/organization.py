@@ -43,6 +43,13 @@ MSG_READ_RESPONSE = "orderless.read_response"
 MSG_SYNC_DIGEST = "orderless.sync_digest"
 MSG_SYNC_REQUEST = "orderless.sync_request"
 
+_NO_FIELDS: Dict[str, Any] = {}
+
+
+def _mapping(body: Any) -> Dict[str, Any]:
+    """A peer-supplied body, or no fields at all if it is not a mapping."""
+    return body if isinstance(body, dict) else _NO_FIELDS
+
 
 class Organization:
     """One organization node running the OrderlessChain protocol."""
@@ -259,30 +266,19 @@ class Organization:
         except (ContractError, CRDTError, TypeError):
             return  # malformed invocation: no endorsement, client times out
         write_set = context.write_set_wire()
-        # Inlined Resource.serve so the queue-wait/service boundary is
-        # observable; the event sequence is identical to serve().
-        request = self.cpu.request()
-        yield request
-        granted = self.sim.now
-        try:
-            yield self.sim.timeout(
-                self.cpu.service_time(
-                    self.perf.endorse_base + self.perf.endorse_per_op * len(write_set)
-                )
-            )
-        finally:
-            self.cpu.release(request)
+        service = self.cpu.serve(self.perf.endorse_base + self.perf.endorse_per_op * len(write_set))
+        yield service
         if self.tracer is not None:
             self.tracer.span(
                 "orderlesschain/P1/Queue",
                 arrived,
-                granted,
+                service.started_at,
                 node=self.org_id,
                 txn_id=proposal.proposal_id,
             )
             self.tracer.span(
                 "orderlesschain/P1/CPU",
-                granted,
+                service.started_at,
                 self.sim.now,
                 node=self.org_id,
                 txn_id=proposal.proposal_id,
@@ -404,7 +400,7 @@ class Organization:
             # ops-per-object sweep (config 5) stays flat.
             touched_objects = len({operation.object_id for operation in operations})
             apply_started = self.sim.now
-            yield from self.cache_lock.serve(self.perf.apply_per_op * max(1, touched_objects))
+            yield self.cache_lock.serve(self.perf.apply_per_op * max(1, touched_objects))
             if self.tracer is not None:
                 self.tracer.span(
                     "orderlesschain/P2/Apply",
@@ -471,7 +467,7 @@ class Organization:
         if ledger.has_transaction(txn_id):
             # Duplicate (resent by the client or already gossiped): do
             # not commit again, but resend the receipt/rejection.
-            yield from self.cpu.serve(self.perf.dedup_check)
+            yield self.cpu.serve(self.perf.dedup_check)
             self._send_receipt(
                 message.sender,
                 txn_id,
@@ -481,7 +477,7 @@ class Organization:
             )
             return
         verify_started = self.sim.now
-        yield from self.cpu.serve(
+        yield self.cpu.serve(
             self.perf.commit_verify_base
             + self.perf.commit_verify_per_endorsement * len(transaction.endorsements)
         )
@@ -580,7 +576,7 @@ class Organization:
                     )
 
     def _handle_gossip(self, message: Message):
-        wires = message.body.get("transactions")
+        wires = _mapping(message.body).get("transactions")
         if not isinstance(wires, list):
             self.dropped_requests += 1  # malformed; see _handle_sync_digest
             return
@@ -595,11 +591,11 @@ class Organization:
             # already names its contract.
             channel = self._channel_of(transaction.proposal.contract_id)
             if channel.ledger.is_valid_transaction(transaction.transaction_id):
-                yield from self.cpu.serve(self.perf.dedup_check)
+                yield self.cpu.serve(self.perf.dedup_check)
                 continue
             # Batched, amortized verification: cheaper than the client
             # path, off any client's critical path.
-            yield from self.cpu.serve(self.perf.gossip_commit_per_txn)
+            yield self.cpu.serve(self.perf.gossip_commit_per_txn)
             yield from self._commit_transaction(
                 transaction, via_gossip=True, channel=channel
             )
@@ -681,7 +677,7 @@ class Organization:
         Both sides of the symmetric difference are reconstructed from
         watermark deltas (O(clients + gaps + divergence)).
         """
-        body = message.body
+        body = _mapping(message.body)
         channel_id, marks = body.get("channel"), body.get("watermarks")
         channel = self.channels.get(channel_id) if isinstance(channel_id, str) else None
         if channel is None or not isinstance(marks, dict):
@@ -689,7 +685,9 @@ class Organization:
             # joined: drop it and keep serving.
             self.dropped_requests += 1
             return
-        remote = WatermarkDigest.from_wire(marks)
+        remote = self._decode(WatermarkDigest, marks)
+        if remote is None:
+            return
         missing = [
             txn_id
             for txn_id in channel.commit_index.missing_from(remote)
@@ -768,7 +766,7 @@ class Organization:
         return pages
 
     def _handle_sync_request(self, message: Message) -> None:
-        body = message.body
+        body = _mapping(message.body)
         channel_id, txn_ids = body.get("channel"), body.get("txn_ids")
         channel = self.channels.get(channel_id) if isinstance(channel_id, str) else None
         if channel is None or not isinstance(txn_ids, list):
@@ -835,7 +833,7 @@ class Organization:
                 new = max(0, known - prev)
                 if channel.snapshot is not None and new == 0:
                     continue  # nothing committed since the last checkpoint
-                yield from self.cpu.serve(
+                yield self.cpu.serve(
                     self.perf.snapshot_base + self.perf.snapshot_per_txn * new
                 )
                 channel.snapshot = {
@@ -885,7 +883,7 @@ class Organization:
         for channel in self.channels.values():
             position = channel.snapshot["log_position"] if channel.snapshot else 0
             replayed += len(channel.commit_index.log) - position
-        yield from self.cpu.serve(
+        yield self.cpu.serve(
             self.perf.recover_base + self.perf.recover_replay_per_txn * replayed
         )
         for channel in self.channels.values():
@@ -919,11 +917,11 @@ class Organization:
             return
         channel = self._channel_of(proposal.contract_id)
         ledger = channel.ledger
-        yield from self.cpu.serve(self.perf.read_base)
+        yield self.cpu.serve(self.perf.read_base)
         if ledger.cache_enabled:
             # Cached reads are served under the cache lock.
             entries = ledger.valid_transaction_count
-            yield from self.cache_lock.serve(
+            yield self.cache_lock.serve(
                 self.perf.cache_read_base + self.perf.cache_read_per_entry * entries
             )
         else:
@@ -931,7 +929,7 @@ class Organization:
             # The operations replayed on a cache-miss read (the O(n)
             # problem) are driven by total committed operations.
             replay_ops = max(1, ledger.valid_transaction_count)
-            yield from self.cpu.serve(self.perf.log_replay_per_op * replay_ops)
+            yield self.cpu.serve(self.perf.log_replay_per_op * replay_ops)
         reader = StateReader(ledger.read)
         context = ContractContext(
             proposal.client_id, proposal.clock, state=reader, allow_reads=True

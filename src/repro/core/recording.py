@@ -9,7 +9,7 @@ appends — so recording never perturbs protocol behaviour.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 

@@ -10,12 +10,11 @@ access.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.byzantine import ByzantineClientConfig, ByzantineOrgConfig
 from repro.core.channel import DEFAULT_CHANNEL
 from repro.core.client import Client, ClientConfig
-from repro.core.contract import SmartContract
 from repro.core.organization import Organization
 from repro.core.perf import PerfModel
 from repro.core.policy import EndorsementPolicy

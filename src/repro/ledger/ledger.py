@@ -18,7 +18,7 @@ the number of operations. This is the E15 ablation.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, List, Optional, Sequence, Set
+from typing import Any, Iterable, List, Sequence, Set
 
 from repro.crdt.operation import Operation
 from repro.crdt.store import CRDTStore

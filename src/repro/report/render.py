@@ -21,7 +21,7 @@ from __future__ import annotations
 import io
 import csv
 import re
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.bench.export import records_to_csv
 from repro.errors import ConfigError

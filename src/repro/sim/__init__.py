@@ -24,7 +24,7 @@ results. Each submodule's docstring notes how it upholds the contract.
 from repro.sim.core import Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import Lock, Resource
+from repro.sim.resources import Lock, Resource, Service
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "Process",
     "Resource",
     "RngRegistry",
+    "Service",
     "Simulator",
     "Timeout",
 ]

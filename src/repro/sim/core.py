@@ -22,19 +22,22 @@ and the observability layer — relies on these guarantees:
   interleaving remains exactly replayable.
 * **Tail-run: one heap entry per wait.** A zero-delay entry takes the
   largest sequence so far, so when nothing else is pending at the
-  current instant it *would* be the very next pop. At the two places
-  where that push would be the last act of a popped callback — a
-  ``Timeout`` firing with a single waiter, a ``Process`` yielding an
-  already-triggered event — the hop is run in place instead
-  (``_skip_hop``), which is the same execution order with one heap
-  entry per wait. Several waiters, anything else pending at ``now``,
-  ``Event.trigger`` called mid-callback and process start go through
+  current instant it *would* be the very next pop. Where that push
+  would be the last act of a popped callback — a ``Timeout`` firing
+  with a single waiter, a ``Process`` yielding an already-triggered
+  event, a ``Service`` granted on request or ending with its waiter —
+  the hop is run in place instead (``_skip_hop``), which is the same
+  execution order with one heap entry per wait. Several waiters,
+  anything else pending at ``now``, ``Event.trigger`` called
+  mid-callback, a ``Service`` hand-off and process start go through
   the heap. It holds under a tie breaker too: a lone event has no tie
   to permute, and its priority is still drawn so later draws line up.
   ``tests/sim/test_kernel_differential.py`` checks the order against
   the retired all-heap kernel. ``processed_events`` counts heap pops,
   so events/s figures recorded before this rule (the retired
   ``perfbench`` tables in docs/PERFORMANCE.md) are not comparable.
+* **``now`` is a plain attribute.** Anything may read
+  ``Simulator.now``; only the loop in ``run`` writes it.
 * **Seeded randomness only.** The kernel itself draws no randomness.
   All stochastic behaviour flows through named streams from
   ``repro.sim.rng.RngRegistry``; a component must never share another
@@ -83,7 +86,9 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        # Current simulated time in seconds. A plain attribute, read
+        # everywhere and written only by ``run``.
+        self.now = 0.0
         self._heap: list[tuple[float, Any, Callable[..., None], Any]] = []
         self._seq = 0
         self._running = False
@@ -111,11 +116,6 @@ class Simulator:
             )
         self._tie_breaker = tie_breaker
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     def schedule(self, delay: float, callback: Callable[..., None], arg: Any = _NO_ARG) -> None:
         """Run ``callback()`` — or ``callback(arg)`` — after ``delay`` seconds.
 
@@ -131,7 +131,7 @@ class Simulator:
         self._seq = key = self._seq + 1
         if self._tie_breaker is not None:
             key = (self._tie_breaker(), key)
-        heappush(self._heap, (self._now + delay, key, callback, arg))
+        heappush(self._heap, (self.now + delay, key, callback, arg))
 
     def schedule_at(self, when: float, callback: Callable[..., None], arg: Any = _NO_ARG) -> None:
         """Run ``callback()`` — or ``callback(arg)`` — at absolute time ``when``.
@@ -139,10 +139,10 @@ class Simulator:
         ``when`` must be finite and not in the past; NaN/infinity are
         rejected for the same heap-ordering reason as in ``schedule``.
         """
-        if not self._now <= when < _INF:
+        if not self.now <= when < _INF:
             if not math.isfinite(when):
                 raise ValueError(f"scheduled time must be finite, got {when!r}")
-            raise ValueError(f"cannot schedule in the past (when={when}, now={self._now})")
+            raise ValueError(f"cannot schedule in the past (when={when}, now={self.now})")
         self._seq = key = self._seq + 1
         if self._tie_breaker is not None:
             key = (self._tie_breaker(), key)
@@ -155,7 +155,7 @@ class Simulator:
         dropped here, so later draws match the all-heap schedule.
         """
         heap = self._heap
-        if heap and heap[0][0] <= self._now:
+        if heap and heap[0][0] <= self.now:
             return False
         if self._tie_breaker is not None:
             self._tie_breaker()
@@ -195,14 +195,14 @@ class Simulator:
         heap = self._heap
         try:
             while heap and heap[0][0] <= limit:
-                self._now, _, callback, arg = heappop(heap)
+                self.now, _, callback, arg = heappop(heap)
                 self.processed_events += 1
                 if arg is _NO_ARG:
                     callback()
                 else:
                     callback(arg)
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._running = False
 

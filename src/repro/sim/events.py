@@ -7,10 +7,11 @@ value.
 
 Event-loop contract (see ``repro.sim.core``): trigger callbacks are
 scheduled, so waiters resume through the simulator's deterministic
-``(time, sequence)`` order; only a :class:`Timeout` calls a lone waiter
-in place, when that is the very order the heap would produce (the
-tail-run rule). Multiple waiters on one event wake in registration
-order. None of these primitives draw randomness; observability hooks
+``(time, sequence)`` order; only a :class:`Timeout` (and a resource's
+``Service``) calls a lone waiter in place, when that is the very order
+the heap would produce (the tail-run rule). Multiple waiters on one
+event wake in registration order. None of these primitives draw
+randomness; observability hooks
 may inspect ``triggered``/``value`` freely but must not call
 :meth:`Event.trigger` themselves.
 """
@@ -61,11 +62,10 @@ class Event:
 class Timeout(Event):
     """An event that triggers after a fixed delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         super().__init__(sim)
-        self.delay = delay
         sim.schedule(delay, self._fire, value)
 
     def _fire(self, value: Any) -> None:

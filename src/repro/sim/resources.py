@@ -8,7 +8,9 @@ locking mechanism ... due to Go language constraints").
 
 Event-loop contract (see ``repro.sim.core`` for the full statement):
 grant order is strictly FIFO and driven only by the simulator's
-deterministic event order — a resource draws no randomness. The
+deterministic event order — a resource draws no randomness. An
+occupancy is one :class:`Service` event; its grant, end and hand-off
+hop where the retired request / timeout / release sequence did. The
 accounting surface (:meth:`Resource.busy_seconds`,
 :meth:`Resource.utilization`, ``in_use``, ``queue_length``) is
 read-only and schedules nothing, so observability probes
@@ -19,7 +21,7 @@ grant order or simulated results.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.sim.events import Event
 
@@ -27,17 +29,64 @@ if TYPE_CHECKING:
     from repro.sim.core import Simulator
 
 
+class Service(Event):
+    """One occupancy of a :class:`Resource`, an event with one waiter.
+
+    It triggers (value None) once the slot is released; ``started_at``
+    is the simulated time the slot was granted, None while queued.
+    """
+
+    __slots__ = ("_resource", "_duration", "_waiter", "started_at")
+
+    def __init__(self, resource: "Resource", duration: float) -> None:
+        self._sim = resource._sim  # no callback list: one waiter at most
+        self._resource = resource
+        self._duration = duration
+        self._waiter: Optional[Callable[[Event], None]] = None
+        self.triggered = False
+        self.value = None
+        self.started_at: Optional[float] = None
+
+    def add_callback(self, callback: Callable[[Event], None]) -> None:
+        if self.triggered:
+            self._sim.schedule(0.0, callback, self)
+        elif self._waiter is None:
+            self._waiter = callback
+        else:
+            raise RuntimeError("a service has exactly one waiter")
+
+    def _start(self) -> None:
+        """Take the granted slot; the slowdown is read as service starts."""
+        sim = self._sim
+        self.started_at = sim.now
+        sim.schedule(self._duration * self._resource.slowdown, self._end)
+
+    def _end(self) -> None:
+        """The service's timer; its waiter is tail-run when alone."""
+        if self._waiter is None or self._sim._skip_hop():
+            self._finish()
+        else:
+            self._sim.schedule(0.0, self._finish)
+
+    def _finish(self) -> None:
+        """Release the slot, then wake the waiter."""
+        resource = self._resource
+        if resource._queue:
+            # The slot passes directly to the next service: occupancy is
+            # unchanged, so no accounting boundary is needed.
+            self._sim.schedule(0.0, resource._queue.popleft()._start)
+        else:
+            resource._account()
+            resource._in_use -= 1
+        self.triggered = True
+        if self._waiter is not None:
+            self._waiter(self)
+
+
 class Resource:
     """A FIFO resource with a fixed number of slots.
 
-    Usage inside a process::
-
-        request = resource.request()
-        yield request
-        yield sim.timeout(service_time)
-        resource.release(request)
-
-    or the one-liner ``yield from resource.serve(service_time)``.
+    Usage inside a process: ``yield resource.serve(service_time)``.
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1) -> None:
@@ -46,12 +95,11 @@ class Resource:
         self._sim = sim
         self.capacity = capacity
         # Service-time multiplier for fault injection (slow-node CPU
-        # degradation): ``serve`` and callers that inline the
-        # request/timeout/release pattern scale durations by this.
-        # Changing it affects only services that start afterwards.
+        # degradation). Changing it affects only services that start
+        # afterwards.
         self.slowdown = 1.0
         self._in_use = 0
-        self._queue: deque[Event] = deque()
+        self._queue: deque[Service] = deque()
         # Utilization accounting: integral of in_use over time.
         self._busy_time = 0.0
         self._last_change = sim.now
@@ -87,50 +135,22 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
+        """Number of services waiting for a slot."""
         return len(self._queue)
 
-    def request(self) -> Event:
-        """Ask for a slot; the returned event triggers when granted."""
-        event = Event(self._sim)
+    def serve(self, duration: float) -> Service:
+        """Occupy a slot for ``duration`` (x slowdown) once one is free."""
+        service = Service(self, duration)
         if self._in_use < self.capacity:
             self._account()
             self._in_use += 1
-            event.trigger(self)
+            if self._sim._skip_hop():
+                service._start()
+            else:
+                self._sim.schedule(0.0, service._start)
         else:
-            self._queue.append(event)
-        return event
-
-    def release(self, request: Event) -> None:
-        """Give back a slot obtained through ``request``."""
-        if not request.triggered:
-            # The request was never granted; cancel it instead.
-            try:
-                self._queue.remove(request)
-            except ValueError:
-                raise RuntimeError("releasing a request that was never made") from None
-            return
-        if self._queue:
-            # The slot passes directly to the next waiter: occupancy is
-            # unchanged, so no accounting boundary is needed.
-            waiter = self._queue.popleft()
-            waiter.trigger(self)
-        else:
-            self._account()
-            self._in_use -= 1
-
-    def service_time(self, duration: float) -> float:
-        """``duration`` scaled by the current slowdown factor."""
-        return duration * self.slowdown
-
-    def serve(self, duration: float) -> Generator[Event, Any, None]:
-        """Acquire a slot, hold it for ``duration`` (x slowdown), release it."""
-        request = self.request()
-        yield request
-        try:
-            yield self._sim.timeout(duration * self.slowdown)
-        finally:
-            self.release(request)
+            self._queue.append(service)
+        return service
 
 
 class Lock(Resource):
@@ -140,4 +160,4 @@ class Lock(Resource):
         super().__init__(sim, capacity=1)
 
 
-__all__ = ["Resource", "Lock"]
+__all__ = ["Resource", "Lock", "Service"]

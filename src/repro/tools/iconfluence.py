@@ -26,7 +26,7 @@ sampled interleavings.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.contract import ContractContext, SmartContract

@@ -175,7 +175,7 @@ class TestNic:
         done = []
 
         def sender(name, size):
-            yield from nic.transmit(size)
+            yield nic.transmit(size)
             done.append((sim.now, name))
 
         sim.process(sender("a", 1000))

@@ -166,6 +166,32 @@ class TestMalformedSyncBodies:
             MSG_SYNC_REQUEST,
             {"channel": "nowhere", "txn_ids": ["c0:1"]},
         ),
+        "digest-not-a-mapping": (MSG_SYNC_DIGEST, ["x"]),
+        "request-none": (MSG_SYNC_REQUEST, None),
+        "digest-entry-not-a-pair": (
+            MSG_SYNC_DIGEST,
+            {"channel": DEFAULT_CHANNEL, "watermarks": {"clients": {"c0": 5}}},
+        ),
+        "digest-high-not-an-int": (
+            MSG_SYNC_DIGEST,
+            {"channel": DEFAULT_CHANNEL, "watermarks": {"clients": {"c0": ["x", []]}}},
+        ),
+        "digest-high-a-bool": (
+            MSG_SYNC_DIGEST,
+            {"channel": DEFAULT_CHANNEL, "watermarks": {"clients": {"c0": [True, []]}}},
+        ),
+        "digest-gap-not-a-pair": (
+            MSG_SYNC_DIGEST,
+            {"channel": DEFAULT_CHANNEL, "watermarks": {"clients": {"c0": [5, [[1]]]}}},
+        ),
+        "digest-clients-not-a-mapping": (
+            MSG_SYNC_DIGEST,
+            {"channel": DEFAULT_CHANNEL, "watermarks": {"clients": [["c0", 5]]}},
+        ),
+        "digest-extras-not-str": (
+            MSG_SYNC_DIGEST,
+            {"channel": DEFAULT_CHANNEL, "watermarks": {"clients": {}, "extras": [7]}},
+        ),
     }
 
     @pytest.mark.parametrize("msg_type, body", CASES.values(), ids=CASES.keys())
@@ -200,6 +226,7 @@ class TestMalformedProtocolBodies:
 
     CASES = {
         "gossip-empty": (MSG_GOSSIP, {}),
+        "gossip-not-a-mapping": (MSG_GOSSIP, ["x"]),
         "gossip-entry-not-a-mapping": (MSG_GOSSIP, {"transactions": ["c0:1"]}),
         "gossip-entry-not-a-transaction": (MSG_GOSSIP, {"transactions": [{"write_set": []}]}),
         "commit-empty": (MSG_COMMIT, {}),

@@ -47,7 +47,7 @@ def test_points_match_the_retired_functions(spec, mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_orderer_ablation_builds_the_same_fabric_networks(mode, monkeypatch):
     # The orderer type is no ExperimentConfig field, so this panel is
-    # pinned by the FabricSettings it constructs and what it asks the
+    # pinned by the BaselineSettings it constructs and what it asks the
     # network to run; nothing is simulated.
     settings_seen, runs_seen = [], []
     real_init = FabricNetwork.__init__

@@ -5,11 +5,16 @@ heap pop, so these pin how many heap round-trips each kind of wait
 costs. With every wake going through the heap (the retired kernel,
 ``tests/sim/reference_kernel.py``) an uncontended ``Resource.serve``
 cost three — grant hop, timeout fire, wake hop — and a BIDL commit 142.
+A ``Resource.serve`` is itself one kernel object: one ``Service`` event,
+no request event, timeout or generator frame.
 """
+
+import inspect
+import sys
 
 from repro.api import ExperimentConfig, run_experiment
 from repro.net.network import Network
-from repro.sim import Resource, Simulator
+from repro.sim import Event, Resource, Simulator
 
 PROCESS_START = 1  # a new process always enters through the heap
 
@@ -21,10 +26,41 @@ def _pops(sim, body):
     return sim.processed_events - before - PROCESS_START
 
 
+def _serve(cpu, duration):
+    yield cpu.serve(duration)
+
+
 def test_uncontended_serve_costs_one_event():
     sim = Simulator()
     cpu = Resource(sim, capacity=1)
-    assert _pops(sim, cpu.serve(0.5)) == 1
+    assert _pops(sim, _serve(cpu, 0.5)) == 1
+
+
+def test_uncontended_serve_allocates_one_event_and_no_generator():
+    sim = Simulator()
+    cpu = Resource(sim, capacity=1)
+    sim.process(_serve(cpu, 0.5))
+    events, generators = [], set()
+
+    def profile(frame, what, arg):
+        if what != "call":
+            return
+        code = frame.f_code
+        if code.co_flags & inspect.CO_GENERATOR:
+            generators.add(code.co_name)
+        elif code.co_name == "__init__":
+            new = frame.f_locals.get("self")
+            if isinstance(new, Event) and all(new is not seen for seen in events):
+                events.append(new)
+
+    sys.setprofile(profile)
+    try:
+        sim.run()
+    finally:
+        sys.setprofile(None)
+    assert sim.now == 0.5
+    assert [type(event).__name__ for event in events] == ["Service"]
+    assert generators == {"_serve"}  # the process body, nothing inside serve
 
 
 def test_sequential_timeouts_cost_one_event_each():
@@ -52,14 +88,14 @@ def test_contended_handoff_costs_two_events_per_serve():
     sim = Simulator()
     cpu = Resource(sim, capacity=1)
     waiters = 4
-    sim.process(cpu.serve(1.0))
+    sim.process(_serve(cpu, 1.0))
     sim.run(until=0.5)
     for _ in range(waiters):  # queue up while the slot is held
-        sim.process(cpu.serve(1.0))
+        sim.process(_serve(cpu, 1.0))
     sim.run()
     assert sim.now == (1 + waiters) * 1.0
-    # The holder pays its timeout; every waiter pays the hand-off, which
-    # ``release`` triggers mid-callback, and its timeout.
+    # The holder pays its service's end; every waiter pays the hand-off,
+    # which the release schedules mid-callback, and its end.
     assert sim.processed_events - (1 + waiters) * PROCESS_START == 1 + 2 * waiters
 
 

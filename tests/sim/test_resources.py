@@ -13,11 +13,9 @@ def test_capacity_must_be_positive():
 def test_requests_granted_up_to_capacity():
     sim = Simulator()
     resource = Resource(sim, capacity=2)
-    first = resource.request()
-    second = resource.request()
-    third = resource.request()
-    assert first.triggered and second.triggered
-    assert not third.triggered
+    first, second, third = (resource.serve(1.0) for _ in range(3))
+    sim.run(until=0.5)
+    assert (first.started_at, second.started_at, third.started_at) == (0.0, 0.0, None)
     assert resource.in_use == 2
     assert resource.queue_length == 1
 
@@ -25,24 +23,34 @@ def test_requests_granted_up_to_capacity():
 def test_release_hands_slot_to_next_waiter():
     sim = Simulator()
     resource = Resource(sim, capacity=1)
-    first = resource.request()
-    second = resource.request()
-    resource.release(first)
-    assert second.triggered
-    assert resource.in_use == 1
+    first = resource.serve(1.0)
+    second = resource.serve(1.0)
+    sim.run(until=1.0)
+    assert first.triggered and not second.triggered
+    assert second.started_at == 1.0
+    assert resource.in_use == 1 and resource.queue_length == 0
+    sim.run()
+    assert second.triggered and resource.in_use == 0
 
 
-def test_cancel_queued_request():
+def test_slowdown_is_read_when_service_starts():
     sim = Simulator()
     resource = Resource(sim, capacity=1)
-    granted = resource.request()
-    queued = resource.request()
-    resource.release(queued)  # cancel while still waiting
-    assert resource.queue_length == 0
+    resource.serve(1.0)
+    queued = resource.serve(1.0)
+    resource.slowdown = 3.0  # the holder already started; the queued one has not
+    done = []
+    queued.add_callback(lambda event: done.append(sim.now))
+    sim.run()
+    assert done == [4.0]
+
+
+def test_service_has_one_waiter():
+    sim = Simulator()
+    service = Resource(sim).serve(1.0)
+    service.add_callback(lambda event: None)
     with pytest.raises(RuntimeError):
-        resource.release(queued)  # already cancelled: nothing to cancel
-    resource.release(granted)
-    assert resource.in_use == 0
+        service.add_callback(lambda event: None)
 
 
 def test_serve_models_fifo_service_times():
@@ -51,7 +59,7 @@ def test_serve_models_fifo_service_times():
     done = []
 
     def job(name, duration):
-        yield from resource.serve(duration)
+        yield resource.serve(duration)
         done.append((sim.now, name))
 
     sim.process(job("a", 2.0))
@@ -67,7 +75,7 @@ def test_parallel_capacity_overlaps_service():
     done = []
 
     def job(name):
-        yield from resource.serve(1.0)
+        yield resource.serve(1.0)
         done.append((sim.now, name))
 
     for name in ("a", "b", "c"):
@@ -82,7 +90,7 @@ def test_lock_serializes():
     order = []
 
     def critical(name):
-        yield from lock.serve(1.0)
+        yield lock.serve(1.0)
         order.append((sim.now, name))
 
     sim.process(critical("x"))
@@ -97,7 +105,7 @@ def test_queue_drains_in_fifo_order():
     order = []
 
     def job(name):
-        yield from resource.serve(0.5)
+        yield resource.serve(0.5)
         order.append(name)
 
     for name in "abcde":
@@ -112,7 +120,7 @@ def test_utilization_accounting():
 
     def job(start, duration):
         yield sim.timeout(start)
-        yield from resource.serve(duration)
+        yield resource.serve(duration)
 
     # Busy: one slot for [0,4), a second for [1,3): integral = 6 of 2*4.
     sim.process(job(0.0, 4.0))
