@@ -4,7 +4,9 @@ Runs one small traced experiment per system, writes the Chrome trace
 JSON, validates it against the documented schema
 (docs/OBSERVABILITY.md / ``repro.obs.schema``), and regenerates the
 Table-3-style phase breakdown from the *exported file* — proving the
-trace artifact alone carries the paper's breakdown.
+trace artifact alone carries the paper's breakdown. Each phase is one
+``recorder.phase`` call, which feeds ``result.phase_means_ms`` and the
+trace span alike, so the two cannot disagree.
 """
 
 import pytest

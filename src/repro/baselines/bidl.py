@@ -94,15 +94,9 @@ class BIDLOrg(Replica):
             _, write_set = self.contract.simulate(self.state, txn["params"])
             self.state.apply_write_set(write_set)
             self.executed[txn["txn_id"]] = True
-        self.net.recorder.phase("bidl/P3/Execution", self.net.sim.now - started)
-        if self.net.tracer is not None:
-            self.net.tracer.span(
-                "bidl/P3/Execution",
-                started,
-                self.net.sim.now,
-                node=self.node_id,
-                txn_id=txn["txn_id"],
-            )
+        self.net.recorder.phase(
+            "bidl/P3/Execution", started, self.net.sim.now, node=self.node_id, txn_id=txn["txn_id"]
+        )
 
     def _vote(self, message: Message) -> None:
         self.net.network.send(
@@ -134,15 +128,9 @@ class BIDLOrg(Replica):
                         size_bytes=200,
                     )
                 )
-            self.net.recorder.phase("bidl/P4/Commit", self.net.sim.now - started)
-            if self.net.tracer is not None:
-                self.net.tracer.span(
-                    "bidl/P4/Commit",
-                    started,
-                    self.net.sim.now,
-                    node=self.node_id,
-                    txn_id=txn["txn_id"],
-                )
+            self.net.recorder.phase(
+                "bidl/P4/Commit", started, self.net.sim.now, node=self.node_id, txn_id=txn["txn_id"]
+            )
 
 
 class BIDLNetwork(BaselineNetwork):
@@ -220,11 +208,9 @@ class BIDLNetwork(BaselineNetwork):
         for txn in batch:
             txn["seq"] = len(self.log.entries)
             arrived = self._sequence_arrivals.pop(txn["txn_id"], now)
-            self.recorder.phase("bidl/P1/Sequence", now - arrived)
-            if self.tracer is not None:
-                self.tracer.span(
-                    "bidl/P1/Sequence", arrived, now, node=SEQUENCER_ID, txn_id=txn["txn_id"]
-                )
+            self.recorder.phase(
+                "bidl/P1/Sequence", arrived, now, node=SEQUENCER_ID, txn_id=txn["txn_id"]
+            )
             self._consensus_enqueued[txn["txn_id"]] = now
             self.log.publish(txn)
             # The sequenced transaction also enters consensus.
@@ -295,11 +281,9 @@ class BIDLNetwork(BaselineNetwork):
         }
         for txn in batch:
             enqueued = self._consensus_enqueued.pop(txn["txn_id"], now)
-            self.recorder.phase("bidl/P2/Consensus", now - enqueued)
-            if self.tracer is not None:
-                self.tracer.span(
-                    "bidl/P2/Consensus", enqueued, now, node=LEADER_ID, txn_id=txn["txn_id"]
-                )
+            self.recorder.phase(
+                "bidl/P2/Consensus", enqueued, now, node=LEADER_ID, txn_id=txn["txn_id"]
+            )
         yield self.leader_nic.transmit(160 * len(self.replica_ids))
         for org_id in self.replica_ids:
             self.network.send(

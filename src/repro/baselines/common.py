@@ -8,8 +8,9 @@ else is here, once:
 * :class:`BaselineSettings` — the one settings class; each network
   validates the fields it reads.
 * :class:`BaselineNetwork` — the simulation shell: simulator, RNG
-  registry, network, explore install, recorder, tracer, the replica
-  list, clients, observability and the convergence check.
+  registry, network, explore install, recorder (which also feeds the
+  trace), the replica list, clients, observability and the convergence
+  check.
 * :class:`Replica` — a replica node's CPU and its in-order application
   of the source's log.
 * :class:`OrderedLog` — the indexed log one source (orderer, sequencer,
@@ -619,7 +620,6 @@ class BaselineNetwork:
             # Before anything is scheduled, so heap keys stay homogeneous.
             settings.explore.install(self.sim, self.network)
         self.recorder = TransactionRecorder()
-        self.tracer = None
         self.replicas = [
             self.replica_class(self, f"{self.replica_prefix}{index}")
             for index in range(settings.num_orgs)
@@ -629,8 +629,7 @@ class BaselineNetwork:
 
     def attach_observability(self, obs) -> None:
         """Wire a :class:`repro.obs.Observability` into this network."""
-        self.tracer = obs.recorder
-        self.network.tracer = obs.recorder
+        self.recorder.trace = self.network.tracer = obs.recorder
         sampler = obs.bind(self.sim)
         if sampler is not None:
             for replica in self.replicas:
@@ -677,8 +676,6 @@ class SubmitClient:
         self.rng = net.rng.stream(f"client:{client_id}")
         self._counter = 0
         self._pending: Dict[str, Event] = {}
-        self.committed = 0
-        self.failed = 0
         net.network.register(client_id, self._on_message)
 
     def _on_message(self, message: Message) -> None:
@@ -714,10 +711,8 @@ class SubmitClient:
         winner = yield AnyOf(sim, [event, sim.timeout(COMMIT_TIMEOUT)])
         del self._pending[txn_id]
         if winner is event:
-            self.committed += 1
             net.recorder.committed(txn_id, sim.now)
             return winner.value.get("value", True) if isinstance(winner.value, dict) else True
-        self.failed += 1
         net.recorder.failed(txn_id, sim.now, "timeout")
         return None
 

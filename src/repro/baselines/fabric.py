@@ -78,15 +78,9 @@ class FabricPeer(Replica):
         body = message.body
         yield self.cpu.serve(self.net.settings.perf.fabric_endorse)
         read_set, write_set = self.contract.simulate(self.state, body["params"])
-        self.net.recorder.phase("fabric/P1/Endorse", self.net.sim.now - arrived)
-        if self.net.tracer is not None:
-            self.net.tracer.span(
-                "fabric/P1/Endorse",
-                arrived,
-                self.net.sim.now,
-                node=self.node_id,
-                txn_id=body["txn_id"],
-            )
+        self.net.recorder.phase(
+            "fabric/P1/Endorse", arrived, self.net.sim.now, node=self.node_id, txn_id=body["txn_id"]
+        )
         self.net.network.send(
             Message(
                 sender=self.node_id,
@@ -123,16 +117,14 @@ class FabricPeer(Replica):
                         size_bytes=160,
                     )
                 )
-            self.net.recorder.phase("fabric/P3/Commit", self.net.sim.now - arrived)
-            if self.net.tracer is not None:
-                self.net.tracer.span(
-                    "fabric/P3/Commit",
-                    arrived,
-                    self.net.sim.now,
-                    node=self.node_id,
-                    txn_id=txn["txn_id"],
-                    attrs={"valid": valid},
-                )
+            self.net.recorder.phase(
+                "fabric/P3/Commit",
+                arrived,
+                self.net.sim.now,
+                node=self.node_id,
+                txn_id=txn["txn_id"],
+                attrs={"valid": valid},
+            )
 
     def _read(self, message: Message):
         yield self.cpu.serve(self.net.settings.perf.fabric_endorse)
@@ -174,8 +166,6 @@ class FabricClient:
         self.rng = net.rng.stream(f"client:{client_id}")
         self._counter = 0
         self._pending: Dict[str, Tuple[Event, List[Any], int]] = {}
-        self.committed = 0
-        self.failed = 0
         net.network.register(client_id, self._on_message)
 
     def _on_message(self, message: Message) -> None:
@@ -225,7 +215,6 @@ class FabricClient:
         self.net.recorder.submitted(txn_id, self.client_id, "modify", sim.now)
         peers, endorsements = yield from self._solicit(txn_id, self.net.msg_proposal, params)
         if endorsements is None:
-            self.failed += 1
             self.net.recorder.failed(txn_id, sim.now, "endorsement timeout")
             return False
         transaction, size = self._transaction(txn_id, peers, endorsements)
@@ -243,7 +232,6 @@ class FabricClient:
         winner = yield AnyOf(sim, [commit_event, sim.timeout(COMMIT_TIMEOUT)])
         _, events, _ = self._pending.pop(txn_id)
         if winner is not commit_event or not events:
-            self.failed += 1
             self.net.recorder.failed(txn_id, sim.now, self.commit_timeout_reason)
             return False
         return self._judge(txn_id, events[0])
@@ -264,10 +252,8 @@ class FabricClient:
         """Record the outcome the commit event reports."""
         now = self.net.sim.now
         if event["valid"]:
-            self.committed += 1
             self.net.recorder.committed(txn_id, now)
             return True
-        self.failed += 1
         self.net.recorder.failed(txn_id, now, "mvcc conflict")
         return False
 
@@ -278,10 +264,8 @@ class FabricClient:
         self.net.recorder.submitted(txn_id, self.client_id, "read", sim.now)
         _, responses = yield from self._solicit(txn_id, self.net.msg_read, params)
         if responses is not None:
-            self.committed += 1
             self.net.recorder.committed(txn_id, sim.now)
             return [r["value"] for r in responses]
-        self.failed += 1
         self.net.recorder.failed(txn_id, sim.now, "read timeout")
         return None
 
@@ -388,15 +372,9 @@ class FabricNetwork(BaselineNetwork):
         now = self.sim.now
         for txn in batch:
             arrived = self._orderer_arrivals.pop(txn["txn_id"], now)
-            self.recorder.phase("fabric/P2/Consensus", now - arrived)
-            if self.tracer is not None:
-                self.tracer.span(
-                    "fabric/P2/Consensus",
-                    arrived,
-                    now,
-                    node=ORDERER_ID,
-                    txn_id=txn["txn_id"],
-                )
+            self.recorder.phase(
+                "fabric/P2/Consensus", arrived, now, node=ORDERER_ID, txn_id=txn["txn_id"]
+            )
         self.log.publish({"index": len(self.log.entries), "transactions": batch})
 
     @staticmethod

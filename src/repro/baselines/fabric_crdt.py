@@ -142,15 +142,14 @@ class FabricCRDTPeer(Replica):
         yield self.cpu.serve(
             perf.fabric_endorse + perf.fabriccrdt_merge_per_update * history
         )
-        if self.net.tracer is not None:
-            self.net.tracer.span(
-                "fabriccrdt/P1/Endorse",
-                arrived,
-                self.net.sim.now,
-                node=self.node_id,
-                txn_id=body["txn_id"],
-                attrs={"history": history},
-            )
+        self.net.recorder.phase(
+            "fabriccrdt/P1/Endorse",
+            arrived,
+            self.net.sim.now,
+            node=self.node_id,
+            txn_id=body["txn_id"],
+            attrs={"history": history},
+        )
         self.net.network.send(
             Message(
                 sender=self.node_id,
@@ -169,15 +168,14 @@ class FabricCRDTPeer(Replica):
             yield self.cpu.serve(
                 perf.fabriccrdt_merge_base + perf.fabriccrdt_merge_per_update * history
             )
-            if self.net.tracer is not None:
-                self.net.tracer.span(
-                    "fabriccrdt/P3/Merge",
-                    arrived,
-                    self.net.sim.now,
-                    node=self.node_id,
-                    txn_id=txn["txn_id"],
-                    attrs={"history": history},
-                )
+            self.net.recorder.phase(
+                "fabriccrdt/P3/Merge",
+                arrived,
+                self.net.sim.now,
+                node=self.node_id,
+                txn_id=txn["txn_id"],
+                attrs={"history": history},
+            )
             for key, path, value in txn["updates"]:
                 self.document(key).update(
                     path, value, txn["client_id"], txn["counter"]
@@ -229,7 +227,6 @@ class FabricCRDTClient(FabricClient):
 
     def _judge(self, txn_id: str, event: Dict[str, Any]) -> bool:
         # No MVCC validation: every ordered transaction merges.
-        self.committed += 1
         self.net.recorder.committed(txn_id, self.net.sim.now)
         return True
 

@@ -110,15 +110,13 @@ class SyncHotStuffOrg(Replica):
                         size_bytes=200,
                     )
                 )
-            self.net.recorder.phase("hotstuff/P2/Commit", self.net.sim.now - started)
-            if self.net.tracer is not None:
-                self.net.tracer.span(
-                    "hotstuff/P2/Commit",
-                    started,
-                    self.net.sim.now,
-                    node=self.node_id,
-                    txn_id=txn["txn_id"],
-                )
+            self.net.recorder.phase(
+                "hotstuff/P2/Commit",
+                started,
+                self.net.sim.now,
+                node=self.node_id,
+                txn_id=txn["txn_id"],
+            )
 
 
 class SyncHotStuffNetwork(BaselineNetwork):
@@ -172,11 +170,9 @@ class SyncHotStuffNetwork(BaselineNetwork):
         for txn in batch:
             arrived = self._submit_arrivals.pop(txn["txn_id"], now)
             # Leader-side consensus latency: queueing + batching + NIC.
-            self.recorder.phase("hotstuff/P1/Consensus", now - arrived)
-            if self.tracer is not None:
-                self.tracer.span(
-                    "hotstuff/P1/Consensus", arrived, now, node=LEADER_ID, txn_id=txn["txn_id"]
-                )
+            self.recorder.phase(
+                "hotstuff/P1/Consensus", arrived, now, node=LEADER_ID, txn_id=txn["txn_id"]
+            )
         self.log.publish(
             {"index": len(self.log.entries), "batch_id": self._batch_counter, "transactions": batch}
         )

@@ -289,9 +289,9 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment and summarize its metrics.
 
-    Pass ``obs`` to reuse a pre-built :class:`repro.obs.Observability`
-    (e.g. with an extra recorder); otherwise one is created when the
-    config asks for tracing or sampling.
+    Pass ``obs`` to reuse a pre-built :class:`repro.obs.Observability`;
+    otherwise one is created when the config asks for tracing or
+    sampling.
 
     When ``config.fault_schedule`` is set, the schedule is installed
     before the run starts (fault injection is part of the deterministic
@@ -314,8 +314,7 @@ def run_experiment(
     def prepare(net) -> None:
         nonlocal injector
         if config.fault_schedule is not None:
-            tracer = obs.recorder if obs is not None else None
-            injector = install_schedule(net, config.fault_schedule, tracer=tracer)
+            injector = install_schedule(net, config.fault_schedule)
 
     # The planted-bug patch (a no-op for planted_bug=None) covers the
     # run AND the oracle pass: the checkers must see the world the

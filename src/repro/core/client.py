@@ -115,10 +115,7 @@ class Client:
         self.org_ids = list(org_ids)
         self.perf = perf
         self.rng = rng
-        self.recorder = recorder
-        # Optional repro.obs recorder; when set, submissions emit
-        # lifecycle spans and instants. Passive — see repro.sim.core.
-        self.tracer = None
+        self.recorder = recorder if recorder is not None else TransactionRecorder()
         self.config = config or ClientConfig()
         self.byzantine = byzantine
         self.clock = LamportClock(identity.identifier)
@@ -126,8 +123,6 @@ class Client:
         self._pending_endorsements: Dict[str, _Pending] = {}
         self._pending_receipts: Dict[str, _Pending] = {}
         self._pending_reads: Dict[str, _Pending] = {}
-        self.committed = 0
-        self.failed = 0
         # Adaptive resilience state (None-resilience clients never touch
         # any of this, keeping the legacy event order byte-identical).
         # Jitter draws come from a dedicated stream so resilience-on
@@ -150,20 +145,27 @@ class Client:
     def _on_message(self, message: Message) -> None:
         if message.corrupted:
             return  # garbage fails the transport integrity check
-        if message.msg_type == MSG_ENDORSEMENT:
-            endorsement = Endorsement.from_wire(message.body)
-            pending = self._pending_endorsements.get(endorsement.proposal_id)
-            if pending is not None:
-                pending.add(endorsement, sender=endorsement.org_id)
-        elif message.msg_type == MSG_RECEIPT:
-            receipt = Receipt.from_wire(message.body)
-            pending = self._pending_receipts.get(receipt.transaction_id)
-            if pending is not None:
-                pending.add(receipt, sender=receipt.org_id)
-        elif message.msg_type == MSG_READ_RESPONSE:
-            pending = self._pending_reads.get(message.body["proposal_id"])
-            if pending is not None:
-                pending.add(message.body["value"], sender=message.sender)
+        try:
+            if message.msg_type == MSG_ENDORSEMENT:
+                response = Endorsement.from_wire(message.body)
+                org_id = response.org_id
+                pending = self._pending_endorsements.get(response.proposal_id)
+            elif message.msg_type == MSG_RECEIPT:
+                response = Receipt.from_wire(message.body)
+                org_id = response.org_id
+                pending = self._pending_receipts.get(response.transaction_id)
+            elif message.msg_type == MSG_READ_RESPONSE:
+                response = message.body["value"]
+                org_id = message.sender
+                pending = self._pending_reads.get(message.body["proposal_id"])
+            else:
+                return
+        except (KeyError, TypeError, ValueError, AttributeError):
+            return  # a malformed body from a hostile organization is dropped
+        # A response counts for the organization that sent it: one that
+        # stamps other org ids on its bodies must not fill a quorum alone.
+        if pending is not None and org_id == message.sender:
+            pending.add(response, sender=org_id)
 
     # -- organization selection ----------------------------------------------
 
@@ -220,67 +222,27 @@ class Client:
 
     # -- tracing helpers ----------------------------------------------------------
 
-    def _trace_submitted(self, txn_id: str, kind: str) -> None:
-        if self.tracer is not None:
-            self.tracer.instant(
-                "txn/submitted",
-                self.sim.now,
-                node=self.client_id,
-                txn_id=txn_id,
-                attrs={"kind": kind},
-            )
-
-    def _trace_done(self, txn_id: str, started: float, kind: str, outcome: str) -> None:
-        """Close a transaction's ``client/txn`` span and mark its fate."""
-        if self.tracer is None:
-            return
-        committed = outcome == "committed"
-        self.tracer.instant(
-            "txn/committed" if committed else "txn/failed",
-            self.sim.now,
-            node=self.client_id,
-            txn_id=txn_id,
-            attrs=None if committed else {"reason": outcome},
-        )
-        self.tracer.span(
-            "client/txn",
-            started,
-            self.sim.now,
-            node=self.client_id,
-            txn_id=txn_id,
-            attrs={"kind": kind, "outcome": outcome},
-        )
-
     def _trace_breaker(self, org_id: str, old_state: str, new_state: str) -> None:
-        if self.tracer is not None:
-            self.tracer.instant(
+        trace = self.recorder.trace
+        if trace is not None:
+            trace.instant(
                 "breaker/transition",
                 self.sim.now,
                 node=self.client_id,
                 attrs={"org": org_id, "from": old_state, "to": new_state},
             )
 
-    def _trace_retry(self, txn_id: str, phase: str, attempt: int) -> None:
-        if self.tracer is not None:
-            self.tracer.instant(
-                "client/retry",
-                self.sim.now,
-                node=self.client_id,
-                txn_id=txn_id,
-                attrs={"phase": phase, "attempt": attempt},
-            )
+    def _trace_wait(self, name: str, txn_id: str, started: float, attrs: Dict[str, Any]) -> None:
+        """A client wait window (endorse, commit, read, or backoff)."""
+        trace = self.recorder.trace
+        if trace is not None:
+            trace.span(name, started, self.sim.now, node=self.client_id, txn_id=txn_id, attrs=attrs)
 
     def _trace_backoff(self, txn_id: str, started: float, attempt: int, deadline: float) -> None:
         """A timed-out wait window that will be retried with backoff."""
-        if self.tracer is not None:
-            self.tracer.span(
-                "client/backoff",
-                started,
-                self.sim.now,
-                node=self.client_id,
-                txn_id=txn_id,
-                attrs={"attempt": attempt, "deadline": round(deadline, 6)},
-            )
+        self._trace_wait(
+            "client/backoff", txn_id, started, {"attempt": attempt, "deadline": round(deadline, 6)}
+        )
 
     # -- adaptive resilience helpers ----------------------------------------------
 
@@ -341,10 +303,7 @@ class Client:
         clock = self.clock.peek() if no_increment else self.clock.tick()
         proposal = Proposal(self.client_id, contract_id, function, dict(params), clock)
         txn_id = proposal.proposal_id
-        if self.recorder is not None and txn_id not in getattr(self.recorder, "records", {}):
-            self.recorder.submitted(txn_id, self.client_id, "modify", self.sim.now)
-        started = self.sim.now
-        self._trace_submitted(txn_id, "modify")
+        self.recorder.submitted(txn_id, self.client_id, "modify", self.sim.now)
         split_clock = self._misbehaves("split_clock")
 
         res = self.config.resilience
@@ -395,15 +354,12 @@ class Client:
                     self._record_attempt_outcome(sorted(responded), responded)
                 else:
                     self._record_attempt_outcome(targets, responded)
-            if self.tracer is not None:
-                self.tracer.span(
-                    "client/endorse_wait",
-                    attempt_started,
-                    self.sim.now,
-                    node=self.client_id,
-                    txn_id=txn_id,
-                    attrs={"attempt": attempt, "endorsements": len(endorsements)},
-                )
+            self._trace_wait(
+                "client/endorse_wait",
+                txn_id,
+                attempt_started,
+                {"attempt": attempt, "endorsements": len(endorsements)},
+            )
 
             majority = self._majority_write_set(endorsements)
             if majority is not None and len(majority) >= q:
@@ -412,23 +368,15 @@ class Client:
                 self._blacklist_offenders(targets, endorsements, majority)
             attempt += 1
             if attempt > self.config.max_retries:
-                self.failed += 1
-                if self.recorder is not None:
-                    self.recorder.failed(txn_id, self.sim.now, "endorsement failure")
-                self._trace_done(txn_id, started, "modify", "endorsement failure")
+                self.recorder.failed(txn_id, self.sim.now, "endorsement failure")
                 return False
             self._trace_backoff(txn_id, attempt_started, attempt - 1, deadline)
-            self._trace_retry(txn_id, "endorse", attempt)
-            if self.recorder is not None:
-                self.recorder.retried(txn_id)
+            self.recorder.retried(txn_id, "endorse", attempt, self.sim.now)
 
         if self._misbehaves("proposal_only"):
             # DDoS-style fault: never send the commit. No lasting side
             # effects on the system (Section 8, fault 1).
-            self.failed += 1
-            if self.recorder is not None:
-                self.recorder.failed(txn_id, self.sim.now, "byzantine: proposal only")
-            self._trace_done(txn_id, started, "modify", "byzantine: proposal only")
+            self.recorder.failed(txn_id, self.sim.now, "byzantine: proposal only")
             return False
 
         write_set = majority[0].write_set
@@ -488,9 +436,7 @@ class Client:
                 if commit_attempt > self.config.max_retries:
                     break
                 self._trace_backoff(txn_id, attempt_started, commit_attempt - 1, deadline)
-                self._trace_retry(txn_id, "commit", commit_attempt)
-                if self.recorder is not None:
-                    self.recorder.retried(txn_id)
+                self.recorder.retried(txn_id, "commit", commit_attempt, self.sim.now)
         else:
             commit_targets = self._select_orgs(q)
             if partial_commit:
@@ -511,31 +457,14 @@ class Client:
             yield AnyOf(self.sim, [pending.event, timeout])
         receipts: List[Receipt] = list(pending.responses)
         del self._pending_receipts[txn_id]
-        if self.tracer is not None:
-            self.tracer.span(
-                "client/commit_wait",
-                commit_started,
-                self.sim.now,
-                node=self.client_id,
-                txn_id=txn_id,
-                attrs={"receipts": len(receipts)},
-            )
+        self._trace_wait("client/commit_wait", txn_id, commit_started, {"receipts": len(receipts)})
 
         valid_orgs = {r.org_id for r in receipts if r.valid}
         rejections = [r for r in receipts if not r.valid]
         if len(valid_orgs) >= q:
-            self.committed += 1
-            if self.recorder is not None:
-                self.recorder.committed(txn_id, self.sim.now)
-            self._trace_done(txn_id, started, "modify", "committed")
+            self.recorder.committed(txn_id, self.sim.now)
             return True
-        self.failed += 1
-        if self.recorder is not None:
-            reason = "rejected" if rejections else "commit timeout"
-            self.recorder.failed(txn_id, self.sim.now, reason)
-        self._trace_done(
-            txn_id, started, "modify", "rejected" if rejections else "commit timeout"
-        )
+        self.recorder.failed(txn_id, self.sim.now, "rejected" if rejections else "commit timeout")
         return False
 
     @staticmethod
@@ -572,10 +501,8 @@ class Client:
         clock = self.clock.tick()
         proposal = Proposal(self.client_id, contract_id, function, dict(params), clock)
         txn_id = proposal.proposal_id
-        if self.recorder is not None:
-            self.recorder.submitted(txn_id, self.client_id, "read", self.sim.now)
+        self.recorder.submitted(txn_id, self.client_id, "read", self.sim.now)
         started = self.sim.now
-        self._trace_submitted(txn_id, "read")
         res = self.config.resilience
         if res is not None:
             targets = self._select_orgs(self._hedged_count(q))
@@ -606,25 +533,11 @@ class Client:
                 self._record_attempt_outcome(sorted(responded), responded)
             else:
                 self._record_attempt_outcome(targets, responded)
-        if self.tracer is not None:
-            self.tracer.span(
-                "client/read_wait",
-                started,
-                self.sim.now,
-                node=self.client_id,
-                txn_id=txn_id,
-                attrs={"responses": len(values)},
-            )
+        self._trace_wait("client/read_wait", txn_id, started, {"responses": len(values)})
         if winner is pending.event:
-            self.committed += 1
-            if self.recorder is not None:
-                self.recorder.committed(txn_id, self.sim.now)
-            self._trace_done(txn_id, started, "read", "committed")
+            self.recorder.committed(txn_id, self.sim.now)
             return values
-        self.failed += 1
-        if self.recorder is not None:
-            self.recorder.failed(txn_id, self.sim.now, "read timeout")
-        self._trace_done(txn_id, started, "read", "read timeout")
+        self.recorder.failed(txn_id, self.sim.now, "read timeout")
         return None
 
 

@@ -78,11 +78,7 @@ class Organization:
         self.policy = policy
         self.perf = perf
         self.rng = rng
-        self.recorder = recorder
-        # Optional repro.obs recorder; when set, the endorse and commit
-        # paths emit lifecycle spans. Passive: no randomness, no state
-        # changes, no extra events (see repro.sim.core).
-        self.tracer = None
+        self.recorder = recorder if recorder is not None else TransactionRecorder()
         # Per-channel sharded state (repro.core.channel): each channel
         # owns its own ledger, gossip backlog, committed index, and
         # snapshot. The default channel is an ordinary channel that
@@ -268,15 +264,16 @@ class Organization:
         write_set = context.write_set_wire()
         service = self.cpu.serve(self.perf.endorse_base + self.perf.endorse_per_op * len(write_set))
         yield service
-        if self.tracer is not None:
-            self.tracer.span(
+        trace = self.recorder.trace
+        if trace is not None:
+            trace.span(
                 "orderlesschain/P1/Queue",
                 arrived,
                 service.started_at,
                 node=self.org_id,
                 txn_id=proposal.proposal_id,
             )
-            self.tracer.span(
+            trace.span(
                 "orderlesschain/P1/CPU",
                 service.started_at,
                 self.sim.now,
@@ -292,16 +289,13 @@ class Organization:
             write_set = self._tamper_write_set(write_set)
         endorsement = Endorsement.create(self.identity, proposal.proposal_id, write_set)
         self.endorsed_count += 1
-        if self.recorder is not None:
-            self.recorder.phase("orderlesschain/P1/Execution", self.sim.now - arrived)
-        if self.tracer is not None:
-            self.tracer.span(
-                "orderlesschain/P1/Execution",
-                arrived,
-                self.sim.now,
-                node=self.org_id,
-                txn_id=proposal.proposal_id,
-            )
+        self.recorder.phase(
+            "orderlesschain/P1/Execution",
+            arrived,
+            self.sim.now,
+            node=self.org_id,
+            txn_id=proposal.proposal_id,
+        )
         self.network.send(
             Message(
                 sender=self.org_id,
@@ -401,8 +395,9 @@ class Organization:
             touched_objects = len({operation.object_id for operation in operations})
             apply_started = self.sim.now
             yield self.cache_lock.serve(self.perf.apply_per_op * max(1, touched_objects))
-            if self.tracer is not None:
-                self.tracer.span(
+            trace = self.recorder.trace
+            if trace is not None:
+                trace.span(
                     "orderlesschain/P2/Apply",
                     apply_started,
                     self.sim.now,
@@ -481,8 +476,9 @@ class Organization:
             self.perf.commit_verify_base
             + self.perf.commit_verify_per_endorsement * len(transaction.endorsements)
         )
-        if self.tracer is not None:
-            self.tracer.span(
+        trace = self.recorder.trace
+        if trace is not None:
+            trace.span(
                 "orderlesschain/P2/Verify",
                 verify_started,
                 self.sim.now,
@@ -493,17 +489,14 @@ class Organization:
         valid, block, _reason = yield from self._commit_transaction(
             transaction, via_gossip=False, channel=channel
         )
-        if self.recorder is not None:
-            self.recorder.phase("orderlesschain/P2/Commit", self.sim.now - arrived)
-        if self.tracer is not None:
-            self.tracer.span(
-                "orderlesschain/P2/Commit",
-                arrived,
-                self.sim.now,
-                node=self.org_id,
-                txn_id=txn_id,
-                attrs={"valid": valid},
-            )
+        self.recorder.phase(
+            "orderlesschain/P2/Commit",
+            arrived,
+            self.sim.now,
+            node=self.org_id,
+            txn_id=txn_id,
+            attrs={"valid": valid},
+        )
         block_hash = block.block_hash if block is not None else ledger.log.head_hash
         self._send_receipt(
             message.sender, txn_id, block_hash, valid, channel=channel.channel_id
@@ -629,8 +622,9 @@ class Organization:
                 channel=channel.channel_id,
             )
         )
-        if self.tracer is not None:
-            self.tracer.instant(
+        trace = self.recorder.trace
+        if trace is not None:
+            trace.instant(
                 "org/sync_digest",
                 self.sim.now,
                 node=self.org_id,
@@ -701,8 +695,9 @@ class Organization:
             (channel.valid_txn_wire[txn_id] for txn_id in surplus),
             channel,
         )
-        if self.tracer is not None:
-            self.tracer.instant(
+        trace = self.recorder.trace
+        if trace is not None:
+            trace.instant(
                 "org/sync_reconcile",
                 self.sim.now,
                 node=self.org_id,
@@ -843,8 +838,9 @@ class Organization:
                     "taken_at": self.sim.now,
                 }
                 self.snapshots_taken += 1
-                if self.tracer is not None:
-                    self.tracer.instant(
+                trace = self.recorder.trace
+                if trace is not None:
+                    trace.instant(
                         "org/snapshot",
                         self.sim.now,
                         node=self.org_id,
@@ -897,8 +893,9 @@ class Organization:
         for target in targets:
             for channel in self.channels.values():
                 self._send_digest(target, context="recover", channel=channel)
-        if self.tracer is not None:
-            self.tracer.span(
+        trace = self.recorder.trace
+        if trace is not None:
+            trace.span(
                 "org/recover",
                 started,
                 self.sim.now,

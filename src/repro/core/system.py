@@ -143,7 +143,6 @@ class OrderlessChainNetwork:
         for org in self.organizations:
             org.set_peers(org_ids)
         self.clients: List[Client] = []
-        self.observability = None
         self._started = False
 
     @property
@@ -221,8 +220,6 @@ class OrderlessChainNetwork:
             resilience_rng=resilience_rng,
         )
         self.clients.append(client)
-        if self.observability is not None:
-            client.tracer = self.observability.recorder
         return client
 
     def add_clients(self, count: int, **kwargs) -> List[Client]:
@@ -231,18 +228,13 @@ class OrderlessChainNetwork:
     def attach_observability(self, obs) -> None:
         """Wire a :class:`repro.obs.Observability` into the network.
 
-        Sets the tracer on the network, every organization, and every
-        client (current and future), and — when sampling is enabled —
-        registers per-node CPU/cache-lock probes plus network counters
-        with the sampler. Call before :meth:`run`; safe to skip
+        Points the run's recorder (which every organization and client
+        reports to) and the network at the trace, and — when sampling is
+        enabled — registers per-node CPU/cache-lock probes plus network
+        counters with the sampler. Call before :meth:`run`; safe to skip
         entirely, in which case the run is untraced.
         """
-        self.observability = obs
-        self.network.tracer = obs.recorder
-        for org in self.organizations:
-            org.tracer = obs.recorder
-        for client in self.clients:
-            client.tracer = obs.recorder
+        self.recorder.trace = self.network.tracer = obs.recorder
         sampler = obs.bind(self.sim)
         if sampler is not None:
             for org in self.organizations:
@@ -311,20 +303,17 @@ class OrderlessChainNetwork:
 
     # -- fault injection and invariant checking (docs/FAULTS.md) ------------------
 
-    def install_fault_schedule(self, schedule, tracer=None):
+    def install_fault_schedule(self, schedule):
         """Install a :class:`repro.faults.FaultSchedule` on this network.
 
         Call before :meth:`run`; returns the
         :class:`~repro.faults.engine.FaultInjector` (call its
         ``finalize()`` after the run to close open trace windows).
-        When observability is attached, fault spans default to its
-        recorder.
+        Fault spans go to the trace, if one is attached.
         """
         from repro.faults import install_schedule
 
-        if tracer is None and self.observability is not None:
-            tracer = self.observability.recorder
-        return install_schedule(self, schedule, tracer=tracer)
+        return install_schedule(self, schedule)
 
     def check_invariants(self, schedule=None, quiescent: bool = True):
         """Run the invariant oracles; returns a ``CheckReport``."""

@@ -2,10 +2,10 @@
 
 Every fault event is applied through ``Simulator.schedule_at`` at its
 declared time, so injection is part of the deterministic event order.
-When a tracer (``repro.obs`` recorder) is attached, each application
-emits a ``fault/injected`` instant, and window-shaped faults (crash →
-recover, partition → heal, loss burst, slow node) emit a closing span
-registered in ``repro.obs.schema``.
+When the run is traced (its recorder's ``trace`` is set), each
+application emits a ``fault/injected`` instant, and window-shaped
+faults (crash → recover, partition → heal, loss burst, slow node) emit
+a closing span registered in ``repro.obs.schema``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class FaultInjector:
 
     Usage::
 
-        injector = install_schedule(net, schedule, tracer=obs.recorder)
+        injector = install_schedule(net, schedule)
         net.run(until=duration)
         injector.finalize()  # close still-open trace windows
 
@@ -48,15 +48,9 @@ class FaultInjector:
     loss burst eats) flow through the network's seeded RNG stream.
     """
 
-    def __init__(
-        self,
-        adapter: SystemAdapter,
-        schedule: FaultSchedule,
-        tracer: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, adapter: SystemAdapter, schedule: FaultSchedule) -> None:
         self.adapter = adapter
         self.schedule = schedule
-        self.tracer = tracer
         self.applied: List[FaultEvent] = []
         # Open fault windows, for span emission and finalize():
         self._crashed_since: Dict[str, float] = {}
@@ -78,13 +72,19 @@ class FaultInjector:
     def finalize(self) -> None:
         """Close trace windows still open when the run ended."""
         now = self.adapter.sim.now
-        if self.tracer is not None:
+        trace = self._trace
+        if trace is not None:
             for node_id, since in sorted(self._crashed_since.items()):
-                self.tracer.span(SPAN_CRASH, since, now, node=node_id)
+                trace.span(SPAN_CRASH, since, now, node=node_id)
             if self._partition_since is not None:
-                self.tracer.span(SPAN_PARTITION, self._partition_since, now, node="")
+                trace.span(SPAN_PARTITION, self._partition_since, now, node="")
         self._crashed_since.clear()
         self._partition_since = None
+
+    @property
+    def _trace(self):
+        """The run's trace (its recorder's ``trace``), or None."""
+        return self.adapter.recorder.trace
 
     @property
     def crashed_nodes(self) -> List[str]:
@@ -104,8 +104,9 @@ class FaultInjector:
         }[event.kind]
         handler(event)
         self.applied.append(event)
-        if self.tracer is not None:
-            self.tracer.instant(
+        trace = self._trace
+        if trace is not None:
+            trace.instant(
                 INSTANT_INJECTED,
                 self.adapter.sim.now,
                 node=event.node or "",
@@ -123,8 +124,9 @@ class FaultInjector:
         if since is None:
             return  # not down; recovering twice is a no-op
         self.adapter.recover(event.node)
-        if self.tracer is not None:
-            self.tracer.span(
+        trace = self._trace
+        if trace is not None:
+            trace.span(
                 SPAN_CRASH,
                 since,
                 self.adapter.sim.now,
@@ -139,8 +141,9 @@ class FaultInjector:
 
     def _apply_heal(self, event: FaultEvent) -> None:
         self.adapter.network.heal_partition()
-        if self._partition_since is not None and self.tracer is not None:
-            self.tracer.span(
+        trace = self._trace
+        if self._partition_since is not None and trace is not None:
+            trace.span(
                 SPAN_PARTITION, self._partition_since, self.adapter.sim.now, node=""
             )
         self._partition_since = None
@@ -161,8 +164,9 @@ class FaultInjector:
         # their own predecessor — last restore wins, documented).
         previous, started = burst
         self.adapter.network.faults = previous
-        if self.tracer is not None:
-            self.tracer.span(SPAN_LOSS, started, self.adapter.sim.now, node="")
+        trace = self._trace
+        if trace is not None:
+            trace.span(SPAN_LOSS, started, self.adapter.sim.now, node="")
 
     def _apply_slow_node(self, event: FaultEvent) -> None:
         cpu = self.adapter.cpu(event.node)
@@ -174,8 +178,9 @@ class FaultInjector:
     def _restore_speed(self, slowed: Tuple[FaultEvent, Any, float, float]) -> None:
         event, cpu, previous, started = slowed
         cpu.slowdown = previous
-        if self.tracer is not None:
-            self.tracer.span(
+        trace = self._trace
+        if trace is not None:
+            trace.span(
                 SPAN_SLOW,
                 started,
                 self.adapter.sim.now,
@@ -184,12 +189,9 @@ class FaultInjector:
             )
 
 
-def install_schedule(
-    net: Any, schedule: FaultSchedule, tracer: Optional[Any] = None
-) -> FaultInjector:
+def install_schedule(net: Any, schedule: FaultSchedule) -> FaultInjector:
     """Adapt ``net``, build an injector for ``schedule``, install it."""
-    injector = FaultInjector(adapter_for(net), schedule, tracer=tracer)
-    return injector.install()
+    return FaultInjector(adapter_for(net), schedule).install()
 
 
 __all__ = [

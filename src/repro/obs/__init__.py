@@ -9,14 +9,20 @@ Three layers, per docs/OBSERVABILITY.md:
 * **node time-series metrics** — periodic per-node CPU utilization,
   queue depths, and network in-flight counts
   (:class:`~repro.obs.sampler.NodeSampler`);
-* **profiling hooks** — the pluggable
-  :class:`~repro.obs.recorder.Recorder` protocol, so benchmarks attach
-  collectors without touching protocol code.
+* **profiling hooks** — the :class:`~repro.obs.recorder.Recorder`
+  protocol: anything implementing it can be set as a run's
+  ``net.recorder.trace`` (and ``net.network.tracer``), so benchmarks
+  attach collectors without touching protocol code.
 
-The layer is zero-overhead when disabled: components hold a ``tracer``
-attribute that defaults to ``None`` and every emission site is guarded
-by one attribute check. When enabled, recorders are *passive* — they
-never perturb simulated results (see ``repro.sim.core`` and
+One sink per fact: protocol components never hold a recorder of their
+own. Phases and transaction outcomes are reported once, to the run's
+:class:`~repro.core.recording.TransactionRecorder`, which also emits
+the matching span or instants when its ``trace`` is set; components
+send their detail spans through that same ``trace``. The network sits
+below the recorder and holds the one other sink (``Network.tracer``).
+Both default to ``None``, so an untraced run pays one attribute check
+per emission site. Recorders are *passive* — they never perturb
+simulated results (see ``repro.sim.core`` and
 ``tests/obs/test_determinism.py``).
 
 Typical use::
@@ -29,16 +35,19 @@ Typical use::
     net.attach_observability(obs)
     net.run(until=30.0)
 
-    obs.trace.phase_means_ms()               # Table-3-style breakdown
     from repro.obs.chrome import write_chrome_trace
     write_chrome_trace(obs.trace, "trace.json")   # load in chrome://tracing
+
+The Table-3-style breakdown is ``result.phase_means_ms`` of a
+``run_experiment`` result; every phase in it is also a span of the
+trace.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.recorder import MultiRecorder, NullRecorder, Recorder
+from repro.obs.recorder import Recorder
 from repro.obs.sampler import NodeSampler
 from repro.obs.trace import Instant, Sample, Span, TraceCollector
 
@@ -46,26 +55,16 @@ from repro.obs.trace import Instant, Sample, Span, TraceCollector
 class Observability:
     """Bundles a trace collector and a node sampler for one run.
 
-    ``trace=False`` disables span/instant collection; a
-    ``sample_interval`` of 0 disables node time-series sampling. An
-    ``extra_recorder`` (any :class:`Recorder`) receives everything the
-    built-in collector does — the benchmark-pluggability hook.
+    The collector always exists and holds whatever the run records:
+    ``trace=True`` makes it the run's span/instant sink
+    (:attr:`recorder`; ``None`` otherwise, so an untraced run makes no
+    span calls), and a positive ``sample_interval`` makes the node
+    sampler write its gauge readings into it.
     """
 
-    def __init__(
-        self,
-        trace: bool = True,
-        sample_interval: float = 0.0,
-        extra_recorder: Optional[Recorder] = None,
-    ) -> None:
-        self.trace: Optional[TraceCollector] = TraceCollector() if trace else None
-        sinks = [sink for sink in (self.trace, extra_recorder) if sink is not None]
-        if not sinks:
-            self.recorder: Recorder = NullRecorder()
-        elif len(sinks) == 1:
-            self.recorder = sinks[0]
-        else:
-            self.recorder = MultiRecorder(sinks)
+    def __init__(self, trace: bool = True, sample_interval: float = 0.0) -> None:
+        self.trace = TraceCollector()
+        self.recorder: Optional[TraceCollector] = self.trace if trace else None
         self.sample_interval = sample_interval
         self.sampler: Optional[NodeSampler] = None
 
@@ -77,7 +76,7 @@ class Observability:
         after registering its probes.
         """
         if self.sample_interval > 0 and self.sampler is None:
-            self.sampler = NodeSampler(sim, self.recorder, self.sample_interval)
+            self.sampler = NodeSampler(sim, self.trace, self.sample_interval)
         return self.sampler
 
     def detach(self) -> "Observability":
@@ -96,9 +95,7 @@ class Observability:
 
 __all__ = [
     "Instant",
-    "MultiRecorder",
     "NodeSampler",
-    "NullRecorder",
     "Observability",
     "Recorder",
     "Sample",

@@ -158,22 +158,9 @@ def phase_means_from_trace(payload: Dict[str, Any]) -> Dict[str, float]:
     return {name: total / count / 1000.0 for name, (total, count) in sorted(totals.items())}
 
 
-def phase_shares_from_trace(
-    payload: Dict[str, Any], names: List[str]
-) -> Dict[str, float]:
-    """Each named phase's share of the named phases' total mean time."""
-    means = phase_means_from_trace(payload)
-    picked = {name: means.get(name, 0.0) for name in names}
-    total = sum(picked.values())
-    if total <= 0:
-        return {name: 0.0 for name in names}
-    return {name: value / total for name, value in picked.items()}
-
-
 __all__ = [
     "load_chrome_trace",
     "phase_means_from_trace",
-    "phase_shares_from_trace",
     "to_chrome_trace",
     "write_chrome_trace",
 ]

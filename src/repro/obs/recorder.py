@@ -1,10 +1,12 @@
 """The ``Recorder`` protocol — the pluggable profiling hook.
 
-Protocol components (organizations, clients, the network, baseline
-peers) hold an optional ``tracer`` attribute. When it is ``None`` —
-the default — every emission site is a single attribute check and the
-observability layer costs nothing. When a :class:`Recorder` is
-attached, components report three kinds of facts:
+A run has one trace sink: its
+:class:`~repro.core.recording.TransactionRecorder`'s ``trace``
+attribute (plus ``Network.tracer`` for the network, which sits below
+the recorder). When it is ``None`` — the default — every emission site
+is a single attribute check and the observability layer costs nothing.
+When a :class:`Recorder` is set there, the run reports three kinds of
+facts to it:
 
 * **spans** — a named interval of simulated time, optionally tied to a
   node and a transaction id (``orderlesschain/P1/Execution`` from
@@ -26,7 +28,7 @@ catalogue.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Protocol, Sequence, runtime_checkable
+from typing import Any, Dict, Optional, Protocol, runtime_checkable
 
 
 @runtime_checkable
@@ -35,7 +37,7 @@ class Recorder(Protocol):
 
     Benchmarks attach collectors through this protocol without touching
     protocol code: anything with these three methods can be set as a
-    component's ``tracer``.
+    run's ``net.recorder.trace``.
     """
 
     def span(
@@ -68,36 +70,4 @@ class Recorder(Protocol):
         ...
 
 
-class NullRecorder:
-    """A recorder that drops everything (an explicit no-op sink)."""
-
-    def span(self, name, start, end, *, node="", txn_id=None, attrs=None) -> None:
-        pass
-
-    def instant(self, name, at, *, node="", txn_id=None, attrs=None) -> None:
-        pass
-
-    def sample(self, name, at, value, *, node="") -> None:
-        pass
-
-
-class MultiRecorder:
-    """Fan one emission stream out to several recorders."""
-
-    def __init__(self, recorders: Sequence[Recorder]) -> None:
-        self.recorders = list(recorders)
-
-    def span(self, name, start, end, *, node="", txn_id=None, attrs=None) -> None:
-        for recorder in self.recorders:
-            recorder.span(name, start, end, node=node, txn_id=txn_id, attrs=attrs)
-
-    def instant(self, name, at, *, node="", txn_id=None, attrs=None) -> None:
-        for recorder in self.recorders:
-            recorder.instant(name, at, node=node, txn_id=txn_id, attrs=attrs)
-
-    def sample(self, name, at, value, *, node="") -> None:
-        for recorder in self.recorders:
-            recorder.sample(name, at, value, node=node)
-
-
-__all__ = ["Recorder", "NullRecorder", "MultiRecorder"]
+__all__ = ["Recorder"]

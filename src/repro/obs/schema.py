@@ -36,10 +36,11 @@ def _spec(name: str, kind: str, component: str, unit: str, description: str) -> 
 
 _SPECS: List[MetricSpec] = [
     # -- transaction lifecycle (client's view) ---------------------------------
+    # client/txn and txn/* come from the run's recorder, for every system.
     _spec(
         "client/txn",
         SPAN,
-        "core.client.Client",
+        "core.recording.TransactionRecorder",
         "s",
         "Whole transaction lifecycle: submit to commit/failure. "
         "attrs: kind (modify|read), outcome (committed|failed).",
@@ -66,12 +67,24 @@ _SPECS: List[MetricSpec] = [
         "s",
         "Read transaction: requests sent to q responses or read timeout.",
     ),
-    _spec("txn/submitted", INSTANT, "core.client.Client", "-", "Client submitted a transaction."),
-    _spec("txn/committed", INSTANT, "core.client.Client", "-", "Transaction successfully committed."),
+    _spec(
+        "txn/submitted",
+        INSTANT,
+        "core.recording.TransactionRecorder",
+        "-",
+        "Client submitted a transaction.",
+    ),
+    _spec(
+        "txn/committed",
+        INSTANT,
+        "core.recording.TransactionRecorder",
+        "-",
+        "Transaction successfully committed.",
+    ),
     _spec(
         "txn/failed",
         INSTANT,
-        "core.client.Client",
+        "core.recording.TransactionRecorder",
         "-",
         "Transaction failed. attrs: reason.",
     ),
@@ -235,7 +248,7 @@ _SPECS: List[MetricSpec] = [
     _spec(
         "client/retry",
         INSTANT,
-        "core.client.Client",
+        "core.recording.TransactionRecorder",
         "-",
         "A phase is being retried after a timed-out attempt. "
         "attrs: phase (endorse|commit), attempt (1-based).",

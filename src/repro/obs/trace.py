@@ -4,8 +4,9 @@
 protocol with plain appends — recording never perturbs the simulation.
 It keeps three flat lists (spans, instants, samples) plus indexes by
 transaction id, and offers the views the benchmark layer builds on:
-per-transaction lifecycles, Table-3-style phase means, and gauge time
-series.
+per-transaction lifecycles and gauge time series. The Table-3 phase
+breakdown is the run's ``TransactionRecorder``'s (``phase_means_ms`` on
+the result), which emits each phase span here.
 
 All timestamps are simulated seconds. Span/instant/sample names are
 documented in ``repro.obs.schema``.
@@ -93,25 +94,6 @@ class TraceCollector:
 
     def txn_ids(self) -> List[str]:
         return sorted(self._spans_by_txn)
-
-    def phase_means_ms(self) -> Dict[str, float]:
-        """Mean duration per span name, in milliseconds (Table 3 shape)."""
-        totals: Dict[str, Tuple[float, int]] = {}
-        for span in self.spans:
-            total, count = totals.get(span.name, (0.0, 0))
-            totals[span.name] = (total + span.duration, count + 1)
-        return {
-            name: 1000.0 * total / count for name, (total, count) in sorted(totals.items())
-        }
-
-    def phase_shares(self, names: List[str]) -> Dict[str, float]:
-        """Each named phase's share of the named phases' total mean time."""
-        means = self.phase_means_ms()
-        picked = {name: means.get(name, 0.0) for name in names}
-        total = sum(picked.values())
-        if total <= 0:
-            return {name: 0.0 for name in names}
-        return {name: value / total for name, value in picked.items()}
 
     # -- sample views -----------------------------------------------------------
 

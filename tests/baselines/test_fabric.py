@@ -25,7 +25,7 @@ def test_single_vote_commits_through_ordering():
     )
     net.run(until=10.0)
     assert process.value is True
-    assert client.committed == 1
+    assert len(net.recorder.successes()) == 1
     # Blocks reach every peer.
     for peer in net.replicas:
         assert peer.committed_valid == 1

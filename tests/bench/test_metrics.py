@@ -103,7 +103,7 @@ def test_summary_row_is_flat():
 
 def test_phase_means():
     recorder = make_recorder()
-    recorder.phase("x/P1", 0.010)
-    recorder.phase("x/P1", 0.020)
+    recorder.phase("x/P1", 0.0, 0.010, node="org0", txn_id="m0")
+    recorder.phase("x/P1", 0.0, 0.020, node="org0", txn_id="m1")
     result = compute_result(recorder, "s", "a", 100.0, scale=1.0)
     assert result.phase_means_ms["x/P1"] == pytest.approx(15.0)

@@ -75,7 +75,7 @@ class TestRetryLoopUnderChaos:
 
         total_retries = sum(r.retries for r in net.recorder.records.values())
         assert total_retries > 0, "chaos windows should force at least one retry"
-        assert sum(c.committed for c in clients) == 4  # retries recover all work
+        assert len(net.recorder.successes()) == 4  # retries recover all work
 
     def test_fixed_mode_chaos_run_is_oracle_green(self):
         result = _chaos(seed=1, resilience=False)

@@ -14,11 +14,13 @@ from repro.core import OrderlessChainNetwork, OrderlessChainSettings
 from repro.obs import Observability, TraceCollector
 
 
-def run_once(observability=None, seed=11):
+def run_once(observability=None, seed=11, plug=None):
     settings = OrderlessChainSettings(num_orgs=6, quorum=3, seed=seed)
     net = OrderlessChainNetwork(settings)
     if observability is not None:
         net.attach_observability(observability)
+    if plug is not None:
+        net.recorder.trace = net.network.tracer = plug
     net.install_contract(AuctionContract)
     clients = [net.add_client() for _ in range(3)]
 
@@ -70,10 +72,11 @@ def test_traced_and_untraced_runs_are_byte_identical():
     assert traced.sim.now == untraced.sim.now
 
 
-def test_extra_recorder_is_equally_passive():
+def test_plugged_in_recorder_is_equally_passive():
     untraced = run_once()
-    obs = Observability(trace=True, extra_recorder=TraceCollector())
-    traced = run_once(obs)
+    plug = TraceCollector()
+    traced = run_once(plug=plug)
+    assert plug.spans
     assert ledger_bytes(traced) == ledger_bytes(untraced)
     assert head_hashes(traced) == head_hashes(untraced)
 

@@ -84,19 +84,18 @@ def test_validate_collector_flags_undocumented_and_inverted_spans():
 
 
 def test_exported_trace_validates_and_roundtrips(tmp_path, traced):
-    _, obs = traced
+    net, obs = traced
     path = tmp_path / "trace.json"
     payload = write_chrome_trace(obs.trace, str(path))
     assert schema.validate_chrome_trace(payload) == []
     reloaded = load_chrome_trace(str(path))
     assert reloaded == payload
     # The Table-3-style breakdown regenerates from the file alone and
-    # matches the live collector (to export rounding).
+    # matches the run's recorder (to export rounding).
     from_file = phase_means_from_trace(reloaded)
-    live = obs.trace.phase_means_ms()
-    assert set(from_file) == set(live)
-    for name, mean in live.items():
-        assert from_file[name] == pytest.approx(mean, abs=1e-3)
+    assert net.recorder.phase_durations
+    for name in net.recorder.phase_durations:
+        assert from_file[name] == pytest.approx(1000.0 * net.recorder.mean_phase(name), abs=1e-3)
 
 
 def test_validate_chrome_trace_rejects_malformed_payloads():

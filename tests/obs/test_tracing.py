@@ -10,18 +10,24 @@ node sampler's gauges stay in range.
 
 import pytest
 
+from repro.bench.config import ExperimentConfig
+from repro.bench.runner import run_experiment
 from repro.contracts import AuctionContract
 from repro.core import OrderlessChainNetwork, OrderlessChainSettings
-from repro.obs import MultiRecorder, NullRecorder, Observability, Recorder, TraceCollector
+from repro.obs import Observability, Recorder, TraceCollector
 
 
-def run_traced(trace=True, sample_interval=0.0, extra_recorder=None, bids=6):
+def run_traced(trace=True, sample_interval=0.0, bids=6, plug=None):
+    """A small auction run; ``plug`` is set as the run's trace sink
+    directly, without an :class:`Observability`."""
     settings = OrderlessChainSettings(num_orgs=4, quorum=2, seed=7)
     net = OrderlessChainNetwork(settings)
-    obs = Observability(
-        trace=trace, sample_interval=sample_interval, extra_recorder=extra_recorder
-    )
-    net.attach_observability(obs)
+    obs = None
+    if plug is not None:
+        net.recorder.trace = net.network.tracer = plug
+    else:
+        obs = Observability(trace=trace, sample_interval=sample_interval)
+        net.attach_observability(obs)
     net.install_contract(AuctionContract)
     clients = [net.add_client() for _ in range(2)]
 
@@ -159,23 +165,30 @@ def test_sampler_gauges_in_range(traced):
     assert times == sorted(times)
 
 
-def test_disabled_observability_uses_null_recorder():
+def test_untraced_observability_makes_no_span_calls():
     obs = Observability(trace=False)
-    assert obs.trace is None
-    assert isinstance(obs.recorder, NullRecorder)
+    assert obs.recorder is None
     net, obs = run_traced(trace=False, bids=2)
-    assert obs.trace is None
+    assert obs.trace.spans == [] and obs.trace.instants == []
     assert net.recorder.records  # the run itself still happened
 
 
-def test_extra_recorder_receives_everything():
-    extra = TraceCollector()
-    _, obs = run_traced(extra_recorder=extra, bids=3)
-    assert isinstance(obs.recorder, MultiRecorder)
-    assert len(extra.spans) == len(obs.trace.spans)
-    assert len(extra.instants) == len(obs.trace.instants)
+def test_sampled_untraced_run_keeps_its_samples():
+    config = ExperimentConfig(
+        num_orgs=4, quorum=2, duration=2, drain=1, scale=200, sample_interval=0.5
+    )
+    collector = run_experiment(config).observability.trace
+    assert collector.series("net/sent") and collector.nodes_sampled()
+    assert collector.spans == [] and collector.instants == []
+
+
+def test_plugged_in_recorder_receives_everything():
+    plug = TraceCollector()
+    run_traced(bids=3, plug=plug)
+    _, obs = run_traced(bids=3)
+    assert plug.spans == obs.trace.spans
+    assert plug.instants == obs.trace.instants
 
 
 def test_trace_collector_satisfies_recorder_protocol():
     assert isinstance(TraceCollector(), Recorder)
-    assert isinstance(NullRecorder(), Recorder)

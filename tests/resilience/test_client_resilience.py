@@ -50,7 +50,7 @@ class TestHedging:
             client.submit_modify("voting", "vote", {"party": "party0", "election": "e"})
         )
         net.run(until=10.0)
-        assert client.committed == 1
+        assert len(net.recorder.successes()) == 1
         # Hedge=1 means q+1=3 organizations saw the proposal, and the
         # estimator collected RTT samples from the responses.
         assert client._rtt.samples >= 2
@@ -133,8 +133,8 @@ class TestEndToEnd:
             )
         )
         net.run(until=20.0)
-        assert client.committed == 2  # the modify and the read
-        assert client.failed == 0
+        assert len(net.recorder.successes()) == 2  # the modify and the read
+        assert net.recorder.failures() == []
         # All contacted orgs answered, so every breaker stays closed.
         assert all(b.state == "closed" for b in client.breakers.values())
         # The snapshot loop ran on each organization.
