@@ -29,8 +29,8 @@ def main() -> None:
 
     # Partition groups: the "shore" side and the "ship" side both keep
     # at least q=2 organizations, so both stay available.
-    shore = set(net.org_ids[:3]) | {"sensor-port", "courier"}
-    ship = set(net.org_ids[3:]) | {"sensor-ship"}
+    shore = set(net.node_ids[:3]) | {"sensor-port", "courier"}
+    ship = set(net.node_ids[3:]) | {"sensor-ship"}
 
     def reading(sensor, reading_id, temperature):
         return net.sim.process(

@@ -202,7 +202,7 @@ class BIDLNetwork(BaselineNetwork):
         self.sequencer.enqueue(message.body)
 
     def _sequence_batch(self, batch: List[Dict[str, Any]]):
-        total_bytes = sum(TXN_BYTES for _ in batch) * (len(self.replica_ids) + 1)
+        total_bytes = sum(TXN_BYTES for _ in batch) * (len(self.node_ids) + 1)
         yield self.sequencer_nic.transmit(total_bytes)
         now = self.sim.now
         for txn in batch:
@@ -251,10 +251,10 @@ class BIDLNetwork(BaselineNetwork):
         # already multicast by the sequencer (BIDL's key design).
         batch_bytes = 200 + 48 * len(batch)
         for round_number in range(settings.perf.bidl_consensus_rounds):
-            yield self.leader_nic.transmit(batch_bytes * len(self.replica_ids))
+            yield self.leader_nic.transmit(batch_bytes * len(self.node_ids))
             votes = Event(self.sim)
             self._vote_state[batch_id] = (votes, self.vote_quorum)
-            for org_id in self.replica_ids:
+            for org_id in self.node_ids:
                 self.network.send(
                     Message(
                         sender=LEADER_ID,
@@ -284,8 +284,8 @@ class BIDLNetwork(BaselineNetwork):
             self.recorder.phase(
                 "bidl/P2/Consensus", enqueued, now, node=LEADER_ID, txn_id=txn["txn_id"]
             )
-        yield self.leader_nic.transmit(160 * len(self.replica_ids))
-        for org_id in self.replica_ids:
+        yield self.leader_nic.transmit(160 * len(self.node_ids))
+        for org_id in self.node_ids:
             self.network.send(
                 Message(
                     sender=LEADER_ID,

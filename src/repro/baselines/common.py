@@ -9,8 +9,8 @@ else is here, once:
   validates the fields it reads.
 * :class:`BaselineNetwork` — the simulation shell: simulator, RNG
   registry, network, explore install, recorder (which also feeds the
-  trace), the replica list, clients, observability and the convergence
-  check.
+  trace), the replica list, clients, observability, the convergence
+  check and the node surface the fault injector and oracles drive.
 * :class:`Replica` — a replica node's CPU and its in-order application
   of the source's log.
 * :class:`OrderedLog` — the indexed log one source (orderer, sequencer,
@@ -43,7 +43,7 @@ else is here, once:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.perf import PerfModel
 from repro.core.recording import TransactionRecorder
@@ -465,7 +465,7 @@ class OrderedLog:
         # Locals: for BIDL this runs once per sequenced transaction.
         send, source_id, entry_type = self.net.network.send, self.source_id, self.entry_type
         size = self.entry_bytes(body)
-        for node_id in self.net.replica_ids:
+        for node_id in self.net.node_ids:
             send(
                 Message(
                     sender=source_id,
@@ -522,7 +522,7 @@ class OrderedLog:
             latest = len(self.entries) - 1
             if latest < 0:
                 continue
-            for node_id in self.net.replica_ids:
+            for node_id in self.net.node_ids:
                 network.send(
                     Message(
                         sender=self.source_id,
@@ -539,7 +539,7 @@ class Replica:
 
     ``apply_entry`` is the generator that applies one log entry;
     subclasses define ``_on_message`` and keep their application state
-    in ``state`` (or override :meth:`snapshot`).
+    in ``state`` (or override :meth:`state_snapshot`).
     """
 
     def __init__(
@@ -559,7 +559,7 @@ class Replica:
     def _request_entries(self, from_index: int) -> None:
         self.net.log.request(self.node_id, from_index)
 
-    def snapshot(self) -> Any:
+    def state_snapshot(self) -> Any:
         """Canonical application state, for convergence and fingerprints."""
         return self.state.snapshot()
 
@@ -601,7 +601,7 @@ class BaselineNetwork:
     """
 
     system = ""  # the name the runner, faults and checkers use
-    replica_prefix = "org"
+    node_prefix = "org"
     replica_class: Callable[["BaselineNetwork", str], Replica]
     client_class: Callable[["BaselineNetwork", str], Any]
     log: OrderedLog
@@ -621,10 +621,11 @@ class BaselineNetwork:
             settings.explore.install(self.sim, self.network)
         self.recorder = TransactionRecorder()
         self.replicas = [
-            self.replica_class(self, f"{self.replica_prefix}{index}")
+            self.replica_class(self, f"{self.node_prefix}{index}")
             for index in range(settings.num_orgs)
         ]
-        self.replica_ids = [replica.node_id for replica in self.replicas]
+        self._nodes = {replica.node_id: replica for replica in self.replicas}
+        self.node_ids = list(self._nodes)
         self.clients: List[Any] = []
 
     def attach_observability(self, obs) -> None:
@@ -651,8 +652,46 @@ class BaselineNetwork:
 
     def converged(self) -> bool:
         """All replicas hold identical state (they apply the same log)."""
-        snapshots = [replica.snapshot() for replica in self.replicas]
+        snapshots = [replica.state_snapshot() for replica in self.replicas]
         return all(snapshot == snapshots[0] for snapshot in snapshots)
+
+    # -- the node surface: fault injection, oracles, fingerprints (docs/FAULTS.md)
+
+    def node(self, node_id: str) -> Replica:
+        try:
+            return self._nodes[node_id]
+        except KeyError:
+            raise ConfigError(
+                f"{self.system}: unknown node {node_id!r}; valid: {sorted(self._nodes)}"
+            ) from None
+
+    def crash(self, node_id: str) -> None:
+        """Fail-stop one replica: the network drops its sends and its
+        in-flight inbox (a replica keeps no state it would lose)."""
+        self.node(node_id)
+        self.network.crash(node_id)
+
+    def recover(self, node_id: str) -> str:
+        """Re-admit one replica, which then fetches everything it missed
+        from the source's ordered log; returns the recovery mode."""
+        replica = self.node(node_id)
+        self.network.recover(node_id)
+        # The request and the re-sends are ordinary network traffic.
+        replica.applier.request_catchup()
+        return "catchup"
+
+    def ledgers(self) -> Dict[str, Any]:
+        """No baseline keeps a hash-chain ledger."""
+        return {}
+
+    def byzantine_ids(self) -> FrozenSet[str]:
+        """No baseline replica is configured to misbehave."""
+        return frozenset()
+
+    def pending_grace(self) -> float:
+        """Longest time a submitted transaction may legitimately stay
+        pending; the liveness oracle flags only older unresolved ones."""
+        return self.client_class.longest_pending() + 10.0
 
 
 class SubmitClient:
@@ -703,7 +742,7 @@ class SubmitClient:
                     "client_id": self.client_id,
                     "kind": kind,
                     "params": params,
-                    "event_peer": self.rng.choice(net.replica_ids),
+                    "event_peer": self.rng.choice(net.node_ids),
                 },
                 size_bytes=net.txn_bytes,
             )

@@ -191,7 +191,7 @@ class FabricClient:
         """
         sim = self.net.sim
         quorum = self.net.settings.quorum
-        peers = self.rng.sample(self.net.replica_ids, quorum)
+        peers = self.rng.sample(self.net.node_ids, quorum)
         event = Event(sim)
         self._pending[txn_id] = (event, [], quorum)
         for peer_id in peers:
@@ -274,7 +274,7 @@ class FabricNetwork(BaselineNetwork):
     """A built Fabric network: peers + Solo (or Raft) orderer + clients."""
 
     system = "fabric"
-    replica_prefix = "peer"
+    node_prefix = "peer"
     replica_class = FabricPeer
     client_class = FabricClient
     msg_proposal, msg_read, msg_order = MSG_PROPOSAL, MSG_READ, MSG_ORDER

@@ -116,7 +116,7 @@ class FabricCRDTPeer(Replica):
         doc = self.documents.get(key)
         return doc.size() if doc is not None else 0
 
-    def snapshot(self) -> Dict[str, Any]:
+    def state_snapshot(self) -> Dict[str, Any]:
         return {key: self.documents[key].snapshot() for key in sorted(self.documents)}
 
     def _on_message(self, message: Message) -> None:
@@ -235,7 +235,7 @@ class FabricCRDTNetwork(BaselineNetwork):
     """A built FabricCRDT network."""
 
     system = "fabriccrdt"
-    replica_prefix = "peer"
+    node_prefix = "peer"
     replica_class = FabricCRDTPeer
     client_class = FabricCRDTClient
     msg_proposal, msg_read, msg_order = MSG_PROPOSAL, MSG_READ, MSG_ORDER

@@ -165,7 +165,7 @@ class SyncHotStuffNetwork(BaselineNetwork):
     def _propose_batch(self, batch: List[Dict[str, Any]]):
         self._batch_counter += 1
         batch_bytes = 200 + TXN_BYTES * len(batch)
-        yield self.leader_nic.transmit(batch_bytes * len(self.replica_ids))
+        yield self.leader_nic.transmit(batch_bytes * len(self.node_ids))
         now = self.sim.now
         for txn in batch:
             arrived = self._submit_arrivals.pop(txn["txn_id"], now)

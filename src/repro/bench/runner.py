@@ -121,7 +121,7 @@ def build_network(
         net.add_client(byzantine=byz_config if index < byzantine_clients else None)
     for window in config.byzantine_org_windows:
         net.schedule_byzantine_window(
-            net.org_ids[: window.count], window.start, window.end
+            net.node_ids[: window.count], window.start, window.end
         )
     return net
 

@@ -20,8 +20,8 @@ paper claims (Sections 5–8):
 * **Availability** — enough of what was submitted actually committed
   (lenient by default; resilience experiments tighten the floor).
 
-Run them with :func:`run_checkers` against any of the five systems
-(the same :mod:`repro.faults.adapters` surface the fault engine uses);
+Run them with :func:`run_checkers` against any of the five built
+networks (through the same node surface the fault engine drives);
 the result is a :class:`~repro.checkers.report.CheckReport` whose
 ``format()`` is the diagnosable failure report the chaos tests and the
 CLI print. See ``docs/FAULTS.md``.

@@ -18,28 +18,23 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from repro.crypto.hashing import sha256_hex
-from repro.faults.adapters import SystemAdapter, adapter_for
 
 
 def state_fingerprints(net: Any) -> Dict[str, str]:
     """node id -> sha256 of its canonical application-state snapshot."""
-    adapter = net if isinstance(net, SystemAdapter) else adapter_for(net)
     return {
-        node_id: sha256_hex(adapter.state_snapshot(node_id))
-        for node_id in adapter.node_ids()
+        node_id: sha256_hex(net.node(node_id).state_snapshot()) for node_id in net.node_ids
     }
 
 
 def run_fingerprint(net: Any) -> str:
     """One hex digest pinning a run's observable outcome."""
-    adapter = net if isinstance(net, SystemAdapter) else adapter_for(net)
-    records = adapter.recorder.records
+    records = net.recorder.records
     material = {
-        "system": adapter.system,
-        "state": state_fingerprints(adapter),
+        "system": net.system,
+        "state": state_fingerprints(net),
         "ledger_heads": {
-            node_id: ledger.log.head_hash
-            for node_id, ledger in sorted(adapter.ledgers().items())
+            node_id: ledger.log.head_hash for node_id, ledger in sorted(net.ledgers().items())
         },
         "records": {
             "submitted": len(records),

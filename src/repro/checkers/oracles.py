@@ -1,6 +1,7 @@
 """The invariant oracles.
 
-Each oracle implements ``check(adapter, ctx) -> CheckResult``. Oracles
+Each oracle implements ``check(net, ctx) -> CheckResult`` over a built
+network's node surface (``repro.faults`` drives the same one). Oracles
 are read-only (they snapshot, hash, and verify — never schedule or
 mutate), so they can run mid-simulation between events as well as at
 quiescence. ``ctx.quiescent`` tells time-sensitive oracles
@@ -19,7 +20,6 @@ from typing import Any, FrozenSet, List, Optional, Sequence
 
 from repro.checkers.report import FAIL, PASS, SKIP, CheckReport, CheckResult
 from repro.crypto.hashing import sha256_hex
-from repro.faults.adapters import SystemAdapter, adapter_for
 from repro.faults.schedule import FaultSchedule
 
 
@@ -53,19 +53,17 @@ class ConvergenceChecker:
 
     name = "convergence"
 
-    def check(self, adapter: SystemAdapter, ctx: CheckContext) -> CheckResult:
+    def check(self, net: Any, ctx: CheckContext) -> CheckResult:
         if not ctx.quiescent:
             return CheckResult(self.name, SKIP, "only checked at quiescence")
         if ctx.partitioned:
             return CheckResult(
                 self.name, SKIP, "partition still in place; divergence is expected"
             )
-        nodes = ctx.honest_alive(adapter.node_ids())
+        nodes = ctx.honest_alive(net.node_ids)
         if len(nodes) < 2:
             return CheckResult(self.name, SKIP, "fewer than two honest alive nodes")
-        digests = {
-            node_id: sha256_hex(adapter.state_snapshot(node_id)) for node_id in nodes
-        }
+        digests = {node_id: sha256_hex(net.node(node_id).state_snapshot()) for node_id in nodes}
         distinct = sorted(set(digests.values()))
         if len(distinct) == 1:
             return CheckResult(
@@ -90,10 +88,10 @@ class LedgerIntegrityChecker:
 
     name = "ledger-integrity"
 
-    def check(self, adapter: SystemAdapter, ctx: CheckContext) -> CheckResult:
-        ledgers = adapter.ledgers()
+    def check(self, net: Any, ctx: CheckContext) -> CheckResult:
+        ledgers = net.ledgers()
         if not ledgers:
-            return CheckResult(self.name, SKIP, f"{adapter.system} keeps no hash-chain ledger")
+            return CheckResult(self.name, SKIP, f"{net.system} keeps no hash-chain ledger")
         violations: List[str] = []
         for node_id, ledger in sorted(ledgers.items()):
             try:
@@ -133,19 +131,25 @@ class PolicySafetyChecker:
 
     name = "policy-safety"
 
-    def check(self, adapter: SystemAdapter, ctx: CheckContext) -> CheckResult:
-        if adapter.system != "orderlesschain":
+    def check(self, net: Any, ctx: CheckContext) -> CheckResult:
+        if net.system != "orderlesschain":
             return CheckResult(
-                self.name, SKIP, f"{adapter.system} has no endorsement policy to audit"
+                self.name, SKIP, f"{net.system} has no endorsement policy to audit"
             )
         from repro.core.transaction import Transaction
 
-        ca = adapter.net.ca
-        policy = adapter.net.policy
+        ca = net.ca
+        policy = net.policy
         violations: List[str] = []
         audited = 0
-        for node_id in ctx.honest_alive(adapter.node_ids()):
-            wires = adapter.committed_wires(node_id) or {}
+        for node_id in ctx.honest_alive(net.node_ids):
+            # Transaction ids are network-wide unique (client id + Lamport
+            # counter), so every channel's committed wires merge into one.
+            wires = {
+                txn_id: wire
+                for channel in net.node(node_id).channels.values()
+                for txn_id, wire in channel.valid_txn_wire.items()
+            }
             for txn_id, wire in sorted(wires.items()):
                 audited += 1
                 transaction = Transaction.from_wire(_plain_copy(wire))
@@ -187,7 +191,7 @@ class LivenessChecker:
 
     * no transaction stays unresolved (neither committed nor failed)
       longer than the client's own timeout budget
-      (``adapter.pending_grace()``) — an infinite hang is a liveness
+      (``net.pending_grace()``) — an infinite hang is a liveness
       bug even where a timeout-and-fail is acceptable;
     * if transactions were submitted after the last fault effect ended
       (``ctx.fault_horizon``), at least one commit must also land
@@ -196,12 +200,12 @@ class LivenessChecker:
 
     name = "liveness"
 
-    def check(self, adapter: SystemAdapter, ctx: CheckContext) -> CheckResult:
+    def check(self, net: Any, ctx: CheckContext) -> CheckResult:
         if not ctx.quiescent:
             return CheckResult(self.name, SKIP, "only checked at quiescence")
-        now = adapter.sim.now
-        grace = adapter.pending_grace()
-        records = adapter.recorder.records
+        now = net.sim.now
+        grace = net.pending_grace()
+        records = net.recorder.records
         violations: List[str] = []
         for txn_id, record in sorted(records.items()):
             unresolved = record.committed_at is None and record.failed_at is None
@@ -242,10 +246,10 @@ class NoDuplicateCommitChecker:
 
     name = "no-duplicate-commit"
 
-    def check(self, adapter: SystemAdapter, ctx: CheckContext) -> CheckResult:
-        ledgers = adapter.ledgers()
+    def check(self, net: Any, ctx: CheckContext) -> CheckResult:
+        ledgers = net.ledgers()
         if not ledgers:
-            return CheckResult(self.name, SKIP, f"{adapter.system} keeps no hash-chain ledger")
+            return CheckResult(self.name, SKIP, f"{net.system} keeps no hash-chain ledger")
         violations: List[str] = []
         audited = 0
         for node_id, ledger in sorted(ledgers.items()):
@@ -287,10 +291,10 @@ class AvailabilityChecker:
     def __init__(self, min_commit_ratio: float = 0.05) -> None:
         self.min_commit_ratio = min_commit_ratio
 
-    def check(self, adapter: SystemAdapter, ctx: CheckContext) -> CheckResult:
+    def check(self, net: Any, ctx: CheckContext) -> CheckResult:
         if not ctx.quiescent:
             return CheckResult(self.name, SKIP, "only checked at quiescence")
-        records = adapter.recorder.records
+        records = net.recorder.records
         if not records:
             return CheckResult(self.name, SKIP, "no transactions submitted")
         committed = sum(1 for r in records.values() if r.committed_at is not None)
@@ -327,11 +331,10 @@ def run_checkers(
     ``schedule`` — when given, derives which nodes the schedule left
     crashed, whether a partition is still in place, and the fault
     horizon for the liveness probe. ``byzantine_ids`` defaults to the
-    adapter's ground truth (organizations with a Byzantine config).
+    network's ground truth (organizations with a Byzantine config).
     """
-    adapter = net if isinstance(net, SystemAdapter) else adapter_for(net)
     if byzantine_ids is None:
-        byzantine_ids = adapter.byzantine_ids()
+        byzantine_ids = net.byzantine_ids()
     crashed = schedule.crashed_at_end() if schedule is not None else frozenset()
     ctx = CheckContext(
         quiescent=quiescent,
@@ -340,11 +343,9 @@ def run_checkers(
         partitioned=schedule.partitioned_at_end() if schedule is not None else False,
         fault_horizon=schedule.horizon if schedule is not None else 0.0,
     )
-    report = CheckReport(
-        system=adapter.system, checked_at=adapter.sim.now, quiescent=quiescent
-    )
+    report = CheckReport(system=net.system, checked_at=net.sim.now, quiescent=quiescent)
     for checker in checkers if checkers is not None else default_checkers():
-        report.results.append(checker.check(adapter, ctx))
+        report.results.append(checker.check(net, ctx))
     return report
 
 

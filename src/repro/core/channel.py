@@ -61,7 +61,6 @@ class ChannelState:
         "commit_index",
         "txns_by_object",
         "snapshot",
-        "committed_valid",
         "committed_invalid",
         "gossip_commits",
     )
@@ -77,8 +76,9 @@ class ChannelState:
         self.txns_by_object: Dict[str, set] = {}
         self.snapshot: Optional[Dict[str, Any]] = None
         # Per-channel commit counters (the org-level totals aggregate
-        # across channels), for the multichannel attribution panel.
-        self.committed_valid = 0
+        # across channels; valid commits are the ledger's own count).
+        # An invalid-logged transaction may later commit as valid, so
+        # the invalid count is not derivable from the ledger.
         self.committed_invalid = 0
         self.gossip_commits = 0
 

@@ -61,6 +61,18 @@ class ClientConfig:
     # fixed timeouts above and the legacy event order byte-identical.
     resilience: Optional[ResilienceConfig] = None
 
+    def longest_pending(self) -> float:
+        """How long a transaction can legitimately stay unresolved: a
+        modify can wait out the proposal and commit timeouts once per
+        attempt."""
+        if self.resilience is not None:
+            # Adaptive deadlines: each attempt of each phase is bounded
+            # by the jitter-inclusive worst-case timeout.
+            worst = self.resilience.worst_case_timeout
+            return (self.max_retries + 1) * 2 * worst + max(worst, 1.0)
+        per_attempt = self.proposal_timeout + self.commit_timeout
+        return (self.max_retries + 1) * per_attempt + max(self.read_timeout, 1.0)
+
 
 class _Pending:
     """Responses collected for one in-flight request.

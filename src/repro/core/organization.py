@@ -116,7 +116,6 @@ class Organization:
         # default) disables it and keeps the legacy path byte-identical.
         self.snapshot_interval = snapshot_interval
         self.snapshots_taken = 0
-        self.last_recovery_mode: Optional[str] = None
         # Byzantine state: a config plus an on/off switch the experiment
         # timeline flips (Figure 8's f:1 -> f:2 -> f:3 -> f:0 windows).
         self.byzantine: Optional[ByzantineOrgConfig] = None
@@ -155,7 +154,7 @@ class Organization:
 
     @property
     def committed_valid(self) -> int:
-        return sum(channel.committed_valid for channel in self.channels.values())
+        return sum(channel.ledger.valid_transaction_count for channel in self.channels.values())
 
     @property
     def committed_invalid(self) -> int:
@@ -424,7 +423,6 @@ class Organization:
             block = ledger.commit(
                 transaction.transaction_id, operations, wire, valid=True
             )
-            channel.committed_valid += 1
             channel.gossip_backlog.append((wire, self.gossip_ttl))
             channel.valid_txn_wire[txn_id] = wire
             channel.commit_index.add(txn_id)
@@ -859,11 +857,9 @@ class Organization:
         if self.snapshot_interval > 0 and any(
             channel.snapshot is not None for channel in self.channels.values()
         ):
-            self.last_recovery_mode = "snapshot"
             self.crashed = False
             self.sim.process(self._recover_from_snapshot(), name=f"{self.org_id}.recover")
             return "snapshot"
-        self.last_recovery_mode = "resync"
         self.resync()
         return "resync"
 

@@ -3,14 +3,14 @@
 :class:`OrderlessChainNetwork` wires the simulator, RNG streams, the
 certificate authority, the WAN, ``n`` organizations, and any number of
 clients into a runnable system, and provides the helpers experiments
-need: Byzantine window scheduling, convergence checks, and final-state
-access.
+need: Byzantine window scheduling, convergence checks, final-state
+access, and the node surface the fault injector and oracles drive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.core.byzantine import ByzantineClientConfig, ByzantineOrgConfig
 from repro.core.channel import DEFAULT_CHANNEL
@@ -20,6 +20,7 @@ from repro.core.perf import PerfModel
 from repro.core.policy import EndorsementPolicy
 from repro.core.recording import TransactionRecorder
 from repro.errors import ConfigError
+from repro.ledger.ledger import Ledger
 from repro.net.latency import LatencyModel, LinkFaults
 from repro.net.network import Network
 from repro.crypto.identity import CertificateAuthority
@@ -102,6 +103,9 @@ class OrderlessChainSettings:
 class OrderlessChainNetwork:
     """A built network: simulator + organizations + clients."""
 
+    system = "orderlesschain"  # the name the runner, faults and checkers use
+    node_prefix = "org"
+
     def __init__(self, settings: OrderlessChainSettings) -> None:
         self.settings = settings
         self.sim = Simulator()
@@ -121,7 +125,8 @@ class OrderlessChainNetwork:
         self.recorder = TransactionRecorder()
         self.organizations: List[Organization] = []
         for index in range(settings.num_orgs):
-            identity = self.ca.enroll(f"org{index}", "organization", seed=f"org{index}".encode())
+            node_id = f"{self.node_prefix}{index}"
+            identity = self.ca.enroll(node_id, "organization", seed=node_id.encode())
             org = Organization(
                 sim=self.sim,
                 network=self.network,
@@ -129,7 +134,7 @@ class OrderlessChainNetwork:
                 ca=self.ca,
                 policy=self.policy,
                 perf=settings.perf,
-                rng=self.rng.stream(f"org{index}"),
+                rng=self.rng.stream(node_id),
                 recorder=self.recorder,
                 cache_enabled=settings.cache_enabled,
                 gossip_interval=settings.gossip_interval,
@@ -139,21 +144,12 @@ class OrderlessChainNetwork:
                 snapshot_interval=settings.snapshot_interval,
             )
             self.organizations.append(org)
-        org_ids = [org.org_id for org in self.organizations]
+        self._nodes: Dict[str, Organization] = {org.org_id: org for org in self.organizations}
+        self.node_ids = list(self._nodes)
         for org in self.organizations:
-            org.set_peers(org_ids)
+            org.set_peers(self.node_ids)
         self.clients: List[Client] = []
         self._started = False
-
-    @property
-    def org_ids(self) -> List[str]:
-        return [org.org_id for org in self.organizations]
-
-    def org(self, org_id: str) -> Organization:
-        for org in self.organizations:
-            if org.org_id == org_id:
-                return org
-        raise ConfigError(f"unknown organization {org_id!r}")
 
     # -- setup -----------------------------------------------------------
 
@@ -211,7 +207,7 @@ class OrderlessChainNetwork:
             network=self.network,
             identity=identity,
             policy=self.policy,
-            org_ids=self.org_ids,
+            org_ids=self.node_ids,
             perf=self.settings.perf,
             rng=self.rng.stream(f"client:{identifier}"),
             recorder=self.recorder,
@@ -263,7 +259,7 @@ class OrderlessChainNetwork:
         """Make the named organizations Byzantine during [start, end)."""
         config = config or ByzantineOrgConfig()
         for org_id in org_ids:
-            org = self.org(org_id)
+            org = self.node(org_id)
 
             def activate(org=org) -> None:
                 org.byzantine = config
@@ -301,25 +297,50 @@ class OrderlessChainNetwork:
             for channel in org.channels.values():
                 channel.ledger.verify_integrity()
 
-    # -- fault injection and invariant checking (docs/FAULTS.md) ------------------
+    # -- the node surface: fault injection, oracles, fingerprints (docs/FAULTS.md)
 
-    def install_fault_schedule(self, schedule):
-        """Install a :class:`repro.faults.FaultSchedule` on this network.
+    def node(self, node_id: str) -> Organization:
+        try:
+            return self._nodes[node_id]
+        except KeyError:
+            raise ConfigError(
+                f"{self.system}: unknown node {node_id!r}; valid: {sorted(self._nodes)}"
+            ) from None
 
-        Call before :meth:`run`; returns the
-        :class:`~repro.faults.engine.FaultInjector` (call its
-        ``finalize()`` after the run to close open trace windows).
-        Fault spans go to the trace, if one is attached.
-        """
-        from repro.faults import install_schedule
+    def crash(self, node_id: str) -> None:
+        """Fail-stop one organization: it loses its in-memory state, and
+        the network drops its sends and its in-flight inbox."""
+        self.node(node_id).crash_local_state()
+        self.network.crash(node_id)
 
-        return install_schedule(self, schedule)
+    def recover(self, node_id: str) -> str:
+        """Re-admit one organization, which then catches up through
+        anti-entropy; returns the recovery mode (``resync`` or
+        ``snapshot``, see :meth:`Organization.recover`)."""
+        org = self.node(node_id)
+        self.network.recover(node_id)
+        return org.recover()
 
-    def check_invariants(self, schedule=None, quiescent: bool = True):
-        """Run the invariant oracles; returns a ``CheckReport``."""
-        from repro.checkers import run_checkers
+    def ledgers(self) -> Dict[str, Ledger]:
+        # One ledger per channel shard, keyed "org/channel" (the run
+        # fingerprint hashes these keys with the ledger heads).
+        return {
+            f"{org_id}/{channel_id}": channel.ledger
+            for org_id, org in self._nodes.items()
+            for channel_id, channel in sorted(org.channels.items())
+        }
 
-        return run_checkers(self, schedule=schedule, quiescent=quiescent)
+    def byzantine_ids(self) -> FrozenSet[str]:
+        """Organizations configured to misbehave at any point in the run."""
+        return frozenset(
+            org_id for org_id, org in self._nodes.items() if org.byzantine is not None
+        )
+
+    def pending_grace(self) -> float:
+        """Longest time a submitted transaction may legitimately stay
+        pending; the liveness oracle flags only older unresolved ones.
+        The client with the longest wait sets it."""
+        return max((client.config.longest_pending() for client in self.clients), default=60.0)
 
 
 __all__ = ["OrderlessChainNetwork", "OrderlessChainSettings"]

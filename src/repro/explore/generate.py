@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from repro.bench.config import default_scale
 from repro.explore.case import ExploreCase
-from repro.faults.adapters import default_node_ids
+from repro.faults import default_node_ids
 from repro.faults.schedule import (
     KIND_CRASH,
     KIND_HEAL,

@@ -5,8 +5,9 @@ of timed :class:`~repro.faults.schedule.FaultEvent` entries — org
 crashes and recoveries, network partitions and heals, message-loss and
 duplication bursts, slow-node CPU degradation. The
 :class:`~repro.faults.engine.FaultInjector` executes a schedule against
-any of the five simulated systems through a thin
-:class:`~repro.faults.adapters.SystemAdapter`.
+any of the five simulated systems through the node surface every built
+network exposes: ``node_ids``, ``node(id)`` (each node has a ``cpu``
+and a ``state_snapshot()``), ``crash`` and ``recover``.
 
 Injection is fully deterministic: the schedule itself contains no
 randomness, events are applied at fixed simulated times through
@@ -17,16 +18,13 @@ RNG stream. Same seed + same schedule = byte-identical run.
 See ``docs/FAULTS.md`` for the JSON schema and the checker model.
 """
 
-from repro.faults.adapters import SystemAdapter, adapter_for, default_node_ids
 from repro.faults.engine import FaultInjector, install_schedule
-from repro.faults.schedule import FaultEvent, FaultSchedule, smoke_schedule
+from repro.faults.schedule import FaultEvent, FaultSchedule, default_node_ids, smoke_schedule
 
 __all__ = [
     "FaultEvent",
     "FaultSchedule",
     "FaultInjector",
-    "SystemAdapter",
-    "adapter_for",
     "default_node_ids",
     "install_schedule",
     "smoke_schedule",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.faults.adapters import SystemAdapter, adapter_for
 from repro.faults.schedule import (
     KIND_CRASH,
     KIND_HEAL,
@@ -35,7 +34,11 @@ INSTANT_INJECTED = "fault/injected"
 
 
 class FaultInjector:
-    """Applies a :class:`FaultSchedule` to one system.
+    """Applies a :class:`FaultSchedule` to one built network.
+
+    The network's node surface (``crash``/``recover``/``node``, shared
+    by ``OrderlessChainNetwork`` and every baseline network) does the
+    work; the injector only times it and traces the windows.
 
     Usage::
 
@@ -48,8 +51,8 @@ class FaultInjector:
     loss burst eats) flow through the network's seeded RNG stream.
     """
 
-    def __init__(self, adapter: SystemAdapter, schedule: FaultSchedule) -> None:
-        self.adapter = adapter
+    def __init__(self, net: Any, schedule: FaultSchedule) -> None:
+        self.net = net
         self.schedule = schedule
         self.applied: List[FaultEvent] = []
         # Open fault windows, for span emission and finalize():
@@ -64,14 +67,14 @@ class FaultInjector:
         if self._installed:
             return self
         self._installed = True
-        sim = self.adapter.sim
+        sim = self.net.sim
         for event in self.schedule:
             sim.schedule_at(event.at, self._apply, event)
         return self
 
     def finalize(self) -> None:
         """Close trace windows still open when the run ended."""
-        now = self.adapter.sim.now
+        now = self.net.sim.now
         trace = self._trace
         if trace is not None:
             for node_id, since in sorted(self._crashed_since.items()):
@@ -84,7 +87,7 @@ class FaultInjector:
     @property
     def _trace(self):
         """The run's trace (its recorder's ``trace``), or None."""
-        return self.adapter.recorder.trace
+        return self.net.recorder.trace
 
     @property
     def crashed_nodes(self) -> List[str]:
@@ -108,7 +111,7 @@ class FaultInjector:
         if trace is not None:
             trace.instant(
                 INSTANT_INJECTED,
-                self.adapter.sim.now,
+                self.net.sim.now,
                 node=event.node or "",
                 attrs={"kind": event.kind},
             )
@@ -116,63 +119,59 @@ class FaultInjector:
     def _apply_crash(self, event: FaultEvent) -> None:
         if event.node in self._crashed_since:
             return  # already down; crashing twice is a no-op
-        self.adapter.crash(event.node)
-        self._crashed_since[event.node] = self.adapter.sim.now
+        self.net.crash(event.node)
+        self._crashed_since[event.node] = self.net.sim.now
 
     def _apply_recover(self, event: FaultEvent) -> None:
         since = self._crashed_since.pop(event.node, None)
         if since is None:
             return  # not down; recovering twice is a no-op
-        self.adapter.recover(event.node)
+        mode = self.net.recover(event.node)
         trace = self._trace
         if trace is not None:
             trace.span(
-                SPAN_CRASH,
-                since,
-                self.adapter.sim.now,
-                node=event.node,
-                attrs={"recovery": self.adapter.recovery_mode(event.node)},
+                SPAN_CRASH, since, self.net.sim.now, node=event.node, attrs={"recovery": mode}
             )
 
     def _apply_partition(self, event: FaultEvent) -> None:
-        self.adapter.network.partition(*[set(group) for group in event.groups])
+        self.net.network.partition(*[set(group) for group in event.groups])
         if self._partition_since is None:
-            self._partition_since = self.adapter.sim.now
+            self._partition_since = self.net.sim.now
 
     def _apply_heal(self, event: FaultEvent) -> None:
-        self.adapter.network.heal_partition()
+        self.net.network.heal_partition()
         trace = self._trace
         if self._partition_since is not None and trace is not None:
             trace.span(
-                SPAN_PARTITION, self._partition_since, self.adapter.sim.now, node=""
+                SPAN_PARTITION, self._partition_since, self.net.sim.now, node=""
             )
         self._partition_since = None
 
     def _apply_loss_burst(self, event: FaultEvent) -> None:
-        network = self.adapter.network
+        network = self.net.network
         previous = network.faults
         network.faults = LinkFaults(
             loss_probability=event.loss_probability,
             duplicate_probability=event.duplicate_probability,
             corrupt_probability=previous.corrupt_probability,
         )
-        sim = self.adapter.sim
+        sim = self.net.sim
         sim.schedule(event.duration, self._restore_faults, (previous, sim.now))
 
     def _restore_faults(self, burst: Tuple[LinkFaults, float]) -> None:
         # Restore the pre-burst model (overlapping bursts restore
         # their own predecessor — last restore wins, documented).
         previous, started = burst
-        self.adapter.network.faults = previous
+        self.net.network.faults = previous
         trace = self._trace
         if trace is not None:
-            trace.span(SPAN_LOSS, started, self.adapter.sim.now, node="")
+            trace.span(SPAN_LOSS, started, self.net.sim.now, node="")
 
     def _apply_slow_node(self, event: FaultEvent) -> None:
-        cpu = self.adapter.cpu(event.node)
+        cpu = self.net.node(event.node).cpu
         previous = cpu.slowdown
         cpu.slowdown = previous * event.factor
-        sim = self.adapter.sim
+        sim = self.net.sim
         sim.schedule(event.duration, self._restore_speed, (event, cpu, previous, sim.now))
 
     def _restore_speed(self, slowed: Tuple[FaultEvent, Any, float, float]) -> None:
@@ -183,15 +182,15 @@ class FaultInjector:
             trace.span(
                 SPAN_SLOW,
                 started,
-                self.adapter.sim.now,
+                self.net.sim.now,
                 node=event.node,
                 attrs={"factor": event.factor},
             )
 
 
 def install_schedule(net: Any, schedule: FaultSchedule) -> FaultInjector:
-    """Adapt ``net``, build an injector for ``schedule``, install it."""
-    return FaultInjector(adapter_for(net), schedule).install()
+    """Build an injector for ``schedule`` on ``net`` and install it."""
+    return FaultInjector(net, schedule).install()
 
 
 __all__ = [

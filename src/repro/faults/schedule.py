@@ -220,6 +220,19 @@ class FaultSchedule:
             return cls.from_json(handle.read())
 
 
+def default_node_ids(system: str, num_orgs: int) -> List[str]:
+    """The replica node ids a system of ``num_orgs`` organizations uses."""
+    # Local imports: schedules sit below the systems whose nodes they name.
+    from repro.baselines import BASELINES
+    from repro.core.system import OrderlessChainNetwork
+
+    networks = {OrderlessChainNetwork.system: OrderlessChainNetwork, **BASELINES}
+    network = networks.get(system)
+    if network is None:
+        raise ConfigError(f"unknown system {system!r}; valid: {sorted(networks)}")
+    return [f"{network.node_prefix}{index}" for index in range(num_orgs)]
+
+
 def smoke_schedule(
     node_ids: Iterable[str],
     start: float = 1.0,
@@ -262,6 +275,7 @@ def smoke_schedule(
 __all__ = [
     "FaultEvent",
     "FaultSchedule",
+    "default_node_ids",
     "smoke_schedule",
     "KIND_CRASH",
     "KIND_RECOVER",

@@ -221,7 +221,8 @@ _SPECS: List[MetricSpec] = [
         SPAN,
         "faults.engine.FaultInjector",
         "s",
-        "A node's crash window: fail-stop to recovery (or run end).",
+        "A node's crash window: fail-stop to recovery (or run end). "
+        "attrs: recovery (resync|snapshot|catchup), when it recovered.",
     ),
     _spec(
         "fault/partition",

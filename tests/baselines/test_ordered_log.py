@@ -37,7 +37,7 @@ def _repair_message(net, kind, body):
     log = net.log
     if kind == "fetch":
         return Message(
-            sender=net.replica_ids[0],
+            sender=net.node_ids[0],
             recipient=log.source_id,
             msg_type=log.fetch_type,
             body=body,
@@ -45,7 +45,7 @@ def _repair_message(net, kind, body):
         )
     return Message(
         sender=log.source_id,
-        recipient=net.replica_ids[0],
+        recipient=net.node_ids[0],
         msg_type=log.announce_type,
         body=body,
         size_bytes=64,

@@ -20,7 +20,7 @@ def test_settings_validation():
 def test_three_orgs_build_with_default_settings():
     # Sync HotStuff reads no quorum: the default q=4 > n=3 is not its to reject.
     net = SyncHotStuffNetwork(BaselineSettings(num_orgs=3))
-    assert net.replica_ids == ["org0", "org1", "org2"]
+    assert net.node_ids == ["org0", "org1", "org2"]
 
 
 def test_commit_happens_after_two_delta():

@@ -13,6 +13,7 @@ bug-finding criterion, so each one's FAIL path must be demonstrably
 reachable from genuine state damage.
 """
 
+from repro.checkers import run_checkers
 from repro.checkers.report import FAIL
 from repro.contracts import VotingContract
 from repro.core import OrderlessChainNetwork, OrderlessChainSettings
@@ -41,9 +42,9 @@ def run_votes(net, voters=3, until=30.0):
 def injured(net, injure):
     """Run a clean election, apply the injury, return the new report."""
     run_votes(net)
-    assert net.check_invariants().ok, "run must be green before the injury"
+    assert run_checkers(net).ok, "run must be green before the injury"
     injure(net)
-    return net.check_invariants()
+    return run_checkers(net)
 
 
 def test_convergence_fails_when_an_extra_op_lands_in_one_database():
@@ -52,7 +53,7 @@ def test_convergence_fails_when_an_extra_op_lands_in_one_database():
     # new) must diverge that org's replayed snapshot from everyone
     # else's.
     def injure(net):
-        db = net.org("org2").ledger.db
+        db = net.node("org2").ledger.db
         key, wire = next(iter(db.scan_prefix("ops/")))
         phantom = dict(wire)
         phantom["clock"] = {"client_id": "intruder", "counter": 99}
@@ -71,7 +72,7 @@ def test_ledger_integrity_fails_when_history_is_rewritten():
     # breaks. Block objects cache their hash precisely so that such
     # history rewrites cannot hide behind in-place mutation.
     def injure(net):
-        ledger = net.org("org1").ledger
+        ledger = net.node("org1").ledger
         block = ledger.log.block_at(0)
         forged = dict(block.payload)
         forged["proposal"] = {**forged["proposal"], "client_id": "mallory"}
@@ -87,7 +88,7 @@ def test_policy_safety_fails_when_nested_endorsements_are_truncated():
     # Mutate the endorsement list *inside* the committed wire (not the
     # org's dict entry): the oracle must audit the nested content.
     def injure(net):
-        org = net.org("org0")
+        org = net.node("org0")
         _, wire = next(iter(sorted(org.channels[DEFAULT_CHANNEL].valid_txn_wire.items())))
         wire["endorsements"][:] = wire["endorsements"][:1]  # below q=2
 
@@ -103,7 +104,7 @@ def test_no_duplicate_commit_fails_when_a_valid_block_is_replayed():
     # exactly what a buggy redelivery path would do. The chain itself
     # stays intact, so only the duplicate oracle may go red.
     def injure(net):
-        ledger = net.org("org0").ledger
+        ledger = net.node("org0").ledger
         payload = ledger.transactions(valid_only=True)[0]
         ledger.log.append(payload, valid=True)
 

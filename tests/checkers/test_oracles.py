@@ -16,7 +16,7 @@ from repro.core import OrderlessChainNetwork, OrderlessChainSettings
 from repro.core.byzantine import ByzantineOrgConfig
 from repro.core.channel import DEFAULT_CHANNEL
 from repro.core.client import ClientConfig
-from repro.faults import FaultEvent, FaultSchedule
+from repro.faults import FaultEvent, FaultSchedule, install_schedule
 
 
 def build(seed=1, num_orgs=4, quorum=2, **kwargs):
@@ -43,7 +43,7 @@ def run_votes(net, voters=3, until=30.0):
 def test_honest_run_passes_every_oracle():
     net = build()
     run_votes(net)
-    report = net.check_invariants()
+    report = run_checkers(net)
     assert report.ok
     assert {r.name: r.status for r in report.results} == {
         "convergence": PASS,
@@ -59,7 +59,7 @@ def test_honest_run_passes_every_oracle():
 def test_mid_run_check_skips_time_sensitive_oracles():
     net = build()
     run_votes(net, until=0.5)  # protocol still in flight
-    report = net.check_invariants(quiescent=False)
+    report = run_checkers(net, quiescent=False)
     assert report.ok
     assert report.result("convergence").status == SKIP
     assert report.result("liveness").status == SKIP
@@ -76,9 +76,9 @@ def test_convergence_skipped_while_schedule_leaves_partition_in_place():
             ),
         )
     )
-    net.install_fault_schedule(schedule)
+    install_schedule(net, schedule)
     run_votes(net)
-    report = net.check_invariants(schedule=schedule)
+    report = run_checkers(net, schedule=schedule)
     assert report.result("convergence").status == SKIP
     assert "partition" in report.result("convergence").details
 
@@ -86,12 +86,12 @@ def test_convergence_skipped_while_schedule_leaves_partition_in_place():
 def test_convergence_fails_on_diverged_state():
     net = build()
     run_votes(net)
-    assert net.check_invariants().ok  # converged before the injury
+    assert run_checkers(net).ok  # converged before the injury
     # Diverge one organization's reported state.
-    org = net.org("org3")
+    org = net.node("org3")
     snapshot = org.state_snapshot()
     org.state_snapshot = lambda: {**snapshot, "intruder": 1}  # type: ignore[assignment]
-    report = net.check_invariants()
+    report = run_checkers(net)
     convergence = report.result("convergence")
     assert convergence.status == FAIL
     assert convergence.violations  # per-node digests named in the report
@@ -100,8 +100,8 @@ def test_convergence_fails_on_diverged_state():
 def test_ledger_integrity_fails_on_tampered_chain():
     net = build()
     run_votes(net)
-    net.org("org1").ledger.log.tamper(0, {"forged": True})
-    report = net.check_invariants()
+    net.node("org1").ledger.log.tamper(0, {"forged": True})
+    report = run_checkers(net)
     integrity = report.result("ledger-integrity")
     assert integrity.status == FAIL
     assert any("org1" in violation for violation in integrity.violations)
@@ -110,12 +110,12 @@ def test_ledger_integrity_fails_on_tampered_chain():
 def test_policy_safety_fails_when_endorsements_stripped_below_quorum():
     net = build()
     run_votes(net)
-    org = net.org("org0")
+    org = net.node("org0")
     txn_id, wire = next(iter(sorted(org.channels[DEFAULT_CHANNEL].valid_txn_wire.items())))
     tampered = dict(wire)
     tampered["endorsements"] = wire["endorsements"][:1]  # below q=2
     org.channels[DEFAULT_CHANNEL].valid_txn_wire[txn_id] = tampered
-    report = net.check_invariants()
+    report = run_checkers(net)
     safety = report.result("policy-safety")
     assert safety.status == FAIL
     assert any(txn_id in violation for violation in safety.violations)
@@ -124,7 +124,7 @@ def test_policy_safety_fails_when_endorsements_stripped_below_quorum():
 def test_policy_safety_fails_when_signature_is_forged():
     net = build()
     run_votes(net)
-    org = net.org("org0")
+    org = net.node("org0")
     txn_id, wire = next(iter(sorted(org.channels[DEFAULT_CHANNEL].valid_txn_wire.items())))
     tampered = dict(wire)
     endorsements = [dict(e) for e in wire["endorsements"]]
@@ -132,7 +132,7 @@ def test_policy_safety_fails_when_signature_is_forged():
         endorsement["signature"] = "forged"
     tampered["endorsements"] = endorsements
     org.channels[DEFAULT_CHANNEL].valid_txn_wire[txn_id] = tampered
-    report = net.check_invariants()
+    report = run_checkers(net)
     assert report.result("policy-safety").status == FAIL
 
 
@@ -160,7 +160,7 @@ def test_policy_safety_flags_commit_endorsed_only_by_byzantine_quorum():
         ),
     )
     run_votes(net)
-    report = net.check_invariants()
+    report = run_checkers(net)
     safety = report.result("policy-safety")
     assert safety.status == FAIL
     assert any("Byzantine" in violation for violation in safety.violations)
@@ -173,16 +173,27 @@ def test_liveness_fails_for_transaction_stuck_past_grace():
     # A transaction submitted at t=0 that never resolved: stuck far
     # beyond the client timeout budget.
     net.recorder.submitted("ghost:1", "ghost", "modify", 0.0)
-    report = net.check_invariants()
+    report = run_checkers(net)
     liveness = report.result("liveness")
     assert liveness.status == FAIL
     assert any("ghost:1" in violation for violation in liveness.violations)
 
 
+def test_liveness_grace_is_set_by_the_slowest_client():
+    # The voters keep the default 9 s budget; a client added after them
+    # may retry five times, so its 39 s budget sets the grace and a
+    # transaction of its own pending for 20 s is not (yet) stuck.
+    net = build()
+    run_votes(net)
+    net.add_client("patient", config=ClientConfig(max_retries=5))
+    net.recorder.submitted("patient:1", "patient", "modify", net.sim.now - 20.0)
+    assert run_checkers(net).result("liveness").status == PASS
+
+
 def test_report_wire_form_round_trips_status():
     net = build()
     run_votes(net)
-    report = net.check_invariants()
+    report = run_checkers(net)
     wire = report.to_wire()
     assert wire["ok"] is True
     assert {entry["name"] for entry in wire["results"]} == {

@@ -93,7 +93,7 @@ class TestByzantineOrganizations:
 
     def test_byzantine_window_schedule_toggles(self):
         net = build()
-        net.schedule_byzantine_window([net.org_ids[0]], start=5.0, end=10.0)
+        net.schedule_byzantine_window([net.node_ids[0]], start=5.0, end=10.0)
         org = net.organizations[0]
         states = {}
         net.sim.schedule_at(4.0, lambda: states.setdefault("before", org.byzantine_active))

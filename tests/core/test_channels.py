@@ -16,7 +16,6 @@ from repro.contracts.voting import VotingContract
 from repro.core.channel import DEFAULT_CHANNEL, ChannelState, scoped_contract_id
 from repro.core.system import OrderlessChainNetwork, OrderlessChainSettings
 from repro.errors import ConfigError
-from repro.faults.adapters import OrderlessChainAdapter
 
 
 def test_scoped_contract_id_rules():
@@ -93,14 +92,14 @@ def test_two_channels_commit_independently():
     assert snapshot["default"] == {}
 
 
-def test_adapter_ledger_keys_are_always_org_slash_channel():
+def test_ledger_keys_are_always_org_slash_channel():
     single = OrderlessChainNetwork(OrderlessChainSettings(num_orgs=2, quorum=1))
     single.install_contract(SyntheticContract)
-    assert sorted(OrderlessChainAdapter(single).ledgers()) == ["org0/default", "org1/default"]
+    assert sorted(single.ledgers()) == ["org0/default", "org1/default"]
 
     multi = OrderlessChainNetwork(OrderlessChainSettings(num_orgs=2, quorum=1))
     multi.create_channel("ch0", SyntheticContract)
-    keys = sorted(OrderlessChainAdapter(multi).ledgers())
+    keys = sorted(multi.ledgers())
     assert keys == ["org0/ch0", "org0/default", "org1/ch0", "org1/default"]
 
 

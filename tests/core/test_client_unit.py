@@ -66,7 +66,7 @@ class TestOrgSelection:
         client = net.add_client("c0")
         selected = client._select_orgs(2)
         assert len(selected) == 2
-        assert set(selected) <= set(net.org_ids)
+        assert set(selected) <= set(net.node_ids)
 
     def test_blacklist_avoided_when_possible(self, net):
         client = net.add_client("c1")
@@ -83,7 +83,7 @@ class TestOrgSelection:
     def test_weighted_selection_prefers_heavy_orgs(self, net):
         config = ClientConfig(org_weights=(100.0, 1.0, 1.0, 1.0))
         client = net.add_client("c3", config=config)
-        counts = {org: 0 for org in net.org_ids}
+        counts = {org: 0 for org in net.node_ids}
         for _ in range(200):
             for org in client._select_orgs(1):
                 counts[org] += 1

@@ -23,7 +23,7 @@ def bid(net, client, auction="a0", amount=10):
 
 def test_install_returns_protocol_per_org():
     net, protocols = build()
-    assert set(protocols) == set(net.org_ids)
+    assert set(protocols) == set(net.node_ids)
     assert all(isinstance(p, SealingProtocol) for p in protocols.values())
 
 
@@ -108,8 +108,8 @@ def test_seal_aborts_on_partition_and_unfreezes():
     # seal aborts, and the coordination-free path keeps working.
     net, protocols = build()
     alice = net.add_client("alice")
-    reachable = set(net.org_ids[:3]) | {"alice"}
-    isolated = {net.org_ids[3]}
+    reachable = set(net.node_ids[:3]) | {"alice"}
+    isolated = {net.node_ids[3]}
 
     def scenario():
         yield bid(net, alice, amount=5)

@@ -89,7 +89,7 @@ def test_parsing_and_digesting_are_bounded_per_transaction_not_per_organization(
     assert len(wire["write_set"]) == OPS and len(wire["endorsements"]) == QUORUM
 
     # Nothing is shared that the protocol requires of each organization.
-    assert validations == {org_id: 1 + QUORUM for org_id in net.org_ids}
+    assert validations == {org_id: 1 + QUORUM for org_id in net.node_ids}
 
     # Built by the sender, plus at most one decode network-wide
     # (per-organization decoding would add NUM_ORGS, not 1).

@@ -67,7 +67,7 @@ def test_rendering_is_bounded_per_transaction_not_per_organization(monkeypatch):
     txn_id = f"{client.client_id}:1"
     assert process.value is True
     assert net.committed_everywhere(txn_id) == NUM_ORGS
-    assert set(validations) == set(net.org_ids)
+    assert set(validations) == set(net.node_ids)
 
     wire = net.organizations[0].ledger.log.block_at(0).payload
     wire_nodes = _container_nodes(wire)

@@ -168,8 +168,8 @@ def test_partitioned_quorum_stays_available_and_merges():
         "voter0",
         config=ClientConfig(max_retries=8, avoid_byzantine=True, proposal_timeout=1.0),
     )
-    majority = set(net.org_ids[:2]) | {"voter0"}
-    minority = set(net.org_ids[2:])
+    majority = set(net.node_ids[:2]) | {"voter0"}
+    minority = set(net.node_ids[2:])
     net.network.partition(majority, minority)
     process = net.sim.process(
         voter.submit_modify("voting", "vote", {"party": "party0", "election": "e0"})

@@ -3,7 +3,7 @@
 import random
 
 from repro.explore import mutate_case, random_case, random_fault_schedule
-from repro.faults.adapters import default_node_ids
+from repro.faults import default_node_ids
 from repro.faults.schedule import (
     KIND_CRASH,
     KIND_HEAL,

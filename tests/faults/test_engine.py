@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.baselines import BASELINES, BaselineSettings
+from repro.checkers import state_fingerprints
 from repro.contracts import VotingContract
 from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.core.client import ClientConfig
+from repro.crypto.hashing import canonical_bytes
 from repro.errors import ConfigError
 from repro.faults import (
     FaultEvent,
     FaultSchedule,
-    adapter_for,
     install_schedule,
 )
 from repro.faults.engine import (
@@ -21,11 +24,20 @@ from repro.faults.engine import (
 from repro.obs import Observability
 
 
-def build(seed=1, num_orgs=4, quorum=2):
-    settings = OrderlessChainSettings(num_orgs=num_orgs, quorum=quorum, seed=seed)
+SYSTEMS = ("orderlesschain", *BASELINES)
+
+
+def build(seed=1, num_orgs=4, quorum=2, **kwargs):
+    settings = OrderlessChainSettings(num_orgs=num_orgs, quorum=quorum, seed=seed, **kwargs)
     net = OrderlessChainNetwork(settings)
     net.install_contract(lambda: VotingContract(parties_per_election=2))
     return net
+
+
+def build_system(system):
+    if system == "orderlesschain":
+        return build()
+    return BASELINES[system](BaselineSettings(num_orgs=4, quorum=2))
 
 
 def test_crash_and_recover_toggle_node_state():
@@ -37,7 +49,7 @@ def test_crash_and_recover_toggle_node_state():
         )
     )
     injector = install_schedule(net, schedule)
-    org = net.org("org1")
+    org = net.node("org1")
 
     observations = []
 
@@ -118,7 +130,7 @@ def test_loss_burst_swaps_and_restores_link_faults():
 
 def test_slow_node_multiplies_and_restores_cpu_slowdown():
     net = build()
-    cpu = net.org("org0").cpu
+    cpu = net.node("org0").cpu
     schedule = FaultSchedule(
         events=(FaultEvent(at=1.0, kind="slow_node", node="org0", duration=2.0, factor=4.0),)
     )
@@ -144,7 +156,7 @@ def test_injection_emits_documented_trace_spans():
             FaultEvent(at=7.0, kind="slow_node", node="org0", duration=1.0, factor=2.0),
         )
     )
-    injector = net.install_fault_schedule(schedule)
+    injector = install_schedule(net, schedule)
     net.run(until=10.0)
     injector.finalize()
     spans = {span.name for span in obs.trace.spans}
@@ -167,7 +179,7 @@ def test_finalize_closes_open_windows():
             FaultEvent(at=2.0, kind="partition", groups=(("org0",), ("org1", "org2", "org3"))),
         )
     )
-    injector = net.install_fault_schedule(schedule)
+    injector = install_schedule(net, schedule)
     net.run(until=5.0)
     assert not [s for s in obs.trace.spans if s.name in (SPAN_CRASH, SPAN_PARTITION)]
     injector.finalize()
@@ -176,13 +188,36 @@ def test_finalize_closes_open_windows():
     assert all(s.end == 5.0 for s in open_spans)
 
 
-def test_adapter_rejects_unknown_node_and_network():
-    net = build()
-    adapter = adapter_for(net)
-    with pytest.raises(ConfigError):
-        adapter.crash("org99")
-    with pytest.raises(ConfigError):
-        adapter_for(object())
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_network_node_surface(system):
+    net = build_system(system)
+    assert net.system == system
+    victim = net.node_ids[1]
+    with pytest.raises(ConfigError) as raised:
+        net.crash("node99")
+    assert "'node99'" in str(raised.value)
+    assert all(repr(node_id) in str(raised.value) for node_id in net.node_ids)
+
+    net.crash(victim)
+    assert net.network.is_down(victim)
+    expected = "resync" if system == "orderlesschain" else "catchup"
+    assert net.recover(victim) == expected
+    assert not net.network.is_down(victim)
+
+    # node(id).cpu is the resource the slow-node fault scales.
+    schedule = FaultSchedule(
+        events=(FaultEvent(at=1.0, kind="slow_node", node=victim, duration=2.0, factor=3.0),)
+    )
+    install_schedule(net, schedule)
+    slowdowns = []
+    net.sim.schedule_at(2.0, lambda: slowdowns.append(net.node(victim).cpu.slowdown))
+    net.run(until=4.0)
+    assert slowdowns == [3.0]
+
+    # Identical state encodes to identical canonical bytes on every node.
+    encoded = {canonical_bytes(net.node(node_id).state_snapshot()) for node_id in net.node_ids}
+    assert len(encoded) == 1
+    assert len(set(state_fingerprints(net).values())) == 1
 
 
 @pytest.mark.parametrize(
@@ -191,10 +226,42 @@ def test_adapter_rejects_unknown_node_and_network():
 )
 def test_baseline_grace_covers_the_clients_longest_wait(system, grace):
     # Endorsement timeout (Fabric pair only) + the 240 s commit cap + 10 s.
-    from repro.baselines import BASELINES, BaselineSettings
+    assert build_system(system).pending_grace() == grace
 
-    net = BASELINES[system](BaselineSettings(num_orgs=4, quorum=2))
-    assert adapter_for(net).pending_grace() == grace
+
+@pytest.mark.parametrize("retrying_first", [True, False])
+def test_orderlesschain_grace_is_the_slowest_clients_wait(retrying_first):
+    # Default client: one attempt of 3 s + 3 s, plus the 3 s read
+    # timeout = 9 s; five retries stretch that to 6 * 6 + 3 = 39 s.
+    net = build()
+    configs = [ClientConfig(), ClientConfig(max_retries=5)]
+    for config in configs[::-1] if retrying_first else configs:
+        net.add_client(config=config)
+    assert net.pending_grace() == 39.0
+
+
+def recovery_attrs(net):
+    """The ``recovery`` attr of the fault/crash span of one crash at
+    t=3 and its recover at t=5."""
+    obs = Observability(trace=True)
+    net.attach_observability(obs)
+    victim = net.node_ids[1]
+    schedule = FaultSchedule(
+        events=(
+            FaultEvent(at=3.0, kind="crash", node=victim),
+            FaultEvent(at=5.0, kind="recover", node=victim),
+        )
+    )
+    install_schedule(net, schedule)
+    net.run(until=6.0)
+    return [span.attrs["recovery"] for span in obs.trace.spans_named(SPAN_CRASH)]
+
+
+def test_crash_spans_name_the_recovery_that_ran():
+    assert recovery_attrs(build()) == ["resync"]
+    # A checkpoint taken before the crash makes recovery replay from it.
+    assert recovery_attrs(build(snapshot_interval=1.0)) == ["snapshot"]
+    assert recovery_attrs(build_system("bidl")) == ["catchup"]
 
 
 def test_install_is_idempotent():

@@ -33,7 +33,7 @@ def test_read_your_writes_at_committing_orgs():
         committers = [
             org.org_id for org in net.organizations if org.ledger.is_valid_transaction("alice:1")
         ]
-        values = [net.org(org_id).read_state("auction/a", ("alice",)) for org_id in committers]
+        values = [net.node(org_id).read_state("auction/a", ("alice",)) for org_id in committers]
         return committers, values
 
     process = net.sim.process(scenario())

@@ -66,8 +66,8 @@ def test_convergence_across_transient_partition():
     net = build(AuctionContract, seed=9)
     clients = [net.add_client(f"c{i}") for i in range(6)]
     drive_bids(net, clients, bids_per_client=2, rng=net.rng.stream("drive"))
-    majority = set(net.org_ids[:3]) | {c.client_id for c in clients[:3]}
-    minority = set(net.org_ids[3:]) | {c.client_id for c in clients[3:]}
+    majority = set(net.node_ids[:3]) | {c.client_id for c in clients[:3]}
+    minority = set(net.node_ids[3:]) | {c.client_id for c in clients[3:]}
 
     def chaos():
         yield net.sim.timeout(2.0)

@@ -31,10 +31,10 @@ ORDERLESSCHAIN_TRACE_SHA256 = (
     "cb006dc60a3ee8fb088978992ff6258e305a2081f95a03e595efa272c520e8bc"
 )
 BASELINE_EVENTS_SHA256 = {
-    "fabric": "f0a6607498018b10244b99c8155097a77c245a411e4fa5c7933517b822b7e9dd",
-    "fabriccrdt": "98cf0e2c14be57dc62dddecc757f5f65dbd1765858c4e9576470f9580045e7ce",
-    "bidl": "06fe5e6b141dc1a368b0882ac068488eb31864977b192239826415fe75abe044",
-    "synchotstuff": "742ece185c4d7fa0beff7daa769a4a61142f82297e4ab96b29a6610f4a02bda2",
+    "fabric": "f1b538ea2861c90ca556addb89284308784b6de424fda8fe86889f2d31c59412",
+    "fabriccrdt": "fdb9ee58c1ea47bfcef3d290637948e8fa8c28758e38d6ec8e02045bd50eb133",
+    "bidl": "0bfe23540a68e1dee87df0dd9b97c401bf78e13fa9cd2ec36fbae1d69623510d",
+    "synchotstuff": "9c57c4d927af58c82d28aceb82134cee3f798d2dea7fdc67f1a4839f982d12b3",
 }
 
 
