@@ -432,7 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="max_retries",
         type=int,
         default=0,
-        help="chaos only: client retry budget per phase (default 0)",
+        help="chaos only: client retries per transaction; a fixed-timeout client"
+        " retries only the endorsement phase, a --resilience client also its"
+        " commit (default 0)",
     )
     run.add_argument(
         "--snapshot-interval",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.byzantine import ByzantineClientConfig
 from repro.core.organization import (
@@ -53,12 +53,14 @@ class ClientConfig:
     proposal_timeout: float = 3.0
     commit_timeout: float = 3.0
     read_timeout: float = 3.0
+    # Retries per transaction: a fixed-timeout client retries only the
+    # endorsement phase; a resilient client also retries its commit.
     max_retries: int = 0
     avoid_byzantine: bool = False  # Figure 8(b): blacklist misbehaving orgs
     org_weights: Optional[Sequence[float]] = None  # config 8: skewed load
     # Adaptive resilience (docs/RESILIENCE.md): RTT-aware deadlines,
-    # hedged solicitation, and per-org circuit breakers. None keeps the
-    # fixed timeouts above and the legacy event order byte-identical.
+    # hedged solicitation, and per-org circuit breakers. None is the
+    # paper's client: q targets and the fixed timeouts above.
     resilience: Optional[ResilienceConfig] = None
 
     def longest_pending(self) -> float:
@@ -88,15 +90,14 @@ class _Pending:
         self.needed = needed
         self.responses: List[Any] = []
         self.arrivals: List[float] = []
+        self.senders: set = set()
         self._sim = sim
-        self._senders: set = set()
         self.event = Event(sim)
 
-    def add(self, response: Any, sender: Any = None) -> None:
-        if sender is not None:
-            if sender in self._senders:
-                return
-            self._senders.add(sender)
+    def add(self, response: Any, sender: str) -> None:
+        if sender in self.senders:
+            return
+        self.senders.add(sender)
         self.responses.append(response)
         self.arrivals.append(self._sim.now)
         if len(self.responses) >= self.needed and not self.event.triggered:
@@ -115,10 +116,10 @@ class Client:
         org_ids: Sequence[str],
         perf: PerfModel,
         rng: random.Random,
+        jitter_rng: random.Random,
         recorder: Optional[TransactionRecorder] = None,
         config: Optional[ClientConfig] = None,
         byzantine: Optional[ByzantineClientConfig] = None,
-        resilience_rng: Optional[random.Random] = None,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -132,19 +133,14 @@ class Client:
         self.byzantine = byzantine
         self.clock = LamportClock(identity.identifier)
         self.blacklist: set[str] = set()
-        self._pending_endorsements: Dict[str, _Pending] = {}
-        self._pending_receipts: Dict[str, _Pending] = {}
-        self._pending_reads: Dict[str, _Pending] = {}
-        # Adaptive resilience state (None-resilience clients never touch
-        # any of this, keeping the legacy event order byte-identical).
-        # Jitter draws come from a dedicated stream so resilience-on
-        # runs are deterministic per seed (docs/RESILIENCE.md).
-        self._res_rng = resilience_rng if resilience_rng is not None else rng
-        self._rtt = (
-            RttEstimator(self.config.resilience)
-            if self.config.resilience is not None
-            else None
-        )
+        # (phase, proposal id) -> the responses its current attempt awaits.
+        self._pending: Dict[Tuple[str, str], _Pending] = {}
+        # Adaptive resilience state (docs/RESILIENCE.md); a fixed-timeout
+        # client has no estimator and never creates a breaker. Deadline
+        # jitter is drawn from its own stream, apart from protocol draws.
+        self._jitter_rng = jitter_rng
+        res = self.config.resilience
+        self._rtt = RttEstimator(res) if res is not None else None
         self.breakers: Dict[str, CircuitBreaker] = {}
         network.register(self.client_id, self._on_message)
 
@@ -161,15 +157,15 @@ class Client:
             if message.msg_type == MSG_ENDORSEMENT:
                 response = Endorsement.from_wire(message.body)
                 org_id = response.org_id
-                pending = self._pending_endorsements.get(response.proposal_id)
+                pending = self._pending.get(("endorse", response.proposal_id))
             elif message.msg_type == MSG_RECEIPT:
                 response = Receipt.from_wire(message.body)
                 org_id = response.org_id
-                pending = self._pending_receipts.get(response.transaction_id)
+                pending = self._pending.get(("commit", response.transaction_id))
             elif message.msg_type == MSG_READ_RESPONSE:
                 response = message.body["value"]
                 org_id = message.sender
-                pending = self._pending_reads.get(message.body["proposal_id"])
+                pending = self._pending.get(("read", message.body["proposal_id"]))
             else:
                 return
         except (KeyError, TypeError, ValueError, AttributeError):
@@ -184,7 +180,7 @@ class Client:
     def _breaker(self, org_id: str) -> CircuitBreaker:
         breaker = self.breakers.get(org_id)
         if breaker is None:
-            res = self.config.resilience or ResilienceConfig()
+            res = self.config.resilience
             breaker = CircuitBreaker(
                 org_id,
                 threshold=res.breaker_threshold,
@@ -250,48 +246,90 @@ class Client:
         if trace is not None:
             trace.span(name, started, self.sim.now, node=self.client_id, txn_id=txn_id, attrs=attrs)
 
-    def _trace_backoff(self, txn_id: str, started: float, attempt: int, deadline: float) -> None:
-        """A timed-out wait window that will be retried with backoff."""
-        self._trace_wait(
-            "client/backoff", txn_id, started, {"attempt": attempt, "deadline": round(deadline, 6)}
-        )
+    def _retry(self, txn_id: str, phase: str, started: float, attempt: int, deadline: float) -> None:
+        """A timed-out attempt that will be retried with backoff."""
+        attrs = {"attempt": attempt - 1, "deadline": round(deadline, 6)}
+        self._trace_wait("client/backoff", txn_id, started, attrs)
+        self.recorder.retried(txn_id, phase, attempt, self.sim.now)
 
-    # -- adaptive resilience helpers ----------------------------------------------
+    # -- the attempt step ---------------------------------------------------------
+    #
+    # Every phase is one pattern: pick targets, send, wait for the quorum
+    # or the deadline, settle. ``_targets``, ``_deadline`` and ``_settle``
+    # are the only code that tells the paper's fixed-timeout client (q
+    # targets, fixed deadlines, no bookkeeping) from a resilient one.
+
+    def _targets(self, q: int, used: set) -> List[str]:
+        """The organizations one attempt solicits.
+
+        A resilient client hedges: ``q + hedge`` targets (capped at n),
+        preferring organizations not yet contacted in this phase.
+        """
+        res = self.config.resilience
+        if res is None:
+            return self._select_orgs(q)
+        targets = self._select_orgs(min(len(self.org_ids), q + res.hedge), avoid=sorted(used))
+        used.update(targets)
+        return targets
 
     def _deadline(self, phase: str, attempt: int) -> float:
         """The wait deadline for one attempt of one phase."""
-        res = self.config.resilience
-        if res is None or self._rtt is None:
+        if self._rtt is None:
             return {
                 "endorse": self.config.proposal_timeout,
                 "commit": self.config.commit_timeout,
                 "read": self.config.read_timeout,
             }[phase]
-        return self._rtt.timeout_for(attempt, self._res_rng)
+        return self._rtt.timeout_for(attempt, self._jitter_rng)
 
-    def _observe_rtts(self, pending: _Pending, sent_at: float, seen: int = 0) -> None:
-        """Feed round-trips measured since ``sent_at`` to the estimator."""
+    def _settle(
+        self, pending: _Pending, sent_at: float, seen: int, targets: Sequence[str], reached: bool
+    ) -> None:
+        """Feed one attempt's round-trips and outcomes to the RTT
+        estimator and the circuit breakers."""
         if self._rtt is None:
             return
         for arrived in pending.arrivals[seen:]:
             self._rtt.observe(arrived - sent_at)
-
-    def _record_attempt_outcome(self, targets: Sequence[str], responded: set) -> None:
-        """Update circuit breakers after one solicitation attempt."""
-        if self.config.resilience is None:
-            return
-        for org_id in targets:
+        responded = pending.senders
+        # Quorum reached early: slower hedged targets are not failures,
+        # they were simply not needed.
+        for org_id in sorted(responded) if reached else targets:
             breaker = self._breaker(org_id)
             if org_id in responded:
                 breaker.record_success()
             else:
                 breaker.record_failure()
 
-    def _hedged_count(self, q: int) -> int:
-        res = self.config.resilience
-        if res is None:
-            return q
-        return min(len(self.org_ids), q + res.hedge)
+    def _attempt(
+        self,
+        phase: str,
+        attempt: int,
+        txn_id: str,
+        pending: _Pending,
+        targets: Sequence[str],
+        message: Callable[[int, str], Message],
+    ):
+        """Send ``message(index, org)`` to each target and wait for the
+        quorum or the deadline; returns ``(deadline, reached)``."""
+        key = (phase, txn_id)
+        self._pending[key] = pending
+        sent_at = self.sim.now
+        if self._rtt is not None:
+            for org_id in targets:
+                self._breaker(org_id).record_sent()
+        for index, org_id in enumerate(targets):
+            self.network.send(message(index, org_id))
+        deadline = self._deadline(phase, attempt)
+        seen = len(pending.arrivals)
+        winner = yield AnyOf(self.sim, [pending.event, self.sim.timeout(deadline)])
+        # A Byzantine client may run two submits under one proposal id;
+        # each attempt removes only its own entry.
+        if self._pending.get(key) is pending:
+            del self._pending[key]
+        reached = winner is pending.event
+        self._settle(pending, sent_at, seen, targets, reached)
+        return deadline, reached
 
     # -- Byzantine helpers --------------------------------------------------------
 
@@ -318,58 +356,34 @@ class Client:
         self.recorder.submitted(txn_id, self.client_id, "modify", self.sim.now)
         split_clock = self._misbehaves("split_clock")
 
-        res = self.config.resilience
-        used: set = set()  # orgs contacted so far (resilience retargeting)
+        def proposal_to(index: int, org_id: str) -> Message:
+            body = proposal.to_wire()
+            if split_clock and index > 0:
+                # Different logical timestamps to different orgs.
+                body = dict(body)
+                body["clock"] = {"client_id": self.client_id, "counter": clock.counter + index}
+            return Message(
+                sender=self.client_id,
+                recipient=org_id,
+                msg_type=MSG_PROPOSAL,
+                body=body,
+                size_bytes=self.perf.proposal_bytes,
+            )
+
+        used: set = set()
         attempt = 0
         while True:
-            attempt_started = self.sim.now
-            if res is not None:
-                # Hedged solicitation: contact q + hedge organizations,
-                # preferring ones not yet tried for this transaction.
-                targets = self._select_orgs(self._hedged_count(q), avoid=sorted(used))
-                used.update(targets)
-                for org_id in targets:
-                    self._breaker(org_id).record_sent()
-            else:
-                targets = self._select_orgs(q)
+            started = self.sim.now
+            targets = self._targets(q, used)
             pending = _Pending(self.sim, needed=q)
-            self._pending_endorsements[txn_id] = pending
-            for index, org_id in enumerate(targets):
-                body = proposal.to_wire()
-                if split_clock and index > 0:
-                    # Different logical timestamps to different orgs.
-                    body = dict(body)
-                    body["clock"] = {
-                        "client_id": self.client_id,
-                        "counter": clock.counter + index,
-                    }
-                self.network.send(
-                    Message(
-                        sender=self.client_id,
-                        recipient=org_id,
-                        msg_type=MSG_PROPOSAL,
-                        body=body,
-                        size_bytes=self.perf.proposal_bytes,
-                    )
-                )
-            deadline = self._deadline("endorse", attempt)
-            timeout = self.sim.timeout(deadline)
-            winner = yield AnyOf(self.sim, [pending.event, timeout])
+            deadline, _ = yield from self._attempt(
+                "endorse", attempt, txn_id, pending, targets, proposal_to
+            )
             endorsements: List[Endorsement] = list(pending.responses)
-            del self._pending_endorsements[txn_id]
-            self._observe_rtts(pending, attempt_started)
-            if res is not None:
-                responded = {e.org_id for e in endorsements}
-                if winner is pending.event:
-                    # Quorum reached early: slower hedged targets are not
-                    # failures, they were simply not needed.
-                    self._record_attempt_outcome(sorted(responded), responded)
-                else:
-                    self._record_attempt_outcome(targets, responded)
             self._trace_wait(
                 "client/endorse_wait",
                 txn_id,
-                attempt_started,
+                started,
                 {"attempt": attempt, "endorsements": len(endorsements)},
             )
 
@@ -382,8 +396,7 @@ class Client:
             if attempt > self.config.max_retries:
                 self.recorder.failed(txn_id, self.sim.now, "endorsement failure")
                 return False
-            self._trace_backoff(txn_id, attempt_started, attempt - 1, deadline)
-            self.recorder.retried(txn_id, "endorse", attempt, self.sim.now)
+            self._retry(txn_id, "endorse", started, attempt, deadline)
 
         if self._misbehaves("proposal_only"):
             # DDoS-style fault: never send the commit. No lasting side
@@ -408,67 +421,40 @@ class Client:
 
         partial_commit = self._misbehaves("partial_commit")
         wire = transaction.to_wire()
+
+        def commit_to(index: int, org_id: str) -> Message:
+            return Message(
+                sender=self.client_id,
+                recipient=org_id,
+                msg_type=MSG_COMMIT,
+                body=wire,
+                size_bytes=transaction.wire_size(),
+            )
+
+        # Receipts accumulate across attempts (deduped by sender) and
+        # each retry re-targets fresh organizations. The transaction
+        # commits durably on the org side, so re-sending the same signed
+        # wire is safe — MSG_COMMIT is idempotent. A partial-commit
+        # client contacts one organization and waits for its receipt
+        # only (Section 8, fault 2).
+        pending = _Pending(self.sim, needed=1 if partial_commit else q)
+        retries = self.config.max_retries if self.config.resilience is not None else 0
+        used = set()
         commit_started = self.sim.now
-        if res is not None and not partial_commit:
-            # Retry loop: receipts accumulate across attempts (deduped by
-            # sender) and each retry re-targets fresh organizations. The
-            # transaction commits durably on the org side, so re-sending
-            # the same signed wire is safe — MSG_COMMIT is idempotent.
-            contacted: set = set()
-            pending = _Pending(self.sim, needed=q)
-            self._pending_receipts[txn_id] = pending
-            commit_attempt = 0
-            while True:
-                attempt_started = self.sim.now
-                targets = self._select_orgs(self._hedged_count(q), avoid=sorted(contacted))
-                contacted.update(targets)
-                for org_id in targets:
-                    self._breaker(org_id).record_sent()
-                for org_id in targets:
-                    self.network.send(
-                        Message(
-                            sender=self.client_id,
-                            recipient=org_id,
-                            msg_type=MSG_COMMIT,
-                            body=wire,
-                            size_bytes=transaction.wire_size(),
-                        )
-                    )
-                deadline = self._deadline("commit", commit_attempt)
-                seen = len(pending.arrivals)
-                timeout = self.sim.timeout(deadline)
-                winner = yield AnyOf(self.sim, [pending.event, timeout])
-                self._observe_rtts(pending, attempt_started, seen)
-                responded = {r.org_id for r in pending.responses}
-                if winner is pending.event:
-                    self._record_attempt_outcome(sorted(responded), responded)
-                    break
-                self._record_attempt_outcome(targets, responded)
-                commit_attempt += 1
-                if commit_attempt > self.config.max_retries:
-                    break
-                self._trace_backoff(txn_id, attempt_started, commit_attempt - 1, deadline)
-                self.recorder.retried(txn_id, "commit", commit_attempt, self.sim.now)
-        else:
-            commit_targets = self._select_orgs(q)
+        attempt = 0
+        while True:
+            started = self.sim.now
+            targets = self._targets(q, used)
             if partial_commit:
-                commit_targets = commit_targets[:1]
-            pending = _Pending(self.sim, needed=min(q, len(commit_targets)))
-            self._pending_receipts[txn_id] = pending
-            for org_id in commit_targets:
-                self.network.send(
-                    Message(
-                        sender=self.client_id,
-                        recipient=org_id,
-                        msg_type=MSG_COMMIT,
-                        body=wire,
-                        size_bytes=transaction.wire_size(),
-                    )
-                )
-            timeout = self.sim.timeout(self.config.commit_timeout)
-            yield AnyOf(self.sim, [pending.event, timeout])
+                targets = targets[:1]
+            deadline, reached = yield from self._attempt(
+                "commit", attempt, txn_id, pending, targets, commit_to
+            )
+            attempt += 1
+            if reached or attempt > retries:
+                break
+            self._retry(txn_id, "commit", started, attempt, deadline)
         receipts: List[Receipt] = list(pending.responses)
-        del self._pending_receipts[txn_id]
         self._trace_wait("client/commit_wait", txn_id, commit_started, {"receipts": len(receipts)})
 
         valid_orgs = {r.org_id for r in receipts if r.valid}
@@ -514,39 +500,23 @@ class Client:
         proposal = Proposal(self.client_id, contract_id, function, dict(params), clock)
         txn_id = proposal.proposal_id
         self.recorder.submitted(txn_id, self.client_id, "read", self.sim.now)
-        started = self.sim.now
-        res = self.config.resilience
-        if res is not None:
-            targets = self._select_orgs(self._hedged_count(q))
-            for org_id in targets:
-                self._breaker(org_id).record_sent()
-        else:
-            targets = self._select_orgs(q)
-        pending = _Pending(self.sim, needed=q)
-        self._pending_reads[txn_id] = pending
-        for org_id in targets:
-            self.network.send(
-                Message(
-                    sender=self.client_id,
-                    recipient=org_id,
-                    msg_type=MSG_READ,
-                    body=proposal.to_wire(),
-                    size_bytes=self.perf.proposal_bytes,
-                )
+
+        def read_to(index: int, org_id: str) -> Message:
+            return Message(
+                sender=self.client_id,
+                recipient=org_id,
+                msg_type=MSG_READ,
+                body=proposal.to_wire(),
+                size_bytes=self.perf.proposal_bytes,
             )
-        timeout = self.sim.timeout(self._deadline("read", 0))
-        winner = yield AnyOf(self.sim, [pending.event, timeout])
+
+        started = self.sim.now
+        targets = self._targets(q, set())
+        pending = _Pending(self.sim, needed=q)
+        _, reached = yield from self._attempt("read", 0, txn_id, pending, targets, read_to)
         values = list(pending.responses)
-        del self._pending_reads[txn_id]
-        self._observe_rtts(pending, started)
-        if res is not None:
-            responded = set(pending._senders)
-            if winner is pending.event:
-                self._record_attempt_outcome(sorted(responded), responded)
-            else:
-                self._record_attempt_outcome(targets, responded)
         self._trace_wait("client/read_wait", txn_id, started, {"responses": len(values)})
-        if winner is pending.event:
+        if reached:
             self.recorder.committed(txn_id, self.sim.now)
             return values
         self.recorder.failed(txn_id, self.sim.now, "read timeout")

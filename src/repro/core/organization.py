@@ -15,13 +15,12 @@ bounded CPU use and the locking limitation).
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
 from repro.core.antientropy import WatermarkDigest
 from repro.core.byzantine import ByzantineOrgConfig
 from repro.core.channel import DEFAULT_CHANNEL, ChannelState, scoped_contract_id
 from repro.core.contract import ContractContext, SmartContract, StateReader
-from repro.core.perf import PerfModel
 from repro.core.policy import EndorsementPolicy
 from repro.core.recording import TransactionRecorder
 from repro.core.transaction import Endorsement, Proposal, Receipt, Transaction
@@ -32,6 +31,9 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.core import Simulator
 from repro.sim.resources import Lock, Resource
+
+if TYPE_CHECKING:
+    from repro.core.system import OrderlessChainSettings
 
 MSG_PROPOSAL = "orderless.proposal"
 MSG_ENDORSEMENT = "orderless.endorsement"
@@ -61,47 +63,36 @@ class Organization:
         identity: Identity,
         ca: CertificateAuthority,
         policy: EndorsementPolicy,
-        perf: PerfModel,
+        settings: OrderlessChainSettings,
         rng: random.Random,
-        recorder: Optional[TransactionRecorder] = None,
-        cache_enabled: bool = True,
-        gossip_interval: float = 1.0,
-        gossip_fanout: int = 1,
-        gossip_ttl: int = 3,
-        sync_interval: float = 5.0,
-        snapshot_interval: float = 0.0,
+        recorder: TransactionRecorder,
     ) -> None:
         self.sim = sim
         self.network = network
         self.identity = identity
         self.ca = ca
         self.policy = policy
-        self.perf = perf
+        # Gossip, anti-entropy, snapshot and cache knobs are read from
+        # the validated settings the network was built from.
+        self.settings = settings
+        self.perf = settings.perf
         self.rng = rng
-        self.recorder = recorder if recorder is not None else TransactionRecorder()
+        self.recorder = recorder
         # Per-channel sharded state (repro.core.channel): each channel
         # owns its own ledger, gossip backlog, committed index, and
         # snapshot. The default channel is an ordinary channel that
         # every organization starts with.
-        self._cache_enabled = cache_enabled
         self.channels: Dict[str, ChannelState] = {}
         self.create_channel(DEFAULT_CHANNEL)
         # contract id -> channel id routing map; proposals, commits,
         # gossip, and reads are steered to a channel by contract id.
         self._contract_channel: Dict[str, str] = {}
-        self.cpu = Resource(sim, capacity=perf.vcpus)
+        self.cpu = Resource(sim, capacity=self.perf.vcpus)
         self.cache_lock = Lock(sim)
         # Global contract registry across all channels (endorsement
         # dispatch).
         self.contracts: Dict[str, SmartContract] = {}
         self.peer_ids: List[str] = []
-        self.gossip_interval = gossip_interval
-        self.gossip_fanout = gossip_fanout
-        self.gossip_ttl = max(1, gossip_ttl)
-        # Anti-entropy: periodic digest exchange with a random peer so
-        # replicas reconcile even after push-gossip rounds are spent
-        # (e.g. across a healed partition). 0 disables it.
-        self.sync_interval = sync_interval
         # Watermark-based anti-entropy (repro.core.antientropy): each
         # channel's committed set is summarized incrementally at commit
         # time as per-client watermarks + gap ranges, an
@@ -109,12 +100,11 @@ class Organization:
         # state digest — so no sync/snapshot/recovery call site ever
         # sorts or copies the full set.
         # Snapshot-based crash recovery (docs/RESILIENCE.md): with a
-        # positive interval, a background loop periodically checkpoints
-        # the committed-transaction set; recover() then replays only
-        # the delta since the checkpoint and runs *targeted*
-        # anti-entropy instead of the full-broadcast resync. 0 (the
-        # default) disables it and keeps the legacy path byte-identical.
-        self.snapshot_interval = snapshot_interval
+        # positive ``settings.snapshot_interval``, a background loop
+        # periodically checkpoints the committed-transaction set;
+        # recover() then replays only the delta since the checkpoint and
+        # runs *targeted* anti-entropy instead of the full-broadcast
+        # resync.
         self.snapshots_taken = 0
         # Byzantine state: a config plus an on/off switch the experiment
         # timeline flips (Figure 8's f:1 -> f:2 -> f:3 -> f:0 windows).
@@ -168,7 +158,7 @@ class Organization:
         """Create (or return) the named channel's state shard."""
         channel = self.channels.get(channel_id)
         if channel is None:
-            channel = ChannelState(channel_id, cache_enabled=self._cache_enabled)
+            channel = ChannelState(channel_id, cache_enabled=self.settings.cache_enabled)
             self.channels[channel_id] = channel
         return channel
 
@@ -192,9 +182,9 @@ class Organization:
     def start(self) -> None:
         """Launch background processes: gossip (step 5) + anti-entropy."""
         self.sim.process(self._gossip_loop(), name=f"{self.org_id}.gossip")
-        if self.sync_interval > 0:
+        if self.settings.sync_interval > 0:
             self.sim.process(self._antientropy_loop(), name=f"{self.org_id}.sync")
-        if self.snapshot_interval > 0:
+        if self.settings.snapshot_interval > 0:
             self.sim.process(self._snapshot_loop(), name=f"{self.org_id}.snapshot")
 
     # -- message dispatch -------------------------------------------------
@@ -423,7 +413,7 @@ class Organization:
             block = ledger.commit(
                 transaction.transaction_id, operations, wire, valid=True
             )
-            channel.gossip_backlog.append((wire, self.gossip_ttl))
+            channel.gossip_backlog.append((wire, self.settings.gossip_ttl))
             channel.valid_txn_wire[txn_id] = wire
             channel.commit_index.add(txn_id)
             for operation in operations:
@@ -524,7 +514,7 @@ class Organization:
 
     def _gossip_loop(self):
         while True:
-            yield self.sim.timeout(self.gossip_interval)
+            yield self.sim.timeout(self.settings.gossip_interval)
             if self.crashed or not self.peer_ids:
                 continue
             # Each channel gossips its own backlog with its own fanout
@@ -547,7 +537,7 @@ class Organization:
                     and self.rng.random() < self.byzantine.suppress_gossip_probability
                 ):
                     continue
-                fanout = min(self.gossip_fanout, len(self.peer_ids))
+                fanout = min(self.settings.gossip_fanout, len(self.peer_ids))
                 targets = self.rng.sample(self.peer_ids, fanout)
                 size = sum(
                     self.perf.gossip_txn_base_bytes
@@ -640,7 +630,7 @@ class Organization:
         what it is missing and receives it as a gossip batch.
         """
         while True:
-            yield self.sim.timeout(self.sync_interval)
+            yield self.sim.timeout(self.settings.sync_interval)
             if self.crashed or not self.peer_ids:
                 continue
             if (
@@ -817,7 +807,7 @@ class Organization:
         digest); with one channel the loop is the legacy one.
         """
         while True:
-            yield self.sim.timeout(self.snapshot_interval)
+            yield self.sim.timeout(self.settings.snapshot_interval)
             if self.crashed:
                 continue
             for channel in self.channels.values():
@@ -854,7 +844,7 @@ class Organization:
         (targeted anti-entropy). Otherwise it falls back to the legacy
         full :meth:`resync` broadcast.
         """
-        if self.snapshot_interval > 0 and any(
+        if self.settings.snapshot_interval > 0 and any(
             channel.snapshot is not None for channel in self.channels.values()
         ):
             self.crashed = False

@@ -43,6 +43,9 @@ class OrderlessChainSettings:
     gossip_interval: float = 1.0
     gossip_fanout: int = 1
     gossip_ttl: int = 3
+    # Anti-entropy: a periodic digest exchange with a random peer, so
+    # replicas reconcile even after push-gossip rounds are spent (e.g.
+    # across a healed partition). 0 disables it.
     sync_interval: float = 5.0
     # Snapshot-based crash recovery (docs/RESILIENCE.md); 0 keeps the
     # legacy full-resync recovery and takes no checkpoints.
@@ -62,6 +65,13 @@ class OrderlessChainSettings:
             raise ConfigError(
                 f"endorsement policy needs 0 < q <= n, got q={self.quorum}, n={self.num_orgs}"
             )
+        if self.gossip_interval <= 0:
+            raise ConfigError(f"gossip_interval must be > 0, got {self.gossip_interval}")
+        if self.gossip_ttl < 1:
+            raise ConfigError(f"gossip_ttl must be >= 1, got {self.gossip_ttl}")
+        for name in ("sync_interval", "snapshot_interval"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0 (0 disables), got {getattr(self, name)}")
 
     @classmethod
     def from_config(cls, config, **overrides) -> "OrderlessChainSettings":
@@ -133,15 +143,9 @@ class OrderlessChainNetwork:
                 identity=identity,
                 ca=self.ca,
                 policy=self.policy,
-                perf=settings.perf,
+                settings=settings,
                 rng=self.rng.stream(node_id),
                 recorder=self.recorder,
-                cache_enabled=settings.cache_enabled,
-                gossip_interval=settings.gossip_interval,
-                gossip_fanout=settings.gossip_fanout,
-                gossip_ttl=settings.gossip_ttl,
-                sync_interval=settings.sync_interval,
-                snapshot_interval=settings.snapshot_interval,
             )
             self.organizations.append(org)
         self._nodes: Dict[str, Organization] = {org.org_id: org for org in self.organizations}
@@ -193,15 +197,6 @@ class OrderlessChainNetwork:
         index = len(self.clients)
         identifier = name or f"client{index}"
         identity = self.ca.enroll(identifier, "client", seed=identifier.encode())
-        client_config = config or self.settings.client_config
-        # A dedicated stream for resilience jitter keeps protocol draws
-        # untouched; RngRegistry streams are independent, so creating
-        # it only for resilience clients preserves golden fingerprints.
-        resilience_rng = (
-            self.rng.stream(f"resilience:{identifier}")
-            if client_config.resilience is not None
-            else None
-        )
         client = Client(
             sim=self.sim,
             network=self.network,
@@ -210,10 +205,12 @@ class OrderlessChainNetwork:
             org_ids=self.node_ids,
             perf=self.settings.perf,
             rng=self.rng.stream(f"client:{identifier}"),
+            # Deadline jitter has its own stream: RngRegistry streams are
+            # independent, so it never shifts the protocol draws.
+            jitter_rng=self.rng.stream(f"resilience:{identifier}"),
             recorder=self.recorder,
-            config=client_config,
+            config=config or self.settings.client_config,
             byzantine=byzantine,
-            resilience_rng=resilience_rng,
         )
         self.clients.append(client)
         return client

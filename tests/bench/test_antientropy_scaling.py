@@ -1,8 +1,9 @@
 """Anti-entropy digest scaling: bytes per round flat in run length.
 
-Drives a small OrderlessChain network (built through ``repro.api``)
-with frequent anti-entropy rounds and a 100 % modify workload, so the
-committed set grows steadily while digests keep flowing, and asserts
+Drives a small OrderlessChain network (its settings built through
+``OrderlessChainSettings.from_config``) with frequent anti-entropy
+rounds and a 100 % modify workload, so the committed set grows
+steadily while digests keep flowing, and asserts
 the *shape* claim behind the watermark digest: per-round digest bytes
 are bounded by clients + gap ranges, independent of how many
 transactions have committed. Modeled byte counts are deterministic in
@@ -14,8 +15,9 @@ keeps that one-time record.)
 
 import pytest
 
-from repro.api import ExperimentConfig, build_network
+from repro.api import ExperimentConfig, OrderlessChainNetwork, OrderlessChainSettings
 from repro.bench.workload import make_workload
+from repro.contracts import SyntheticContract
 from repro.core.organization import MSG_SYNC_DIGEST
 from repro.core.perf import PerfModel
 
@@ -36,9 +38,10 @@ def digest_run(duration):
         scale=20.0,
         seed=0,
     )
-    net = build_network(config)
-    for org in net.organizations:
-        org.sync_interval = 1.0  # a digest round per simulated second
+    # A digest round per simulated second.
+    net = OrderlessChainNetwork(OrderlessChainSettings.from_config(config, sync_interval=1.0))
+    net.install_contract(SyntheticContract)
+    net.add_clients(config.effective_clients)
     workload = make_workload(config)
     rng = net.rng.stream("workload")
 

@@ -82,6 +82,7 @@ def _spoofing_run(org1_endorses: bool):
         ["org0", "org1"],
         PerfModel(),
         random.Random(0),
+        random.Random(1),
         recorder=recorder,
     )
 

@@ -35,13 +35,6 @@ class TestPending:
         assert not pending.event.triggered
         assert pending.responses == ["a"]
 
-    def test_senderless_responses_always_count(self):
-        sim = Simulator()
-        pending = _Pending(sim, needed=2)
-        pending.add("x")
-        pending.add("y")
-        assert pending.event.triggered
-
 
 class TestMajorityWriteSet:
     def test_majority_group_selected(self):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.bench.config import ExperimentConfig
+from repro.bench.runner import build_network
 from repro.core import OrderlessChainNetwork, OrderlessChainSettings
 from repro.core.client import ClientConfig
 from repro.contracts import AuctionContract, VotingContract
@@ -21,6 +23,24 @@ def test_settings_validation():
         OrderlessChainSettings(num_orgs=0)
     with pytest.raises(ConfigError):
         OrderlessChainSettings(num_orgs=4, quorum=5)
+
+
+INVALID_SETTINGS = [
+    ("gossip_interval", 0.0),
+    ("gossip_interval", -1.0),
+    ("gossip_ttl", 0),
+    ("sync_interval", -1.0),
+    ("snapshot_interval", -0.5),
+]
+
+
+@pytest.mark.parametrize("name, value", INVALID_SETTINGS)
+def test_invalid_dissemination_settings_are_config_errors(name, value):
+    with pytest.raises(ConfigError, match=name):
+        OrderlessChainSettings(**{name: value})
+    if name in ExperimentConfig.__dataclass_fields__:
+        with pytest.raises(ConfigError, match=name):
+            build_network(ExperimentConfig(duration=1.0, scale=20.0, **{name: value}))
 
 
 def test_successful_vote_commits_at_quorum_then_gossips_everywhere():

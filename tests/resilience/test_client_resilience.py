@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import OrderlessChainNetwork, OrderlessChainSettings
 from repro.core.client import ClientConfig
+from repro.core.organization import MSG_PROPOSAL
 from repro.contracts import VotingContract
 from repro.resilience import BREAKER_OPEN, ResilienceConfig
 
@@ -32,16 +33,31 @@ def resilient_client(net, name="c0", **res_kwargs):
     return net.add_client(name, config=config)
 
 
-class TestHedging:
-    def test_hedged_count_adds_hedge_to_quorum(self):
-        net = make_net()
-        client = resilient_client(net, hedge=1)
-        assert client._hedged_count(2) == 3
+def proposal_recipients(net, client):
+    """The distinct organizations one modify sent its proposal to."""
+    recipients = set()
+    send = net.network.send
 
-    def test_hedged_count_capped_at_org_count(self):
+    def tapped(message):
+        if message.msg_type == MSG_PROPOSAL:
+            recipients.add(message.recipient)
+        send(message)
+
+    net.network.send = tapped
+    net.sim.process(client.submit_modify("voting", "vote", {"party": "party0", "election": "e"}))
+    net.run(until=10.0)
+    assert len(net.recorder.successes()) == 1
+    return recipients
+
+
+class TestHedging:
+    def test_hedge_adds_to_the_quorum(self):
+        net = make_net(num_orgs=6)
+        assert len(proposal_recipients(net, resilient_client(net, hedge=1))) == 3
+
+    def test_hedge_capped_at_org_count(self):
         net = make_net(num_orgs=4)
-        client = resilient_client(net, hedge=10)
-        assert client._hedged_count(2) == 4
+        assert len(proposal_recipients(net, resilient_client(net, hedge=10))) == 4
 
     def test_modify_solicits_more_than_quorum(self):
         net = make_net()
