@@ -3,8 +3,9 @@
 One import for the four things users actually do, spanning the
 subpackages without making callers learn their layout:
 
-* :func:`build_network` — construct a fully wired OrderlessChain
-  network (settings, contracts, channels, clients) without running it;
+* :func:`build_network` — construct the fully wired network of any
+  configured system (settings, contracts, channels, clients) without
+  running it;
 * :func:`run_experiment` — build *any* configured system, drive its
   workload, and measure (:class:`~repro.bench.metrics.ExperimentResult`);
 * :func:`explore` — fuzz transaction interleavings and fault schedules

@@ -563,6 +563,10 @@ class Replica:
         """Canonical application state, for convergence and fingerprints."""
         return self.state.snapshot()
 
+    def utilization(self) -> float:
+        """CPU utilization so far."""
+        return self.cpu.utilization()
+
 
 @dataclass
 class BaselineSettings:
@@ -646,6 +650,9 @@ class BaselineNetwork:
         client = self.client_class(self, name or f"client{len(self.clients)}")
         self.clients.append(client)
         return client
+
+    def start(self) -> None:
+        """Nothing to launch: a baseline's loops start at construction."""
 
     def run(self, until: float) -> None:
         self.sim.run(until=until)

@@ -8,17 +8,22 @@ applies the utilization-preserving scale-down described in DESIGN.md.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
+from repro.core.byzantine import VALID_CLIENT_FAULTS
 from repro.core.perf import PerfModel
+from repro.crdt.operation import TYPE_GCOUNTER, TYPE_MAP, TYPE_MVREGISTER
 from repro.errors import ConfigError
 from repro.faults.schedule import FaultSchedule
 from repro.sim.nondeterminism import ExploreProfile
 
 SYSTEMS = ("orderlesschain", "fabric", "fabriccrdt", "bidl", "synchotstuff")
 APPS = ("synthetic", "voting", "auction")
+# The CRDT types the synthetic contract's ``modify`` writes.
+SYNTHETIC_CRDT_TYPES = (TYPE_GCOUNTER, TYPE_MVREGISTER, TYPE_MAP)
 
 
 def default_scale() -> float:
@@ -94,6 +99,9 @@ class ExperimentConfig:
     byzantine_org_windows: Tuple[ByzantineWindow, ...] = ()
     byzantine_client_fraction: float = 0.0
     byzantine_client_faults: Tuple[str, ...] = ("proposal_only",)
+    # Fabric's ordering service: the paper's "solo" or the
+    # crash-fault-tolerant "raft" (the orderer ablation).
+    orderer_type: str = "solo"
     # Mechanics.
     seed: int = 0
     scale: float = field(default_factory=default_scale)
@@ -135,6 +143,24 @@ class ExperimentConfig:
             raise ConfigError(f"modify_ratio must be in [0,1], got {self.modify_ratio}")
         if self.scale <= 0:
             raise ConfigError(f"scale must be positive, got {self.scale}")
+        if self.duration <= 0 or self.drain < 0:
+            raise ConfigError(f"need duration > 0, drain >= 0; got {self.duration}, {self.drain}")
+        for name in ("obj_count", "ops_per_obj", "parties"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.crdt_type not in SYNTHETIC_CRDT_TYPES:
+            raise ConfigError(
+                f"unknown crdt_type {self.crdt_type!r}; choose from {SYNTHETIC_CRDT_TYPES}"
+            )
+        weights = self.org_weights
+        if weights is not None and (
+            len(weights) != self.num_orgs or not all(math.isfinite(w) and w > 0 for w in weights)
+        ):
+            raise ConfigError(f"org_weights needs {self.num_orgs} finite weights > 0, got {weights}")
+        for window in self.byzantine_org_windows:
+            end = window.end if window.end is not None else math.inf
+            if not (0 <= window.count <= self.num_orgs and 0 <= window.start < end):
+                raise ConfigError(f"{window} needs 0 <= count <= {self.num_orgs}, 0 <= start < end")
         if not 0.0 <= self.byzantine_client_fraction <= 1.0:
             raise ConfigError(
                 f"byzantine_client_fraction must be in [0,1], got {self.byzantine_client_fraction}"
@@ -143,26 +169,38 @@ class ExperimentConfig:
             raise ConfigError(
                 f"sample_interval must be >= 0, got {self.sample_interval}"
             )
-        if self.channels:
-            if self.system != "orderlesschain":
+        faults = set(self.byzantine_client_faults)
+        if not faults or not faults <= VALID_CLIENT_FAULTS:
+            raise ConfigError(
+                f"byzantine_client_faults must be a non-empty subset of "
+                f"{sorted(VALID_CLIENT_FAULTS)}, got {self.byzantine_client_faults}"
+            )
+        if self.orderer_type not in ("solo", "raft"):
+            raise ConfigError(f"orderer_type must be 'solo' or 'raft', got {self.orderer_type!r}")
+        # A knob only one system reads is an error on the others, not a no-op.
+        for knob, system, is_set in (
+            ("channels", "orderlesschain", self.channels),
+            ("byzantine_client_fraction", "orderlesschain", self.byzantine_client_fraction),
+            ("byzantine_org_windows", "orderlesschain", self.byzantine_org_windows),
+            ("orderer_type", "fabric", self.orderer_type != "solo"),
+        ):
+            if is_set and self.system != system:
+                raise ConfigError(f"{knob} is read only by {system}, got system {self.system!r}")
+        seen = set()
+        for spec in self.channels:
+            if spec.channel_id in seen:
+                raise ConfigError(f"duplicate channel id {spec.channel_id!r}")
+            seen.add(spec.channel_id)
+            if spec.app not in APPS:
                 raise ConfigError(
-                    f"channels are an OrderlessChain feature, got system {self.system!r}"
+                    f"unknown app {spec.app!r} on channel {spec.channel_id!r}; "
+                    f"choose from {APPS}"
                 )
-            seen = set()
-            for spec in self.channels:
-                if spec.channel_id in seen:
-                    raise ConfigError(f"duplicate channel id {spec.channel_id!r}")
-                seen.add(spec.channel_id)
-                if spec.app not in APPS:
-                    raise ConfigError(
-                        f"unknown app {spec.app!r} on channel {spec.channel_id!r}; "
-                        f"choose from {APPS}"
-                    )
-                if spec.rate_share <= 0:
-                    raise ConfigError(
-                        f"rate_share must be positive on channel {spec.channel_id!r}, "
-                        f"got {spec.rate_share}"
-                    )
+            if spec.rate_share <= 0:
+                raise ConfigError(
+                    f"rate_share must be positive on channel {spec.channel_id!r}, "
+                    f"got {spec.rate_share}"
+                )
         if self.planted_bug is not None:
             # Imported lazily: repro.explore depends on this module.
             from repro.explore.plant import PLANTED_BUGS

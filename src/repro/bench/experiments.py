@@ -38,10 +38,9 @@ from repro.bench.config import (
     ExperimentConfig,
     default_scale,
 )
-from repro.bench.metrics import ExperimentResult, compute_result
+from repro.bench.metrics import ExperimentResult
 from repro.bench.parallel import expect_results, run_sweep
-from repro.bench.runner import run_baseline, run_experiment
-from repro.bench.workload import make_workload
+from repro.bench.runner import run_experiment
 from repro.faults import FaultSchedule, default_node_ids, smoke_schedule
 
 # One point of a panel: (series, x, config). ``series`` is None except
@@ -63,11 +62,7 @@ def run_points(kind: str, points: Sequence[Point], jobs: Optional[int] = None):
     All points run as one flat :func:`run_sweep`, so parallel workers
     stay busy across series boundaries.
     """
-    runs = [run for _, _, run in points]
-    # The Fabric orderer ablation hands in results it ran itself: its
-    # knob is no ExperimentConfig field, so run_sweep cannot run it.
-    if all(isinstance(run, ExperimentConfig) for run in runs):
-        runs = expect_results(run_sweep(runs, jobs=jobs))
+    runs = expect_results(run_sweep([config for _, _, config in points], jobs=jobs))
     if kind == "timeline":
         return runs[0]
     if kind == "sweep":
@@ -317,23 +312,14 @@ def ablation_cache(**base) -> List[Point]:
     ]
 
 
-def ablation_fabric_orderer(**base) -> List[Tuple[None, str, ExperimentResult]]:
+def ablation_fabric_orderer(**base) -> List[Point]:
     """Solo vs Raft ordering service for Fabric (Raft adds a WAN round
-    trip of follower replication per block; neither is BFT).
-
-    The orderer type is a ``BaselineSettings`` field, not an
-    :class:`ExperimentConfig` one, so the builder runs its two networks
-    itself (serially) and its points carry finished results.
-    """
+    trip of follower replication per block; neither is BFT)."""
     config = _application("fabric", "voting", 8, 500, base)
-    points = []
-    for orderer_type in ("solo", "raft"):
-        net, extra = run_baseline(config, make_workload(config), orderer_type=orderer_type)
-        result = compute_result(
-            net.recorder, config.system, config.app, config.arrival_rate, config.scale, extra=extra
-        )
-        points.append((None, orderer_type, result))
-    return points
+    return [
+        (None, orderer_type, config.with_(orderer_type=orderer_type))
+        for orderer_type in ("solo", "raft")
+    ]
 
 
 def ablation_gossip_interval(grid, **base) -> List[Point]:

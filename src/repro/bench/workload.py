@@ -37,6 +37,16 @@ class AppWorkload:
     def baseline_read(self, rng: random.Random, client_id: str) -> Dict[str, Any]:
         raise NotImplementedError
 
+    def arguments(self, kind: str, orderless: bool, rng: random.Random, client_id: str) -> tuple:
+        """The arguments of the client's ``submit_<kind>`` for one
+        transaction: an :data:`Invocation` for OrderlessChain, a
+        one-element tuple of read/write-set params for a baseline."""
+        if orderless:
+            make = self.orderless_modify if kind == "modify" else self.orderless_read
+            return make(rng, client_id)
+        make = self.baseline_modify if kind == "modify" else self.baseline_read
+        return (make(rng, client_id),)
+
 
 def _scaled_pool(size: int, scale: float) -> int:
     """Shrink a key pool with the scale factor.
@@ -153,8 +163,8 @@ class ChannelWorkload(AppWorkload):
     every OrderlessChain invocation to the channel-scoped form
     (``"<channel>:<contract_id>"``, see
     :func:`repro.core.channel.scoped_contract_id`), so mixed-application
-    traffic routes to the right shard. Baseline forms pass through
-    unchanged (baselines have no channels).
+    traffic routes to the right shard. Baselines have no channels, so it
+    has no baseline forms.
     """
 
     def __init__(self, channel_id: str, inner: AppWorkload) -> None:
@@ -173,12 +183,6 @@ class ChannelWorkload(AppWorkload):
     def orderless_read(self, rng: random.Random, client_id: str) -> Invocation:
         return self._scope(self.inner.orderless_read(rng, client_id))
 
-    def baseline_modify(self, rng: random.Random, client_id: str) -> Dict[str, Any]:
-        return self.inner.baseline_modify(rng, client_id)
-
-    def baseline_read(self, rng: random.Random, client_id: str) -> Dict[str, Any]:
-        return self.inner.baseline_read(rng, client_id)
-
 
 def make_workload(config: ExperimentConfig) -> AppWorkload:
     if config.app == "synthetic":
@@ -190,25 +194,6 @@ def make_workload(config: ExperimentConfig) -> AppWorkload:
     raise ConfigError(f"unknown app {config.app!r}")
 
 
-def make_channel_workloads(config: ExperimentConfig) -> list:
-    """Per-channel workloads for a multichannel config.
-
-    Returns ``[(ChannelSpec, ChannelWorkload, rate)]`` where ``rate``
-    is the channel's slice of the config's *effective* (scale-adjusted)
-    arrival rate, split by normalized ``rate_share``. Each channel's
-    generator is built from a copy of the config with that channel's
-    app, so per-app knobs (elections, auctions, object pool) apply
-    per channel.
-    """
-    total_share = sum(spec.rate_share for spec in config.channels)
-    out = []
-    for spec in config.channels:
-        inner = make_workload(config.with_(app=spec.app, channels=()))
-        rate = config.effective_rate * spec.rate_share / total_share
-        out.append((spec, ChannelWorkload(spec.channel_id, inner), rate))
-    return out
-
-
 __all__ = [
     "AppWorkload",
     "AuctionWorkload",
@@ -216,6 +201,5 @@ __all__ = [
     "Invocation",
     "SyntheticWorkload",
     "VotingWorkload",
-    "make_channel_workloads",
     "make_workload",
 ]

@@ -968,5 +968,12 @@ class Organization:
             for channel_id, channel in sorted(self.channels.items())
         }
 
+    def utilization(self) -> float:
+        """CPU utilization so far. The CRDT-cache lock section is CPU
+        work on one core (the paper attributes OrderlessChain's higher
+        CPU utilization to "applying the CRDT operations to the
+        cache"), so it counts toward the CPU's busy time."""
+        return min(1.0, self.cpu.utilization() + self.cache_lock.utilization() / self.cpu.capacity)
+
 
 __all__ = ["Organization"]

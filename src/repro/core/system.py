@@ -67,6 +67,8 @@ class OrderlessChainSettings:
             )
         if self.gossip_interval <= 0:
             raise ConfigError(f"gossip_interval must be > 0, got {self.gossip_interval}")
+        if self.gossip_fanout < 0:
+            raise ConfigError(f"gossip_fanout must be >= 0, got {self.gossip_fanout}")
         if self.gossip_ttl < 1:
             raise ConfigError(f"gossip_ttl must be >= 1, got {self.gossip_ttl}")
         for name in ("sync_interval", "snapshot_interval"):

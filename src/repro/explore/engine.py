@@ -122,20 +122,12 @@ def run_case(case: ExploreCase) -> Execution:
 
 
 def _run_batch(cases: Sequence[ExploreCase], jobs: int) -> List[Optional[Execution]]:
-    """Run a batch, parallel when asked; ``None`` marks a crashed point.
+    """Run a batch on ``jobs`` workers; ``None`` marks a crashed point.
 
-    A worker exception does not abort exploration — the planted bugs
+    A point's exception does not abort exploration — the planted bugs
     never raise, but a genuinely buggy system under fuzzing might, and
     the sweep should keep probing the remaining cases.
     """
-    if jobs <= 1 or len(cases) <= 1:
-        executions: List[Optional[Execution]] = []
-        for case in cases:
-            try:
-                executions.append(run_case(case))
-            except Exception:  # noqa: BLE001 - fuzzing must survive crashes
-                executions.append(None)
-        return executions
     from repro.bench.parallel import SweepFailure, run_sweep
 
     outcomes = run_sweep([case.to_config() for case in cases], jobs=jobs)
@@ -210,7 +202,7 @@ def explore(
     while spent < executions and violation is None:
         batch = [next_case(spent + offset) for offset in range(min(batch_size, executions - spent))]
         started = time.perf_counter()
-        for case, execution in zip(batch, _run_batch(batch, jobs)):
+        for case, execution in zip(batch, _run_batch(batch, batch_size)):
             spent += 1
             if execution is None:
                 continue

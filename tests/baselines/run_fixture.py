@@ -22,8 +22,7 @@ from collections import Counter
 from pathlib import Path
 
 from repro.bench.config import ExperimentConfig
-from repro.bench.runner import run_baseline
-from repro.bench.workload import make_workload
+from repro.bench.runner import run_network
 from repro.checkers import state_fingerprints
 
 from ..chaos.harness import chaos_run
@@ -69,12 +68,11 @@ def summarize(net) -> dict:
     }
 
 
-def _app_run(system: str, app: str, **settings) -> dict:
+def _app_run(system: str, app: str, **fields) -> dict:
     config = ExperimentConfig(
-        system=system, app=app, duration=4, scale=60, seed=7, num_orgs=8, quorum=4
+        system=system, app=app, duration=4, scale=60, seed=7, num_orgs=8, quorum=4, **fields
     )
-    net, _ = run_baseline(config, make_workload(config), **settings)
-    return summarize(net)
+    return summarize(run_network(config))
 
 
 def collect() -> dict:

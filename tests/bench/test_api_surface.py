@@ -72,6 +72,7 @@ CONFIG_FIELDS = {
     "obj_count",
     "object_pool",
     "ops_per_obj",
+    "orderer_type",
     "org_weights",
     "parties",
     "planted_bug",

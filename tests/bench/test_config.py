@@ -35,6 +35,41 @@ def test_validation():
         ExperimentConfig(byzantine_client_fraction=2.0)
 
 
+SMALL = dict(duration=2.0, scale=50.0)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # Knobs a system does not read are rejected, not ignored.
+        dict(system="bidl", byzantine_client_fraction=1.0, byzantine_client_faults=("tamper",)),
+        dict(system="fabric", byzantine_org_windows=(ByzantineWindow(3, 0, None),)),
+        dict(system="bidl", orderer_type="raft"),
+        dict(system="fabric", orderer_type="kafka"),
+        # Values that failed every transaction or crashed mid-run.
+        dict(crdt_type="bogus"),
+        dict(ops_per_obj=0),
+        dict(obj_count=0),
+        dict(app="voting", parties=0),
+        dict(duration=0.0),
+        dict(drain=-5.0),
+        dict(num_orgs=4, org_weights=(1.0, 1.0)),
+        dict(num_orgs=4, org_weights=(1.0, 1.0, 1.0, float("nan"))),
+        dict(num_orgs=4, org_weights=(1.0, 1.0, 1.0, 0.0)),
+        dict(byzantine_org_windows=(ByzantineWindow(count=20, start=0.0, end=None),)),
+        dict(byzantine_org_windows=(ByzantineWindow(count=-1, start=0.0, end=None),)),
+        dict(byzantine_org_windows=(ByzantineWindow(count=1, start=-1.0, end=None),)),
+        dict(byzantine_org_windows=(ByzantineWindow(count=1, start=2.0, end=2.0),)),
+        dict(byzantine_client_fraction=0.5, byzantine_client_faults=("bogus",)),
+        dict(byzantine_client_fraction=0.5, byzantine_client_faults=()),
+    ],
+    ids=repr,
+)
+def test_unread_or_invalid_config_values_are_config_errors(fields):
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**{**SMALL, **fields})
+
+
 def test_scale_divides_rates_and_clients():
     config = ExperimentConfig(arrival_rate=3000, num_clients=1000, scale=10)
     assert config.effective_rate == 300.0

@@ -9,7 +9,7 @@ two-application end-to-end run.
 
 import pytest
 
-from repro.bench.config import ChannelSpec, ExperimentConfig
+from repro.bench.config import SYSTEMS, ChannelSpec, ExperimentConfig
 from repro.bench.runner import build_network, run_experiment
 from repro.contracts.synthetic import SyntheticContract
 from repro.contracts.voting import VotingContract
@@ -103,7 +103,7 @@ def test_ledger_keys_are_always_org_slash_channel():
     assert keys == ["org0/ch0", "org0/default", "org1/ch0", "org1/default"]
 
 
-def test_build_network_wires_channels_and_rejects_baselines():
+def test_build_network_wires_channels():
     config = ExperimentConfig(
         system="orderlesschain",
         duration=1.0,
@@ -115,8 +115,18 @@ def test_build_network_wires_channels_and_rejects_baselines():
     org = net.organizations[0]
     assert "ch0:synthetic" in org.contracts
     assert "ch1:voting" in org.contracts
-    with pytest.raises(ConfigError):
-        build_network(config.with_(system="fabric", channels=()))
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_build_network_builds_every_system(system):
+    config = ExperimentConfig(system=system, app="voting", duration=1.0, scale=50.0)
+    net = build_network(config)
+    assert net.system == system
+    assert len(net.clients) == config.effective_clients
+    # Built, not run: no simulated time passed and nothing was submitted.
+    assert net.sim.now == 0.0
+    assert net.sim.processed_events == 0
+    assert net.recorder.records == {}
 
 
 def test_channel_spec_validation():

@@ -29,6 +29,7 @@ INVALID_SETTINGS = [
     ("gossip_interval", 0.0),
     ("gossip_interval", -1.0),
     ("gossip_ttl", 0),
+    ("gossip_fanout", -1),
     ("sync_interval", -1.0),
     ("snapshot_interval", -0.5),
 ]

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.baselines.fabric import FabricNetwork
 from repro.report import all_specs, get_spec
 
 from .point_fixture import non_default_fields
@@ -33,43 +32,10 @@ def test_fixture_covers_the_catalog():
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize(
-    "spec", [s for s in all_specs() if s.spec_id != "abl-orderer"], ids=lambda s: s.spec_id
-)
+@pytest.mark.parametrize("spec", all_specs(), ids=lambda s: s.spec_id)
 def test_points_match_the_retired_functions(spec, mode):
     points = spec.build(**spec.resolved_params(quick=MODES[mode]))
     got = [[series, x, non_default_fields(config)] for series, x, config in points]
     # Compared as JSON text, so 1000 and 1000.0 (which render
     # differently in records) do not pass for each other.
     assert json.dumps(got) == json.dumps(FIXTURE[spec.spec_id][mode])
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_orderer_ablation_builds_the_same_fabric_networks(mode, monkeypatch):
-    # The orderer type is no ExperimentConfig field, so this panel is
-    # pinned by the BaselineSettings it constructs and what it asks the
-    # network to run; nothing is simulated.
-    settings_seen, runs_seen = [], []
-    real_init = FabricNetwork.__init__
-
-    def recording_init(self, settings):
-        settings_seen.append(settings)
-        real_init(self, settings)
-
-    def recording_run(self, until=None):
-        runs_seen.append({"clients": len(self.clients), "run_until": until})
-
-    monkeypatch.setattr(FabricNetwork, "__init__", recording_init)
-    monkeypatch.setattr(FabricNetwork, "run", recording_run)
-    spec = get_spec("abl-orderer")
-    points = spec.build(**spec.resolved_params(quick=MODES[mode]))
-    assert len(points) == len(settings_seen) == len(runs_seen)
-    got = [
-        [
-            series,
-            x,
-            {"settings": non_default_fields(settings), **run, "arrival_rate": result.arrival_rate},
-        ]
-        for (series, x, result), settings, run in zip(points, settings_seen, runs_seen)
-    ]
-    assert json.dumps(got) == json.dumps(FIXTURE["abl-orderer"][mode])
