@@ -49,8 +49,7 @@ class ChannelState:
     per channel: the ledger (hash-chain log + database + CRDT value
     cache), the gossip backlog, the committed wire forms, the
     incrementally maintained :class:`CommittedIndex` (watermark
-    digests), the per-object transaction index used by sealing, and
-    the recovery snapshot.
+    digests), and the recovery snapshot.
     """
 
     __slots__ = (
@@ -59,7 +58,6 @@ class ChannelState:
         "gossip_backlog",
         "valid_txn_wire",
         "commit_index",
-        "txns_by_object",
         "snapshot",
         "committed_invalid",
         "gossip_commits",
@@ -73,7 +71,6 @@ class ChannelState:
         self.gossip_backlog: List[tuple[Dict[str, Any], int]] = []
         self.valid_txn_wire: Dict[str, Dict[str, Any]] = {}
         self.commit_index = CommittedIndex()
-        self.txns_by_object: Dict[str, set] = {}
         self.snapshot: Optional[Dict[str, Any]] = None
         # Per-channel commit counters (the org-level totals aggregate
         # across channels; valid commits are the ledger's own count).

@@ -110,15 +110,6 @@ class Organization:
         # timeline flips (Figure 8's f:1 -> f:2 -> f:3 -> f:0 windows).
         self.byzantine: Optional[ByzantineOrgConfig] = None
         self.byzantine_active = False
-        # Extension points: pluggable message handlers (protocol
-        # extensions register their message types here) and commit
-        # guards (callables returning a rejection reason or None) — the
-        # hook the Discussion's coordination extension uses.
-        self.extension_handlers: Dict[str, Any] = {}
-        self.commit_guards: List[Any] = []
-        # Proposal guards run before endorsement; returning False drops
-        # the proposal (the Section 8 DDoS-detection hook).
-        self.proposal_guards: List[Any] = []
         # Fail-stop crash flag (set by the fault-injection layer in
         # tandem with ``Network.crash``): a crashed organization ignores
         # incoming messages and skips its background loops. Compute
@@ -191,9 +182,9 @@ class Organization:
 
     def _on_message(self, message: Message) -> None:
         if self.crashed:
-            # Normally unreachable (the network drops traffic to a
-            # crashed node) but guards direct handler calls from
-            # protocol extensions.
+            # The network already drops traffic to a crashed node; this
+            # keeps the flag alone fail-stop for a caller that sets it
+            # without ``Network.crash``.
             self.dropped_requests += 1
             return
         if message.corrupted:
@@ -213,8 +204,6 @@ class Organization:
             self._handle_sync_digest(message)
         elif message.msg_type == MSG_SYNC_REQUEST:
             self._handle_sync_request(message)
-        elif message.msg_type in self.extension_handlers:
-            self.extension_handlers[message.msg_type](message)
 
     def _decode(self, cls: Any, wire: Any) -> Any:
         """``cls.from_wire(wire)``, or None — dropped and counted, never
@@ -238,10 +227,6 @@ class Organization:
             return
         if self.ca.is_revoked(proposal.client_id) or not self.ca.is_enrolled(proposal.client_id):
             return
-        for guard in self.proposal_guards:
-            if not guard(proposal):
-                self.dropped_requests += 1
-                return
         contract = self.contracts.get(proposal.contract_id)
         if contract is None:
             return
@@ -361,18 +346,10 @@ class Organization:
         ledger = channel.ledger
         txn_id = transaction.transaction_id
         if ledger.is_valid_transaction(txn_id):
-            # Already committed as valid: never commit twice. (A
-            # transaction logged as *invalid* may still be retried —
-            # e.g. it was rejected while its object was frozen and the
-            # seal's final set later includes it.)
+            # Only a valid commit is final: an id logged as invalid may
+            # still commit from a later valid copy (see Ledger.commit).
             return True, None, "duplicate"
         valid, reason = self.validate_transaction(transaction)
-        if valid:
-            for guard in self.commit_guards:
-                guard_reason = guard(transaction)
-                if guard_reason is not None:
-                    valid, reason = False, guard_reason
-                    break
         operations = transaction.operations() if valid else []
         if valid:
             # Applying to the cache is serialized by the cache lock;
@@ -398,16 +375,6 @@ class Organization:
                 # Another handler (client path or gossip) committed the
                 # same transaction while we waited for the lock.
                 return True, None, "duplicate"
-            for guard in self.commit_guards:
-                # Re-run the guards after the lock wait: a guard's
-                # verdict can change mid-commit (e.g. the object was
-                # frozen by a seal while this transaction queued), and
-                # committing past it would diverge from the agreement
-                # the guard protects.
-                guard_reason = guard(transaction)
-                if guard_reason is not None:
-                    valid, reason = False, guard_reason
-                    break
         if valid:
             wire = transaction.to_wire()
             block = ledger.commit(
@@ -416,8 +383,6 @@ class Organization:
             channel.gossip_backlog.append((wire, self.settings.gossip_ttl))
             channel.valid_txn_wire[txn_id] = wire
             channel.commit_index.add(txn_id)
-            for operation in operations:
-                channel.txns_by_object.setdefault(operation.object_id, set()).add(txn_id)
             if via_gossip:
                 channel.gossip_commits += 1
             return True, block, reason
@@ -518,10 +483,9 @@ class Organization:
             if self.crashed or not self.peer_ids:
                 continue
             # Each channel gossips its own backlog with its own fanout
-            # sample — sharded dissemination over a shared WAN. With a
-            # single channel the per-tick draw sequence (byzantine
-            # suppress, then fanout sample, only when the backlog is
-            # non-empty) is exactly the legacy one.
+            # sample — sharded dissemination over a shared WAN. A
+            # channel with an empty backlog draws nothing from the rng,
+            # so idle channels do not shift a seeded run's draws.
             for channel in self.channels.values():
                 if not channel.gossip_backlog:
                     continue
@@ -752,7 +716,11 @@ class Organization:
         body = _mapping(message.body)
         channel_id, txn_ids = body.get("channel"), body.get("txn_ids")
         channel = self.channels.get(channel_id) if isinstance(channel_id, str) else None
-        if channel is None or not isinstance(txn_ids, list):
+        if (
+            channel is None
+            or not isinstance(txn_ids, list)
+            or not all(isinstance(txn_id, str) for txn_id in txn_ids)
+        ):
             self.dropped_requests += 1  # malformed; see _handle_sync_digest
             return
         self._send_txn_batches(
@@ -804,7 +772,7 @@ class Organization:
         stores only the commit-log position, count, and state digest —
         O(1) per checkpoint, never a copy of the full id set. Each
         channel checkpoints independently (its own log position and
-        digest); with one channel the loop is the legacy one.
+        digest).
         """
         while True:
             yield self.sim.timeout(self.settings.snapshot_interval)
@@ -841,8 +809,9 @@ class Organization:
         With snapshots enabled and at least one checkpoint taken, the
         organization replays only the delta between the checkpoint and
         its durable log, then reconciles with a *couple* of peers
-        (targeted anti-entropy). Otherwise it falls back to the legacy
-        full :meth:`resync` broadcast.
+        (targeted anti-entropy). Without a checkpoint there is no delta
+        to replay, so it announces its digest to every peer instead
+        (:meth:`resync`).
         """
         if self.settings.snapshot_interval > 0 and any(
             channel.snapshot is not None for channel in self.channels.values()
@@ -858,9 +827,9 @@ class Organization:
         # The insertion-ordered commit log makes the replay delta a
         # slice — O(delta), no set copy or full-history membership
         # scan. Channels replay independently; a channel that never
-        # checkpointed replays its whole (short) log. The CPU charge is
-        # the summed delta, one serve — identical to the legacy path
-        # when only the default channel exists.
+        # checkpointed replays its whole (short) log. The summed delta
+        # is charged as one CPU job: recovery is one replay, however
+        # many channels it covers.
         replayed = 0
         for channel in self.channels.values():
             position = channel.snapshot["log_position"] if channel.snapshot else 0
@@ -931,27 +900,6 @@ class Organization:
                 channel=channel.channel_id,
             )
         )
-
-    def transactions_for_object(
-        self, object_id: str, channel: str = DEFAULT_CHANNEL
-    ) -> Dict[str, Dict[str, Any]]:
-        """Valid committed transactions touching ``object_id`` (id -> wire)."""
-        state = self.channels[channel]
-        return {
-            txn_id: state.valid_txn_wire[txn_id]
-            for txn_id in state.txns_by_object.get(object_id, ())
-            if txn_id in state.valid_txn_wire
-        }
-
-    def commit_directly(self, transaction: Transaction):
-        """Commit a transaction outside the client path (no receipt).
-
-        Used by protocol extensions (e.g. sealing) that redistribute
-        transactions; still runs full validation. A generator — run it
-        with ``yield from`` inside a process.
-        """
-        channel = self._channel_of(transaction.proposal.contract_id)
-        return self._commit_transaction(transaction, via_gossip=True, channel=channel)
 
     # -- state access -------------------------------------------------------
 

@@ -47,8 +47,9 @@ class OrderlessChainSettings:
     # replicas reconcile even after push-gossip rounds are spent (e.g.
     # across a healed partition). 0 disables it.
     sync_interval: float = 5.0
-    # Snapshot-based crash recovery (docs/RESILIENCE.md); 0 keeps the
-    # legacy full-resync recovery and takes no checkpoints.
+    # Snapshot-based crash recovery (docs/RESILIENCE.md); 0 takes no
+    # checkpoints, so a recovering organization announces its digest
+    # to every peer instead of replaying a delta.
     snapshot_interval: float = 0.0
     cache_enabled: bool = True
     client_config: ClientConfig = field(default_factory=ClientConfig)

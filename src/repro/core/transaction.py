@@ -22,6 +22,16 @@ from repro.crypto.hashing import Wire, decode_once, sha256_hex
 from repro.crypto.identity import Identity
 
 
+def _str_field(wire: Mapping[str, Any], key: str) -> str:
+    """``wire[key]``, which must be a str: a peer-supplied id of any
+    other type would raise later, from a dict lookup in a handler,
+    instead of failing the decode."""
+    value = wire[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a str, not {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class Proposal:
     """A transaction proposal ``TP_i`` (phase 1, step 1)."""
@@ -57,9 +67,9 @@ class Proposal:
     @decode_once
     def from_wire(cls, wire: Mapping[str, Any]) -> "Proposal":
         return cls(
-            client_id=wire["client_id"],
-            contract_id=wire["contract_id"],
-            function=wire["function"],
+            client_id=_str_field(wire, "client_id"),
+            contract_id=_str_field(wire, "contract_id"),
+            function=_str_field(wire, "function"),
             params=dict(wire["params"]),
             clock=OpClock.from_wire(wire["clock"]),
         )
@@ -123,8 +133,8 @@ class Endorsement:
         # and sharing lets every later digest of this write-set join
         # the fragments its operations already carry.
         endorsement = cls(
-            org_id=wire["org_id"],
-            proposal_id=wire["proposal_id"],
+            org_id=_str_field(wire, "org_id"),
+            proposal_id=_str_field(wire, "proposal_id"),
             write_set=wire["write_set"],
             signature=wire["signature"],
         )

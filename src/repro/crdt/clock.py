@@ -54,7 +54,10 @@ class OpClock:
 
     @classmethod
     def from_wire(cls, wire: Mapping[str, Any]) -> "OpClock":
-        return cls(client_id=wire["client_id"], counter=int(wire["counter"]))
+        client_id = wire["client_id"]
+        if not isinstance(client_id, str):
+            raise TypeError(f"clock client_id must be a str, not {type(client_id).__name__}")
+        return cls(client_id=client_id, counter=int(wire["counter"]))
 
 
 class LamportClock:

@@ -71,9 +71,10 @@ class Ledger:
         only valid ones touch the database and the cache.
 
         A transaction previously logged as *invalid* may later commit
-        as valid (e.g. it was rejected while an object was frozen for
-        sealing, and the seal's agreed final set includes it) — the log
-        then holds both the rejection and the commit, which is accurate
+        as valid: two different signed transactions can share an id (a
+        Byzantine client that reuses its clock, Section 8), and a valid
+        one that arrives later by gossip still commits. The log then
+        holds both the rejection and the commit, which is accurate
         bookkeeping. A transaction already committed as valid can never
         be committed again.
         """

@@ -166,6 +166,14 @@ class TestMalformedSyncBodies:
             MSG_SYNC_REQUEST,
             {"channel": "nowhere", "txn_ids": ["c0:1"]},
         ),
+        "request-id-unhashable": (
+            MSG_SYNC_REQUEST,
+            {"channel": DEFAULT_CHANNEL, "txn_ids": [["c0:1"]]},
+        ),
+        "request-id-a-mapping": (
+            MSG_SYNC_REQUEST,
+            {"channel": DEFAULT_CHANNEL, "txn_ids": [{"a": 1}]},
+        ),
         "digest-not-a-mapping": (MSG_SYNC_DIGEST, ["x"]),
         "request-none": (MSG_SYNC_REQUEST, None),
         "digest-entry-not-a-pair": (
@@ -219,10 +227,37 @@ def assert_dropped_and_org_keeps_serving(msg_type, body):
     assert net.converged()
 
 
+def proposal_wire(**fields):
+    """A well-formed vote proposal body, with ``fields`` replaced."""
+    wire = {
+        "client_id": "c0",
+        "contract_id": "voting",
+        "function": "vote",
+        "params": {"party": "party0", "election": "e0"},
+        "clock": {"client_id": "c0", "counter": 1},
+    }
+    return dict(wire, **fields)
+
+
+def transaction_wire(proposal=None, org_id="org1"):
+    """A well-formed (if unsigned) commit body around ``proposal``."""
+    return {
+        "proposal": proposal or proposal_wire(),
+        "write_set": [],
+        "endorsements": [
+            {"org_id": org_id, "proposal_id": "c0:1", "write_set": [], "signature": "x"}
+        ],
+        "client_signature": "x",
+    }
+
+
 class TestMalformedProtocolBodies:
     """The same rule for the four handlers that run as processes, where
     an undecodable body used to escape as ``SimulationError`` and abort
-    the whole run."""
+    the whole run. An id that is not a str is undecodable: it would
+    raise later, from a dict lookup inside the handler."""
+
+    UNHASHABLE_CONTRACT = proposal_wire(contract_id=["voting"])
 
     CASES = {
         "gossip-empty": (MSG_GOSSIP, {}),
@@ -232,6 +267,15 @@ class TestMalformedProtocolBodies:
         "commit-empty": (MSG_COMMIT, {}),
         "proposal-empty": (MSG_PROPOSAL, {}),
         "read-empty": (MSG_READ, {}),
+        "proposal-contract-unhashable": (MSG_PROPOSAL, UNHASHABLE_CONTRACT),
+        "read-contract-unhashable": (MSG_READ, UNHASHABLE_CONTRACT),
+        "commit-contract-unhashable": (MSG_COMMIT, transaction_wire(UNHASHABLE_CONTRACT)),
+        "gossip-contract-unhashable": (
+            MSG_GOSSIP,
+            {"transactions": [transaction_wire(UNHASHABLE_CONTRACT)]},
+        ),
+        "proposal-client-unhashable": (MSG_PROPOSAL, proposal_wire(client_id=["c0"])),
+        "commit-endorser-unhashable": (MSG_COMMIT, transaction_wire(org_id=["org1"])),
     }
 
     @pytest.mark.parametrize("msg_type, body", CASES.values(), ids=CASES.keys())

@@ -78,16 +78,21 @@ class TestSafety:
 
     def _forged_commit_attempt(self, quorum, faulty, seed=2):
         """A Byzantine client collects endorsements only from colluders
-        and tries to commit a tampered transaction at the colluders."""
+        and sends the tampered transaction to every organization as an
+        ordinary commit. Returns every organization's ledger, the
+        honest organizations' ids and the forgery's transaction id."""
+        from repro.core.organization import MSG_COMMIT
         from repro.core.transaction import Endorsement, Proposal, Transaction
         from repro.crdt.clock import OpClock
         from repro.crdt.operation import Operation
+        from repro.net.message import Message
 
         settings = OrderlessChainSettings(num_orgs=N, quorum=quorum, seed=seed)
         net = OrderlessChainNetwork(settings)
         net.install_contract(AuctionContract)
         colluders = net.organizations[:faulty]
         client = net.ca.enroll("byz-client", "client")
+        net.network.register("byz-client", lambda message: None)
         proposal = Proposal(
             "byz-client", "auction", "bid", {"auction": "a", "amount": 1}, OpClock("byz-client", 1)
         )
@@ -103,34 +108,36 @@ class TestSafety:
         ]
         transaction = Transaction.assemble(client, proposal, write_set, endorsements)
         # Try to commit at every organization (colluders and honest).
-        outcomes = {}
-
-        def try_commit(org):
-            def run():
-                valid, _, _ = yield from org.commit_directly(transaction)
-                outcomes[org.org_id] = valid
-
-            net.sim.process(run())
-
         for org in net.organizations:
-            try_commit(org)
+            net.network.send(
+                Message(
+                    sender="byz-client",
+                    recipient=org.org_id,
+                    msg_type=MSG_COMMIT,
+                    body=transaction.to_wire(),
+                    size_bytes=transaction.wire_size(),
+                )
+            )
         net.run(until=10.0)
+        ledgers = {org.org_id: org.ledger for org in net.organizations}
         honest = [org.org_id for org in net.organizations[faulty:]]
-        return outcomes, honest
+        return ledgers, honest, transaction.transaction_id
 
     @pytest.mark.parametrize("quorum,faulty", [(2, 1), (3, 2), (4, 3), (2, 0)])
     def test_safe_when_quorum_exceeds_faulty(self, quorum, faulty):
         assert quorum >= faulty + 1  # theorem predicts safe
-        outcomes, honest = self._forged_commit_attempt(quorum, faulty)
+        ledgers, honest, txn_id = self._forged_commit_attempt(quorum, faulty)
         # No honest organization accepts the forgery: it carries only
-        # f < q endorsements.
-        assert all(outcomes[org_id] is False for org_id in honest)
+        # f < q endorsements, so each logs it as invalid.
+        for org_id in honest:
+            assert ledgers[org_id].has_transaction(txn_id)
+            assert not ledgers[org_id].is_valid_transaction(txn_id)
 
     @pytest.mark.parametrize("quorum,faulty", [(1, 1), (2, 2), (2, 3)])
     def test_unsafe_when_colluders_form_a_quorum(self, quorum, faulty):
         assert quorum < faulty + 1  # theorem predicts unsafe
-        outcomes, honest = self._forged_commit_attempt(quorum, faulty)
+        ledgers, honest, txn_id = self._forged_commit_attempt(quorum, faulty)
         # The forgery satisfies the endorsement policy, so it commits —
         # even honest organizations cannot tell it apart: it IS validly
         # endorsed per the (too weak) policy.
-        assert any(valid for valid in outcomes.values())
+        assert all(ledger.is_valid_transaction(txn_id) for ledger in ledgers.values())
