@@ -2,7 +2,7 @@
 
 This is the two-step encoder ``repro.crypto.hashing`` started from:
 convert the payload to plain JSON-encodable structures, then let
-``json.dumps`` sort and render them. ``hashing._fragment`` renders the
+``json.dumps`` sort and render them. ``hashing.canonical_fragment`` renders the
 same bytes directly (and memoizes them on ``Wire`` nodes); it stays
 here as the oracle ``test_encoder_differential.py`` and
 ``test_caches.py`` hold it to.
