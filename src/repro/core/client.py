@@ -168,7 +168,7 @@ class Client:
                 pending = self._pending.get(("read", message.body["proposal_id"]))
             else:
                 return
-        except (KeyError, TypeError, ValueError, AttributeError):
+        except (KeyError, TypeError, ValueError, OverflowError, AttributeError):
             return  # a malformed body from a hostile organization is dropped
         # A response counts for the organization that sent it: one that
         # stamps other org ids on its bodies must not fill a quorum alone.

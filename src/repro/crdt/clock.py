@@ -18,6 +18,8 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping
 
+from repro.crypto.hashing import Wire
+
 
 class Ordering(enum.Enum):
     """Result of comparing two logical clocks."""
@@ -50,7 +52,14 @@ class OpClock:
         return self.compare(other) is Ordering.BEFORE
 
     def to_wire(self) -> Dict[str, Any]:
-        return {"client_id": self.client_id, "counter": self.counter}
+        # Memoized like Operation.to_wire: every operation a proposal's
+        # endorsers emit carries this one clock, so its fragment is
+        # rendered once, not once per operation per endorser.
+        wire = self.__dict__.get("_wire_cache")
+        if wire is None:
+            wire = Wire({"client_id": self.client_id, "counter": self.counter})
+            object.__setattr__(self, "_wire_cache", wire)
+        return wire
 
     @classmethod
     def from_wire(cls, wire: Mapping[str, Any]) -> "OpClock":
