@@ -19,13 +19,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.crdt.clock import OpClock
-from repro.crdt.operation import (
-    TYPE_GCOUNTER,
-    TYPE_MAP,
-    TYPE_MVREGISTER,
-    TYPE_ORSET,
-    Operation,
-)
+from repro.crdt.operation import TYPE_GCOUNTER, TYPE_MAP, TYPE_MVREGISTER, Operation
 from repro.errors import ContractError
 
 
@@ -81,21 +75,6 @@ class ContractContext:
     def create_map(self, object_id: str, key: str, path: Iterable[str] = ()) -> None:
         """Create a nested map under ``key`` (for complex structures)."""
         self._emit(object_id, path, str(key), TYPE_MAP)
-
-    def add_to_set(self, object_id: str, element: Any, path: Iterable[str] = ()) -> None:
-        """OR-Set add (extension CRDT)."""
-        self._emit(object_id, path, {"add": element}, TYPE_ORSET)
-
-    def remove_from_set(
-        self, object_id: str, element: Any, tags: Iterable[str], path: Iterable[str] = ()
-    ) -> None:
-        """OR-Set observed-remove (extension CRDT).
-
-        ``tags`` are the add tags the client observed via the read API
-        (``ORSet.read_tags``); only those adds are removed, so the
-        operation commutes with concurrent adds.
-        """
-        self._emit(object_id, path, {"remove": element, "tags": list(tags)}, TYPE_ORSET)
 
     def _emit(self, object_id: str, path: Iterable[str], value: Any, value_type: str) -> None:
         self._write_set.append(

@@ -2,29 +2,23 @@
 
 OrderlessChain supports grow-only counters (G-Counter), CRDT maps, and
 multi-value registers (MV-Register) — Table 1 of the paper — with
-nested composition (map values may be further CRDTs) and conflict
-resolution driven by the happened-before relation between operation
-clocks (Figures 3 and 4).
+nested composition (map values may be further CRDTs). All three are
+operation-based: every operation carries its client's Lamport clock
+``(client_id, counter)`` (Section 6), conflicts resolve by the
+happened-before relation between those clocks (Figures 3 and 4), and
+replicas converge by applying every committed operation in any order.
 
-The package also contains the state-based JSON CRDT used by the
-FabricCRDT baseline (Section 10 contrasts it with OrderlessChain's
-operation-based approach).
+The package also contains the JSON CRDT document used by the
+FabricCRDT baseline (Section 10 contrasts its state-based approach with
+OrderlessChain's operation-based one).
 """
 
-from repro.crdt.apply import apply_operations
-from repro.crdt.base import CRDT, Ordering, compare_clocks
-from repro.crdt.clock import LamportClock, OpClock, VectorClock
+from repro.crdt.base import CRDT
+from repro.crdt.clock import LamportClock, OpClock
 from repro.crdt.crdtmap import CRDTMap
 from repro.crdt.gcounter import GCounter
 from repro.crdt.mvregister import MVRegister
-from repro.crdt.orset import ORSet
-from repro.crdt.operation import (
-    TYPE_GCOUNTER,
-    TYPE_MAP,
-    TYPE_MVREGISTER,
-    TYPE_ORSET,
-    Operation,
-)
+from repro.crdt.operation import TYPE_GCOUNTER, TYPE_MAP, TYPE_MVREGISTER, Operation
 from repro.crdt.store import CRDTStore
 
 __all__ = [
@@ -34,15 +28,9 @@ __all__ = [
     "GCounter",
     "LamportClock",
     "MVRegister",
-    "ORSet",
     "OpClock",
     "Operation",
-    "Ordering",
     "TYPE_GCOUNTER",
     "TYPE_MAP",
     "TYPE_MVREGISTER",
-    "TYPE_ORSET",
-    "VectorClock",
-    "apply_operations",
-    "compare_clocks",
 ]

@@ -9,8 +9,6 @@ type. Time and space complexity is O(n) in the number of operations.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.crdt.base import CRDT
 from repro.crdt.crdtmap import CRDTMap
 from repro.crdt.operation import TYPE_MAP, Operation
@@ -49,11 +47,4 @@ def apply_operation(crdt_obj: CRDT, operation: Operation) -> None:
     location.apply(operation.value, operation.clock, operation.op_id)
 
 
-def apply_operations(crdt_obj: CRDT, operations: Iterable[Operation]) -> CRDT:
-    """Algorithm 1: apply each operation in sequence; returns the object."""
-    for operation in operations:
-        apply_operation(crdt_obj, operation)
-    return crdt_obj
-
-
-__all__ = ["apply_operation", "apply_operations", "get_modify_location"]
+__all__ = ["apply_operation", "get_modify_location"]

@@ -1,30 +1,22 @@
-"""Abstract CRDT interface and clock-comparison helpers.
+"""Abstract CRDT interface.
 
-Every CRDT in this package is *operation-based* and satisfies:
+Every CRDT in this package is *operation-based* (Section 5): replicas
+converge because each applies every committed operation, in whatever
+order gossip and anti-entropy deliver it, never by exchanging state.
+Each type therefore satisfies:
 
 * **commutativity** — applying a set of operations in any order yields
   the same state;
 * **idempotence** — applying the same operation twice is a no-op
-  (operation identifiers are tracked per object);
-* **mergeability** — any two replicas can be merged (state join),
-  which the gossip layer and partition-healing rely on.
+  (operation identifiers are tracked per object).
 
-These are the invariants the property-based tests exercise.
+These are the delivery laws the property-based tests exercise.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import Any
-
-from repro.crdt.clock import Ordering
-
-
-def compare_clocks(left: Any, right: Any) -> Ordering:
-    """Compare two clocks; mixed clock types are concurrent."""
-    if type(left) is not type(right):
-        return Ordering.CONCURRENT
-    return left.compare(right)
 
 
 class CRDT(ABC):
@@ -41,31 +33,11 @@ class CRDT(ABC):
         """Current value (no side effects; Table 1's Read API)."""
 
     @abstractmethod
-    def merge(self, other: "CRDT") -> None:
-        """State join with another replica of the same object."""
-
-    @abstractmethod
     def snapshot(self) -> Any:
         """A canonical, hashable representation of the full state.
 
         Two replicas are convergent iff their snapshots are equal.
         """
 
-    @abstractmethod
-    def copy(self) -> "CRDT":
-        """Deep copy (used when forking state for speculative execution)."""
 
-    @abstractmethod
-    def operation_count(self) -> int:
-        """Number of distinct operations applied (for metrics/ablations)."""
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CRDT):
-            return NotImplemented
-        return self.type_name == other.type_name and self.snapshot() == other.snapshot()
-
-    def __hash__(self) -> int:  # pragma: no cover - CRDTs are mutable
-        raise TypeError("CRDT instances are mutable and unhashable")
-
-
-__all__ = ["CRDT", "compare_clocks", "Ordering"]
+__all__ = ["CRDT"]

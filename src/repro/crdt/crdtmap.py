@@ -21,7 +21,7 @@ from typing import Any, Dict, List
 from repro.crdt.base import CRDT
 from repro.crdt.gcounter import GCounter
 from repro.crdt.mvregister import MVRegister
-from repro.crdt.operation import TYPE_GCOUNTER, TYPE_MAP, TYPE_MVREGISTER, TYPE_ORSET
+from repro.crdt.operation import TYPE_GCOUNTER, TYPE_MAP, TYPE_MVREGISTER
 from repro.errors import CRDTError
 
 
@@ -33,10 +33,6 @@ def make_crdt(type_name: str) -> CRDT:
         return MVRegister()
     if type_name == TYPE_MAP:
         return CRDTMap()
-    if type_name == TYPE_ORSET:
-        from repro.crdt.orset import ORSet
-
-        return ORSet()
     raise CRDTError(f"unknown CRDT type {type_name!r}")
 
 
@@ -125,13 +121,6 @@ class CRDTMap(CRDT):
 
     # -- CRDT interface -------------------------------------------------
 
-    def merge(self, other: CRDT) -> None:
-        if not isinstance(other, CRDTMap):
-            raise CRDTError(f"cannot merge CRDT Map with {other.type_name}")
-        for key, slot in other._children.items():
-            for type_name, child in slot.items():
-                self.child(key, type_name).merge(child)
-
     def snapshot(self) -> Any:
         return {
             "type": self.type_name,
@@ -140,17 +129,6 @@ class CRDTMap(CRDT):
                 for key, slot in sorted(self._children.items())
             },
         }
-
-    def copy(self) -> "CRDTMap":
-        clone = CRDTMap()
-        for key, slot in self._children.items():
-            clone._children[key] = {name: child.copy() for name, child in slot.items()}
-        return clone
-
-    def operation_count(self) -> int:
-        return sum(
-            child.operation_count() for slot in self._children.values() for child in slot.values()
-        )
 
     def __repr__(self) -> str:
         return f"CRDTMap(keys={self.keys()!r})"

@@ -35,9 +35,6 @@ class GCounter(CRDT):
             raise CRDTError(f"G-Counter increment must be numeric, got {value!r}")
         if value < 0:
             raise CRDTError(f"G-Counter is grow-only; increment {value} rejected")
-        self._record(op_id, value)
-
-    def _record(self, op_id: str, value: float) -> None:
         # Idempotence: redelivered operations are ignored.
         if op_id not in self._increments:
             self._increments[op_id] = value
@@ -47,23 +44,8 @@ class GCounter(CRDT):
         total = self._total
         return int(total) if float(total).is_integer() else total
 
-    def merge(self, other: CRDT) -> None:
-        if not isinstance(other, GCounter):
-            raise CRDTError(f"cannot merge G-Counter with {other.type_name}")
-        for op_id, value in other._increments.items():
-            self._record(op_id, value)
-
     def snapshot(self) -> Any:
         return {"type": self.type_name, "increments": dict(sorted(self._increments.items()))}
-
-    def copy(self) -> "GCounter":
-        clone = GCounter()
-        clone._increments = dict(self._increments)
-        clone._total = self._total
-        return clone
-
-    def operation_count(self) -> int:
-        return len(self._increments)
 
     def __repr__(self) -> str:
         return f"GCounter(value={self.read()}, ops={len(self._increments)})"

@@ -10,9 +10,11 @@ gradually become large, negatively affecting the performance"
 This module implements that behaviour faithfully at the level that
 matters for the evaluation: a document is the *set of all updates ever
 applied* (append-only metadata, as in state-based JSON CRDTs, where
-tombstones and version metadata are never garbage-collected). Merging
-two replicas unions their update sets, so the wire size and the merge
-cost grow linearly with the document's modification history.
+tombstones and version metadata are never garbage-collected), so the
+state a FabricCRDT peer ships and merges grows linearly with the
+document's modification history. A simulated peer applies each
+block's updates to its own documents and charges the merge cost by
+:meth:`JSONCRDTDocument.size`.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ class JSONCRDTDocument:
     def update(self, path: Iterable[str], value: Any, client_id: str, counter: int) -> None:
         """Record a local modification at ``path``."""
         self._updates[(client_id, int(counter))] = (tuple(path), value)
-
-    def merge(self, other: "JSONCRDTDocument") -> None:
-        """State join: union of update histories."""
-        self._updates.update(other._updates)
 
     def size(self) -> int:
         """Number of retained updates — grows with every modification.
@@ -77,11 +75,6 @@ class JSONCRDTDocument:
             elif not isinstance(node.get(leaf), dict) or value is not None:
                 node[leaf] = value
         return document
-
-    def copy(self) -> "JSONCRDTDocument":
-        clone = JSONCRDTDocument()
-        clone._updates = dict(self._updates)
-        return clone
 
     def snapshot(self) -> Any:
         return sorted(

@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Tuple
 
-from repro.crdt.clock import OpClock, clock_from_wire
+from repro.crdt.clock import OpClock
 from repro.crypto.hashing import (
     Wire,
-    canonical_bytes,
     canonical_fragment,
     count_rendered,
     decode_once,
@@ -30,9 +29,8 @@ from repro.errors import CRDTError
 TYPE_GCOUNTER = "gcounter"
 TYPE_MVREGISTER = "mvregister"
 TYPE_MAP = "map"
-TYPE_ORSET = "orset"  # extension CRDT (Section 5 anticipates further types)
 
-VALUE_TYPES = frozenset({TYPE_GCOUNTER, TYPE_MVREGISTER, TYPE_MAP, TYPE_ORSET})
+VALUE_TYPES = frozenset({TYPE_GCOUNTER, TYPE_MVREGISTER, TYPE_MAP})
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,7 @@ class Operation:
     path: Tuple[str, ...]
     value: Any
     value_type: str
-    clock: Any  # OpClock or VectorClock
+    clock: OpClock
     # Position within the proposal's write-set: a transaction may carry
     # several operations for the same object under one client clock
     # (e.g. the synthetic application's OpsPerObjCount), and the index
@@ -62,15 +60,13 @@ class Operation:
                 raise CRDTError(f"G-Counter operations need a numeric value, got {self.value!r}")
             if self.value < 0:
                 raise CRDTError(f"G-Counter is grow-only; negative value {self.value!r} rejected")
+        elif self.value_type == TYPE_MAP and not isinstance(self.value, str):
+            raise CRDTError(f"map operations carry the key to create, got {self.value!r}")
 
     @property
     def op_id(self) -> str:
         """Unique id per CRDT object: client id + clock + write-set index."""
-        if isinstance(self.clock, OpClock):
-            return f"{self.clock.client_id}#{self.clock.counter}#{self.op_index}"
-        # The canonical entries themselves, not a hash of them: the
-        # same on every process, and distinct clocks never share an id.
-        return f"vc#{canonical_bytes(self.clock.entries).decode()}#{self.op_index}"
+        return f"{self.clock.client_id}#{self.clock.counter}#{self.op_index}"
 
     def to_wire(self) -> Dict[str, Any]:
         # Memoized (and pre-seeded by from_wire) like Transaction.to_wire:
@@ -115,7 +111,7 @@ class Operation:
             path=tuple(wire["path"]),
             value=wire["value"],
             value_type=wire["value_type"],
-            clock=clock_from_wire(wire["clock"]),
+            clock=OpClock.from_wire(wire["clock"]),
             op_index=int(wire.get("op_index", 0)),
         )
         if isinstance(wire, dict):
@@ -128,6 +124,5 @@ __all__ = [
     "TYPE_GCOUNTER",
     "TYPE_MVREGISTER",
     "TYPE_MAP",
-    "TYPE_ORSET",
     "VALUE_TYPES",
 ]

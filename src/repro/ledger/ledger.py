@@ -113,9 +113,9 @@ class Ledger:
         replay.apply(self.operations_for(object_id))
         return replay.read(object_id, path)
 
-    def cached_object(self, object_id: str):
+    def cached_object(self, object_id: str, type_name: str):
         """Direct access to a cached root CRDT (None if uncached)."""
-        return self._cache.get(object_id)
+        return self._cache.get(object_id, type_name)
 
     def state_snapshot(self) -> Any:
         """Canonical application state at this organization (ST_Oi).

@@ -10,7 +10,8 @@ that check for contracts written against the SCL:
 given a set of invocations and an invariant predicate over the
 application state, it executes the contract to obtain the write-sets,
 then replays them in many interleavings — different total orders and
-different replica partitions with merges — and verifies that
+different replica partitions that heal by exchanging write-sets, as
+anti-entropy does — and verifies that
 
 1. **convergence** — every order yields the same final state
    (commutativity, Lemma 6.1), and
@@ -99,7 +100,7 @@ def check_iconfluence(
             strictly increasing clocks.
         invariant: predicate over a :class:`CRDTStore`; ``None`` checks
             convergence only.
-        trials: number of random interleavings (plus partition/merge
+        trials: number of random interleavings (plus partition/heal
             schedules) to sample.
         seed: RNG seed for reproducibility.
     """
@@ -145,7 +146,8 @@ def check_iconfluence(
                 violation="reordered delivery produced a divergent final state",
                 write_set_count=len(write_sets),
             )
-        # (b) two replicas, partitioned delivery, then a merge.
+        # (b) two replicas, partitioned delivery, then the partition
+        # heals: left receives the write-sets only right had.
         split = rng.randint(0, len(order))
         left, _ = _apply_with_invariant([ws for _, ws in order[:split]], invariant)
         right, violated_at = _apply_with_invariant([ws for _, ws in order[split:]], invariant)
@@ -161,13 +163,14 @@ def check_iconfluence(
                 ),
                 write_set_count=len(write_sets),
             )
-        left.merge(right)
+        for _, write_set in order[split:]:
+            left.apply(write_set)
         if invariant is not None and not invariant(left):
             return IConfluenceReport(
                 convergent=True,
                 invariant_preserved=False,
                 trials=trial + 1,
-                violation="invariant violated after merging two partitions",
+                violation="invariant violated after healing two partitions",
                 write_set_count=len(write_sets),
             )
         if left.snapshot() != baseline:
@@ -175,7 +178,7 @@ def check_iconfluence(
                 convergent=False,
                 invariant_preserved=True,
                 trials=trial + 1,
-                violation="partition merge produced a divergent final state",
+                violation="partition healing produced a divergent final state",
                 write_set_count=len(write_sets),
             )
     return IConfluenceReport(

@@ -14,14 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.transaction import Endorsement, Proposal, Transaction, write_set_digest
-from repro.crdt.clock import OpClock, VectorClock
-from repro.crdt.operation import (
-    TYPE_GCOUNTER,
-    TYPE_MAP,
-    TYPE_MVREGISTER,
-    TYPE_ORSET,
-    Operation,
-)
+from repro.crdt.clock import OpClock
+from repro.crdt.operation import TYPE_GCOUNTER, TYPE_MAP, TYPE_MVREGISTER, Operation
 from repro.crypto.hashing import Wire, canonical_bytes
 
 DECODERS = (Operation, Proposal, Endorsement, Transaction)
@@ -34,19 +28,27 @@ _values = st.recursive(
     max_leaves=8,
 )
 _op_clocks = st.builds(OpClock, _ids, st.integers(0, 10_000))
-_vector_clocks = st.dictionaries(_ids, st.integers(1, 50), max_size=3).map(VectorClock.of)
-_clocks = _op_clocks | _vector_clocks
 _paths = st.lists(_ids, max_size=3).map(tuple)
-_operations = st.builds(
-    Operation, _ids, _paths, st.integers(0, 10**6), st.just(TYPE_GCOUNTER), _clocks, st.integers(0, 7)
-) | st.builds(
-    Operation,
-    _ids,
-    _paths,
-    _values,  # None included: a delete
-    st.sampled_from([TYPE_MVREGISTER, TYPE_MAP, TYPE_ORSET]),
-    _clocks,
-    st.integers(0, 7),
+_operations = (
+    st.builds(
+        Operation,
+        _ids,
+        _paths,
+        st.integers(0, 10**6),
+        st.just(TYPE_GCOUNTER),
+        _op_clocks,
+        st.integers(0, 7),
+    )
+    | st.builds(
+        Operation,
+        _ids,
+        _paths,
+        _values,  # None included: a delete
+        st.just(TYPE_MVREGISTER),
+        _op_clocks,
+        st.integers(0, 7),
+    )
+    | st.builds(Operation, _ids, _paths, _ids, st.just(TYPE_MAP), _op_clocks, st.integers(0, 7))
 )
 _write_sets = st.lists(_operations, max_size=4).map(lambda ops: [op.to_wire() for op in ops])
 _proposals = st.builds(

@@ -371,6 +371,36 @@ class TestSignedButUnparsableWriteSet:
             }
         ],
         "not-a-list": 5,
+        "vector-clock": [
+            {
+                "object_id": "voting/e0/party0",
+                "path": ["mallory"],
+                "value": True,
+                "value_type": "mvregister",
+                "clock": {"vector": {"mallory": 99}},
+                "op_index": 0,
+            }
+        ],
+        "orset-value-type": [
+            {
+                "object_id": "voting/e0/party0",
+                "path": ["mallory"],
+                "value": {"add": "x"},
+                "value_type": "orset",
+                "clock": {"client_id": "mallory", "counter": 99},
+                "op_index": 0,
+            }
+        ],
+        "map-value-not-a-key": [
+            {
+                "object_id": "voting/e0/party0",
+                "path": ["mallory"],
+                "value": 7,
+                "value_type": "map",
+                "clock": {"client_id": "mallory", "counter": 99},
+                "op_index": 0,
+            }
+        ],
     }
 
     @pytest.mark.parametrize("write_set", WRITE_SETS.values(), ids=WRITE_SETS.keys())

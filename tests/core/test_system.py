@@ -6,7 +6,7 @@ from repro.bench.config import ExperimentConfig
 from repro.bench.runner import build_network
 from repro.core import OrderlessChainNetwork, OrderlessChainSettings
 from repro.core.client import ClientConfig
-from repro.contracts import AuctionContract, VotingContract
+from repro.contracts import AuctionContract, SyntheticContract, VotingContract
 from repro.errors import ConfigError
 from repro.net.latency import LinkFaults
 
@@ -205,3 +205,30 @@ def test_partitioned_quorum_stays_available_and_merges():
     assert process.value is True
     assert net.committed_everywhere("voter0:1") == 4
     assert net.converged()
+
+
+def test_clients_choosing_different_crdt_types_for_one_object_both_commit():
+    """Regression: the CRDT type is a client parameter and endorsers
+    execute without reading state, so a validly endorsed transaction may
+    address an object with a type other than the one stored there. The
+    commit used to raise ``CRDTError`` after the block was appended,
+    aborting the run with a half-applied cache; the store now keeps one
+    root per (object id, type)."""
+    net = OrderlessChainNetwork(OrderlessChainSettings(num_orgs=4, quorum=2, seed=1))
+    net.install_contract(SyntheticContract)
+    results = {}
+
+    def modify(client, delay, crdt_type):
+        yield net.sim.timeout(delay)
+        params = {"object_indexes": [0], "ops_per_object": 1, "crdt_type": crdt_type}
+        results[crdt_type] = yield net.sim.process(
+            client.submit_modify("synthetic", "modify", params)
+        )
+
+    net.sim.process(modify(net.add_client("a"), 0.1, "gcounter"))
+    net.sim.process(modify(net.add_client("b"), 5.1, "mvregister"))
+    net.run(until=30.0)
+    assert results == {"gcounter": True, "mvregister": True}
+    assert net.converged()
+    for org in net.organizations:
+        assert org.read_state("synthetic/obj0") == {"gcounter": 1, "mvregister": ["b:1:0"]}

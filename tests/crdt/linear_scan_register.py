@@ -2,7 +2,7 @@
 
 This is the register ``repro.crdt.mvregister`` shipped before it was
 indexed by writer: one flat list of live pairs, every insert compared
-against every pair with ``compare_clocks`` (Figure 4, literally). It is
+against every pair for happened-before (Figure 4, literally). It is
 O(live pairs) per assignment, which is why it was replaced; it stays
 here as the oracle ``test_mvregister_differential.py`` holds the
 indexed register to, and as the baseline the history-independence test
@@ -14,15 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Set
 
-from repro.crdt.base import CRDT, Ordering, compare_clocks
+from repro.crdt.base import CRDT
+from repro.crdt.clock import OpClock
 from repro.crypto.hashing import canonical_bytes
-from repro.errors import CRDTError
+
+
+def happened_before(left: OpClock, right: OpClock) -> bool:
+    """Client-scoped happened-before (Section 6): only a client's own
+    clocks are ordered, by counter; other clients' are concurrent."""
+    return left.client_id == right.client_id and left.counter < right.counter
 
 
 @dataclass
 class _Pair:
     value: Any
-    clock: Any
+    clock: OpClock
     op_id: str
 
     def to_snapshot(self) -> Any:
@@ -42,24 +48,20 @@ class LinearScanRegister(CRDT):
         self._pairs: List[_Pair] = []
         self._seen: Set[str] = set()
 
-    def assign(self, value: Any, clock: Any, op_id: str) -> None:
+    def assign(self, value: Any, clock: OpClock, op_id: str) -> None:
         """Table 1's ``AssignValue(value, clock)`` modification API."""
         self.apply(value, clock, op_id)
 
-    def apply(self, value: Any, clock: Any, op_id: str) -> None:
+    def apply(self, value: Any, clock: OpClock, op_id: str) -> None:
         if op_id in self._seen:
             return
         self._seen.add(op_id)
-        self._insert(_Pair(value, clock, op_id))
-
-    def _insert(self, pair: _Pair) -> None:
         survivors: List[_Pair] = []
         dominated = False
         for existing in self._pairs:
-            ordering = compare_clocks(existing.clock, pair.clock)
-            if ordering is Ordering.BEFORE:
+            if happened_before(existing.clock, clock):
                 continue  # the new assignment overwrites this one
-            if ordering is Ordering.AFTER:
+            if happened_before(clock, existing.clock):
                 dominated = True
             # EQUAL clocks with distinct operation ids (several ops of
             # one write-set touching the same register) coexist like
@@ -67,7 +69,7 @@ class LinearScanRegister(CRDT):
             # outcome depend on arrival order.
             survivors.append(existing)
         if not dominated:
-            survivors.append(pair)
+            survivors.append(_Pair(value, clock, op_id))
         self._pairs = survivors
 
     def read(self) -> List[Any]:
@@ -84,30 +86,12 @@ class LinearScanRegister(CRDT):
             return values[0]
         return values
 
-    def merge(self, other: CRDT) -> None:
-        if not isinstance(other, LinearScanRegister):
-            raise CRDTError(f"cannot merge MV-Register with {other.type_name}")
-        for pair in other._pairs:
-            if pair.op_id not in self._seen:
-                self._seen.add(pair.op_id)
-                self._insert(_Pair(pair.value, pair.clock, pair.op_id))
-        self._seen |= other._seen
-
     def snapshot(self) -> Any:
         pairs = sorted((pair.to_snapshot() for pair in self._pairs), key=_sort_key)
         return {"type": self.type_name, "pairs": pairs}
-
-    def copy(self) -> "LinearScanRegister":
-        clone = LinearScanRegister()
-        clone._pairs = [_Pair(p.value, p.clock, p.op_id) for p in self._pairs]
-        clone._seen = set(self._seen)
-        return clone
-
-    def operation_count(self) -> int:
-        return len(self._seen)
 
     def __repr__(self) -> str:
         return f"LinearScanRegister(values={self.read()!r})"
 
 
-__all__ = ["LinearScanRegister"]
+__all__ = ["LinearScanRegister", "happened_before"]

@@ -44,12 +44,8 @@ def test_read_apis_require_no_clock():
     assert list(inspect.signature(CRDTMap.read).parameters) == ["self", "key"]
 
 
-def test_paper_crdt_types_plus_orset_extension():
-    # The paper's current implementation supports exactly the three
-    # Table 1 types; this library also ships the OR-Set extension that
-    # Section 5 anticipates ("other use cases may require further
-    # CRDTs").
+def test_paper_crdt_types_are_exactly_table_1():
+    # The three Table 1 types, all operation-based; no extension type.
     from repro.crdt.operation import VALUE_TYPES
 
-    assert {"gcounter", "mvregister", "map"} < VALUE_TYPES
-    assert VALUE_TYPES == frozenset({"gcounter", "mvregister", "map", "orset"})
+    assert VALUE_TYPES == frozenset({"gcounter", "mvregister", "map"})

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crdt import CRDTMap, GCounter, Operation, OpClock, apply_operations
+from repro.crdt import CRDTMap, CRDTStore, GCounter, Operation, OpClock
 from repro.crdt.apply import apply_operation, get_modify_location
 from repro.errors import CRDTError
 
@@ -48,15 +48,15 @@ def test_get_modify_location_returns_typed_leaf():
 
 
 def test_apply_operations_batch():
-    root = CRDTMap()
+    store = CRDTStore()
     operations = [
         op(path=("votes",), value=1, client="a", counter=1),
         op(path=("votes",), value=1, client="b", counter=1),
         op(path=("winner",), value_type="mvregister", value="alice", client="a", counter=2),
     ]
-    apply_operations(root, operations)
-    assert root.read("votes") == 2
-    assert root.read("winner") == "alice"
+    store.apply(operations)
+    assert store.read("obj", ("votes",)) == 2
+    assert store.read("obj", ("winner",)) == "alice"
 
 
 def test_apply_operations_is_order_independent():
@@ -70,14 +70,14 @@ def test_apply_operations_is_order_independent():
     ]
     snapshots = set()
     for permutation in itertools.permutations(operations):
-        root = CRDTMap()
-        apply_operations(root, permutation)
-        snapshots.add(str(root.snapshot()))
+        store = CRDTStore()
+        store.apply(permutation)
+        snapshots.add(str(store.snapshot()))
     assert len(snapshots) == 1
 
 
 def test_redelivered_operations_are_noops():
-    root = CRDTMap()
+    store = CRDTStore()
     the_op = op(path=("k",), value=1)
-    apply_operations(root, [the_op, the_op, the_op])
-    assert root.read("k") == 1
+    store.apply([the_op, the_op, the_op])
+    assert store.read("obj", ("k",)) == 1

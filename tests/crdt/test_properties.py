@@ -1,9 +1,10 @@
 """Property-based tests for CRDT convergence invariants.
 
 The strong-eventual-consistency argument (Theorem 8.2) rests on the
-CRDTs themselves being commutative, idempotent, and mergeable. These
-hypothesis tests exercise those invariants over arbitrary operation
-sets, orders, and replica partitions.
+CRDTs themselves being commutative and idempotent under operation
+delivery. These hypothesis tests exercise those invariants over
+arbitrary operation sets, orders, and replica partitions that heal by
+exchanging operations.
 """
 
 import hypothesis.strategies as st
@@ -120,30 +121,30 @@ def test_mvregister_merge_of_partitioned_replicas_converges(ops, split):
         left.assign(value, clock, op_id)
     for value, clock, op_id in ops[split:]:
         right.assign(value, clock, op_id)
-    left_merged = left.copy()
-    left_merged.merge(right)
-    right_merged = right.copy()
-    right_merged.merge(left)
-    assert left_merged.snapshot() == right_merged.snapshot()
-    # And the merge equals applying everything at one replica.
+    # Merge: each side receives the other side's operations.
+    for value, clock, op_id in ops[split:]:
+        left.assign(value, clock, op_id)
+    for value, clock, op_id in ops[:split]:
+        right.assign(value, clock, op_id)
+    assert left.snapshot() == right.snapshot()
+    # And the merged state equals applying everything at one replica.
     combined = MVRegister()
     for value, clock, op_id in ops:
         combined.assign(value, clock, op_id)
-    assert left_merged.snapshot() == combined.snapshot()
+    assert left.snapshot() == combined.snapshot()
 
 
 @given(unique_ops(register_ops(), 25))
 def test_mvregister_values_form_antichain(ops):
-    from repro.crdt.base import Ordering, compare_clocks
-    from repro.crdt.clock import clock_from_wire
-
     register = MVRegister()
     for value, clock, op_id in ops:
         register.assign(value, clock, op_id)
-    live = [clock_from_wire(pair["clock"]) for pair in register.snapshot()["pairs"]]
+    live = [OpClock.from_wire(pair["clock"]) for pair in register.snapshot()["pairs"]]
     for i, a in enumerate(live):
         for b in live[i + 1 :]:
-            assert compare_clocks(a, b) in (Ordering.CONCURRENT, Ordering.EQUAL)
+            # No live pair happened-before another: a different client,
+            # or the same client at the same counter.
+            assert a.client_id != b.client_id or a.counter == b.counter
 
 
 @settings(deadline=None)
@@ -161,12 +162,52 @@ def test_store_convergence_lemma_6_1(ops, rng):
 @settings(deadline=None)
 @given(st.lists(store_ops(), max_size=40, unique_by=lambda op: (op.object_id, op.op_id)), st.integers(min_value=0, max_value=40))
 def test_store_partition_merge_theorem_8_2(ops, split):
-    """Partition healing: merged partitions equal a single replica."""
+    """Partition healing: partitions that merge by exchanging their
+    operations equal a single replica."""
     split = min(split, len(ops))
     left, right = CRDTStore(), CRDTStore()
     left.apply(ops[:split])
     right.apply(ops[split:])
-    left.merge(right)
+    left.apply(ops[split:])
+    right.apply(ops[:split])
     combined = CRDTStore()
     combined.apply(ops)
-    assert left.snapshot() == combined.snapshot()
+    assert left.snapshot() == right.snapshot() == combined.snapshot()
+
+
+@st.composite
+def mixed_type_ops(draw):
+    """Any type at any path of one of two objects: the CRDT type is the
+    submitting client's choice, so one object id may see all three."""
+    clock = draw(clocks)
+    value_type = draw(st.sampled_from(["gcounter", "mvregister", "map"]))
+    if value_type == "gcounter":
+        value = draw(st.integers(min_value=0, max_value=9))
+    elif value_type == "map":
+        value = draw(st.sampled_from(["k0", "k1"]))
+    else:
+        value = draw(st.one_of(st.none(), st.text(max_size=3)))
+    return Operation(
+        object_id=draw(st.sampled_from(["obj0", "obj1"])),
+        path=draw(st.sampled_from([(), ("k0",), ("k1",), ("k0", "k1")])),
+        value=value,
+        value_type=value_type,
+        clock=clock,
+        op_index=draw(st.integers(min_value=0, max_value=3)),
+    )
+
+
+@settings(deadline=None)
+@given(st.lists(mixed_type_ops(), max_size=40, unique_by=lambda op: (op.object_id, op.op_id)), st.randoms())
+def test_mixed_type_operations_apply_in_any_order(ops, rng):
+    """Every operation that parses applies: mixed types never raise, and
+    two delivery orders give equal snapshots (and equal reads)."""
+    a, b = CRDTStore(), CRDTStore()
+    a.apply(ops)
+    reordered = list(ops)
+    rng.shuffle(reordered)
+    b.apply(reordered)
+    assert a.snapshot() == b.snapshot()
+    for object_id in ("obj0", "obj1"):
+        for path in [(), ("k0",), ("k1",), ("k0", "k1")]:
+            assert repr(a.read(object_id, path)) == repr(b.read(object_id, path))

@@ -1,9 +1,6 @@
 """Tests for the CRDT object store."""
 
-import pytest
-
 from repro.crdt import CRDTStore, Operation, OpClock
-from repro.errors import CRDTError
 
 
 def op(object_id, path=(), value=1, value_type="gcounter", client="c", counter=1):
@@ -20,7 +17,7 @@ def test_empty_store():
     store = CRDTStore()
     assert len(store) == 0
     assert store.read("missing") is None
-    assert store.get("missing") is None
+    assert store.get("missing", "gcounter") is None
     assert store.object_ids() == []
 
 
@@ -28,8 +25,10 @@ def test_root_type_inferred_from_operation():
     store = CRDTStore()
     store.apply([op("counter", value=2)])
     store.apply([op("mapped", path=("k",), value=1, counter=2)])
-    assert store.get("counter").type_name == "gcounter"
-    assert store.get("mapped").type_name == "map"
+    assert store.get("counter", "gcounter").type_name == "gcounter"
+    assert store.get("counter", "map") is None
+    assert store.get("mapped", "map").type_name == "map"
+    assert store.get("mapped", "gcounter") is None
     assert "counter" in store
     assert store.object_ids() == ["counter", "mapped"]
 
@@ -54,30 +53,52 @@ def test_reads_have_no_side_effects():
 
 
 def test_merge_unions_objects():
+    # Stores merge by receiving each other's operations.
     a, b = CRDTStore(), CRDTStore()
-    a.apply([op("x", value=1, client="a")])
-    b.apply([op("y", value=2, client="b")])
-    b.apply([op("x", value=3, client="b", counter=2)])
-    a.merge(b)
+    a_ops = [op("x", value=1, client="a")]
+    b_ops = [op("y", value=2, client="b"), op("x", value=3, client="b", counter=2)]
+    a.apply(a_ops)
+    b.apply(b_ops)
+    a.apply(b_ops)
     assert a.read("x") == 4
     assert a.read("y") == 2
-
-
-def test_merge_type_conflict_rejected():
-    a, b = CRDTStore(), CRDTStore()
-    a.apply([op("x", value=1)])
-    b.apply([op("x", value_type="mvregister", value="s")])
-    with pytest.raises(CRDTError):
-        a.merge(b)
 
 
 def test_merge_copies_missing_objects():
     a, b = CRDTStore(), CRDTStore()
     b.apply([op("x", value=1)])
-    a.merge(b)
+    a.apply([op("x", value=1)])  # merge: a receives b's operation
     b.apply([op("x", value=1, counter=2)])
-    assert a.read("x") == 1  # a holds an independent copy
+    assert a.read("x") == 1  # a holds an independent root
     assert b.read("x") == 2
+
+
+def test_one_object_holds_one_root_per_type():
+    # The CRDT type is the client's choice, so two valid transactions
+    # may address one object with different types. Like distinct types
+    # under one CRDTMap key, they are distinct roots, in either order.
+    ops = [
+        op("x", value=1),
+        op("x", value_type="mvregister", value="s", client="d"),
+        op("x", path=("k",), value=2, client="e"),
+    ]
+    forward, backward = CRDTStore(), CRDTStore()
+    forward.apply(ops)
+    backward.apply(reversed(ops))
+    assert forward.snapshot() == backward.snapshot()
+    assert forward.read("x") == {"gcounter": 1, "map": {"k": 2}, "mvregister": ["s"]}
+    assert forward.read("x", ("k",)) == 2
+    assert len(forward) == 1 and forward.object_ids() == ["x"]
+    assert sorted(forward.snapshot()["x"]) == ["gcounter", "map", "mvregister"]
+
+
+def test_single_type_objects_read_and_snapshot_as_their_root():
+    store = CRDTStore()
+    store.apply([op("x", value=3)])
+    assert store.read("x") == 3
+    assert store.snapshot() == {"x": store.get("x", "gcounter").snapshot()}
+    assert store.snapshot()["x"]["type"] == "gcounter"
+    assert store.read("x", ("k",)) is None
 
 
 def test_snapshot_equality_is_convergence():
@@ -86,18 +107,3 @@ def test_snapshot_equality_is_convergence():
     a.apply(ops)
     b.apply(reversed(ops))
     assert a.snapshot() == b.snapshot()
-
-
-def test_copy_independent():
-    store = CRDTStore()
-    store.apply([op("x")])
-    clone = store.copy()
-    clone.apply([op("x", counter=2)])
-    assert store.read("x") == 1
-    assert clone.read("x") == 2
-
-
-def test_operation_count():
-    store = CRDTStore()
-    store.apply([op("x"), op("y", client="d")])
-    assert store.operation_count() == 2

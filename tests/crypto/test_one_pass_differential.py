@@ -5,16 +5,17 @@ typed fields and ``Block.block_hash`` renders its header around the
 payload's fragment. Both must produce exactly the bytes the reference
 encoder produces for the same wire form — for the shape the endorsement
 phase emits (exact ``str``/``int``/``bool`` fields, an ``OpClock``) and
-for every other shape: subclasses, non-``str`` path parts, a
-``VectorClock``, non-``int`` heights and non-``bool`` validity.
+for every other shape: subclasses, non-``str`` path parts,
+non-``int`` clock counters, non-``int`` heights and non-``bool``
+validity.
 """
 
 import hashlib
 
 from hypothesis import given, settings, strategies as st
 
-from repro.crdt.clock import OpClock, VectorClock
-from repro.crdt.operation import TYPE_GCOUNTER, TYPE_MAP, TYPE_MVREGISTER, TYPE_ORSET, Operation
+from repro.crdt.clock import OpClock
+from repro.crdt.operation import TYPE_GCOUNTER, TYPE_MAP, TYPE_MVREGISTER, Operation
 from repro.crypto.hashing import Wire, canonical_bytes, sha256_hex
 from repro.ledger.block import Block
 from tests.crypto.reference_encoder import reference_bytes
@@ -37,7 +38,6 @@ _op_clocks = st.builds(
     _texts | _texts.map(_Str),
     st.integers() | st.booleans() | st.integers().map(_Int),
 )
-_vector_clocks = st.dictionaries(_texts, st.integers(0, 5), max_size=3).map(VectorClock.of)
 _values = (
     _payloads
     | st.floats()
@@ -53,15 +53,17 @@ _typed_clocks = st.builds(OpClock, _texts, st.integers())
 
 @st.composite
 def _operations(draw):
-    value_type = draw(st.sampled_from([TYPE_GCOUNTER, TYPE_MVREGISTER, TYPE_MAP, TYPE_ORSET]))
-    value = draw(_counter_values if value_type == TYPE_GCOUNTER else _values)
+    value_type = draw(st.sampled_from([TYPE_GCOUNTER, TYPE_MVREGISTER, TYPE_MAP]))
+    value = draw(
+        {TYPE_GCOUNTER: _counter_values, TYPE_MAP: _maybe_str}.get(value_type, _values)
+    )
     if draw(st.booleans()):  # the shape the endorsement phase emits
         fields = (_texts, _texts, _typed_clocks, st.integers(0, 50))
     else:  # any shape
         fields = (
             _maybe_str,
             _path_parts,
-            _op_clocks | _vector_clocks,
+            _op_clocks,
             st.integers(0, 50) | st.booleans() | st.integers(0, 5).map(_Int),
         )
     object_id, part, clock, op_index = fields

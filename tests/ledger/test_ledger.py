@@ -105,9 +105,10 @@ def test_verify_integrity_walks_chain():
 
 def test_cached_object_access():
     ledger = Ledger()
-    assert ledger.cached_object("obj") is None
+    assert ledger.cached_object("obj", "map") is None
     ledger.commit("t1", [op()], {}, valid=True)
-    assert ledger.cached_object("obj") is not None
+    assert ledger.cached_object("obj", "map") is not None
+    assert ledger.cached_object("obj", "gcounter") is None
 
 
 def test_save_and_restore_roundtrip(tmp_path):
