@@ -9,7 +9,7 @@ reimplements the system and everything it is evaluated against:
 * :mod:`repro.crdt` — G-Counter, MV-Register, CRDT Map, clocks,
   Algorithm 1, and the state-based JSON CRDT of the FabricCRDT
   baseline;
-* :mod:`repro.ledger` — hash-chain log, key-value store, CRDT cache;
+* :mod:`repro.ledger` — hash-chain log, committed set, CRDT cache;
 * :mod:`repro.net` — simulated WAN with loss/duplication/corruption;
 * :mod:`repro.core` — the two-phase execute-commit protocol:
   organizations, clients, endorsement policies, smart contracts,

@@ -148,7 +148,7 @@ class PolicySafetyChecker:
             wires = {
                 txn_id: wire
                 for channel in net.node(node_id).channels.values()
-                for txn_id, wire in channel.valid_txn_wire.items()
+                for txn_id, wire in channel.ledger.valid.items()
             }
             for txn_id, wire in sorted(wires.items()):
                 audited += 1

@@ -9,22 +9,16 @@ committed set compresses losslessly into a per-client **high
 watermark** plus a run-length-encoded **gap set** — a version-vector
 digest in the CRDT tradition the paper builds on.
 
-Two classes:
-
-* :class:`WatermarkDigest` — the pure, wire-able summary. Per client
-  it stores the highest committed counter (``high``) and the sorted,
-  disjoint ranges of *uncommitted* counters below it (``gaps`` — the
-  out-of-order exception set: Lamport counters consumed by reads,
-  failed proposals, or commits that arrived out of order via gossip).
-  Ids whose counter does not parse go into a small ``extras`` set so
-  correctness never depends on the id format. Wire size is
-  O(clients + gap ranges), independent of committed history.
-* :class:`CommittedIndex` — the organization-side container: the
-  watermark digest, an insertion-ordered id log (so snapshot /
-  recovery call sites never re-sort or re-copy the full set), and a
-  running order-independent state digest (XOR of per-id SHA-256,
-  updated incrementally at commit time — replacing the old O(n)
-  sort-and-join digest).
+:class:`WatermarkDigest` is the pure, wire-able summary. Per client it
+stores the highest committed counter (``high``) and the sorted,
+disjoint ranges of *uncommitted* counters below it (``gaps`` — the
+out-of-order exception set: Lamport counters consumed by reads, failed
+proposals, or commits that arrived out of order via gossip). Ids whose
+counter does not parse go into a small ``extras`` set so correctness
+never depends on the id format. Wire size is O(clients + gap ranges),
+independent of committed history. Each channel keeps one, with one
+:meth:`WatermarkDigest.add` per valid commit, beside the ledger that
+records the committed set itself.
 
 Set reconciliation between two digests (:func:`WatermarkDigest.
 difference`) runs in O(clients + gaps + divergence) by interval
@@ -34,7 +28,6 @@ sides already share.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -243,52 +236,4 @@ def _is_mark_wire(entry: Any) -> bool:
     )
 
 
-class CommittedIndex:
-    """Incremental commit-time bookkeeping for anti-entropy and snapshots.
-
-    Maintained by :class:`~repro.core.organization.Organization` with
-    one :meth:`add` per valid commit; every anti-entropy, snapshot, and
-    recovery call site then reads O(clients + gaps) summaries instead
-    of sorting or copying the full committed set.
-    """
-
-    __slots__ = ("watermarks", "log", "_acc")
-
-    def __init__(self) -> None:
-        self.watermarks = WatermarkDigest()
-        # Insertion-ordered id log: snapshots remember a position and
-        # recovery replays ``log[position:]`` — O(delta), no set diff.
-        self.log: List[str] = []
-        # Order-independent running digest: XOR of per-id SHA-256.
-        self._acc = 0
-
-    def add(self, txn_id: str) -> bool:
-        if not self.watermarks.add(txn_id):
-            return False
-        self.log.append(txn_id)
-        self._acc ^= int.from_bytes(
-            hashlib.sha256(txn_id.encode("utf-8")).digest(), "big"
-        )
-        return True
-
-    def __len__(self) -> int:
-        return self.watermarks.count
-
-    def __contains__(self, txn_id: str) -> bool:
-        return txn_id in self.watermarks
-
-    def state_digest(self) -> str:
-        """Order-independent digest of the committed set, O(1) to read."""
-        material = self._acc.to_bytes(32, "big") + len(self).to_bytes(8, "big")
-        return hashlib.sha256(material).hexdigest()
-
-    def missing_from(self, remote: WatermarkDigest) -> Iterator[str]:
-        """Ids the remote digest covers that this index lacks."""
-        return remote.difference(self.watermarks)
-
-    def surplus_over(self, remote: WatermarkDigest) -> Iterator[str]:
-        """Ids this index covers that the remote digest lacks."""
-        return self.watermarks.difference(remote)
-
-
-__all__ = ["CommittedIndex", "WatermarkDigest", "parse_txn_id"]
+__all__ = ["WatermarkDigest", "parse_txn_id"]

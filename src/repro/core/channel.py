@@ -1,7 +1,7 @@
 """Per-channel sharded state (multi-application deployments).
 
-A *channel* binds one smart contract to its own namespaced CRDT store,
-hash-chain ledger, committed index, and watermark digest, so a single
+A *channel* binds one smart contract to its own ledger (hash-chain
+log, committed set, CRDT value cache) and watermark digest, so a single
 ``OrderlessChainNetwork`` can serve several independent applications
 concurrently. Coordination-freedom makes this sharding trivial:
 transactions from different applications never need a global order
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.core.antientropy import CommittedIndex
+from repro.core.antientropy import WatermarkDigest
 from repro.ledger.ledger import Ledger
 
 #: The channel every organization starts with; contracts installed
@@ -46,18 +46,17 @@ class ChannelState:
     """One channel's shard of an organization's state.
 
     Holds everything the commit/gossip/anti-entropy hot path touches
-    per channel: the ledger (hash-chain log + database + CRDT value
-    cache), the gossip backlog, the committed wire forms, the
-    incrementally maintained :class:`CommittedIndex` (watermark
-    digests), and the recovery snapshot.
+    per channel: the ledger (hash-chain log + committed set + CRDT
+    value cache), the gossip backlog, the incrementally maintained
+    :class:`WatermarkDigest` of the committed ids, and the recovery
+    snapshot — the committed count at the last checkpoint.
     """
 
     __slots__ = (
         "channel_id",
         "ledger",
         "gossip_backlog",
-        "valid_txn_wire",
-        "commit_index",
+        "watermarks",
         "snapshot",
         "committed_invalid",
         "gossip_commits",
@@ -69,9 +68,8 @@ class ChannelState:
         # (transaction wire, remaining push rounds) pairs; see
         # Organization._gossip_loop.
         self.gossip_backlog: List[tuple[Dict[str, Any], int]] = []
-        self.valid_txn_wire: Dict[str, Dict[str, Any]] = {}
-        self.commit_index = CommittedIndex()
-        self.snapshot: Optional[Dict[str, Any]] = None
+        self.watermarks = WatermarkDigest()
+        self.snapshot: Optional[int] = None
         # Per-channel commit counters (the org-level totals aggregate
         # across channels; valid commits are the ledger's own count).
         # An invalid-logged transaction may later commit as valid, so

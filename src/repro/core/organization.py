@@ -2,7 +2,7 @@
 
 Organizations host smart contracts, endorse proposals (phase 1),
 validate and commit transactions (phase 2), maintain the application
-ledger (hash-chain log + database + CRDT value cache), and gossip
+ledger (hash-chain log + committed set + CRDT value cache), and gossip
 committed transactions to other organizations.
 
 Resource model: each organization owns a CPU with ``vcpus`` slots and a
@@ -15,6 +15,7 @@ bounded CPU use and the locking limitation).
 from __future__ import annotations
 
 import random
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
 from repro.core.antientropy import WatermarkDigest
@@ -46,6 +47,12 @@ MSG_SYNC_DIGEST = "orderless.sync_digest"
 MSG_SYNC_REQUEST = "orderless.sync_request"
 
 _NO_FIELDS: Dict[str, Any] = {}
+
+#: Sync-request pages one peer digest may pull: a digest names ranges
+#: of ids, so without a cap a ~40-byte body (a huge ``high``) would
+#: make the receiver enumerate and request as many ids as the peer
+#: chooses. Ids past the cap are left to a later round.
+SYNC_PULL_PAGES = 16
 
 
 def _mapping(body: Any) -> Dict[str, Any]:
@@ -79,7 +86,7 @@ class Organization:
         self.rng = rng
         self.recorder = recorder
         # Per-channel sharded state (repro.core.channel): each channel
-        # owns its own ledger, gossip backlog, committed index, and
+        # owns its own ledger, gossip backlog, watermark digest, and
         # snapshot. The default channel is an ordinary channel that
         # every organization starts with.
         self.channels: Dict[str, ChannelState] = {}
@@ -95,14 +102,12 @@ class Organization:
         self.peer_ids: List[str] = []
         # Watermark-based anti-entropy (repro.core.antientropy): each
         # channel's committed set is summarized incrementally at commit
-        # time as per-client watermarks + gap ranges, an
-        # insertion-ordered id log, and a running order-independent
-        # state digest — so no sync/snapshot/recovery call site ever
-        # sorts or copies the full set.
+        # time as per-client watermarks + gap ranges, so no sync call
+        # site ever sorts or copies the full set.
         # Snapshot-based crash recovery (docs/RESILIENCE.md): with a
         # positive ``settings.snapshot_interval``, a background loop
-        # periodically checkpoints the committed-transaction set;
-        # recover() then replays only the delta since the checkpoint and
+        # periodically checkpoints the committed count; recover() then
+        # replays only the delta since the checkpoint and
         # runs *targeted* anti-entropy instead of the full-broadcast
         # resync.
         self.snapshots_taken = 0
@@ -384,8 +389,7 @@ class Organization:
                 transaction.transaction_id, operations, wire, valid=True
             )
             channel.gossip_backlog.append((wire, self.settings.gossip_ttl))
-            channel.valid_txn_wire[txn_id] = wire
-            channel.commit_index.add(txn_id)
+            channel.watermarks.add(txn_id)
             if via_gossip:
                 channel.gossip_commits += 1
             return True, block, reason
@@ -556,10 +560,10 @@ class Organization:
         The per-client watermark + gap summary of one channel's
         committed set, O(clients + gaps) bytes and O(clients) work,
         read straight off the incrementally maintained
-        :class:`CommittedIndex`. The body names its channel so the
+        :class:`WatermarkDigest`. The body names its channel so the
         receiver reconciles the right shard.
         """
-        marks = channel.commit_index.watermarks
+        marks = channel.watermarks
         return (
             {"watermarks": marks.to_wire(), "channel": channel.channel_id},
             self.perf.watermark_digest_bytes(marks.client_count, marks.gap_count),
@@ -624,7 +628,10 @@ class Organization:
         anti-entropy rounds needed after a partition heals.
 
         Both sides of the symmetric difference are reconstructed from
-        watermark deltas (O(clients + gaps + divergence)).
+        watermark deltas (O(clients + gaps + divergence)). The pull is
+        capped at ``SYNC_PULL_PAGES`` pages of ids, so the divergence a
+        peer claims cannot set the size of our work; a digest that
+        claims more is counted in ``dropped_requests``.
         """
         body = _mapping(message.body)
         channel_id, marks = body.get("channel"), body.get("watermarks")
@@ -637,18 +644,20 @@ class Organization:
         remote = self._decode(WatermarkDigest, marks)
         if remote is None:
             return
-        missing = [
+        ledger = channel.ledger
+        pulled = (
             txn_id
-            for txn_id in channel.commit_index.missing_from(remote)
-            if not channel.ledger.has_transaction(txn_id)
-        ]
-        surplus = list(channel.commit_index.surplus_over(remote))
+            for txn_id in remote.difference(channel.watermarks)
+            if not ledger.has_transaction(txn_id)
+        )
+        missing = list(islice(pulled, SYNC_PULL_PAGES * max(1, self.perf.sync_page_txns)))
+        if next(pulled, None) is not None:
+            self.dropped_requests += 1
+        surplus = list(channel.watermarks.difference(remote))
         # Both senders page their input; an empty side sends nothing.
         pages = self._send_sync_requests(message.sender, missing, channel)
         pages += self._send_txn_batches(
-            message.sender,
-            (channel.valid_txn_wire[txn_id] for txn_id in surplus),
-            channel,
+            message.sender, (ledger.valid[txn_id] for txn_id in surplus), channel
         )
         trace = self.recorder.trace
         if trace is not None:
@@ -726,13 +735,10 @@ class Organization:
         ):
             self.dropped_requests += 1  # malformed; see _handle_sync_digest
             return
+        valid = channel.ledger.valid
         self._send_txn_batches(
             message.sender,
-            (
-                channel.valid_txn_wire[txn_id]
-                for txn_id in txn_ids
-                if txn_id in channel.valid_txn_wire
-            ),
+            (valid[txn_id] for txn_id in txn_ids if txn_id in valid),
             channel,
         )
 
@@ -741,8 +747,8 @@ class Organization:
     def crash_local_state(self) -> None:
         """Drop the in-memory state a fail-stop crash would lose.
 
-        The durable pieces (hash-chain log, database, committed wire
-        forms) survive; the gossip backlog is purely in-memory and is
+        The durable pieces (the ledger's hash-chain log and committed
+        set) survive; the gossip backlog is purely in-memory and is
         lost. Called by the fault layer together with ``Network.crash``.
         """
         self.crashed = True
@@ -772,30 +778,24 @@ class Organization:
         The checkpoint's CPU cost is proportional to what changed since
         the previous snapshot (incremental checkpointing); the snapshot
         itself is the durable marker :meth:`recover` replays from. It
-        stores only the commit-log position, count, and state digest —
-        O(1) per checkpoint, never a copy of the full id set. Each
-        channel checkpoints independently (its own log position and
-        digest).
+        stores only the committed count — O(1) per checkpoint, never a
+        copy of the full id set — read before the checkpoint's CPU job,
+        so a commit that lands during the job is replayed on recovery.
+        Each channel checkpoints independently.
         """
         while True:
             yield self.sim.timeout(self.settings.snapshot_interval)
             if self.crashed:
                 continue
             for channel in self.channels.values():
-                known = len(channel.valid_txn_wire)
-                prev = channel.snapshot["count"] if channel.snapshot is not None else 0
-                new = max(0, known - prev)
+                known = len(channel.ledger.valid)
+                new = known - (channel.snapshot or 0)
                 if channel.snapshot is not None and new == 0:
                     continue  # nothing committed since the last checkpoint
                 yield self.cpu.serve(
                     self.perf.snapshot_base + self.perf.snapshot_per_txn * new
                 )
-                channel.snapshot = {
-                    "log_position": len(channel.commit_index.log),
-                    "count": known,
-                    "digest": channel.commit_index.state_digest(),
-                    "taken_at": self.sim.now,
-                }
+                channel.snapshot = known
                 self.snapshots_taken += 1
                 trace = self.recorder.trace
                 if trace is not None:
@@ -827,16 +827,16 @@ class Organization:
 
     def _recover_from_snapshot(self):
         started = self.sim.now
-        # The insertion-ordered commit log makes the replay delta a
-        # slice — O(delta), no set copy or full-history membership
-        # scan. Channels replay independently; a channel that never
-        # checkpointed replays its whole (short) log. The summed delta
-        # is charged as one CPU job: recovery is one replay, however
-        # many channels it covers.
-        replayed = 0
-        for channel in self.channels.values():
-            position = channel.snapshot["log_position"] if channel.snapshot else 0
-            replayed += len(channel.commit_index.log) - position
+        # The committed set is in commit order, so the replay delta is
+        # what was committed past the checkpointed count. Channels
+        # replay independently; a channel that never checkpointed
+        # replays its whole (short) committed set. The summed delta is
+        # charged as one CPU job: recovery is one replay, however many
+        # channels it covers.
+        replayed = sum(
+            len(channel.ledger.valid) - (channel.snapshot or 0)
+            for channel in self.channels.values()
+        )
         yield self.cpu.serve(
             self.perf.recover_base + self.perf.recover_replay_per_txn * replayed
         )

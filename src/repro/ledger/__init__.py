@@ -1,13 +1,12 @@
-"""Ledger substrate: blocks, the append-only hash-chain log, a
-LevelDB-style key-value store, and the per-application ledger that
-combines them (Section 4: "the application's ledger on every
-organization consists of two components: (1) an append-only hash-chain
-log and (2) a database").
+"""Ledger substrate: blocks, the append-only hash-chain log, and the
+per-application ledger that records the committed set beside it
+(Section 4: "the application's ledger on every organization consists
+of two components: (1) an append-only hash-chain log and (2) a
+database").
 """
 
 from repro.ledger.block import Block
 from repro.ledger.hashchain import HashChainLog
-from repro.ledger.kvstore import KVStore, WriteBatch
 from repro.ledger.ledger import Ledger
 
-__all__ = ["Block", "HashChainLog", "KVStore", "Ledger", "WriteBatch"]
+__all__ = ["Block", "HashChainLog", "Ledger"]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping
+from typing import Any, Dict
 
 from repro.crypto.hashing import canonical_fragment, count_rendered
 
@@ -54,15 +54,6 @@ class Block:
             "payload": self.payload,
             "valid": self.valid,
         }
-
-    @classmethod
-    def from_wire(cls, wire: Mapping[str, Any]) -> "Block":
-        return cls(
-            height=int(wire["height"]),
-            previous_hash=wire["previous_hash"],
-            payload=wire["payload"],
-            valid=bool(wire["valid"]),
-        )
 
 
 __all__ = ["Block"]

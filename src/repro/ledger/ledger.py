@@ -1,60 +1,63 @@
 """The per-application ledger at one organization.
 
-Combines the three storage layers of Section 4/6:
+Combines the storage layers of Section 4/6:
 
 * the append-only hash-chain log (all transactions, valid and invalid —
   invalid ones are kept "for bookkeeping purposes");
-* the key-value database holding committed operations (the LevelDB
-  role: faster than replaying the log on a cache miss);
+* the committed set: each valid transaction's wire by id
+  (:attr:`Ledger.valid`) and each committed operation's wire by object
+  id (:attr:`Ledger.ops`), both in commit order — the database role,
+  faster than replaying the log on a cache miss;
 * the in-memory CRDT value cache, updated on commit, which answers
   read APIs and gives read-your-writes consistency.
 
 The cache can be disabled (``cache_enabled=False``) to reproduce the
 well-known CRDT read-cost problem the cache exists to solve — every
-read then replays the object's operations from the database, O(n) in
-the number of operations. This is the E15 ablation.
+read then replays the object's committed operations, O(n) in the
+number of operations. This is the E15 ablation.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Iterable, List, Sequence, Set
+from typing import Any, Dict, Iterable, List, Sequence, Set
 
 from repro.crdt.operation import Operation
 from repro.crdt.store import CRDTStore
 from repro.ledger.block import Block
 from repro.ledger.hashchain import HashChainLog
-from repro.ledger.kvstore import KVStore, WriteBatch
 
 
 class Ledger:
-    """Hash-chain log + operation database + CRDT value cache."""
+    """Hash-chain log + committed set + CRDT value cache."""
 
     def __init__(self, cache_enabled: bool = True) -> None:
         self.log = HashChainLog()
-        self.db = KVStore()
         self.cache_enabled = cache_enabled
         self._cache = CRDTStore()
-        self._seen_transactions: Set[str] = set()
-        self._valid_transactions: Set[str] = set()
-        self._op_seq = itertools.count()
+        # Transaction id -> committed wire, in commit order.
+        self.valid: Dict[str, Any] = {}
+        # Object id -> wires of its committed operations, in commit order.
+        self.ops: Dict[str, List[Dict[str, Any]]] = {}
+        # Ids logged only as invalid (disjoint from ``valid``: an
+        # upgrade to valid moves the id across).
+        self._rejected: Set[str] = set()
 
     # -- transaction bookkeeping ---------------------------------------
 
     def has_transaction(self, transaction_id: str) -> bool:
         """Whether this transaction was already appended (dedup check)."""
-        return transaction_id in self._seen_transactions
+        return transaction_id in self.valid or transaction_id in self._rejected
 
     def is_valid_transaction(self, transaction_id: str) -> bool:
-        return transaction_id in self._valid_transactions
+        return transaction_id in self.valid
 
     @property
     def transaction_count(self) -> int:
-        return len(self._seen_transactions)
+        return len(self.valid) + len(self._rejected)
 
     @property
     def valid_transaction_count(self) -> int:
-        return len(self._valid_transactions)
+        return len(self.valid)
 
     # -- commit ----------------------------------------------------------
 
@@ -68,7 +71,7 @@ class Ledger:
         """Append a transaction to the log; apply its write-set if valid.
 
         Both valid and invalid transactions are chained into the log;
-        only valid ones touch the database and the cache.
+        only valid ones enter the committed set and the cache.
 
         A transaction previously logged as *invalid* may later commit
         as valid: two different signed transactions can share an id (a
@@ -78,35 +81,32 @@ class Ledger:
         bookkeeping. A transaction already committed as valid can never
         be committed again.
         """
-        if transaction_id in self._valid_transactions:
+        if transaction_id in self.valid:
             raise ValueError(f"transaction {transaction_id!r} committed twice")
-        if transaction_id in self._seen_transactions and not valid:
+        if transaction_id in self._rejected and not valid:
             raise ValueError(
                 f"transaction {transaction_id!r} already logged; only an upgrade to valid is allowed"
             )
-        self._seen_transactions.add(transaction_id)
         block = self.log.append(payload, valid)
-        if valid:
-            self._valid_transactions.add(transaction_id)
-            batch = WriteBatch()
-            for operation in operations:
-                seq = next(self._op_seq)
-                batch.put(f"ops/{operation.object_id}/{seq:012d}", operation.to_wire())
-            self.db.write(batch)
-            if self.cache_enabled:
-                self._cache.apply(operations)
+        if not valid:
+            self._rejected.add(transaction_id)
+            return block
+        self._rejected.discard(transaction_id)
+        self.valid[transaction_id] = payload
+        for operation in operations:
+            self.ops.setdefault(operation.object_id, []).append(operation.to_wire())
+        if self.cache_enabled:
+            self._cache.apply(operations)
         return block
 
     # -- reads -------------------------------------------------------------
 
     def operations_for(self, object_id: str) -> List[Operation]:
         """All committed operations for an object, in commit order."""
-        return [
-            Operation.from_wire(wire) for _, wire in self.db.scan_prefix(f"ops/{object_id}/")
-        ]
+        return [Operation.from_wire(wire) for wire in self.ops.get(object_id, ())]
 
     def read(self, object_id: str, path: Iterable[str] = ()) -> Any:
-        """Resolved object value, from cache or by replaying the DB."""
+        """Resolved object value, from cache or by replaying its operations."""
         if self.cache_enabled:
             return self._cache.read(object_id, path)
         replay = CRDTStore()
@@ -120,74 +120,24 @@ class Ledger:
     def state_snapshot(self) -> Any:
         """Canonical application state at this organization (ST_Oi).
 
-        Rebuilt from ``dict(wire)`` copies of the database — no cache, no
-        decode memo; organizations converged iff their snapshots are equal.
+        Rebuilt from ``dict(wire)`` copies of the committed operations —
+        no cache, no decode memo; organizations converged iff their
+        snapshots are equal.
         """
         replay = CRDTStore()
-        for _, wire in self.db.scan_prefix("ops/"):
-            replay.apply([Operation.from_wire(dict(wire))])
+        for wires in self.ops.values():
+            replay.apply([Operation.from_wire(dict(wire)) for wire in wires])
         return replay.snapshot()
 
     def rebuild_cache(self) -> None:
-        """Recompute the cache from the database (crash recovery)."""
+        """Recompute the cache from the committed operations (crash recovery)."""
         self._cache = CRDTStore()
-        for _, wire in self.db.scan_prefix("ops/"):
-            self._cache.apply([Operation.from_wire(wire)])
+        for object_id in self.ops:
+            self._cache.apply(self.operations_for(object_id))
 
     def verify_integrity(self) -> None:
         """Verify the hash chain end to end."""
         self.log.verify()
-
-    def transactions(self, valid_only: bool = False) -> List[Any]:
-        """Payloads in the log, optionally only the valid ones."""
-        return [block.payload for block in self.log if block.valid or not valid_only]
-
-    # -- persistence -----------------------------------------------------
-
-    def save(self, directory: str) -> None:
-        """Persist the ledger (log + database) into ``directory``."""
-        import json
-        import os
-
-        os.makedirs(directory, exist_ok=True)
-        self.db.dump(os.path.join(directory, "db.json"))
-        manifest = {
-            "blocks": [block.to_wire() for block in self.log],
-            "seen": sorted(self._seen_transactions),
-            "valid": sorted(self._valid_transactions),
-        }
-        with open(os.path.join(directory, "log.json"), "w") as handle:
-            json.dump(manifest, handle, separators=(",", ":"))
-
-    @classmethod
-    def restore(cls, directory: str, cache_enabled: bool = True) -> "Ledger":
-        """Load a ledger written with :meth:`save`.
-
-        The restored chain is re-verified end to end (tampering with
-        the on-disk files is detected), and the CRDT cache is rebuilt
-        from the database.
-        """
-        import json
-        import os
-
-        from repro.ledger.block import Block
-        from repro.ledger.kvstore import KVStore
-
-        ledger = cls(cache_enabled=cache_enabled)
-        ledger.db = KVStore.load(os.path.join(directory, "db.json"))
-        with open(os.path.join(directory, "log.json")) as handle:
-            manifest = json.load(handle)
-        for wire in manifest["blocks"]:
-            ledger.log._blocks.append(Block.from_wire(wire))
-        ledger.log.verify()
-        ledger._seen_transactions = set(manifest["seen"])
-        ledger._valid_transactions = set(manifest["valid"])
-        # Continue operation-sequence numbering past the restored keys.
-        count = sum(1 for _ in ledger.db.scan_prefix("ops/"))
-        ledger._op_seq = itertools.count(count)
-        if cache_enabled:
-            ledger.rebuild_cache()
-        return ledger
 
 
 __all__ = ["Ledger"]

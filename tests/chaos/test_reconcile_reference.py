@@ -4,16 +4,18 @@ The watermark digest changes *how* replicas summarize committed
 history, never *which* transactions a reconcile requests or pushes.
 These chaos runs — the standard crash + partition-heal + loss smoke
 schedule, plus a snapshot-recovery variant — wrap both sides of every
-reconcile (``CommittedIndex.missing_from`` / ``surplus_over``) and hold
+reconcile (``remote.difference(local)`` to pull, ``local.difference(
+remote)`` to push, both :meth:`WatermarkDigest.difference`) and hold
 each result to the reference: the set difference between the ids the
-remote digest covers and the ids this channel has committed. That is
-exactly what a digest listing every id would have computed, so the
-reference needs no second protocol implementation.
+remote digest covers and the ids the channel's ledger has committed.
+That is exactly what a digest listing every id would have computed, so
+the reference needs no second protocol implementation.
 """
 
 import pytest
 
-from repro.core.antientropy import CommittedIndex
+from repro.core.antientropy import WatermarkDigest
+from repro.core.channel import ChannelState
 
 from .harness import chaos_run
 
@@ -26,30 +28,36 @@ SCENARIOS = {
     # couple of peers instead of the resync broadcast.
     "snapshot-recovery": {"snapshot_interval": 2.0},
 }
-REFERENCES = {
-    "missing_from": lambda local, remote: remote - local,
-    "surplus_over": lambda local, remote: local - remote,
-}
+SIDES = ("pull", "push")
 
 
 @pytest.fixture(scope="module")
 def runs():
     """(scenario, seed) -> (net, [(side, result, reference), ...])."""
     out = {}
+    channels, records = [], []
+    real_init, real_difference = ChannelState.__init__, WatermarkDigest.difference
+
+    def registered(channel, *args, **kwargs):
+        real_init(channel, *args, **kwargs)
+        channels.append(channel)
+
+    def recorded(digest, other):
+        got = list(real_difference(digest, other))
+        (local,) = [c for c in channels if c.watermarks is digest or c.watermarks is other]
+        committed = set(local.ledger.valid)
+        if local.watermarks is other:
+            records.append(("pull", got, set(digest.ids()) - committed))
+        else:
+            records.append(("push", got, committed - set(other.ids())))
+        return iter(got)
+
     with pytest.MonkeyPatch.context() as patch:
-        records = []
-        for name, reference in REFERENCES.items():
-            real = getattr(CommittedIndex, name)
-
-            def recorded(index, remote, name=name, real=real, reference=reference):
-                got = list(real(index, remote))
-                records.append((name, got, reference(set(index.log), set(remote.ids()))))
-                return iter(got)
-
-            patch.setattr(CommittedIndex, name, recorded)
+        patch.setattr(ChannelState, "__init__", registered)
+        patch.setattr(WatermarkDigest, "difference", recorded)
         for scenario, settings in SCENARIOS.items():
             for seed in SEEDS:
-                del records[:]
+                del channels[:], records[:]
                 net, _ = chaos_run("orderlesschain", seed=seed, **settings)
                 out[scenario, seed] = (net, list(records))
     return out
@@ -74,5 +82,5 @@ def test_both_directions_carry_real_work(runs, scenario):
     # seeds, some reconcile must request ids and some must push
     # transactions.
     records = [record for seed in SEEDS for record in runs[scenario, seed][1]]
-    for side in REFERENCES:
+    for side in SIDES:
         assert any(got for name, got, _ in records if name == side), side

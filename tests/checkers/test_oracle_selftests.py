@@ -2,7 +2,7 @@
 
 ``tests/checkers/test_oracles.py`` covers the oracles' verdict logic;
 these tests go one level deeper and injure the *actual* run state the
-oracles read — the operation database, the hash-chain blocks, the
+oracles read — the committed operations, the hash-chain blocks, the
 committed transaction wires, the ledger log, the recorder — then
 assert the matching oracle reports a diagnosable FAIL. If an oracle
 ever regresses into reading a cached or derived copy of that state,
@@ -48,17 +48,16 @@ def injured(net, injure):
 
 
 def test_convergence_fails_when_an_extra_op_lands_in_one_database():
-    # A phantom operation written into one organization's op database
-    # (same shape as a real one, fresh clock so its derived op_id is
-    # new) must diverge that org's replayed snapshot from everyone
-    # else's.
+    # A phantom operation written into one organization's committed
+    # operations (same shape as a real one, fresh clock so its derived
+    # op_id is new) must diverge that org's replayed snapshot from
+    # everyone else's.
     def injure(net):
-        db = net.node("org2").ledger.db
-        key, wire = next(iter(db.scan_prefix("ops/")))
-        phantom = dict(wire)
+        wires = next(iter(net.node("org2").ledger.ops.values()))
+        phantom = dict(wires[0])
         phantom["clock"] = {"client_id": "intruder", "counter": 99}
         phantom["value"] = "<planted>"
-        db.put(key.rsplit("/", 1)[0] + "/999999999999", phantom)
+        wires.append(phantom)
 
     report = injured(build(), injure)
     convergence = report.result("convergence")
@@ -89,7 +88,7 @@ def test_policy_safety_fails_when_nested_endorsements_are_truncated():
     # org's dict entry): the oracle must audit the nested content.
     def injure(net):
         org = net.node("org0")
-        _, wire = next(iter(sorted(org.channels[DEFAULT_CHANNEL].valid_txn_wire.items())))
+        _, wire = next(iter(sorted(org.channels[DEFAULT_CHANNEL].ledger.valid.items())))
         wire["endorsements"][:] = wire["endorsements"][:1]  # below q=2
 
     report = injured(build(), injure)
@@ -105,7 +104,7 @@ def test_no_duplicate_commit_fails_when_a_valid_block_is_replayed():
     # stays intact, so only the duplicate oracle may go red.
     def injure(net):
         ledger = net.node("org0").ledger
-        payload = ledger.transactions(valid_only=True)[0]
+        payload = next(iter(ledger.valid.values()))
         ledger.log.append(payload, valid=True)
 
     report = injured(build(), injure)

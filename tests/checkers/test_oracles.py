@@ -111,10 +111,10 @@ def test_policy_safety_fails_when_endorsements_stripped_below_quorum():
     net = build()
     run_votes(net)
     org = net.node("org0")
-    txn_id, wire = next(iter(sorted(org.channels[DEFAULT_CHANNEL].valid_txn_wire.items())))
+    txn_id, wire = next(iter(sorted(org.channels[DEFAULT_CHANNEL].ledger.valid.items())))
     tampered = dict(wire)
     tampered["endorsements"] = wire["endorsements"][:1]  # below q=2
-    org.channels[DEFAULT_CHANNEL].valid_txn_wire[txn_id] = tampered
+    org.channels[DEFAULT_CHANNEL].ledger.valid[txn_id] = tampered
     report = run_checkers(net)
     safety = report.result("policy-safety")
     assert safety.status == FAIL
@@ -125,13 +125,13 @@ def test_policy_safety_fails_when_signature_is_forged():
     net = build()
     run_votes(net)
     org = net.node("org0")
-    txn_id, wire = next(iter(sorted(org.channels[DEFAULT_CHANNEL].valid_txn_wire.items())))
+    txn_id, wire = next(iter(sorted(org.channels[DEFAULT_CHANNEL].ledger.valid.items())))
     tampered = dict(wire)
     endorsements = [dict(e) for e in wire["endorsements"]]
     for endorsement in endorsements:
         endorsement["signature"] = "forged"
     tampered["endorsements"] = endorsements
-    org.channels[DEFAULT_CHANNEL].valid_txn_wire[txn_id] = tampered
+    org.channels[DEFAULT_CHANNEL].ledger.valid[txn_id] = tampered
     report = run_checkers(net)
     assert report.result("policy-safety").status == FAIL
 

@@ -8,12 +8,11 @@ failed proposals never commit) and ids that do not parse as
 digest operation against the plain-set ground truth.
 """
 
-import hashlib
-
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.antientropy import CommittedIndex, WatermarkDigest, parse_txn_id
+from repro.core.antientropy import WatermarkDigest, parse_txn_id
+from repro.ledger import Ledger
 
 clients = st.sampled_from(["alice", "bob", "carol", "client0"])
 counters = st.integers(min_value=1, max_value=60)
@@ -111,59 +110,30 @@ def test_parse_txn_id_shapes():
     assert parse_txn_id("c:-3") == ("c:-3", None)
 
 
-# -- CommittedIndex -------------------------------------------------------------
-
-
-def reference_state_digest(ids):
-    """The XOR-accumulator digest recomputed from scratch over a set."""
-    acc = 0
-    for txn_id in set(ids):
-        acc ^= int.from_bytes(hashlib.sha256(txn_id.encode()).digest(), "big")
-    material = acc.to_bytes(32, "big") + len(set(ids)).to_bytes(8, "big")
-    return hashlib.sha256(material).hexdigest()
-
-
-@given(id_lists)
-def test_state_digest_is_order_independent(ids):
-    forward, backward = CommittedIndex(), CommittedIndex()
-    for txn_id in ids:
-        forward.add(txn_id)
-    for txn_id in reversed(ids):
-        backward.add(txn_id)
-    assert forward.state_digest() == backward.state_digest()
-    assert forward.state_digest() == reference_state_digest(ids)
+# -- the committed set a channel keeps --------------------------------------------
 
 
 @given(id_lists, id_lists)
 def test_missing_and_surplus_match_set_differences(local_ids, remote_ids):
-    index = CommittedIndex()
-    for txn_id in local_ids:
-        index.add(txn_id)
-    remote = build(remote_ids)
-    assert set(index.missing_from(remote)) == set(remote_ids) - set(local_ids)
-    assert set(index.surplus_over(remote)) == set(local_ids) - set(remote_ids)
+    # Reconcile's two calls: what the remote covers that we lack (pull)
+    # and what we cover that the remote lacks (push).
+    local, remote = build(local_ids), build(remote_ids)
+    assert set(remote.difference(local)) == set(remote_ids) - set(local_ids)
+    assert set(local.difference(remote)) == set(local_ids) - set(remote_ids)
 
 
 @given(id_lists)
 def test_log_preserves_first_commit_order(ids):
-    index = CommittedIndex()
+    # A channel commits an id once into its ledger and its digest; the
+    # ledger's committed set is the log, in first-commit order.
+    ledger, digest = Ledger(), WatermarkDigest()
     expected = []
-    seen = set()
     for txn_id in ids:
-        added = index.add(txn_id)
-        assert added == (txn_id not in seen)
-        if added:
-            expected.append(txn_id)
-        seen.add(txn_id)
-    assert index.log == expected
-    assert len(index) == len(expected)
-
-
-def test_digests_differ_on_different_sets():
-    a, b = CommittedIndex(), CommittedIndex()
-    a.add("c:1")
-    b.add("c:2")
-    assert a.state_digest() != b.state_digest()
-    b2 = CommittedIndex()
-    b2.add("c:2")
-    assert b.state_digest() == b2.state_digest()
+        if ledger.is_valid_transaction(txn_id):
+            assert not digest.add(txn_id)
+            continue
+        ledger.commit(txn_id, [], {"id": txn_id}, valid=True)
+        assert digest.add(txn_id)
+        expected.append(txn_id)
+    assert list(ledger.valid) == expected
+    assert len(digest) == len(expected)

@@ -1,7 +1,7 @@
 """Multi-application channels: sharded per-channel state on one network.
 
-Each channel binds one contract to its own CRDT store, hash chain,
-committed index, and watermark digest (repro.core.channel). These
+Each channel binds one contract to its own ledger (hash chain,
+committed set, CRDT cache) and watermark digest (repro.core.channel). These
 tests cover the scoping rules, the one channel-keyed shape every
 organization has (the default channel is an ordinary channel), and a
 two-application end-to-end run.
@@ -30,7 +30,8 @@ def test_channel_state_starts_empty():
     assert channel.channel_id == "ch0"
     assert channel.ledger.valid_transaction_count == 0
     assert channel.gossip_backlog == []
-    assert channel.valid_txn_wire == {}
+    assert channel.ledger.valid == {}
+    assert len(channel.watermarks) == 0
     assert channel.snapshot is None
 
 

@@ -1,10 +1,12 @@
 """Unit tests of the organization's watermark anti-entropy plumbing.
 
 Covers the digest wire form and modeled size, sync pagination, the O(1)
-snapshot payload (log position + count, never a copy of the committed
+snapshot payload (the committed count, never a copy of the committed
 set), end-to-end reconciliation through a partition heal, malformed
-bodies of all six peer message types (dropped and counted, never raised)
-and signed write-sets that do not parse (rejected, never raised).
+bodies of all six peer message types (dropped and counted, never raised),
+a digest that claims more ids than one reconcile pulls (capped and
+counted) and signed write-sets that do not parse (rejected, never
+raised).
 """
 
 from dataclasses import replace
@@ -21,6 +23,7 @@ from repro.core.organization import (
     MSG_READ,
     MSG_SYNC_DIGEST,
     MSG_SYNC_REQUEST,
+    SYNC_PULL_PAGES,
 )
 from repro.core.transaction import Endorsement, Proposal, Transaction
 from repro.crdt.clock import OpClock
@@ -54,10 +57,9 @@ def default_channel(net):
     return net.organizations[0].channels[DEFAULT_CHANNEL]
 
 
-def state_digests(net):
+def committed_sets(net):
     return {
-        org.channels[DEFAULT_CHANNEL].commit_index.state_digest()
-        for org in net.organizations
+        frozenset(org.channels[DEFAULT_CHANNEL].ledger.valid) for org in net.organizations
     }
 
 
@@ -66,16 +68,16 @@ class TestDigestBody:
         net = run_votes(build_net())
         channel = default_channel(net)
         org = net.organizations[0]
-        assert len(channel.valid_txn_wire) > 0
+        assert len(channel.ledger.valid) > 0
         body, size = org._digest_body_and_size(channel)
         assert set(body) == {"watermarks", "channel"}
         assert body["channel"] == DEFAULT_CHANNEL
-        marks = channel.commit_index.watermarks
+        marks = channel.watermarks
         assert size == org.perf.watermark_digest_bytes(
             marks.client_count, marks.gap_count
         )
         # The watermark digest covers exactly the committed set.
-        assert set(marks.ids()) == set(channel.valid_txn_wire)
+        assert set(marks.ids()) == set(channel.ledger.valid)
 
     def test_watermark_digest_is_smaller_for_long_histories(self):
         # ...than the explicit id list of the same committed set.
@@ -83,7 +85,7 @@ class TestDigestBody:
         channel = default_channel(net)
         org = net.organizations[0]
         _, watermark_size = org._digest_body_and_size(channel)
-        assert watermark_size < org.perf.id_list_bytes(len(channel.valid_txn_wire))
+        assert watermark_size < org.perf.id_list_bytes(len(channel.ledger.valid))
 
 
 class TestSnapshots:
@@ -91,19 +93,12 @@ class TestSnapshots:
         net = run_votes(build_net(snapshot_interval=5.0))
         channel = default_channel(net)
         assert net.organizations[0].snapshots_taken > 0
-        snapshot = channel.snapshot
-        assert set(snapshot) == {"log_position", "count", "digest", "taken_at"}
-        assert snapshot["count"] == len(channel.valid_txn_wire)
-        assert snapshot["log_position"] == len(channel.commit_index.log)
-        assert snapshot["digest"] == channel.commit_index.state_digest()
+        assert channel.snapshot == len(channel.ledger.valid) > 0
 
-    def test_state_digest_matches_across_converged_orgs(self):
+    def test_committed_sets_match_across_converged_orgs(self):
         net = run_votes(build_net())
-        assert len(state_digests(net)) == 1
-        counts = {
-            len(org.channels[DEFAULT_CHANNEL].valid_txn_wire) for org in net.organizations
-        }
-        assert counts != {0}
+        (committed,) = committed_sets(net)
+        assert len(committed) == 6
 
 
 class TestPagination:
@@ -203,6 +198,12 @@ class TestMalformedSyncBodies:
             MSG_SYNC_DIGEST,
             {"channel": DEFAULT_CHANNEL, "watermarks": {"clients": {}, "extras": [7]}},
         ),
+        # Well-typed but hostile: ~40 bytes that claim a million ids.
+        # The pull stops at the cap and the digest is counted.
+        "digest-claims-a-million-ids": (
+            MSG_SYNC_DIGEST,
+            {"channel": DEFAULT_CHANNEL, "watermarks": {"clients": {"client0": [10**6, []]}}},
+        ),
     }
 
     @pytest.mark.parametrize("msg_type, body", CASES.values(), ids=CASES.keys())
@@ -213,6 +214,15 @@ class TestMalformedSyncBodies:
 def assert_dropped_and_org_keeps_serving(msg_type, body):
     net = build_net()
     victim, sender = net.organizations[0], net.organizations[1]
+    requested = []
+    send = net.network.send
+
+    def recording_send(message):
+        if message.sender == victim.org_id and message.msg_type == MSG_SYNC_REQUEST:
+            requested.extend(message.body["txn_ids"])
+        send(message)
+
+    net.network.send = recording_send
     net.sim.schedule_at(
         0.1,
         net.network.send,
@@ -228,6 +238,11 @@ def assert_dropped_and_org_keeps_serving(msg_type, body):
     assert victim.dropped_requests == 1
     assert victim.channels[DEFAULT_CHANNEL].ledger.valid_transaction_count == 6
     assert net.converged()
+    # Requests for ids no organization committed are the body's doing:
+    # at most one capped pull.
+    committed = frozenset().union(*committed_sets(net))
+    unfounded = [txn_id for txn_id in requested if txn_id not in committed]
+    assert len(unfounded) <= SYNC_PULL_PAGES * victim.perf.sync_page_txns
 
 
 def proposal_wire(**fields):
@@ -294,7 +309,7 @@ class TestMalformedProtocolBodies:
             (holder, victim, txn_id, wire)
             for holder in net.organizations
             for victim in net.organizations
-            for txn_id, wire in sorted(holder.channels[DEFAULT_CHANNEL].valid_txn_wire.items())
+            for txn_id, wire in sorted(holder.channels[DEFAULT_CHANNEL].ledger.valid.items())
             if not victim.ledger.is_valid_transaction(txn_id)
         )
         net.network.send(
@@ -477,4 +492,4 @@ def test_partition_heal_reconciles_through_sync():
     net.run(until=40.0)
     assert net.network.sent_by_type.get(MSG_SYNC_DIGEST, 0) > 0
     assert net.converged()
-    assert len(state_digests(net)) == 1
+    assert len(committed_sets(net)) == 1

@@ -168,9 +168,9 @@ class TestParseOnce:
         net.sim.process(org._handle_commit(message))
         net.sim.run(until=5.0)
         assert org.ledger.is_valid_transaction("c-once:1")
-        # Validation and commit share one parse, and the database holds
-        # the write-set's own dict rather than a rebuilt copy.
+        # Validation and commit share one parse, and the committed set
+        # holds the write-set's own dict rather than a rebuilt copy.
         assert len(parsed) == 1 and parsed[0] is wire["write_set"][0]
-        ((_, stored),) = org.ledger.db.scan_prefix("ops/voting/e/party0/")
+        (stored,) = org.ledger.ops["voting/e/party0"]
         assert stored is wire["write_set"][0]
 

@@ -32,11 +32,6 @@ def test_block_hash_covers_payload_and_validity():
     assert a.block_hash != c.block_hash
 
 
-def test_block_wire_roundtrip():
-    block = Block(3, "ab" * 32, {"txn": "t"}, valid=True)
-    assert Block.from_wire(block.to_wire()) == block
-
-
 def test_verify_accepts_intact_chain():
     log = HashChainLog()
     for i in range(5):

@@ -1,4 +1,4 @@
-"""Tests for the per-application ledger (log + DB + cache)."""
+"""Tests for the per-application ledger (log + committed set + cache)."""
 
 import pytest
 
@@ -89,8 +89,8 @@ def test_transactions_view_filters_validity():
     ledger = Ledger()
     ledger.commit("t1", [op()], {"id": 1}, valid=True)
     ledger.commit("t2", [], {"id": 2}, valid=False)
-    assert ledger.transactions() == [{"id": 1}, {"id": 2}]
-    assert ledger.transactions(valid_only=True) == [{"id": 1}]
+    assert [block.payload for block in ledger.log] == [{"id": 1}, {"id": 2}]
+    assert list(ledger.valid.values()) == [{"id": 1}]
 
 
 def test_verify_integrity_walks_chain():
@@ -111,52 +111,41 @@ def test_cached_object_access():
     assert ledger.cached_object("obj", "gcounter") is None
 
 
-def test_save_and_restore_roundtrip(tmp_path):
-    ledger = Ledger()
-    ledger.commit("t1", [op(counter=1)], {"txn": "t1"}, valid=True)
-    ledger.commit("bad", [], {"txn": "bad"}, valid=False)
-    ledger.save(str(tmp_path))
-    restored = Ledger.restore(str(tmp_path))
-    assert restored.has_transaction("t1")
-    assert restored.is_valid_transaction("t1")
-    assert restored.has_transaction("bad")
-    assert not restored.is_valid_transaction("bad")
-    assert restored.read("obj", ("k",)) == 1
-    assert restored.state_snapshot() == ledger.state_snapshot()
-    assert restored.log.head_hash == ledger.log.head_hash
-
-
-def test_restore_continues_committing(tmp_path):
-    ledger = Ledger()
-    ledger.commit("t1", [op(counter=1)], {}, valid=True)
-    ledger.save(str(tmp_path))
-    restored = Ledger.restore(str(tmp_path))
-    restored.commit("t2", [op(counter=2)], {}, valid=True)
-    assert restored.read("obj", ("k",)) == 2
-    assert len(restored.operations_for("obj")) == 2
-    restored.verify_integrity()
-
-
-def test_restore_detects_tampered_files(tmp_path):
-    import json
-
-    ledger = Ledger()
-    for i in range(3):
-        ledger.commit(f"t{i}", [op(counter=i + 1)], {"n": i}, valid=True)
-    ledger.save(str(tmp_path))
-    manifest_path = tmp_path / "log.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["blocks"][0]["payload"] = {"n": "tampered"}
-    manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(Exception):
-        Ledger.restore(str(tmp_path))
-
-
 def test_commit_stores_the_parsed_wire_without_rebuilding_it():
     wire = op(value_type="mvregister", value="x").to_wire()
     write_set = [dict(wire)]
     ledger = Ledger()
     ledger.commit("t1", [Operation.from_wire(write_set[0])], {"txn": "t1"}, valid=True)
-    ((_, stored),) = ledger.db.scan_prefix("ops/obj/")
+    ((stored,),) = ledger.ops.values()
     assert stored is write_set[0]
+    assert ledger.valid == {"t1": {"txn": "t1"}}
     assert ledger.operations_for("obj") == [Operation.from_wire(wire)]
+
+
+def test_object_id_above_the_basic_plane_is_snapshotted_and_rebuilt():
+    # An object id whose first character lies above U+FFFF sorted past
+    # the end of a string-key prefix range and vanished from both.
+    ledger = Ledger()
+    ledger.commit("t1", [op(object_id="\U0001F600")], {}, valid=True)
+    assert list(ledger.state_snapshot()) == ["\U0001F600"]
+    ledger.rebuild_cache()
+    assert ledger.read("\U0001F600", ("k",)) == 1
+
+
+def test_operations_for_excludes_objects_sharing_a_prefix():
+    ledger = Ledger(cache_enabled=False)
+    ledger.commit("t1", [op(object_id="a", value=1)], {}, valid=True)
+    ledger.commit("t2", [op(object_id="a/b", value=5, counter=2)], {}, valid=True)
+    assert [o.value for o in ledger.operations_for("a")] == [1]
+    assert ledger.read("a", ("k",)) == 1
+
+
+def test_invalid_then_valid_commit_is_recorded_once():
+    ledger = Ledger()
+    ledger.commit("t1", [], {"copy": "forged"}, valid=False)
+    ledger.commit("t1", [op()], {"copy": "honest"}, valid=True)
+    assert ledger.valid == {"t1": {"copy": "honest"}}
+    assert ledger.transaction_count == 1
+    assert len(ledger.log) == 2
+    with pytest.raises(ValueError):
+        ledger.commit("t1", [], {}, valid=False)

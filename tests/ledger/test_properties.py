@@ -3,75 +3,9 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.ledger import HashChainLog, KVStore, WriteBatch
+from repro.ledger import HashChainLog
 
 keys = st.text(alphabet="abcdef/0123456789", min_size=1, max_size=8)
-values = st.one_of(st.integers(), st.text(max_size=6), st.none())
-
-
-@st.composite
-def kv_commands(draw):
-    kind = draw(st.sampled_from(["put", "delete"]))
-    return (kind, draw(keys), draw(values) if kind == "put" else None)
-
-
-class TestKVStoreModel:
-    """The store must behave exactly like a plain dict."""
-
-    @given(st.lists(kv_commands(), max_size=60))
-    def test_matches_dict_model(self, commands):
-        store, model = KVStore(), {}
-        for kind, key, value in commands:
-            if kind == "put":
-                store.put(key, value)
-                model[key] = value
-            else:
-                store.delete(key)
-                model.pop(key, None)
-        assert len(store) == len(model)
-        for key, value in model.items():
-            assert store.get(key) == value
-        assert [k for k, _ in store.scan()] == sorted(model)
-
-    @given(st.lists(kv_commands(), max_size=40), keys, keys)
-    def test_scan_range_matches_model(self, commands, low, high):
-        if low > high:
-            low, high = high, low
-        store, model = KVStore(), {}
-        for kind, key, value in commands:
-            if kind == "put":
-                store.put(key, value)
-                model[key] = value
-            else:
-                store.delete(key)
-                model.pop(key, None)
-        expected = sorted(k for k in model if low <= k < high)
-        assert [k for k, _ in store.scan(low, high)] == expected
-
-    @given(st.lists(kv_commands(), max_size=40))
-    def test_batch_equals_individual_ops(self, commands):
-        individually, batched = KVStore(), KVStore()
-        batch = WriteBatch()
-        for kind, key, value in commands:
-            if kind == "put":
-                individually.put(key, value)
-                batch.put(key, value)
-            else:
-                individually.delete(key)
-                batch.delete(key)
-        batched.write(batch)
-        assert dict(individually.scan()) == dict(batched.scan())
-
-    @given(st.lists(kv_commands(), max_size=30), st.lists(kv_commands(), max_size=10))
-    def test_snapshot_isolation(self, before, after):
-        store = KVStore()
-        for kind, key, value in before:
-            store.put(key, value) if kind == "put" else store.delete(key)
-        frozen = dict(store.scan())
-        snapshot = store.snapshot()
-        for kind, key, value in after:
-            store.put(key, value) if kind == "put" else store.delete(key)
-        assert dict(snapshot.scan()) == frozen
 
 
 class TestHashChainProperties:
