@@ -9,17 +9,18 @@ winner.
 Run:  python examples/auction_house.py
 """
 
-from repro import OrderlessChainNetwork, OrderlessChainSettings
+from repro import OrderlessChainNetwork
+from repro.bench.config import ExperimentConfig
 from repro.contracts import AuctionContract
 
 AUCTIONS = ["rare-book", "old-clock"]
 
 
 def main() -> None:
-    settings = OrderlessChainSettings(num_orgs=8, quorum=4, seed=11)
-    net = OrderlessChainNetwork(settings)
+    config = ExperimentConfig(num_orgs=8, quorum=4, seed=11, scale=1)
+    net = OrderlessChainNetwork(config)
     net.install_contract(AuctionContract)
-    print(f"auction house on {settings.num_orgs} organizations, policy {net.policy}")
+    print(f"auction house on {config.num_orgs} organizations, policy {net.policy}")
 
     bidders = [net.add_client(f"bidder{i}") for i in range(6)]
     rng = net.rng.stream("scenario")

@@ -19,14 +19,14 @@ from repro import (
     ByzantineOrgConfig,
     ClientConfig,
     OrderlessChainNetwork,
-    OrderlessChainSettings,
 )
+from repro.bench.config import ExperimentConfig
 from repro.contracts import VotingContract
 
 
 def main() -> None:
-    settings = OrderlessChainSettings(num_orgs=4, quorum=2, seed=3)
-    net = OrderlessChainNetwork(settings)
+    config = ExperimentConfig(num_orgs=4, quorum=2, seed=3, scale=1)
+    net = OrderlessChainNetwork(config)
     net.install_contract(lambda: VotingContract(parties_per_election=2))
     print(f"policy {net.policy}: safety f<={net.policy.safety_tolerance}, "
           f"liveness f<={net.policy.liveness_tolerance}")

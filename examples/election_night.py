@@ -8,7 +8,8 @@ vote per voter* invariant (Section 7) holds without any coordination.
 Run:  python examples/election_night.py
 """
 
-from repro import OrderlessChainNetwork, OrderlessChainSettings
+from repro import OrderlessChainNetwork
+from repro.bench.config import ExperimentConfig
 from repro.contracts import VotingContract
 
 PARTIES = ["party0", "party1", "party2", "party3"]
@@ -17,8 +18,8 @@ ELECTION = "general-2026"
 
 def main() -> None:
     # One organization per party; a fair election demands EP {4 of 4}.
-    settings = OrderlessChainSettings(num_orgs=4, quorum=4, seed=7)
-    net = OrderlessChainNetwork(settings)
+    config = ExperimentConfig(num_orgs=4, quorum=4, seed=7, scale=1)
+    net = OrderlessChainNetwork(config)
     net.install_contract(lambda: VotingContract(parties_per_election=len(PARTIES)))
     print(f"election with {len(PARTIES)} parties, endorsement policy {net.policy}")
 

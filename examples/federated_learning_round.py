@@ -7,7 +7,8 @@ aggregate is identical on every replica regardless of arrival order.
 Run:  python examples/federated_learning_round.py
 """
 
-from repro import OrderlessChainNetwork, OrderlessChainSettings
+from repro import OrderlessChainNetwork
+from repro.bench.config import ExperimentConfig
 from repro.contracts import FederatedLearningContract
 
 MODEL = "mnist-cnn"
@@ -15,10 +16,10 @@ ROUND = 1
 
 
 def main() -> None:
-    settings = OrderlessChainSettings(num_orgs=4, quorum=2, seed=21)
-    net = OrderlessChainNetwork(settings)
+    config = ExperimentConfig(num_orgs=4, quorum=2, seed=21, scale=1)
+    net = OrderlessChainNetwork(config)
     net.install_contract(FederatedLearningContract)
-    print(f"federated learning registry on {settings.num_orgs} organizations\n")
+    print(f"federated learning registry on {config.num_orgs} organizations\n")
 
     trainers = [net.add_client(f"trainer{i}") for i in range(5)]
     rng = net.rng.stream("scenario")

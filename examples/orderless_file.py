@@ -9,7 +9,8 @@ tampered ledger is caught by the receipt's block hash (Section 4).
 Run:  python examples/orderless_file.py
 """
 
-from repro import OrderlessChainNetwork, OrderlessChainSettings
+from repro import OrderlessChainNetwork
+from repro.bench.config import ExperimentConfig
 from repro.core.audit import audit_receipt
 from repro.core.transaction import Receipt
 from repro.contracts import FileStorageContract
@@ -18,10 +19,10 @@ VOLUME = "team-share"
 
 
 def main() -> None:
-    settings = OrderlessChainSettings(num_orgs=4, quorum=2, seed=8)
-    net = OrderlessChainNetwork(settings)
+    config = ExperimentConfig(num_orgs=4, quorum=2, seed=8, scale=1)
+    net = OrderlessChainNetwork(config)
     net.install_contract(FileStorageContract)
-    print(f"OrderlessFile volume on {settings.num_orgs} organizations, policy {net.policy}\n")
+    print(f"OrderlessFile volume on {config.num_orgs} organizations, policy {net.policy}\n")
 
     alice = net.add_client("alice")
     bob = net.add_client("bob")

@@ -7,15 +7,16 @@ protocol, and shows that gossip converges all four replicas.
 Run:  python examples/quickstart.py
 """
 
-from repro import OrderlessChainNetwork, OrderlessChainSettings
+from repro import OrderlessChainNetwork
+from repro.bench.config import ExperimentConfig
 from repro.contracts import VotingContract
 
 
 def main() -> None:
     # 1. Build a permissioned network: 4 organizations, EP {2 of 4}.
-    settings = OrderlessChainSettings(num_orgs=4, quorum=2, seed=42)
-    net = OrderlessChainNetwork(settings)
-    print(f"network: {settings.num_orgs} organizations, endorsement policy {net.policy}")
+    config = ExperimentConfig(num_orgs=4, quorum=2, seed=42, scale=1)
+    net = OrderlessChainNetwork(config)
+    print(f"network: {config.num_orgs} organizations, endorsement policy {net.policy}")
     print(f"  safety tolerates  f <= {net.policy.safety_tolerance} Byzantine orgs")
     print(f"  liveness tolerates f <= {net.policy.liveness_tolerance} Byzantine orgs")
 

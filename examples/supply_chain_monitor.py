@@ -9,7 +9,8 @@ behaviour Section 3 describes, made concrete.
 Run:  python examples/supply_chain_monitor.py
 """
 
-from repro import OrderlessChainNetwork, OrderlessChainSettings
+from repro import OrderlessChainNetwork
+from repro.bench.config import ExperimentConfig
 from repro.core.client import ClientConfig
 from repro.contracts import SupplyChainContract
 
@@ -17,10 +18,10 @@ SHIPMENT = "vaccines-042"
 
 
 def main() -> None:
-    settings = OrderlessChainSettings(num_orgs=6, quorum=2, seed=9)
-    net = OrderlessChainNetwork(settings)
+    config = ExperimentConfig(num_orgs=6, quorum=2, seed=9, scale=1)
+    net = OrderlessChainNetwork(config)
     net.install_contract(lambda: SupplyChainContract(max_temperature=8.0))
-    print(f"supply chain on {settings.num_orgs} organizations, policy {net.policy}")
+    print(f"supply chain on {config.num_orgs} organizations, policy {net.policy}")
 
     client_config = ClientConfig(max_retries=6, avoid_byzantine=True, proposal_timeout=1.0)
     port_sensor = net.add_client("sensor-port", config=client_config)

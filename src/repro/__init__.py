@@ -22,10 +22,11 @@ reimplements the system and everything it is evaluated against:
 
 Quickstart::
 
-    from repro import OrderlessChainNetwork, OrderlessChainSettings
+    from repro import OrderlessChainNetwork
+    from repro.bench.config import ExperimentConfig
     from repro.contracts import VotingContract
 
-    net = OrderlessChainNetwork(OrderlessChainSettings(num_orgs=4, quorum=2))
+    net = OrderlessChainNetwork(ExperimentConfig(num_orgs=4, quorum=2, scale=1))
     net.install_contract(lambda: VotingContract(parties_per_election=2))
     voter = net.add_client("voter0")
     net.sim.process(voter.submit_modify(
@@ -43,7 +44,7 @@ from repro.core.contract import (
 )
 from repro.core.perf import PerfModel
 from repro.core.policy import EndorsementPolicy
-from repro.core.system import OrderlessChainNetwork, OrderlessChainSettings
+from repro.core.system import OrderlessChainNetwork
 
 __version__ = "1.0.0"
 
@@ -55,7 +56,6 @@ __all__ = [
     "ContractContext",
     "EndorsementPolicy",
     "OrderlessChainNetwork",
-    "OrderlessChainSettings",
     "PerfModel",
     "SmartContract",
     "__version__",

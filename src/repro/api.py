@@ -4,8 +4,7 @@ One import for the four things users actually do, spanning the
 subpackages without making callers learn their layout:
 
 * :func:`build_network` — construct the fully wired network of any
-  configured system (settings, contracts, channels, clients) without
-  running it;
+  configured system (contracts, channels, clients) without running it;
 * :func:`run_experiment` — build *any* configured system, drive its
   workload, and measure (:class:`~repro.bench.metrics.ExperimentResult`);
 * :func:`explore` — fuzz transaction interleavings and fault schedules
@@ -13,12 +12,11 @@ subpackages without making callers learn their layout:
 * :func:`report` — regenerate (or drift-check) the paper's
   figure/table catalog.
 
-The configuration types ride along: :class:`ExperimentConfig` (one
-declarative run description; ``channels=(ChannelSpec(...), ...)``
-deploys several applications on one network) and
-:class:`OrderlessChainSettings` (the constructor-level knobs), with
-:meth:`OrderlessChainSettings.from_config` as the single canonical
-conversion between them (see docs/API.md).
+The configuration types ride along: :class:`ExperimentConfig` is the
+one run description (``channels=(ChannelSpec(...), ...)`` deploys
+several applications on one network), and every network — the
+:class:`OrderlessChainNetwork` a library user builds by hand included —
+is built from it directly (see docs/API.md).
 
 Everything exported here is covered by the public-API surface snapshot
 test (``tests/bench/test_api_surface.py``): adding a name is a
@@ -32,7 +30,7 @@ from typing import Any, Optional, Sequence
 from repro.bench.config import ChannelSpec, ExperimentConfig
 from repro.bench.metrics import ExperimentResult
 from repro.bench.runner import build_network, run_experiment
-from repro.core.system import OrderlessChainNetwork, OrderlessChainSettings
+from repro.core.system import OrderlessChainNetwork
 from repro.explore import ExploreOutcome, explore
 
 
@@ -65,7 +63,6 @@ __all__ = [
     "ExperimentResult",
     "ExploreOutcome",
     "OrderlessChainNetwork",
-    "OrderlessChainSettings",
     "build_network",
     "explore",
     "report",

@@ -15,16 +15,17 @@ As in the paper, these are reimplementations of each system's
 *concepts* (the coordination structure that determines performance),
 not of every production feature. Each system file keeps only that
 structure; all four run on one skeleton in
-:mod:`repro.baselines.common` — one :class:`BaselineSettings`, one
-network shell (:class:`BaselineNetwork`), one ordered-log source with
-its repair protocol (:class:`~repro.baselines.common.OrderedLog`) and
-one client per pipeline shape (submit-and-await for BIDL and Sync
+:mod:`repro.baselines.common` — one network shell
+(:class:`BaselineNetwork`, built like every network straight from the
+:class:`~repro.bench.config.ExperimentConfig`), one ordered-log source
+with its repair protocol (:class:`~repro.baselines.common.OrderedLog`)
+and one client per pipeline shape (submit-and-await for BIDL and Sync
 HotStuff, endorse-order-await for the Fabric pair). :data:`BASELINES`
 maps each system name to its network class.
 """
 
 from repro.baselines.bidl import BIDLNetwork
-from repro.baselines.common import BaselineNetwork, BaselineSettings
+from repro.baselines.common import BaselineNetwork
 from repro.baselines.fabric import FabricNetwork
 from repro.baselines.fabric_crdt import FabricCRDTNetwork
 from repro.baselines.sync_hotstuff import SyncHotStuffNetwork
@@ -39,7 +40,6 @@ __all__ = [
     "BASELINES",
     "BIDLNetwork",
     "BaselineNetwork",
-    "BaselineSettings",
     "FabricCRDTNetwork",
     "FabricNetwork",
     "SyncHotStuffNetwork",

@@ -26,12 +26,11 @@ paper's BIDL read and modify latencies track each other).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro.baselines.common import (
     FABRIC_CONTRACTS,
     BaselineNetwork,
-    BaselineSettings,
     BatchServer,
     Nic,
     OrderedLog,
@@ -42,6 +41,9 @@ from repro.baselines.common import (
 from repro.errors import ConfigError
 from repro.net.message import Message
 from repro.sim.events import Event
+
+if TYPE_CHECKING:
+    from repro.bench.config import ExperimentConfig
 
 MSG_SUBMIT = "bidl.submit"
 MSG_SEQUENCED = "bidl.sequenced"
@@ -67,7 +69,7 @@ class BIDLOrg(Replica):
         # the sequencer's multicast duplicates.
         super().__init__(net, node_id, self._apply_sequenced, "seq")
         self.state = VersionedState()
-        self.contract = FABRIC_CONTRACTS[net.settings.app]()
+        self.contract = FABRIC_CONTRACTS[net.config.app]()
         self.executed: Dict[str, Any] = {}
         self.committed = 0
 
@@ -85,7 +87,7 @@ class BIDLOrg(Replica):
 
     def _apply_sequenced(self, txn: Dict[str, Any]):
         """Speculative execution, in parallel with consensus."""
-        perf = self.net.settings.perf
+        perf = self.net.perf
         started = self.net.sim.now
         yield self.cpu.serve(perf.bidl_execute_per_txn)
         if txn["kind"] == "read":
@@ -110,7 +112,7 @@ class BIDLOrg(Replica):
         )
 
     def _commit(self, message: Message):
-        perf = self.net.settings.perf
+        perf = self.net.perf
         for txn in message.body["transactions"]:
             started = self.net.sim.now
             yield self.cpu.serve(perf.hotstuff_commit_per_txn)
@@ -141,11 +143,11 @@ class BIDLNetwork(BaselineNetwork):
     client_class = SubmitClient
     msg_submit, msg_commit_event, txn_bytes = MSG_SUBMIT, MSG_COMMIT_EVENT, TXN_BYTES
 
-    def __init__(self, settings: BaselineSettings) -> None:
-        if settings.num_orgs < 4:
-            raise ConfigError(f"BIDL consensus needs >= 4 organizations, got {settings.num_orgs}")
-        super().__init__(settings)
-        perf = settings.perf
+    def __init__(self, config: ExperimentConfig) -> None:
+        if config.num_orgs < 4:
+            raise ConfigError(f"BIDL consensus needs >= 4 organizations, got {config.num_orgs}")
+        super().__init__(config)
+        perf = self.perf
         bandwidth = self.network.latency.bandwidth_bytes_per_s
         self._batch_ids = itertools.count()
         self._vote_state: Dict[int, Tuple[Event, int]] = {}
@@ -187,7 +189,7 @@ class BIDLNetwork(BaselineNetwork):
 
     @property
     def fault_tolerance(self) -> int:
-        return (self.settings.num_orgs - 1) // 3
+        return (self.config.num_orgs - 1) // 3
 
     @property
     def vote_quorum(self) -> int:
@@ -245,12 +247,11 @@ class BIDLNetwork(BaselineNetwork):
         yield  # pragma: no cover - marks this as a generator for BatchServer
 
     def _consensus_instance(self, batch: List[Dict[str, Any]]):
-        settings = self.settings
         batch_id = next(self._batch_ids)
         # Consensus carries ordering digests only: the payload was
         # already multicast by the sequencer (BIDL's key design).
         batch_bytes = 200 + 48 * len(batch)
-        for round_number in range(settings.perf.bidl_consensus_rounds):
+        for round_number in range(self.perf.bidl_consensus_rounds):
             yield self.leader_nic.transmit(batch_bytes * len(self.node_ids))
             votes = Event(self.sim)
             self._vote_state[batch_id] = (votes, self.vote_quorum)

@@ -5,12 +5,13 @@ ordering service, BIDL's sequencer and consensus leader, Sync
 HotStuff's leader, FabricCRDT's growing state objects); everything
 else is here, once:
 
-* :class:`BaselineSettings` — the one settings class; each network
-  validates the fields it reads.
-* :class:`BaselineNetwork` — the simulation shell: simulator, RNG
-  registry, network, explore install, recorder (which also feeds the
-  trace), the replica list, clients, observability, the convergence
-  check and the node surface the fault injector and oracles drive.
+* :class:`BaselineNetwork` — the baselines' network shell, built on
+  :class:`repro.core.system.NetworkShell` (the run's config and perf,
+  simulator, RNG registry, network, explore install, recorder, clients,
+  observability, ``run`` and the convergence check): the replica list,
+  per-node probes and the node surface the fault injector and oracles
+  drive. Every network reads the :class:`~repro.bench.config.ExperimentConfig`
+  it is built from.
 * :class:`Replica` — a replica node's CPU and its in-order application
   of the source's log.
 * :class:`OrderedLog` — the indexed log one source (orderer, sequencer,
@@ -42,19 +43,17 @@ else is here, once:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.core.perf import PerfModel
-from repro.core.recording import TransactionRecorder
-from repro.errors import ConfigError, ContractError
+from repro.core.system import NetworkShell
+from repro.errors import ContractError
 from repro.net.message import Message
-from repro.net.network import Network
 from repro.sim.core import Simulator
 from repro.sim.events import AnyOf, Event
-from repro.sim.nondeterminism import ExploreProfile
 from repro.sim.resources import Resource, Service
-from repro.sim.rng import RngRegistry
+
+if TYPE_CHECKING:
+    from repro.bench.config import ExperimentConfig
 
 # The paper times transactions out (and excludes them) after 240 s.
 COMMIT_TIMEOUT = 240.0
@@ -547,7 +546,7 @@ class Replica:
     ) -> None:
         self.net = net
         self.node_id = node_id
-        self.cpu = Resource(net.sim, capacity=net.settings.perf.vcpus)
+        self.cpu = Resource(net.sim, capacity=net.perf.vcpus)
         # The applier also dedups re-sent and duplicated entries and
         # repairs gaps after message loss, partitions, or a crash by
         # fetching from the source's log (see repro.faults).
@@ -568,109 +567,45 @@ class Replica:
         return self.cpu.utilization()
 
 
-@dataclass
-class BaselineSettings:
-    """Configuration of a baseline network.
-
-    Each network validates only the fields it reads: the Fabric pair
-    the quorum, BIDL and Sync HotStuff the organization count, Fabric
-    the orderer type, all four the app.
-    """
-
-    num_orgs: int = 8
-    quorum: int = 4
-    app: str = "voting"
-    seed: int = 0
-    perf: PerfModel = field(default_factory=PerfModel)
-    # Controlled nondeterminism for schedule exploration
-    # (repro.sim.nondeterminism); None keeps the golden-seed order.
-    explore: Optional[ExploreProfile] = None
-    # Fabric only. The paper benchmarks the Solo ordering service;
-    # "raft" models the crash-fault-tolerant production orderer (leader
-    # + followers, a block ships only after a majority of the cluster
-    # acknowledged it). The paper notes Raft is not BFT — neither
-    # variant tolerates a Byzantine orderer.
-    orderer_type: str = "solo"
-
-
-class BaselineNetwork:
-    """The simulation shell of a baseline network.
+class BaselineNetwork(NetworkShell):
+    """The network shell of a baseline system.
 
     A subclass names its ``system``, replica and client classes and its
     clients' wire vocabulary (message types, see the client classes),
-    validates the settings it reads, calls this constructor, then
+    checks any structural minimum it owns, calls this constructor, then
     builds its source: the :class:`OrderedLog` as ``log`` and its batch
     servers in ``queues`` (node id → server, sampled as
     ``node/queue/depth``).
     """
 
-    system = ""  # the name the runner, faults and checkers use
-    node_prefix = "org"
     replica_class: Callable[["BaselineNetwork", str], Replica]
     client_class: Callable[["BaselineNetwork", str], Any]
     log: OrderedLog
     queues: Dict[str, BatchServer]
 
-    def __init__(self, settings: BaselineSettings) -> None:
-        if settings.app not in FABRIC_CONTRACTS:
-            raise ConfigError(
-                f"unknown app {settings.app!r}; choose from {sorted(FABRIC_CONTRACTS)}"
-            )
-        self.settings = settings
-        self.sim = Simulator()
-        self.rng = RngRegistry(seed=settings.seed)
-        self.network = Network(self.sim, self.rng.stream("net"))
-        if settings.explore is not None:
-            # Before anything is scheduled, so heap keys stay homogeneous.
-            settings.explore.install(self.sim, self.network)
-        self.recorder = TransactionRecorder()
+    def __init__(self, config: ExperimentConfig) -> None:
+        super().__init__(config)
         self.replicas = [
             self.replica_class(self, f"{self.node_prefix}{index}")
-            for index in range(settings.num_orgs)
+            for index in range(config.num_orgs)
         ]
         self._nodes = {replica.node_id: replica for replica in self.replicas}
         self.node_ids = list(self._nodes)
-        self.clients: List[Any] = []
 
-    def attach_observability(self, obs) -> None:
-        """Wire a :class:`repro.obs.Observability` into this network."""
-        self.recorder.trace = self.network.tracer = obs.recorder
-        sampler = obs.bind(self.sim)
-        if sampler is not None:
-            for replica in self.replicas:
-                sampler.watch_resource(replica.node_id, "cpu", replica.cpu)
-            for node_id, server in self.queues.items():
-                sampler.watch_gauge(
-                    node_id, "node/queue/depth", lambda server=server: server.queue_length
-                )
-            sampler.watch_network(self.network)
-            sampler.start()
+    def _watch_nodes(self, sampler) -> None:
+        for replica in self.replicas:
+            sampler.watch_resource(replica.node_id, "cpu", replica.cpu)
+        for node_id, server in self.queues.items():
+            sampler.watch_gauge(
+                node_id, "node/queue/depth", lambda server=server: server.queue_length
+            )
 
     def add_client(self, name: Optional[str] = None):
         client = self.client_class(self, name or f"client{len(self.clients)}")
         self.clients.append(client)
         return client
 
-    def start(self) -> None:
-        """Nothing to launch: a baseline's loops start at construction."""
-
-    def run(self, until: float) -> None:
-        self.sim.run(until=until)
-
-    def converged(self) -> bool:
-        """All replicas hold identical state (they apply the same log)."""
-        snapshots = [replica.state_snapshot() for replica in self.replicas]
-        return all(snapshot == snapshots[0] for snapshot in snapshots)
-
     # -- the node surface: fault injection, oracles, fingerprints (docs/FAULTS.md)
-
-    def node(self, node_id: str) -> Replica:
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise ConfigError(
-                f"{self.system}: unknown node {node_id!r}; valid: {sorted(self._nodes)}"
-            ) from None
 
     def crash(self, node_id: str) -> None:
         """Fail-stop one replica: the network drops its sends and its
@@ -772,7 +707,6 @@ class SubmitClient:
 __all__ = [
     "COMMIT_TIMEOUT",
     "BaselineNetwork",
-    "BaselineSettings",
     "BatchServer",
     "InOrderApplier",
     "OrderedLog",

@@ -15,22 +15,23 @@ The coordination structure that the paper measures:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro.baselines.common import (
     COMMIT_TIMEOUT,
     FABRIC_CONTRACTS,
     BaselineNetwork,
-    BaselineSettings,
     BatchServer,
     FabricStyleContract,
     OrderedLog,
     Replica,
     VersionedState,
 )
-from repro.errors import ConfigError
 from repro.net.message import Message
 from repro.sim.events import AnyOf, Event
+
+if TYPE_CHECKING:
+    from repro.bench.config import ExperimentConfig
 
 MSG_PROPOSAL = "fabric.proposal"
 MSG_ENDORSEMENT = "fabric.endorsement"
@@ -57,7 +58,7 @@ class FabricPeer(Replica):
         # block k before k+1 (MVCC verdicts depend on it).
         super().__init__(net, node_id, self._apply_block, "blocks")
         self.state = VersionedState()
-        self.contract: FabricStyleContract = FABRIC_CONTRACTS[net.settings.app]()
+        self.contract: FabricStyleContract = FABRIC_CONTRACTS[net.config.app]()
         self.committed_valid = 0
         self.committed_invalid = 0
 
@@ -76,7 +77,7 @@ class FabricPeer(Replica):
     def _endorse(self, message: Message):
         arrived = self.net.sim.now
         body = message.body
-        yield self.cpu.serve(self.net.settings.perf.fabric_endorse)
+        yield self.cpu.serve(self.net.perf.fabric_endorse)
         read_set, write_set = self.contract.simulate(self.state, body["params"])
         self.net.recorder.phase(
             "fabric/P1/Endorse", arrived, self.net.sim.now, node=self.node_id, txn_id=body["txn_id"]
@@ -96,7 +97,7 @@ class FabricPeer(Replica):
         )
 
     def _apply_block(self, transactions: List[Dict[str, Any]]):
-        perf = self.net.settings.perf
+        perf = self.net.perf
         for txn in transactions:
             arrived = self.net.sim.now
             yield self.cpu.serve(perf.fabric_validate_per_txn)
@@ -127,7 +128,7 @@ class FabricPeer(Replica):
             )
 
     def _read(self, message: Message):
-        yield self.cpu.serve(self.net.settings.perf.fabric_endorse)
+        yield self.cpu.serve(self.net.perf.fabric_endorse)
         value = self.contract.read(self.state, message.body["params"])
         self.net.network.send(
             Message(
@@ -190,7 +191,7 @@ class FabricClient:
         Returns the peers and their replies (None on timeout).
         """
         sim = self.net.sim
-        quorum = self.net.settings.quorum
+        quorum = self.net.config.quorum
         peers = self.rng.sample(self.net.node_ids, quorum)
         event = Event(sim)
         self._pending[txn_id] = (event, [], quorum)
@@ -201,7 +202,7 @@ class FabricClient:
                     recipient=peer_id,
                     msg_type=msg_type,
                     body={"txn_id": txn_id, "params": params},
-                    size_bytes=self.net.settings.perf.proposal_bytes,
+                    size_bytes=self.net.perf.proposal_bytes,
                 )
             )
         winner = yield AnyOf(sim, [event, sim.timeout(self.reply_timeout)])
@@ -280,13 +281,9 @@ class FabricNetwork(BaselineNetwork):
     msg_proposal, msg_read, msg_order = MSG_PROPOSAL, MSG_READ, MSG_ORDER
     client_replies = (MSG_ENDORSEMENT, MSG_READ_RESPONSE, MSG_COMMIT_EVENT)
 
-    def __init__(self, settings: BaselineSettings) -> None:
-        if not 0 < settings.quorum <= settings.num_orgs:
-            raise ConfigError(f"need 0 < q <= n, got q={settings.quorum}, n={settings.num_orgs}")
-        if settings.orderer_type not in ("solo", "raft"):
-            raise ConfigError(f"orderer_type must be 'solo' or 'raft', got {settings.orderer_type!r}")
-        super().__init__(settings)
-        perf = settings.perf
+    def __init__(self, config: ExperimentConfig) -> None:
+        super().__init__(config)
+        perf = self.perf
         self._orderer_arrivals: Dict[str, float] = {}
         self.orderer = BatchServer(
             self.sim,
@@ -294,7 +291,7 @@ class FabricNetwork(BaselineNetwork):
             batch_timeout=perf.fabric_batch_timeout,
             max_batch=perf.fabric_max_batch,
             on_batch=self._broadcast_block,
-            name=f"{settings.orderer_type}-orderer",
+            name=f"{config.orderer_type}-orderer",
         )
         self.queues = {ORDERER_ID: self.orderer}
         self.log = OrderedLog(
@@ -309,7 +306,7 @@ class FabricNetwork(BaselineNetwork):
         )
         self._raft_acks: dict = {}
         self._raft_block_ids = 0
-        if settings.orderer_type == "raft":
+        if config.orderer_type == "raft":
             for index in range(RAFT_FOLLOWERS):
                 self.network.register(
                     f"{ORDERER_ID}-follower{index}", self._follower_receive
@@ -367,7 +364,7 @@ class FabricNetwork(BaselineNetwork):
 
     def _broadcast_block(self, batch: List[Dict[str, Any]]):
         """Deliver a cut block to every peer."""
-        if self.settings.orderer_type == "raft":
+        if self.config.orderer_type == "raft":
             yield from self._replicate_to_followers(200 + 100 * len(batch))
         now = self.sim.now
         for txn in batch:

@@ -22,19 +22,20 @@ Consequences modeled here:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro.baselines.common import (
     BaselineNetwork,
-    BaselineSettings,
     BatchServer,
     OrderedLog,
     Replica,
 )
 from repro.baselines.fabric import FabricClient
 from repro.crdt.json_crdt import JSONCRDTDocument
-from repro.errors import ConfigError
 from repro.net.message import Message
+
+if TYPE_CHECKING:
+    from repro.bench.config import ExperimentConfig
 
 MSG_PROPOSAL = "fabriccrdt.proposal"
 MSG_ENDORSEMENT = "fabriccrdt.endorsement"
@@ -132,10 +133,10 @@ class FabricCRDTPeer(Replica):
             self.net.sim.process(self._read(message), name=f"{self.node_id}.read")
 
     def _endorse(self, message: Message):
-        perf = self.net.settings.perf
+        perf = self.net.perf
         arrived = self.net.sim.now
         body = message.body
-        updates = APP_UPDATES[self.net.settings.app](body["params"])
+        updates = APP_UPDATES[self.net.config.app](body["params"])
         # Retrieving the entire object costs time proportional to its
         # accumulated update history (state-based CRDT).
         history = sum(self.document_size(key) for key, _, _ in updates)
@@ -161,7 +162,7 @@ class FabricCRDTPeer(Replica):
         )
 
     def _apply_block(self, transactions: List[Dict[str, Any]]):
-        perf = self.net.settings.perf
+        perf = self.net.perf
         for txn in transactions:
             arrived = self.net.sim.now
             history = sum(self.document_size(key) for key, _, _ in txn["updates"])
@@ -193,9 +194,9 @@ class FabricCRDTPeer(Replica):
                 )
 
     def _read(self, message: Message):
-        perf = self.net.settings.perf
+        perf = self.net.perf
         yield self.cpu.serve(perf.fabric_endorse)
-        value = read_value(self.documents, self.net.settings.app, message.body["params"])
+        value = read_value(self.documents, self.net.config.app, message.body["params"])
         self.net.network.send(
             Message(
                 sender=self.node_id,
@@ -223,7 +224,7 @@ class FabricCRDTClient(FabricClient):
             "event_peer": peers[0],
         }
         # The transaction carries the whole (retrieved) object.
-        return transaction, 400 + self.net.settings.perf.fabriccrdt_bytes_per_update * history
+        return transaction, 400 + self.net.perf.fabriccrdt_bytes_per_update * history
 
     def _judge(self, txn_id: str, event: Dict[str, Any]) -> bool:
         # No MVCC validation: every ordered transaction merges.
@@ -241,11 +242,9 @@ class FabricCRDTNetwork(BaselineNetwork):
     msg_proposal, msg_read, msg_order = MSG_PROPOSAL, MSG_READ, MSG_ORDER
     client_replies = (MSG_ENDORSEMENT, MSG_READ_RESPONSE, MSG_COMMIT_EVENT)
 
-    def __init__(self, settings: BaselineSettings) -> None:
-        if not 0 < settings.quorum <= settings.num_orgs:
-            raise ConfigError(f"need 0 < q <= n, got q={settings.quorum}, n={settings.num_orgs}")
-        super().__init__(settings)
-        perf = settings.perf
+    def __init__(self, config: ExperimentConfig) -> None:
+        super().__init__(config)
+        perf = self.perf
         self.orderer = BatchServer(
             self.sim,
             per_item=perf.fabric_orderer_per_txn,

@@ -21,12 +21,11 @@ Sync HotStuff read/modify latencies track each other.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import TYPE_CHECKING, Any, Dict, List
 
 from repro.baselines.common import (
     FABRIC_CONTRACTS,
     BaselineNetwork,
-    BaselineSettings,
     BatchServer,
     Nic,
     OrderedLog,
@@ -36,6 +35,9 @@ from repro.baselines.common import (
 )
 from repro.errors import ConfigError
 from repro.net.message import Message
+
+if TYPE_CHECKING:
+    from repro.bench.config import ExperimentConfig
 
 MSG_SUBMIT = "hotstuff.submit"
 MSG_PROPOSE = "hotstuff.propose"
@@ -57,7 +59,7 @@ class SyncHotStuffOrg(Replica):
         # the leader's log).
         super().__init__(net, node_id, self._apply_proposal, "proposals")
         self.state = VersionedState()
-        self.contract = FABRIC_CONTRACTS[net.settings.app]()
+        self.contract = FABRIC_CONTRACTS[net.config.app]()
         self.committed = 0
 
     def _on_message(self, message: Message) -> None:
@@ -68,7 +70,7 @@ class SyncHotStuffOrg(Replica):
             # Commit is 2Δ after *receipt*; stamp the deadline now so
             # the in-order applier can wait out whatever remains when
             # this proposal's turn comes.
-            ready_at = self.net.sim.now + 2 * self.net.settings.perf.hotstuff_delta
+            ready_at = self.net.sim.now + 2 * self.net.perf.hotstuff_delta
             if not self.applier.offer(body["index"], (body["transactions"], ready_at)):
                 return
             # Vote only on first receipt; under synchrony every correct
@@ -87,7 +89,7 @@ class SyncHotStuffOrg(Replica):
 
     def _apply_proposal(self, entry):
         transactions, ready_at = entry
-        perf = self.net.settings.perf
+        perf = self.net.perf
         if ready_at > self.net.sim.now:
             yield self.net.sim.timeout(ready_at - self.net.sim.now)
         for txn in transactions:
@@ -127,17 +129,17 @@ class SyncHotStuffNetwork(BaselineNetwork):
     client_class = SubmitClient
     msg_submit, msg_commit_event, txn_bytes = MSG_SUBMIT, MSG_COMMIT_EVENT, TXN_BYTES
 
-    def __init__(self, settings: BaselineSettings) -> None:
-        if settings.num_orgs < 2:
-            raise ConfigError(f"need at least 2 organizations, got {settings.num_orgs}")
-        super().__init__(settings)
+    def __init__(self, config: ExperimentConfig) -> None:
+        if config.num_orgs < 2:
+            raise ConfigError(f"need at least 2 organizations, got {config.num_orgs}")
+        super().__init__(config)
         self._batch_counter = 0
         self._submit_arrivals: Dict[str, float] = {}
         self.leader_nic = Nic(self.sim, self.network.latency.bandwidth_bytes_per_s)
         self.leader = BatchServer(
             self.sim,
-            per_item=settings.perf.hotstuff_leader_per_txn,
-            batch_timeout=settings.perf.hotstuff_batch_interval,
+            per_item=self.perf.hotstuff_leader_per_txn,
+            batch_timeout=self.perf.hotstuff_batch_interval,
             max_batch=100000,
             on_batch=self._propose_batch,
             name="hotstuff-leader",

@@ -83,14 +83,23 @@ class ExperimentConfig:
     # OrderlessChain knobs.
     gossip_interval: float = 1.0
     gossip_fanout: int = 1
+    gossip_ttl: int = 3
+    # Anti-entropy: a periodic digest exchange with a random peer, so
+    # replicas reconcile even after push-gossip rounds are spent (e.g.
+    # across a healed partition). 0 disables it.
+    sync_interval: float = 5.0
     cache_enabled: bool = True
+    # "simulated" (keyed digests) or "ed25519" (real signatures).
+    signature_scheme: str = "simulated"
     max_retries: int = 0
     avoid_byzantine: bool = False
     # Adaptive resilience layer (docs/RESILIENCE.md): RTT-aware
-    # timeouts, hedged solicitation, per-org circuit breakers, and —
-    # with a positive snapshot_interval — snapshot-based crash
-    # recovery. Off by default (legacy fixed-timeout behavior).
+    # timeouts, hedged solicitation, per-org circuit breakers. Off by
+    # default (the paper's fixed-timeout client).
     resilience: bool = False
+    # Snapshot-based crash recovery (docs/RESILIENCE.md); 0 takes no
+    # checkpoints, so a recovering organization announces its digest
+    # to every peer instead of replaying a delta.
     snapshot_interval: float = 0.0
     # Workload skew (Table 2 row 8): None = uniform; otherwise relative
     # per-organization weights.
@@ -145,9 +154,21 @@ class ExperimentConfig:
             raise ConfigError(f"scale must be positive, got {self.scale}")
         if self.duration <= 0 or self.drain < 0:
             raise ConfigError(f"need duration > 0, drain >= 0; got {self.duration}, {self.drain}")
-        for name in ("obj_count", "ops_per_obj", "parties"):
+        if self.arrival_rate <= 0:
+            raise ConfigError(f"arrival_rate must be positive, got {self.arrival_rate}")
+        for name in (
+            "num_clients", "obj_count", "ops_per_obj", "object_pool", "elections", "parties",
+            "auctions", "gossip_ttl",
+        ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.gossip_interval <= 0:
+            raise ConfigError(f"gossip_interval must be > 0, got {self.gossip_interval}")
+        if self.gossip_fanout < 0:
+            raise ConfigError(f"gossip_fanout must be >= 0, got {self.gossip_fanout}")
+        for name in ("sync_interval", "snapshot_interval"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0 (0 disables), got {getattr(self, name)}")
         if self.crdt_type not in SYNTHETIC_CRDT_TYPES:
             raise ConfigError(
                 f"unknown crdt_type {self.crdt_type!r}; choose from {SYNTHETIC_CRDT_TYPES}"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.baselines import BASELINES, BaselineSettings
+from repro.baselines import BASELINES
 from repro.bench.config import ChannelSpec, ExperimentConfig
 from repro.bench.metrics import ExperimentResult, compute_result
 from repro.bench.workload import ChannelWorkload, make_workload
@@ -27,8 +27,7 @@ from repro.contracts.synthetic import SyntheticContract
 from repro.contracts.voting import VotingContract
 from repro.core.byzantine import ByzantineClientConfig
 from repro.core.channel import DEFAULT_CHANNEL
-from repro.core.system import OrderlessChainNetwork, OrderlessChainSettings
-from repro.errors import ConfigError
+from repro.core.system import OrderlessChainNetwork
 from repro.obs import Observability
 
 
@@ -46,8 +45,6 @@ def _drive(net, config: ExperimentConfig, label: str, rate: float) -> None:
     names (``<label>.``). The implicit default channel's empty label
     keeps the historical ``workload`` stream and names.
     """
-    if rate <= 0:
-        raise ConfigError(f"arrival rate must be positive, got {rate}")
     workload = make_workload(config)
     if label:
         workload = ChannelWorkload(label, workload)
@@ -79,29 +76,18 @@ def _contract_factory(app: str, config: ExperimentConfig):
     return AuctionContract
 
 
+# System name (``ExperimentConfig.system``) → network class.
+NETWORKS = {OrderlessChainNetwork.system: OrderlessChainNetwork, **BASELINES}
+
+
 def build_network(config: ExperimentConfig, obs: Optional[Observability] = None):
     """Construct the fully wired, not yet started network of ``config.system``.
 
-    OrderlessChain gets its settings via the canonical
-    :meth:`~repro.core.OrderlessChainSettings.from_config` conversion,
-    one contract per channel and any Byzantine windows; a baseline gets
-    its :class:`~repro.baselines.BaselineSettings`. Both get
-    ``config.effective_clients`` clients.
+    The network is built from ``config`` itself. OrderlessChain also
+    gets one contract per channel and any Byzantine windows; every
+    system gets ``config.effective_clients`` clients.
     """
-    if config.system == OrderlessChainNetwork.system:
-        net = OrderlessChainNetwork(OrderlessChainSettings.from_config(config))
-    else:
-        net = BASELINES[config.system](
-            BaselineSettings(
-                num_orgs=config.num_orgs,
-                quorum=config.quorum,
-                app=config.app,
-                seed=config.seed,
-                perf=config.perf(),
-                explore=config.explore,
-                orderer_type=config.orderer_type,
-            )
-        )
+    net = NETWORKS[config.system](config)
     if obs is not None:
         net.attach_observability(obs)
     if config.system == OrderlessChainNetwork.system:

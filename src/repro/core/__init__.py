@@ -10,7 +10,7 @@ from repro.core.organization import Organization
 from repro.core.perf import PerfModel
 from repro.core.policy import EndorsementPolicy
 from repro.core.recording import TransactionRecorder
-from repro.core.system import OrderlessChainNetwork, OrderlessChainSettings
+from repro.core.system import OrderlessChainNetwork
 from repro.core.transaction import (
     Endorsement,
     Proposal,
@@ -27,7 +27,6 @@ __all__ = [
     "Endorsement",
     "EndorsementPolicy",
     "OrderlessChainNetwork",
-    "OrderlessChainSettings",
     "Organization",
     "PerfModel",
     "Proposal",

@@ -34,7 +34,8 @@ from repro.sim.core import Simulator
 from repro.sim.resources import Lock, Resource
 
 if TYPE_CHECKING:
-    from repro.core.system import OrderlessChainSettings
+    from repro.bench.config import ExperimentConfig
+    from repro.core.perf import PerfModel
 
 MSG_PROPOSAL = "orderless.proposal"
 MSG_ENDORSEMENT = "orderless.endorsement"
@@ -70,7 +71,8 @@ class Organization:
         identity: Identity,
         ca: CertificateAuthority,
         policy: EndorsementPolicy,
-        settings: OrderlessChainSettings,
+        config: ExperimentConfig,
+        perf: PerfModel,
         rng: random.Random,
         recorder: TransactionRecorder,
     ) -> None:
@@ -80,9 +82,9 @@ class Organization:
         self.ca = ca
         self.policy = policy
         # Gossip, anti-entropy, snapshot and cache knobs are read from
-        # the validated settings the network was built from.
-        self.settings = settings
-        self.perf = settings.perf
+        # the run's config; ``perf`` is its scaled cost model.
+        self.config = config
+        self.perf = perf
         self.rng = rng
         self.recorder = recorder
         # Per-channel sharded state (repro.core.channel): each channel
@@ -105,7 +107,7 @@ class Organization:
         # time as per-client watermarks + gap ranges, so no sync call
         # site ever sorts or copies the full set.
         # Snapshot-based crash recovery (docs/RESILIENCE.md): with a
-        # positive ``settings.snapshot_interval``, a background loop
+        # positive ``config.snapshot_interval``, a background loop
         # periodically checkpoints the committed count; recover() then
         # replays only the delta since the checkpoint and
         # runs *targeted* anti-entropy instead of the full-broadcast
@@ -154,7 +156,7 @@ class Organization:
         """Create (or return) the named channel's state shard."""
         channel = self.channels.get(channel_id)
         if channel is None:
-            channel = ChannelState(channel_id, cache_enabled=self.settings.cache_enabled)
+            channel = ChannelState(channel_id, cache_enabled=self.config.cache_enabled)
             self.channels[channel_id] = channel
         return channel
 
@@ -178,9 +180,9 @@ class Organization:
     def start(self) -> None:
         """Launch background processes: gossip (step 5) + anti-entropy."""
         self.sim.process(self._gossip_loop(), name=f"{self.org_id}.gossip")
-        if self.settings.sync_interval > 0:
+        if self.config.sync_interval > 0:
             self.sim.process(self._antientropy_loop(), name=f"{self.org_id}.sync")
-        if self.settings.snapshot_interval > 0:
+        if self.config.snapshot_interval > 0:
             self.sim.process(self._snapshot_loop(), name=f"{self.org_id}.snapshot")
 
     # -- message dispatch -------------------------------------------------
@@ -388,7 +390,7 @@ class Organization:
             block = ledger.commit(
                 transaction.transaction_id, operations, wire, valid=True
             )
-            channel.gossip_backlog.append((wire, self.settings.gossip_ttl))
+            channel.gossip_backlog.append((wire, self.config.gossip_ttl))
             channel.watermarks.add(txn_id)
             if via_gossip:
                 channel.gossip_commits += 1
@@ -486,7 +488,7 @@ class Organization:
 
     def _gossip_loop(self):
         while True:
-            yield self.sim.timeout(self.settings.gossip_interval)
+            yield self.sim.timeout(self.config.gossip_interval)
             if self.crashed or not self.peer_ids:
                 continue
             # Each channel gossips its own backlog with its own fanout
@@ -508,7 +510,7 @@ class Organization:
                     and self.rng.random() < self.byzantine.suppress_gossip_probability
                 ):
                     continue
-                fanout = min(self.settings.gossip_fanout, len(self.peer_ids))
+                fanout = min(self.config.gossip_fanout, len(self.peer_ids))
                 targets = self.rng.sample(self.peer_ids, fanout)
                 size = sum(
                     self.perf.gossip_txn_base_bytes
@@ -601,7 +603,7 @@ class Organization:
         what it is missing and receives it as a gossip batch.
         """
         while True:
-            yield self.sim.timeout(self.settings.sync_interval)
+            yield self.sim.timeout(self.config.sync_interval)
             if self.crashed or not self.peer_ids:
                 continue
             if (
@@ -784,7 +786,7 @@ class Organization:
         Each channel checkpoints independently.
         """
         while True:
-            yield self.sim.timeout(self.settings.snapshot_interval)
+            yield self.sim.timeout(self.config.snapshot_interval)
             if self.crashed:
                 continue
             for channel in self.channels.values():
@@ -816,7 +818,7 @@ class Organization:
         to replay, so it announces its digest to every peer instead
         (:meth:`resync`).
         """
-        if self.settings.snapshot_interval > 0 and any(
+        if self.config.snapshot_interval > 0 and any(
             channel.snapshot is not None for channel in self.channels.values()
         ):
             self.crashed = False

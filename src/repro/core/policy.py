@@ -9,8 +9,6 @@ and live iff ``n - q >= f`` (Theorem 8.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping
-
 from repro.errors import PolicyError
 
 
@@ -42,31 +40,11 @@ class EndorsementPolicy:
         """Maximum Byzantine organizations under which liveness holds (n-q)."""
         return self.total - self.quorum
 
-    def is_safe_under(self, faulty: int) -> bool:
-        """Safety holds iff ``q >= f + 1``."""
-        return self.quorum >= faulty + 1
-
-    def is_live_under(self, faulty: int) -> bool:
-        """Liveness holds iff ``n - q >= f``."""
-        return self.total - self.quorum >= faulty
-
     # -- checks used by the protocol --------------------------------------
 
     def satisfied_by(self, endorsement_count: int) -> bool:
         """Whether a set of (distinct, valid) endorsements meets the policy."""
         return endorsement_count >= self.quorum
-
-    def partition_available(self, partition_size: int) -> bool:
-        """CAP discussion (Section 3): a partition stays available iff it
-        contains at least ``q`` organizations."""
-        return partition_size >= self.quorum
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {"quorum": self.quorum, "total": self.total}
-
-    @classmethod
-    def from_wire(cls, wire: Mapping[str, Any]) -> "EndorsementPolicy":
-        return cls(quorum=int(wire["quorum"]), total=int(wire["total"]))
 
 
 __all__ = ["EndorsementPolicy"]

@@ -1,143 +1,137 @@
-"""Assemble a complete OrderlessChain network.
+"""Assemble a complete network from one :class:`~repro.bench.config.ExperimentConfig`.
 
-:class:`OrderlessChainNetwork` wires the simulator, RNG streams, the
-certificate authority, the WAN, ``n`` organizations, and any number of
-clients into a runnable system, and provides the helpers experiments
-need: Byzantine window scheduling, convergence checks, final-state
-access, and the node surface the fault injector and oracles drive.
+:class:`NetworkShell` is what every built network shares, whatever the
+system: the run's config and its scaled :class:`PerfModel` (computed
+once), the simulator, the RNG registry, the WAN, the explore install,
+the recorder, clients, the node lookup, ``run``, the convergence check
+and the trace-and-sampler half of observability.
+:class:`OrderlessChainNetwork` adds the certificate authority, ``n``
+organizations and the helpers experiments need: Byzantine window
+scheduling, final-state access, and the node surface the fault
+injector and oracles drive. The baselines' shell
+(:class:`repro.baselines.common.BaselineNetwork`) is the other
+subclass.
+
+A network reads the config directly; ``ExperimentConfig.__post_init__``
+is the one place a run is validated. Only a structural minimum a
+system owns (BIDL's ``n >= 4``, Sync HotStuff's ``n >= 2``) is checked
+in that system's constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.core.byzantine import ByzantineClientConfig, ByzantineOrgConfig
 from repro.core.channel import DEFAULT_CHANNEL
 from repro.core.client import Client, ClientConfig
 from repro.core.organization import Organization
-from repro.core.perf import PerfModel
 from repro.core.policy import EndorsementPolicy
 from repro.core.recording import TransactionRecorder
+from repro.crypto.identity import CertificateAuthority
 from repro.errors import ConfigError
 from repro.ledger.ledger import Ledger
-from repro.net.latency import LatencyModel, LinkFaults
 from repro.net.network import Network
-from repro.crypto.identity import CertificateAuthority
+from repro.resilience import ResilienceConfig
 from repro.sim.core import Simulator
-from repro.sim.nondeterminism import ExploreProfile
 from repro.sim.rng import RngRegistry
 
-
-@dataclass
-class OrderlessChainSettings:
-    """Everything needed to build a network."""
-
-    num_orgs: int = 4
-    quorum: int = 2
-    seed: int = 0
-    signature_scheme: str = "simulated"
-    perf: PerfModel = field(default_factory=PerfModel)
-    latency: LatencyModel = field(default_factory=LatencyModel)
-    faults: LinkFaults = field(default_factory=LinkFaults)
-    gossip_interval: float = 1.0
-    gossip_fanout: int = 1
-    gossip_ttl: int = 3
-    # Anti-entropy: a periodic digest exchange with a random peer, so
-    # replicas reconcile even after push-gossip rounds are spent (e.g.
-    # across a healed partition). 0 disables it.
-    sync_interval: float = 5.0
-    # Snapshot-based crash recovery (docs/RESILIENCE.md); 0 takes no
-    # checkpoints, so a recovering organization announces its digest
-    # to every peer instead of replaying a delta.
-    snapshot_interval: float = 0.0
-    cache_enabled: bool = True
-    client_config: ClientConfig = field(default_factory=ClientConfig)
-    # Controlled nondeterminism for schedule exploration
-    # (repro.sim.nondeterminism): permute same-time event ties and/or
-    # jitter message delivery. None keeps the historical, golden-seed
-    # -pinned event order.
-    explore: Optional[ExploreProfile] = None
-
-    def __post_init__(self) -> None:
-        if self.num_orgs < 1:
-            raise ConfigError(f"need at least one organization, got {self.num_orgs}")
-        if not 0 < self.quorum <= self.num_orgs:
-            raise ConfigError(
-                f"endorsement policy needs 0 < q <= n, got q={self.quorum}, n={self.num_orgs}"
-            )
-        if self.gossip_interval <= 0:
-            raise ConfigError(f"gossip_interval must be > 0, got {self.gossip_interval}")
-        if self.gossip_fanout < 0:
-            raise ConfigError(f"gossip_fanout must be >= 0, got {self.gossip_fanout}")
-        if self.gossip_ttl < 1:
-            raise ConfigError(f"gossip_ttl must be >= 1, got {self.gossip_ttl}")
-        for name in ("sync_interval", "snapshot_interval"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0 (0 disables), got {getattr(self, name)}")
-
-    @classmethod
-    def from_config(cls, config, **overrides) -> "OrderlessChainSettings":
-        """The canonical ``ExperimentConfig`` → settings conversion.
-
-        Every runner that builds an OrderlessChain network from a bench
-        config goes through here (``repro.bench.runner``, the
-        ``repro.api`` facade) — there is exactly one place that
-        knows how the two configuration layers map onto each other.
-        ``config`` is duck-typed (any object with the
-        ``ExperimentConfig`` knob attributes works), which keeps the
-        core layer free of a ``repro.bench`` import. ``overrides``
-        replace individual settings fields after the mapping (e.g.
-        ``sync_interval`` for benchmarks).
-        """
-        from repro.resilience import ResilienceConfig
-
-        kwargs = dict(
-            num_orgs=config.num_orgs,
-            quorum=config.quorum,
-            seed=config.seed,
-            perf=config.perf(),
-            gossip_interval=config.gossip_interval,
-            gossip_fanout=config.gossip_fanout,
-            snapshot_interval=config.snapshot_interval,
-            cache_enabled=config.cache_enabled,
-            explore=config.explore,
-            client_config=ClientConfig(
-                max_retries=config.max_retries,
-                avoid_byzantine=config.avoid_byzantine,
-                org_weights=config.org_weights,
-                resilience=ResilienceConfig() if config.resilience else None,
-            ),
-        )
-        kwargs.update(overrides)
-        return cls(**kwargs)
+if TYPE_CHECKING:
+    from repro.bench.config import ExperimentConfig
 
 
-class OrderlessChainNetwork:
-    """A built network: simulator + organizations + clients."""
+class NetworkShell:
+    """The simulation shell every system's network is built on.
 
-    system = "orderlesschain"  # the name the runner, faults and checkers use
+    A subclass names its ``system``, calls this constructor, then
+    builds its nodes into ``_nodes`` (node id → node, each with a
+    ``state_snapshot()``) and ``node_ids``, and registers its per-node
+    probes in :meth:`_watch_nodes`.
+    """
+
+    system = ""  # the name the runner, faults and checkers use
     node_prefix = "org"
+    _nodes: Dict[str, Any]
+    node_ids: List[str]
 
-    def __init__(self, settings: OrderlessChainSettings) -> None:
-        self.settings = settings
+    def __init__(self, config: ExperimentConfig) -> None:
+        if config.system != self.system:
+            raise ConfigError(
+                f"{type(self).__name__} builds {self.system!r}, got a {config.system!r} config"
+            )
+        self.config = config
+        self.perf = config.perf()
         self.sim = Simulator()
-        self.rng = RngRegistry(seed=settings.seed)
-        self.ca = CertificateAuthority(scheme=settings.signature_scheme)
-        self.network = Network(
-            self.sim,
-            self.rng.stream("net"),
-            latency=settings.latency,
-            faults=settings.faults,
-        )
-        if settings.explore is not None:
+        self.rng = RngRegistry(seed=config.seed)
+        self.network = Network(self.sim, self.rng.stream("net"))
+        if config.explore is not None:
             # Must happen before anything is scheduled (the simulator
             # enforces this) so every event carries a homogeneous key.
-            settings.explore.install(self.sim, self.network)
-        self.policy = EndorsementPolicy(settings.quorum, settings.num_orgs)
+            config.explore.install(self.sim, self.network)
         self.recorder = TransactionRecorder()
+        self.clients: List[Any] = []
+
+    def attach_observability(self, obs) -> None:
+        """Wire a :class:`repro.obs.Observability` into the network.
+
+        Points the run's recorder (which every node and client reports
+        to) and the network at the trace, and — when sampling is
+        enabled — registers the system's per-node probes plus network
+        counters with the sampler. Call before :meth:`run`; safe to
+        skip entirely, in which case the run is untraced.
+        """
+        self.recorder.trace = self.network.tracer = obs.recorder
+        sampler = obs.bind(self.sim)
+        if sampler is not None:
+            self._watch_nodes(sampler)
+            sampler.watch_network(self.network)
+            sampler.start()
+
+    def _watch_nodes(self, sampler) -> None:
+        """Register this system's per-node probes with ``sampler``."""
+        raise NotImplementedError
+
+    def start(self) -> None:
+        """Launch background processes (none unless a system has some)."""
+
+    def run(self, until: float) -> None:
+        self.start()
+        self.sim.run(until=until)
+
+    def converged(self) -> bool:
+        """Whether every node holds the same application state."""
+        snapshots = [node.state_snapshot() for node in self._nodes.values()]
+        return all(snapshot == snapshots[0] for snapshot in snapshots)
+
+    def node(self, node_id: str) -> Any:
+        try:
+            return self._nodes[node_id]
+        except KeyError:
+            raise ConfigError(
+                f"{self.system}: unknown node {node_id!r}; valid: {sorted(self._nodes)}"
+            ) from None
+
+
+class OrderlessChainNetwork(NetworkShell):
+    """A built network: simulator + organizations + clients."""
+
+    system = "orderlesschain"
+    _nodes: Dict[str, Organization]
+
+    def __init__(self, config: ExperimentConfig) -> None:
+        super().__init__(config)
+        self.ca = CertificateAuthority(scheme=config.signature_scheme)
+        self.policy = EndorsementPolicy(config.quorum, config.num_orgs)
+        # The clients' default protocol knobs; add_client(config=...)
+        # overrides them per client.
+        self.client_config = ClientConfig(
+            max_retries=config.max_retries,
+            avoid_byzantine=config.avoid_byzantine,
+            org_weights=config.org_weights,
+            resilience=ResilienceConfig() if config.resilience else None,
+        )
         self.organizations: List[Organization] = []
-        for index in range(settings.num_orgs):
+        for index in range(config.num_orgs):
             node_id = f"{self.node_prefix}{index}"
             identity = self.ca.enroll(node_id, "organization", seed=node_id.encode())
             org = Organization(
@@ -146,16 +140,16 @@ class OrderlessChainNetwork:
                 identity=identity,
                 ca=self.ca,
                 policy=self.policy,
-                settings=settings,
+                config=config,
+                perf=self.perf,
                 rng=self.rng.stream(node_id),
                 recorder=self.recorder,
             )
             self.organizations.append(org)
-        self._nodes: Dict[str, Organization] = {org.org_id: org for org in self.organizations}
+        self._nodes = {org.org_id: org for org in self.organizations}
         self.node_ids = list(self._nodes)
         for org in self.organizations:
             org.set_peers(self.node_ids)
-        self.clients: List[Client] = []
         self._started = False
 
     # -- setup -----------------------------------------------------------
@@ -206,13 +200,13 @@ class OrderlessChainNetwork:
             identity=identity,
             policy=self.policy,
             org_ids=self.node_ids,
-            perf=self.settings.perf,
+            perf=self.perf,
             rng=self.rng.stream(f"client:{identifier}"),
             # Deadline jitter has its own stream: RngRegistry streams are
             # independent, so it never shifts the protocol draws.
             jitter_rng=self.rng.stream(f"resilience:{identifier}"),
             recorder=self.recorder,
-            config=config or self.settings.client_config,
+            config=config or self.client_config,
             byzantine=byzantine,
         )
         self.clients.append(client)
@@ -221,23 +215,10 @@ class OrderlessChainNetwork:
     def add_clients(self, count: int, **kwargs) -> List[Client]:
         return [self.add_client(**kwargs) for _ in range(count)]
 
-    def attach_observability(self, obs) -> None:
-        """Wire a :class:`repro.obs.Observability` into the network.
-
-        Points the run's recorder (which every organization and client
-        reports to) and the network at the trace, and — when sampling is
-        enabled — registers per-node CPU/cache-lock probes plus network
-        counters with the sampler. Call before :meth:`run`; safe to skip
-        entirely, in which case the run is untraced.
-        """
-        self.recorder.trace = self.network.tracer = obs.recorder
-        sampler = obs.bind(self.sim)
-        if sampler is not None:
-            for org in self.organizations:
-                sampler.watch_resource(org.org_id, "cpu", org.cpu)
-                sampler.watch_resource(org.org_id, "lock", org.cache_lock)
-            sampler.watch_network(self.network)
-            sampler.start()
+    def _watch_nodes(self, sampler) -> None:
+        for org in self.organizations:
+            sampler.watch_resource(org.org_id, "cpu", org.cpu)
+            sampler.watch_resource(org.org_id, "lock", org.cache_lock)
 
     def start(self) -> None:
         """Start organization background processes (gossip)."""
@@ -272,16 +253,7 @@ class OrderlessChainNetwork:
             if end is not None:
                 self.sim.schedule_at(end, deactivate)
 
-    # -- run and inspect ----------------------------------------------------------
-
-    def run(self, until: float) -> None:
-        self.start()
-        self.sim.run(until=until)
-
-    def converged(self) -> bool:
-        """Whether every organization holds the same application state."""
-        snapshots = [org.state_snapshot() for org in self.organizations]
-        return all(snapshot == snapshots[0] for snapshot in snapshots)
+    # -- inspect ------------------------------------------------------------
 
     def committed_everywhere(
         self, transaction_id: str, channel: str = DEFAULT_CHANNEL
@@ -298,14 +270,6 @@ class OrderlessChainNetwork:
                 channel.ledger.verify_integrity()
 
     # -- the node surface: fault injection, oracles, fingerprints (docs/FAULTS.md)
-
-    def node(self, node_id: str) -> Organization:
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise ConfigError(
-                f"{self.system}: unknown node {node_id!r}; valid: {sorted(self._nodes)}"
-            ) from None
 
     def crash(self, node_id: str) -> None:
         """Fail-stop one organization: it loses its in-memory state, and
@@ -343,4 +307,4 @@ class OrderlessChainNetwork:
         return max((client.config.longest_pending() for client in self.clients), default=60.0)
 
 
-__all__ = ["OrderlessChainNetwork", "OrderlessChainSettings"]
+__all__ = ["NetworkShell", "OrderlessChainNetwork"]

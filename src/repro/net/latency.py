@@ -24,16 +24,6 @@ class LatencyModel:
         serialization = size_bytes / self.bandwidth_bytes_per_s
         return max(0.0, propagation) + serialization
 
-    @classmethod
-    def lan(cls) -> "LatencyModel":
-        """A data-center network (the BIDL paper's home turf)."""
-        return cls(one_way_delay=0.0005, jitter_std=0.0001, bandwidth_bytes_per_s=10e9 / 8)
-
-    @classmethod
-    def wan(cls) -> "LatencyModel":
-        """The paper's emulated WAN."""
-        return cls()
-
 
 @dataclass(frozen=True)
 class LinkFaults:

@@ -75,14 +75,6 @@ class Network:
         self._partitions: list[Set[str]] = []
         # Crashed (fail-stop) nodes; see the module docstring.
         self._down: Set[str] = set()
-        # Optional per-link latency overrides (unordered pairs), for
-        # multi-datacenter topologies where some links are LAN-fast.
-        self._link_latency: Dict[Tuple[str, str], LatencyModel] = {}
-        # Memoized (sender, recipient) -> LatencyModel resolutions, so
-        # the per-message hot path does not rebuild normalized pair
-        # keys. Invalidated by ``set_link_latency``; unused (and thus
-        # never stale w.r.t. ``self.latency``) while no overrides exist.
-        self._latency_cache: Dict[Tuple[str, str], LatencyModel] = {}
         self.sent_count = 0
         self.delivered_count = 0
         self.dropped_count = 0
@@ -125,22 +117,6 @@ class Network:
 
     def is_registered(self, node_id: str) -> bool:
         return node_id in self._handlers
-
-    def set_link_latency(self, a: str, b: str, latency: LatencyModel) -> None:
-        """Override the latency model for the (undirected) link a<->b."""
-        self._link_latency[(a, b) if a <= b else (b, a)] = latency
-        self._latency_cache.clear()
-
-    def _latency_for(self, sender: str, recipient: str) -> LatencyModel:
-        if not self._link_latency:
-            return self.latency
-        cache = self._latency_cache
-        model = cache.get((sender, recipient))
-        if model is None:
-            key = (sender, recipient) if sender <= recipient else (recipient, sender)
-            model = self._link_latency.get(key, self.latency)
-            cache[(sender, recipient)] = model
-        return model
 
     # -- partitions and crashes -------------------------------------------
 
@@ -222,8 +198,7 @@ class Network:
             self._deliver_after_delay(message.clone())
 
     def _deliver_after_delay(self, message: Message) -> None:
-        latency = self._latency_for(message.sender, message.recipient)
-        delay = latency.delay_for(message.size_bytes, self._rng)
+        delay = self.latency.delay_for(message.size_bytes, self._rng)
         if self.delivery_jitter is not None:
             delay = self.delivery_jitter(delay)
         self.in_flight += 1

@@ -30,7 +30,7 @@ Typical use::
     from repro.obs import Observability
 
     obs = Observability(trace=True, sample_interval=0.5)
-    net = OrderlessChainNetwork(settings)
+    net = OrderlessChainNetwork(config)
     net.add_clients(4)
     net.attach_observability(obs)
     net.run(until=30.0)

@@ -42,10 +42,5 @@ class RngRegistry:
             self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
         return self._streams[name]
 
-    def fork(self, name: str) -> "RngRegistry":
-        """Return a registry whose streams are independent of this one."""
-        digest = hashlib.sha256(f"{self.seed}:fork:{name}".encode()).digest()
-        return RngRegistry(seed=int.from_bytes(digest[:8], "big"))
-
 
 __all__ = ["RngRegistry"]

@@ -1,7 +1,7 @@
 """Every baseline does exactly the simulated work it did before.
 
-The four baselines share one settings class, network shell, ordered-log
-source and client per pipeline shape; none of that may move a single
+The four baselines share one network shell (built from the run's
+config), ordered-log source and client per pipeline shape; none of that may move a single
 event. The fixture (see :mod:`tests.baselines.run_fixture`) was dumped
 before the baselines were collapsed onto that skeleton.
 """

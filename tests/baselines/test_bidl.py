@@ -2,16 +2,22 @@
 
 import pytest
 
-from repro.baselines import BaselineSettings, BIDLNetwork
+from repro.baselines import BIDLNetwork
+from repro.bench.config import ExperimentConfig
 from repro.errors import ConfigError
 
 
 def build(seed=1, num_orgs=4, app="voting"):
-    return BIDLNetwork(BaselineSettings(num_orgs=num_orgs, app=app, seed=seed))
+    # BIDL reads no endorsement quorum; q=1 is valid for any n.
+    return BIDLNetwork(
+        ExperimentConfig(
+            system="bidl", app=app, num_orgs=num_orgs, quorum=1, seed=seed, scale=1
+        )
+    )
 
 
 def test_settings_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="BIDL consensus needs >= 4"):
         build(num_orgs=3)
     with pytest.raises(ConfigError):
         build(app="poker")

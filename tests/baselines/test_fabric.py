@@ -2,19 +2,26 @@
 
 import pytest
 
-from repro.baselines import BaselineSettings, FabricNetwork
+from repro.baselines import FabricNetwork
+from repro.bench.config import ExperimentConfig
 from repro.errors import ConfigError
 
 
-def build(app="voting", seed=1, num_orgs=4, quorum=2):
-    return FabricNetwork(BaselineSettings(num_orgs=num_orgs, quorum=quorum, app=app, seed=seed))
+def fabric_config(app="voting", seed=1, num_orgs=4, quorum=2, **fields):
+    return ExperimentConfig(
+        system="fabric", app=app, num_orgs=num_orgs, quorum=quorum, seed=seed, scale=1, **fields
+    )
+
+
+def build(**fields):
+    return FabricNetwork(fabric_config(**fields))
 
 
 def test_settings_validation():
     with pytest.raises(ConfigError):
-        FabricNetwork(BaselineSettings(num_orgs=4, quorum=5))
+        fabric_config(num_orgs=4, quorum=5)
     with pytest.raises(ConfigError):
-        FabricNetwork(BaselineSettings(app="poker"))
+        fabric_config(app="poker")
 
 
 def test_single_vote_commits_through_ordering():
@@ -110,12 +117,10 @@ def test_auction_app_on_fabric():
 class TestRaftOrderer:
     def test_raft_settings_validated(self):
         with pytest.raises(ConfigError):
-            FabricNetwork(BaselineSettings(orderer_type="kafka"))
+            fabric_config(orderer_type="kafka")
 
     def test_raft_commits_and_converges(self):
-        net = FabricNetwork(
-            BaselineSettings(num_orgs=4, quorum=2, app="voting", seed=9, orderer_type="raft")
-        )
+        net = build(seed=9, orderer_type="raft")
         clients = [net.add_client(f"c{i}") for i in range(3)]
         processes = [
             net.sim.process(
@@ -129,11 +134,7 @@ class TestRaftOrderer:
 
     def test_raft_replication_adds_latency_over_solo(self):
         def run(orderer_type):
-            net = FabricNetwork(
-                BaselineSettings(
-                    num_orgs=4, quorum=2, app="voting", seed=1, orderer_type=orderer_type
-                )
-            )
+            net = build(seed=1, orderer_type=orderer_type)
             client = net.add_client("c0")
             net.sim.process(
                 client.submit_modify({"voter": "c0", "party": "p1", "election": "e0"})

@@ -2,19 +2,26 @@
 
 import pytest
 
-from repro.baselines import BaselineSettings, FabricCRDTNetwork
+from repro.baselines import FabricCRDTNetwork
+from repro.bench.config import ExperimentConfig
 from repro.errors import ConfigError
 
 
-def build(app="voting", seed=1):
-    return FabricCRDTNetwork(BaselineSettings(num_orgs=4, quorum=2, app=app, seed=seed))
+def fabric_crdt_config(app="voting", seed=1, quorum=2):
+    return ExperimentConfig(
+        system="fabriccrdt", app=app, num_orgs=4, quorum=quorum, seed=seed, scale=1
+    )
+
+
+def build(**fields):
+    return FabricCRDTNetwork(fabric_crdt_config(**fields))
 
 
 def test_settings_validation():
     with pytest.raises(ConfigError):
-        FabricCRDTNetwork(BaselineSettings(num_orgs=4, quorum=0))
+        fabric_crdt_config(quorum=0)
     with pytest.raises(ConfigError):
-        FabricCRDTNetwork(BaselineSettings(app="poker"))
+        fabric_crdt_config(app="poker")
 
 
 def test_single_vote_merges_at_all_peers():

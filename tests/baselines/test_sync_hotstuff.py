@@ -2,24 +2,30 @@
 
 import pytest
 
-from repro.baselines import BaselineSettings, SyncHotStuffNetwork
+from repro.baselines import SyncHotStuffNetwork
+from repro.bench.config import ExperimentConfig
 from repro.errors import ConfigError
 
 
 def build(seed=1, num_orgs=4, app="voting"):
-    return SyncHotStuffNetwork(BaselineSettings(num_orgs=num_orgs, app=app, seed=seed))
+    # Sync HotStuff reads no endorsement quorum; q=1 is valid for any n.
+    return SyncHotStuffNetwork(
+        ExperimentConfig(
+            system="synchotstuff", app=app, num_orgs=num_orgs, quorum=1, seed=seed, scale=1
+        )
+    )
 
 
 def test_settings_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="at least 2 organizations"):
         build(num_orgs=1)
     with pytest.raises(ConfigError):
         build(app="poker")
 
 
 def test_three_orgs_build_with_default_settings():
-    # Sync HotStuff reads no quorum: the default q=4 > n=3 is not its to reject.
-    net = SyncHotStuffNetwork(BaselineSettings(num_orgs=3))
+    # n=3 is above Sync HotStuff's own minimum of two organizations.
+    net = build(num_orgs=3)
     assert net.node_ids == ["org0", "org1", "org2"]
 
 
@@ -33,7 +39,7 @@ def test_commit_happens_after_two_delta():
     assert process.value is True
     latency = net.recorder.latencies("modify")[0]
     # Lower bound: client->leader + batch + proposal + 2Δ + notify.
-    assert latency >= 2 * net.settings.perf.hotstuff_delta
+    assert latency >= 2 * net.perf.hotstuff_delta
 
 
 def test_all_replicas_commit_the_block():

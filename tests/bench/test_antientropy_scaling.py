@@ -1,7 +1,7 @@
 """Anti-entropy digest scaling: bytes per round flat in run length.
 
-Drives a small OrderlessChain network (its settings built through
-``OrderlessChainSettings.from_config``) with frequent anti-entropy
+Drives a small OrderlessChain network (built from its
+``ExperimentConfig``) with frequent anti-entropy
 rounds and a 100 % modify workload, so the committed set grows
 steadily while digests keep flowing, and asserts
 the *shape* claim behind the watermark digest: per-round digest bytes
@@ -15,7 +15,7 @@ keeps that one-time record.)
 
 import pytest
 
-from repro.api import ExperimentConfig, OrderlessChainNetwork, OrderlessChainSettings
+from repro.api import ExperimentConfig, OrderlessChainNetwork
 from repro.bench.workload import make_workload
 from repro.contracts import SyntheticContract
 from repro.core.organization import MSG_SYNC_DIGEST
@@ -37,9 +37,10 @@ def digest_run(duration):
         duration=duration,
         scale=20.0,
         seed=0,
+        # A digest round per simulated second.
+        sync_interval=1.0,
     )
-    # A digest round per simulated second.
-    net = OrderlessChainNetwork(OrderlessChainSettings.from_config(config, sync_interval=1.0))
+    net = OrderlessChainNetwork(config)
     net.install_contract(SyntheticContract)
     net.add_clients(config.effective_clients)
     workload = make_workload(config)

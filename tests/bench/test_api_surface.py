@@ -13,7 +13,10 @@ import dataclasses
 import warnings
 
 import repro.api as api
-from repro.api import ChannelSpec, ExperimentConfig, OrderlessChainSettings
+from repro.api import ChannelSpec, ExperimentConfig
+from repro.core.channel import DEFAULT_CHANNEL
+from repro.core.client import ClientConfig
+from repro.resilience import ResilienceConfig
 
 API_EXPORTS = {
     "ChannelSpec",
@@ -21,29 +24,10 @@ API_EXPORTS = {
     "ExperimentResult",
     "ExploreOutcome",
     "OrderlessChainNetwork",
-    "OrderlessChainSettings",
     "build_network",
     "explore",
     "report",
     "run_experiment",
-}
-
-SETTINGS_FIELDS = {
-    "cache_enabled",
-    "client_config",
-    "explore",
-    "faults",
-    "gossip_fanout",
-    "gossip_interval",
-    "gossip_ttl",
-    "latency",
-    "num_orgs",
-    "perf",
-    "quorum",
-    "seed",
-    "signature_scheme",
-    "snapshot_interval",
-    "sync_interval",
 }
 
 CONFIG_FIELDS = {
@@ -65,6 +49,7 @@ CONFIG_FIELDS = {
     "fault_schedule",
     "gossip_fanout",
     "gossip_interval",
+    "gossip_ttl",
     "max_retries",
     "modify_ratio",
     "num_clients",
@@ -81,7 +66,9 @@ CONFIG_FIELDS = {
     "sample_interval",
     "scale",
     "seed",
+    "signature_scheme",
     "snapshot_interval",
+    "sync_interval",
     "system",
     "timeline_bucket",
     "trace",
@@ -103,10 +90,6 @@ def test_every_export_is_importable():
         assert getattr(api, name) is not None
 
 
-def test_settings_fields_match_snapshot():
-    assert _field_names(OrderlessChainSettings) == SETTINGS_FIELDS
-
-
 def test_config_fields_match_snapshot():
     assert _field_names(ExperimentConfig) == CONFIG_FIELDS
 
@@ -115,7 +98,8 @@ def test_channel_spec_fields_match_snapshot():
     assert _field_names(ChannelSpec) == CHANNEL_SPEC_FIELDS
 
 
-def test_from_config_is_the_canonical_conversion():
+def test_network_reads_its_knobs_from_the_config():
+    weights = (1.0, 2.0, 1.0, 1.0, 1.0, 1.0)
     config = ExperimentConfig(
         system="orderlesschain",
         num_orgs=6,
@@ -123,23 +107,30 @@ def test_from_config_is_the_canonical_conversion():
         seed=7,
         gossip_interval=2.0,
         gossip_fanout=4,
+        gossip_ttl=2,
+        sync_interval=0.25,
         snapshot_interval=5.0,
         cache_enabled=False,
         max_retries=2,
         avoid_byzantine=True,
+        org_weights=weights,
+        resilience=True,
     )
-    settings = OrderlessChainSettings.from_config(config)
-    assert settings.num_orgs == 6
-    assert settings.quorum == 3
-    assert settings.seed == 7
-    assert settings.gossip_interval == 2.0
-    assert settings.gossip_fanout == 4
-    assert settings.snapshot_interval == 5.0
-    assert settings.cache_enabled is False
-    assert settings.client_config.max_retries == 2
-    assert settings.client_config.avoid_byzantine is True
-    # Overrides win over the config-derived values.
-    assert OrderlessChainSettings.from_config(config, sync_interval=0.25).sync_interval == 0.25
+    net = api.build_network(config)
+    assert net.config is config
+    assert net.perf == config.perf()
+    assert net.rng.seed == 7
+    assert str(net.policy) == "{3 of 6}"
+    for org in net.organizations:
+        # Gossip, anti-entropy and snapshot cadences are read from the
+        # config itself; the cost model is the network's one copy.
+        assert org.config is config
+        assert org.perf is net.perf
+        assert org.channels[DEFAULT_CHANNEL].ledger.cache_enabled is False
+    assert net.client_config == ClientConfig(
+        max_retries=2, avoid_byzantine=True, org_weights=weights, resilience=ResilienceConfig()
+    )
+    assert all(client.config is net.client_config for client in net.clients)
 
 
 def test_importing_api_emits_no_deprecation_warnings():

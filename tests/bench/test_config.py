@@ -62,6 +62,15 @@ SMALL = dict(duration=2.0, scale=50.0)
         dict(byzantine_org_windows=(ByzantineWindow(count=1, start=2.0, end=2.0),)),
         dict(byzantine_client_fraction=0.5, byzantine_client_faults=("bogus",)),
         dict(byzantine_client_fraction=0.5, byzantine_client_faults=()),
+        # Values the workload used to raise silently (to 1 election or
+        # auction, 4 clients, a one-object pool) or rejected only once
+        # the run started.
+        dict(app="voting", elections=0),
+        dict(app="auction", auctions=0),
+        dict(num_clients=0),
+        dict(object_pool=0),
+        dict(arrival_rate=0.0),
+        dict(arrival_rate=-100.0),
     ],
     ids=repr,
 )

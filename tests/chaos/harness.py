@@ -7,27 +7,30 @@ smoke schedule's crash, partition, and loss windows — so every run
 exercises recovery paths while staying fast enough for tier-1.
 """
 
+from repro.bench.config import ExperimentConfig
 from repro.faults import FaultSchedule, default_node_ids, install_schedule, smoke_schedule
 
 SYSTEMS = ("orderlesschain", "fabric", "fabriccrdt", "bidl", "synchotstuff")
 
 
-def build_system(system: str, seed: int, num_orgs: int = 4, quorum: int = 2, **settings_kwargs):
+def build_system(system: str, seed: int, num_orgs: int = 4, quorum: int = 2, **config_kwargs):
+    from repro.bench.runner import NETWORKS
+
+    config = ExperimentConfig(
+        system=system,
+        app="voting",
+        num_orgs=num_orgs,
+        quorum=quorum,
+        seed=seed,
+        scale=1,
+        **config_kwargs,
+    )
+    net = NETWORKS[system](config)
     if system == "orderlesschain":
         from repro.contracts import VotingContract
-        from repro.core import OrderlessChainNetwork, OrderlessChainSettings
 
-        settings = OrderlessChainSettings(
-            num_orgs=num_orgs, quorum=quorum, seed=seed, **settings_kwargs
-        )
-        net = OrderlessChainNetwork(settings)
         net.install_contract(lambda: VotingContract(parties_per_election=2))
-        return net
-    from repro.baselines import BASELINES, BaselineSettings
-
-    return BASELINES[system](
-        BaselineSettings(num_orgs=num_orgs, quorum=quorum, app="voting", seed=seed)
-    )
+    return net
 
 
 def add_workload(net, system: str, clients: int = 4):
@@ -62,19 +65,18 @@ def chaos_run(
     until: float = 60.0,
     num_orgs: int = 4,
     clients: int = 4,
-    **settings_kwargs,
+    **config_kwargs,
 ):
     """One full chaos run; returns ``(net, schedule)`` after the drain.
 
-    Extra keyword arguments reach ``OrderlessChainSettings``
-    (orderlesschain only) — e.g. ``snapshot_interval`` for
-    snapshot-based recovery.
+    Extra keyword arguments reach the ``ExperimentConfig`` (orderlesschain
+    only) — e.g. ``snapshot_interval`` for snapshot-based recovery.
     """
     if schedule is None:
         schedule = smoke_schedule(default_node_ids(system, num_orgs))
-    if settings_kwargs and system != "orderlesschain":
-        raise ValueError(f"settings kwargs are orderlesschain-only, got {settings_kwargs}")
-    net = build_system(system, seed, num_orgs=num_orgs, **settings_kwargs)
+    if config_kwargs and system != "orderlesschain":
+        raise ValueError(f"config kwargs are orderlesschain-only, got {config_kwargs}")
+    net = build_system(system, seed, num_orgs=num_orgs, **config_kwargs)
     add_workload(net, system, clients=clients)
     injector = install_schedule(net, schedule)
     net.run(until=until)

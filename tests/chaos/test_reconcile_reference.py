@@ -55,10 +55,10 @@ def runs():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ChannelState, "__init__", registered)
         patch.setattr(WatermarkDigest, "difference", recorded)
-        for scenario, settings in SCENARIOS.items():
+        for scenario, config_kwargs in SCENARIOS.items():
             for seed in SEEDS:
                 del channels[:], records[:]
-                net, _ = chaos_run("orderlesschain", seed=seed, **settings)
+                net, _ = chaos_run("orderlesschain", seed=seed, **config_kwargs)
                 out[scenario, seed] = (net, list(records))
     return out
 

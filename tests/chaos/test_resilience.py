@@ -13,7 +13,7 @@ import pytest
 from repro.bench import experiments
 from repro.bench.config import ExperimentConfig
 from repro.bench.runner import run_experiment
-from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.core import OrderlessChainNetwork
 from repro.core.client import ClientConfig
 from repro.contracts import VotingContract
 from repro.faults import FaultSchedule, default_node_ids, install_schedule, smoke_schedule
@@ -38,8 +38,7 @@ class TestRetryLoopUnderChaos:
 
     @pytest.mark.parametrize("resilience", [False, True])
     def test_retries_happen_and_work_completes(self, resilience):
-        settings = OrderlessChainSettings(num_orgs=4, quorum=2, seed=5)
-        net = OrderlessChainNetwork(settings)
+        net = OrderlessChainNetwork(ExperimentConfig(num_orgs=4, quorum=2, seed=5, scale=1))
         net.install_contract(lambda: VotingContract(parties_per_election=2))
         config = ClientConfig(
             max_retries=2,

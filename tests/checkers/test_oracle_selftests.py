@@ -13,16 +13,17 @@ bug-finding criterion, so each one's FAIL path must be demonstrably
 reachable from genuine state damage.
 """
 
+from repro.bench.config import ExperimentConfig
 from repro.checkers import run_checkers
 from repro.checkers.report import FAIL
 from repro.contracts import VotingContract
-from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.core import OrderlessChainNetwork
 from repro.core.channel import DEFAULT_CHANNEL
 
 
 def build(seed=1):
-    settings = OrderlessChainSettings(num_orgs=4, quorum=2, seed=seed)
-    net = OrderlessChainNetwork(settings)
+    config = ExperimentConfig(num_orgs=4, quorum=2, seed=seed, scale=1)
+    net = OrderlessChainNetwork(config)
     net.install_contract(lambda: VotingContract(parties_per_election=2))
     return net
 

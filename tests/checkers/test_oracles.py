@@ -9,10 +9,11 @@ diagnosable report.
 
 import pytest
 
+from repro.bench.config import ExperimentConfig
 from repro.checkers import run_checkers
 from repro.checkers.report import FAIL, PASS, SKIP
 from repro.contracts import VotingContract
-from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.core import OrderlessChainNetwork
 from repro.core.byzantine import ByzantineOrgConfig
 from repro.core.channel import DEFAULT_CHANNEL
 from repro.core.client import ClientConfig
@@ -20,10 +21,8 @@ from repro.faults import FaultEvent, FaultSchedule, install_schedule
 
 
 def build(seed=1, num_orgs=4, quorum=2, **kwargs):
-    settings = OrderlessChainSettings(
-        num_orgs=num_orgs, quorum=quorum, seed=seed, **kwargs
-    )
-    net = OrderlessChainNetwork(settings)
+    config = ExperimentConfig(num_orgs=num_orgs, quorum=quorum, seed=seed, scale=1, **kwargs)
+    net = OrderlessChainNetwork(config)
     net.install_contract(lambda: VotingContract(parties_per_election=2))
     return net
 
@@ -143,10 +142,7 @@ def test_policy_safety_flags_commit_endorsed_only_by_byzantine_quorum():
     Honest organizations commit those transactions — numerically the
     policy holds — and the oracle must still flag them, because every
     valid endorser is Byzantine."""
-    net = build(
-        seed=3,
-        client_config=ClientConfig(org_weights=(1.0, 1.0, 1e-9, 1e-9)),
-    )
+    net = build(seed=3, org_weights=(1.0, 1.0, 1e-9, 1e-9))
     net.schedule_byzantine_window(
         ["org0", "org1"],
         0.0,

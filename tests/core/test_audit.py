@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.bench.config import ExperimentConfig
+from repro.core import OrderlessChainNetwork
 from repro.core.audit import audit_receipt
 from repro.core.transaction import Receipt
 from repro.contracts import AuctionContract
@@ -10,7 +11,7 @@ from repro.contracts import AuctionContract
 
 @pytest.fixture
 def committed_network():
-    net = OrderlessChainNetwork(OrderlessChainSettings(num_orgs=4, quorum=4, seed=4))
+    net = OrderlessChainNetwork(ExperimentConfig(num_orgs=4, quorum=4, seed=4, scale=1))
     net.install_contract(AuctionContract)
     filler = net.add_client("bob")
     client = net.add_client("alice")

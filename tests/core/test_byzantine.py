@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.bench.config import ExperimentConfig
 from repro.core import (
     ByzantineClientConfig,
     ByzantineOrgConfig,
     OrderlessChainNetwork,
-    OrderlessChainSettings,
 )
 from repro.core.client import ClientConfig
 from repro.core.organization import MSG_COMMIT, MSG_PROPOSAL, Organization
@@ -18,8 +18,8 @@ from repro.crypto.hashing import Wire, sha256_hex
 
 
 def build(num_orgs=4, quorum=2, seed=5):
-    settings = OrderlessChainSettings(num_orgs=num_orgs, quorum=quorum, seed=seed)
-    net = OrderlessChainNetwork(settings)
+    config = ExperimentConfig(num_orgs=num_orgs, quorum=quorum, seed=seed, scale=1)
+    net = OrderlessChainNetwork(config)
     net.install_contract(lambda: VotingContract(parties_per_election=2))
     return net
 

@@ -10,11 +10,11 @@ two-application end-to-end run.
 import pytest
 
 from repro.bench.config import SYSTEMS, ChannelSpec, ExperimentConfig
-from repro.bench.runner import build_network, run_experiment
+from repro.bench.runner import NETWORKS, build_network, run_experiment
 from repro.contracts.synthetic import SyntheticContract
 from repro.contracts.voting import VotingContract
 from repro.core.channel import DEFAULT_CHANNEL, ChannelState, scoped_contract_id
-from repro.core.system import OrderlessChainNetwork, OrderlessChainSettings
+from repro.core.system import OrderlessChainNetwork
 from repro.errors import ConfigError
 
 
@@ -39,7 +39,7 @@ def test_default_channel_is_an_ordinary_channel():
     # An org with only the default channel is channel-keyed like any
     # other: its digest names the channel, its snapshot is keyed by
     # it, and ``org.ledger`` is just a read-only shorthand.
-    net = OrderlessChainNetwork(OrderlessChainSettings(num_orgs=2, quorum=1))
+    net = OrderlessChainNetwork(ExperimentConfig(num_orgs=2, quorum=1, scale=1))
     net.install_contract(SyntheticContract)
     org = net.organizations[0]
     default = org.channels[DEFAULT_CHANNEL]
@@ -53,7 +53,7 @@ def test_default_channel_is_an_ordinary_channel():
 
 
 def test_create_channel_is_get_or_create():
-    net = OrderlessChainNetwork(OrderlessChainSettings(num_orgs=2, quorum=1))
+    net = OrderlessChainNetwork(ExperimentConfig(num_orgs=2, quorum=1, scale=1))
     net.create_channel("ch0", SyntheticContract)
     net.create_channel("ch0")
     assert sorted(net.channel_ids) == ["ch0", "default"]
@@ -63,7 +63,7 @@ def test_create_channel_is_get_or_create():
 
 
 def test_two_channels_commit_independently():
-    net = OrderlessChainNetwork(OrderlessChainSettings(num_orgs=3, quorum=2, seed=3))
+    net = OrderlessChainNetwork(ExperimentConfig(num_orgs=3, quorum=2, seed=3, scale=1))
     net.create_channel("ch0", SyntheticContract)
     net.create_channel("ch1", lambda: VotingContract(parties_per_election=2))
     client = net.add_client("c0")
@@ -94,11 +94,11 @@ def test_two_channels_commit_independently():
 
 
 def test_ledger_keys_are_always_org_slash_channel():
-    single = OrderlessChainNetwork(OrderlessChainSettings(num_orgs=2, quorum=1))
+    single = OrderlessChainNetwork(ExperimentConfig(num_orgs=2, quorum=1, scale=1))
     single.install_contract(SyntheticContract)
     assert sorted(single.ledgers()) == ["org0/default", "org1/default"]
 
-    multi = OrderlessChainNetwork(OrderlessChainSettings(num_orgs=2, quorum=1))
+    multi = OrderlessChainNetwork(ExperimentConfig(num_orgs=2, quorum=1, scale=1))
     multi.create_channel("ch0", SyntheticContract)
     keys = sorted(multi.ledgers())
     assert keys == ["org0/ch0", "org0/default", "org1/ch0", "org1/default"]
@@ -128,6 +128,18 @@ def test_build_network_builds_every_system(system):
     assert net.sim.now == 0.0
     assert net.sim.processed_events == 0
     assert net.recorder.records == {}
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_every_network_is_built_from_the_config_itself(system):
+    config = ExperimentConfig(system=system, app="voting", duration=1.0, scale=50.0)
+    net = build_network(config)
+    assert net.config is config
+    assert net.perf == config.perf()
+    # A network class refuses another system's config.
+    other = next(name for name in SYSTEMS if name != system)
+    with pytest.raises(ConfigError, match=f"builds {system!r}"):
+        NETWORKS[system](config.with_(system=other))
 
 
 def test_channel_spec_validation():

@@ -23,7 +23,7 @@ import pytest
 from repro.bench.config import ByzantineWindow, ExperimentConfig
 from repro.bench.runner import run_experiment
 from repro.contracts import VotingContract
-from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.core import OrderlessChainNetwork
 from repro.core.client import ClientConfig
 from repro.core.organization import MSG_COMMIT
 from repro.faults import default_node_ids, smoke_schedule
@@ -33,7 +33,7 @@ VOTE = {"party": "party0", "election": "e"}
 
 
 def voting_net():
-    net = OrderlessChainNetwork(OrderlessChainSettings(num_orgs=6, quorum=2, seed=4))
+    net = OrderlessChainNetwork(ExperimentConfig(num_orgs=6, quorum=2, seed=4, scale=1))
     net.install_contract(lambda: VotingContract(parties_per_election=2))
     return net
 

@@ -9,8 +9,9 @@ travels through ``Network.send``, as an organization's would.
 
 import random
 
+from repro.bench.config import ExperimentConfig
 from repro.contracts import VotingContract
-from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.core import OrderlessChainNetwork
 from repro.core.client import Client
 from repro.core.organization import (
     MSG_COMMIT,
@@ -42,7 +43,7 @@ VOTE = {"party": "party0", "election": "e0"}
 
 
 def test_malformed_bodies_are_dropped_and_honest_orgs_still_commit():
-    net = OrderlessChainNetwork(OrderlessChainSettings(num_orgs=4, quorum=2, seed=2))
+    net = OrderlessChainNetwork(ExperimentConfig(num_orgs=4, quorum=2, seed=2, scale=1))
     net.install_contract(lambda: VotingContract(parties_per_election=2))
     client = net.add_client("voter0")
 

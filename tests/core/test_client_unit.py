@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.bench.config import ExperimentConfig
+from repro.core import OrderlessChainNetwork
 from repro.core.client import Client, ClientConfig, _Pending
 from repro.core.transaction import Endorsement
 from repro.contracts import VotingContract
@@ -12,7 +13,7 @@ from repro.sim import Simulator
 
 @pytest.fixture
 def net():
-    network = OrderlessChainNetwork(OrderlessChainSettings(num_orgs=4, quorum=2, seed=2))
+    network = OrderlessChainNetwork(ExperimentConfig(num_orgs=4, quorum=2, seed=2, scale=1))
     network.install_contract(lambda: VotingContract(parties_per_election=2))
     return network
 

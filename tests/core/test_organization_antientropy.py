@@ -13,8 +13,9 @@ from dataclasses import replace
 
 import pytest
 
+from repro.bench.config import ExperimentConfig
 from repro.contracts import VotingContract
-from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.core import OrderlessChainNetwork
 from repro.core.channel import DEFAULT_CHANNEL
 from repro.core.organization import (
     MSG_COMMIT,
@@ -31,8 +32,8 @@ from repro.net.message import Message
 
 
 def build_net(**settings_kwargs):
-    settings = OrderlessChainSettings(num_orgs=4, quorum=2, seed=1, **settings_kwargs)
-    net = OrderlessChainNetwork(settings)
+    config = ExperimentConfig(num_orgs=4, quorum=2, seed=1, scale=1, **settings_kwargs)
+    net = OrderlessChainNetwork(config)
     net.install_contract(lambda: VotingContract(parties_per_election=2))
     return net
 

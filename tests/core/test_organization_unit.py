@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.bench.config import ExperimentConfig
+from repro.core import OrderlessChainNetwork
 from repro.core.organization import Organization
 from repro.core.transaction import Endorsement, Proposal, Transaction
 from repro.crdt.clock import OpClock
@@ -12,7 +13,7 @@ from repro.contracts import VotingContract
 
 @pytest.fixture
 def net():
-    network = OrderlessChainNetwork(OrderlessChainSettings(num_orgs=4, quorum=2, seed=1))
+    network = OrderlessChainNetwork(ExperimentConfig(num_orgs=4, quorum=2, seed=1, scale=1))
     network.install_contract(lambda: VotingContract(parties_per_election=2))
     return network
 

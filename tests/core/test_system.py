@@ -3,8 +3,7 @@
 import pytest
 
 from repro.bench.config import ExperimentConfig
-from repro.bench.runner import build_network
-from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.core import OrderlessChainNetwork
 from repro.core.client import ClientConfig
 from repro.contracts import AuctionContract, SyntheticContract, VotingContract
 from repro.errors import ConfigError
@@ -12,20 +11,22 @@ from repro.net.latency import LinkFaults
 
 
 def build(num_orgs=4, quorum=2, seed=1, **kwargs):
-    settings = OrderlessChainSettings(num_orgs=num_orgs, quorum=quorum, seed=seed, **kwargs)
-    net = OrderlessChainNetwork(settings)
+    config = ExperimentConfig(num_orgs=num_orgs, quorum=quorum, seed=seed, scale=1, **kwargs)
+    net = OrderlessChainNetwork(config)
     net.install_contract(lambda: VotingContract(parties_per_election=2))
     return net
 
 
 def test_settings_validation():
     with pytest.raises(ConfigError):
-        OrderlessChainSettings(num_orgs=0)
+        ExperimentConfig(num_orgs=0, scale=1)
     with pytest.raises(ConfigError):
-        OrderlessChainSettings(num_orgs=4, quorum=5)
+        ExperimentConfig(num_orgs=4, quorum=5, scale=1)
 
 
-INVALID_SETTINGS = [
+# Dissemination knobs are ExperimentConfig fields, validated where the
+# config is built; each error names its field.
+INVALID_DISSEMINATION = [
     ("gossip_interval", 0.0),
     ("gossip_interval", -1.0),
     ("gossip_ttl", 0),
@@ -35,13 +36,10 @@ INVALID_SETTINGS = [
 ]
 
 
-@pytest.mark.parametrize("name, value", INVALID_SETTINGS)
+@pytest.mark.parametrize("name, value", INVALID_DISSEMINATION)
 def test_invalid_dissemination_settings_are_config_errors(name, value):
     with pytest.raises(ConfigError, match=name):
-        OrderlessChainSettings(**{name: value})
-    if name in ExperimentConfig.__dataclass_fields__:
-        with pytest.raises(ConfigError, match=name):
-            build_network(ExperimentConfig(duration=1.0, scale=20.0, **{name: value}))
+        ExperimentConfig(duration=1.0, scale=20.0, **{name: value})
 
 
 def test_successful_vote_commits_at_quorum_then_gossips_everywhere():
@@ -141,7 +139,8 @@ def test_duplicate_submission_is_not_double_committed():
 
 
 def test_lossy_network_with_retries_still_commits():
-    net = build(faults=LinkFaults(loss_probability=0.15))
+    net = build()
+    net.network.faults = LinkFaults(loss_probability=0.15)
     voter = net.add_client("voter0", config=ClientConfig(max_retries=5, proposal_timeout=1.5))
     process = net.sim.process(
         voter.submit_modify("voting", "vote", {"party": "party0", "election": "e0"})
@@ -151,7 +150,8 @@ def test_lossy_network_with_retries_still_commits():
 
 
 def test_duplicating_network_converges():
-    net = build(faults=LinkFaults(duplicate_probability=0.5))
+    net = build()
+    net.network.faults = LinkFaults(duplicate_probability=0.5)
     voter = net.add_client("voter0")
     process = net.sim.process(
         voter.submit_modify("voting", "vote", {"party": "party0", "election": "e0"})
@@ -163,8 +163,8 @@ def test_duplicating_network_converges():
 
 
 def test_auction_increase_only_bids():
-    settings = OrderlessChainSettings(num_orgs=4, quorum=2, seed=2)
-    net = OrderlessChainNetwork(settings)
+    config = ExperimentConfig(num_orgs=4, quorum=2, seed=2, scale=1)
+    net = OrderlessChainNetwork(config)
     net.install_contract(AuctionContract)
     bidder = net.add_client("bidder0")
 
@@ -214,7 +214,7 @@ def test_clients_choosing_different_crdt_types_for_one_object_both_commit():
     commit used to raise ``CRDTError`` after the block was appended,
     aborting the run with a half-applied cache; the store now keeps one
     root per (object id, type)."""
-    net = OrderlessChainNetwork(OrderlessChainSettings(num_orgs=4, quorum=2, seed=1))
+    net = OrderlessChainNetwork(ExperimentConfig(num_orgs=4, quorum=2, seed=1, scale=1))
     net.install_contract(SyntheticContract)
     results = {}
 

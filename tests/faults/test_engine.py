@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.baselines import BASELINES, BaselineSettings
+from repro.baselines import BASELINES
+from repro.bench.config import ExperimentConfig
 from repro.checkers import state_fingerprints
 from repro.contracts import VotingContract
-from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.core import OrderlessChainNetwork
 from repro.core.client import ClientConfig
 from repro.crypto.hashing import canonical_bytes
 from repro.errors import ConfigError
@@ -28,8 +29,8 @@ SYSTEMS = ("orderlesschain", *BASELINES)
 
 
 def build(seed=1, num_orgs=4, quorum=2, **kwargs):
-    settings = OrderlessChainSettings(num_orgs=num_orgs, quorum=quorum, seed=seed, **kwargs)
-    net = OrderlessChainNetwork(settings)
+    config = ExperimentConfig(num_orgs=num_orgs, quorum=quorum, seed=seed, scale=1, **kwargs)
+    net = OrderlessChainNetwork(config)
     net.install_contract(lambda: VotingContract(parties_per_election=2))
     return net
 
@@ -37,7 +38,9 @@ def build(seed=1, num_orgs=4, quorum=2, **kwargs):
 def build_system(system):
     if system == "orderlesschain":
         return build()
-    return BASELINES[system](BaselineSettings(num_orgs=4, quorum=2))
+    return BASELINES[system](
+        ExperimentConfig(system=system, app="voting", num_orgs=4, quorum=2, scale=1)
+    )
 
 
 def test_crash_and_recover_toggle_node_state():

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.bench.config import ExperimentConfig
+from repro.core import OrderlessChainNetwork
 from repro.contracts import AuctionContract
 
 
 def build(num_orgs=8, quorum=2, seed=3, **kwargs):
-    settings = OrderlessChainSettings(num_orgs=num_orgs, quorum=quorum, seed=seed, **kwargs)
-    net = OrderlessChainNetwork(settings)
+    config = ExperimentConfig(num_orgs=num_orgs, quorum=quorum, seed=seed, scale=1, **kwargs)
+    net = OrderlessChainNetwork(config)
     net.install_contract(AuctionContract)
     return net
 

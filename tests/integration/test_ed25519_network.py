@@ -7,17 +7,18 @@ prove the two schemes are drop-in interchangeable.
 
 import pytest
 
-from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.bench.config import ExperimentConfig
+from repro.core import OrderlessChainNetwork
 from repro.contracts import VotingContract
 
 pytest.importorskip("cryptography")
 
 
 def test_vote_commits_with_real_signatures():
-    settings = OrderlessChainSettings(
-        num_orgs=4, quorum=2, seed=2, signature_scheme="ed25519"
+    config = ExperimentConfig(
+        num_orgs=4, quorum=2, seed=2, signature_scheme="ed25519", scale=1
     )
-    net = OrderlessChainNetwork(settings)
+    net = OrderlessChainNetwork(config)
     net.install_contract(lambda: VotingContract(parties_per_election=2))
     voter = net.add_client("alice")
     process = net.sim.process(
@@ -33,10 +34,10 @@ def test_vote_commits_with_real_signatures():
 def test_tampering_detected_under_ed25519():
     from repro.core import ByzantineClientConfig
 
-    settings = OrderlessChainSettings(
-        num_orgs=4, quorum=2, seed=3, signature_scheme="ed25519"
+    config = ExperimentConfig(
+        num_orgs=4, quorum=2, seed=3, signature_scheme="ed25519", scale=1
     )
-    net = OrderlessChainNetwork(settings)
+    net = OrderlessChainNetwork(config)
     net.install_contract(lambda: VotingContract(parties_per_election=2))
     forger = net.add_client(
         "forger", byzantine=ByzantineClientConfig(faults=frozenset({"tamper"}))

@@ -8,13 +8,14 @@ point of view once the commit receipts are in hand.
 
 import pytest
 
-from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.bench.config import ExperimentConfig
+from repro.core import OrderlessChainNetwork
 from repro.contracts import AuctionContract
 
 
 def build(seed=12, **kwargs):
-    settings = OrderlessChainSettings(num_orgs=4, quorum=2, seed=seed, **kwargs)
-    net = OrderlessChainNetwork(settings)
+    config = ExperimentConfig(num_orgs=4, quorum=2, seed=seed, scale=1, **kwargs)
+    net = OrderlessChainNetwork(config)
     net.install_contract(AuctionContract)
     return net
 

@@ -9,23 +9,27 @@ everywhere.
 
 import pytest
 
-from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.bench.config import ExperimentConfig
+from repro.core import OrderlessChainNetwork
 from repro.core.client import ClientConfig
 from repro.contracts import AuctionContract, VotingContract
 from repro.net.latency import LinkFaults
 
 
 def build(contract_factory, seed, faults=None, num_orgs=5, quorum=2):
-    settings = OrderlessChainSettings(
+    config = ExperimentConfig(
         num_orgs=num_orgs,
         quorum=quorum,
         seed=seed,
-        faults=faults or LinkFaults(),
         gossip_interval=0.5,
         sync_interval=2.0,
-        client_config=ClientConfig(max_retries=4, proposal_timeout=1.0, commit_timeout=2.0),
+        scale=1,
     )
-    net = OrderlessChainNetwork(settings)
+    net = OrderlessChainNetwork(config)
+    if faults is not None:
+        net.network.faults = faults
+    # Every client of these runs retries with short timeouts.
+    net.client_config = ClientConfig(max_retries=4, proposal_timeout=1.0, commit_timeout=2.0)
     net.install_contract(contract_factory)
     return net
 

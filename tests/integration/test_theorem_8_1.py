@@ -8,10 +8,10 @@ theorem's prediction.
 
 import pytest
 
+from repro.bench.config import ExperimentConfig
 from repro.core import (
     ByzantineOrgConfig,
     OrderlessChainNetwork,
-    OrderlessChainSettings,
 )
 from repro.core.client import ClientConfig
 from repro.contracts import AuctionContract
@@ -26,8 +26,8 @@ def run_with_byzantine(quorum: int, faulty: int, collude: bool, seed: int = 1):
     happily endorse a forged transaction built by a Byzantine client —
     the attack scenario safety must resist.
     """
-    settings = OrderlessChainSettings(num_orgs=N, quorum=quorum, seed=seed)
-    net = OrderlessChainNetwork(settings)
+    config = ExperimentConfig(num_orgs=N, quorum=quorum, seed=seed, scale=1)
+    net = OrderlessChainNetwork(config)
     net.install_contract(AuctionContract)
     byzantine = net.organizations[:faulty]
     for org in byzantine:
@@ -87,8 +87,8 @@ class TestSafety:
         from repro.crdt.operation import Operation
         from repro.net.message import Message
 
-        settings = OrderlessChainSettings(num_orgs=N, quorum=quorum, seed=seed)
-        net = OrderlessChainNetwork(settings)
+        config = ExperimentConfig(num_orgs=N, quorum=quorum, seed=seed, scale=1)
+        net = OrderlessChainNetwork(config)
         net.install_contract(AuctionContract)
         colluders = net.organizations[:faulty]
         client = net.ca.enroll("byz-client", "client")

@@ -111,29 +111,6 @@ def test_counters_track_traffic():
     assert network.delivered_count == 3
 
 
-def test_per_link_latency_override():
-    sim, network = build(latency=LatencyModel(one_way_delay=0.1, jitter_std=0.0))
-    network.set_link_latency("a", "b", LatencyModel(one_way_delay=0.001, jitter_std=0.0))
-    arrivals = {}
-    network.register("b", lambda m: arrivals.setdefault("b", sim.now))
-    network.register("c", lambda m: arrivals.setdefault("c", sim.now))
-    network.send(Message(sender="a", recipient="b", msg_type="t", body=None, size_bytes=0))
-    network.send(Message(sender="a", recipient="c", msg_type="t", body=None, size_bytes=0))
-    sim.run()
-    assert arrivals["b"] == pytest.approx(0.001)
-    assert arrivals["c"] == pytest.approx(0.1)
-
-
-def test_link_override_is_undirected():
-    sim, network = build(latency=LatencyModel(one_way_delay=0.1, jitter_std=0.0))
-    network.set_link_latency("b", "a", LatencyModel(one_way_delay=0.002, jitter_std=0.0))
-    arrivals = {}
-    network.register("b", lambda m: arrivals.setdefault("b", sim.now))
-    network.send(Message(sender="a", recipient="b", msg_type="t", body=None, size_bytes=0))
-    sim.run()
-    assert arrivals["b"] == pytest.approx(0.002)
-
-
 def test_schedule_rejects_negative_infinity_delay_check():
     # -inf fails the "cannot schedule in the past" check (see
     # tests/sim/test_core.py for the full guard matrix); the network
@@ -146,25 +123,9 @@ def test_schedule_rejects_negative_infinity_delay_check():
     assert network.delivered_count == 1
 
 
-def test_latency_cache_invalidated_by_new_override():
-    sim, network = build(latency=LatencyModel(one_way_delay=0.1, jitter_std=0.0))
-    arrivals = []
-    network.register("b", lambda m: arrivals.append(sim.now))
-    network.set_link_latency("a", "z", LatencyModel(one_way_delay=0.5, jitter_std=0.0))
-    # Populate the pair cache with the default model for a->b...
-    network.send(Message(sender="a", recipient="b", msg_type="t", body=None, size_bytes=0))
-    sim.run()
-    assert arrivals[-1] == pytest.approx(0.1)
-    # ...then override that pair; the cached resolution must not stick.
-    network.set_link_latency("a", "b", LatencyModel(one_way_delay=0.003, jitter_std=0.0))
-    network.send(Message(sender="a", recipient="b", msg_type="t", body=None, size_bytes=0))
-    sim.run()
-    assert arrivals[-1] - arrivals[-2] == pytest.approx(0.003, abs=1e-9)
-
-
 def test_no_override_fast_path_uses_live_default_model():
-    # With no per-link overrides the default model is consulted live,
-    # so swapping network.latency takes effect immediately.
+    # The network's one latency model is consulted live, so swapping
+    # network.latency takes effect immediately.
     sim, network = build(latency=LatencyModel(one_way_delay=0.1, jitter_std=0.0))
     arrivals = []
     network.register("b", lambda m: arrivals.append(sim.now))

@@ -9,14 +9,15 @@ enabling them is extra appends to Python lists — the simulation's
 
 import json
 
+from repro.bench.config import ExperimentConfig
 from repro.contracts import AuctionContract
-from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.core import OrderlessChainNetwork
 from repro.obs import Observability, TraceCollector
 
 
 def run_once(observability=None, seed=11, plug=None):
-    settings = OrderlessChainSettings(num_orgs=6, quorum=3, seed=seed)
-    net = OrderlessChainNetwork(settings)
+    config = ExperimentConfig(num_orgs=6, quorum=3, seed=seed, scale=1)
+    net = OrderlessChainNetwork(config)
     if observability is not None:
         net.attach_observability(observability)
     if plug is not None:

@@ -13,15 +13,15 @@ import pytest
 from repro.bench.config import ExperimentConfig
 from repro.bench.runner import run_experiment
 from repro.contracts import AuctionContract
-from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.core import OrderlessChainNetwork
 from repro.obs import Observability, Recorder, TraceCollector
 
 
 def run_traced(trace=True, sample_interval=0.0, bids=6, plug=None):
     """A small auction run; ``plug`` is set as the run's trace sink
     directly, without an :class:`Observability`."""
-    settings = OrderlessChainSettings(num_orgs=4, quorum=2, seed=7)
-    net = OrderlessChainNetwork(settings)
+    config = ExperimentConfig(num_orgs=4, quorum=2, seed=7, scale=1)
+    net = OrderlessChainNetwork(config)
     obs = None
     if plug is not None:
         net.recorder.trace = net.network.tracer = plug

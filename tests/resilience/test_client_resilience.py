@@ -8,7 +8,8 @@ fast enough for tier 1 (heavier chaos comparisons live under the
 
 import pytest
 
-from repro.core import OrderlessChainNetwork, OrderlessChainSettings
+from repro.bench.config import ExperimentConfig
+from repro.core import OrderlessChainNetwork
 from repro.core.client import ClientConfig
 from repro.core.organization import MSG_PROPOSAL
 from repro.contracts import VotingContract
@@ -17,11 +18,12 @@ from repro.resilience import BREAKER_OPEN, ResilienceConfig
 
 def make_net(num_orgs=4, quorum=2, seed=3, snapshot_interval=0.0):
     network = OrderlessChainNetwork(
-        OrderlessChainSettings(
+        ExperimentConfig(
             num_orgs=num_orgs,
             quorum=quorum,
             seed=seed,
             snapshot_interval=snapshot_interval,
+            scale=1,
         )
     )
     network.install_contract(lambda: VotingContract(parties_per_election=2))

@@ -30,11 +30,3 @@ def test_different_seeds_differ():
     a = RngRegistry(seed=1).stream("x").random()
     b = RngRegistry(seed=2).stream("x").random()
     assert a != b
-
-
-def test_fork_is_deterministic_and_independent():
-    base = RngRegistry(seed=5)
-    fork_a = base.fork("child")
-    fork_b = RngRegistry(seed=5).fork("child")
-    assert fork_a.seed == fork_b.seed
-    assert fork_a.seed != base.seed
