@@ -125,14 +125,15 @@ class ExperimentConfig:
     # Fault injection (repro.faults): a declarative schedule executed
     # deterministically during the run, and whether to run the
     # invariant oracles (repro.checkers) at quiescence. See
-    # docs/FAULTS.md.
-    fault_schedule: Optional[FaultSchedule] = None
+    # docs/FAULTS.md. The empty schedule injects nothing.
+    fault_schedule: FaultSchedule = field(default_factory=FaultSchedule)
     check: bool = False
     # Schedule exploration (repro.explore): a controlled-nondeterminism
     # profile permuting same-time ties and/or jittering deliveries, and
     # an optional planted protocol bug activated for this run only (the
-    # explorer's mutation smoke). None/None is the historical behavior.
-    explore: Optional[ExploreProfile] = None
+    # explorer's mutation smoke). The inactive profile and no planted
+    # bug are the historical behavior.
+    explore: ExploreProfile = field(default_factory=ExploreProfile)
     planted_bug: Optional[str] = None
     # Multi-application channels (repro.core.channel): empty () deploys
     # the one contract on the default channel (the golden-seed shape);

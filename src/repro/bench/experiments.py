@@ -32,7 +32,6 @@ import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.config import (
-    SYSTEMS,
     ByzantineWindow,
     ChannelSpec,
     ExperimentConfig,
@@ -41,7 +40,7 @@ from repro.bench.config import (
 from repro.bench.metrics import ExperimentResult
 from repro.bench.parallel import expect_results, run_sweep
 from repro.bench.runner import run_experiment
-from repro.faults import FaultSchedule, default_node_ids, smoke_schedule
+from repro.faults import FaultSchedule, default_node_ids, fault_run, smoke_schedule
 
 # One point of a panel: (series, x, config). ``series`` is None except
 # for comparison / breakdown / scalar panels; ``x`` is the point's label
@@ -367,9 +366,9 @@ def chaos_run(
         resilience=resilience,
         max_retries=max_retries,
         snapshot_interval=snapshot_interval,
-        **_base(max(duration, schedule.horizon + 5.0), scale, seed),
+        **_base(duration, scale, seed),
     )
-    return run_experiment(config)
+    return run_experiment(fault_run(config))
 
 
 def resilience_availability(
@@ -400,18 +399,20 @@ def resilience_availability(
         (
             None,
             f"{mode}/seed{run_seed}",
-            ExperimentConfig(
-                system="orderlesschain",
-                app=app,
-                arrival_rate=arrival_rate,
-                num_orgs=num_orgs,
-                quorum=quorum,
-                fault_schedule=schedule,
-                check=True,
-                max_retries=2,
-                resilience=mode == "adaptive",
-                snapshot_interval=5.0 if mode == "adaptive" else 0.0,
-                **_base(max(duration, schedule.horizon + 5.0), scale, run_seed),
+            fault_run(
+                ExperimentConfig(
+                    system="orderlesschain",
+                    app=app,
+                    arrival_rate=arrival_rate,
+                    num_orgs=num_orgs,
+                    quorum=quorum,
+                    fault_schedule=schedule,
+                    check=True,
+                    max_retries=2,
+                    resilience=mode == "adaptive",
+                    snapshot_interval=5.0 if mode == "adaptive" else 0.0,
+                    **_base(duration, scale, run_seed),
+                )
             ),
         )
         for mode in ("fixed", "adaptive")
@@ -499,25 +500,9 @@ def multichannel_chaos(
         channels=tuple(
             ChannelSpec(f"ch{index}", app=app) for index, app in enumerate(apps)
         ),
-        **_base(max(duration, schedule.horizon + 5.0), scale, seed),
+        **_base(duration, scale, seed),
     )
-    return run_experiment(config)
-
-
-def chaos_suite(
-    systems: Sequence[str] = SYSTEMS,
-    app: str = "voting",
-    duration: float = 20.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-) -> Dict[str, ExperimentResult]:
-    """The chaos smoke across every system; keyed by system name."""
-    return {
-        system: chaos_run(
-            system=system, app=app, duration=duration, scale=scale, seed=seed
-        )
-        for system in systems
-    }
+    return run_experiment(fault_run(config))
 
 
 __all__ = [
@@ -526,7 +511,6 @@ __all__ = [
     "ablation_fabric_orderer",
     "ablation_gossip_interval",
     "chaos_run",
-    "chaos_suite",
     "fig6a_arrival_rate",
     "fig6b_organizations",
     "fig6c_endorsement_policy",

@@ -119,7 +119,7 @@ def run_network(config: ExperimentConfig, obs: Optional[Observability] = None):
     net = build_network(config, obs)
     net.start()
     injector = None
-    if config.fault_schedule is not None:
+    if config.fault_schedule:
         injector = install_schedule(net, config.fault_schedule)
     specs = _channel_specs(config)
     total_share = sum(spec.rate_share for spec in specs)
@@ -145,7 +145,7 @@ def run_experiment(
     otherwise one is created when the config asks for tracing or
     sampling.
 
-    When ``config.fault_schedule`` is set, the schedule is installed
+    When ``config.fault_schedule`` is not empty, it is installed
     before the drivers start (fault injection is part of the
     deterministic event order); when ``config.check`` is set, the
     invariant oracles run at quiescence and the result carries their

@@ -321,27 +321,27 @@ def default_checkers() -> List[Any]:
 
 def run_checkers(
     net: Any,
-    schedule: Optional[FaultSchedule] = None,
+    schedule: FaultSchedule = FaultSchedule(),
     quiescent: bool = True,
     byzantine_ids: Optional[FrozenSet[str]] = None,
     checkers: Optional[Sequence[Any]] = None,
 ) -> CheckReport:
     """Run the oracles against a (usually finished) run.
 
-    ``schedule`` — when given, derives which nodes the schedule left
-    crashed, whether a partition is still in place, and the fault
-    horizon for the liveness probe. ``byzantine_ids`` defaults to the
-    network's ground truth (organizations with a Byzantine config).
+    ``schedule`` — derives which nodes the schedule left crashed,
+    whether a partition is still in place, and the fault horizon for
+    the liveness probe (the empty default: none, no, 0.0).
+    ``byzantine_ids`` defaults to the network's ground truth
+    (organizations with a Byzantine config).
     """
     if byzantine_ids is None:
         byzantine_ids = net.byzantine_ids()
-    crashed = schedule.crashed_at_end() if schedule is not None else frozenset()
     ctx = CheckContext(
         quiescent=quiescent,
         byzantine_ids=frozenset(byzantine_ids),
-        crashed_ids=crashed,
-        partitioned=schedule.partitioned_at_end() if schedule is not None else False,
-        fault_horizon=schedule.horizon if schedule is not None else 0.0,
+        crashed_ids=schedule.crashed_at_end(),
+        partitioned=schedule.partitioned_at_end(),
+        fault_horizon=schedule.horizon,
     )
     report = CheckReport(system=net.system, checked_at=net.sim.now, quiescent=quiescent)
     for checker in checkers if checkers is not None else default_checkers():

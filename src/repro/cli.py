@@ -29,6 +29,7 @@ from repro.bench import experiments, export
 from repro.bench.config import APPS, SYSTEMS
 from repro.bench.reporting import format_breakdown, format_node_metrics, format_table
 from repro.errors import ConfigError
+from repro.explore.plant import PLANTED_BUGS
 from repro.report.catalog import all_specs, select_specs
 from repro.report.render import render_table
 
@@ -309,7 +310,8 @@ def _cmd_explore(args) -> int:
 
     See docs/TESTING.md. Exit codes: 0 = no violation (or a replay
     that reproduced its artifact), 1 = violation found (artifact
-    written) or replay mismatch.
+    written) or replay mismatch, 2 = a malformed artifact (``main``
+    prints every ``ConfigError`` as one ``error:`` line).
     """
     from repro.explore import explore, replay
 
@@ -351,8 +353,8 @@ def _cmd_explore(args) -> int:
     print(f"violation: {', '.join(artifact.failures)} on {artifact.case.system}")
     print(
         f"  minimized with {outcome.minimize_executions} extra execution(s): "
-        f"{len(artifact.case.faults)} fault event(s), profile "
-        f"{'active' if artifact.case.profile.active else 'off'}"
+        f"{len(artifact.case.fault_schedule)} fault event(s), profile "
+        f"{'active' if artifact.case.explore.active else 'off'}"
     )
     print(f"  fingerprint: {artifact.fingerprint}")
     print(f"  replay verified: {outcome.replay_verified}")
@@ -543,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore.add_argument(
         "--plant-bug",
-        choices=["crdt-merge", "quorum"],
+        choices=sorted(PLANTED_BUGS),
         default=None,
         help="seed a known protocol bug (mutation smoke: the explorer must find it)",
     )
@@ -567,7 +569,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

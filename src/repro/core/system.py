@@ -64,10 +64,9 @@ class NetworkShell:
         self.sim = Simulator()
         self.rng = RngRegistry(seed=config.seed)
         self.network = Network(self.sim, self.rng.stream("net"))
-        if config.explore is not None:
-            # Must happen before anything is scheduled (the simulator
-            # enforces this) so every event carries a homogeneous key.
-            config.explore.install(self.sim, self.network)
+        # Must happen before anything is scheduled (the simulator
+        # enforces this) so every event carries a homogeneous key.
+        config.explore.install(self.sim, self.network)
         self.recorder = TransactionRecorder()
         self.clients: List[Any] = []
 

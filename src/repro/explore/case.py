@@ -1,153 +1,64 @@
-"""Explore cases and replay artifacts.
+"""Replay artifacts for explore cases.
 
-An :class:`ExploreCase` pins *every* choice point of one execution:
-the base protocol seed, the controlled-nondeterminism profile (tie
-permutation + delivery jitter, :mod:`repro.sim.nondeterminism`), the
-fault schedule, the workload operating point, and — crucially — the
-resolved ``scale`` factor, so a case replays identically on a machine
-with a different ``REPRO_BENCH_SCALE``. Everything is plain data:
-hashable, picklable for process-pool sweeps, and round-trippable
-through JSON.
+An explore case is an :class:`~repro.bench.config.ExperimentConfig`.
+It pins *every* choice point of one execution: the base protocol seed,
+the controlled-nondeterminism profile (``explore``: tie permutation +
+delivery jitter, :mod:`repro.sim.nondeterminism`), the fault schedule,
+the workload operating point, and — crucially — the resolved ``scale``
+factor, so a case replays identically on a machine with a different
+``REPRO_BENCH_SCALE``. Its ``duration`` is the run before the recovery
+margin: every execution runs :func:`repro.faults.fault_run` of it.
 
 A counterexample found by the explorer is persisted as a
 ``*.schedule.json`` artifact carrying the (minimized) case plus the
 expected run fingerprint and failing-oracle set; ``repro explore
 --replay`` re-executes the case and verifies both match byte-for-byte.
+The artifact's ``case`` holds ``scale`` plus every field that differs
+from its ``ExperimentConfig`` default, and loading it builds the
+config, so ``ExperimentConfig.__post_init__`` validates it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Dict, Tuple
 
-from repro.bench.config import APPS, SYSTEMS, ExperimentConfig
+from repro.bench.config import ExperimentConfig
 from repro.errors import ConfigError
 from repro.faults.schedule import FaultSchedule
 from repro.sim.nondeterminism import ExploreProfile
 
 ARTIFACT_KIND = "repro.explore.counterexample"
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 
-@dataclass(frozen=True)
-class ExploreCase:
-    """One fully-determined execution of one system under exploration."""
+def _case_wire(case: ExperimentConfig) -> Dict[str, Any]:
+    # The default scale reads the environment, so it is always pinned.
+    wire: Dict[str, Any] = {"scale": case.scale}
+    default = ExperimentConfig(scale=case.scale)
+    for spec in fields(case):
+        value = getattr(case, spec.name)
+        if value != getattr(default, spec.name):
+            wire[spec.name] = value.to_wire() if hasattr(value, "to_wire") else value
+    return wire
 
-    system: str = "orderlesschain"
-    app: str = "voting"
-    seed: int = 0
-    arrival_rate: float = 400.0
-    num_orgs: int = 4
-    quorum: int = 2
-    duration: float = 20.0
-    # Resolved at case-creation time and pinned here — never read from
-    # the environment again, so artifacts replay across machines.
-    scale: float = 20.0
-    # Contention knobs (smaller pools = more same-object concurrency,
-    # which is where order-sensitivity bugs live): the synthetic app's
-    # object pool and the voting app's election count.
-    object_pool: int = 16
-    elections: int = 4
-    profile: ExploreProfile = field(default_factory=ExploreProfile)
-    faults: FaultSchedule = field(default_factory=FaultSchedule)
-    planted_bug: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.system not in SYSTEMS:
-            raise ConfigError(f"unknown system {self.system!r}; choose from {SYSTEMS}")
-        if self.app not in APPS:
-            raise ConfigError(f"unknown app {self.app!r}; choose from {APPS}")
-        if self.scale <= 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
-        if self.duration <= 0:
-            raise ConfigError(f"duration must be positive, got {self.duration}")
-
-    def with_(self, **kwargs) -> "ExploreCase":
-        """A copy with some fields replaced (mutation helper)."""
-        return replace(self, **kwargs)
-
-    def to_config(self) -> ExperimentConfig:
-        """The :class:`ExperimentConfig` that executes this case.
-
-        The run is extended past the fault horizon (same margin as
-        ``chaos_run``) so recovery traffic drains before the oracles
-        judge convergence, and oracle checking is always on — the
-        checkers *are* the property being fuzzed.
-        """
-        duration = self.duration
-        if len(self.faults):
-            duration = max(duration, self.faults.horizon + 5.0)
-        return ExperimentConfig(
-            system=self.system,
-            app=self.app,
-            arrival_rate=self.arrival_rate,
-            num_orgs=self.num_orgs,
-            quorum=self.quorum,
-            duration=duration,
-            scale=self.scale,
-            seed=self.seed,
-            object_pool=self.object_pool,
-            elections=self.elections,
-            fault_schedule=self.faults if len(self.faults) else None,
-            check=True,
-            explore=self.profile if self.profile.active else None,
-            planted_bug=self.planted_bug,
-        )
-
-    # -- wire / file forms ----------------------------------------------
-
-    def to_wire(self) -> Dict[str, Any]:
-        wire: Dict[str, Any] = {
-            "system": self.system,
-            "app": self.app,
-            "seed": self.seed,
-            "arrival_rate": self.arrival_rate,
-            "num_orgs": self.num_orgs,
-            "quorum": self.quorum,
-            "duration": self.duration,
-            "scale": self.scale,
-            "object_pool": self.object_pool,
-            "elections": self.elections,
-            "profile": self.profile.to_wire(),
-            "faults": self.faults.to_wire(),
-        }
-        if self.planted_bug is not None:
-            wire["planted_bug"] = self.planted_bug
-        return wire
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, Any]) -> "ExploreCase":
-        known = {
-            "system",
-            "app",
-            "seed",
-            "arrival_rate",
-            "num_orgs",
-            "quorum",
-            "duration",
-            "scale",
-            "object_pool",
-            "elections",
-            "profile",
-            "faults",
-            "planted_bug",
-        }
-        unknown = set(wire) - known
-        if unknown:
-            raise ConfigError(f"unknown explore case fields: {sorted(unknown)}")
-        kwargs = dict(wire)
-        kwargs["profile"] = ExploreProfile.from_wire(kwargs.get("profile", {}))
-        kwargs["faults"] = FaultSchedule.from_wire(kwargs.get("faults", {"events": []}))
-        return cls(**kwargs)
+def _case_from_wire(wire: Dict[str, Any]) -> ExperimentConfig:
+    values = dict(wire)
+    if "fault_schedule" in values:
+        values["fault_schedule"] = FaultSchedule.from_wire(wire["fault_schedule"])
+    if "explore" in values:
+        values["explore"] = ExploreProfile.from_wire(wire["explore"])
+    return ExperimentConfig(**values)
 
 
 @dataclass(frozen=True)
 class Artifact:
     """A persisted counterexample: the case plus its expected outcome."""
 
-    case: ExploreCase
+    case: ExperimentConfig
     fingerprint: str
     failures: Tuple[str, ...]
     executions: int = 0  # explorer budget spent before this was found
@@ -156,11 +67,30 @@ class Artifact:
         return {
             "version": ARTIFACT_VERSION,
             "kind": ARTIFACT_KIND,
-            "case": self.case.to_wire(),
+            "case": _case_wire(self.case),
             "fingerprint": self.fingerprint,
             "failures": list(self.failures),
             "executions": self.executions,
         }
+
+    @classmethod
+    def from_wire(cls, wire: Any) -> "Artifact":
+        """Parse an artifact; anything malformed raises :class:`ConfigError`."""
+        if not isinstance(wire, dict) or wire.get("kind") != ARTIFACT_KIND:
+            raise ConfigError(f"not a {ARTIFACT_KIND} artifact")
+        if wire.get("version") != ARTIFACT_VERSION:
+            raise ConfigError(f"unsupported artifact version {wire.get('version')!r}")
+        try:
+            return cls(
+                case=_case_from_wire(wire["case"]),
+                fingerprint=wire["fingerprint"],
+                failures=tuple(wire.get("failures", ())),
+                executions=int(wire.get("executions", 0)),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"artifact has no {exc.args[0]!r} field") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed artifact: {exc}") from None
 
 
 def write_artifact(path: str, artifact: Artifact) -> None:
@@ -176,26 +106,16 @@ def write_artifact(path: str, artifact: Artifact) -> None:
 def load_artifact(path: str) -> Artifact:
     """Load and validate a ``*.schedule.json`` replay artifact."""
     with open(path, "r", encoding="utf-8") as handle:
-        wire = json.load(handle)
-    if not isinstance(wire, dict) or wire.get("kind") != ARTIFACT_KIND:
-        raise ConfigError(f"{path}: not a {ARTIFACT_KIND} artifact")
-    if wire.get("version") != ARTIFACT_VERSION:
-        raise ConfigError(
-            f"{path}: unsupported artifact version {wire.get('version')!r}"
-        )
-    return Artifact(
-        case=ExploreCase.from_wire(wire["case"]),
-        fingerprint=wire["fingerprint"],
-        failures=tuple(wire.get("failures", [])),
-        executions=int(wire.get("executions", 0)),
-    )
+        try:
+            return Artifact.from_wire(json.load(handle))
+        except (ConfigError, ValueError) as exc:  # ValueError: not JSON at all
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 __all__ = [
     "ARTIFACT_KIND",
     "ARTIFACT_VERSION",
     "Artifact",
-    "ExploreCase",
     "load_artifact",
     "write_artifact",
 ]

@@ -1,8 +1,8 @@
 """The schedule-exploration engine.
 
-:func:`explore` sweeps generated :class:`~repro.explore.case.ExploreCase`
-executions over one or more systems, re-running every ``repro.checkers``
-oracle per execution. Two strategies:
+:func:`explore` sweeps generated explore cases (each one
+:class:`~repro.bench.config.ExperimentConfig`) over one or more systems,
+re-running every ``repro.checkers`` oracle per execution. Two strategies:
 
 * ``random`` — independent draws: fresh seeds, profile, and fault
   schedule every execution.
@@ -19,8 +19,10 @@ minimized case is executed twice and must produce byte-identical
 fingerprints and the original failing-oracle set.
 
 Multi-process sweeps reuse :func:`repro.bench.parallel.run_sweep` — a
-case is pure data, so workers reconstruct identical executions from the
-config alone. Minimization and replay verification always run
+case is a config, so workers reconstruct identical executions from it
+alone. Every execution runs :func:`repro.faults.fault_run` of its case,
+so recovery traffic drains past the fault horizon before the oracles
+judge. Minimization and replay verification always run
 in-process (they are sequential by nature).
 
 When a trace collector is passed, the engine emits wall-second
@@ -35,12 +37,14 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.bench.config import ExperimentConfig
 from repro.errors import ConfigError
-from repro.explore.case import Artifact, ExploreCase, load_artifact, write_artifact
+from repro.explore.case import Artifact, load_artifact, write_artifact
 from repro.explore.generate import mutate_case, random_case
 from repro.explore.minimize import minimize
+from repro.faults import fault_run
 
 STRATEGIES = ("random", "coverage")
 
@@ -53,7 +57,7 @@ MUTATE_PROBABILITY = 0.6
 class Execution:
     """One completed case: oracle outcomes plus coverage signature."""
 
-    case: ExploreCase
+    case: ExperimentConfig
     ok: bool
     failures: Tuple[str, ...]  # failing oracle names, sorted
     fingerprint: str
@@ -101,7 +105,7 @@ def _signature(result) -> Tuple:
     )
 
 
-def _execution(case: ExploreCase, result) -> Execution:
+def _execution(case: ExperimentConfig, result) -> Execution:
     report = result.check_report
     return Execution(
         case=case,
@@ -114,14 +118,16 @@ def _execution(case: ExploreCase, result) -> Execution:
     )
 
 
-def run_case(case: ExploreCase) -> Execution:
+def run_case(case: ExperimentConfig) -> Execution:
     """Execute one case in-process and summarize its oracle outcomes."""
     from repro.bench.runner import run_experiment
 
-    return _execution(case, run_experiment(case.to_config()))
+    if not case.check:
+        raise ConfigError("an explore case runs the oracles: it needs check=True")
+    return _execution(case, run_experiment(fault_run(case)))
 
 
-def _run_batch(cases: Sequence[ExploreCase], jobs: int) -> List[Optional[Execution]]:
+def _run_batch(cases: Sequence[ExperimentConfig], jobs: int) -> List[Optional[Execution]]:
     """Run a batch on ``jobs`` workers; ``None`` marks a crashed point.
 
     A point's exception does not abort exploration — the planted bugs
@@ -130,21 +136,11 @@ def _run_batch(cases: Sequence[ExploreCase], jobs: int) -> List[Optional[Executi
     """
     from repro.bench.parallel import SweepFailure, run_sweep
 
-    outcomes = run_sweep([case.to_config() for case in cases], jobs=jobs)
+    outcomes = run_sweep([fault_run(case) for case in cases], jobs=jobs)
     return [
         None if isinstance(outcome, SweepFailure) else _execution(case, outcome)
         for case, outcome in zip(cases, outcomes)
     ]
-
-
-def _failing_set_runner(counter: List[int]) -> Callable:
-    """A minimize runner that counts executions into ``counter[0]``."""
-
-    def runner(candidate: ExploreCase):
-        counter[0] += 1
-        return frozenset(run_case(candidate).failures)
-
-    return runner
 
 
 def explore(
@@ -175,12 +171,12 @@ def explore(
         raise ConfigError("explore needs at least one system")
     rng = random.Random(f"explore:{seed}")
     t0 = time.perf_counter()
-    corpus: List[ExploreCase] = []
+    corpus: List[ExperimentConfig] = []
     seen_signatures = set()
     spent = 0
     violation: Optional[Execution] = None
 
-    def next_case(index: int) -> ExploreCase:
+    def next_case(index: int) -> ExperimentConfig:
         system = systems[index % len(systems)]
         if (
             strategy == "coverage"
@@ -239,23 +235,25 @@ def explore(
 
     # Minimize, persist, and verify the replay byte-for-byte.
     failing = frozenset(violation.failures)
-    counter = [0]
     minimize_started = time.perf_counter()
-    minimized, _ = minimize(
-        violation.case, failing, _failing_set_runner(counter), budget=minimize_budget
+    minimized, spent_minimizing = minimize(
+        violation.case,
+        failing,
+        lambda candidate: frozenset(run_case(candidate).failures),
+        budget=minimize_budget,
     )
     first = run_case(minimized)
     second = run_case(minimized)
-    counter[0] += 2
+    extra = spent_minimizing + 2  # the two verification replays
     if collector is not None:
         collector.span(
             "explore/minimize",
             minimize_started - t0,
             time.perf_counter() - t0,
             attrs={
-                "executions": counter[0],
-                "events_before": len(violation.case.faults),
-                "events_after": len(minimized.faults),
+                "executions": extra,
+                "events_before": len(violation.case.fault_schedule),
+                "events_after": len(minimized.fault_schedule),
             },
         )
     verified = (
@@ -279,7 +277,7 @@ def explore(
         unique_signatures=len(seen_signatures),
         violation=artifact,
         artifact_path=path,
-        minimize_executions=counter[0],
+        minimize_executions=extra,
         replay_verified=verified,
     )
 

@@ -16,10 +16,10 @@ enumerates the same case sequence.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import List, Optional
 
-from repro.bench.config import default_scale
-from repro.explore.case import ExploreCase
+from repro.bench.config import ExperimentConfig, default_scale
 from repro.faults import default_node_ids
 from repro.faults.schedule import (
     KIND_CRASH,
@@ -31,6 +31,7 @@ from repro.faults.schedule import (
     FaultEvent,
     FaultSchedule,
 )
+from repro.sim.nondeterminism import ExploreProfile
 
 # Bounds for generated fault intensity; chosen so that correct systems
 # still converge comfortably inside the post-horizon drain window.
@@ -106,6 +107,11 @@ def random_fault_schedule(
     return FaultSchedule(events=tuple(events))
 
 
+def ends_clean(schedule: FaultSchedule) -> bool:
+    """True when ``schedule`` leaves no node crashed and no cut in place."""
+    return not schedule.crashed_at_end() and not schedule.partitioned_at_end()
+
+
 def random_case(
     rng: random.Random,
     system: str,
@@ -116,17 +122,22 @@ def random_case(
     quorum: int = 2,
     arrival_rate: float = 400.0,
     planted_bug: Optional[str] = None,
-) -> ExploreCase:
-    """Draw a fresh case: new seeds, new profile, new fault schedule."""
-    from repro.sim.nondeterminism import ExploreProfile
+) -> ExperimentConfig:
+    """Draw a fresh case: new seeds, new profile, new fault schedule.
 
+    The scale is resolved here and pinned in the case. The small object
+    pool and election count are the explorer's contention point: more
+    same-object concurrency, which is where order-sensitivity bugs
+    live. Oracle checking is always on — the checkers *are* the
+    property being fuzzed.
+    """
     profile = ExploreProfile(
         tie_seed=rng.randrange(1 << 30),
         jitter_seed=rng.randrange(1 << 30),
         jitter_factor=_round(rng.uniform(0.0, 0.5)),
     )
     node_ids = default_node_ids(system, num_orgs)
-    return ExploreCase(
+    return ExperimentConfig(
         system=system,
         app=app,
         seed=rng.randrange(1 << 30),
@@ -135,37 +146,47 @@ def random_case(
         quorum=quorum,
         duration=duration,
         scale=scale if scale is not None else default_scale(),
-        profile=profile,
-        faults=random_fault_schedule(rng, node_ids, horizon=duration * 0.6),
+        object_pool=16,
+        elections=4,
+        check=True,
+        explore=profile,
+        fault_schedule=random_fault_schedule(rng, node_ids, horizon=duration * 0.6),
         planted_bug=planted_bug,
     )
 
 
-def mutate_case(rng: random.Random, case: ExploreCase) -> ExploreCase:
+def mutate_case(rng: random.Random, case: ExperimentConfig) -> ExperimentConfig:
     """Small perturbation of an interesting case (coverage-guided mode).
 
     One mutation per call: re-draw a nondeterminism seed, nudge the
     jitter factor, drop or add a fault event, shift an event in time,
     or re-draw the whole fault schedule. Workload shape (system, app,
     orgs, rate, scale) is preserved so the signature space stays
-    comparable across mutants.
+    comparable across mutants. A mutant whose schedule does not end
+    clean (a recover shifted before its crash, a heal before its
+    partition) is drawn again.
     """
-    from repro.sim.nondeterminism import ExploreProfile
+    while True:
+        mutant = _mutant(rng, case)
+        if ends_clean(mutant.fault_schedule):
+            return mutant
 
+
+def _mutant(rng: random.Random, case: ExperimentConfig) -> ExperimentConfig:
     choice = rng.randrange(6)
     if choice == 0:  # new tie permutation
-        profile = case.profile
+        profile = case.explore
         return case.with_(
-            profile=ExploreProfile(
+            explore=ExploreProfile(
                 tie_seed=rng.randrange(1 << 30),
                 jitter_seed=profile.jitter_seed,
                 jitter_factor=profile.jitter_factor,
             )
         )
     if choice == 1:  # new jitter stream and intensity
-        profile = case.profile
+        profile = case.explore
         return case.with_(
-            profile=ExploreProfile(
+            explore=ExploreProfile(
                 tie_seed=profile.tie_seed,
                 jitter_seed=rng.randrange(1 << 30),
                 jitter_factor=_round(rng.uniform(0.0, 0.5)),
@@ -173,7 +194,7 @@ def mutate_case(rng: random.Random, case: ExploreCase) -> ExploreCase:
         )
     if choice == 2:  # new protocol seed
         return case.with_(seed=rng.randrange(1 << 30))
-    events = list(case.faults.events)
+    events = list(case.fault_schedule.events)
     if choice == 3 and events:  # drop one paired-safe event window
         victim = rng.choice(events)
         keep = [event for event in events if event is not victim]
@@ -194,18 +215,18 @@ def mutate_case(rng: random.Random, case: ExploreCase) -> ExploreCase:
                 for event in keep
                 if event.kind not in (KIND_PARTITION, KIND_HEAL)
             ]
-        return case.with_(faults=FaultSchedule(events=tuple(keep)))
+        return case.with_(fault_schedule=FaultSchedule(events=tuple(keep)))
     if choice == 4 and events:  # shift one event slightly in time
         index = rng.randrange(len(events))
         event = events[index]
         shifted_at = _round(max(0.1, event.at + rng.uniform(-1.0, 1.0)))
-        events[index] = FaultEvent.from_wire({**event.to_wire(), "at": shifted_at})
-        return case.with_(faults=FaultSchedule(events=tuple(events)))
+        events[index] = replace(event, at=shifted_at)
+        return case.with_(fault_schedule=FaultSchedule(events=tuple(events)))
     # Fallback (and choice == 5): regenerate the fault schedule.
     node_ids = default_node_ids(case.system, case.num_orgs)
     return case.with_(
-        faults=random_fault_schedule(rng, node_ids, horizon=case.duration * 0.6)
+        fault_schedule=random_fault_schedule(rng, node_ids, horizon=case.duration * 0.6)
     )
 
 
-__all__ = ["mutate_case", "random_case", "random_fault_schedule"]
+__all__ = ["ends_clean", "mutate_case", "random_case", "random_fault_schedule"]

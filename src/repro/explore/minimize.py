@@ -1,6 +1,7 @@
 """Counterexample minimization (delta debugging over choice points).
 
-Given a failing :class:`~repro.explore.case.ExploreCase`, shrink it
+Given a failing explore case (an
+:class:`~repro.bench.config.ExperimentConfig`), shrink it
 while the *same* failure persists — "same" meaning an identical set of
 failing oracles, not an identical fingerprint (the fingerprint changes
 with every dropped choice point by construction). Reductions, in
@@ -19,14 +20,18 @@ Every probe is one full execution, so the whole pass is bounded by an
 execution ``budget``; when the budget runs out the best case so far is
 returned. Minimization never *changes* the failure — candidates that
 fail differently (or pass) are rejected — so the minimized case's
-failing-oracle set equals the original's by construction.
+failing-oracle set equals the original's by construction. Nor does it
+change what the oracles may demand: a candidate whose schedule leaves a
+node crashed or a partition in place is rejected without running.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, FrozenSet, List, Tuple
 
-from repro.explore.case import ExploreCase
+from repro.bench.config import ExperimentConfig
+from repro.explore.generate import ends_clean
 from repro.faults.schedule import (
     KIND_CRASH,
     KIND_HEAL,
@@ -38,7 +43,7 @@ from repro.faults.schedule import (
 from repro.sim.nondeterminism import ExploreProfile
 
 # A runner maps a case to its failing-oracle names (empty = run passed).
-Runner = Callable[[ExploreCase], FrozenSet[str]]
+Runner = Callable[[ExperimentConfig], FrozenSet[str]]
 
 
 def _event_units(events: Tuple[FaultEvent, ...]) -> List[List[FaultEvent]]:
@@ -72,44 +77,41 @@ def _without(events: Tuple[FaultEvent, ...], unit: List[FaultEvent]) -> FaultSch
     )
 
 
-def _shrunk_windows(case: ExploreCase) -> List[ExploreCase]:
+def _shrunk_windows(case: ExperimentConfig) -> List[ExperimentConfig]:
     """Candidates with one fault window halved (shortest meaningful 0.2s)."""
-    candidates: List[ExploreCase] = []
-    events = case.faults.events
+    events = case.fault_schedule.events
+
+    def shrunk(index: int, **changes) -> ExperimentConfig:
+        changed = list(events)
+        changed[index] = replace(events[index], **changes)
+        return case.with_(fault_schedule=FaultSchedule(events=tuple(changed)))
+
+    candidates: List[ExperimentConfig] = []
     for index, event in enumerate(events):
         if event.duration is not None and event.duration > 0.4:
-            wire = event.to_wire()
-            wire["duration"] = round(event.duration / 2, 3)
-            shrunk = list(events)
-            shrunk[index] = FaultEvent.from_wire(wire)
-            candidates.append(case.with_(faults=FaultSchedule(events=tuple(shrunk))))
+            candidates.append(shrunk(index, duration=round(event.duration / 2, 3)))
         if event.kind == KIND_RECOVER:
-            # Halve the crash window by pulling the recover earlier.
-            crash_at = next(
+            # Halve the crash window this recover ends (the node's
+            # latest earlier crash) by pulling the recover earlier.
+            crash_at = max(
                 (
                     other.at
-                    for other in events
+                    for other in events[:index]
                     if other.kind == KIND_CRASH and other.node == event.node
                 ),
-                None,
+                default=None,
             )
             if crash_at is not None and event.at - crash_at > 0.4:
-                wire = event.to_wire()
-                wire["at"] = round(crash_at + (event.at - crash_at) / 2, 3)
-                shrunk = list(events)
-                shrunk[index] = FaultEvent.from_wire(wire)
-                candidates.append(
-                    case.with_(faults=FaultSchedule(events=tuple(shrunk)))
-                )
+                candidates.append(shrunk(index, at=round(crash_at + (event.at - crash_at) / 2, 3)))
     return candidates
 
 
 def minimize(
-    case: ExploreCase,
+    case: ExperimentConfig,
     failing: FrozenSet[str],
     runner: Runner,
     budget: int = 40,
-) -> Tuple[ExploreCase, int]:
+) -> Tuple[ExperimentConfig, int]:
     """Shrink ``case`` while ``runner`` reproduces exactly ``failing``.
 
     Returns ``(minimized_case, executions_spent)``. ``failing`` must be
@@ -119,15 +121,17 @@ def minimize(
         raise ValueError("minimize needs a failing case")
     spent = 0
 
-    def reproduces(candidate: ExploreCase) -> bool:
+    def reproduces(candidate: ExperimentConfig) -> bool:
         nonlocal spent
+        if not ends_clean(candidate.fault_schedule):
+            return False  # a permanent fault changes the oracles' obligations
         spent += 1
         return runner(candidate) == failing
 
     current = case
 
     # 1. Profile reductions, most aggressive first.
-    profile = current.profile
+    profile = current.explore
     for reduced in (
         ExploreProfile(),  # no controlled nondeterminism at all
         ExploreProfile(tie_seed=profile.tie_seed),  # ties only
@@ -135,11 +139,11 @@ def minimize(
             jitter_seed=profile.jitter_seed, jitter_factor=profile.jitter_factor
         ),  # jitter only
     ):
-        if reduced == current.profile:
+        if reduced == current.explore:
             continue
         if spent >= budget:
             return current, spent
-        candidate = current.with_(profile=reduced)
+        candidate = current.with_(explore=reduced)
         if reproduces(candidate):
             current = candidate
             break
@@ -148,10 +152,12 @@ def minimize(
     progress = True
     while progress and spent < budget:
         progress = False
-        for unit in _event_units(current.faults.events):
+        for unit in _event_units(current.fault_schedule.events):
             if spent >= budget:
                 break
-            candidate = current.with_(faults=_without(current.faults.events, unit))
+            candidate = current.with_(
+                fault_schedule=_without(current.fault_schedule.events, unit)
+            )
             if reproduces(candidate):
                 current = candidate
                 progress = True

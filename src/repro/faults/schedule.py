@@ -272,10 +272,28 @@ def smoke_schedule(
     return FaultSchedule(events=tuple(events))
 
 
+# Simulated seconds a faulted run keeps offering load past its
+# schedule's horizon, so recovery traffic drains before the oracles
+# judge convergence and liveness.
+RECOVERY_MARGIN = 5.0
+
+
+def fault_run(config):
+    """``config`` (an ``ExperimentConfig``) extended to run at least
+    :data:`RECOVERY_MARGIN` seconds past its fault schedule's horizon;
+    unchanged when the schedule is empty."""
+    schedule = config.fault_schedule
+    if not schedule:
+        return config
+    return config.with_(duration=max(config.duration, schedule.horizon + RECOVERY_MARGIN))
+
+
 __all__ = [
     "FaultEvent",
     "FaultSchedule",
+    "RECOVERY_MARGIN",
     "default_node_ids",
+    "fault_run",
     "smoke_schedule",
     "KIND_CRASH",
     "KIND_RECOVER",

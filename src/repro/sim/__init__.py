@@ -5,8 +5,7 @@ This package provides the substrate on which every simulated node
 
 * :class:`~repro.sim.core.Simulator` — the event loop;
 * :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
-  :class:`~repro.sim.events.AnyOf`, :class:`~repro.sim.events.AllOf` —
-  synchronization primitives;
+  :class:`~repro.sim.events.AnyOf` — synchronization primitives;
 * :class:`~repro.sim.process.Process` — generator-based coroutines;
 * :class:`~repro.sim.resources.Resource` and
   :class:`~repro.sim.resources.Lock` — finite-capacity servers used to
@@ -22,13 +21,12 @@ results. Each submodule's docstring notes how it upholds the contract.
 """
 
 from repro.sim.core import Simulator
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Lock, Resource, Service
 from repro.sim.rng import RngRegistry
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Event",
     "Lock",

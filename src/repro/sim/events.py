@@ -104,29 +104,4 @@ class AnyOf(Event):
             self.trigger(event)
 
 
-class AllOf(Event):
-    """Triggers when all child events have triggered.
-
-    The value is the list of child values, in construction order.
-    """
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self.events = list(events)
-        self._remaining = len(self.events)
-        if self._remaining == 0:
-            # Trigger on the next tick to keep semantics uniform.
-            sim.schedule(0.0, self.trigger, [])
-            return
-        for event in self.events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, _: Event) -> None:
-        self._remaining -= 1
-        if self._remaining == 0 and not self.triggered:
-            self.trigger([event.value for event in self.events])
-
-
-__all__ = ["Event", "Timeout", "AnyOf", "AllOf"]
+__all__ = ["Event", "Timeout", "AnyOf"]

@@ -25,9 +25,9 @@ reproducible run:
 Both draws come from dedicated ``random.Random`` streams derived only
 from the profile's seeds — never from the run's RNG registry — so an
 active profile perturbs event order without shifting any protocol
-stream, and a profile of ``None``/inactive leaves the run bit-for-bit
-identical to the pre-explore behavior (pinned by the golden-seed
-tests).
+stream, and an inactive profile (``ExperimentConfig``'s default) leaves
+the run bit-for-bit identical to the pre-explore behavior (pinned by the
+golden-seed tests).
 
 Profiles are frozen, hashable, and JSON-round-trippable: they are one
 of the choice points a ``repro.explore`` counterexample artifact

@@ -7,12 +7,23 @@ an inactive profile must be bit-for-bit identical to no profile at all
 
 import pytest
 
+from repro.bench.config import ExperimentConfig
 from repro.errors import ConfigError, SimulationError
-from repro.explore import ExploreCase, run_case
+from repro.explore import run_case
 from repro.sim.core import Simulator
 from repro.sim.nondeterminism import MAX_JITTER_FACTOR, ExploreProfile
 
-FAST = dict(duration=6.0, scale=40.0, arrival_rate=400.0)
+FAST = dict(
+    app="voting",
+    num_orgs=4,
+    quorum=2,
+    object_pool=16,
+    elections=4,
+    duration=6.0,
+    scale=40.0,
+    arrival_rate=400.0,
+    check=True,
+)
 
 
 def test_profile_wire_round_trip():
@@ -50,14 +61,14 @@ def test_tie_breaker_requires_pristine_simulator():
 
 
 def test_inactive_profile_matches_no_profile_bit_for_bit():
-    base = ExploreCase(seed=5, profile=ExploreProfile(), **FAST)
-    again = ExploreCase(seed=5, profile=ExploreProfile(), **FAST)
-    assert run_case(base).fingerprint == run_case(again).fingerprint
+    base = ExperimentConfig(seed=5, **FAST)
+    inactive = ExperimentConfig(seed=5, explore=ExploreProfile(), **FAST)
+    assert run_case(base).fingerprint == run_case(inactive).fingerprint
 
 
 def test_same_profile_replays_identically():
     profile = ExploreProfile(tie_seed=42, jitter_seed=43, jitter_factor=0.3)
-    case = ExploreCase(seed=5, profile=profile, **FAST)
+    case = ExperimentConfig(seed=5, explore=profile, **FAST)
     first = run_case(case)
     second = run_case(case)
     assert first.fingerprint == second.fingerprint
@@ -70,9 +81,9 @@ def test_profiles_explore_distinct_interleavings():
     # otherwise the explorer is re-running one interleaving N times.
     fingerprints = {
         run_case(
-            ExploreCase(
+            ExperimentConfig(
                 seed=5,
-                profile=ExploreProfile(tie_seed=tie, jitter_seed=9, jitter_factor=0.4),
+                explore=ExploreProfile(tie_seed=tie, jitter_seed=9, jitter_factor=0.4),
                 **FAST,
             )
         ).fingerprint

@@ -1,7 +1,7 @@
 """The retired event kernel, kept as the differential oracle — not product code.
 
 This is ``repro.sim`` as it stood before the tail-run rule (ISSUE 16):
-``Simulator``, ``Event``, ``Timeout``, ``AnyOf``, ``AllOf``, ``Process``
+``Simulator``, ``Event``, ``Timeout``, ``AnyOf``, ``Process``
 and ``Resource`` verbatim, gathered into one module (only the imports
 between them are gone). Every wake goes through the heap here — an
 uncontended ``Resource.serve`` costs three heap round-trips — which
@@ -231,31 +231,6 @@ class AnyOf(Event):
     def _on_child(self, event: Event) -> None:
         if not self.triggered:
             self.trigger(event)
-
-
-class AllOf(Event):
-    """Triggers when all child events have triggered.
-
-    The value is the list of child values, in construction order.
-    """
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self.events = list(events)
-        self._remaining = len(self.events)
-        if self._remaining == 0:
-            # Trigger on the next tick to keep semantics uniform.
-            sim.schedule(0.0, lambda: self.trigger([]))
-            return
-        for event in self.events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, _: Event) -> None:
-        self._remaining -= 1
-        if self._remaining == 0 and not self.triggered:
-            self.trigger([event.value for event in self.events])
 
 
 class Process(Event):

@@ -1,8 +1,8 @@
-"""Tests for events, timeouts, and AnyOf/AllOf."""
+"""Tests for events, timeouts, and AnyOf."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Simulator, Timeout
+from repro.sim import AnyOf, Event, Simulator, Timeout
 
 
 def test_event_trigger_carries_value():
@@ -56,32 +56,3 @@ def test_anyof_returns_winning_event():
 def test_anyof_requires_events():
     with pytest.raises(ValueError):
         AnyOf(Simulator(), [])
-
-
-def test_allof_collects_values_in_construction_order():
-    sim = Simulator()
-    a = Timeout(sim, 2.0, "a")
-    b = Timeout(sim, 1.0, "b")
-    all_of = AllOf(sim, [a, b])
-    values = []
-    all_of.add_callback(lambda e: values.append(e.value))
-    sim.run()
-    assert values == [["a", "b"]]
-    assert sim.now == 2.0
-
-
-def test_allof_empty_triggers_immediately():
-    sim = Simulator()
-    all_of = AllOf(sim, [])
-    sim.run()
-    assert all_of.triggered
-    assert all_of.value == []
-
-
-def test_allof_with_pre_triggered_events():
-    sim = Simulator()
-    done = Event(sim)
-    done.trigger("x")
-    all_of = AllOf(sim, [done, Timeout(sim, 1.0, "y")])
-    sim.run()
-    assert all_of.value == ["x", "y"]

@@ -1,7 +1,7 @@
 """Differential test: the one-entry-per-wait kernel against the retired one.
 
 Random process programs — equal-delay and zero-delay timeouts,
-``Resource`` contention under changing slowdowns, ``AnyOf``/``AllOf``,
+``Resource`` contention under changing slowdowns, ``AnyOf``,
 shared events triggered from inside running processes, several waiters
 on one event, plain
 callbacks beside processes, processes waiting on processes — run on
@@ -19,12 +19,10 @@ from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import AllOf, AnyOf, Event, Resource, Simulator
+from repro.sim import AnyOf, Event, Resource, Simulator
 from tests.sim import reference_kernel
 
-KERNEL = SimpleNamespace(
-    Simulator=Simulator, Event=Event, AnyOf=AnyOf, AllOf=AllOf, Resource=Resource
-)
+KERNEL = SimpleNamespace(Simulator=Simulator, Event=Event, AnyOf=AnyOf, Resource=Resource)
 
 SHARED_EVENTS = 3
 # Few distinct delays, so that timeouts collide at one instant.
@@ -49,7 +47,6 @@ def _ops(children):
             st.tuples(st.just("wait"), _event_ids),
             st.tuples(st.just("trigger"), _event_ids),
             st.tuples(st.just("any"), _parts),
-            st.tuples(st.just("all"), _parts),
             # A plain callback on a timeout, alone or beside the process.
             st.tuples(st.just("watch"), _delays, st.booleans()),
             # A child process, joined or left running.
@@ -109,9 +106,6 @@ def _execute(kernel, program, capacities, tie_seed, until):
                 parts = [part(name, i, spec) for i, spec in enumerate(op[1])]
                 winner = yield kernel.AnyOf(sim, parts)
                 log(f"any{parts.index(winner)}={winner.value}")
-            elif kind == "all":
-                parts = [part(name, i, spec) for i, spec in enumerate(op[1])]
-                log((yield kernel.AllOf(sim, parts)))
             elif kind == "watch":
                 timer = sim.timeout(op[1], f"{name}.{index}")
                 timer.add_callback(lambda event, log=log: log(f"saw {event.value}"))
