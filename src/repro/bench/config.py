@@ -89,8 +89,6 @@ class ExperimentConfig:
     # across a healed partition). 0 disables it.
     sync_interval: float = 5.0
     cache_enabled: bool = True
-    # "simulated" (keyed digests) or "ed25519" (real signatures).
-    signature_scheme: str = "simulated"
     max_retries: int = 0
     avoid_byzantine: bool = False
     # Adaptive resilience layer (docs/RESILIENCE.md): RTT-aware

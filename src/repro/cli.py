@@ -36,6 +36,17 @@ from repro.report.render import render_table
 # The one runnable entry that is not a catalog panel.
 CHAOS = "chaos"
 
+# Flags only ``chaos`` reads, with their defaults: catalog panels fix
+# their own systems, application and faults.
+CHAOS_FLAGS = {
+    "faults": None,
+    "resilience": False,
+    "max_retries": 0,
+    "snapshot_interval": 0.0,
+    "system": None,
+    "app": "voting",
+}
+
 
 def _run_chaos(args):
     """Fault schedules + invariant oracles (docs/FAULTS.md)."""
@@ -86,7 +97,22 @@ def _overrides(args) -> Dict[str, object]:
 
 def _run_selection(names: List[str], args) -> Iterator[Tuple[str, str, object, int]]:
     """Run the named panels: ``(id, printable text, JSON payload, exit
-    code)`` per catalog spec in catalog order, then ``chaos`` if named."""
+    code)`` per catalog spec in catalog order, then ``chaos`` if named.
+
+    A chaos-only flag without ``chaos`` among ``names`` is a
+    ``ConfigError``: no selected entry would read it.
+    """
+    if CHAOS not in names:
+        unread = [
+            "--" + flag.replace("_", "-")
+            for flag, default in CHAOS_FLAGS.items()
+            if getattr(args, flag, default) != default
+        ]
+        if unread:
+            raise ConfigError(
+                f"{', '.join(unread)}: read only by {CHAOS}, which is not selected"
+                " (catalog panels fix their own)"
+            )
     catalog_names = [name for name in names if name != CHAOS]
     # select_specs([]) would mean the whole catalog, not none of it.
     for spec in select_specs(catalog_names) if catalog_names else ():
@@ -120,15 +146,15 @@ def _add_common_flags(sub: argparse.ArgumentParser, *names: str) -> None:
             "--system",
             choices=SYSTEMS,
             default=None,
-            help="restrict to one system (experiments that fix their own"
-            " system set ignore this)",
+            help=f"restrict to one system ({CHAOS} and explore only; catalog"
+            " panels fix their own)",
         ),
         "app": lambda: sub.add_argument(
             "--app",
             choices=APPS,
             default="voting",
-            help="application contract and workload (catalog panels fix"
-            " their own; pick e.g. fig9-auction by id)",
+            help=f"application contract and workload ({CHAOS} and explore only;"
+            " catalog panels fix their own, pick e.g. fig9-auction by id)",
         ),
         "seed": lambda: sub.add_argument(
             "--seed", type=int, default=0, help="base RNG seed"

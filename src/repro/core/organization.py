@@ -225,10 +225,9 @@ class Organization:
 
     def _handle_proposal(self, message: Message):
         arrived = self.sim.now
-        if self.byzantine_active and self.byzantine is not None:
-            if self.rng.random() < self.byzantine.drop_probability:
-                self.dropped_requests += 1
-                return
+        if self._misbehaves("drop_probability"):
+            self.dropped_requests += 1
+            return
         proposal = self._decode(Proposal, message.body)
         if proposal is None:
             return
@@ -262,11 +261,7 @@ class Organization:
                 txn_id=proposal.proposal_id,
                 attrs={"ops": len(write_set)},
             )
-        if (
-            self.byzantine_active
-            and self.byzantine is not None
-            and self.rng.random() < self.byzantine.wrong_endorsement_probability
-        ):
+        if self._misbehaves("wrong_endorsement_probability"):
             write_set = self._tamper_write_set(write_set)
         endorsement = Endorsement.create(self.identity, proposal.proposal_id, write_set)
         self.endorsed_count += 1
@@ -286,6 +281,15 @@ class Organization:
                 size_bytes=self.perf.endorsement_bytes(len(write_set)),
                 channel=self._contract_channel.get(proposal.contract_id, DEFAULT_CHANNEL),
             )
+        )
+
+    def _misbehaves(self, probability: str) -> bool:
+        """One Byzantine coin flip: True with ``byzantine.<probability>``
+        while the window is on; no rng draw while it is off."""
+        return (
+            self.byzantine_active
+            and self.byzantine is not None
+            and self.rng.random() < getattr(self.byzantine, probability)
         )
 
     @staticmethod
@@ -411,10 +415,9 @@ class Organization:
 
     def _handle_commit(self, message: Message):
         arrived = self.sim.now
-        if self.byzantine_active and self.byzantine is not None:
-            if self.rng.random() < self.byzantine.drop_probability:
-                self.dropped_requests += 1
-                return
+        if self._misbehaves("drop_probability"):
+            self.dropped_requests += 1
+            return
         transaction = self._decode(Transaction, message.body)
         if transaction is None:
             return
@@ -504,11 +507,7 @@ class Organization:
                     (wire, ttl - 1) for wire, ttl in entries if ttl > 1
                 ]
                 batch = [wire for wire, _ in entries]
-                if (
-                    self.byzantine_active
-                    and self.byzantine is not None
-                    and self.rng.random() < self.byzantine.suppress_gossip_probability
-                ):
+                if self._misbehaves("suppress_gossip_probability"):
                     continue
                 fanout = min(self.config.gossip_fanout, len(self.peer_ids))
                 targets = self.rng.sample(self.peer_ids, fanout)
@@ -606,11 +605,7 @@ class Organization:
             yield self.sim.timeout(self.config.sync_interval)
             if self.crashed or not self.peer_ids:
                 continue
-            if (
-                self.byzantine_active
-                and self.byzantine is not None
-                and self.rng.random() < self.byzantine.suppress_gossip_probability
-            ):
+            if self._misbehaves("suppress_gossip_probability"):
                 continue
             target = self.rng.choice(self.peer_ids)
             # One digest per channel to the same peer: the peer draw is
@@ -727,13 +722,18 @@ class Organization:
         return pages
 
     def _handle_sync_request(self, message: Message) -> None:
+        """Answer at most one page of distinct ids, as honest peers send
+        (:meth:`_send_sync_requests`); a longer request or a repeated id
+        is dropped and counted, so no id is resent twice per request."""
         body = _mapping(message.body)
         channel_id, txn_ids = body.get("channel"), body.get("txn_ids")
         channel = self.channels.get(channel_id) if isinstance(channel_id, str) else None
         if (
             channel is None
             or not isinstance(txn_ids, list)
+            or len(txn_ids) > max(1, self.perf.sync_page_txns)
             or not all(isinstance(txn_id, str) for txn_id in txn_ids)
+            or len(set(txn_ids)) < len(txn_ids)
         ):
             self.dropped_requests += 1  # malformed; see _handle_sync_digest
             return

@@ -119,7 +119,7 @@ class OrderlessChainNetwork(NetworkShell):
 
     def __init__(self, config: ExperimentConfig) -> None:
         super().__init__(config)
-        self.ca = CertificateAuthority(scheme=config.signature_scheme)
+        self.ca = CertificateAuthority()
         self.policy = EndorsementPolicy(config.quorum, config.num_orgs)
         # The clients' default protocol knobs; add_client(config=...)
         # overrides them per client.

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from repro.errors import CryptoError, InvalidSignatureError
+from repro.errors import CryptoError
 from repro.crypto.hashing import canonical_bytes
-from repro.crypto.keys import KeyPair, generate_keypair, verify_signature
+from repro.crypto.keys import SimulatedKeyPair, verify_signature
 
 
 @dataclass(frozen=True)
@@ -25,15 +25,6 @@ class Certificate:
     identifier: str
     role: str  # "organization" | "client" | "orderer" | "sequencer" | "leader"
     public_key: str
-    scheme: str
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "identifier": self.identifier,
-            "role": self.role,
-            "public_key": self.public_key,
-            "scheme": self.scheme,
-        }
 
 
 @dataclass
@@ -41,7 +32,7 @@ class Identity:
     """A private identity: certificate plus the signing key."""
 
     certificate: Certificate
-    keypair: KeyPair = field(repr=False)
+    keypair: SimulatedKeyPair = field(repr=False)
 
     @property
     def identifier(self) -> str:
@@ -67,8 +58,7 @@ class CertificateAuthority:
     #: Upper bound on memoized verification outcomes per CA instance.
     VERIFY_CACHE_MAX = 65536
 
-    def __init__(self, scheme: str = "simulated") -> None:
-        self.scheme = scheme
+    def __init__(self) -> None:
         self._certificates: Dict[str, Certificate] = {}
         self._revoked: set[str] = set()
         # (signer, canonical payload bytes, signature) -> bool. The key
@@ -83,8 +73,8 @@ class CertificateAuthority:
         """Issue a new identity; identifiers must be unique."""
         if identifier in self._certificates:
             raise CryptoError(f"identifier {identifier!r} already enrolled")
-        keypair = generate_keypair(self.scheme, seed=seed)
-        certificate = Certificate(identifier, role, keypair.public_key, self.scheme)
+        keypair = SimulatedKeyPair.generate(seed)
+        certificate = Certificate(identifier, role, keypair.public_key)
         self._certificates[identifier] = certificate
         return Identity(certificate, keypair)
 
@@ -123,16 +113,11 @@ class CertificateAuthority:
             self.verify_cache_hits += 1
             return cached
         self.verify_cache_misses += 1
-        result = verify_signature(certificate.scheme, certificate.public_key, message, signature)
+        result = verify_signature(certificate.public_key, message, signature)
         if len(self._verify_cache) >= self.VERIFY_CACHE_MAX:
             self._verify_cache.clear()
         self._verify_cache[key] = result
         return result
-
-    def require_valid(self, identifier: str, payload: Any, signature: str) -> None:
-        """Raise :class:`InvalidSignatureError` unless ``verify`` passes."""
-        if not self.verify(identifier, payload, signature):
-            raise InvalidSignatureError(f"invalid signature from {identifier!r}")
 
 
 __all__ = ["Certificate", "Identity", "CertificateAuthority"]

@@ -1,49 +1,27 @@
-"""Signature key pairs.
+"""Signature key pairs: one keyed-digest scheme.
 
-Two interchangeable schemes implement the :class:`KeyPair` interface:
-
-* :class:`SimulatedKeyPair` — a keyed-digest scheme (HMAC-SHA256 under
-  a private secret). Signing requires the secret, verification only the
-  public half, and a forger without the secret cannot produce a valid
-  signature against honest verification. It is orders of magnitude
-  faster than asymmetric crypto, which matters when a benchmark commits
-  hundreds of thousands of simulated transactions. It is *not* secure
-  against an adversary who can read process memory — fine inside a
-  simulation, clearly documented for library users.
-* :class:`Ed25519KeyPair` — real Ed25519 via the ``cryptography``
-  package (optional dependency), for users who embed the protocol logic
-  in a genuinely distributed deployment.
+:class:`SimulatedKeyPair` signs with HMAC-SHA256 under a private
+secret. Signing requires the secret, verification (:func:`verify_signature`)
+only the public half, and a forger without the secret cannot produce a
+valid signature against honest verification. It is orders of magnitude
+faster than asymmetric crypto, which matters when a benchmark commits
+hundreds of thousands of simulated transactions; the simulator charges
+crypto as modelled service times, so the scheme changes host time only,
+never a simulated result. It is *not* secure against an adversary who
+can read process memory — fine inside a simulation, clearly documented
+for library users.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-from abc import ABC, abstractmethod
 from typing import Optional
 
 from repro.errors import CryptoError
 
 
-class KeyPair(ABC):
-    """A signing key pair with a shareable public half."""
-
-    @property
-    @abstractmethod
-    def public_key(self) -> str:
-        """Serialized public key (hex)."""
-
-    @abstractmethod
-    def sign(self, message: bytes) -> str:
-        """Return a hex signature over ``message``."""
-
-    @staticmethod
-    @abstractmethod
-    def verify(public_key: str, message: bytes, signature: str) -> bool:
-        """Check ``signature`` over ``message`` for ``public_key``."""
-
-
-class SimulatedKeyPair(KeyPair):
+class SimulatedKeyPair:
     """Fast keyed-digest signatures for simulation runs.
 
     The "public key" is ``sha256(secret)``; a signature is
@@ -75,80 +53,22 @@ class SimulatedKeyPair(KeyPair):
 
     @property
     def public_key(self) -> str:
+        """Serialized public key (hex)."""
         return self._public
 
     def sign(self, message: bytes) -> str:
+        """Return a hex signature over ``message``."""
         return hmac.new(self._secret, self._public.encode() + message, hashlib.sha256).hexdigest()
 
-    @staticmethod
-    def verify(public_key: str, message: bytes, signature: str) -> bool:
-        secret = SimulatedKeyPair._registry.get(public_key)
-        if secret is None:
-            return False
-        expected = hmac.new(secret, public_key.encode() + message, hashlib.sha256).hexdigest()
-        return hmac.compare_digest(expected, signature)
+
+def verify_signature(public_key: str, message: bytes, signature: str) -> bool:
+    """Check ``signature`` over ``message`` for ``public_key``; an
+    unknown public key never verifies."""
+    secret = SimulatedKeyPair._registry.get(public_key)
+    if secret is None:
+        return False
+    expected = hmac.new(secret, public_key.encode() + message, hashlib.sha256).hexdigest()
+    return hmac.compare_digest(expected, signature)
 
 
-class Ed25519KeyPair(KeyPair):
-    """Real Ed25519 signatures (requires the ``cryptography`` package)."""
-
-    def __init__(self) -> None:
-        try:
-            from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-        except ImportError as exc:  # pragma: no cover - optional dependency
-            raise CryptoError("Ed25519 requires the 'cryptography' package") from exc
-        self._private = Ed25519PrivateKey.generate()
-        self._public = self._private.public_key().public_bytes_raw().hex()
-
-    @property
-    def public_key(self) -> str:
-        return self._public
-
-    def sign(self, message: bytes) -> str:
-        return self._private.sign(message).hex()
-
-    @staticmethod
-    def verify(public_key: str, message: bytes, signature: str) -> bool:
-        try:
-            from cryptography.exceptions import InvalidSignature
-            from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
-        except ImportError as exc:  # pragma: no cover - optional dependency
-            raise CryptoError("Ed25519 requires the 'cryptography' package") from exc
-        try:
-            Ed25519PublicKey.from_public_bytes(bytes.fromhex(public_key)).verify(
-                bytes.fromhex(signature), message
-            )
-            return True
-        except (InvalidSignature, ValueError):
-            return False
-
-
-_SCHEMES = {
-    "simulated": SimulatedKeyPair,
-    "ed25519": Ed25519KeyPair,
-}
-
-
-def generate_keypair(scheme: str = "simulated", seed: Optional[bytes] = None) -> KeyPair:
-    """Create a key pair for ``scheme`` ('simulated' or 'ed25519')."""
-    if scheme not in _SCHEMES:
-        raise CryptoError(f"unknown signature scheme {scheme!r}; choose from {sorted(_SCHEMES)}")
-    if scheme == "simulated":
-        return SimulatedKeyPair.generate(seed)
-    return Ed25519KeyPair()
-
-
-def verify_signature(scheme: str, public_key: str, message: bytes, signature: str) -> bool:
-    """Scheme-dispatching verification helper."""
-    if scheme not in _SCHEMES:
-        raise CryptoError(f"unknown signature scheme {scheme!r}")
-    return _SCHEMES[scheme].verify(public_key, message, signature)
-
-
-__all__ = [
-    "KeyPair",
-    "SimulatedKeyPair",
-    "Ed25519KeyPair",
-    "generate_keypair",
-    "verify_signature",
-]
+__all__ = ["SimulatedKeyPair", "verify_signature"]

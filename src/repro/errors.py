@@ -13,10 +13,6 @@ class CryptoError(ReproError):
     """Signing, verification, or key-management failure."""
 
 
-class InvalidSignatureError(CryptoError):
-    """A signature did not verify against the claimed signer."""
-
-
 class LedgerError(ReproError):
     """Hash-chain or database integrity violation."""
 

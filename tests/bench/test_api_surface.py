@@ -66,7 +66,6 @@ CONFIG_FIELDS = {
     "sample_interval",
     "scale",
     "seed",
-    "signature_scheme",
     "snapshot_interval",
     "sync_interval",
     "system",

@@ -64,12 +64,57 @@ def spec_runs(monkeypatch):
 def test_panels_are_selected_by_id_not_by_app(spec_runs):
     assert main(["run", "fig9-auction"]) == 0
     assert [spec_id for spec_id, _ in spec_runs] == ["fig9-auction"]
-    # --app no longer picks the panel: fig9 is the group, and both of
-    # its panels run with the application the catalog gives them.
+    # --app does not pick the panel: fig9 is the group, and both of its
+    # panels run with the application the catalog gives them.
     spec_runs.clear()
-    assert main(["run", "fig9", "--app", "auction"]) == 0
+    assert main(["run", "fig9"]) == 0
     assert [spec_id for spec_id, _ in spec_runs] == ["fig9-voting", "fig9-auction"]
     assert all("app" not in overrides for _, overrides in spec_runs)
+    # No panel reads --app, so asking for one is an error, not a no-op.
+    spec_runs.clear()
+    assert main(["run", "fig9", "--app", "auction"]) == 2
+    assert spec_runs == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [
+            "run", "abl-cache", "--app", "auction", "--system", "fabric",
+            "--faults", "/nonexistent.json", "--resilience", "--duration", "2", "--scale", "200",
+        ],
+        ["run", "fig6b", "--max-retries", "2"],
+        ["run", "fig6b", "--snapshot-interval", "5"],
+        ["bench", "fig6b", "--system", "fabric"],
+        ["bench", "fig6b", "table3", "--app", "auction"],
+    ],
+    ids=["run-every-chaos-flag", "run-max-retries", "run-snapshot-interval", "bench-system",
+         "bench-app"],
+)
+def test_flags_no_selected_entry_reads_are_an_error(spec_runs, capsys, argv):
+    assert main(argv) == 2
+    assert spec_runs == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "chaos" in captured.err
+
+
+def test_chaos_reads_the_chaos_flags(monkeypatch, capsys):
+    from repro.cli import CHAOS_FLAGS
+
+    seen = {}
+
+    def fake_chaos(args):
+        seen.update({flag: getattr(args, flag) for flag in CHAOS_FLAGS})
+        return "chaos: all oracles passed", [], 0
+
+    monkeypatch.setattr("repro.cli._run_chaos", fake_chaos)
+    argv = ["run", "chaos", "--app", "auction", "--system", "fabric", "--resilience",
+            "--max-retries", "2", "--snapshot-interval", "5", "--faults", "s.json"]
+    assert main(argv) == 0
+    assert seen == {"app": "auction", "system": "fabric", "resilience": True,
+                    "max_retries": 2, "snapshot_interval": 5.0, "faults": "s.json"}
 
 
 def test_run_overrides_default_to_the_specs_own_values(spec_runs):

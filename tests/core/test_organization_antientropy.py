@@ -5,8 +5,9 @@ snapshot payload (the committed count, never a copy of the committed
 set), end-to-end reconciliation through a partition heal, malformed
 bodies of all six peer message types (dropped and counted, never raised),
 a digest that claims more ids than one reconcile pulls (capped and
-counted) and signed write-sets that do not parse (rejected, never
-raised).
+counted), a sync request longer than a page or repeating an id
+(dropped and counted) and signed write-sets that do not parse
+(rejected, never raised).
 """
 
 from dataclasses import replace
@@ -199,6 +200,16 @@ class TestMalformedSyncBodies:
             MSG_SYNC_DIGEST,
             {"channel": DEFAULT_CHANNEL, "watermarks": {"clients": {}, "extras": [7]}},
         ),
+        # Well-typed but hostile: honest peers ask for at most one page
+        # (256 ids) of distinct ids.
+        "request-longer-than-a-page": (
+            MSG_SYNC_REQUEST,
+            {"channel": DEFAULT_CHANNEL, "txn_ids": [f"c0:{n}" for n in range(1, 258)]},
+        ),
+        "request-repeats-an-id": (
+            MSG_SYNC_REQUEST,
+            {"channel": DEFAULT_CHANNEL, "txn_ids": ["c0:1", "c0:1"]},
+        ),
         # Well-typed but hostile: ~40 bytes that claim a million ids.
         # The pull stops at the cap and the digest is counted.
         "digest-claims-a-million-ids": (
@@ -210,6 +221,35 @@ class TestMalformedSyncBodies:
     @pytest.mark.parametrize("msg_type, body", CASES.values(), ids=CASES.keys())
     def test_dropped_counted_and_org_keeps_serving(self, msg_type, body):
         assert_dropped_and_org_keeps_serving(msg_type, body)
+
+    @pytest.mark.parametrize("copies", [2, 100_000])
+    def test_a_repeated_committed_id_costs_at_most_one_batch(self, copies):
+        # No push gossip and no anti-entropy: every gossip batch the
+        # victim sends after the votes answers the request.
+        net = run_votes(build_net(gossip_interval=1e9, sync_interval=0.0))
+        victim, sender = net.organizations[0], net.organizations[1]
+        txn_id = next(iter(victim.channels[DEFAULT_CHANNEL].ledger.valid))
+        batches = []
+        send = net.network.send
+
+        def recording_send(message):
+            if message.sender == victim.org_id and message.msg_type == MSG_GOSSIP:
+                batches.append(message)
+            send(message)
+
+        net.network.send = recording_send
+        net.network.send(
+            Message(
+                sender=sender.org_id,
+                recipient=victim.org_id,
+                msg_type=MSG_SYNC_REQUEST,
+                body={"channel": DEFAULT_CHANNEL, "txn_ids": [txn_id] * copies},
+                size_bytes=64,
+            )
+        )
+        net.run(until=40.0)
+        assert len(batches) <= 1
+        assert sum(len(batch.body["transactions"]) for batch in batches) <= 1
 
 
 def assert_dropped_and_org_keeps_serving(msg_type, body):

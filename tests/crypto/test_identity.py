@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crypto.identity import CertificateAuthority
-from repro.errors import CryptoError, InvalidSignatureError
+from repro.errors import CryptoError
 
 
 @pytest.fixture
@@ -61,12 +61,6 @@ def test_revocation_blocks_verification(ca):
 def test_revoking_unknown_identity_raises(ca):
     with pytest.raises(CryptoError):
         ca.revoke("ghost")
-
-
-def test_require_valid_raises_on_bad_signature(ca):
-    ca.enroll("x", "client")
-    with pytest.raises(InvalidSignatureError):
-        ca.require_valid("x", {"p": 1}, "bogus")
 
 
 def test_is_enrolled(ca):

@@ -1,13 +1,8 @@
-"""Tests for both signature schemes."""
+"""Tests for the keyed-digest signature scheme."""
 
 import pytest
 
-from repro.crypto.keys import (
-    Ed25519KeyPair,
-    SimulatedKeyPair,
-    generate_keypair,
-    verify_signature,
-)
+from repro.crypto.keys import SimulatedKeyPair, verify_signature
 from repro.errors import CryptoError
 
 
@@ -15,21 +10,21 @@ class TestSimulatedScheme:
     def test_sign_verify_roundtrip(self):
         key = SimulatedKeyPair.generate(seed=b"alice")
         signature = key.sign(b"message")
-        assert SimulatedKeyPair.verify(key.public_key, b"message", signature)
+        assert verify_signature(key.public_key, b"message", signature)
 
     def test_wrong_message_fails(self):
         key = SimulatedKeyPair.generate(seed=b"alice")
         signature = key.sign(b"message")
-        assert not SimulatedKeyPair.verify(key.public_key, b"other", signature)
+        assert not verify_signature(key.public_key, b"other", signature)
 
     def test_wrong_key_fails(self):
         alice = SimulatedKeyPair.generate(seed=b"alice")
         bob = SimulatedKeyPair.generate(seed=b"bob")
         signature = alice.sign(b"message")
-        assert not SimulatedKeyPair.verify(bob.public_key, b"message", signature)
+        assert not verify_signature(bob.public_key, b"message", signature)
 
     def test_unknown_public_key_fails(self):
-        assert not SimulatedKeyPair.verify("f" * 64, b"message", "0" * 64)
+        assert not verify_signature("f" * 64, b"message", "0" * 64)
 
     def test_deterministic_from_seed(self):
         a = SimulatedKeyPair.generate(seed=b"same")
@@ -39,43 +34,8 @@ class TestSimulatedScheme:
     def test_forged_signature_fails(self):
         key = SimulatedKeyPair.generate(seed=b"victim")
         forged = "0" * 64
-        assert not SimulatedKeyPair.verify(key.public_key, b"message", forged)
+        assert not verify_signature(key.public_key, b"message", forged)
 
     def test_empty_secret_rejected(self):
         with pytest.raises(CryptoError):
             SimulatedKeyPair(b"")
-
-
-class TestEd25519Scheme:
-    def test_sign_verify_roundtrip(self):
-        pytest.importorskip("cryptography")
-        key = Ed25519KeyPair()
-        signature = key.sign(b"payload")
-        assert Ed25519KeyPair.verify(key.public_key, b"payload", signature)
-
-    def test_tampered_message_fails(self):
-        pytest.importorskip("cryptography")
-        key = Ed25519KeyPair()
-        signature = key.sign(b"payload")
-        assert not Ed25519KeyPair.verify(key.public_key, b"payload!", signature)
-
-    def test_garbage_signature_fails(self):
-        pytest.importorskip("cryptography")
-        key = Ed25519KeyPair()
-        assert not Ed25519KeyPair.verify(key.public_key, b"payload", "zz")
-
-
-class TestFactory:
-    def test_generate_by_scheme_name(self):
-        assert isinstance(generate_keypair("simulated"), SimulatedKeyPair)
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(CryptoError):
-            generate_keypair("rot13")
-
-    def test_verify_dispatch(self):
-        key = generate_keypair("simulated", seed=b"x")
-        signature = key.sign(b"m")
-        assert verify_signature("simulated", key.public_key, b"m", signature)
-        with pytest.raises(CryptoError):
-            verify_signature("rot13", key.public_key, b"m", signature)

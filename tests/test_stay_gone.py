@@ -103,6 +103,12 @@ GONE = [
         "one run description for exploration: the explore-case mirror of ExperimentConfig,"
         " its conversion, the unused chaos suite and AllOf",
     ),
+    (
+        r"Ed25519|\bKeyPair\b|signature_scheme|_SCHEMES|require_valid|InvalidSignatureError",
+        ("src", "tests", "benchmarks", "examples"),
+        "one signature scheme: Ed25519, the key-pair interface, the scheme table and knob,"
+        " and the test-only CA helpers",
+    ),
 ]
 
 
