@@ -39,3 +39,15 @@ class TestSimulatedScheme:
     def test_empty_secret_rejected(self):
         with pytest.raises(CryptoError):
             SimulatedKeyPair(b"")
+
+
+class TestFactory:
+    def test_verify_dispatch(self):
+        # verify_signature finds the secret by public key, so a key pair
+        # regenerated from the same seed verifies the first one's signatures.
+        key = SimulatedKeyPair.generate(seed=b"x")
+        signature = key.sign(b"m")
+        again = SimulatedKeyPair.generate(seed=b"x")
+        assert again.sign(b"m") == signature
+        assert verify_signature(again.public_key, b"m", signature)
+        assert not verify_signature(again.public_key, b"m", signature[::-1])
