@@ -17,7 +17,6 @@ Run:  python examples/byzantine_endorsers.py
 from repro import (
     ByzantineClientConfig,
     ByzantineOrgConfig,
-    ClientConfig,
     OrderlessChainNetwork,
 )
 from repro.bench.config import ExperimentConfig
@@ -39,9 +38,7 @@ def main() -> None:
 
     # A naive client (no retries) and a careful one (avoids + retries).
     naive = net.add_client("naive")
-    careful = net.add_client(
-        "careful", config=ClientConfig(max_retries=6, avoid_byzantine=True, proposal_timeout=1.0)
-    )
+    careful = net.add_client("careful", config=config.with_(max_retries=6, avoid_byzantine=True))
     # And a Byzantine client that tampers with its own write-set.
     forger = net.add_client(
         "forger", byzantine=ByzantineClientConfig(faults=frozenset({"tamper"}))

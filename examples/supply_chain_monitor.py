@@ -11,22 +11,23 @@ Run:  python examples/supply_chain_monitor.py
 
 from repro import OrderlessChainNetwork
 from repro.bench.config import ExperimentConfig
-from repro.core.client import ClientConfig
 from repro.contracts import SupplyChainContract
 
 SHIPMENT = "vaccines-042"
 
 
 def main() -> None:
-    config = ExperimentConfig(num_orgs=6, quorum=2, seed=9, scale=1)
+    # Every client retries and avoids organizations that misbehave.
+    config = ExperimentConfig(
+        num_orgs=6, quorum=2, seed=9, scale=1, max_retries=6, avoid_byzantine=True
+    )
     net = OrderlessChainNetwork(config)
     net.install_contract(lambda: SupplyChainContract(max_temperature=8.0))
     print(f"supply chain on {config.num_orgs} organizations, policy {net.policy}")
 
-    client_config = ClientConfig(max_retries=6, avoid_byzantine=True, proposal_timeout=1.0)
-    port_sensor = net.add_client("sensor-port", config=client_config)
-    ship_sensor = net.add_client("sensor-ship", config=client_config)
-    courier = net.add_client("courier", config=client_config)
+    port_sensor = net.add_client("sensor-port")
+    ship_sensor = net.add_client("sensor-ship")
+    courier = net.add_client("courier")
 
     # Partition groups: the "shore" side and the "ship" side both keep
     # at least q=2 organizations, so both stay available.

@@ -35,7 +35,7 @@ Quickstart::
 """
 
 from repro.core.byzantine import ByzantineClientConfig, ByzantineOrgConfig
-from repro.core.client import Client, ClientConfig
+from repro.core.client import Client
 from repro.core.contract import (
     ContractContext,
     SmartContract,
@@ -52,7 +52,6 @@ __all__ = [
     "ByzantineClientConfig",
     "ByzantineOrgConfig",
     "Client",
-    "ClientConfig",
     "ContractContext",
     "EndorsementPolicy",
     "OrderlessChainNetwork",

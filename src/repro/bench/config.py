@@ -24,6 +24,19 @@ SYSTEMS = ("orderlesschain", "fabric", "fabriccrdt", "bidl", "synchotstuff")
 APPS = ("synthetic", "voting", "auction")
 # The CRDT types the synthetic contract's ``modify`` writes.
 SYNTHETIC_CRDT_TYPES = (TYPE_GCOUNTER, TYPE_MVREGISTER, TYPE_MAP)
+# Fields only one system reads: set away from its default on any other
+# system, such a field is an error, not a no-op.
+ONE_SYSTEM_FIELDS = {
+    **dict.fromkeys(
+        (
+            "channels", "byzantine_client_fraction", "byzantine_org_windows", "max_retries",
+            "avoid_byzantine", "org_weights", "resilience", "snapshot_interval",
+            "gossip_interval", "gossip_fanout", "gossip_ttl", "sync_interval", "cache_enabled",
+        ),
+        "orderlesschain",
+    ),
+    "orderer_type": "fabric",
+}
 
 
 def default_scale() -> float:
@@ -165,7 +178,7 @@ class ExperimentConfig:
             raise ConfigError(f"gossip_interval must be > 0, got {self.gossip_interval}")
         if self.gossip_fanout < 0:
             raise ConfigError(f"gossip_fanout must be >= 0, got {self.gossip_fanout}")
-        for name in ("sync_interval", "snapshot_interval"):
+        for name in ("sync_interval", "snapshot_interval", "max_retries"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0 (0 disables), got {getattr(self, name)}")
         if self.crdt_type not in SYNTHETIC_CRDT_TYPES:
@@ -197,14 +210,10 @@ class ExperimentConfig:
             )
         if self.orderer_type not in ("solo", "raft"):
             raise ConfigError(f"orderer_type must be 'solo' or 'raft', got {self.orderer_type!r}")
-        # A knob only one system reads is an error on the others, not a no-op.
-        for knob, system, is_set in (
-            ("channels", "orderlesschain", self.channels),
-            ("byzantine_client_fraction", "orderlesschain", self.byzantine_client_fraction),
-            ("byzantine_org_windows", "orderlesschain", self.byzantine_org_windows),
-            ("orderer_type", "fabric", self.orderer_type != "solo"),
-        ):
-            if is_set and self.system != system:
+        for knob, system in ONE_SYSTEM_FIELDS.items():
+            # Each of these fields has a plain default, kept as the
+            # class attribute of the same name.
+            if self.system != system and getattr(self, knob) != getattr(ExperimentConfig, knob):
                 raise ConfigError(f"{knob} is read only by {system}, got system {self.system!r}")
         seen = set()
         for spec in self.channels:

@@ -55,17 +55,22 @@ def _run_chaos(args):
     faults = getattr(args, "faults", None)
     schedule = FaultSchedule.from_file(faults) if faults else None
     systems = [args.system] if args.system else list(SYSTEMS)
+    knobs = {
+        "resilience": getattr(args, "resilience", False),
+        "max_retries": getattr(args, "max_retries", 0),
+        "snapshot_interval": getattr(args, "snapshot_interval", 0.0),
+    }
     lines: List[str] = []
     payload: List[Dict] = []
     failed = False
     for system in systems:
+        # Only OrderlessChain reads these knobs: a sweep of every system
+        # gives them to it alone, a named baseline is a config error.
         result = experiments.chaos_run(
             system=system,
             app=args.app,
             schedule=schedule,
-            resilience=getattr(args, "resilience", False),
-            max_retries=getattr(args, "max_retries", 0),
-            snapshot_interval=getattr(args, "snapshot_interval", 0.0),
+            **(knobs if args.system or system == "orderlesschain" else {}),
             **_overrides(args),
         )
         report = result.check_report

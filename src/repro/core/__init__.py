@@ -4,7 +4,7 @@ contracts, endorsement policies, and Byzantine behaviours.
 """
 
 from repro.core.byzantine import ByzantineClientConfig, ByzantineOrgConfig
-from repro.core.client import Client, ClientConfig
+from repro.core.client import Client
 from repro.core.contract import ContractContext, SmartContract
 from repro.core.organization import Organization
 from repro.core.perf import PerfModel
@@ -22,7 +22,6 @@ __all__ = [
     "ByzantineClientConfig",
     "ByzantineOrgConfig",
     "Client",
-    "ClientConfig",
     "ContractContext",
     "Endorsement",
     "EndorsementPolicy",

@@ -10,13 +10,19 @@ Clients can be configured to be Byzantine (the four fault types of
 Section 8) and, for Figure 8(b), to observe and avoid Byzantine
 organizations: organizations that do not respond or whose endorsements
 disagree with the majority get blacklisted and replaced on retry.
+
+A client reads its protocol knobs from the run's
+:class:`~repro.bench.config.ExperimentConfig`: ``max_retries``,
+``avoid_byzantine``, ``org_weights`` and ``resilience``. Every wait of
+the paper's client lasts ``TIMEOUT``; a resilient client
+(docs/RESILIENCE.md) waits adaptive deadlines instead and solicits
+``HEDGE`` organizations more than the quorum.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.byzantine import ByzantineClientConfig
 from repro.core.organization import (
@@ -41,39 +47,28 @@ from repro.crdt.clock import LamportClock
 from repro.crypto.identity import Identity
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.resilience import CircuitBreaker, ResilienceConfig, RttEstimator
+from repro.resilience import WORST_CASE_TIMEOUT, CircuitBreaker, RttEstimator
 from repro.sim.core import Simulator
 from repro.sim.events import AnyOf, Event
 
+if TYPE_CHECKING:
+    from repro.bench.config import ExperimentConfig
 
-@dataclass
-class ClientConfig:
-    """Client-side protocol knobs."""
+# The paper's client waits this long for each endorse, commit and read.
+TIMEOUT = 3.0
+# A resilient client solicits q + HEDGE organizations per attempt (still
+# needing only q answers), so one slow or crashed organization cannot
+# stall it. Retries re-target previously unused organizations first.
+HEDGE = 1
 
-    proposal_timeout: float = 3.0
-    commit_timeout: float = 3.0
-    read_timeout: float = 3.0
-    # Retries per transaction: a fixed-timeout client retries only the
-    # endorsement phase; a resilient client also retries its commit.
-    max_retries: int = 0
-    avoid_byzantine: bool = False  # Figure 8(b): blacklist misbehaving orgs
-    org_weights: Optional[Sequence[float]] = None  # config 8: skewed load
-    # Adaptive resilience (docs/RESILIENCE.md): RTT-aware deadlines,
-    # hedged solicitation, and per-org circuit breakers. None is the
-    # paper's client: q targets and the fixed timeouts above.
-    resilience: Optional[ResilienceConfig] = None
 
-    def longest_pending(self) -> float:
-        """How long a transaction can legitimately stay unresolved: a
-        modify can wait out the proposal and commit timeouts once per
-        attempt."""
-        if self.resilience is not None:
-            # Adaptive deadlines: each attempt of each phase is bounded
-            # by the jitter-inclusive worst-case timeout.
-            worst = self.resilience.worst_case_timeout
-            return (self.max_retries + 1) * 2 * worst + max(worst, 1.0)
-        per_attempt = self.proposal_timeout + self.commit_timeout
-        return (self.max_retries + 1) * per_attempt + max(self.read_timeout, 1.0)
+def longest_pending(config: ExperimentConfig) -> float:
+    """How long a transaction of a client of ``config`` can legitimately
+    stay unresolved: a modify can wait out an endorse and a commit
+    deadline once per attempt, plus one more deadline. A resilient
+    client's deadlines are bounded by the jitter-inclusive worst case."""
+    deadline = WORST_CASE_TIMEOUT if config.resilience else TIMEOUT
+    return (config.max_retries + 1) * 2 * deadline + deadline
 
 
 class _Pending:
@@ -117,8 +112,8 @@ class Client:
         perf: PerfModel,
         rng: random.Random,
         jitter_rng: random.Random,
+        config: ExperimentConfig,
         recorder: Optional[TransactionRecorder] = None,
-        config: Optional[ClientConfig] = None,
         byzantine: Optional[ByzantineClientConfig] = None,
     ) -> None:
         self.sim = sim
@@ -129,7 +124,7 @@ class Client:
         self.perf = perf
         self.rng = rng
         self.recorder = recorder if recorder is not None else TransactionRecorder()
-        self.config = config or ClientConfig()
+        self.config = config
         self.byzantine = byzantine
         self.clock = LamportClock(identity.identifier)
         self.blacklist: set[str] = set()
@@ -139,8 +134,7 @@ class Client:
         # client has no estimator and never creates a breaker. Deadline
         # jitter is drawn from its own stream, apart from protocol draws.
         self._jitter_rng = jitter_rng
-        res = self.config.resilience
-        self._rtt = RttEstimator(res) if res is not None else None
+        self._rtt = RttEstimator() if config.resilience else None
         self.breakers: Dict[str, CircuitBreaker] = {}
         network.register(self.client_id, self._on_message)
 
@@ -180,21 +174,15 @@ class Client:
     def _breaker(self, org_id: str) -> CircuitBreaker:
         breaker = self.breakers.get(org_id)
         if breaker is None:
-            res = self.config.resilience
             breaker = CircuitBreaker(
-                org_id,
-                threshold=res.breaker_threshold,
-                cooldown=res.breaker_cooldown,
-                probes=res.breaker_probes,
-                clock=lambda: self.sim.now,
-                on_transition=self._trace_breaker,
+                org_id, clock=lambda: self.sim.now, on_transition=self._trace_breaker
             )
             self.breakers[org_id] = breaker
         return breaker
 
     def _select_orgs(self, count: int, avoid: Sequence[str] = ()) -> List[str]:
         candidates = [org for org in self.org_ids if org not in self.blacklist]
-        if self.config.resilience is not None:
+        if self.config.resilience:
             # Circuit breakers: skip orgs whose breaker is open (unless
             # that would leave us short of a quorum's worth of targets).
             healthy = [org for org in candidates if self._breaker(org).allows_request()]
@@ -203,9 +191,7 @@ class Client:
         if len(candidates) < count:
             # Not enough trusted organizations left; fall back to all.
             candidates = list(self.org_ids)
-        if self.config.org_weights is not None and len(self.config.org_weights) == len(
-            self.org_ids
-        ):
+        if self.config.org_weights is not None:
             weight_of = dict(zip(self.org_ids, self.config.org_weights))
             pool = list(candidates)
             chosen: List[str] = []
@@ -262,24 +248,19 @@ class Client:
     def _targets(self, q: int, used: set) -> List[str]:
         """The organizations one attempt solicits.
 
-        A resilient client hedges: ``q + hedge`` targets (capped at n),
+        A resilient client hedges: ``q + HEDGE`` targets (capped at n),
         preferring organizations not yet contacted in this phase.
         """
-        res = self.config.resilience
-        if res is None:
+        if not self.config.resilience:
             return self._select_orgs(q)
-        targets = self._select_orgs(min(len(self.org_ids), q + res.hedge), avoid=sorted(used))
+        targets = self._select_orgs(min(len(self.org_ids), q + HEDGE), avoid=sorted(used))
         used.update(targets)
         return targets
 
-    def _deadline(self, phase: str, attempt: int) -> float:
-        """The wait deadline for one attempt of one phase."""
+    def _deadline(self, attempt: int) -> float:
+        """The wait deadline for one attempt of any phase."""
         if self._rtt is None:
-            return {
-                "endorse": self.config.proposal_timeout,
-                "commit": self.config.commit_timeout,
-                "read": self.config.read_timeout,
-            }[phase]
+            return TIMEOUT
         return self._rtt.timeout_for(attempt, self._jitter_rng)
 
     def _settle(
@@ -320,7 +301,7 @@ class Client:
                 self._breaker(org_id).record_sent()
         for index, org_id in enumerate(targets):
             self.network.send(message(index, org_id))
-        deadline = self._deadline(phase, attempt)
+        deadline = self._deadline(attempt)
         seen = len(pending.arrivals)
         winner = yield AnyOf(self.sim, [pending.event, self.sim.timeout(deadline)])
         # A Byzantine client may run two submits under one proposal id;
@@ -438,7 +419,7 @@ class Client:
         # client contacts one organization and waits for its receipt
         # only (Section 8, fault 2).
         pending = _Pending(self.sim, needed=1 if partial_commit else q)
-        retries = self.config.max_retries if self.config.resilience is not None else 0
+        retries = self.config.max_retries if self.config.resilience else 0
         used = set()
         commit_started = self.sim.now
         attempt = 0
@@ -523,4 +504,4 @@ class Client:
         return None
 
 
-__all__ = ["Client", "ClientConfig"]
+__all__ = ["Client", "longest_pending"]

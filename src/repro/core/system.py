@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.core.byzantine import ByzantineClientConfig, ByzantineOrgConfig
 from repro.core.channel import DEFAULT_CHANNEL
-from repro.core.client import Client, ClientConfig
+from repro.core.client import Client, longest_pending
 from repro.core.organization import Organization
 from repro.core.policy import EndorsementPolicy
 from repro.core.recording import TransactionRecorder
@@ -32,7 +32,6 @@ from repro.crypto.identity import CertificateAuthority
 from repro.errors import ConfigError
 from repro.ledger.ledger import Ledger
 from repro.net.network import Network
-from repro.resilience import ResilienceConfig
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -121,14 +120,6 @@ class OrderlessChainNetwork(NetworkShell):
         super().__init__(config)
         self.ca = CertificateAuthority()
         self.policy = EndorsementPolicy(config.quorum, config.num_orgs)
-        # The clients' default protocol knobs; add_client(config=...)
-        # overrides them per client.
-        self.client_config = ClientConfig(
-            max_retries=config.max_retries,
-            avoid_byzantine=config.avoid_byzantine,
-            org_weights=config.org_weights,
-            resilience=ResilienceConfig() if config.resilience else None,
-        )
         self.organizations: List[Organization] = []
         for index in range(config.num_orgs):
             node_id = f"{self.node_prefix}{index}"
@@ -187,9 +178,12 @@ class OrderlessChainNetwork(NetworkShell):
     def add_client(
         self,
         name: Optional[str] = None,
-        config: Optional[ClientConfig] = None,
+        config: Optional[ExperimentConfig] = None,
         byzantine: Optional[ByzantineClientConfig] = None,
     ) -> Client:
+        """Enroll and register one client. It reads its protocol knobs
+        from ``config``, the network's own by default; a different
+        config puts, say, a careful client beside a naive one."""
         index = len(self.clients)
         identifier = name or f"client{index}"
         identity = self.ca.enroll(identifier, "client", seed=identifier.encode())
@@ -204,8 +198,8 @@ class OrderlessChainNetwork(NetworkShell):
             # Deadline jitter has its own stream: RngRegistry streams are
             # independent, so it never shifts the protocol draws.
             jitter_rng=self.rng.stream(f"resilience:{identifier}"),
+            config=config or self.config,
             recorder=self.recorder,
-            config=config or self.client_config,
             byzantine=byzantine,
         )
         self.clients.append(client)
@@ -303,7 +297,7 @@ class OrderlessChainNetwork(NetworkShell):
         """Longest time a submitted transaction may legitimately stay
         pending; the liveness oracle flags only older unresolved ones.
         The client with the longest wait sets it."""
-        return max((client.config.longest_pending() for client in self.clients), default=60.0)
+        return max((longest_pending(client.config) for client in self.clients), default=60.0)
 
 
 __all__ = ["NetworkShell", "OrderlessChainNetwork"]

@@ -75,13 +75,11 @@ class Network:
         self._partitions: list[Set[str]] = []
         # Crashed (fail-stop) nodes; see the module docstring.
         self._down: Set[str] = set()
-        self.sent_count = 0
         self.delivered_count = 0
-        self.dropped_count = 0
         # Drop accounting by cause, for resilience diagnostics: which
         # failure mode is eating messages. Keys: ``unregistered``,
         # ``down``, ``partition``, ``loss``, ``delivery_down``,
-        # ``delivery_partition``. Values sum to ``dropped_count``.
+        # ``delivery_partition``.
         self.drops_by_reason: Dict[str, int] = {}
         # Per-message-type traffic accounting (counts and modeled wire
         # bytes), tallied at send time before any drop decision — the
@@ -107,6 +105,14 @@ class Network:
         # from this network's ``rng`` — so installing it reorders
         # deliveries without shifting any protocol draw.
         self.delivery_jitter: Optional[Callable[[float], float]] = None
+
+    @property
+    def sent_count(self) -> int:
+        return sum(self.sent_by_type.values())
+
+    @property
+    def dropped_count(self) -> int:
+        return sum(self.drops_by_reason.values())
 
     # -- membership -----------------------------------------------------
 
@@ -159,12 +165,10 @@ class Network:
     # -- sending -----------------------------------------------------------
 
     def _drop(self, reason: str) -> None:
-        self.dropped_count += 1
         self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
 
     def send(self, message: Message) -> None:
         """Send asynchronously; delivery (if any) happens later."""
-        self.sent_count += 1
         msg_type = message.msg_type
         self.sent_by_type[msg_type] = self.sent_by_type.get(msg_type, 0) + 1
         self.bytes_by_type[msg_type] = (

@@ -9,10 +9,13 @@ blacklist into an adaptive health model (docs/RESILIENCE.md):
   seeded-RNG jitter;
 * :class:`CircuitBreaker` — per-organization closed → open →
   half-open health tracking, so organizations that heal after a crash
-  or partition get traffic back (unlike the permanent ``blacklist``);
-* :class:`ResilienceConfig` — the knobs, carried on
-  :class:`repro.core.client.ClientConfig` (``resilience=None`` keeps
-  the legacy fixed-timeout behavior, byte-identical event order).
+  or partition get traffic back (unlike the permanent ``blacklist``).
+
+A client uses the layer when its run's ``ExperimentConfig.resilience``
+is set; otherwise it is the paper's fixed-timeout client, with the
+same event order. The parameters are constants of the module that reads
+them (:mod:`repro.resilience.rtt`, :mod:`repro.resilience.breaker`,
+and the hedge in :mod:`repro.core.client`).
 
 Everything here is deterministic: the only randomness is the jitter
 drawn from a named ``sim.rng`` stream owned by the caller, so
@@ -20,14 +23,13 @@ golden-seed fingerprints stay stable (docs/FAULTS.md).
 """
 
 from repro.resilience.breaker import BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN, CircuitBreaker
-from repro.resilience.config import ResilienceConfig
-from repro.resilience.rtt import RttEstimator
+from repro.resilience.rtt import WORST_CASE_TIMEOUT, RttEstimator
 
 __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
     "CircuitBreaker",
-    "ResilienceConfig",
     "RttEstimator",
+    "WORST_CASE_TIMEOUT",
 ]

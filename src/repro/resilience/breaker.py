@@ -3,9 +3,9 @@
 Generalizes the client's permanent ``blacklist`` (Figure 8(b)'s
 avoidance) into a *recoverable* health model: an organization that
 stops answering (crashed, partitioned away, Byzantine-dropping) is
-opened after ``breaker_threshold`` consecutive failures and skipped by
-organization selection; after ``breaker_cooldown`` simulated seconds
-the breaker admits ``breaker_probes`` trial requests (half-open), and
+opened after ``BREAKER_THRESHOLD`` consecutive failures and skipped by
+organization selection; after ``BREAKER_COOLDOWN`` simulated seconds
+the breaker admits ``BREAKER_PROBES`` trial requests (half-open), and
 one success closes it again — so organizations that heal after a
 partition get traffic back instead of being shunned forever.
 
@@ -23,6 +23,10 @@ BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
 
+BREAKER_THRESHOLD = 3  # consecutive failures to open
+BREAKER_COOLDOWN = 10.0  # open -> half-open after this long
+BREAKER_PROBES = 1  # concurrent trial requests in half-open
+
 # on_transition(org_id, old_state, new_state) -> None
 TransitionHook = Callable[[str, str, str], None]
 
@@ -33,17 +37,11 @@ class CircuitBreaker:
     def __init__(
         self,
         org_id: str,
-        threshold: int,
-        cooldown: float,
-        probes: int = 1,
-        clock: Optional[Callable[[], float]] = None,
+        clock: Callable[[], float],
         on_transition: Optional[TransitionHook] = None,
     ) -> None:
         self.org_id = org_id
-        self.threshold = max(1, threshold)
-        self.cooldown = cooldown
-        self.probes = max(1, probes)
-        self._clock = clock or (lambda: 0.0)
+        self._clock = clock
         self._on_transition = on_transition
         self.state = BREAKER_CLOSED
         self.consecutive_failures = 0
@@ -63,18 +61,19 @@ class CircuitBreaker:
         """May the client target this organization right now?
 
         Open breakers reject until the cooldown elapses, then move to
-        half-open and admit up to ``probes`` concurrent trial requests.
+        half-open and admit up to ``BREAKER_PROBES`` concurrent trial
+        requests.
         """
         if self.state == BREAKER_CLOSED:
             return True
         if self.state == BREAKER_OPEN:
-            if self.opened_at is not None and self._clock() - self.opened_at >= self.cooldown:
+            if self.opened_at is not None and self._clock() - self.opened_at >= BREAKER_COOLDOWN:
                 self._transition(BREAKER_HALF_OPEN)
                 self._probes_in_flight = 0
             else:
                 return False
         # Half-open: admit a bounded number of probes.
-        return self._probes_in_flight < self.probes
+        return self._probes_in_flight < BREAKER_PROBES
 
     def record_sent(self) -> None:
         """The client targeted this organization (counts half-open probes)."""
@@ -99,7 +98,7 @@ class CircuitBreaker:
             self._transition(BREAKER_OPEN)
             return
         self.consecutive_failures += 1
-        if self.state == BREAKER_CLOSED and self.consecutive_failures >= self.threshold:
+        if self.state == BREAKER_CLOSED and self.consecutive_failures >= BREAKER_THRESHOLD:
             self.opened_at = self._clock()
             self._transition(BREAKER_OPEN)
 

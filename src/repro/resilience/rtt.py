@@ -18,7 +18,17 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.resilience.config import ResilienceConfig
+# Deadline = clamp(srtt + RTTVAR_MULT * rttvar) * backoff^attempt,
+# capped, plus uniform jitter in [0, JITTER * deadline).
+INITIAL_TIMEOUT = 1.0  # before any RTT sample lands
+MIN_TIMEOUT = 0.2
+MAX_TIMEOUT = 8.0
+RTTVAR_MULT = 4.0  # Jacobson/Karels' K
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP = 8.0  # max multiplier over the base deadline
+JITTER = 0.1  # fraction of the deadline, seeded-RNG drawn
+# Upper bound on any single adaptive deadline (jitter included).
+WORST_CASE_TIMEOUT = MAX_TIMEOUT * (1.0 + JITTER)
 
 
 class RttEstimator:
@@ -28,8 +38,7 @@ class RttEstimator:
     ALPHA = 0.125
     BETA = 0.25
 
-    def __init__(self, config: ResilienceConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self.srtt: Optional[float] = None
         self.rttvar: float = 0.0
         self.samples = 0
@@ -48,24 +57,22 @@ class RttEstimator:
 
     def base_deadline(self) -> float:
         """The attempt-0 deadline: clamp(srtt + K * rttvar)."""
-        cfg = self.config
         if self.srtt is None:
-            return cfg.initial_timeout
-        raw = self.srtt + cfg.rttvar_mult * self.rttvar
-        return min(cfg.max_timeout, max(cfg.min_timeout, raw))
+            return INITIAL_TIMEOUT
+        raw = self.srtt + RTTVAR_MULT * self.rttvar
+        return min(MAX_TIMEOUT, max(MIN_TIMEOUT, raw))
 
     def timeout_for(self, attempt: int, rng: Optional[random.Random] = None) -> float:
         """Deadline for retry ``attempt`` (0-based), backoff and jitter applied.
 
-        Always <= ``config.worst_case_timeout`` so the liveness oracle
-        can bound how long a transaction may legitimately stay pending.
+        Always <= ``WORST_CASE_TIMEOUT`` so the liveness oracle can
+        bound how long a transaction may legitimately stay pending.
         """
-        cfg = self.config
-        backoff = min(cfg.backoff_factor ** attempt, cfg.backoff_cap)
-        deadline = min(cfg.max_timeout, self.base_deadline() * backoff)
-        if rng is not None and cfg.jitter > 0:
-            deadline += deadline * cfg.jitter * rng.random()
+        backoff = min(BACKOFF_FACTOR ** attempt, BACKOFF_CAP)
+        deadline = min(MAX_TIMEOUT, self.base_deadline() * backoff)
+        if rng is not None:
+            deadline += deadline * JITTER * rng.random()
         return deadline
 
 
-__all__ = ["RttEstimator"]
+__all__ = ["RttEstimator", "WORST_CASE_TIMEOUT"]

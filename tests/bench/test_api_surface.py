@@ -15,8 +15,6 @@ import warnings
 import repro.api as api
 from repro.api import ChannelSpec, ExperimentConfig
 from repro.core.channel import DEFAULT_CHANNEL
-from repro.core.client import ClientConfig
-from repro.resilience import ResilienceConfig
 
 API_EXPORTS = {
     "ChannelSpec",
@@ -114,6 +112,7 @@ def test_network_reads_its_knobs_from_the_config():
         avoid_byzantine=True,
         org_weights=weights,
         resilience=True,
+        byzantine_client_fraction=0.5,
     )
     net = api.build_network(config)
     assert net.config is config
@@ -126,10 +125,10 @@ def test_network_reads_its_knobs_from_the_config():
         assert org.config is config
         assert org.perf is net.perf
         assert org.channels[DEFAULT_CHANNEL].ledger.cache_enabled is False
-    assert net.client_config == ClientConfig(
-        max_retries=2, avoid_byzantine=True, org_weights=weights, resilience=ResilienceConfig()
-    )
-    assert all(client.config is net.client_config for client in net.clients)
+    # Every client, honest or Byzantine, reads its retry, avoidance,
+    # weighting and resilience knobs from the same config.
+    assert {client.byzantine is None for client in net.clients} == {True, False}
+    assert all(client.config is config for client in net.clients)
 
 
 def test_importing_api_emits_no_deprecation_warnings():

@@ -46,6 +46,17 @@ SMALL = dict(duration=2.0, scale=50.0)
         dict(system="fabric", byzantine_org_windows=(ByzantineWindow(3, 0, None),)),
         dict(system="bidl", orderer_type="raft"),
         dict(system="fabric", orderer_type="kafka"),
+        # OrderlessChain-only knobs are rejected on every baseline.
+        dict(system="fabric", resilience=True),
+        dict(system="bidl", max_retries=5),
+        dict(system="fabriccrdt", avoid_byzantine=True),
+        dict(system="bidl", org_weights=(1.0,) * 16),
+        dict(system="synchotstuff", snapshot_interval=2.0),
+        dict(system="fabric", gossip_interval=2.0),
+        dict(system="bidl", gossip_fanout=2),
+        dict(system="fabriccrdt", gossip_ttl=5),
+        dict(system="synchotstuff", sync_interval=1.0),
+        dict(system="fabric", cache_enabled=False),
         # Values that failed every transaction or crashed mid-run.
         dict(crdt_type="bogus"),
         dict(ops_per_obj=0),
@@ -53,6 +64,8 @@ SMALL = dict(duration=2.0, scale=50.0)
         dict(app="voting", parties=0),
         dict(duration=0.0),
         dict(drain=-5.0),
+        # A negative retry budget shrank the liveness grace below zero.
+        dict(max_retries=-1),
         dict(num_orgs=4, org_weights=(1.0, 1.0)),
         dict(num_orgs=4, org_weights=(1.0, 1.0, 1.0, float("nan"))),
         dict(num_orgs=4, org_weights=(1.0, 1.0, 1.0, 0.0)),

@@ -69,13 +69,12 @@ def chaos_run(
 ):
     """One full chaos run; returns ``(net, schedule)`` after the drain.
 
-    Extra keyword arguments reach the ``ExperimentConfig`` (orderlesschain
-    only) — e.g. ``snapshot_interval`` for snapshot-based recovery.
+    Extra keyword arguments reach the ``ExperimentConfig`` — e.g.
+    ``snapshot_interval`` for snapshot-based recovery, which the config
+    rejects on a baseline.
     """
     if schedule is None:
         schedule = smoke_schedule(default_node_ids(system, num_orgs))
-    if config_kwargs and system != "orderlesschain":
-        raise ValueError(f"config kwargs are orderlesschain-only, got {config_kwargs}")
     net = build_system(system, seed, num_orgs=num_orgs, **config_kwargs)
     add_workload(net, system, clients=clients)
     injector = install_schedule(net, schedule)

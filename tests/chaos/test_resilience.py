@@ -14,11 +14,9 @@ from repro.bench import experiments
 from repro.bench.config import ExperimentConfig
 from repro.bench.runner import run_experiment
 from repro.core import OrderlessChainNetwork
-from repro.core.client import ClientConfig
 from repro.contracts import VotingContract
 from repro.faults import FaultSchedule, default_node_ids, install_schedule, smoke_schedule
 from repro.faults.schedule import FaultEvent
-from repro.resilience import ResilienceConfig
 
 pytestmark = pytest.mark.resilience
 
@@ -38,13 +36,13 @@ class TestRetryLoopUnderChaos:
 
     @pytest.mark.parametrize("resilience", [False, True])
     def test_retries_happen_and_work_completes(self, resilience):
-        net = OrderlessChainNetwork(ExperimentConfig(num_orgs=4, quorum=2, seed=5, scale=1))
-        net.install_contract(lambda: VotingContract(parties_per_election=2))
-        config = ClientConfig(
-            max_retries=2,
-            resilience=ResilienceConfig() if resilience else None,
+        net = OrderlessChainNetwork(
+            ExperimentConfig(
+                num_orgs=4, quorum=2, seed=5, scale=1, max_retries=2, resilience=resilience
+            )
         )
-        clients = [net.add_client(f"c{i}", config=config) for i in range(4)]
+        net.install_contract(lambda: VotingContract(parties_per_election=2))
+        clients = [net.add_client(f"c{i}") for i in range(4)]
         # Two organizations down at once: with q=2 of 4, even a hedged
         # (q+1 target) attempt can land on a dead majority, so both the
         # fixed and the adaptive client must exercise their retry loop.

@@ -16,7 +16,6 @@ from repro.contracts import VotingContract
 from repro.core import OrderlessChainNetwork
 from repro.core.byzantine import ByzantineOrgConfig
 from repro.core.channel import DEFAULT_CHANNEL
-from repro.core.client import ClientConfig
 from repro.faults import FaultEvent, FaultSchedule, install_schedule
 
 
@@ -181,7 +180,7 @@ def test_liveness_grace_is_set_by_the_slowest_client():
     # transaction of its own pending for 20 s is not (yet) stuck.
     net = build()
     run_votes(net)
-    net.add_client("patient", config=ClientConfig(max_retries=5))
+    net.add_client("patient", config=net.config.with_(max_retries=5))
     net.recorder.submitted("patient:1", "patient", "modify", net.sim.now - 20.0)
     assert run_checkers(net).result("liveness").status == PASS
 

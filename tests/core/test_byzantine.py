@@ -8,7 +8,6 @@ from repro.core import (
     ByzantineOrgConfig,
     OrderlessChainNetwork,
 )
-from repro.core.client import ClientConfig
 from repro.core.organization import MSG_COMMIT, MSG_PROPOSAL, Organization
 from repro.core.transaction import Proposal, Transaction, write_set_digest
 from repro.contracts import VotingContract
@@ -70,7 +69,7 @@ class TestByzantineOrganizations:
         )
         bad.byzantine_active = True
         voter = net.add_client(
-            "voter0", config=ClientConfig(max_retries=6, avoid_byzantine=True, proposal_timeout=1.0)
+            "voter0", config=net.config.with_(max_retries=6, avoid_byzantine=True)
         )
         process = vote(net, voter)
         net.run(until=60.0)
@@ -82,7 +81,7 @@ class TestByzantineOrganizations:
         bad.byzantine = ByzantineOrgConfig(drop_probability=1.0)
         bad.byzantine_active = True
         voter = net.add_client(
-            "voter0", config=ClientConfig(max_retries=6, avoid_byzantine=True, proposal_timeout=1.0)
+            "voter0", config=net.config.with_(max_retries=6, avoid_byzantine=True)
         )
         process = vote(net, voter)
         net.run(until=60.0)

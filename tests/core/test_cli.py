@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.config import SYSTEMS
 from repro.cli import build_parser, main
 from repro.report import all_specs
 
@@ -142,6 +143,39 @@ def test_shared_flags_are_uniform(command):
         assert args.seed == 0
         assert args.app == "voting"
         assert args.system is None
+
+
+TINY = ["--duration", "1", "--scale", "400"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "chaos", "--system", "fabric", "--resilience", *TINY],
+        ["run", "chaos", "--system", "orderlesschain", "--max-retries", "-1", *TINY],
+    ],
+    ids=["baseline-resilience", "negative-max-retries"],
+)
+def test_chaos_knob_a_run_cannot_use_is_an_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_chaos_sweep_gives_orderlesschain_knobs_to_orderlesschain_alone(tmp_path, capsys):
+    import json
+
+    def fingerprints(*flags):
+        out = str(tmp_path / "chaos.json")
+        assert main(["run", "chaos", *TINY, *flags, "--output", out]) == 0
+        return {entry["system"]: entry["fingerprint"] for entry in json.load(open(out))}
+
+    plain = fingerprints()
+    tuned = fingerprints("--resilience", "--max-retries", "2", "--snapshot-interval", "5")
+    assert sorted(plain) == sorted(SYSTEMS)
+    assert tuned.pop("orderlesschain") != plain.pop("orderlesschain")
+    assert tuned == plain  # the baselines ran exactly as without the knobs
 
 
 def test_max_retries_flag_sets_the_retry_budget():

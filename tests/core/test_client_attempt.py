@@ -24,10 +24,8 @@ from repro.bench.config import ByzantineWindow, ExperimentConfig
 from repro.bench.runner import run_experiment
 from repro.contracts import VotingContract
 from repro.core import OrderlessChainNetwork
-from repro.core.client import ClientConfig
 from repro.core.organization import MSG_COMMIT
 from repro.faults import default_node_ids, smoke_schedule
-from repro.resilience import ResilienceConfig
 
 VOTE = {"party": "party0", "election": "e"}
 
@@ -64,7 +62,7 @@ def run_modify(net, client):
 
 def test_fixed_client_never_retries_its_commit():
     net = voting_net()
-    client = net.add_client("c0", config=ClientConfig(max_retries=2))
+    client = net.add_client("c0", config=net.config.with_(max_retries=2))
     commits = tap_commits(net, delivered=())
     record = run_modify(net, client)
     assert len(commits) == 2  # one attempt at q organizations
@@ -74,17 +72,17 @@ def test_fixed_client_never_retries_its_commit():
 
 def test_resilient_commit_retry_retargets_and_keeps_earlier_receipts():
     net = voting_net()
-    config = ClientConfig(max_retries=2, resilience=ResilienceConfig(hedge=0))
-    client = net.add_client("c0", config=config)
-    # First attempt: only its first target answers. Second attempt: only
-    # its first target answers, so the quorum of two needs the receipt
-    # the first attempt already collected.
-    commits = tap_commits(net, delivered=(1, 3))
+    client = net.add_client("c0", config=net.config.with_(max_retries=2, resilience=True))
+    # Each attempt solicits q + HEDGE = 3 of the 6 organizations. First
+    # attempt: only its first target answers. Second attempt: only its
+    # first target answers, so the quorum of two needs the receipt the
+    # first attempt already collected.
+    commits = tap_commits(net, delivered=(1, 4))
     record = run_modify(net, client)
     assert record.succeeded
     assert record.retries == 1
-    assert len(commits) == 4
-    assert not set(commits[:2]) & set(commits[2:])  # fresh organizations
+    assert len(commits) == 6
+    assert not set(commits[:3]) & set(commits[3:])  # fresh organizations
 
 
 def test_byzantine_client_reusing_a_proposal_id_finishes_the_run():

@@ -84,6 +84,7 @@ def _spoofing_run(org1_endorses: bool):
         PerfModel(),
         random.Random(0),
         random.Random(1),
+        ExperimentConfig(num_orgs=2, quorum=2, scale=1),
         recorder=recorder,
     )
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench.config import ExperimentConfig
 from repro.core import OrderlessChainNetwork
-from repro.core.client import Client, ClientConfig, _Pending
+from repro.core.client import Client, _Pending
 from repro.core.transaction import Endorsement
 from repro.contracts import VotingContract
 from repro.crypto.identity import CertificateAuthority
@@ -75,7 +75,7 @@ class TestOrgSelection:
         assert len(selected) == 2  # falls back to the full set
 
     def test_weighted_selection_prefers_heavy_orgs(self, net):
-        config = ClientConfig(org_weights=(100.0, 1.0, 1.0, 1.0))
+        config = net.config.with_(org_weights=(100.0, 1.0, 1.0, 1.0))
         client = net.add_client("c3", config=config)
         counts = {org: 0 for org in net.node_ids}
         for _ in range(200):

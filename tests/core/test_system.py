@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench.config import ExperimentConfig
 from repro.core import OrderlessChainNetwork
-from repro.core.client import ClientConfig
 from repro.contracts import AuctionContract, SyntheticContract, VotingContract
 from repro.errors import ConfigError
 from repro.net.latency import LinkFaults
@@ -141,7 +140,7 @@ def test_duplicate_submission_is_not_double_committed():
 def test_lossy_network_with_retries_still_commits():
     net = build()
     net.network.faults = LinkFaults(loss_probability=0.15)
-    voter = net.add_client("voter0", config=ClientConfig(max_retries=5, proposal_timeout=1.5))
+    voter = net.add_client("voter0", config=net.config.with_(max_retries=5))
     process = net.sim.process(
         voter.submit_modify("voting", "vote", {"party": "party0", "election": "e0"})
     )
@@ -187,7 +186,7 @@ def test_partitioned_quorum_stays_available_and_merges():
     net = build(num_orgs=4, quorum=2)
     voter = net.add_client(
         "voter0",
-        config=ClientConfig(max_retries=8, avoid_byzantine=True, proposal_timeout=1.0),
+        config=net.config.with_(max_retries=8, avoid_byzantine=True),
     )
     majority = set(net.node_ids[:2]) | {"voter0"}
     minority = set(net.node_ids[2:])

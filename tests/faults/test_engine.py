@@ -7,7 +7,6 @@ from repro.bench.config import ExperimentConfig
 from repro.checkers import state_fingerprints
 from repro.contracts import VotingContract
 from repro.core import OrderlessChainNetwork
-from repro.core.client import ClientConfig
 from repro.crypto.hashing import canonical_bytes
 from repro.errors import ConfigError
 from repro.faults import (
@@ -237,10 +236,27 @@ def test_orderlesschain_grace_is_the_slowest_clients_wait(retrying_first):
     # Default client: one attempt of 3 s + 3 s, plus the 3 s read
     # timeout = 9 s; five retries stretch that to 6 * 6 + 3 = 39 s.
     net = build()
-    configs = [ClientConfig(), ClientConfig(max_retries=5)]
+    configs = [net.config, net.config.with_(max_retries=5)]
     for config in configs[::-1] if retrying_first else configs:
         net.add_client(config=config)
     assert net.pending_grace() == 39.0
+
+
+@pytest.mark.parametrize(
+    "resilience, max_retries, grace",
+    [
+        # (retries + 1) endorse and commit waits plus one more wait: 3 s
+        # fixed deadlines, or the 8.8 s jitter-inclusive adaptive bound.
+        (False, 0, 9.0),
+        (False, 2, 21.0),
+        (True, 0, 26.400000000000002),
+        (True, 2, 61.60000000000001),
+    ],
+)
+def test_orderlesschain_grace_is_pinned(resilience, max_retries, grace):
+    net = build(resilience=resilience, max_retries=max_retries)
+    net.add_client()
+    assert net.pending_grace() == grace
 
 
 def recovery_attrs(net):

@@ -11,7 +11,6 @@ import pytest
 
 from repro.bench.config import ExperimentConfig
 from repro.core import OrderlessChainNetwork
-from repro.core.client import ClientConfig
 from repro.contracts import AuctionContract, VotingContract
 from repro.net.latency import LinkFaults
 
@@ -23,13 +22,13 @@ def build(contract_factory, seed, faults=None, num_orgs=5, quorum=2):
         seed=seed,
         gossip_interval=0.5,
         sync_interval=2.0,
+        # Every client of these runs retries.
+        max_retries=4,
         scale=1,
     )
     net = OrderlessChainNetwork(config)
     if faults is not None:
         net.network.faults = faults
-    # Every client of these runs retries with short timeouts.
-    net.client_config = ClientConfig(max_retries=4, proposal_timeout=1.0, commit_timeout=2.0)
     net.install_contract(contract_factory)
     return net
 

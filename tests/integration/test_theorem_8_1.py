@@ -13,7 +13,6 @@ from repro.core import (
     ByzantineOrgConfig,
     OrderlessChainNetwork,
 )
-from repro.core.client import ClientConfig
 from repro.contracts import AuctionContract
 
 N = 4
@@ -39,7 +38,7 @@ def run_with_byzantine(quorum: int, faulty: int, collude: bool, seed: int = 1):
         org.byzantine_active = True
     client = net.add_client(
         "honest",
-        config=ClientConfig(max_retries=6, avoid_byzantine=True, proposal_timeout=1.0),
+        config=config.with_(max_retries=6, avoid_byzantine=True),
     )
     process = net.sim.process(
         client.submit_modify("auction", "bid", {"auction": "a", "amount": 10})

@@ -39,7 +39,13 @@ BASELINE_EVENTS_SHA256 = {
 
 
 def traced_run(system):
-    """A small traced, sampled run under the chaos-smoke fault schedule."""
+    """A small traced, sampled run under the chaos-smoke fault schedule;
+    OrderlessChain also retries, with resilience and snapshots."""
+    knobs = (
+        dict(max_retries=2, resilience=True, snapshot_interval=1.0)
+        if system == "orderlesschain"
+        else {}
+    )
     config = ExperimentConfig(
         system=system,
         app="voting",
@@ -49,12 +55,10 @@ def traced_run(system):
         drain=6,
         scale=100,
         seed=5,
-        max_retries=2,
-        resilience=system == "orderlesschain",
-        snapshot_interval=1.0,
         trace=True,
         sample_interval=1.0,
         fault_schedule=smoke_schedule(default_node_ids(system, 4)),
+        **knobs,
     )
     return run_experiment(config)
 

@@ -6,6 +6,7 @@ from repro.resilience import (
     BREAKER_OPEN,
     CircuitBreaker,
 )
+from repro.resilience.breaker import BREAKER_COOLDOWN, BREAKER_PROBES, BREAKER_THRESHOLD
 
 
 class FakeClock:
@@ -16,19 +17,23 @@ class FakeClock:
         return self.now
 
 
-def make(threshold=3, cooldown=10.0, probes=1, clock=None, transitions=None):
+def make(clock=None, transitions=None):
     hook = None
     if transitions is not None:
         hook = lambda org, old, new: transitions.append((old, new))
-    return CircuitBreaker(
-        "org0", threshold=threshold, cooldown=cooldown, probes=probes,
-        clock=clock, on_transition=hook,
-    )
+    return CircuitBreaker("org0", clock=clock or FakeClock(), on_transition=hook)
+
+
+def trip(breaker):
+    """Open a closed breaker: BREAKER_THRESHOLD consecutive failures."""
+    for _ in range(BREAKER_THRESHOLD):
+        breaker.record_failure()
 
 
 class TestClosedToOpen:
     def test_opens_at_threshold_consecutive_failures(self):
-        breaker = make(threshold=3)
+        assert BREAKER_THRESHOLD == 3
+        breaker = make()
         breaker.record_failure()
         breaker.record_failure()
         assert breaker.state == BREAKER_CLOSED
@@ -37,7 +42,7 @@ class TestClosedToOpen:
         assert not breaker.allows_request()
 
     def test_success_resets_the_failure_streak(self):
-        breaker = make(threshold=3)
+        breaker = make()
         breaker.record_failure()
         breaker.record_failure()
         breaker.record_success()
@@ -47,38 +52,37 @@ class TestClosedToOpen:
 
     def test_transition_hook_fires(self):
         transitions = []
-        breaker = make(threshold=1, transitions=transitions)
-        breaker.record_failure()
+        breaker = make(transitions=transitions)
+        trip(breaker)
         assert transitions == [(BREAKER_CLOSED, BREAKER_OPEN)]
 
 
 class TestCooldownAndHalfOpen:
     def test_open_rejects_until_cooldown_elapses(self):
         clock = FakeClock()
-        breaker = make(threshold=1, cooldown=10.0, clock=clock)
-        breaker.record_failure()
-        clock.now = 9.9
+        breaker = make(clock=clock)
+        trip(breaker)
+        clock.now = BREAKER_COOLDOWN - 0.1
         assert not breaker.allows_request()
-        clock.now = 10.0
+        clock.now = BREAKER_COOLDOWN
         assert breaker.allows_request()
         assert breaker.state == BREAKER_HALF_OPEN
 
     def test_half_open_admits_bounded_probes(self):
         clock = FakeClock()
-        breaker = make(threshold=1, cooldown=1.0, probes=2, clock=clock)
-        breaker.record_failure()
-        clock.now = 2.0
-        assert breaker.allows_request()
-        breaker.record_sent()
-        assert breaker.allows_request()
-        breaker.record_sent()
+        breaker = make(clock=clock)
+        trip(breaker)
+        clock.now = BREAKER_COOLDOWN
+        for _ in range(BREAKER_PROBES):
+            assert breaker.allows_request()
+            breaker.record_sent()
         assert not breaker.allows_request()  # probe budget exhausted
 
     def test_probe_success_closes(self):
         clock = FakeClock()
-        breaker = make(threshold=1, cooldown=1.0, clock=clock)
-        breaker.record_failure()
-        clock.now = 2.0
+        breaker = make(clock=clock)
+        trip(breaker)
+        clock.now = BREAKER_COOLDOWN
         assert breaker.allows_request()
         breaker.record_sent()
         breaker.record_success()
@@ -87,24 +91,24 @@ class TestCooldownAndHalfOpen:
 
     def test_failed_probe_reopens_and_restarts_cooldown(self):
         clock = FakeClock()
-        breaker = make(threshold=1, cooldown=10.0, clock=clock)
-        breaker.record_failure()  # opened at t=0
-        clock.now = 10.0
+        breaker = make(clock=clock)
+        trip(breaker)  # opened at t=0
+        clock.now = BREAKER_COOLDOWN
         assert breaker.allows_request()  # half-open
         breaker.record_sent()
-        breaker.record_failure()  # probe failed: re-open at t=10
+        breaker.record_failure()  # probe failed: re-open at t=cooldown
         assert breaker.state == BREAKER_OPEN
-        clock.now = 19.9
+        clock.now = 2 * BREAKER_COOLDOWN - 0.1
         assert not breaker.allows_request()
-        clock.now = 20.0
+        clock.now = 2 * BREAKER_COOLDOWN
         assert breaker.allows_request()
 
     def test_full_cycle_transitions_recorded(self):
         clock = FakeClock()
         transitions = []
-        breaker = make(threshold=1, cooldown=1.0, clock=clock, transitions=transitions)
-        breaker.record_failure()
-        clock.now = 2.0
+        breaker = make(clock=clock, transitions=transitions)
+        trip(breaker)
+        clock.now = BREAKER_COOLDOWN
         breaker.allows_request()
         breaker.record_sent()
         breaker.record_success()

@@ -10,10 +10,11 @@ import pytest
 
 from repro.bench.config import ExperimentConfig
 from repro.core import OrderlessChainNetwork
-from repro.core.client import ClientConfig
+from repro.core.client import HEDGE, TIMEOUT
 from repro.core.organization import MSG_PROPOSAL
 from repro.contracts import VotingContract
-from repro.resilience import BREAKER_OPEN, ResilienceConfig
+from repro.resilience import BREAKER_OPEN, WORST_CASE_TIMEOUT
+from repro.resilience.breaker import BREAKER_THRESHOLD
 
 
 def make_net(num_orgs=4, quorum=2, seed=3, snapshot_interval=0.0):
@@ -30,9 +31,13 @@ def make_net(num_orgs=4, quorum=2, seed=3, snapshot_interval=0.0):
     return network
 
 
-def resilient_client(net, name="c0", **res_kwargs):
-    config = ClientConfig(resilience=ResilienceConfig(**res_kwargs), max_retries=2)
-    return net.add_client(name, config=config)
+def resilient_client(net, name="c0"):
+    return net.add_client(name, config=net.config.with_(resilience=True, max_retries=2))
+
+
+def open_breaker(client, org_id):
+    for _ in range(BREAKER_THRESHOLD):
+        client._breaker(org_id).record_failure()
 
 
 def proposal_recipients(net, client):
@@ -55,15 +60,15 @@ def proposal_recipients(net, client):
 class TestHedging:
     def test_hedge_adds_to_the_quorum(self):
         net = make_net(num_orgs=6)
-        assert len(proposal_recipients(net, resilient_client(net, hedge=1))) == 3
+        assert len(proposal_recipients(net, resilient_client(net))) == 2 + HEDGE
 
     def test_hedge_capped_at_org_count(self):
-        net = make_net(num_orgs=4)
-        assert len(proposal_recipients(net, resilient_client(net, hedge=10))) == 4
+        net = make_net(num_orgs=4, quorum=4)
+        assert len(proposal_recipients(net, resilient_client(net))) == 4
 
     def test_modify_solicits_more_than_quorum(self):
         net = make_net()
-        client = resilient_client(net, hedge=1)
+        client = resilient_client(net)
         net.sim.process(
             client.submit_modify("voting", "vote", {"party": "party0", "election": "e"})
         )
@@ -94,17 +99,17 @@ class TestRetargeting:
 class TestBreakerSelection:
     def test_open_breaker_excluded_from_selection(self):
         net = make_net()
-        client = resilient_client(net, breaker_threshold=1, breaker_cooldown=100.0)
-        client._breaker("org0").record_failure()
+        client = resilient_client(net)
+        open_breaker(client, "org0")
         assert client.breakers["org0"].state == BREAKER_OPEN
         for _ in range(20):
             assert "org0" not in client._select_orgs(3)
 
     def test_falls_back_when_too_many_breakers_open(self):
         net = make_net()
-        client = resilient_client(net, breaker_threshold=1, breaker_cooldown=100.0)
+        client = resilient_client(net)
         for org in ("org0", "org1", "org2"):
-            client._breaker(org).record_failure()
+            open_breaker(client, org)
         # Only one healthy org left but q=2 requested: selection must
         # not starve, so it falls back to the sick pool.
         assert len(client._select_orgs(2)) == 2
@@ -114,27 +119,24 @@ class TestAdaptiveDeadlines:
     def test_deadline_uses_legacy_timeouts_without_resilience(self):
         net = make_net()
         client = net.add_client("plain")
-        assert client._deadline("endorse", 0) == client.config.proposal_timeout
-        assert client._deadline("commit", 0) == client.config.commit_timeout
-        assert client._deadline("read", 0) == client.config.read_timeout
+        assert [client._deadline(attempt) for attempt in range(3)] == [TIMEOUT] * 3
 
     def test_deadline_tightens_after_fast_rtt_samples(self):
         net = make_net()
         client = resilient_client(net)
-        first = client._deadline("endorse", 0)
+        first = client._deadline(0)
         for _ in range(30):
             client._rtt.observe(0.05)
         # Deadlines adapt well below the 1 s initial timeout once the
         # network proves fast.
-        assert client._deadline("endorse", 0) < first
+        assert client._deadline(0) < first
 
     def test_deadline_bounded_by_worst_case(self):
         net = make_net()
         client = resilient_client(net)
         client._rtt.observe(100.0)
-        worst = client.config.resilience.worst_case_timeout
         for attempt in range(6):
-            assert client._deadline("endorse", attempt) <= worst + 1e-9
+            assert client._deadline(attempt) <= WORST_CASE_TIMEOUT + 1e-9
 
 
 class TestEndToEnd:

@@ -4,27 +4,30 @@ import random
 
 import pytest
 
-from repro.resilience import ResilienceConfig, RttEstimator
-
-
-def make(**kwargs) -> RttEstimator:
-    return RttEstimator(ResilienceConfig(**kwargs))
+from repro.resilience import WORST_CASE_TIMEOUT, RttEstimator
+from repro.resilience.rtt import (
+    BACKOFF_CAP,
+    BACKOFF_FACTOR,
+    INITIAL_TIMEOUT,
+    JITTER,
+    MAX_TIMEOUT,
+    MIN_TIMEOUT,
+)
 
 
 class TestObserve:
     def test_no_samples_uses_initial_timeout(self):
-        est = make(initial_timeout=1.5, min_timeout=0.2, max_timeout=8.0)
-        assert est.base_deadline() == 1.5
+        assert RttEstimator().base_deadline() == INITIAL_TIMEOUT
 
     def test_first_sample_seeds_srtt_and_rttvar(self):
-        est = make()
+        est = RttEstimator()
         est.observe(0.4)
         assert est.srtt == pytest.approx(0.4)
         assert est.rttvar == pytest.approx(0.2)
         assert est.samples == 1
 
     def test_ewma_update_matches_jacobson_karels(self):
-        est = make()
+        est = RttEstimator()
         est.observe(0.4)
         est.observe(0.8)
         # rttvar' = 0.75*0.2 + 0.25*|0.4 - 0.8|; srtt' = 0.875*0.4 + 0.125*0.8
@@ -32,68 +35,70 @@ class TestObserve:
         assert est.srtt == pytest.approx(0.875 * 0.4 + 0.125 * 0.8)
 
     def test_negative_samples_ignored(self):
-        est = make()
+        est = RttEstimator()
         est.observe(-1.0)
         assert est.samples == 0
         assert est.srtt is None
 
     def test_stable_rtt_converges_to_tight_deadline(self):
-        est = make(min_timeout=0.2, max_timeout=8.0, rttvar_mult=4.0)
+        est = RttEstimator()
         for _ in range(50):
             est.observe(0.3)
         # rttvar decays toward zero, so the deadline approaches srtt,
-        # floored by min_timeout — far below a fixed 3 s timeout.
+        # floored by MIN_TIMEOUT — far below a fixed 3 s timeout.
         assert est.base_deadline() < 0.5
 
 
 class TestClamping:
     def test_deadline_floored_at_min_timeout(self):
-        est = make(min_timeout=0.2, initial_timeout=1.0)
+        est = RttEstimator()
         for _ in range(50):
             est.observe(0.001)
-        assert est.base_deadline() == 0.2
+        assert est.base_deadline() == MIN_TIMEOUT
 
     def test_deadline_capped_at_max_timeout(self):
-        est = make(max_timeout=8.0)
+        est = RttEstimator()
         est.observe(100.0)
-        assert est.base_deadline() == 8.0
+        assert est.base_deadline() == MAX_TIMEOUT
 
 
 class TestBackoffAndJitter:
+    # Without an rng, timeout_for applies backoff only.
+
     def test_backoff_doubles_per_attempt(self):
-        est = make(jitter=0.0, backoff_factor=2.0, backoff_cap=8.0)
+        assert BACKOFF_FACTOR == 2.0
+        est = RttEstimator()
         est.observe(0.5)
         base = est.base_deadline()
         assert est.timeout_for(0) == pytest.approx(base)
-        assert est.timeout_for(1) == pytest.approx(min(8.0, base * 2))
-        assert est.timeout_for(2) == pytest.approx(min(8.0, base * 4))
+        assert est.timeout_for(1) == pytest.approx(min(MAX_TIMEOUT, base * 2))
+        assert est.timeout_for(2) == pytest.approx(min(MAX_TIMEOUT, base * 4))
 
     def test_backoff_capped(self):
-        est = make(jitter=0.0, backoff_factor=2.0, backoff_cap=4.0, max_timeout=100.0,
-                   initial_timeout=1.0)
-        # No samples: base = initial_timeout = 1.0. Attempt 10 would be
-        # 1024x without the cap.
-        assert est.timeout_for(10) == pytest.approx(4.0)
+        est = RttEstimator()
+        for _ in range(50):
+            est.observe(0.001)
+        # Base = MIN_TIMEOUT; attempt 10 would be 1024x without the cap.
+        assert est.timeout_for(10) == pytest.approx(MIN_TIMEOUT * BACKOFF_CAP)
 
     def test_deadline_never_exceeds_max_timeout_before_jitter(self):
-        est = make(jitter=0.0, max_timeout=8.0)
+        est = RttEstimator()
         est.observe(6.0)
-        assert est.timeout_for(5) == pytest.approx(8.0)
+        assert est.timeout_for(5) == pytest.approx(MAX_TIMEOUT)
 
     def test_jitter_bounded_and_deterministic(self):
-        config = ResilienceConfig(jitter=0.2)
-        est = RttEstimator(config)
+        est = RttEstimator()
         est.observe(0.5)
         base = est.timeout_for(0)  # no rng: jitter not applied
         draws = [est.timeout_for(0, random.Random(7)) for _ in range(10)]
         # Same seeded stream state -> same jittered deadline; always
-        # within [base, base * 1.2) and below the worst-case bound.
+        # within [base, base * (1 + JITTER)) and below the worst case.
         assert len(set(draws)) == 1
-        assert base <= draws[0] < base * 1.2
-        assert draws[0] <= config.worst_case_timeout
+        assert base <= draws[0] < base * (1 + JITTER)
+        assert draws[0] <= WORST_CASE_TIMEOUT
 
     def test_distinct_rng_states_decorrelate(self):
-        est = make(jitter=0.3)
+        est = RttEstimator()
         est.observe(0.5)
         rng = random.Random(7)
         assert est.timeout_for(0, rng) != est.timeout_for(0, rng)

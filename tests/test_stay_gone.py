@@ -109,6 +109,13 @@ GONE = [
         "one signature scheme: Ed25519, the key-pair interface, the scheme table and knob,"
         " and the test-only CA helpers",
     ),
+    (
+        r"\b(ClientConfig|ResilienceConfig|client_config|proposal_timeout|commit_timeout"
+        r"|read_timeout)\b",
+        ("src", "tests", "benchmarks", "examples"),
+        "one client configuration: the client and resilience knob objects, the network's"
+        " client default and the three per-phase timeouts",
+    ),
 ]
 
 
