@@ -40,14 +40,10 @@ MSG_BLOCK = "fabric.block"
 MSG_COMMIT_EVENT = "fabric.commit_event"
 MSG_READ = "fabric.read"
 MSG_READ_RESPONSE = "fabric.read_response"
-MSG_RAFT_APPEND = "fabric.raft.append"
-MSG_RAFT_ACK = "fabric.raft.ack"
 MSG_BLOCK_ANNOUNCE = "fabric.block_announce"
 MSG_BLOCK_FETCH = "fabric.block_fetch"
 
 ORDERER_ID = "fabric-orderer"
-# Followers of the Raft orderer: with the leader, a three-node cluster.
-RAFT_FOLLOWERS = 2
 
 
 class FabricPeer(Replica):
@@ -272,7 +268,7 @@ class FabricClient:
 
 
 class FabricNetwork(BaselineNetwork):
-    """A built Fabric network: peers + Solo (or Raft) orderer + clients."""
+    """A built Fabric network: peers + Solo orderer + clients."""
 
     system = "fabric"
     node_prefix = "peer"
@@ -291,7 +287,7 @@ class FabricNetwork(BaselineNetwork):
             batch_timeout=perf.fabric_batch_timeout,
             max_batch=perf.fabric_max_batch,
             on_batch=self._broadcast_block,
-            name=f"{config.orderer_type}-orderer",
+            name="solo-orderer",
         )
         self.queues = {ORDERER_ID: self.orderer}
         self.log = OrderedLog(
@@ -304,68 +300,14 @@ class FabricNetwork(BaselineNetwork):
             on_message=self._orderer_receive,
             name="fabric",
         )
-        self._raft_acks: dict = {}
-        self._raft_block_ids = 0
-        if config.orderer_type == "raft":
-            for index in range(RAFT_FOLLOWERS):
-                self.network.register(
-                    f"{ORDERER_ID}-follower{index}", self._follower_receive
-                )
 
     def _orderer_receive(self, message: Message) -> None:
-        if message.msg_type == MSG_RAFT_ACK:
-            entry = self._raft_acks.get(message.body["block_id"])
-            if entry is not None:
-                event, needed = entry
-                needed -= 1
-                if needed <= 0:
-                    if not event.triggered:
-                        event.trigger()
-                else:
-                    self._raft_acks[message.body["block_id"]] = (event, needed)
-        elif message.msg_type == MSG_ORDER:
+        if message.msg_type == MSG_ORDER:
             self._orderer_arrivals[message.body["txn_id"]] = self.sim.now
             self.orderer.enqueue(message.body)
 
-    def _follower_receive(self, message: Message) -> None:
-        """A Raft follower: append to its log and acknowledge."""
-        if message.corrupted or message.msg_type != MSG_RAFT_APPEND:
-            return
-        self.network.send(
-            Message(
-                sender=message.recipient,
-                recipient=ORDERER_ID,
-                msg_type=MSG_RAFT_ACK,
-                body={"block_id": message.body["block_id"]},
-                size_bytes=120,
-            )
-        )
-
-    def _replicate_to_followers(self, size: int):
-        """Raft: the block commits after a majority of the cluster
-        (leader + followers) has it — one WAN round trip."""
-        self._raft_block_ids += 1
-        block_id = self._raft_block_ids
-        event = Event(self.sim)
-        # The leader already has the block; a majority needs the rest.
-        self._raft_acks[block_id] = (event, (RAFT_FOLLOWERS + 1) // 2)
-        for index in range(RAFT_FOLLOWERS):
-            self.network.send(
-                Message(
-                    sender=ORDERER_ID,
-                    recipient=f"{ORDERER_ID}-follower{index}",
-                    msg_type=MSG_RAFT_APPEND,
-                    body={"block_id": block_id},
-                    size_bytes=size,
-                )
-            )
-        yield event
-        del self._raft_acks[block_id]
-
     def _broadcast_block(self, batch: List[Dict[str, Any]]):
         """Deliver a cut block to every peer."""
-        if self.config.orderer_type == "raft":
-            yield from self._replicate_to_followers(200 + 100 * len(batch))
         now = self.sim.now
         for txn in batch:
             arrived = self._orderer_arrivals.pop(txn["txn_id"], now)
@@ -373,6 +315,8 @@ class FabricNetwork(BaselineNetwork):
                 "fabric/P2/Consensus", arrived, now, node=ORDERER_ID, txn_id=txn["txn_id"]
             )
         self.log.publish({"index": len(self.log.entries), "transactions": batch})
+        return
+        yield  # pragma: no cover - marks this as a generator for BatchServer
 
     @staticmethod
     def _block_bytes(block: Dict[str, Any]) -> int:

@@ -24,19 +24,13 @@ SYSTEMS = ("orderlesschain", "fabric", "fabriccrdt", "bidl", "synchotstuff")
 APPS = ("synthetic", "voting", "auction")
 # The CRDT types the synthetic contract's ``modify`` writes.
 SYNTHETIC_CRDT_TYPES = (TYPE_GCOUNTER, TYPE_MVREGISTER, TYPE_MAP)
-# Fields only one system reads: set away from its default on any other
-# system, such a field is an error, not a no-op.
-ONE_SYSTEM_FIELDS = {
-    **dict.fromkeys(
-        (
-            "channels", "byzantine_client_fraction", "byzantine_org_windows", "max_retries",
-            "avoid_byzantine", "org_weights", "resilience", "snapshot_interval",
-            "gossip_interval", "gossip_fanout", "gossip_ttl", "sync_interval", "cache_enabled",
-        ),
-        "orderlesschain",
-    ),
-    "orderer_type": "fabric",
-}
+# Fields only OrderlessChain reads: set away from its default on a
+# baseline, such a field is an error, not a no-op.
+ORDERLESSCHAIN_FIELDS = (
+    "channels", "byzantine_client_fraction", "byzantine_org_windows", "max_retries",
+    "avoid_byzantine", "org_weights", "resilience", "snapshot_interval",
+    "gossip_interval", "gossip_fanout", "gossip_ttl", "sync_interval",
+)
 
 
 def default_scale() -> float:
@@ -101,7 +95,6 @@ class ExperimentConfig:
     # replicas reconcile even after push-gossip rounds are spent (e.g.
     # across a healed partition). 0 disables it.
     sync_interval: float = 5.0
-    cache_enabled: bool = True
     max_retries: int = 0
     avoid_byzantine: bool = False
     # Adaptive resilience layer (docs/RESILIENCE.md): RTT-aware
@@ -119,9 +112,6 @@ class ExperimentConfig:
     byzantine_org_windows: Tuple[ByzantineWindow, ...] = ()
     byzantine_client_fraction: float = 0.0
     byzantine_client_faults: Tuple[str, ...] = ("proposal_only",)
-    # Fabric's ordering service: the paper's "solo" or the
-    # crash-fault-tolerant "raft" (the orderer ablation).
-    orderer_type: str = "solo"
     # Mechanics.
     seed: int = 0
     scale: float = field(default_factory=default_scale)
@@ -208,13 +198,12 @@ class ExperimentConfig:
                 f"byzantine_client_faults must be a non-empty subset of "
                 f"{sorted(VALID_CLIENT_FAULTS)}, got {self.byzantine_client_faults}"
             )
-        if self.orderer_type not in ("solo", "raft"):
-            raise ConfigError(f"orderer_type must be 'solo' or 'raft', got {self.orderer_type!r}")
-        for knob, system in ONE_SYSTEM_FIELDS.items():
-            # Each of these fields has a plain default, kept as the
-            # class attribute of the same name.
-            if self.system != system and getattr(self, knob) != getattr(ExperimentConfig, knob):
-                raise ConfigError(f"{knob} is read only by {system}, got system {self.system!r}")
+        if self.system != "orderlesschain":
+            for knob in ORDERLESSCHAIN_FIELDS:
+                # Each of these fields has a plain default, kept as the
+                # class attribute of the same name.
+                if getattr(self, knob) != getattr(ExperimentConfig, knob):
+                    raise ConfigError(f"{knob} is read only by orderlesschain, got {self.system!r}")
         seen = set()
         for spec in self.channels:
             if spec.channel_id in seen:

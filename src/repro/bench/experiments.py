@@ -303,24 +303,6 @@ def resource_utilization_comparison(**base) -> List[Point]:
 # -- E15, ablations of DESIGN.md's design choices ---------------------------------------
 
 
-def ablation_cache(**base) -> List[Point]:
-    """CRDT value cache on vs off (reads replay the operation log)."""
-    return [
-        (None, label, _synthetic(base, cache_enabled=enabled))
-        for label, enabled in (("cache on", True), ("cache off", False))
-    ]
-
-
-def ablation_fabric_orderer(**base) -> List[Point]:
-    """Solo vs Raft ordering service for Fabric (Raft adds a WAN round
-    trip of follower replication per block; neither is BFT)."""
-    config = _application("fabric", "voting", 8, 500, base)
-    return [
-        (None, orderer_type, config.with_(orderer_type=orderer_type))
-        for orderer_type in ("solo", "raft")
-    ]
-
-
 def ablation_gossip_interval(grid, **base) -> List[Point]:
     """Gossip period sweep (the paper fixes it at 1 s)."""
     return _vary("gossip_interval", grid, base)
@@ -507,8 +489,6 @@ def multichannel_chaos(
 
 __all__ = [
     "Point",
-    "ablation_cache",
-    "ablation_fabric_orderer",
     "ablation_gossip_interval",
     "chaos_run",
     "fig6a_arrival_rate",

@@ -62,9 +62,9 @@ class ChannelState:
         "gossip_commits",
     )
 
-    def __init__(self, channel_id: str, cache_enabled: bool = True) -> None:
+    def __init__(self, channel_id: str) -> None:
         self.channel_id = channel_id
-        self.ledger = Ledger(cache_enabled=cache_enabled)
+        self.ledger = Ledger()
         # (transaction wire, remaining push rounds) pairs; see
         # Organization._gossip_loop.
         self.gossip_backlog: List[tuple[Dict[str, Any], int]] = []

@@ -62,13 +62,21 @@ TIMEOUT = 3.0
 HEDGE = 1
 
 
+def attempts(config: ExperimentConfig) -> Tuple[int, int]:
+    """The attempts a modify's endorse and commit phases make. Both
+    retry ``max_retries`` times on a resilient client; the paper's
+    client retries only its endorsements."""
+    endorse = config.max_retries + 1
+    return endorse, endorse if config.resilience else 1
+
+
 def longest_pending(config: ExperimentConfig) -> float:
     """How long a transaction of a client of ``config`` can legitimately
-    stay unresolved: a modify can wait out an endorse and a commit
-    deadline once per attempt, plus one more deadline. A resilient
-    client's deadlines are bounded by the jitter-inclusive worst case."""
+    stay unresolved: a modify can wait out one deadline per attempt of
+    each phase, plus one more deadline. A resilient client's deadlines
+    are bounded by the jitter-inclusive worst case."""
     deadline = WORST_CASE_TIMEOUT if config.resilience else TIMEOUT
-    return (config.max_retries + 1) * 2 * deadline + deadline
+    return sum(attempts(config)) * deadline + deadline
 
 
 class _Pending:
@@ -191,28 +199,29 @@ class Client:
         if len(candidates) < count:
             # Not enough trusted organizations left; fall back to all.
             candidates = list(self.org_ids)
-        if self.config.org_weights is not None:
-            weight_of = dict(zip(self.org_ids, self.config.org_weights))
-            pool = list(candidates)
-            chosen: List[str] = []
-            while pool and len(chosen) < count:
-                weights = [weight_of.get(org, 1.0) for org in pool]
-                pick = self.rng.choices(pool, weights=weights, k=1)[0]
-                pool.remove(pick)
-                chosen.append(pick)
-            return chosen
-        if avoid:
-            # Retry retargeting: prefer organizations not yet contacted
-            # for this transaction (docs/RESILIENCE.md).
-            avoided = set(avoid)
-            fresh = [org for org in candidates if org not in avoided]
-            if len(fresh) >= count:
-                return self.rng.sample(fresh, count)
-            rest = self.rng.sample(
-                [org for org in candidates if org in avoided], count - len(fresh)
-            )
-            return fresh + rest
-        return self.rng.sample(candidates, count)
+        # Retry retargeting: prefer organizations not yet contacted for
+        # this transaction (docs/RESILIENCE.md).
+        avoided = set(avoid)
+        fresh = [org for org in candidates if org not in avoided]
+        if len(fresh) >= count:
+            return self._draw(fresh, count)
+        rest = [org for org in candidates if org in avoided]
+        return fresh + self._draw(rest, count - len(fresh))
+
+    def _draw(self, pool: List[str], count: int) -> List[str]:
+        """``count`` organizations of ``pool``: uniformly, or one by one
+        by ``org_weights`` (Table 2's workload skew)."""
+        if self.config.org_weights is None:
+            return self.rng.sample(pool, count)
+        weight_of = dict(zip(self.org_ids, self.config.org_weights))
+        pool = list(pool)
+        chosen: List[str] = []
+        while pool and len(chosen) < count:
+            weights = [weight_of.get(org, 1.0) for org in pool]
+            pick = self.rng.choices(pool, weights=weights, k=1)[0]
+            pool.remove(pick)
+            chosen.append(pick)
+        return chosen
 
     # -- tracing helpers ----------------------------------------------------------
 
@@ -351,6 +360,7 @@ class Client:
                 size_bytes=self.perf.proposal_bytes,
             )
 
+        endorse_attempts, commit_attempts = attempts(self.config)
         used: set = set()
         attempt = 0
         while True:
@@ -374,7 +384,7 @@ class Client:
             if self.config.avoid_byzantine:
                 self._blacklist_offenders(targets, endorsements, majority)
             attempt += 1
-            if attempt > self.config.max_retries:
+            if attempt >= endorse_attempts:
                 self.recorder.failed(txn_id, self.sim.now, "endorsement failure")
                 return False
             self._retry(txn_id, "endorse", started, attempt, deadline)
@@ -419,7 +429,6 @@ class Client:
         # client contacts one organization and waits for its receipt
         # only (Section 8, fault 2).
         pending = _Pending(self.sim, needed=1 if partial_commit else q)
-        retries = self.config.max_retries if self.config.resilience else 0
         used = set()
         commit_started = self.sim.now
         attempt = 0
@@ -432,7 +441,7 @@ class Client:
                 "commit", attempt, txn_id, pending, targets, commit_to
             )
             attempt += 1
-            if reached or attempt > retries:
+            if reached or attempt >= commit_attempts:
                 break
             self._retry(txn_id, "commit", started, attempt, deadline)
         receipts: List[Receipt] = list(pending.responses)
@@ -504,4 +513,4 @@ class Client:
         return None
 
 
-__all__ = ["Client", "longest_pending"]
+__all__ = ["Client", "attempts", "longest_pending"]

@@ -156,7 +156,7 @@ class Organization:
         """Create (or return) the named channel's state shard."""
         channel = self.channels.get(channel_id)
         if channel is None:
-            channel = ChannelState(channel_id, cache_enabled=self.config.cache_enabled)
+            channel = ChannelState(channel_id)
             self.channels[channel_id] = channel
         return channel
 
@@ -875,18 +875,11 @@ class Organization:
         channel = self._channel_of(proposal.contract_id)
         ledger = channel.ledger
         yield self.cpu.serve(self.perf.read_base)
-        if ledger.cache_enabled:
-            # Cached reads are served under the cache lock.
-            entries = ledger.valid_transaction_count
-            yield self.cache_lock.serve(
-                self.perf.cache_read_base + self.perf.cache_read_per_entry * entries
-            )
-        else:
-            # Ablation: replay the object's operations from the DB.
-            # The operations replayed on a cache-miss read (the O(n)
-            # problem) are driven by total committed operations.
-            replay_ops = max(1, ledger.valid_transaction_count)
-            yield self.cpu.serve(self.perf.log_replay_per_op * replay_ops)
+        # Reads are served from the cache, under the cache lock.
+        entries = ledger.valid_transaction_count
+        yield self.cache_lock.serve(
+            self.perf.cache_read_base + self.perf.cache_read_per_entry * entries
+        )
         reader = StateReader(ledger.read)
         context = ContractContext(
             proposal.client_id, proposal.clock, state=reader, allow_reads=True

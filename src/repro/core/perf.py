@@ -35,7 +35,6 @@ class PerfModel:
     cache_read_per_entry: float = 0.0000002
     read_base: float = 0.0003
     dedup_check: float = 0.00002
-    log_replay_per_op: float = 0.00002  # cache-disabled ablation: read replays ops
     # Snapshot-based crash recovery (docs/RESILIENCE.md): periodic
     # checkpoint cost plus per-transaction replay of the delta between
     # the latest snapshot and the durable log on recovery.

@@ -6,15 +6,12 @@ Combines the storage layers of Section 4/6:
   invalid ones are kept "for bookkeeping purposes");
 * the committed set: each valid transaction's wire by id
   (:attr:`Ledger.valid`) and each committed operation's wire by object
-  id (:attr:`Ledger.ops`), both in commit order — the database role,
-  faster than replaying the log on a cache miss;
+  id (:attr:`Ledger.ops`), both in commit order — the database role
+  that state snapshots and crash-recovery cache rebuilds read;
 * the in-memory CRDT value cache, updated on commit, which answers
-  read APIs and gives read-your-writes consistency.
-
-The cache can be disabled (``cache_enabled=False``) to reproduce the
-well-known CRDT read-cost problem the cache exists to solve — every
-read then replays the object's committed operations, O(n) in the
-number of operations. This is the E15 ablation.
+  read APIs and gives read-your-writes consistency. It is the Section 6
+  answer to the CRDT read-cost problem: a read never replays the
+  object's committed operations, which would be O(n) in their number.
 """
 
 from __future__ import annotations
@@ -30,9 +27,8 @@ from repro.ledger.hashchain import HashChainLog
 class Ledger:
     """Hash-chain log + committed set + CRDT value cache."""
 
-    def __init__(self, cache_enabled: bool = True) -> None:
+    def __init__(self) -> None:
         self.log = HashChainLog()
-        self.cache_enabled = cache_enabled
         self._cache = CRDTStore()
         # Transaction id -> committed wire, in commit order.
         self.valid: Dict[str, Any] = {}
@@ -95,8 +91,7 @@ class Ledger:
         self.valid[transaction_id] = payload
         for operation in operations:
             self.ops.setdefault(operation.object_id, []).append(operation.to_wire())
-        if self.cache_enabled:
-            self._cache.apply(operations)
+        self._cache.apply(operations)
         return block
 
     # -- reads -------------------------------------------------------------
@@ -106,12 +101,8 @@ class Ledger:
         return [Operation.from_wire(wire) for wire in self.ops.get(object_id, ())]
 
     def read(self, object_id: str, path: Iterable[str] = ()) -> Any:
-        """Resolved object value, from cache or by replaying its operations."""
-        if self.cache_enabled:
-            return self._cache.read(object_id, path)
-        replay = CRDTStore()
-        replay.apply(self.operations_for(object_id))
-        return replay.read(object_id, path)
+        """Resolved object value, from the cache."""
+        return self._cache.read(object_id, path)
 
     def cached_object(self, object_id: str, type_name: str):
         """Direct access to a cached root CRDT (None if uncached)."""

@@ -149,7 +149,7 @@ _SPECS: List[MetricSpec] = [
         SPAN,
         "baselines.fabric.FabricNetwork",
         "s",
-        "Solo/Raft ordering: arrival at the orderer to block broadcast.",
+        "Solo ordering: arrival at the orderer to block broadcast.",
     ),
     _spec(
         "fabric/P3/Commit",

@@ -354,21 +354,6 @@ _SPECS: List[ExperimentSpec] = [
     ),
     # -- ablations -----------------------------------------------------------
     ExperimentSpec(
-        spec_id="abl-cache",
-        kind="sweep",
-        build=E.ablation_cache,
-        x_label="cache",
-        group="ablations",
-        section_title="Ablation — CRDT value cache off (E15)",
-        paper_claim=(
-            "Beyond the paper's figures: without the Section 6 cache, reads "
-            "replay the operation log — the well-known CRDT read-cost problem."
-        ),
-        params={"duration": 15.0},
-        quick_params={"duration": 6.0},
-        checks=("ablation-cache-read-penalty",),
-    ),
-    ExperimentSpec(
         spec_id="abl-gossip",
         kind="sweep",
         build=E.ablation_gossip_interval,
@@ -430,21 +415,6 @@ _SPECS: List[ExperimentSpec] = [
             "the offered load is per_channel_rate x channels, so flat "
             "committed counts would indicate cross-channel interference."
         ),
-    ),
-    ExperimentSpec(
-        spec_id="abl-orderer",
-        kind="sweep",
-        build=E.ablation_fabric_orderer,
-        x_label="orderer",
-        group="ablations",
-        section_title="Ablation — Fabric Solo vs Raft orderer (E15)",
-        paper_claim=(
-            "Raft replication adds roughly one WAN round trip of follower "
-            "acknowledgement per block."
-        ),
-        params={"duration": 15.0},
-        quick_params={"duration": 6.0},
-        checks=("ablation-orderer-raft-rtt",),
     ),
 ]
 

@@ -348,25 +348,6 @@ def _util(records, ctx):
     return ok, f"orderless {100 * orderless:.1f} % vs fabric {100 * fabric:.1f} % CPU"
 
 
-# -- ablations ---------------------------------------------------------------
-
-
-@register("ablation-cache-read-penalty")
-def _abl_cache(records, ctx):
-    by_label = {r["cache"]: r for r in records}
-    on = by_label["cache on"]["latency_read_avg_ms"]
-    off = by_label["cache off"]["latency_read_avg_ms"]
-    return off > 1.2 * on, f"read latency {on:.1f} ms cached vs {off:.1f} ms replaying the log"
-
-
-@register("ablation-orderer-raft-rtt")
-def _abl_orderer(records, ctx):
-    by_label = {r["orderer"]: r for r in records}
-    solo = by_label["solo"]["latency_modify_avg_ms"]
-    raft = by_label["raft"]["latency_modify_avg_ms"]
-    return raft > solo + 50, f"solo {solo:.1f} ms vs raft {raft:.1f} ms"
-
-
 # -- resilience (docs/RESILIENCE.md) -----------------------------------------
 
 

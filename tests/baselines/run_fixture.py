@@ -1,14 +1,13 @@
 """Serialization shared by the baseline-runs fixture and its test.
 
 ``tests/baselines/data/baseline_runs.json`` pins the simulated work of
-every baseline: each of the four systems on each application, Fabric
-with the Raft orderer, and the chaos smoke at two seeds. A run is
-reduced to structural counts (events processed, messages and bytes by
-type, drops by reason, outcomes by failure reason, samples per phase,
-per-node state hashes) plus one sha256 over the per-transaction
-timestamps rendered with ``float.hex`` — so any change to the event
-order, a message size or an RNG draw shows up, while the file stays
-reviewable.
+every baseline: each of the four systems on each application and the
+chaos smoke at two seeds. A run is reduced to structural counts (events
+processed, messages and bytes by type, drops by reason, outcomes by
+failure reason, samples per phase, per-node state hashes) plus one
+sha256 over the per-transaction timestamps rendered with ``float.hex``
+— so any change to the event order, a message size or an RNG draw shows
+up, while the file stays reviewable.
 
 Regenerate (only when a change deliberately alters baseline
 behaviour) with::
@@ -81,7 +80,6 @@ def collect() -> dict:
     for system in BASELINES:
         for app in APPS:
             runs[f"{system}/{app}"] = _app_run(system, app)
-    runs["fabric/voting/raft"] = _app_run("fabric", "voting", orderer_type="raft")
     for system in BASELINES:
         for seed in (1, 2):
             net, _ = chaos_run(system, seed=seed)

@@ -113,34 +113,3 @@ def test_auction_app_on_fabric():
     net.run(until=15.0)
     assert process.value[0] == {"bidder": "alice", "amount": 10}
 
-
-class TestRaftOrderer:
-    def test_raft_settings_validated(self):
-        with pytest.raises(ConfigError):
-            fabric_config(orderer_type="kafka")
-
-    def test_raft_commits_and_converges(self):
-        net = build(seed=9, orderer_type="raft")
-        clients = [net.add_client(f"c{i}") for i in range(3)]
-        processes = [
-            net.sim.process(
-                c.submit_modify({"voter": c.client_id, "party": f"p{i}", "election": "e0"})
-            )
-            for i, c in enumerate(clients)
-        ]
-        net.run(until=15.0)
-        assert all(p.value is True for p in processes)
-        assert net.converged()
-
-    def test_raft_replication_adds_latency_over_solo(self):
-        def run(orderer_type):
-            net = build(seed=1, orderer_type=orderer_type)
-            client = net.add_client("c0")
-            net.sim.process(
-                client.submit_modify({"voter": "c0", "party": "p1", "election": "e0"})
-            )
-            net.run(until=10.0)
-            return net.recorder.latencies("modify")[0]
-
-        # One WAN round trip of follower replication per block.
-        assert run("raft") > run("solo") + 0.05

@@ -36,7 +36,6 @@ CONFIG_FIELDS = {
     "byzantine_client_faults",
     "byzantine_client_fraction",
     "byzantine_org_windows",
-    "cache_enabled",
     "channels",
     "check",
     "crdt_type",
@@ -55,7 +54,6 @@ CONFIG_FIELDS = {
     "obj_count",
     "object_pool",
     "ops_per_obj",
-    "orderer_type",
     "org_weights",
     "parties",
     "planted_bug",
@@ -107,7 +105,6 @@ def test_network_reads_its_knobs_from_the_config():
         gossip_ttl=2,
         sync_interval=0.25,
         snapshot_interval=5.0,
-        cache_enabled=False,
         max_retries=2,
         avoid_byzantine=True,
         org_weights=weights,
@@ -124,7 +121,6 @@ def test_network_reads_its_knobs_from_the_config():
         # config itself; the cost model is the network's one copy.
         assert org.config is config
         assert org.perf is net.perf
-        assert org.channels[DEFAULT_CHANNEL].ledger.cache_enabled is False
     # Every client, honest or Byzantine, reads its retry, avoidance,
     # weighting and resilience knobs from the same config.
     assert {client.byzantine is None for client in net.clients} == {True, False}

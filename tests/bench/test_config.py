@@ -44,8 +44,6 @@ SMALL = dict(duration=2.0, scale=50.0)
         # Knobs a system does not read are rejected, not ignored.
         dict(system="bidl", byzantine_client_fraction=1.0, byzantine_client_faults=("tamper",)),
         dict(system="fabric", byzantine_org_windows=(ByzantineWindow(3, 0, None),)),
-        dict(system="bidl", orderer_type="raft"),
-        dict(system="fabric", orderer_type="kafka"),
         # OrderlessChain-only knobs are rejected on every baseline.
         dict(system="fabric", resilience=True),
         dict(system="bidl", max_retries=5),
@@ -56,7 +54,6 @@ SMALL = dict(duration=2.0, scale=50.0)
         dict(system="bidl", gossip_fanout=2),
         dict(system="fabriccrdt", gossip_ttl=5),
         dict(system="synchotstuff", sync_interval=1.0),
-        dict(system="fabric", cache_enabled=False),
         # Values that failed every transaction or crashed mid-run.
         dict(crdt_type="bogus"),
         dict(ops_per_obj=0),

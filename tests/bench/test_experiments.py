@@ -118,8 +118,6 @@ def test_table3_systems_and_phases():
 
 
 def test_ablations_run():
-    assert labels("abl-cache") == ["cache on", "cache off"]
-    assert labels("abl-orderer") == ["solo", "raft"]
     assert len(tiny("abl-gossip")) == 1
 
 

@@ -3,10 +3,10 @@
 ``run_network`` builds any of the five systems, starts it, installs the
 fault schedule, starts one workload driver per channel (a
 single-application run is one implicit default channel) and runs it.
-Three runs are pinned by their run fingerprint plus the sha256 of their
+Two runs are pinned by their run fingerprint plus the sha256 of their
 exported record (floats as ``float.hex``): two channels under the chaos
-smoke schedule, OrderlessChain under Byzantine clients and a Byzantine
-window with avoidance and retries, and Fabric with the Raft orderer.
+smoke schedule, and OrderlessChain under Byzantine clients and a
+Byzantine window with avoidance and retries.
 The pins were dumped from the two-runner code this path replaced.
 
 Regenerate them (only when a change deliberately alters a run) by
@@ -56,18 +56,6 @@ PINNED = {
         avoid_byzantine=True,
         max_retries=1,
     ),
-    "fabric-raft": ExperimentConfig(
-        system="fabric",
-        app="voting",
-        num_orgs=4,
-        quorum=2,
-        arrival_rate=800.0,
-        duration=6.0,
-        scale=50.0,
-        seed=2,
-        check=True,
-        orderer_type="raft",
-    ),
 }
 
 
@@ -101,10 +89,6 @@ PINS = {
     "byzantine-avoid-retry": (
         "945b72cde01e72ba2230469c712075e04e5dbdcfe21d9f6fd8514f65655576b8",
         "af39edba99defe0f6c293ad513d004b61391d7949860ff4b101db2728e029f3f",
-    ),
-    "fabric-raft": (
-        "e131240e5cb5db8635df778eab279cfda9a60aa49236f66b69f856a959fd8b71",
-        "6eb750ad13c68f4562ae375ac8dcf7812f278450b5c2b2ca85c22590561e9657",
     ),
 }
 

@@ -10,7 +10,7 @@ from repro.report import all_specs
 def test_list_command(capsys):
     assert main(["list"]) == 0
     listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
-    assert len(all_specs()) == 25
+    assert len(all_specs()) == 23
     assert listed == [spec.spec_id for spec in all_specs()] + ["chaos"]
 
 
@@ -81,7 +81,7 @@ def test_panels_are_selected_by_id_not_by_app(spec_runs):
     "argv",
     [
         [
-            "run", "abl-cache", "--app", "auction", "--system", "fabric",
+            "run", "abl-gossip", "--app", "auction", "--system", "fabric",
             "--faults", "/nonexistent.json", "--resilience", "--duration", "2", "--scale", "200",
         ],
         ["run", "fig6b", "--max-retries", "2"],

@@ -234,21 +234,24 @@ def test_baseline_grace_covers_the_clients_longest_wait(system, grace):
 @pytest.mark.parametrize("retrying_first", [True, False])
 def test_orderlesschain_grace_is_the_slowest_clients_wait(retrying_first):
     # Default client: one attempt of 3 s + 3 s, plus the 3 s read
-    # timeout = 9 s; five retries stretch that to 6 * 6 + 3 = 39 s.
+    # timeout = 9 s; five endorse retries stretch that to 7 * 3 + 3 =
+    # 24 s (the paper's client does not retry its commit).
     net = build()
     configs = [net.config, net.config.with_(max_retries=5)]
     for config in configs[::-1] if retrying_first else configs:
         net.add_client(config=config)
-    assert net.pending_grace() == 39.0
+    assert net.pending_grace() == 24.0
 
 
 @pytest.mark.parametrize(
     "resilience, max_retries, grace",
     [
-        # (retries + 1) endorse and commit waits plus one more wait: 3 s
-        # fixed deadlines, or the 8.8 s jitter-inclusive adaptive bound.
+        # (retries + 1) endorse waits, (retries + 1) commit waits on a
+        # resilient client or one on the paper's client, plus one more
+        # wait: 3 s fixed deadlines, or the 8.8 s jitter-inclusive
+        # adaptive bound.
         (False, 0, 9.0),
-        (False, 2, 21.0),
+        (False, 2, 15.0),
         (True, 0, 26.400000000000002),
         (True, 2, 61.60000000000001),
     ],

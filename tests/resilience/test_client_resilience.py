@@ -87,6 +87,17 @@ class TestRetargeting:
             selected = client._select_orgs(2, avoid=["org0", "org1"])
             assert set(selected) == {"org2", "org3"}
 
+    def test_avoid_prefers_fresh_orgs_under_weights(self):
+        # Weighted selection draws from the fresh pool too; it used to
+        # return before the avoid filter and picked an avoided
+        # organization in 80 of 100 calls.
+        net = make_net()
+        client = net.add_client(
+            "c0", config=net.config.with_(resilience=True, max_retries=2, org_weights=(1.0,) * 4)
+        )
+        selections = [client._select_orgs(2, avoid=["org0", "org1"]) for _ in range(100)]
+        assert sum(bool({"org0", "org1"} & set(selected)) for selected in selections) == 0
+
     def test_avoid_falls_back_when_fresh_pool_short(self):
         net = make_net()
         client = resilient_client(net)

@@ -116,6 +116,14 @@ GONE = [
         "one client configuration: the client and resilience knob objects, the network's"
         " client default and the three per-phase timeouts",
     ),
+    (
+        r"cache_enabled|log_replay_per_op|orderer_type|MSG_RAFT|RAFT_FOLLOWERS"
+        r"|_replicate_to_followers|_follower_receive|ablation_cache|ablation_fabric_orderer"
+        r"|abl-cache|abl-orderer",
+        ("src", "tests", "benchmarks"),
+        "one read path and one Fabric orderer: the cache-off replay arm and the Raft orderer,"
+        " with their knobs, panels and checks",
+    ),
 ]
 
 
