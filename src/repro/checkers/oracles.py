@@ -146,9 +146,9 @@ class PolicySafetyChecker:
             # Transaction ids are network-wide unique (client id + Lamport
             # counter), so every channel's committed wires merge into one.
             wires = {
-                txn_id: wire
+                txn_id: block.payload
                 for channel in net.node(node_id).channels.values()
-                for txn_id, wire in channel.ledger.valid.items()
+                for txn_id, block in channel.ledger.valid.items()
             }
             for txn_id, wire in sorted(wires.items()):
                 audited += 1

@@ -351,7 +351,11 @@ class Organization:
         via_gossip: bool,
         channel: ChannelState,
     ):
-        """Shared commit path; returns (valid, block_or_None, reason).
+        """Shared commit path; returns (valid, block, reason).
+
+        ``block`` is the block holding the transaction — the one this
+        call appended, or for a duplicate the one that already logged
+        it — and None only for a gossiped forgery, which is dropped.
 
         All ledger/index mutations land on the transaction's channel
         shard (routed by contract id); the CPU and cache lock stay
@@ -362,7 +366,7 @@ class Organization:
         if ledger.is_valid_transaction(txn_id):
             # Only a valid commit is final: an id logged as invalid may
             # still commit from a later valid copy (see Ledger.commit).
-            return True, None, "duplicate"
+            return True, ledger.valid[txn_id], "duplicate"
         valid, reason = self.validate_transaction(transaction)
         operations = transaction.operations() if valid else []
         if valid:
@@ -388,7 +392,7 @@ class Organization:
             if ledger.is_valid_transaction(txn_id):
                 # Another handler (client path or gossip) committed the
                 # same transaction while we waited for the lock.
-                return True, None, "duplicate"
+                return True, ledger.valid[txn_id], "duplicate"
         if valid:
             wire = transaction.to_wire()
             block = ledger.commit(
@@ -404,9 +408,10 @@ class Organization:
             # (possibly tampered in transit by a Byzantine peer); it is
             # dropped so an honest copy can still commit later.
             return False, None, reason
-        if ledger.has_transaction(txn_id):
+        rejection = ledger.block_of(txn_id)
+        if rejection is not None:
             # Already logged as invalid earlier; don't log it twice.
-            return False, None, reason
+            return False, rejection, reason
         block = ledger.commit(
             transaction.transaction_id, [], transaction.to_wire(), valid=False
         )
@@ -426,14 +431,12 @@ class Organization:
         ledger = channel.ledger
         if ledger.has_transaction(txn_id):
             # Duplicate (resent by the client or already gossiped): do
-            # not commit again, but resend the receipt/rejection.
+            # not commit again, but resend the receipt/rejection for
+            # the block that holds it (its valid commit, if any).
             yield self.cpu.serve(self.perf.dedup_check)
+            block = ledger.block_of(txn_id)
             self._send_receipt(
-                message.sender,
-                txn_id,
-                ledger.log.head_hash,
-                ledger.is_valid_transaction(txn_id),
-                channel=channel.channel_id,
+                message.sender, txn_id, block.block_hash, block.valid, channel=channel.channel_id
             )
             return
         verify_started = self.sim.now
@@ -462,9 +465,8 @@ class Organization:
             txn_id=txn_id,
             attrs={"valid": valid},
         )
-        block_hash = block.block_hash if block is not None else ledger.log.head_hash
         self._send_receipt(
-            message.sender, txn_id, block_hash, valid, channel=channel.channel_id
+            message.sender, txn_id, block.block_hash, valid, channel=channel.channel_id
         )
 
     def _send_receipt(
@@ -654,7 +656,7 @@ class Organization:
         # Both senders page their input; an empty side sends nothing.
         pages = self._send_sync_requests(message.sender, missing, channel)
         pages += self._send_txn_batches(
-            message.sender, (ledger.valid[txn_id] for txn_id in surplus), channel
+            message.sender, (ledger.valid[txn_id].payload for txn_id in surplus), channel
         )
         trace = self.recorder.trace
         if trace is not None:
@@ -740,7 +742,7 @@ class Organization:
         valid = channel.ledger.valid
         self._send_txn_batches(
             message.sender,
-            (valid[txn_id] for txn_id in txn_ids if txn_id in valid),
+            (valid[txn_id].payload for txn_id in txn_ids if txn_id in valid),
             channel,
         )
 

@@ -6,7 +6,9 @@
 * :class:`Endorsement` — an organization's signed write-set for a
   proposal.
 * :class:`Transaction` — phase 2: the write-set plus the collected
-  endorsements, signed by the client.
+  endorsements, signed by the client. Its wire form carries the
+  write-set once; each endorsement travels as ``{org_id, signature}``
+  over that write-set's digest.
 * :class:`Receipt` — the signed hash of the block containing the
   committed transaction (``RCPT`` for valid, ``REJ`` for invalid).
 """
@@ -14,6 +16,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.crdt.clock import OpClock
@@ -42,9 +45,13 @@ class Proposal:
     params: Dict[str, Any]
     clock: OpClock
 
-    @property
+    @cached_property
     def proposal_id(self) -> str:
-        """Unique id: the client id plus the client's Lamport counter."""
+        """Unique id: the client id plus the client's Lamport counter.
+
+        Built once per proposal object (shared network-wide by decode
+        once), so every ledger's committed-set keys are one string.
+        """
         return f"{self.client_id}:{self.clock.counter}"
 
     def to_wire(self) -> Dict[str, Any]:
@@ -227,7 +234,13 @@ class Transaction:
                 {
                     "proposal": self.proposal.to_wire(),
                     "write_set": self.write_set,
-                    "endorsements": [e.to_wire() for e in self.endorsements],
+                    # Every endorser signed this write-set's digest,
+                    # so an entry names the signer and the signature;
+                    # from_wire rebuilds the rest from the transaction.
+                    "endorsements": [
+                        {"org_id": e.org_id, "signature": e.signature}
+                        for e in self.endorsements
+                    ],
                     "client_signature": self.client_signature,
                 }
             )
@@ -237,11 +250,24 @@ class Transaction:
     @decode_once
     def from_wire(cls, wire: Mapping[str, Any]) -> "Transaction":
         # Shared, not copied — same immutable-wire rule as
-        # Endorsement.from_wire.
+        # Endorsement.from_wire. Every endorsement is over the
+        # transaction's own proposal and write-set (the same list
+        # object); anything else an entry carries is ignored, so
+        # validation can only ever verify against this write-set.
+        proposal = Proposal.from_wire(wire["proposal"])
+        write_set = wire["write_set"]
         transaction = cls(
-            proposal=Proposal.from_wire(wire["proposal"]),
-            write_set=wire["write_set"],
-            endorsements=tuple(Endorsement.from_wire(e) for e in wire["endorsements"]),
+            proposal=proposal,
+            write_set=write_set,
+            endorsements=tuple(
+                Endorsement(
+                    org_id=_str_field(entry, "org_id"),
+                    proposal_id=proposal.proposal_id,
+                    write_set=write_set,
+                    signature=entry["signature"],
+                )
+                for entry in wire["endorsements"]
+            ),
             client_signature=wire["client_signature"],
         )
         if isinstance(wire, dict):

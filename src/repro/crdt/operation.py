@@ -15,6 +15,7 @@ the CRDT object it targets:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Mapping, Tuple
 
 from repro.crdt.clock import OpClock
@@ -63,9 +64,15 @@ class Operation:
         elif self.value_type == TYPE_MAP and not isinstance(self.value, str):
             raise CRDTError(f"map operations carry the key to create, got {self.value!r}")
 
-    @property
+    @cached_property
     def op_id(self) -> str:
-        """Unique id per CRDT object: client id + clock + write-set index."""
+        """Unique id per CRDT object: client id + clock + write-set index.
+
+        Built once per operation object, which decode-once shares
+        network-wide: every organization's CRDT bookkeeping (G-Counter
+        increments, MV-Register pairs and seen set) keys on this one
+        string, not on a copy of its own.
+        """
         return f"{self.clock.client_id}#{self.clock.counter}#{self.op_index}"
 
     def to_wire(self) -> Dict[str, Any]:

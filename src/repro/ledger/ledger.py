@@ -4,10 +4,11 @@ Combines the storage layers of Section 4/6:
 
 * the append-only hash-chain log (all transactions, valid and invalid —
   invalid ones are kept "for bookkeeping purposes");
-* the committed set: each valid transaction's wire by id
-  (:attr:`Ledger.valid`) and each committed operation's wire by object
-  id (:attr:`Ledger.ops`), both in commit order — the database role
-  that state snapshots and crash-recovery cache rebuilds read;
+* the committed set: each valid transaction's block by id
+  (:attr:`Ledger.valid`; the block's ``payload`` is the transaction's
+  wire) and each committed operation's wire by object id
+  (:attr:`Ledger.ops`), both in commit order — the database role that
+  state snapshots and crash-recovery cache rebuilds read;
 * the in-memory CRDT value cache, updated on commit, which answers
   read APIs and gives read-your-writes consistency. It is the Section 6
   answer to the CRDT read-cost problem: a read never replays the
@@ -16,7 +17,7 @@ Combines the storage layers of Section 4/6:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence, Set
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.crdt.operation import Operation
 from repro.crdt.store import CRDTStore
@@ -30,13 +31,15 @@ class Ledger:
     def __init__(self) -> None:
         self.log = HashChainLog()
         self._cache = CRDTStore()
-        # Transaction id -> committed wire, in commit order.
-        self.valid: Dict[str, Any] = {}
+        # Transaction id -> the block that commits it, in commit order
+        # (``block.payload`` is the committed wire).
+        self.valid: Dict[str, Block] = {}
         # Object id -> wires of its committed operations, in commit order.
         self.ops: Dict[str, List[Dict[str, Any]]] = {}
-        # Ids logged only as invalid (disjoint from ``valid``: an
-        # upgrade to valid moves the id across).
-        self._rejected: Set[str] = set()
+        # Id -> the block logging it as invalid, for ids logged only as
+        # invalid (disjoint from ``valid``: an upgrade to valid moves
+        # the id across).
+        self._rejected: Dict[str, Block] = {}
 
     # -- transaction bookkeeping ---------------------------------------
 
@@ -46,6 +49,11 @@ class Ledger:
 
     def is_valid_transaction(self, transaction_id: str) -> bool:
         return transaction_id in self.valid
+
+    def block_of(self, transaction_id: str) -> Optional[Block]:
+        """The block holding this transaction: its valid commit if it
+        has one, else its rejection (None if never logged)."""
+        return self.valid.get(transaction_id) or self._rejected.get(transaction_id)
 
     @property
     def transaction_count(self) -> int:
@@ -85,10 +93,10 @@ class Ledger:
             )
         block = self.log.append(payload, valid)
         if not valid:
-            self._rejected.add(transaction_id)
+            self._rejected[transaction_id] = block
             return block
-        self._rejected.discard(transaction_id)
-        self.valid[transaction_id] = payload
+        self._rejected.pop(transaction_id, None)
+        self.valid[transaction_id] = block
         for operation in operations:
             self.ops.setdefault(operation.object_id, []).append(operation.to_wire())
         self._cache.apply(operations)

@@ -83,11 +83,11 @@ def pins():
 
 PINS = {
     "two-channels-smoke": (
-        "c0e2b060df2db435eb565416cb4794e60d90cf4df09484f48011bf3ab8c2e6ef",
+        "2532b32292076cda3015a20408e054f3f066ddd107e0ab82c71361b8cf3fb07a",
         "8085fafcc295192ac1038fb059674a849574d56cd8922d306c9a2a63df8a1a04",
     ),
     "byzantine-avoid-retry": (
-        "945b72cde01e72ba2230469c712075e04e5dbdcfe21d9f6fd8514f65655576b8",
+        "cf8c5aaecb27949d5680ac3201e12b51127ae972f6ef82eb28bb21d686203ca1",
         "af39edba99defe0f6c293ad513d004b61391d7949860ff4b101db2728e029f3f",
     ),
 }

@@ -89,8 +89,9 @@ def test_policy_safety_fails_when_nested_endorsements_are_truncated():
     # org's dict entry): the oracle must audit the nested content.
     def injure(net):
         org = net.node("org0")
-        _, wire = next(iter(sorted(org.channels[DEFAULT_CHANNEL].ledger.valid.items())))
-        wire["endorsements"][:] = wire["endorsements"][:1]  # below q=2
+        _, block = next(iter(sorted(org.channels[DEFAULT_CHANNEL].ledger.valid.items())))
+        endorsements = block.payload["endorsements"]
+        endorsements[:] = endorsements[:1]  # below q=2
 
     report = injured(build(), injure)
     safety = report.result("policy-safety")
@@ -105,8 +106,8 @@ def test_no_duplicate_commit_fails_when_a_valid_block_is_replayed():
     # stays intact, so only the duplicate oracle may go red.
     def injure(net):
         ledger = net.node("org0").ledger
-        payload = next(iter(ledger.valid.values()))
-        ledger.log.append(payload, valid=True)
+        block = next(iter(ledger.valid.values()))
+        ledger.log.append(block.payload, valid=True)
 
     report = injured(build(), injure)
     duplicate = report.result("no-duplicate-commit")

@@ -7,6 +7,8 @@ endorsement quorums — and assert the matching oracle goes red with a
 diagnosable report.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.config import ExperimentConfig
@@ -109,10 +111,10 @@ def test_policy_safety_fails_when_endorsements_stripped_below_quorum():
     net = build()
     run_votes(net)
     org = net.node("org0")
-    txn_id, wire = next(iter(sorted(org.channels[DEFAULT_CHANNEL].ledger.valid.items())))
-    tampered = dict(wire)
-    tampered["endorsements"] = wire["endorsements"][:1]  # below q=2
-    org.channels[DEFAULT_CHANNEL].ledger.valid[txn_id] = tampered
+    txn_id, block = next(iter(sorted(org.channels[DEFAULT_CHANNEL].ledger.valid.items())))
+    tampered = dict(block.payload)
+    tampered["endorsements"] = block.payload["endorsements"][:1]  # below q=2
+    org.channels[DEFAULT_CHANNEL].ledger.valid[txn_id] = replace(block, payload=tampered)
     report = run_checkers(net)
     safety = report.result("policy-safety")
     assert safety.status == FAIL
@@ -123,13 +125,13 @@ def test_policy_safety_fails_when_signature_is_forged():
     net = build()
     run_votes(net)
     org = net.node("org0")
-    txn_id, wire = next(iter(sorted(org.channels[DEFAULT_CHANNEL].ledger.valid.items())))
-    tampered = dict(wire)
-    endorsements = [dict(e) for e in wire["endorsements"]]
+    txn_id, block = next(iter(sorted(org.channels[DEFAULT_CHANNEL].ledger.valid.items())))
+    tampered = dict(block.payload)
+    endorsements = [dict(e) for e in block.payload["endorsements"]]
     for endorsement in endorsements:
         endorsement["signature"] = "forged"
     tampered["endorsements"] = endorsements
-    org.channels[DEFAULT_CHANNEL].ledger.valid[txn_id] = tampered
+    org.channels[DEFAULT_CHANNEL].ledger.valid[txn_id] = replace(block, payload=tampered)
     report = run_checkers(net)
     assert report.result("policy-safety").status == FAIL
 

@@ -5,8 +5,10 @@ import pytest
 from repro.bench.config import ExperimentConfig
 from repro.core import OrderlessChainNetwork
 from repro.core.audit import audit_receipt
-from repro.core.transaction import Receipt
-from repro.contracts import AuctionContract
+from repro.core.organization import MSG_COMMIT, MSG_RECEIPT
+from repro.core.transaction import Receipt, Transaction
+from repro.contracts import AuctionContract, VotingContract
+from repro.net.message import Message
 
 
 @pytest.fixture
@@ -93,3 +95,84 @@ def test_forged_receipt_rejected(committed_network):
     finding = audit_receipt(forged, org.ledger, net.ca)
     assert not finding.receipt_valid
     assert not finding.clean
+
+
+@pytest.fixture
+def two_votes():
+    """voter0 commits two votes; every organization holds both."""
+    net = OrderlessChainNetwork(ExperimentConfig(num_orgs=4, quorum=2, seed=5, scale=1))
+    net.install_contract(lambda: VotingContract(parties_per_election=2))
+    voter = net.add_client("voter0")
+    commits, receipts = {}, []
+    send = net.network.send
+
+    def recording_send(message):
+        if message.msg_type == MSG_COMMIT:
+            commits[Transaction.from_wire(message.body).transaction_id] = message.body
+        elif message.msg_type == MSG_RECEIPT:
+            receipts.append(Receipt.from_wire(message.body))
+        send(message)
+
+    net.network.send = recording_send
+
+    def scenario():
+        for election in ("e0", "e1"):
+            yield net.sim.process(
+                voter.submit_modify("voting", "vote", {"party": "party0", "election": election})
+            )
+
+    net.sim.process(scenario())
+    net.run(until=30.0)
+    for org in net.organizations:
+        assert org.ledger.is_valid_transaction("voter0:1")
+        assert org.ledger.is_valid_transaction("voter0:2")
+    return net, commits, receipts
+
+
+def logged_block(ledger, txn_id):
+    """The block of the log that holds ``txn_id``."""
+    return ledger.log.find_payload(
+        lambda payload: Transaction.from_wire(payload).transaction_id == txn_id
+    )
+
+
+def test_duplicate_commit_receipt_names_the_transactions_own_block(two_votes):
+    # RCPT_i is the signed hash of "the block containing TS_i"
+    # (Section 4): a resent commit is answered for that block, not for
+    # whatever block heads the log by then.
+    net, commits, receipts = two_votes
+    org = net.organizations[0]
+    first_block = logged_block(org.ledger, "voter0:1")
+    assert org.ledger.log.head_hash != first_block.block_hash
+    receipts.clear()
+    net.network.send(
+        Message(
+            sender="voter0",
+            recipient=org.org_id,
+            msg_type=MSG_COMMIT,
+            body=commits["voter0:1"],
+            size_bytes=1_000,
+        )
+    )
+    net.run(until=40.0)
+    (receipt,) = receipts
+    assert (receipt.org_id, receipt.transaction_id, receipt.valid) == (org.org_id, "voter0:1", True)
+    assert receipt.block_hash == first_block.block_hash
+    assert audit_receipt(receipt, org.ledger, net.ca).clean
+
+
+def test_receipt_naming_another_transactions_block_fails_audit(two_votes):
+    # A correctly signed receipt whose hash names an intact block that
+    # logs a *different* transaction is not a receipt for this one.
+    net, _, _ = two_votes
+    org = net.organizations[0]
+    other_block = logged_block(org.ledger, "voter0:2")
+    receipt = Receipt.create(org.identity, "voter0:1", other_block.block_hash, valid=True)
+    finding = audit_receipt(receipt, org.ledger, net.ca)
+    assert finding.receipt_valid and finding.chain_intact
+    assert not finding.block_found
+    assert not finding.clean
+    # Nor does a receipt that misstates the verdict of the right block.
+    own_block = logged_block(org.ledger, "voter0:1")
+    receipt = Receipt.create(org.identity, "voter0:1", own_block.block_hash, valid=False)
+    assert not audit_receipt(receipt, org.ledger, net.ca).clean

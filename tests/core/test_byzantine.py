@@ -8,7 +8,7 @@ from repro.core import (
     ByzantineOrgConfig,
     OrderlessChainNetwork,
 )
-from repro.core.organization import MSG_COMMIT, MSG_PROPOSAL, Organization
+from repro.core.organization import MSG_COMMIT, MSG_ENDORSEMENT, MSG_PROPOSAL, Organization
 from repro.core.transaction import Proposal, Transaction, write_set_digest
 from repro.contracts import VotingContract
 from repro.crdt.clock import OpClock
@@ -239,23 +239,42 @@ class TestTamperedCopiesHashAfresh:
         voter = net.add_client(
             "voter0", byzantine=ByzantineClientConfig(faults=frozenset({"tamper"}))
         )
+        endorsements = _sent_bodies(net, MSG_ENDORSEMENT)
         commits = _sent_bodies(net, MSG_COMMIT)
         vote(net, voter)
         net.run(until=30.0)
         assert commits
         for wire in commits:
-            endorsed = wire["endorsements"][0]["write_set"]
-            assert all(type(op) is Wire for op in endorsed)
+            # The transaction carries one write-set, the tampered copy;
+            # its endorsements are (org id, signature) pairs only.
+            assert all(set(entry) == {"org_id", "signature"} for entry in wire["endorsements"])
             assert all(type(op) is dict for op in wire["write_set"])
-            assert write_set_digest(wire["write_set"]) != write_set_digest(endorsed)
+            transaction = Transaction.from_wire(wire)
+            signers = {entry["org_id"] for entry in wire["endorsements"]}
+            endorsed = [
+                body["write_set"]
+                for body in endorsements
+                if body["org_id"] in signers and body["proposal_id"] == transaction.transaction_id
+            ]
+            assert len(endorsed) == len(signers) == 2
+            for write_set in endorsed:
+                assert all(type(op) is Wire for op in write_set)
+                assert write_set_digest(wire["write_set"]) != write_set_digest(write_set)
             # The organizations decoded this very Wire; what they (and
             # we) get carries the tampered values, decoded afresh, never
-            # the endorsed operations' decoded objects.
-            transaction = Transaction.from_wire(wire)
-            assert transaction.endorsements[0].write_set is endorsed
-            for op, endorsed_op in zip(transaction.operations(), endorsed):
-                honest_op = Operation.from_wire(endorsed_op)
-                assert op is not honest_op and op.value != honest_op.value
+            # the endorsed operations' decoded objects ...
+            assert all(e.write_set is transaction.write_set for e in transaction.endorsements)
+            for write_set in endorsed:
+                for op, endorsed_op in zip(transaction.operations(), write_set):
+                    honest_op = Operation.from_wire(endorsed_op)
+                    assert op is not honest_op and op.value != honest_op.value
+            # ... and the endorsers signed the honest digest, so no
+            # organization accepts the tampered one.
+            assert not any(org.validate_transaction(transaction)[0] for org in net.organizations)
+            assert not any(
+                org.ledger.is_valid_transaction(transaction.transaction_id)
+                for org in net.organizations
+            )
 
     def test_client_split_clock_proposals(self):
         net = build()

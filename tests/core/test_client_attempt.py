@@ -176,19 +176,19 @@ def pins():
 # Dumped before the attempt step replaced the per-phase code paths.
 PINS = {
     "fixed-retries-avoid-window": (
-        "48027e2299a342b346a3168d7796e0d93bd9378d4414d923da75095f2d5b56f5",
+        "b199273c39ce9c12fb0d82b179f4197d3a132343a9cd6339508962ac6511332c",
         "0b22f5b80fd47366ebeed70b8fada16263dffb4b76ed1df5762c208b8a14c869",
     ),
     "fixed-byzantine-clients": (
-        "b5297a00333d2f13c73f4fd13596742add90d05c0552797b3e8e63b7cb29f6ae",
+        "4360133436478f4dfbf1cebec71d3d5e25c5ac40fdb8f39afd5b9e53a60055e0",
         "004193075f8c58b7260a05b3c9edd02ca40e6b6306eff2113e8050e8827940e1",
     ),
     "fixed-org-weights-retries": (
-        "338310d5b87834ea2e529a58b6c059bfde1a819d9dc9446424c72662e2c0c859",
+        "2dd4afb129ed5b823965445c97fe824aee473247c0a9303e2f3a8b69ea3f3c27",
         "e704b3d03f26c6d577e048ecb1f921b5cee51f431b8e5f6d006f448b5e1f0cf9",
     ),
     "resilience-retries-snapshots-chaos": (
-        "1a5dd1e06857a85713030ce2d63de6296c4239531cf5c3dbd9d4ba229cf0bab3",
+        "b5efe014497aff819a12d0fdb9baf189ce59dcdb68d6ab9e037cba5ef21fa86b",
         "9032a7c6838697438d750232d398ff670ca95959c082e55495f60476289e14b5",
     ),
 }

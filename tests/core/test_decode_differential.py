@@ -55,9 +55,19 @@ _proposals = st.builds(
     Proposal, _ids, _ids, _ids, st.dictionaries(_ids, _values, max_size=3), _op_clocks
 )
 _endorsements = st.builds(Endorsement, _ids, _ids, _write_sets, _ids)
-_transactions = st.builds(
-    Transaction, _proposals, _write_sets, st.lists(_endorsements, max_size=3).map(tuple), _ids
-)
+
+
+@st.composite
+def _transactions(draw):
+    """A transaction whose endorsements are over its own proposal and
+    write-set, as every assembled transaction's are."""
+    proposal, write_set = draw(_proposals), draw(_write_sets)
+    signers = draw(st.lists(st.tuples(_ids, _ids), max_size=3))
+    endorsements = tuple(
+        Endorsement(org_id, proposal.proposal_id, write_set, signature)
+        for org_id, signature in signers
+    )
+    return Transaction(proposal, write_set, endorsements, draw(_ids))
 
 
 def _decoded_three_ways(cls, source):
@@ -103,16 +113,25 @@ def test_endorsement(source):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_transactions)
+@given(_transactions())
 def test_transaction(source):
     wire, first, fresh = _decoded_three_ways(Transaction, source)
     assert first.digest() == fresh.digest() == write_set_digest(source.write_set)
     assert first.operations() == fresh.operations() == source.operations()
     assert first.signed_payloads() == fresh.signed_payloads()
+    # The write-set travels once: an endorsement entry is its signer
+    # and signature, and every decoded endorsement is over the
+    # decoded transaction's own proposal and write-set list.
+    assert wire["endorsements"] == [
+        {"org_id": e.org_id, "signature": e.signature} for e in source.endorsements
+    ]
+    for decoded in (first, fresh):
+        for endorsement in decoded.endorsements:
+            assert endorsement.write_set is decoded.write_set
+            assert endorsement.proposal_id == decoded.transaction_id
     # The nested wires share their memo with the envelope's decode ...
     assert first.proposal is Proposal.from_wire(wire["proposal"])
-    for endorsement, nested in zip(first.endorsements, wire["endorsements"]):
-        assert endorsement is Endorsement.from_wire(nested)
+    assert first.write_set is wire["write_set"]
     for operation, nested in zip(first.operations(), wire["write_set"]):
         assert operation is Operation.from_wire(nested)
     # ... and the plain copy shares nothing with it.

@@ -303,9 +303,7 @@ def transaction_wire(proposal=None, org_id="org1"):
     return {
         "proposal": proposal or proposal_wire(),
         "write_set": [],
-        "endorsements": [
-            {"org_id": org_id, "proposal_id": "c0:1", "write_set": [], "signature": "x"}
-        ],
+        "endorsements": [{"org_id": org_id, "signature": "x"}],
         "client_signature": "x",
     }
 
@@ -347,10 +345,10 @@ class TestMalformedProtocolBodies:
         # lacks one that another holds.
         net = run_votes(build_net(gossip_interval=1e9, sync_interval=0.0))
         holder, victim, txn_id, wire = next(
-            (holder, victim, txn_id, wire)
+            (holder, victim, txn_id, block.payload)
             for holder in net.organizations
             for victim in net.organizations
-            for txn_id, wire in sorted(holder.channels[DEFAULT_CHANNEL].ledger.valid.items())
+            for txn_id, block in sorted(holder.channels[DEFAULT_CHANNEL].ledger.valid.items())
             if not victim.ledger.is_valid_transaction(txn_id)
         )
         net.network.send(

@@ -93,7 +93,10 @@ def test_transactions_view_filters_validity():
     ledger.commit("t1", [op()], {"id": 1}, valid=True)
     ledger.commit("t2", [], {"id": 2}, valid=False)
     assert [block.payload for block in ledger.log] == [{"id": 1}, {"id": 2}]
-    assert list(ledger.valid.values()) == [{"id": 1}]
+    assert [block.payload for block in ledger.valid.values()] == [{"id": 1}]
+    assert ledger.valid["t1"] is ledger.log.block_at(0)
+    assert ledger.block_of("t2") is ledger.log.block_at(1)
+    assert ledger.block_of("t3") is None
 
 
 def test_verify_integrity_walks_chain():
@@ -121,7 +124,7 @@ def test_commit_stores_the_parsed_wire_without_rebuilding_it():
     ledger.commit("t1", [Operation.from_wire(write_set[0])], {"txn": "t1"}, valid=True)
     ((stored,),) = ledger.ops.values()
     assert stored is write_set[0]
-    assert ledger.valid == {"t1": {"txn": "t1"}}
+    assert {txn_id: block.payload for txn_id, block in ledger.valid.items()} == {"t1": {"txn": "t1"}}
     assert ledger.operations_for("obj") == [Operation.from_wire(wire)]
 
 
@@ -147,7 +150,10 @@ def test_invalid_then_valid_commit_is_recorded_once():
     ledger = Ledger()
     ledger.commit("t1", [], {"copy": "forged"}, valid=False)
     ledger.commit("t1", [op()], {"copy": "honest"}, valid=True)
-    assert ledger.valid == {"t1": {"copy": "honest"}}
+    assert {txn_id: block.payload for txn_id, block in ledger.valid.items()} == {
+        "t1": {"copy": "honest"}
+    }
+    assert ledger.block_of("t1") is ledger.valid["t1"] is ledger.log.block_at(1)
     assert ledger.transaction_count == 1
     assert len(ledger.log) == 2
     with pytest.raises(ValueError):
