@@ -55,8 +55,8 @@ class ChannelSpec:
     channel runs; ``rate_share`` is the channel's relative share of the
     config's total ``arrival_rate`` (shares are normalized across all
     channels, so equal shares split the load evenly). Channels are an
-    OrderlessChain feature (repro.core.channel): coordination-freedom
-    means per-application shards never need cross-channel ordering.
+    OrderlessChain feature (repro.core.contract): a channel scopes its
+    contract's id and object ids inside each organization's one ledger.
     """
 
     channel_id: str
@@ -136,10 +136,10 @@ class ExperimentConfig:
     # bug are the historical behavior.
     explore: ExploreProfile = field(default_factory=ExploreProfile)
     planted_bug: Optional[str] = None
-    # Multi-application channels (repro.core.channel): empty () deploys
+    # Multi-application channels (repro.core.contract): empty () deploys
     # the one contract on the default channel (the golden-seed shape);
     # otherwise one channel per spec, each binding its own contract and
-    # sharded ledger, driven at ``arrival_rate * rate_share / total``.
+    # object-id namespace, driven at ``arrival_rate * rate_share / total``.
     # OrderlessChain only.
     channels: Tuple[ChannelSpec, ...] = ()
 

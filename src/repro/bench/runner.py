@@ -26,7 +26,7 @@ from repro.contracts.auction import AuctionContract
 from repro.contracts.synthetic import SyntheticContract
 from repro.contracts.voting import VotingContract
 from repro.core.byzantine import ByzantineClientConfig
-from repro.core.channel import DEFAULT_CHANNEL
+from repro.core.contract import DEFAULT_CHANNEL
 from repro.core.system import OrderlessChainNetwork
 from repro.obs import Observability
 
@@ -171,19 +171,6 @@ def run_experiment(
             fingerprint = run_fingerprint(net)
     utilization = [net.node(node_id).utilization() for node_id in net.node_ids]
     extra = {"mean_org_cpu_utilization": sum(utilization) / len(utilization)}
-    if config.channels:
-        # Per-channel attribution for the multichannel panel: distinct
-        # valid commits per channel (max across orgs — every org
-        # eventually holds the full channel set) and the network's
-        # per-channel traffic accounting.
-        extra["committed_by_channel"] = {
-            spec.channel_id: max(
-                org.channels[spec.channel_id].ledger.valid_transaction_count
-                for org in net.organizations
-            )
-            for spec in config.channels
-        }
-        extra["net_bytes_by_channel"] = dict(net.network.bytes_by_channel)
     return compute_result(
         net.recorder,
         system=config.system,

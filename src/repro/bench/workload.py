@@ -162,8 +162,8 @@ class ChannelWorkload(AppWorkload):
     Wraps a plain :class:`AppWorkload` and rewrites the contract id of
     every OrderlessChain invocation to the channel-scoped form
     (``"<channel>:<contract_id>"``, see
-    :func:`repro.core.channel.scoped_contract_id`), so mixed-application
-    traffic routes to the right shard. Baselines have no channels, so it
+    :func:`repro.core.contract.scoped_contract_id`), so mixed-application
+    traffic reaches the contract installed on that channel. Baselines have no channels, so it
     has no baseline forms.
     """
 
@@ -172,7 +172,7 @@ class ChannelWorkload(AppWorkload):
         self.inner = inner
 
     def _scope(self, invocation: Invocation) -> Invocation:
-        from repro.core.channel import scoped_contract_id
+        from repro.core.contract import scoped_contract_id
 
         contract_id, function, params = invocation
         return scoped_contract_id(self.channel_id, contract_id), function, params

@@ -143,14 +143,9 @@ class PolicySafetyChecker:
         violations: List[str] = []
         audited = 0
         for node_id in ctx.honest_alive(net.node_ids):
-            # Transaction ids are network-wide unique (client id + Lamport
-            # counter), so every channel's committed wires merge into one.
-            wires = {
-                txn_id: block.payload
-                for channel in net.node(node_id).channels.values()
-                for txn_id, block in channel.ledger.valid.items()
-            }
-            for txn_id, wire in sorted(wires.items()):
+            valid = net.node(node_id).ledger.valid
+            for txn_id in sorted(valid):
+                wire = valid[txn_id].payload
                 audited += 1
                 transaction = Transaction.from_wire(_plain_copy(wire))
                 _, payload = transaction.signed_payloads()

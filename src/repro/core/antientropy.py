@@ -16,9 +16,9 @@ out-of-order exception set: Lamport counters consumed by reads, failed
 proposals, or commits that arrived out of order via gossip). Ids whose
 counter does not parse go into a small ``extras`` set so correctness
 never depends on the id format. Wire size is O(clients + gap ranges),
-independent of committed history. Each channel keeps one, with one
-:meth:`WatermarkDigest.add` per valid commit, beside the ledger that
-records the committed set itself.
+independent of committed history. Each organization keeps one, with
+one :meth:`WatermarkDigest.add` per valid commit, beside the ledger
+that records the committed set itself.
 
 Set reconciliation between two digests (:func:`WatermarkDigest.
 difference`) runs in O(clients + gaps + divergence) by interval

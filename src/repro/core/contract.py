@@ -12,6 +12,14 @@ from local state — because every endorsing organization must produce an
 identical write-set for the transaction to assemble (Section 4, commit
 phase). The context enforces this by refusing reads during modify
 execution.
+
+Channels: several applications can share one network, each installed
+on a named channel. A channel scopes the contract id
+(``"<channel>:<contract_id>"``, the routing key of proposals, commits
+and reads) and the contract's object ids (``"<channel>/<object_id>"``,
+prefixed by :class:`ContractContext` on writes and reads), so two
+channels running the same application keep disjoint state in an
+organization's one ledger. The default channel leaves both bare.
 """
 
 from __future__ import annotations
@@ -21,6 +29,18 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 from repro.crdt.clock import OpClock
 from repro.crdt.operation import TYPE_GCOUNTER, TYPE_MAP, TYPE_MVREGISTER, Operation
 from repro.errors import ContractError
+
+#: The channel a contract is installed on unless another is named; its
+#: contract and object ids stay bare.
+DEFAULT_CHANNEL = "default"
+
+
+def scoped_contract_id(channel_id: str, contract_id: str) -> str:
+    """The network-wide unique contract id for a channel-bound contract
+    (idempotent: an id already scoped to the channel is kept)."""
+    if channel_id == DEFAULT_CHANNEL or contract_id.startswith(f"{channel_id}:"):
+        return contract_id
+    return f"{channel_id}:{contract_id}"
 
 
 class StateReader:
@@ -38,7 +58,9 @@ class ContractContext:
     """Execution context handed to smart-contract functions.
 
     For modify functions it accumulates the write-set; for read
-    functions it exposes :attr:`state`.
+    functions it exposes :attr:`state`. On a non-default ``channel``
+    every object id the contract names, written or read, is prefixed
+    with ``"<channel>/"``.
     """
 
     def __init__(
@@ -47,9 +69,14 @@ class ContractContext:
         clock: OpClock,
         state: Optional[StateReader] = None,
         allow_reads: bool = False,
+        channel: str = DEFAULT_CHANNEL,
     ) -> None:
         self.client_id = client_id
         self.clock = clock
+        self._prefix = "" if channel == DEFAULT_CHANNEL else f"{channel}/"
+        if state is not None and self._prefix:
+            read, prefix = state.read, self._prefix
+            state = StateReader(lambda object_id, path: read(prefix + object_id, path))
         self._state = state
         self._allow_reads = allow_reads
         self._write_set: List[Operation] = []
@@ -79,7 +106,7 @@ class ContractContext:
     def _emit(self, object_id: str, path: Iterable[str], value: Any, value_type: str) -> None:
         self._write_set.append(
             Operation(
-                object_id=object_id,
+                object_id=self._prefix + object_id,
                 path=tuple(str(part) for part in path),
                 value=value,
                 value_type=value_type,
@@ -126,6 +153,8 @@ class SmartContract:
     """Base class for OrderlessChain smart contracts."""
 
     contract_id: str = ""
+    #: Set by ``Organization.install_contract``.
+    channel: str = DEFAULT_CHANNEL
 
     def __init__(self) -> None:
         if not self.contract_id:
@@ -155,9 +184,11 @@ class SmartContract:
 
 
 __all__ = [
+    "DEFAULT_CHANNEL",
     "ContractContext",
     "SmartContract",
     "StateReader",
     "modify_function",
     "read_function",
+    "scoped_contract_id",
 ]

@@ -20,8 +20,13 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
 from repro.core.antientropy import WatermarkDigest
 from repro.core.byzantine import ByzantineOrgConfig
-from repro.core.channel import DEFAULT_CHANNEL, ChannelState, scoped_contract_id
-from repro.core.contract import ContractContext, SmartContract, StateReader
+from repro.core.contract import (
+    DEFAULT_CHANNEL,
+    ContractContext,
+    SmartContract,
+    StateReader,
+    scoped_contract_id,
+)
 from repro.core.policy import EndorsementPolicy
 from repro.core.recording import TransactionRecorder
 from repro.core.transaction import Endorsement, Proposal, Receipt, Transaction
@@ -87,31 +92,30 @@ class Organization:
         self.perf = perf
         self.rng = rng
         self.recorder = recorder
-        # Per-channel sharded state (repro.core.channel): each channel
-        # owns its own ledger, gossip backlog, watermark digest, and
-        # snapshot. The default channel is an ordinary channel that
-        # every organization starts with.
-        self.channels: Dict[str, ChannelState] = {}
-        self.create_channel(DEFAULT_CHANNEL)
-        # contract id -> channel id routing map; proposals, commits,
-        # gossip, and reads are steered to a channel by contract id.
-        self._contract_channel: Dict[str, str] = {}
+        # The application ledger: hash-chain log, committed set and CRDT
+        # value cache. Every channel's contracts share it; their object
+        # ids are kept apart by ContractContext's channel prefix.
+        self.ledger = Ledger()
+        # (transaction wire, remaining push rounds) pairs; see
+        # _gossip_loop.
+        self.gossip_backlog: List[tuple[Dict[str, Any], int]] = []
+        # Watermark-based anti-entropy (repro.core.antientropy): the
+        # committed set is summarized incrementally at commit time as
+        # per-client watermarks + gap ranges, so no sync call site ever
+        # sorts or copies the full set.
+        self.watermarks = WatermarkDigest()
         self.cpu = Resource(sim, capacity=self.perf.vcpus)
         self.cache_lock = Lock(sim)
-        # Global contract registry across all channels (endorsement
-        # dispatch).
+        # Contract id -> contract, channel-scoped ids included.
         self.contracts: Dict[str, SmartContract] = {}
         self.peer_ids: List[str] = []
-        # Watermark-based anti-entropy (repro.core.antientropy): each
-        # channel's committed set is summarized incrementally at commit
-        # time as per-client watermarks + gap ranges, so no sync call
-        # site ever sorts or copies the full set.
         # Snapshot-based crash recovery (docs/RESILIENCE.md): with a
         # positive ``config.snapshot_interval``, a background loop
-        # periodically checkpoints the committed count; recover() then
-        # replays only the delta since the checkpoint and
-        # runs *targeted* anti-entropy instead of the full-broadcast
-        # resync.
+        # periodically checkpoints the committed count into
+        # ``snapshot``; recover() then replays only the delta since the
+        # checkpoint and runs *targeted* anti-entropy instead of the
+        # full-broadcast resync.
+        self.snapshot: Optional[int] = None
         self.snapshots_taken = 0
         # Byzantine state: a config plus an on/off switch the experiment
         # timeline flips (Figure 8's f:1 -> f:2 -> f:3 -> f:0 windows).
@@ -123,9 +127,12 @@ class Organization:
         # already in progress finishes — fail-stop at message
         # boundaries, matching the network's crash semantics.
         self.crashed = False
-        # Counters for assertions and reporting (the commit counters
-        # are per channel; see the properties below).
+        # Counters for assertions and reporting. An invalid-logged
+        # transaction may later commit as valid, so the invalid count
+        # is not derivable from the ledger.
         self.endorsed_count = 0
+        self.committed_invalid = 0
+        self.gossip_commits = 0
         self.dropped_requests = 0
         network.register(self.org_id, self._on_message)
 
@@ -133,46 +140,18 @@ class Organization:
     def org_id(self) -> str:
         return self.identity.identifier
 
-    # -- channels (repro.core.channel) -----------------------------------
-
-    @property
-    def ledger(self) -> Ledger:
-        """Read-only convenience: the default channel's ledger."""
-        return self.channels[DEFAULT_CHANNEL].ledger
-
     @property
     def committed_valid(self) -> int:
-        return sum(channel.ledger.valid_transaction_count for channel in self.channels.values())
-
-    @property
-    def committed_invalid(self) -> int:
-        return sum(channel.committed_invalid for channel in self.channels.values())
-
-    @property
-    def gossip_commits(self) -> int:
-        return sum(channel.gossip_commits for channel in self.channels.values())
-
-    def create_channel(self, channel_id: str) -> ChannelState:
-        """Create (or return) the named channel's state shard."""
-        channel = self.channels.get(channel_id)
-        if channel is None:
-            channel = ChannelState(channel_id)
-            self.channels[channel_id] = channel
-        return channel
-
-    def _channel_of(self, contract_id: str) -> ChannelState:
-        """The channel a contract id routes to (default if unknown)."""
-        return self.channels[self._contract_channel.get(contract_id, DEFAULT_CHANNEL)]
+        return self.ledger.valid_transaction_count
 
     # -- setup ---------------------------------------------------------
 
     def install_contract(
         self, contract: SmartContract, channel: str = DEFAULT_CHANNEL
     ) -> None:
-        self.create_channel(channel)
+        contract.channel = channel
         contract.contract_id = scoped_contract_id(channel, contract.contract_id)
         self.contracts[contract.contract_id] = contract
-        self._contract_channel[contract.contract_id] = channel
 
     def set_peers(self, org_ids: List[str]) -> None:
         self.peer_ids = [org_id for org_id in org_ids if org_id != self.org_id]
@@ -236,7 +215,7 @@ class Organization:
         contract = self.contracts.get(proposal.contract_id)
         if contract is None:
             return
-        context = ContractContext(proposal.client_id, proposal.clock)
+        context = ContractContext(proposal.client_id, proposal.clock, channel=contract.channel)
         try:
             contract.execute(context, proposal.function, proposal.params)
         except (ContractError, CRDTError, TypeError):
@@ -279,7 +258,6 @@ class Organization:
                 msg_type=MSG_ENDORSEMENT,
                 body=endorsement.to_wire(),
                 size_bytes=self.perf.endorsement_bytes(len(write_set)),
-                channel=self._contract_channel.get(proposal.contract_id, DEFAULT_CHANNEL),
             )
         )
 
@@ -345,29 +323,28 @@ class Organization:
             return False, f"malformed write-set: {exc}"
         return True, ""
 
-    def _commit_transaction(
-        self,
-        transaction: Transaction,
-        via_gossip: bool,
-        channel: ChannelState,
-    ):
+    def _commit_transaction(self, transaction: Transaction, via_gossip: bool):
         """Shared commit path; returns (valid, block, reason).
 
         ``block`` is the block holding the transaction — the one this
         call appended, or for a duplicate the one that already logged
-        it — and None only for a gossiped forgery, which is dropped.
-
-        All ledger/index mutations land on the transaction's channel
-        shard (routed by contract id); the CPU and cache lock stay
-        org-wide — channels share compute, not state.
+        it — and None for a transaction that is dropped unlogged: a
+        gossiped forgery, or a write-set too deeply nested to render.
         """
-        ledger = channel.ledger
+        ledger = self.ledger
         txn_id = transaction.transaction_id
         if ledger.is_valid_transaction(txn_id):
             # Only a valid commit is final: an id logged as invalid may
             # still commit from a later valid copy (see Ledger.commit).
             return True, ledger.valid[txn_id], "duplicate"
-        valid, reason = self.validate_transaction(transaction)
+        try:
+            valid, reason = self.validate_transaction(transaction)
+        except RecursionError:
+            # A write-set nested past the recursion limit cannot be
+            # hashed, so it can be neither verified nor logged (the
+            # block hash renders the same wire): drop it, never raise.
+            self.dropped_requests += 1
+            return False, None, "unrenderable write-set"
         operations = transaction.operations() if valid else []
         if valid:
             # Applying to the cache is serialized by the cache lock;
@@ -398,10 +375,10 @@ class Organization:
             block = ledger.commit(
                 transaction.transaction_id, operations, wire, valid=True
             )
-            channel.gossip_backlog.append((wire, self.config.gossip_ttl))
-            channel.watermarks.add(txn_id)
+            self.gossip_backlog.append((wire, self.config.gossip_ttl))
+            self.watermarks.add(txn_id)
             if via_gossip:
-                channel.gossip_commits += 1
+                self.gossip_commits += 1
             return True, block, reason
         if via_gossip:
             # A gossiped transaction that fails validation is a forgery
@@ -415,7 +392,7 @@ class Organization:
         block = ledger.commit(
             transaction.transaction_id, [], transaction.to_wire(), valid=False
         )
-        channel.committed_invalid += 1
+        self.committed_invalid += 1
         return False, block, reason
 
     def _handle_commit(self, message: Message):
@@ -427,17 +404,14 @@ class Organization:
         if transaction is None:
             return
         txn_id = transaction.transaction_id
-        channel = self._channel_of(transaction.proposal.contract_id)
-        ledger = channel.ledger
+        ledger = self.ledger
         if ledger.has_transaction(txn_id):
             # Duplicate (resent by the client or already gossiped): do
             # not commit again, but resend the receipt/rejection for
             # the block that holds it (its valid commit, if any).
             yield self.cpu.serve(self.perf.dedup_check)
             block = ledger.block_of(txn_id)
-            self._send_receipt(
-                message.sender, txn_id, block.block_hash, block.valid, channel=channel.channel_id
-            )
+            self._send_receipt(message.sender, txn_id, block.block_hash, block.valid)
             return
         verify_started = self.sim.now
         yield self.cpu.serve(
@@ -454,9 +428,9 @@ class Organization:
                 txn_id=txn_id,
                 attrs={"endorsements": len(transaction.endorsements)},
             )
-        valid, block, _reason = yield from self._commit_transaction(
-            transaction, via_gossip=False, channel=channel
-        )
+        valid, block, _reason = yield from self._commit_transaction(transaction, via_gossip=False)
+        if block is None:
+            return  # dropped unlogged: no receipt to send
         self.recorder.phase(
             "orderlesschain/P2/Commit",
             arrived,
@@ -465,18 +439,9 @@ class Organization:
             txn_id=txn_id,
             attrs={"valid": valid},
         )
-        self._send_receipt(
-            message.sender, txn_id, block.block_hash, valid, channel=channel.channel_id
-        )
+        self._send_receipt(message.sender, txn_id, block.block_hash, valid)
 
-    def _send_receipt(
-        self,
-        client_id: str,
-        txn_id: str,
-        block_hash: str,
-        valid: bool,
-        channel: str = DEFAULT_CHANNEL,
-    ) -> None:
+    def _send_receipt(self, client_id: str, txn_id: str, block_hash: str, valid: bool) -> None:
         receipt = Receipt.create(self.identity, txn_id, block_hash, valid)
         self.network.send(
             Message(
@@ -485,7 +450,6 @@ class Organization:
                 msg_type=MSG_RECEIPT,
                 body=receipt.to_wire(),
                 size_bytes=self.perf.receipt_bytes,
-                channel=channel,
             )
         )
 
@@ -494,41 +458,31 @@ class Organization:
     def _gossip_loop(self):
         while True:
             yield self.sim.timeout(self.config.gossip_interval)
-            if self.crashed or not self.peer_ids:
+            if self.crashed or not self.peer_ids or not self.gossip_backlog:
                 continue
-            # Each channel gossips its own backlog with its own fanout
-            # sample — sharded dissemination over a shared WAN. A
-            # channel with an empty backlog draws nothing from the rng,
-            # so idle channels do not shift a seeded run's draws.
-            for channel in self.channels.values():
-                if not channel.gossip_backlog:
-                    continue
-                entries = channel.gossip_backlog
-                # Re-queue transactions that still have rounds left.
-                channel.gossip_backlog = [
-                    (wire, ttl - 1) for wire, ttl in entries if ttl > 1
-                ]
-                batch = [wire for wire, _ in entries]
-                if self._misbehaves("suppress_gossip_probability"):
-                    continue
-                fanout = min(self.config.gossip_fanout, len(self.peer_ids))
-                targets = self.rng.sample(self.peer_ids, fanout)
-                size = sum(
-                    self.perf.gossip_txn_base_bytes
-                    + self.perf.per_op_bytes * len(txn["write_set"])
-                    for txn in batch
-                )
-                for target in targets:
-                    self.network.send(
-                        Message(
-                            sender=self.org_id,
-                            recipient=target,
-                            msg_type=MSG_GOSSIP,
-                            body={"transactions": batch},
-                            size_bytes=size,
-                            channel=channel.channel_id,
-                        )
+            entries = self.gossip_backlog
+            # Re-queue transactions that still have rounds left.
+            self.gossip_backlog = [(wire, ttl - 1) for wire, ttl in entries if ttl > 1]
+            batch = [wire for wire, _ in entries]
+            if self._misbehaves("suppress_gossip_probability"):
+                continue
+            fanout = min(self.config.gossip_fanout, len(self.peer_ids))
+            targets = self.rng.sample(self.peer_ids, fanout)
+            size = sum(
+                self.perf.gossip_txn_base_bytes
+                + self.perf.per_op_bytes * len(txn["write_set"])
+                for txn in batch
+            )
+            for target in targets:
+                self.network.send(
+                    Message(
+                        sender=self.org_id,
+                        recipient=target,
+                        msg_type=MSG_GOSSIP,
+                        body={"transactions": batch},
+                        size_bytes=size,
                     )
+                )
 
     def _handle_gossip(self, message: Message):
         wires = _mapping(message.body).get("transactions")
@@ -541,39 +495,31 @@ class Organization:
             transaction = self._decode(Transaction, wire)
             if transaction is None:
                 continue
-            # Route by the proposal's contract id: gossip batches need
-            # no channel key on the wire because every transaction
-            # already names its contract.
-            channel = self._channel_of(transaction.proposal.contract_id)
-            if channel.ledger.is_valid_transaction(transaction.transaction_id):
+            if self.ledger.is_valid_transaction(transaction.transaction_id):
                 yield self.cpu.serve(self.perf.dedup_check)
                 continue
             # Batched, amortized verification: cheaper than the client
             # path, off any client's critical path.
             yield self.cpu.serve(self.perf.gossip_commit_per_txn)
-            yield from self._commit_transaction(
-                transaction, via_gossip=True, channel=channel
-            )
+            yield from self._commit_transaction(transaction, via_gossip=True)
 
     # -- anti-entropy reconciliation ---------------------------------------------
 
-    def _digest_body_and_size(self, channel: ChannelState) -> tuple[Dict[str, Any], int]:
+    def _digest_body_and_size(self) -> tuple[Dict[str, Any], int]:
         """The digest wire form + modeled size.
 
-        The per-client watermark + gap summary of one channel's
-        committed set, O(clients + gaps) bytes and O(clients) work,
-        read straight off the incrementally maintained
-        :class:`WatermarkDigest`. The body names its channel so the
-        receiver reconciles the right shard.
+        The per-client watermark + gap summary of the committed set,
+        O(clients + gaps) bytes and O(clients) work, read straight off
+        the incrementally maintained :class:`WatermarkDigest`.
         """
-        marks = channel.watermarks
+        marks = self.watermarks
         return (
-            {"watermarks": marks.to_wire(), "channel": channel.channel_id},
+            {"watermarks": marks.to_wire()},
             self.perf.watermark_digest_bytes(marks.client_count, marks.gap_count),
         )
 
-    def _send_digest(self, recipient: str, context: str, channel: ChannelState) -> None:
-        body, size = self._digest_body_and_size(channel)
+    def _send_digest(self, recipient: str, context: str) -> None:
+        body, size = self._digest_body_and_size()
         self.network.send(
             Message(
                 sender=self.org_id,
@@ -581,7 +527,6 @@ class Organization:
                 msg_type=MSG_SYNC_DIGEST,
                 body=body,
                 size_bytes=size,
-                channel=channel.channel_id,
             )
         )
         trace = self.recorder.trace
@@ -609,12 +554,7 @@ class Organization:
                 continue
             if self._misbehaves("suppress_gossip_probability"):
                 continue
-            target = self.rng.choice(self.peer_ids)
-            # One digest per channel to the same peer: the peer draw is
-            # shared (no extra randomness per channel), so the
-            # single-channel draw sequence is unchanged.
-            for channel in self.channels.values():
-                self._send_digest(target, context="sync", channel=channel)
+            self._send_digest(self.rng.choice(self.peer_ids), context="sync")
 
     def _handle_sync_digest(self, message: Message) -> None:
         """Push-pull reconciliation against a peer's digest.
@@ -632,31 +572,28 @@ class Organization:
         peer claims cannot set the size of our work; a digest that
         claims more is counted in ``dropped_requests``.
         """
-        body = _mapping(message.body)
-        channel_id, marks = body.get("channel"), body.get("watermarks")
-        channel = self.channels.get(channel_id) if isinstance(channel_id, str) else None
-        if channel is None or not isinstance(marks, dict):
-            # Malformed, or for a channel this organization never
-            # joined: drop it and keep serving.
+        marks = _mapping(message.body).get("watermarks")
+        if not isinstance(marks, dict):
+            # Malformed: drop it and keep serving.
             self.dropped_requests += 1
             return
         remote = self._decode(WatermarkDigest, marks)
         if remote is None:
             return
-        ledger = channel.ledger
+        ledger = self.ledger
         pulled = (
             txn_id
-            for txn_id in remote.difference(channel.watermarks)
+            for txn_id in remote.difference(self.watermarks)
             if not ledger.has_transaction(txn_id)
         )
         missing = list(islice(pulled, SYNC_PULL_PAGES * max(1, self.perf.sync_page_txns)))
         if next(pulled, None) is not None:
             self.dropped_requests += 1
-        surplus = list(channel.watermarks.difference(remote))
+        surplus = list(self.watermarks.difference(remote))
         # Both senders page their input; an empty side sends nothing.
-        pages = self._send_sync_requests(message.sender, missing, channel)
+        pages = self._send_sync_requests(message.sender, missing)
         pages += self._send_txn_batches(
-            message.sender, (ledger.valid[txn_id].payload for txn_id in surplus), channel
+            message.sender, (ledger.valid[txn_id].payload for txn_id in surplus)
         )
         trace = self.recorder.trace
         if trace is not None:
@@ -667,9 +604,7 @@ class Organization:
                 attrs={"missing": len(missing), "surplus": len(surplus), "pages": pages},
             )
 
-    def _send_sync_requests(
-        self, recipient: str, txn_ids: List[str], channel: ChannelState
-    ) -> int:
+    def _send_sync_requests(self, recipient: str, txn_ids: List[str]) -> int:
         """Request ids from a peer, ``sync_page_txns`` ids per message."""
         page = max(1, self.perf.sync_page_txns)
         pages = 0
@@ -680,20 +615,14 @@ class Organization:
                     sender=self.org_id,
                     recipient=recipient,
                     msg_type=MSG_SYNC_REQUEST,
-                    body={"txn_ids": chunk, "channel": channel.channel_id},
+                    body={"txn_ids": chunk},
                     size_bytes=self.perf.id_list_bytes(len(chunk)),
-                    channel=channel.channel_id,
                 )
             )
             pages += 1
         return pages
 
-    def _send_txn_batches(
-        self,
-        recipient: str,
-        wires: Iterable[Dict[str, Any]],
-        channel: ChannelState,
-    ) -> int:
+    def _send_txn_batches(self, recipient: str, wires: Iterable[Dict[str, Any]]) -> int:
         """Ship transaction wires as gossip batches.
 
         Batches are capped at ``sync_page_txns`` transactions so a
@@ -717,7 +646,6 @@ class Organization:
                     msg_type=MSG_GOSSIP,
                     body={"transactions": chunk},
                     size_bytes=size,
-                    channel=channel.channel_id,
                 )
             )
             pages += 1
@@ -727,23 +655,18 @@ class Organization:
         """Answer at most one page of distinct ids, as honest peers send
         (:meth:`_send_sync_requests`); a longer request or a repeated id
         is dropped and counted, so no id is resent twice per request."""
-        body = _mapping(message.body)
-        channel_id, txn_ids = body.get("channel"), body.get("txn_ids")
-        channel = self.channels.get(channel_id) if isinstance(channel_id, str) else None
+        txn_ids = _mapping(message.body).get("txn_ids")
         if (
-            channel is None
-            or not isinstance(txn_ids, list)
+            not isinstance(txn_ids, list)
             or len(txn_ids) > max(1, self.perf.sync_page_txns)
             or not all(isinstance(txn_id, str) for txn_id in txn_ids)
             or len(set(txn_ids)) < len(txn_ids)
         ):
             self.dropped_requests += 1  # malformed; see _handle_sync_digest
             return
-        valid = channel.ledger.valid
+        valid = self.ledger.valid
         self._send_txn_batches(
-            message.sender,
-            (valid[txn_id].payload for txn_id in txn_ids if txn_id in valid),
-            channel,
+            message.sender, (valid[txn_id].payload for txn_id in txn_ids if txn_id in valid)
         )
 
     # -- crash / recovery (fault injection) ---------------------------------------
@@ -756,8 +679,7 @@ class Organization:
         lost. Called by the fault layer together with ``Network.crash``.
         """
         self.crashed = True
-        for channel in self.channels.values():
-            channel.gossip_backlog.clear()
+        self.gossip_backlog.clear()
 
     def resync(self) -> None:
         """Announce our digest to every peer after recovering.
@@ -768,11 +690,9 @@ class Organization:
         the rejoin reconciliation an organization needs after a crash.
         """
         self.crashed = False
-        for channel in self.channels.values():
-            channel.ledger.rebuild_cache()
+        self.ledger.rebuild_cache()
         for target in self.peer_ids:
-            for channel in self.channels.values():
-                self._send_digest(target, context="resync", channel=channel)
+            self._send_digest(target, context="resync")
 
     # -- snapshot checkpoints (docs/RESILIENCE.md) ---------------------------------
 
@@ -785,30 +705,26 @@ class Organization:
         stores only the committed count — O(1) per checkpoint, never a
         copy of the full id set — read before the checkpoint's CPU job,
         so a commit that lands during the job is replayed on recovery.
-        Each channel checkpoints independently.
         """
         while True:
             yield self.sim.timeout(self.config.snapshot_interval)
             if self.crashed:
                 continue
-            for channel in self.channels.values():
-                known = len(channel.ledger.valid)
-                new = known - (channel.snapshot or 0)
-                if channel.snapshot is not None and new == 0:
-                    continue  # nothing committed since the last checkpoint
-                yield self.cpu.serve(
-                    self.perf.snapshot_base + self.perf.snapshot_per_txn * new
+            known = len(self.ledger.valid)
+            new = known - (self.snapshot or 0)
+            if self.snapshot is not None and new == 0:
+                continue  # nothing committed since the last checkpoint
+            yield self.cpu.serve(self.perf.snapshot_base + self.perf.snapshot_per_txn * new)
+            self.snapshot = known
+            self.snapshots_taken += 1
+            trace = self.recorder.trace
+            if trace is not None:
+                trace.instant(
+                    "org/snapshot",
+                    self.sim.now,
+                    node=self.org_id,
+                    attrs={"txns": known, "new": new},
                 )
-                channel.snapshot = known
-                self.snapshots_taken += 1
-                trace = self.recorder.trace
-                if trace is not None:
-                    trace.instant(
-                        "org/snapshot",
-                        self.sim.now,
-                        node=self.org_id,
-                        attrs={"txns": known, "new": new},
-                    )
 
     def recover(self) -> str:
         """Rejoin after a crash; returns the recovery mode used.
@@ -820,9 +736,7 @@ class Organization:
         to replay, so it announces its digest to every peer instead
         (:meth:`resync`).
         """
-        if self.config.snapshot_interval > 0 and any(
-            channel.snapshot is not None for channel in self.channels.values()
-        ):
+        if self.config.snapshot_interval > 0 and self.snapshot is not None:
             self.crashed = False
             self.sim.process(self._recover_from_snapshot(), name=f"{self.org_id}.recover")
             return "snapshot"
@@ -832,29 +746,19 @@ class Organization:
     def _recover_from_snapshot(self):
         started = self.sim.now
         # The committed set is in commit order, so the replay delta is
-        # what was committed past the checkpointed count. Channels
-        # replay independently; a channel that never checkpointed
-        # replays its whole (short) committed set. The summed delta is
-        # charged as one CPU job: recovery is one replay, however many
-        # channels it covers.
-        replayed = sum(
-            len(channel.ledger.valid) - (channel.snapshot or 0)
-            for channel in self.channels.values()
-        )
+        # what was committed past the checkpointed count.
+        replayed = len(self.ledger.valid) - (self.snapshot or 0)
         yield self.cpu.serve(
             self.perf.recover_base + self.perf.recover_replay_per_txn * replayed
         )
-        for channel in self.channels.values():
-            channel.ledger.rebuild_cache()
+        self.ledger.rebuild_cache()
         # Targeted anti-entropy: a digest to a bounded number of peers
         # is enough to learn what was missed while down (each answers
-        # push-pull), without the O(peers) broadcast of resync(). The
-        # peer sample is shared across channels.
+        # push-pull), without the O(peers) broadcast of resync().
         fanout = min(2, len(self.peer_ids))
         targets = self.rng.sample(self.peer_ids, fanout) if fanout else []
         for target in targets:
-            for channel in self.channels.values():
-                self._send_digest(target, context="recover", channel=channel)
+            self._send_digest(target, context="recover")
         trace = self.recorder.trace
         if trace is not None:
             trace.span(
@@ -874,8 +778,7 @@ class Organization:
         contract = self.contracts.get(proposal.contract_id)
         if contract is None:
             return
-        channel = self._channel_of(proposal.contract_id)
-        ledger = channel.ledger
+        ledger = self.ledger
         yield self.cpu.serve(self.perf.read_base)
         # Reads are served from the cache, under the cache lock.
         entries = ledger.valid_transaction_count
@@ -884,7 +787,11 @@ class Organization:
         )
         reader = StateReader(ledger.read)
         context = ContractContext(
-            proposal.client_id, proposal.clock, state=reader, allow_reads=True
+            proposal.client_id,
+            proposal.clock,
+            state=reader,
+            allow_reads=True,
+            channel=contract.channel,
         )
         try:
             value = contract.execute(context, proposal.function, proposal.params)
@@ -897,24 +804,18 @@ class Organization:
                 msg_type=MSG_READ_RESPONSE,
                 body={"proposal_id": proposal.proposal_id, "value": value},
                 size_bytes=self.perf.read_response_bytes,
-                channel=channel.channel_id,
             )
         )
 
     # -- state access -------------------------------------------------------
 
-    def read_state(self, object_id: str, path=(), channel: str = DEFAULT_CHANNEL) -> Any:
+    def read_state(self, object_id: str, path=()) -> Any:
         """Direct (zero-time) state read for tests and assertions."""
-        return self.channels[channel].ledger.read(object_id, path)
+        return self.ledger.read(object_id, path)
 
-    def state_snapshot(self) -> Dict[str, Any]:
-        """Application state: one snapshot per channel keyed by channel
-        id (the convergence oracle then compares shards pairwise for
-        free)."""
-        return {
-            channel_id: channel.ledger.state_snapshot()
-            for channel_id, channel in sorted(self.channels.items())
-        }
+    def state_snapshot(self) -> Any:
+        """Application state: the ledger's canonical snapshot."""
+        return self.ledger.state_snapshot()
 
     def utilization(self) -> float:
         """CPU utilization so far. The CRDT-cache lock section is CPU

@@ -18,6 +18,12 @@ import dataclasses
 from dataclasses import dataclass
 
 
+#: Time fields that ``PerfModel.scaled`` keeps as they are.
+_LATENCY_CONSTANTS = frozenset(
+    {"fabric_batch_timeout", "bidl_batch_interval", "hotstuff_batch_interval", "hotstuff_delta"}
+)
+
+
 @dataclass(frozen=True)
 class PerfModel:
     """Service times (seconds) and node parameters."""
@@ -93,37 +99,16 @@ class PerfModel:
             raise ValueError(f"scale factor must be positive, got {factor}")
         if factor == 1:
             return self
-        updates = {}
-        keep = {
-            "vcpus",
-            "fabric_max_batch",
-            "bidl_consensus_rounds",
-            "fabriccrdt_bytes_per_update",
-            "proposal_bytes",
-            "endorsement_base_bytes",
-            "per_op_bytes",
-            "receipt_bytes",
-            "read_response_bytes",
-            "digest_base_bytes",
-            "digest_per_id_bytes",
-            "digest_per_client_bytes",
-            "digest_per_gap_bytes",
-            "gossip_txn_base_bytes",
-            "sync_page_txns",
-        }
+        # Every ``int`` field is a size or a count (``vcpus`` too), not
+        # a time; field types are strings under postponed annotations.
         # Batch intervals and the synchrony bound are latency constants
         # (like the WAN delay), not service rates — scaling them would
         # distort latency floors without affecting utilization.
-        no_scale = keep | {
-            "fabric_batch_timeout",
-            "bidl_batch_interval",
-            "hotstuff_batch_interval",
-            "hotstuff_delta",
+        updates = {
+            field.name: getattr(self, field.name) * factor
+            for field in dataclasses.fields(self)
+            if field.type != "int" and field.name not in _LATENCY_CONSTANTS
         }
-        for field in dataclasses.fields(self):
-            if field.name in no_scale:
-                continue
-            updates[field.name] = getattr(self, field.name) * factor
         return dataclasses.replace(self, **updates)
 
     def endorsement_bytes(self, op_count: int) -> int:

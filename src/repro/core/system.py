@@ -23,8 +23,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.core.byzantine import ByzantineClientConfig, ByzantineOrgConfig
-from repro.core.channel import DEFAULT_CHANNEL
 from repro.core.client import Client, longest_pending
+from repro.core.contract import DEFAULT_CHANNEL
 from repro.core.organization import Organization
 from repro.core.policy import EndorsementPolicy
 from repro.core.recording import TransactionRecorder
@@ -149,31 +149,12 @@ class OrderlessChainNetwork(NetworkShell):
 
         ``contract_factory`` is called once per organization so each
         holds its own instance (no shared mutable state). With a
-        non-default ``channel`` the contract binds to that channel's
-        sharded state and is addressed as ``"<channel>:<contract_id>"``
-        (see :mod:`repro.core.channel`).
+        non-default ``channel`` the contract is addressed as
+        ``"<channel>:<contract_id>"`` and its object ids are prefixed
+        with ``"<channel>/"`` (see :mod:`repro.core.contract`).
         """
         for org in self.organizations:
             org.install_contract(contract_factory(), channel=channel)
-
-    def create_channel(self, channel_id: str, contract_factory=None) -> None:
-        """Create a channel on every organization.
-
-        Each organization grows an independent ledger, committed
-        index, gossip backlog, and watermark digest for the channel;
-        ``contract_factory`` (optional) is installed on it right away.
-        Call before :meth:`run` for deterministic results.
-        """
-        for org in self.organizations:
-            org.create_channel(channel_id)
-        if contract_factory is not None:
-            self.install_contract(contract_factory, channel=channel_id)
-
-    @property
-    def channel_ids(self) -> List[str]:
-        if not self.organizations:
-            return [DEFAULT_CHANNEL]
-        return list(self.organizations[0].channels)
 
     def add_client(
         self,
@@ -248,19 +229,13 @@ class OrderlessChainNetwork(NetworkShell):
 
     # -- inspect ------------------------------------------------------------
 
-    def committed_everywhere(
-        self, transaction_id: str, channel: str = DEFAULT_CHANNEL
-    ) -> int:
+    def committed_everywhere(self, transaction_id: str) -> int:
         """How many organizations committed the transaction as valid."""
-        return sum(
-            org.channels[channel].ledger.is_valid_transaction(transaction_id)
-            for org in self.organizations
-        )
+        return sum(org.ledger.is_valid_transaction(transaction_id) for org in self.organizations)
 
     def verify_all_ledgers(self) -> None:
         for org in self.organizations:
-            for channel in org.channels.values():
-                channel.ledger.verify_integrity()
+            org.ledger.verify_integrity()
 
     # -- the node surface: fault injection, oracles, fingerprints (docs/FAULTS.md)
 
@@ -279,13 +254,9 @@ class OrderlessChainNetwork(NetworkShell):
         return org.recover()
 
     def ledgers(self) -> Dict[str, Ledger]:
-        # One ledger per channel shard, keyed "org/channel" (the run
+        # One ledger per organization, keyed by org id (the run
         # fingerprint hashes these keys with the ledger heads).
-        return {
-            f"{org_id}/{channel_id}": channel.ledger
-            for org_id, org in self._nodes.items()
-            for channel_id, channel in sorted(org.channels.items())
-        }
+        return {org_id: org.ledger for org_id, org in self._nodes.items()}
 
     def byzantine_ids(self) -> FrozenSet[str]:
         """Organizations configured to misbehave at any point in the run."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 _message_ids = itertools.count()
 
@@ -16,10 +16,7 @@ class Message:
     ``body`` is a plain (wire-form) structure; ``size_bytes`` drives the
     bandwidth-proportional component of the link delay; ``corrupted``
     marks in-transit corruption — receivers see garbage that fails
-    signature verification. ``channel`` is an optional accounting tag:
-    protocol layers that shard traffic per channel set it so the
-    network can attribute counts and bytes (it is metadata, not part of
-    the wire body, and never affects delivery).
+    signature verification.
     """
 
     sender: str
@@ -28,7 +25,6 @@ class Message:
     body: Any
     size_bytes: int = 256
     corrupted: bool = False
-    channel: Optional[str] = None
     message_id: int = field(default_factory=lambda: next(_message_ids))
 
     def clone(self) -> "Message":
@@ -40,7 +36,6 @@ class Message:
             body=self.body,
             size_bytes=self.size_bytes,
             corrupted=self.corrupted,
-            channel=self.channel,
         )
 
 

@@ -87,12 +87,6 @@ class Network:
         # (docs/PERFORMANCE.md).
         self.sent_by_type: Dict[str, int] = {}
         self.bytes_by_type: Dict[str, int] = {}
-        # Per-channel traffic accounting, keyed by ``Message.channel``.
-        # Untagged (legacy) messages are counted only in the by-type
-        # maps above — these maps stay empty for single-channel runs
-        # that never tag, so the legacy accounting path is unchanged.
-        self.sent_by_channel: Dict[str, int] = {}
-        self.bytes_by_channel: Dict[str, int] = {}
         # Messages scheduled for delivery but not yet delivered; sampled
         # by the observability layer as the ``net/in_flight`` gauge.
         self.in_flight = 0
@@ -174,12 +168,6 @@ class Network:
         self.bytes_by_type[msg_type] = (
             self.bytes_by_type.get(msg_type, 0) + message.size_bytes
         )
-        channel = message.channel
-        if channel is not None:
-            self.sent_by_channel[channel] = self.sent_by_channel.get(channel, 0) + 1
-            self.bytes_by_channel[channel] = (
-                self.bytes_by_channel.get(channel, 0) + message.size_bytes
-            )
         if message.recipient not in self._handlers:
             self._drop("unregistered")
             return

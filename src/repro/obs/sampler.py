@@ -103,22 +103,6 @@ class NodeSampler:
             self.recorder.sample("net/sent", now, network.sent_count)
             self.recorder.sample("net/delivered", now, network.delivered_count)
             self.recorder.sample("net/dropped", now, network.dropped_count)
-            # Per-channel traffic attribution (multichannel panel):
-            # the channel id rides in the sample's node field. Empty
-            # for runs whose senders never tag messages.
-            for channel_id in sorted(network.sent_by_channel):
-                self.recorder.sample(
-                    "net/sent_by_channel",
-                    now,
-                    network.sent_by_channel[channel_id],
-                    node=channel_id,
-                )
-                self.recorder.sample(
-                    "net/bytes_by_channel",
-                    now,
-                    network.bytes_by_channel[channel_id],
-                    node=channel_id,
-                )
 
 
 __all__ = ["NodeSampler"]

@@ -373,20 +373,6 @@ _SPECS: List[MetricSpec] = [
     _spec("net/sent", COUNTER, "obs.sampler.NodeSampler", "messages", "Cumulative messages sent."),
     _spec("net/delivered", COUNTER, "obs.sampler.NodeSampler", "messages", "Cumulative messages delivered."),
     _spec("net/dropped", COUNTER, "obs.sampler.NodeSampler", "messages", "Cumulative messages dropped."),
-    _spec(
-        "net/sent_by_channel",
-        COUNTER,
-        "obs.sampler.NodeSampler",
-        "messages",
-        "Cumulative channel-tagged messages sent; the node field carries the channel id.",
-    ),
-    _spec(
-        "net/bytes_by_channel",
-        COUNTER,
-        "obs.sampler.NodeSampler",
-        "bytes",
-        "Cumulative modeled wire bytes per channel; the node field carries the channel id.",
-    ),
 ]
 
 SCHEMA: Dict[str, MetricSpec] = {spec.name: spec for spec in _SPECS}

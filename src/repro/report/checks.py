@@ -379,8 +379,8 @@ def _resilience_adaptive_wins(records, ctx):
 @register("multichannel-throughput-scales")
 def _multichannel_throughput_scales(records, ctx):
     """Aggregate committed transactions increase strictly monotonically
-    with channel count at fixed per-channel load, and every per-channel
-    oracle stays green."""
+    with channel count at fixed per-channel load, and every oracle stays
+    green."""
     try:
         ordered = sorted(records, key=lambda r: int(r["channels"]))
     except (KeyError, TypeError, ValueError):

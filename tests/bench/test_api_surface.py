@@ -14,7 +14,6 @@ import warnings
 
 import repro.api as api
 from repro.api import ChannelSpec, ExperimentConfig
-from repro.core.channel import DEFAULT_CHANNEL
 
 API_EXPORTS = {
     "ChannelSpec",

@@ -11,6 +11,7 @@ import functools
 import pytest
 
 from repro.bench import experiments
+from tests.chaos.harness import multichannel_chaos_commits
 from repro.report import all_specs, get_spec
 
 TINY = dict(duration=4.0, scale=60.0, seed=7)
@@ -139,7 +140,9 @@ def test_resilience_arms_are_labelled_and_green():
     assert all(r["oracles_ok"] for r in tiny("resilience-avail"))
 
 
-def test_multichannel_chaos_smoke():
-    result = experiments.multichannel_chaos(duration=20.0, scale=60.0, seed=7)
+def test_multichannel_chaos_smoke(monkeypatch):
+    result, by_channel = multichannel_chaos_commits(
+        monkeypatch, duration=20.0, scale=60.0, seed=7
+    )
     assert result.check_report.ok
-    assert set(result.extra["committed_by_channel"]) == {"ch0", "ch1"}
+    assert set(by_channel) == {"ch0:voting", "ch1:auction"}

@@ -83,11 +83,11 @@ def pins():
 
 PINS = {
     "two-channels-smoke": (
-        "2532b32292076cda3015a20408e054f3f066ddd107e0ab82c71361b8cf3fb07a",
-        "8085fafcc295192ac1038fb059674a849574d56cd8922d306c9a2a63df8a1a04",
+        "880d5aadb0f40bf42c2d9f45e16813e15aae0227465cdf9034ce50be327e6b58",
+        "9af8246432544f5296c9134dd79ddd9745eaefd13822ba49aaa24983235f4188",
     ),
     "byzantine-avoid-retry": (
-        "cf8c5aaecb27949d5680ac3201e12b51127ae972f6ef82eb28bb21d686203ca1",
+        "c5eee7876c6c7a0d14759c6a285768e0fa6489f6ce54f25b03abb2f8a761dbfb",
         "af39edba99defe0f6c293ad513d004b61391d7949860ff4b101db2728e029f3f",
     ),
 }

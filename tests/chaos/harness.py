@@ -81,3 +81,29 @@ def chaos_run(
     net.run(until=until)
     injector.finalize()
     return net, schedule
+
+
+def multichannel_chaos_commits(monkeypatch, **kwargs):
+    """``experiments.multichannel_chaos(**kwargs)``, and the valid
+    commits per channel-scoped contract id counted from the run's
+    ledgers (max across organizations: every organization eventually
+    holds every channel's committed set)."""
+    from collections import Counter
+
+    from repro.bench import experiments, runner
+
+    nets = []
+    real_run_network = runner.run_network
+
+    def recording(config, obs=None):
+        nets.append(real_run_network(config, obs))
+        return nets[-1]
+
+    monkeypatch.setattr(runner, "run_network", recording)
+    result = experiments.multichannel_chaos(**kwargs)
+    (net,) = nets
+    counts = [
+        Counter(block.payload["proposal"]["contract_id"] for block in org.ledger.valid.values())
+        for org in net.organizations
+    ]
+    return result, {scope: max(count[scope] for count in counts) for scope in set().union(*counts)}

@@ -21,7 +21,7 @@ from .harness import SYSTEMS, chaos_run
 # Pinned seed-1 fingerprints of the standard chaos smoke scenario
 # (4 orgs, 4 clients, smoke_schedule, run to t=60).
 GOLDEN_SEED1 = {
-    "orderlesschain": "19ceebeeea72195872581d8ec712d73f202fe91e54da7b15c68e91a2020fcf84",
+    "orderlesschain": "3319f9663b1769fa7adef0953ac074d936a67988b4037004e35c011ea91bbda7",
     "fabric": "f0474caa064a560cbde1016a47a49f3280ba232f894f842166b9ac17e83775ce",
     "fabriccrdt": "c3d1bad5e94d89a8e1f83f402bed5410ba258627f2414b374ac0810cb65d34be",
     "bidl": "b97050af77f474cdd774e90cd98840766e009ff9c0e73d03aceeed5b42c2b4e7",

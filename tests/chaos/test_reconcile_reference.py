@@ -7,7 +7,8 @@ schedule, plus a snapshot-recovery variant — wrap both sides of every
 reconcile (``remote.difference(local)`` to pull, ``local.difference(
 remote)`` to push, both :meth:`WatermarkDigest.difference`) and hold
 each result to the reference: the set difference between the ids the
-remote digest covers and the ids the channel's ledger has committed.
+remote digest covers and the ids the organization's ledger has
+committed.
 That is exactly what a digest listing every id would have computed, so
 the reference needs no second protocol implementation.
 """
@@ -15,7 +16,7 @@ the reference needs no second protocol implementation.
 import pytest
 
 from repro.core.antientropy import WatermarkDigest
-from repro.core.channel import ChannelState
+from repro.core.organization import Organization
 
 from .harness import chaos_run
 
@@ -35,16 +36,16 @@ SIDES = ("pull", "push")
 def runs():
     """(scenario, seed) -> (net, [(side, result, reference), ...])."""
     out = {}
-    channels, records = [], []
-    real_init, real_difference = ChannelState.__init__, WatermarkDigest.difference
+    orgs, records = [], []
+    real_init, real_difference = Organization.__init__, WatermarkDigest.difference
 
-    def registered(channel, *args, **kwargs):
-        real_init(channel, *args, **kwargs)
-        channels.append(channel)
+    def registered(org, *args, **kwargs):
+        real_init(org, *args, **kwargs)
+        orgs.append(org)
 
     def recorded(digest, other):
         got = list(real_difference(digest, other))
-        (local,) = [c for c in channels if c.watermarks is digest or c.watermarks is other]
+        (local,) = [org for org in orgs if org.watermarks is digest or org.watermarks is other]
         committed = set(local.ledger.valid)
         if local.watermarks is other:
             records.append(("pull", got, set(digest.ids()) - committed))
@@ -53,11 +54,11 @@ def runs():
         return iter(got)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ChannelState, "__init__", registered)
+        patch.setattr(Organization, "__init__", registered)
         patch.setattr(WatermarkDigest, "difference", recorded)
         for scenario, config_kwargs in SCENARIOS.items():
             for seed in SEEDS:
-                del channels[:], records[:]
+                del orgs[:], records[:]
                 net, _ = chaos_run("orderlesschain", seed=seed, **config_kwargs)
                 out[scenario, seed] = (net, list(records))
     return out

@@ -18,7 +18,6 @@ from repro.checkers import run_checkers
 from repro.checkers.report import FAIL
 from repro.contracts import VotingContract
 from repro.core import OrderlessChainNetwork
-from repro.core.channel import DEFAULT_CHANNEL
 
 
 def build(seed=1):
@@ -89,7 +88,7 @@ def test_policy_safety_fails_when_nested_endorsements_are_truncated():
     # org's dict entry): the oracle must audit the nested content.
     def injure(net):
         org = net.node("org0")
-        _, block = next(iter(sorted(org.channels[DEFAULT_CHANNEL].ledger.valid.items())))
+        _, block = next(iter(sorted(org.ledger.valid.items())))
         endorsements = block.payload["endorsements"]
         endorsements[:] = endorsements[:1]  # below q=2
 

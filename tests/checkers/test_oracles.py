@@ -17,7 +17,6 @@ from repro.checkers.report import FAIL, PASS, SKIP
 from repro.contracts import VotingContract
 from repro.core import OrderlessChainNetwork
 from repro.core.byzantine import ByzantineOrgConfig
-from repro.core.channel import DEFAULT_CHANNEL
 from repro.faults import FaultEvent, FaultSchedule, install_schedule
 
 
@@ -111,10 +110,10 @@ def test_policy_safety_fails_when_endorsements_stripped_below_quorum():
     net = build()
     run_votes(net)
     org = net.node("org0")
-    txn_id, block = next(iter(sorted(org.channels[DEFAULT_CHANNEL].ledger.valid.items())))
+    txn_id, block = next(iter(sorted(org.ledger.valid.items())))
     tampered = dict(block.payload)
     tampered["endorsements"] = block.payload["endorsements"][:1]  # below q=2
-    org.channels[DEFAULT_CHANNEL].ledger.valid[txn_id] = replace(block, payload=tampered)
+    org.ledger.valid[txn_id] = replace(block, payload=tampered)
     report = run_checkers(net)
     safety = report.result("policy-safety")
     assert safety.status == FAIL
@@ -125,13 +124,13 @@ def test_policy_safety_fails_when_signature_is_forged():
     net = build()
     run_votes(net)
     org = net.node("org0")
-    txn_id, block = next(iter(sorted(org.channels[DEFAULT_CHANNEL].ledger.valid.items())))
+    txn_id, block = next(iter(sorted(org.ledger.valid.items())))
     tampered = dict(block.payload)
     endorsements = [dict(e) for e in block.payload["endorsements"]]
     for endorsement in endorsements:
         endorsement["signature"] = "forged"
     tampered["endorsements"] = endorsements
-    org.channels[DEFAULT_CHANNEL].ledger.valid[txn_id] = replace(block, payload=tampered)
+    org.ledger.valid[txn_id] = replace(block, payload=tampered)
     report = run_checkers(net)
     assert report.result("policy-safety").status == FAIL
 

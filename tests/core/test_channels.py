@@ -1,21 +1,35 @@
-"""Multi-application channels: sharded per-channel state on one network.
+"""Multi-application channels on one network.
 
-Each channel binds one contract to its own ledger (hash chain,
-committed set, CRDT cache) and watermark digest (repro.core.channel). These
-tests cover the scoping rules, the one channel-keyed shape every
-organization has (the default channel is an ordinary channel), and a
-two-application end-to-end run.
+A channel scopes a contract: its id becomes ``"<channel>:<contract>"``
+and every object id the contract names, written or read, becomes
+``"<channel>/<object>"`` (repro.core.contract). All channels share each
+organization's one ledger. These tests cover the scoping rules, the
+default channel's bare ids, disjoint state for two channels running the
+same application, and a two-application end-to-end run.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.bench.config import SYSTEMS, ChannelSpec, ExperimentConfig
-from repro.bench.runner import NETWORKS, build_network, run_experiment
+from repro.bench.runner import NETWORKS, build_network, run_network
+from repro.checkers import run_checkers
 from repro.contracts.synthetic import SyntheticContract
 from repro.contracts.voting import VotingContract
-from repro.core.channel import DEFAULT_CHANNEL, ChannelState, scoped_contract_id
+from repro.core.contract import DEFAULT_CHANNEL, ContractContext, scoped_contract_id
 from repro.core.system import OrderlessChainNetwork
+from repro.crdt.clock import OpClock
 from repro.errors import ConfigError
+
+
+def committed(net):
+    return sum(1 for record in net.recorder.records.values() if record.committed_at is not None)
+
+
+def commits_by_contract(ledger):
+    """Valid commits per (channel-scoped) contract id, from the ledger."""
+    return Counter(block.payload["proposal"]["contract_id"] for block in ledger.valid.values())
 
 
 def test_scoped_contract_id_rules():
@@ -26,46 +40,39 @@ def test_scoped_contract_id_rules():
 
 
 def test_channel_state_starts_empty():
-    channel = ChannelState("ch0")
-    assert channel.channel_id == "ch0"
-    assert channel.ledger.valid_transaction_count == 0
-    assert channel.gossip_backlog == []
-    assert channel.ledger.valid == {}
-    assert len(channel.watermarks) == 0
-    assert channel.snapshot is None
+    net = OrderlessChainNetwork(ExperimentConfig(num_orgs=2, quorum=1, scale=1))
+    net.install_contract(SyntheticContract, channel="ch0")
+    org = net.organizations[0]
+    assert org.contracts["ch0:synthetic"].channel == "ch0"
+    assert org.ledger.valid == {}
+    assert org.gossip_backlog == []
+    assert len(org.watermarks) == 0
+    assert org.snapshot is None
+    assert org.read_state("ch0/synthetic/obj0") is None
 
 
 def test_default_channel_is_an_ordinary_channel():
-    # An org with only the default channel is channel-keyed like any
-    # other: its digest names the channel, its snapshot is keyed by
-    # it, and ``org.ledger`` is just a read-only shorthand.
+    # A contract on the default channel shares the one ledger like any
+    # other; only its contract and object ids stay bare.
     net = OrderlessChainNetwork(ExperimentConfig(num_orgs=2, quorum=1, scale=1))
     net.install_contract(SyntheticContract)
     org = net.organizations[0]
-    default = org.channels[DEFAULT_CHANNEL]
-    assert isinstance(default, ChannelState)
-    assert org.ledger is default.ledger
-    with pytest.raises(AttributeError):
-        org.ledger = default.ledger
-    body, _size = org._digest_body_and_size(default)
-    assert body["channel"] == DEFAULT_CHANNEL
-    assert org.state_snapshot() == {DEFAULT_CHANNEL: default.ledger.state_snapshot()}
-
-
-def test_create_channel_is_get_or_create():
-    net = OrderlessChainNetwork(ExperimentConfig(num_orgs=2, quorum=1, scale=1))
-    net.create_channel("ch0", SyntheticContract)
-    net.create_channel("ch0")
-    assert sorted(net.channel_ids) == ["ch0", "default"]
-    org = net.organizations[0]
-    assert "ch0:synthetic" in org.contracts
-    assert org._contract_channel["ch0:synthetic"] == "ch0"
+    contract = org.contracts["synthetic"]
+    assert contract.channel == DEFAULT_CHANNEL
+    context = ContractContext("c0", OpClock("c0", 1), channel=contract.channel)
+    contract.execute(
+        context, "modify", {"object_indexes": [0], "ops_per_object": 1, "crdt_type": "gcounter"}
+    )
+    assert [op.object_id for op in context.write_set()] == ["synthetic/obj0"]
+    body, _size = org._digest_body_and_size()
+    assert set(body) == {"watermarks"}
+    assert org.state_snapshot() == org.ledger.state_snapshot()
 
 
 def test_two_channels_commit_independently():
     net = OrderlessChainNetwork(ExperimentConfig(num_orgs=3, quorum=2, seed=3, scale=1))
-    net.create_channel("ch0", SyntheticContract)
-    net.create_channel("ch1", lambda: VotingContract(parties_per_election=2))
+    net.install_contract(SyntheticContract, channel="ch0")
+    net.install_contract(lambda: VotingContract(parties_per_election=2), channel="ch1")
     client = net.add_client("c0")
     net.sim.process(
         client.submit_modify(
@@ -79,29 +86,62 @@ def test_two_channels_commit_independently():
     )
     net.run(until=30.0)
     for org in net.organizations:
-        assert org.channels["ch0"].ledger.valid_transaction_count == 1
-        assert org.channels["ch1"].ledger.valid_transaction_count == 1
-        # The default channel carries nothing in a pure channel deployment.
-        assert org.channels[DEFAULT_CHANNEL].ledger.valid_transaction_count == 0
-        # Org-level counters are sums over the channel shards.
+        assert commits_by_contract(org.ledger) == {"ch0:synthetic": 1, "ch1:voting": 1}
         assert org.committed_valid == 2
-        assert org.gossip_commits == sum(c.gossip_commits for c in org.channels.values())
-    net.verify_all_ledgers()  # raises on any channel's hash-chain break
-    # Per-channel reads and snapshots see only their shard.
+    net.verify_all_ledgers()  # raises on any hash-chain break
+    # Each channel's objects live under its own prefix.
     snapshot = net.organizations[0].state_snapshot()
-    assert set(snapshot) == {"ch0", "ch1", "default"}
-    assert snapshot["default"] == {}
+    assert "ch0/synthetic/obj0" in snapshot and "ch1/voting/e0/party0" in snapshot
+    assert all(key.startswith(("ch0/synthetic/", "ch1/voting/")) for key in snapshot)
 
 
-def test_ledger_keys_are_always_org_slash_channel():
+def test_same_app_on_two_channels_keeps_disjoint_state():
+    config = ExperimentConfig(
+        num_orgs=3,
+        quorum=2,
+        seed=4,
+        scale=1,
+        channels=(ChannelSpec("a", app="synthetic"), ChannelSpec("b", app="synthetic")),
+    )
+    net = build_network(config)
+    net.start()
+    client = net.clients[0]
+    params = {"object_indexes": [0, 1], "ops_per_object": 1, "crdt_type": "gcounter"}
+    reads = {}
+
+    def scenario():
+        # Only channel "a" is driven.
+        for _ in range(3):
+            ok = yield net.sim.process(client.submit_modify("a:synthetic", "modify", params))
+            assert ok
+        yield net.sim.timeout(5.0)
+        for channel in ("a", "b"):
+            reads[channel] = yield net.sim.process(
+                client.submit_read(f"{channel}:synthetic", "read", {"object_indexes": [0, 1]})
+            )
+
+    net.sim.process(scenario())
+    net.run(until=60.0)
+    # Channel "a" reads its own counters; channel "b" reads empty
+    # objects, although the same object names hold 3 in channel "a".
+    assert reads["a"] and all(value == [3, 3] for value in reads["a"])
+    assert reads["b"] and all(value == [None, None] for value in reads["b"])
+    for org in net.organizations:
+        assert set(org.ledger.ops) == {"a/synthetic/obj0", "a/synthetic/obj1"}
+        assert org.read_state("b/synthetic/obj0") is None
+        assert org.read_state("synthetic/obj0") is None
+
+
+def test_ledger_keys_are_org_ids():
     single = OrderlessChainNetwork(ExperimentConfig(num_orgs=2, quorum=1, scale=1))
     single.install_contract(SyntheticContract)
-    assert sorted(single.ledgers()) == ["org0/default", "org1/default"]
+    assert sorted(single.ledgers()) == ["org0", "org1"]
 
     multi = OrderlessChainNetwork(ExperimentConfig(num_orgs=2, quorum=1, scale=1))
-    multi.create_channel("ch0", SyntheticContract)
-    keys = sorted(multi.ledgers())
-    assert keys == ["org0/ch0", "org0/default", "org1/ch0", "org1/default"]
+    multi.install_contract(SyntheticContract, channel="ch0")
+    multi.install_contract(SyntheticContract, channel="ch1")
+    assert sorted(multi.ledgers()) == ["org0", "org1"]
+    assert multi.ledgers()["org0"] is multi.organizations[0].ledger
 
 
 def test_build_network_wires_channels():
@@ -112,10 +152,9 @@ def test_build_network_wires_channels():
         channels=(ChannelSpec("ch0"), ChannelSpec("ch1", app="voting")),
     )
     net = build_network(config)
-    assert sorted(net.channel_ids) == ["ch0", "ch1", "default"]
     org = net.organizations[0]
-    assert "ch0:synthetic" in org.contracts
-    assert "ch1:voting" in org.contracts
+    assert sorted(org.contracts) == ["ch0:synthetic", "ch1:voting"]
+    assert org.contracts["ch1:voting"].channel == "ch1"
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
@@ -161,26 +200,29 @@ def test_channel_spec_validation():
 def test_multichannel_run_reports_per_channel_commits_and_oracles():
     base = dict(
         system="orderlesschain",
-        arrival_rate=400.0,
         num_orgs=4,
         quorum=2,
         duration=4.0,
         scale=50.0,
         seed=0,
-        check=True,
     )
-    single = run_experiment(ExperimentConfig(channels=(ChannelSpec("ch0"),), **base))
-    double = run_experiment(
+    single = run_network(
+        ExperimentConfig(arrival_rate=400.0, channels=(ChannelSpec("ch0"),), **base)
+    )
+    double = run_network(
         ExperimentConfig(
             arrival_rate=800.0,
             channels=(ChannelSpec("ch0"), ChannelSpec("ch1", app="voting")),
-            **{k: v for k, v in base.items() if k != "arrival_rate"},
+            **base,
         )
     )
-    assert single.check_report.ok
-    assert double.check_report.ok
-    assert set(double.extra["committed_by_channel"]) == {"ch0", "ch1"}
-    assert all(count > 0 for count in double.extra["committed_by_channel"].values())
-    assert set(double.extra["net_bytes_by_channel"]) >= {"ch0", "ch1"}
+    assert run_checkers(single).ok
+    assert run_checkers(double).ok
+    # Per-channel commits, counted from the ledger by contract scope
+    # (max across orgs: every org eventually holds every channel's set).
+    counts = [commits_by_contract(org.ledger) for org in double.organizations]
+    by_channel = {scope: max(count[scope] for count in counts) for scope in counts[0]}
+    assert set(by_channel) == {"ch0:synthetic", "ch1:voting"}
+    assert all(count > 0 for count in by_channel.values())
     # Fixed per-channel load: two channels commit more in aggregate.
-    assert double.committed > single.committed
+    assert committed(double) > committed(single)

@@ -176,19 +176,19 @@ def pins():
 # Dumped before the attempt step replaced the per-phase code paths.
 PINS = {
     "fixed-retries-avoid-window": (
-        "b199273c39ce9c12fb0d82b179f4197d3a132343a9cd6339508962ac6511332c",
+        "cb975db8a4ba4b5325f9be244b3273968096bef05011e7a923a695c3fc55ada3",
         "0b22f5b80fd47366ebeed70b8fada16263dffb4b76ed1df5762c208b8a14c869",
     ),
     "fixed-byzantine-clients": (
-        "4360133436478f4dfbf1cebec71d3d5e25c5ac40fdb8f39afd5b9e53a60055e0",
+        "7f74a790f0c7ef91ba29a38ff1472080c5ac0ac330e8a3a271508d5c61ebdeca",
         "004193075f8c58b7260a05b3c9edd02ca40e6b6306eff2113e8050e8827940e1",
     ),
     "fixed-org-weights-retries": (
-        "2dd4afb129ed5b823965445c97fe824aee473247c0a9303e2f3a8b69ea3f3c27",
+        "039298d34f5e7fa9ebb386074f86a438e5c7852ae6a3903161efc2f6ba66fc86",
         "e704b3d03f26c6d577e048ecb1f921b5cee51f431b8e5f6d006f448b5e1f0cf9",
     ),
     "resilience-retries-snapshots-chaos": (
-        "b5efe014497aff819a12d0fdb9baf189ce59dcdb68d6ab9e037cba5ef21fa86b",
+        "f801a491d3ae3b9389f682019a399434945f7d5697783d7f93e65720fa35d064",
         "9032a7c6838697438d750232d398ff670ca95959c082e55495f60476289e14b5",
     ),
 }

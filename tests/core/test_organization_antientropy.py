@@ -17,7 +17,6 @@ import pytest
 from repro.bench.config import ExperimentConfig
 from repro.contracts import VotingContract
 from repro.core import OrderlessChainNetwork
-from repro.core.channel import DEFAULT_CHANNEL
 from repro.core.organization import (
     MSG_COMMIT,
     MSG_GOSSIP,
@@ -55,47 +54,38 @@ def run_votes(net, votes=6, until=30.0):
     return net
 
 
-def default_channel(net):
-    return net.organizations[0].channels[DEFAULT_CHANNEL]
-
-
 def committed_sets(net):
-    return {
-        frozenset(org.channels[DEFAULT_CHANNEL].ledger.valid) for org in net.organizations
-    }
+    return {frozenset(org.ledger.valid) for org in net.organizations}
 
 
 class TestDigestBody:
     def test_watermark_body_and_size(self):
         net = run_votes(build_net())
-        channel = default_channel(net)
         org = net.organizations[0]
-        assert len(channel.ledger.valid) > 0
-        body, size = org._digest_body_and_size(channel)
-        assert set(body) == {"watermarks", "channel"}
-        assert body["channel"] == DEFAULT_CHANNEL
-        marks = channel.watermarks
+        assert len(org.ledger.valid) > 0
+        body, size = org._digest_body_and_size()
+        assert set(body) == {"watermarks"}
+        marks = org.watermarks
         assert size == org.perf.watermark_digest_bytes(
             marks.client_count, marks.gap_count
         )
         # The watermark digest covers exactly the committed set.
-        assert set(marks.ids()) == set(channel.ledger.valid)
+        assert set(marks.ids()) == set(org.ledger.valid)
 
     def test_watermark_digest_is_smaller_for_long_histories(self):
         # ...than the explicit id list of the same committed set.
         net = run_votes(build_net(), votes=8, until=40.0)
-        channel = default_channel(net)
         org = net.organizations[0]
-        _, watermark_size = org._digest_body_and_size(channel)
-        assert watermark_size < org.perf.id_list_bytes(len(channel.ledger.valid))
+        _, watermark_size = org._digest_body_and_size()
+        assert watermark_size < org.perf.id_list_bytes(len(org.ledger.valid))
 
 
 class TestSnapshots:
     def test_snapshot_stores_position_not_id_set(self):
         net = run_votes(build_net(snapshot_interval=5.0))
-        channel = default_channel(net)
-        assert net.organizations[0].snapshots_taken > 0
-        assert channel.snapshot == len(channel.ledger.valid) > 0
+        org = net.organizations[0]
+        assert org.snapshots_taken > 0
+        assert org.snapshot == len(org.ledger.valid) > 0
 
     def test_committed_sets_match_across_converged_orgs(self):
         net = run_votes(build_net())
@@ -110,9 +100,7 @@ class TestPagination:
         org.perf = replace(org.perf, sync_page_txns=2)
         wires = [{"write_set": []} for _ in range(5)]
         before = net.network.sent_by_type.get(MSG_GOSSIP, 0)
-        pages = org._send_txn_batches(
-            net.organizations[1].org_id, wires, default_channel(net)
-        )
+        pages = org._send_txn_batches(net.organizations[1].org_id, wires)
         assert pages == 3
         assert net.network.sent_by_type.get(MSG_GOSSIP, 0) - before == 3
 
@@ -121,9 +109,7 @@ class TestPagination:
         org = net.organizations[0]
         org.perf = replace(org.perf, sync_page_txns=2)
         ids = [f"c:{n}" for n in range(1, 8)]
-        pages = org._send_sync_requests(
-            net.organizations[1].org_id, ids, default_channel(net)
-        )
+        pages = org._send_sync_requests(net.organizations[1].org_id, ids)
         assert pages == 4
         assert net.network.sent_by_type.get(MSG_SYNC_REQUEST, 0) == 4
         assert net.network.bytes_by_type[MSG_SYNC_REQUEST] == (
@@ -135,86 +121,70 @@ class TestMalformedSyncBodies:
     """A malformed sync body is dropped and counted, never raised out
     of ``_on_message`` — and the organization keeps serving."""
 
-    WATERMARKS = {"clients": {}, "extras": []}
-
     CASES = {
-        "digest-no-watermarks": (MSG_SYNC_DIGEST, {"channel": DEFAULT_CHANNEL}),
+        "digest-no-watermarks": (MSG_SYNC_DIGEST, {}),
         "digest-watermarks-not-a-mapping": (
             MSG_SYNC_DIGEST,
-            {"channel": DEFAULT_CHANNEL, "watermarks": ["c0:1"]},
+            {"watermarks": ["c0:1"]},
         ),
         "digest-retired-id-list-form": (
             MSG_SYNC_DIGEST,
-            {"channel": DEFAULT_CHANNEL, "txn_ids": ["c0:1"]},
+            {"txn_ids": ["c0:1"]},
         ),
-        "digest-no-channel": (MSG_SYNC_DIGEST, {"watermarks": WATERMARKS}),
-        "digest-unknown-channel": (
-            MSG_SYNC_DIGEST,
-            {"channel": "nowhere", "watermarks": WATERMARKS},
-        ),
-        "digest-unhashable-channel": (
-            MSG_SYNC_DIGEST,
-            {"channel": ["default"], "watermarks": WATERMARKS},
-        ),
-        "request-no-ids": (MSG_SYNC_REQUEST, {"channel": DEFAULT_CHANNEL}),
+        "request-no-ids": (MSG_SYNC_REQUEST, {}),
         "request-ids-not-a-list": (
             MSG_SYNC_REQUEST,
-            {"channel": DEFAULT_CHANNEL, "txn_ids": "c0:1"},
-        ),
-        "request-no-channel": (MSG_SYNC_REQUEST, {"txn_ids": ["c0:1"]}),
-        "request-unknown-channel": (
-            MSG_SYNC_REQUEST,
-            {"channel": "nowhere", "txn_ids": ["c0:1"]},
+            {"txn_ids": "c0:1"},
         ),
         "request-id-unhashable": (
             MSG_SYNC_REQUEST,
-            {"channel": DEFAULT_CHANNEL, "txn_ids": [["c0:1"]]},
+            {"txn_ids": [["c0:1"]]},
         ),
         "request-id-a-mapping": (
             MSG_SYNC_REQUEST,
-            {"channel": DEFAULT_CHANNEL, "txn_ids": [{"a": 1}]},
+            {"txn_ids": [{"a": 1}]},
         ),
         "digest-not-a-mapping": (MSG_SYNC_DIGEST, ["x"]),
         "request-none": (MSG_SYNC_REQUEST, None),
         "digest-entry-not-a-pair": (
             MSG_SYNC_DIGEST,
-            {"channel": DEFAULT_CHANNEL, "watermarks": {"clients": {"c0": 5}}},
+            {"watermarks": {"clients": {"c0": 5}}},
         ),
         "digest-high-not-an-int": (
             MSG_SYNC_DIGEST,
-            {"channel": DEFAULT_CHANNEL, "watermarks": {"clients": {"c0": ["x", []]}}},
+            {"watermarks": {"clients": {"c0": ["x", []]}}},
         ),
         "digest-high-a-bool": (
             MSG_SYNC_DIGEST,
-            {"channel": DEFAULT_CHANNEL, "watermarks": {"clients": {"c0": [True, []]}}},
+            {"watermarks": {"clients": {"c0": [True, []]}}},
         ),
         "digest-gap-not-a-pair": (
             MSG_SYNC_DIGEST,
-            {"channel": DEFAULT_CHANNEL, "watermarks": {"clients": {"c0": [5, [[1]]]}}},
+            {"watermarks": {"clients": {"c0": [5, [[1]]]}}},
         ),
         "digest-clients-not-a-mapping": (
             MSG_SYNC_DIGEST,
-            {"channel": DEFAULT_CHANNEL, "watermarks": {"clients": [["c0", 5]]}},
+            {"watermarks": {"clients": [["c0", 5]]}},
         ),
         "digest-extras-not-str": (
             MSG_SYNC_DIGEST,
-            {"channel": DEFAULT_CHANNEL, "watermarks": {"clients": {}, "extras": [7]}},
+            {"watermarks": {"clients": {}, "extras": [7]}},
         ),
         # Well-typed but hostile: honest peers ask for at most one page
         # (256 ids) of distinct ids.
         "request-longer-than-a-page": (
             MSG_SYNC_REQUEST,
-            {"channel": DEFAULT_CHANNEL, "txn_ids": [f"c0:{n}" for n in range(1, 258)]},
+            {"txn_ids": [f"c0:{n}" for n in range(1, 258)]},
         ),
         "request-repeats-an-id": (
             MSG_SYNC_REQUEST,
-            {"channel": DEFAULT_CHANNEL, "txn_ids": ["c0:1", "c0:1"]},
+            {"txn_ids": ["c0:1", "c0:1"]},
         ),
         # Well-typed but hostile: ~40 bytes that claim a million ids.
         # The pull stops at the cap and the digest is counted.
         "digest-claims-a-million-ids": (
             MSG_SYNC_DIGEST,
-            {"channel": DEFAULT_CHANNEL, "watermarks": {"clients": {"client0": [10**6, []]}}},
+            {"watermarks": {"clients": {"client0": [10**6, []]}}},
         ),
     }
 
@@ -228,7 +198,7 @@ class TestMalformedSyncBodies:
         # victim sends after the votes answers the request.
         net = run_votes(build_net(gossip_interval=1e9, sync_interval=0.0))
         victim, sender = net.organizations[0], net.organizations[1]
-        txn_id = next(iter(victim.channels[DEFAULT_CHANNEL].ledger.valid))
+        txn_id = next(iter(victim.ledger.valid))
         batches = []
         send = net.network.send
 
@@ -243,7 +213,7 @@ class TestMalformedSyncBodies:
                 sender=sender.org_id,
                 recipient=victim.org_id,
                 msg_type=MSG_SYNC_REQUEST,
-                body={"channel": DEFAULT_CHANNEL, "txn_ids": [txn_id] * copies},
+                body={"txn_ids": [txn_id] * copies},
                 size_bytes=64,
             )
         )
@@ -277,7 +247,7 @@ def assert_dropped_and_org_keeps_serving(msg_type, body):
     )
     run_votes(net)
     assert victim.dropped_requests == 1
-    assert victim.channels[DEFAULT_CHANNEL].ledger.valid_transaction_count == 6
+    assert victim.ledger.valid_transaction_count == 6
     assert net.converged()
     # Requests for ids no organization committed are the body's doing:
     # at most one capped pull.
@@ -348,7 +318,7 @@ class TestMalformedProtocolBodies:
             (holder, victim, txn_id, block.payload)
             for holder in net.organizations
             for victim in net.organizations
-            for txn_id, block in sorted(holder.channels[DEFAULT_CHANNEL].ledger.valid.items())
+            for txn_id, block in sorted(holder.ledger.valid.items())
             if not victim.ledger.is_valid_transaction(txn_id)
         )
         net.network.send(
@@ -481,7 +451,7 @@ class TestSignedButUnparsableWriteSet:
             ),
         )
         run_votes(net)
-        ledger = victim.channels[DEFAULT_CHANNEL].ledger
+        ledger = victim.ledger
         assert ledger.has_transaction("mallory:99")
         assert not ledger.is_valid_transaction("mallory:99")
         assert ledger.valid_transaction_count == 6
@@ -504,10 +474,80 @@ class TestSignedButUnparsableWriteSet:
             ),
         )
         run_votes(net)
-        ledger = victim.channels[DEFAULT_CHANNEL].ledger
+        ledger = victim.ledger
         assert not ledger.has_transaction("mallory:99")
         assert ledger.valid_transaction_count == 6
         assert net.converged()
+
+
+class TestUnrenderableWriteSet:
+    """A write-set nested deeper than the interpreter's recursion limit
+    cannot be hashed, so its signatures cannot be checked and no block
+    can log it (the block hash renders the same wire). On the commit
+    path and in a gossip batch it is dropped unlogged and counted in
+    ``dropped_requests``. It used to abort the run with a
+    ``RecursionError``."""
+
+    @staticmethod
+    def deep_wire(net, client):
+        """An honest vote wire, copied, with a 5 000-deep list as value."""
+        honest = signed_transaction_wire(
+            net,
+            client,
+            [
+                {
+                    "object_id": "voting/e0/party0",
+                    "path": [client.client_id],
+                    "value": True,
+                    "value_type": "mvregister",
+                    "clock": {"client_id": client.client_id, "counter": 99},
+                    "op_index": 0,
+                }
+            ],
+        )
+        nested = []
+        for _ in range(5_000):
+            nested = [nested]
+        return dict(honest, write_set=[dict(honest["write_set"][0], value=nested)])
+
+    def run_with(self, msg_type):
+        net = build_net()
+        mallory = net.add_client("mallory")
+        victim, sender = net.organizations[0], net.organizations[1]
+        wire = self.deep_wire(net, mallory)
+        sent_to_mallory = []
+        send = net.network.send
+
+        def recording_send(message):
+            if message.recipient == mallory.client_id:
+                sent_to_mallory.append(message)
+            send(message)
+
+        net.network.send = recording_send
+        body = wire if msg_type == MSG_COMMIT else {"transactions": [wire]}
+        source = mallory.client_id if msg_type == MSG_COMMIT else sender.org_id
+        net.sim.schedule_at(
+            0.1,
+            net.network.send,
+            Message(
+                sender=source, recipient=victim.org_id, msg_type=msg_type, body=body, size_bytes=64
+            ),
+        )
+        run_votes(net)
+        assert victim.dropped_requests == 1
+        assert not victim.ledger.has_transaction("mallory:99")
+        assert victim.ledger.valid_transaction_count == 6
+        # No receipt or rejection names it.
+        assert not any(
+            message.body.get("transaction_id") == "mallory:99" for message in sent_to_mallory
+        )
+        assert net.converged()
+
+    def test_commit_drops_it_unlogged_and_counts_it(self):
+        self.run_with(MSG_COMMIT)
+
+    def test_gossip_drops_it_unlogged_and_counts_it(self):
+        self.run_with(MSG_GOSSIP)
 
 
 def test_partition_heal_reconciles_through_sync():

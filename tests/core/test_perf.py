@@ -67,3 +67,25 @@ def test_utilization_invariance_under_scaling():
             assert (rate / factor) * getattr(scaled, field.name) == pytest.approx(
                 rate * getattr(base, field.name)
             )
+
+
+def test_scaled_covers_every_field():
+    # Every int field (a size, a count or vcpus) is kept; every other
+    # field but the four latency constants is a service time and scales.
+    latency_constants = {
+        "fabric_batch_timeout",
+        "bidl_batch_interval",
+        "hotstuff_batch_interval",
+        "hotstuff_delta",
+    }
+    base = PerfModel()
+    scaled = base.scaled(10)
+    int_fields = [f.name for f in dataclasses.fields(base) if type(getattr(base, f.name)) is int]
+    for field in dataclasses.fields(base):
+        before, after = getattr(base, field.name), getattr(scaled, field.name)
+        if field.name in int_fields or field.name in latency_constants:
+            assert after == before, field.name
+            assert type(after) is type(before), field.name
+        else:
+            assert type(before) is float, field.name
+            assert after == pytest.approx(10 * before), field.name

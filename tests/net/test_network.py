@@ -106,9 +106,12 @@ def test_counters_track_traffic():
     network.register("b", lambda m: None)
     for _ in range(3):
         network.send(Message(sender="a", recipient="b", msg_type="t", body=None))
+    network.send(Message(sender="a", recipient="b", msg_type="u", body=None, size_bytes=7))
     sim.run()
-    assert network.sent_count == 3
-    assert network.delivered_count == 3
+    assert network.sent_count == 4
+    assert network.delivered_count == 4
+    assert network.sent_by_type == {"t": 3, "u": 1}
+    assert network.bytes_by_type == {"t": 3 * 256, "u": 7}
 
 
 def test_schedule_rejects_negative_infinity_delay_check():
@@ -133,39 +136,3 @@ def test_no_override_fast_path_uses_live_default_model():
     network.send(Message(sender="a", recipient="b", msg_type="t", body=None, size_bytes=0))
     sim.run()
     assert arrivals[-1] == pytest.approx(0.007)
-
-def test_per_channel_counters_tally_tagged_messages():
-    sim, network = build()
-    network.register("b", lambda m: None)
-    network.send(Message(sender="a", recipient="b", msg_type="t", body=None,
-                         size_bytes=10, channel="ch0"))
-    network.send(Message(sender="a", recipient="b", msg_type="t", body=None,
-                         size_bytes=5, channel="ch0"))
-    network.send(Message(sender="a", recipient="b", msg_type="u", body=None,
-                         size_bytes=7, channel="ch1"))
-    sim.run()
-    assert network.sent_by_channel == {"ch0": 2, "ch1": 1}
-    assert network.bytes_by_channel == {"ch0": 15, "ch1": 7}
-    # The channel tag is accounting metadata only: type counters and
-    # delivery are unaffected.
-    assert network.sent_by_type == {"t": 2, "u": 1}
-    assert network.delivered_count == 3
-
-
-def test_untagged_legacy_path_leaves_channel_counters_empty():
-    # Client-originated messages and the ordered baselines never tag a
-    # channel; the legacy by-type counters must be the only tally.
-    sim, network = build()
-    network.register("b", lambda m: None)
-    network.send(Message(sender="a", recipient="b", msg_type="t", body=None, size_bytes=10))
-    sim.run()
-    assert network.sent_by_type == {"t": 1}
-    assert network.bytes_by_type == {"t": 10}
-    assert network.sent_by_channel == {}
-    assert network.bytes_by_channel == {}
-
-
-def test_channel_tag_survives_clone():
-    message = Message(sender="a", recipient="b", msg_type="t", body={"k": 1},
-                      size_bytes=3, channel="ch0")
-    assert message.clone().channel == "ch0"

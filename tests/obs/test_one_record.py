@@ -28,7 +28,7 @@ SYSTEMS = ("orderlesschain", "fabric", "fabriccrdt", "bidl", "synchotstuff")
 BASELINES = SYSTEMS[1:]
 
 ORDERLESSCHAIN_TRACE_SHA256 = (
-    "cb006dc60a3ee8fb088978992ff6258e305a2081f95a03e595efa272c520e8bc"
+    "5d93bf69c6f22498b838a7065447c5864b03cc331ad6fd0a710b4e66910e0eef"
 )
 BASELINE_EVENTS_SHA256 = {
     "fabric": "f1b538ea2861c90ca556addb89284308784b6de424fda8fe86889f2d31c59412",

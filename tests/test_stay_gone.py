@@ -124,6 +124,13 @@ GONE = [
         "one read path and one Fabric orderer: the cache-off replay arm and the Raft orderer,"
         " with their knobs, panels and checks",
     ),
+    (
+        r"ChannelState|sent_by_channel|bytes_by_channel|create_channel|_contract_channel"
+        r"|_channel_of|channel_ids|repro\.core\.channel\b",
+        ("src",),
+        "one ledger per organization: the per-channel state shard, its routing map, channel"
+        " creation and the per-channel traffic counters",
+    ),
 ]
 
 
