@@ -36,7 +36,7 @@ from repro.explore import ExploreOutcome, explore
 
 def report(
     figures: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     quick: bool = False,
     check: bool = False,
     echo: Any = print,

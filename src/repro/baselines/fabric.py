@@ -15,7 +15,7 @@ The coordination structure that the paper measures:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.baselines.common import (
     COMMIT_TIMEOUT,
@@ -47,7 +47,13 @@ ORDERER_ID = "fabric-orderer"
 
 
 class FabricPeer(Replica):
-    """A Fabric peer: endorses proposals and validates blocks."""
+    """A Fabric peer: endorses proposals and validates blocks.
+
+    The message types are the network's. FabricCRDT's peer shares the
+    dispatch, the read reply and the commit event; it overrides the
+    endorsement and the block application, and supplies the read value
+    (:meth:`_value`) from its own state.
+    """
 
     def __init__(self, net: "FabricNetwork", node_id: str) -> None:
         # Blocks apply strictly in ledger order: Fabric peers commit
@@ -61,14 +67,15 @@ class FabricPeer(Replica):
     def _on_message(self, message: Message) -> None:
         if message.corrupted:
             return
-        if message.msg_type == MSG_PROPOSAL:
-            self.net.sim.process(self._endorse(message), name=f"{self.node_id}.endorse")
-        elif message.msg_type == MSG_BLOCK:
+        net = self.net
+        if message.msg_type == net.msg_proposal:
+            net.sim.process(self._endorse(message), name=f"{self.node_id}.endorse")
+        elif message.msg_type == net.msg_block:
             self.applier.offer(message.body["index"], message.body["transactions"])
-        elif message.msg_type == MSG_BLOCK_ANNOUNCE:
-            self.net.log.on_announce(self.applier, message.body)
-        elif message.msg_type == MSG_READ:
-            self.net.sim.process(self._read(message), name=f"{self.node_id}.read")
+        elif message.msg_type == net.msg_block_announce:
+            net.log.on_announce(self.applier, message.body)
+        elif message.msg_type == net.msg_read:
+            net.sim.process(self._read(message), name=f"{self.node_id}.read")
 
     def _endorse(self, message: Message):
         arrived = self.net.sim.now
@@ -82,7 +89,7 @@ class FabricPeer(Replica):
             Message(
                 sender=self.node_id,
                 recipient=message.sender,
-                msg_type=MSG_ENDORSEMENT,
+                msg_type=self.net.msg_endorsement,
                 body={
                     "txn_id": body["txn_id"],
                     "read_set": read_set,
@@ -104,16 +111,7 @@ class FabricPeer(Replica):
                 self.committed_valid += 1
             else:
                 self.committed_invalid += 1
-            if txn["event_peer"] == self.node_id:
-                self.net.network.send(
-                    Message(
-                        sender=self.node_id,
-                        recipient=txn["client_id"],
-                        msg_type=MSG_COMMIT_EVENT,
-                        body={"txn_id": txn["txn_id"], "valid": valid},
-                        size_bytes=160,
-                    )
-                )
+            self._notify(txn, valid)
             self.net.recorder.phase(
                 "fabric/P3/Commit",
                 arrived,
@@ -123,14 +121,31 @@ class FabricPeer(Replica):
                 attrs={"valid": valid},
             )
 
+    def _notify(self, txn: Dict[str, Any], valid: bool) -> None:
+        """The transaction's event peer tells its client the verdict."""
+        if txn["event_peer"] == self.node_id:
+            self.net.network.send(
+                Message(
+                    sender=self.node_id,
+                    recipient=txn["client_id"],
+                    msg_type=self.net.msg_commit_event,
+                    body={"txn_id": txn["txn_id"], "valid": valid},
+                    size_bytes=160,
+                )
+            )
+
+    def _value(self, params: Dict[str, Any]) -> Any:
+        """The value a read of ``params`` returns."""
+        return self.contract.read(self.state, params)
+
     def _read(self, message: Message):
         yield self.cpu.serve(self.net.perf.fabric_endorse)
-        value = self.contract.read(self.state, message.body["params"])
+        value = self._value(message.body["params"])
         self.net.network.send(
             Message(
                 sender=self.node_id,
                 recipient=message.sender,
-                msg_type=MSG_READ_RESPONSE,
+                msg_type=self.net.msg_read_response,
                 body={"txn_id": message.body["txn_id"], "value": value},
                 size_bytes=220,
             )
@@ -268,18 +283,28 @@ class FabricClient:
 
 
 class FabricNetwork(BaselineNetwork):
-    """A built Fabric network: peers + Solo orderer + clients."""
+    """A built Fabric network: peers + Solo orderer + clients.
+
+    FabricCRDT's network is this one with its own message types,
+    orderer id and name, block size, and no ordering phase in its
+    breakdown.
+    """
 
     system = "fabric"
     node_prefix = "peer"
     replica_class = FabricPeer
     client_class = FabricClient
-    msg_proposal, msg_read, msg_order = MSG_PROPOSAL, MSG_READ, MSG_ORDER
-    client_replies = (MSG_ENDORSEMENT, MSG_READ_RESPONSE, MSG_COMMIT_EVENT)
+    msg_proposal, msg_endorsement, msg_order = MSG_PROPOSAL, MSG_ENDORSEMENT, MSG_ORDER
+    msg_block, msg_commit_event = MSG_BLOCK, MSG_COMMIT_EVENT
+    msg_read, msg_read_response = MSG_READ, MSG_READ_RESPONSE
+    msg_block_announce, msg_block_fetch = MSG_BLOCK_ANNOUNCE, MSG_BLOCK_FETCH
+    orderer_id, orderer_name = ORDERER_ID, "solo-orderer"
+    ordering_phase: Optional[str] = "fabric/P2/Consensus"
 
     def __init__(self, config: ExperimentConfig) -> None:
         super().__init__(config)
         perf = self.perf
+        self.client_replies = (self.msg_endorsement, self.msg_read_response, self.msg_commit_event)
         self._orderer_arrivals: Dict[str, float] = {}
         self.orderer = BatchServer(
             self.sim,
@@ -287,33 +312,35 @@ class FabricNetwork(BaselineNetwork):
             batch_timeout=perf.fabric_batch_timeout,
             max_batch=perf.fabric_max_batch,
             on_batch=self._broadcast_block,
-            name="solo-orderer",
+            name=self.orderer_name,
         )
-        self.queues = {ORDERER_ID: self.orderer}
+        self.queues = {self.orderer_id: self.orderer}
         self.log = OrderedLog(
             self,
-            ORDERER_ID,
-            entry_type=MSG_BLOCK,
-            announce_type=MSG_BLOCK_ANNOUNCE,
-            fetch_type=MSG_BLOCK_FETCH,
+            self.orderer_id,
+            entry_type=self.msg_block,
+            announce_type=self.msg_block_announce,
+            fetch_type=self.msg_block_fetch,
             entry_bytes=self._block_bytes,
             on_message=self._orderer_receive,
-            name="fabric",
+            name=self.system,
         )
 
     def _orderer_receive(self, message: Message) -> None:
-        if message.msg_type == MSG_ORDER:
-            self._orderer_arrivals[message.body["txn_id"]] = self.sim.now
+        if message.msg_type == self.msg_order:
+            if self.ordering_phase is not None:
+                self._orderer_arrivals[message.body["txn_id"]] = self.sim.now
             self.orderer.enqueue(message.body)
 
     def _broadcast_block(self, batch: List[Dict[str, Any]]):
         """Deliver a cut block to every peer."""
-        now = self.sim.now
-        for txn in batch:
-            arrived = self._orderer_arrivals.pop(txn["txn_id"], now)
-            self.recorder.phase(
-                "fabric/P2/Consensus", arrived, now, node=ORDERER_ID, txn_id=txn["txn_id"]
-            )
+        if self.ordering_phase is not None:
+            now = self.sim.now
+            for txn in batch:
+                arrived = self._orderer_arrivals.pop(txn["txn_id"], now)
+                self.recorder.phase(
+                    self.ordering_phase, arrived, now, node=self.orderer_id, txn_id=txn["txn_id"]
+                )
         self.log.publish({"index": len(self.log.entries), "transactions": batch})
         return
         yield  # pragma: no cover - marks this as a generator for BatchServer

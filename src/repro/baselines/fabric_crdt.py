@@ -22,20 +22,12 @@ Consequences modeled here:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.baselines.common import (
-    BaselineNetwork,
-    BatchServer,
-    OrderedLog,
-    Replica,
-)
-from repro.baselines.fabric import FabricClient
+from repro.baselines.common import Replica
+from repro.baselines.fabric import FabricClient, FabricNetwork, FabricPeer
 from repro.crdt.json_crdt import JSONCRDTDocument
 from repro.net.message import Message
-
-if TYPE_CHECKING:
-    from repro.bench.config import ExperimentConfig
 
 MSG_PROPOSAL = "fabriccrdt.proposal"
 MSG_ENDORSEMENT = "fabriccrdt.endorsement"
@@ -98,13 +90,14 @@ def read_value(documents: Dict[str, JSONCRDTDocument], app: str, params: Dict[st
     return [doc.value() if doc else None for doc in docs]
 
 
-class FabricCRDTPeer(Replica):
+class FabricCRDTPeer(FabricPeer):
     """A peer holding state-based JSON CRDT documents."""
 
     def __init__(self, net: "FabricCRDTNetwork", node_id: str) -> None:
         # CRDT merges commute, but blocks still apply in order through
-        # the shared applier for its dedup and gap repair.
-        super().__init__(net, node_id, self._apply_block, "blocks")
+        # the shared applier for its dedup and gap repair. The peer
+        # keeps documents, not Fabric's versioned state and contract.
+        Replica.__init__(self, net, node_id, self._apply_block, "blocks")
         self.documents: Dict[str, JSONCRDTDocument] = {}
         self.committed = 0
 
@@ -119,18 +112,6 @@ class FabricCRDTPeer(Replica):
 
     def state_snapshot(self) -> Dict[str, Any]:
         return {key: self.documents[key].snapshot() for key in sorted(self.documents)}
-
-    def _on_message(self, message: Message) -> None:
-        if message.corrupted:
-            return
-        if message.msg_type == MSG_PROPOSAL:
-            self.net.sim.process(self._endorse(message), name=f"{self.node_id}.endorse")
-        elif message.msg_type == MSG_BLOCK:
-            self.applier.offer(message.body["index"], message.body["transactions"])
-        elif message.msg_type == MSG_BLOCK_ANNOUNCE:
-            self.net.log.on_announce(self.applier, message.body)
-        elif message.msg_type == MSG_READ:
-            self.net.sim.process(self._read(message), name=f"{self.node_id}.read")
 
     def _endorse(self, message: Message):
         perf = self.net.perf
@@ -155,7 +136,7 @@ class FabricCRDTPeer(Replica):
             Message(
                 sender=self.node_id,
                 recipient=message.sender,
-                msg_type=MSG_ENDORSEMENT,
+                msg_type=self.net.msg_endorsement,
                 body={"txn_id": body["txn_id"], "updates": updates, "history": history},
                 size_bytes=300 + perf.fabriccrdt_bytes_per_update * history,
             )
@@ -182,30 +163,10 @@ class FabricCRDTPeer(Replica):
                     path, value, txn["client_id"], txn["counter"]
                 )
             self.committed += 1
-            if txn["event_peer"] == self.node_id:
-                self.net.network.send(
-                    Message(
-                        sender=self.node_id,
-                        recipient=txn["client_id"],
-                        msg_type=MSG_COMMIT_EVENT,
-                        body={"txn_id": txn["txn_id"], "valid": True},
-                        size_bytes=160,
-                    )
-                )
+            self._notify(txn, True)
 
-    def _read(self, message: Message):
-        perf = self.net.perf
-        yield self.cpu.serve(perf.fabric_endorse)
-        value = read_value(self.documents, self.net.config.app, message.body["params"])
-        self.net.network.send(
-            Message(
-                sender=self.node_id,
-                recipient=message.sender,
-                msg_type=MSG_READ_RESPONSE,
-                body={"txn_id": message.body["txn_id"], "value": value},
-                size_bytes=220,
-            )
-        )
+    def _value(self, params: Dict[str, Any]) -> Any:
+        return read_value(self.documents, self.net.config.app, params)
 
 
 class FabricCRDTClient(FabricClient):
@@ -232,47 +193,23 @@ class FabricCRDTClient(FabricClient):
         return True
 
 
-class FabricCRDTNetwork(BaselineNetwork):
-    """A built FabricCRDT network."""
+class FabricCRDTNetwork(FabricNetwork):
+    """A built FabricCRDT network: Fabric's Solo ordering pipeline under
+    its own names, with no ordering phase in the breakdown."""
 
     system = "fabriccrdt"
-    node_prefix = "peer"
     replica_class = FabricCRDTPeer
     client_class = FabricCRDTClient
-    msg_proposal, msg_read, msg_order = MSG_PROPOSAL, MSG_READ, MSG_ORDER
-    client_replies = (MSG_ENDORSEMENT, MSG_READ_RESPONSE, MSG_COMMIT_EVENT)
+    msg_proposal, msg_endorsement, msg_order = MSG_PROPOSAL, MSG_ENDORSEMENT, MSG_ORDER
+    msg_block, msg_commit_event = MSG_BLOCK, MSG_COMMIT_EVENT
+    msg_read, msg_read_response = MSG_READ, MSG_READ_RESPONSE
+    msg_block_announce, msg_block_fetch = MSG_BLOCK_ANNOUNCE, MSG_BLOCK_FETCH
+    orderer_id = orderer_name = ORDERER_ID
+    ordering_phase = None
 
-    def __init__(self, config: ExperimentConfig) -> None:
-        super().__init__(config)
-        perf = self.perf
-        self.orderer = BatchServer(
-            self.sim,
-            per_item=perf.fabric_orderer_per_txn,
-            batch_timeout=perf.fabric_batch_timeout,
-            max_batch=perf.fabric_max_batch,
-            on_batch=self._broadcast_block,
-            name="fabriccrdt-orderer",
-        )
-        self.queues = {ORDERER_ID: self.orderer}
-        self.log = OrderedLog(
-            self,
-            ORDERER_ID,
-            entry_type=MSG_BLOCK,
-            announce_type=MSG_BLOCK_ANNOUNCE,
-            fetch_type=MSG_BLOCK_FETCH,
-            entry_bytes=lambda block: 200 + 150 * len(block["transactions"]),
-            on_message=self._orderer_receive,
-            name="fabriccrdt",
-        )
-
-    def _orderer_receive(self, message: Message) -> None:
-        if message.msg_type == MSG_ORDER:
-            self.orderer.enqueue(message.body)
-
-    def _broadcast_block(self, batch: List[Dict[str, Any]]):
-        self.log.publish({"index": len(self.log.entries), "transactions": batch})
-        return
-        yield  # pragma: no cover - marks this as a generator for BatchServer
+    @staticmethod
+    def _block_bytes(block: Dict[str, Any]) -> int:
+        return 200 + 150 * len(block["transactions"])
 
 
 __all__ = [

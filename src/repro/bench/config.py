@@ -117,12 +117,6 @@ class ExperimentConfig:
     scale: float = field(default_factory=default_scale)
     drain: float = 8.0  # extra simulated time to let in-flight txns land
     timeline_bucket: float = 10.0
-    # Observability (repro.obs): record per-transaction lifecycle spans
-    # and/or sample per-node gauges every `sample_interval` simulated
-    # seconds (0 disables sampling). Both are passive — enabling them
-    # does not change simulated results (docs/OBSERVABILITY.md).
-    trace: bool = False
-    sample_interval: float = 0.0
     # Fault injection (repro.faults): a declarative schedule executed
     # deterministically during the run, and whether to run the
     # invariant oracles (repro.checkers) at quiescence. See
@@ -187,10 +181,6 @@ class ExperimentConfig:
         if not 0.0 <= self.byzantine_client_fraction <= 1.0:
             raise ConfigError(
                 f"byzantine_client_fraction must be in [0,1], got {self.byzantine_client_fraction}"
-            )
-        if self.sample_interval < 0:
-            raise ConfigError(
-                f"sample_interval must be >= 0, got {self.sample_interval}"
             )
         faults = set(self.byzantine_client_faults)
         if not faults or not faults <= VALID_CLIENT_FAULTS:

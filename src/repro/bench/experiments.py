@@ -7,8 +7,8 @@ only what is particular to its panel: which
 fixed, how a point is labelled and, for comparisons, what the series
 are. The values a builder varies over are not its own: they arrive as
 ``grid`` from the panel's spec in :mod:`repro.report.catalog` — the one
-registry of panels, read by ``repro run``, ``repro bench``, ``repro
-report`` and ``benchmarks/`` — so the spec hash covers them.
+registry of panels, read by ``repro run`` and ``repro report`` — so the
+spec hash covers them.
 :func:`run_points` is the one executor that turns points into results.
 
 Rates and sizes are paper-scale; the ``scale`` parameter (default from
@@ -20,8 +20,7 @@ full suite completes quickly; override ``duration=180`` for the paper's
 length.
 
 ``jobs`` is the number of worker processes :func:`run_points` hands to
-:func:`repro.bench.parallel.run_sweep`. ``None`` defers to the
-``REPRO_BENCH_JOBS`` environment variable (default 1 = serial). Results
+:func:`repro.bench.parallel.run_sweep` (default 1 = serial). Results
 are identical for any job count — each point is an isolated, seeded
 simulation (docs/PERFORMANCE.md).
 """
@@ -49,7 +48,7 @@ Point = Tuple[Optional[str], object, ExperimentConfig]
 SweepResult = List[Tuple[object, ExperimentResult]]
 
 
-def run_points(kind: str, points: Sequence[Point], jobs: Optional[int] = None):
+def run_points(kind: str, points: Sequence[Point], jobs: int = 1):
     """The one executor: simulate every point, shape the results by ``kind``.
 
     * ``sweep`` — ``[(x, result), ...]``;

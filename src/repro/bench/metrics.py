@@ -115,9 +115,6 @@ class ExperimentResult:
     phase_means_ms: Dict[str, float] = field(default_factory=dict)
     timeline: List[Tuple[float, float]] = field(default_factory=list)  # (bucket start, tps)
     extra: Dict[str, float] = field(default_factory=dict)
-    # The run's repro.obs.Observability when tracing/sampling was
-    # enabled (None otherwise); carries the TraceCollector for export.
-    observability: Optional[object] = None
     # The invariant-oracle report (repro.checkers.CheckReport) when the
     # config asked for checking, and the run's deterministic
     # fingerprint (repro.checkers.run_fingerprint). None otherwise.
@@ -154,7 +151,6 @@ def compute_result(
     scale: float,
     timeline_bucket: float = 10.0,
     extra: Optional[Dict[str, float]] = None,
-    observability=None,
     check_report=None,
     fingerprint: Optional[str] = None,
 ) -> ExperimentResult:
@@ -210,7 +206,6 @@ def compute_result(
         },
         timeline=timeline,
         extra=dict(extra or {}),
-        observability=observability,
         check_report=check_report,
         fingerprint=fingerprint,
     )

@@ -21,7 +21,7 @@ of its config (the simulator draws no wall-clock and no unseeded
 randomness — see the event-loop contract in ``repro.sim.core``), and
 collection order is fixed by submission order, not completion order.
 ``tests/bench/test_parallel.py`` asserts that a sweep's exported
-records and trace bytes are identical under ``jobs=1`` and ``jobs=4``.
+records are identical under ``jobs=1`` and ``jobs=4``.
 
 Worker-crash handling
 ---------------------
@@ -36,12 +36,11 @@ fail again are reported as failures and the sweep still completes.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 from repro.bench.config import ExperimentConfig
 from repro.bench.metrics import ExperimentResult
@@ -67,21 +66,6 @@ class SweepFailure:
 SweepOutcome = Union[ExperimentResult, SweepFailure]
 
 
-def default_jobs() -> int:
-    """Worker count used when ``jobs`` is not given.
-
-    Defaults to 1 (serial — always safe); set ``REPRO_BENCH_JOBS`` to
-    opt the whole benchmark suite into parallel sweeps.
-    """
-    raw = os.environ.get("REPRO_BENCH_JOBS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise SweepError(f"REPRO_BENCH_JOBS must be an integer, got {raw!r}") from None
-
-
 def _mp_context():
     # fork keeps worker startup cheap and inherits the parent's
     # interpreter state; fall back to the platform default (spawn on
@@ -93,16 +77,9 @@ def _mp_context():
 
 
 def _run_point(config: ExperimentConfig) -> ExperimentResult:
-    """Worker entry: run one experiment and make the result portable.
-
-    Top-level so it pickles under fork *and* spawn. The observability
-    bundle (when the config enables tracing/sampling) is detached from
-    the simulation so the result can be shipped back to the parent.
-    """
-    result = run_experiment(config)
-    if result.observability is not None:
-        result.observability.detach()
-    return result
+    """Worker entry: run one experiment (top-level so it pickles under
+    fork *and* spawn)."""
+    return run_experiment(config)
 
 
 def _failure(index: int, config: ExperimentConfig, exc: BaseException) -> SweepFailure:
@@ -145,20 +122,17 @@ def _run_pool(indexed: Sequence[tuple], jobs: int) -> tuple[dict, list]:
 
 def run_sweep(
     configs: Iterable[ExperimentConfig],
-    jobs: Optional[int] = None,
+    jobs: int = 1,
 ) -> List[SweepOutcome]:
     """Run every config; return outcomes in the order configs were given.
 
     ``jobs`` is the number of worker processes (capped at the number of
-    points); ``None`` means :func:`default_jobs` and ``1`` runs
-    serially in-process with no pool at all. Each outcome is either an
+    points); ``1`` runs serially in-process with no pool at all. Each outcome is either an
     :class:`~repro.bench.metrics.ExperimentResult` or a
     :class:`SweepFailure` — use :func:`expect_results` when failures
     should raise.
     """
     config_list = list(configs)
-    if jobs is None:
-        jobs = default_jobs()
     if jobs < 1:
         raise SweepError(f"jobs must be >= 1, got {jobs}")
     indexed = list(enumerate(config_list))
@@ -200,7 +174,6 @@ def expect_results(outcomes: Sequence[SweepOutcome]) -> List[ExperimentResult]:
 __all__ = [
     "SweepFailure",
     "SweepOutcome",
-    "default_jobs",
     "expect_results",
     "run_sweep",
 ]

@@ -7,9 +7,8 @@ drain) and summarizes its recorder into an
 :class:`~repro.bench.metrics.ExperimentResult`. All five systems take
 the same build, fault and drive steps; only the network class differs.
 
-When ``config.trace`` or ``config.sample_interval`` is set (or an
-:class:`repro.obs.Observability` is passed in), the run is traced: the
-result's ``observability`` field carries the collector for export via
+Pass an :class:`repro.obs.Observability` as ``obs`` to trace or sample
+the run; the caller keeps it and exports ``obs.trace`` via
 ``repro.obs.chrome``. Tracing is passive and does not change simulated
 results (docs/OBSERVABILITY.md).
 """
@@ -141,9 +140,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment and summarize its metrics.
 
-    Pass ``obs`` to reuse a pre-built :class:`repro.obs.Observability`;
-    otherwise one is created when the config asks for tracing or
-    sampling.
+    Pass an :class:`repro.obs.Observability` as ``obs`` to trace or
+    sample the run; without one the run is untraced.
 
     When ``config.fault_schedule`` is not empty, it is installed
     before the drivers start (fault injection is part of the
@@ -155,8 +153,6 @@ def run_experiment(
     from repro.checkers import run_checkers, run_fingerprint
     from repro.explore.plant import planted
 
-    if obs is None and (config.trace or config.sample_interval > 0):
-        obs = Observability(trace=config.trace, sample_interval=config.sample_interval)
     # The planted-bug patch (a no-op for planted_bug=None) covers the
     # run AND the oracle pass: the checkers must see the world the
     # buggy code produced (e.g. state snapshots replayed through the
@@ -179,7 +175,6 @@ def run_experiment(
         scale=config.scale,
         timeline_bucket=config.timeline_bucket,
         extra=extra,
-        observability=obs,
         check_report=check_report,
         fingerprint=fingerprint,
     )

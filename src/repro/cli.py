@@ -1,6 +1,6 @@
 """Command-line interface: run experiments and demos from a shell.
 
-``list``, ``run`` and ``bench`` read the experiment catalog
+``list`` and ``run`` read the experiment catalog
 (``repro.report.catalog``): every panel of EXPERIMENTS.md is runnable
 by its spec id or group, plus the one non-catalog entry ``chaos``.
 
@@ -8,7 +8,7 @@ Usage::
 
     python -m repro list
     python -m repro run fig6a --duration 15 --scale 20
-    python -m repro run table3
+    python -m repro run fig9 table3 --output results.json
     python -m repro run fig9-auction
     python -m repro trace --system orderlesschain --trace-out trace.json
     python -m repro report --quick --jobs 2
@@ -21,7 +21,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -31,7 +30,8 @@ from repro.bench.reporting import format_breakdown, format_node_metrics, format_
 from repro.errors import ConfigError
 from repro.explore.plant import PLANTED_BUGS
 from repro.report.catalog import all_specs, select_specs
-from repro.report.render import render_table
+from repro.report.checks import run_checks
+from repro.report.render import render_checks, render_table
 
 # The one runnable entry that is not a catalog panel.
 CHAOS = "chaos"
@@ -103,6 +103,9 @@ def _overrides(args) -> Dict[str, object]:
 def _run_selection(names: List[str], args) -> Iterator[Tuple[str, str, object, int]]:
     """Run the named panels: ``(id, printable text, JSON payload, exit
     code)`` per catalog spec in catalog order, then ``chaos`` if named.
+    A panel's text is its table, its check outcomes and its verdict;
+    a failed check does not change the exit code (``report --check`` is
+    the gate).
 
     A chaos-only flag without ``chaos`` among ``names`` is a
     ``ConfigError``: no selected entry would read it.
@@ -120,16 +123,19 @@ def _run_selection(names: List[str], args) -> Iterator[Tuple[str, str, object, i
             )
     catalog_names = [name for name in names if name != CHAOS]
     # select_specs([]) would mean the whole catalog, not none of it.
+    overrides = _overrides(args)
     for spec in select_specs(catalog_names) if catalog_names else ():
-        records = spec.run(jobs=args.jobs, overrides=_overrides(args))
-        text = f"== {spec.section_title} ==\n\n{render_table(spec, records)}"
+        records = spec.run(jobs=args.jobs, overrides=overrides)
+        ctx = {"spec": spec, "params": spec.resolved_params(overrides=overrides)}
+        checks = render_checks(run_checks(spec.checks, records, ctx))
+        text = f"== {spec.section_title} ==\n\n{render_table(spec, records)}\n\n{checks}"
         yield spec.spec_id, text, records, 0
     if CHAOS in names:
         yield (CHAOS, *_run_chaos(args))
 
 
 def _experiment_name(name: str) -> str:
-    """argparse type for ``run`` / ``bench``: a spec id, a group, or chaos."""
+    """argparse type for ``run``: a spec id, a group, or chaos."""
     if name != CHAOS:
         try:
             select_specs([name])
@@ -140,7 +146,7 @@ def _experiment_name(name: str) -> str:
 
 # -- shared flags ------------------------------------------------------------
 #
-# ``run``, ``bench``, ``explore``, and ``report`` all take subsets of
+# ``run``, ``explore``, and ``report`` all take subsets of
 # the same four flags; one table keeps their spelling, default, and
 # help text identical everywhere (tests/core/test_cli.py pins this).
 
@@ -167,24 +173,12 @@ def _add_common_flags(sub: argparse.ArgumentParser, *names: str) -> None:
         "jobs": lambda: sub.add_argument(
             "--jobs",
             type=int,
-            default=None,
-            help="worker processes for sweeps (default: REPRO_BENCH_JOBS or 1)",
+            default=1,
+            help="worker processes for sweeps (default 1)",
         ),
     }
     for name in names:
         adders[name]()
-
-
-def _add_run_flags(sub: argparse.ArgumentParser) -> None:
-    """The overrides ``run`` and ``bench`` share."""
-    _add_common_flags(sub, "system", "app", "seed", "jobs")
-    sub.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="simulated seconds per run (default: the experiment's own)",
-    )
-    sub.add_argument("--scale", type=float, default=None, help="scale-down factor (default: env)")
 
 
 def _cmd_list(args) -> int:
@@ -199,40 +193,17 @@ def _cmd_list(args) -> int:
 def _cmd_run(args) -> int:
     payloads = {}
     code = 0
-    for name, text, payload, exit_code in _run_selection([args.experiment], args):
+    for name, text, payload, exit_code in _run_selection(args.experiment, args):
         print(text)
         print()
         payloads[name] = payload
         # chaos fails the invocation when an oracle fails.
         code = max(code, exit_code)
     if args.output:
-        # One panel writes its records bare; a group, one entry per id.
+        # One panel writes its records bare; several, one entry per id.
         single = len(payloads) == 1
         export.to_json(next(iter(payloads.values())) if single else payloads, path=args.output)
         print(f"wrote {args.output}")
-    return code
-
-
-def _cmd_bench(args) -> int:
-    """Run a batch of experiments, each sweep fanned over worker processes.
-
-    ``--jobs N`` parallelizes *within* each experiment's sweep via
-    :mod:`repro.bench.parallel`; experiments themselves run one after
-    another so their reports print in a stable order. Results are
-    identical for any job count (docs/PERFORMANCE.md).
-    """
-    names = args.experiments or [spec.spec_id for spec in all_specs()] + [CHAOS]
-    code = 0
-    for name, text, payload, exit_code in _run_selection(names, args):
-        print(f"== {name} (jobs={args.jobs}) ==")
-        code = max(code, exit_code)
-        print(text)
-        if args.output_dir:
-            os.makedirs(args.output_dir, exist_ok=True)
-            path = os.path.join(args.output_dir, f"{name}.json")
-            export.to_json(payload, path=path)
-            print(f"wrote {path}")
-        print()
     return code
 
 
@@ -243,6 +214,7 @@ def _cmd_trace(args) -> int:
     from repro.bench.config import ExperimentConfig
     from repro.bench.metrics import summarize_samples
     from repro.bench.runner import run_experiment
+    from repro.obs import Observability
     from repro.obs.chrome import (
         load_chrome_trace,
         phase_means_from_trace,
@@ -258,14 +230,12 @@ def _cmd_trace(args) -> int:
         quorum=args.quorum,
         duration=args.duration,
         seed=args.seed,
-        trace=True,
-        sample_interval=args.sample_interval,
     )
     if args.scale is not None:
         kwargs["scale"] = args.scale
-    config = ExperimentConfig(**kwargs)
-    result = run_experiment(config)
-    collector = result.observability.trace
+    obs = Observability(trace=True, sample_interval=args.sample_interval)
+    result = run_experiment(ExperimentConfig(**kwargs), obs=obs)
+    collector = obs.trace
     payload = write_chrome_trace(collector, args.trace_out)
     print(
         f"wrote {args.trace_out} "
@@ -369,7 +339,7 @@ def _cmd_explore(args) -> int:
         seed=args.seed,
         duration=args.duration,
         scale=args.scale,
-        jobs=args.jobs or 1,
+        jobs=args.jobs,
         out_dir=args.out_dir,
         planted_bug=args.plant_bug,
     )
@@ -440,14 +410,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("list", help="list available experiments").set_defaults(func=_cmd_list)
 
-    run = subparsers.add_parser("run", help="run one experiment and print its figure/table")
+    run = subparsers.add_parser(
+        "run", help="run experiments and print each figure/table with its checks"
+    )
     run.add_argument(
         "experiment",
+        nargs="+",
         type=_experiment_name,
-        help=f"a spec id or group from `repro list`, or {CHAOS}",
+        help=f"spec ids or groups from `repro list`, or {CHAOS}",
     )
-    _add_run_flags(run)
-    run.add_argument("--output", default=None, help="write the figure data as JSON")
+    _add_common_flags(run, "system", "app", "seed", "jobs")
+    run.add_argument(
+        "--duration",
+        type=float,
+        default=None,
+        help="simulated seconds per run (default: the experiment's own)",
+    )
+    run.add_argument("--scale", type=float, default=None, help="scale-down factor (default: env)")
+    run.add_argument(
+        "--output",
+        default=None,
+        help="write the figure data as JSON (several panels: one entry per id)",
+    )
     run.add_argument(
         "--faults",
         default=None,
@@ -477,21 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
         " (0 disables snapshot-based recovery)",
     )
     run.set_defaults(func=_cmd_run)
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="run a batch of experiments with parallel sweeps",
-    )
-    bench.add_argument(
-        "experiments",
-        nargs="*",
-        type=_experiment_name,
-        metavar="experiment",
-        help=f"spec ids or groups to run (default: the whole catalog, then {CHAOS})",
-    )
-    _add_run_flags(bench)
-    bench.add_argument("--output-dir", default=None, help="write each experiment's data as JSON here")
-    bench.set_defaults(func=_cmd_bench)
 
     trace = subparsers.add_parser(
         "trace",

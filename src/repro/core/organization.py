@@ -218,9 +218,14 @@ class Organization:
         context = ContractContext(proposal.client_id, proposal.clock, channel=contract.channel)
         try:
             contract.execute(context, proposal.function, proposal.params)
+            write_set = context.write_set_wire()
         except (ContractError, CRDTError, TypeError):
             return  # malformed invocation: no endorsement, client times out
-        write_set = context.write_set_wire()
+        except RecursionError:
+            # Params nested past the recursion limit can be neither
+            # executed nor rendered: drop the proposal, never raise.
+            self.dropped_requests += 1
+            return
         service = self.cpu.serve(self.perf.endorse_base + self.perf.endorse_per_op * len(write_set))
         yield service
         trace = self.recorder.trace

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.errors import ConfigError
 from repro.obs.recorder import Recorder
 from repro.obs.sampler import NodeSampler
 from repro.obs.trace import Instant, Sample, Span, TraceCollector
@@ -63,6 +64,8 @@ class Observability:
     """
 
     def __init__(self, trace: bool = True, sample_interval: float = 0.0) -> None:
+        if sample_interval < 0:
+            raise ConfigError(f"sample_interval must be >= 0, got {sample_interval}")
         self.trace = TraceCollector()
         self.recorder: Optional[TraceCollector] = self.trace if trace else None
         self.sample_interval = sample_interval
@@ -78,19 +81,6 @@ class Observability:
         if self.sample_interval > 0 and self.sampler is None:
             self.sampler = NodeSampler(sim, self.trace, self.sample_interval)
         return self.sampler
-
-    def detach(self) -> "Observability":
-        """Disconnect from the simulation, keeping the collected data.
-
-        The sampler holds references to the simulator and its networks
-        (including live generator objects), which cannot cross a
-        process boundary; dropping it makes the bundle picklable so a
-        parallel sweep worker can ship results back to the parent. The
-        trace collector — all recorded spans, instants, and samples —
-        is untouched.
-        """
-        self.sampler = None
-        return self
 
 
 __all__ = [

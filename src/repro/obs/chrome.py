@@ -13,7 +13,7 @@ decimal places to keep files diffable.
 
 ``phase_means_from_trace`` inverts the export: given a written trace
 (the parsed JSON), it regenerates the Table-3-style mean-duration-per-
-phase breakdown — the acceptance path of ``bench_smoke_obs.py``.
+phase breakdown that ``repro trace`` prints.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Every span, instant, gauge, and counter name the observability layer
 emits is registered here with its kind, emitting component, and unit.
 ``docs/OBSERVABILITY.md`` renders this catalogue for humans;
 ``validate_chrome_trace`` checks an exported trace against it (used by
-``benchmarks/bench_smoke_obs.py`` and the unit tests), so schema and
-implementation cannot drift apart silently.
+``repro trace`` and the unit tests), so schema and implementation
+cannot drift apart silently.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ See docs/REPORT.md for the user-facing guide. The subpackage layout:
 
 from repro.report.cache import ResultCache
 from repro.report.catalog import CATALOG, all_specs, get_spec, select_specs
-from repro.report.checks import CheckOutcome, assert_records, run_checks, verdict
+from repro.report.checks import CheckOutcome, run_checks, verdict
 from repro.report.envinfo import environment_info, strip_environment
 from repro.report.pipeline import ReportOutcome, run_report
 from repro.report.spec import ExperimentSpec
@@ -27,7 +27,6 @@ __all__ = [
     "ReportOutcome",
     "ResultCache",
     "all_specs",
-    "assert_records",
     "environment_info",
     "get_spec",
     "run_checks",

@@ -5,9 +5,8 @@ document order of EXPERIMENTS.md. Each spec carries the paper's claim,
 the panel's builder (:mod:`repro.bench.experiments`), every grid value
 it sweeps (``grid``, full and ``--quick``), and the shape checks that
 turn the claim into a mechanical verdict — this module is the only
-registry of panels: ``python -m repro list / run / bench / report``,
-``benchmarks/bench_catalog.py``, the tier-1 smoke tests and the
-generated EXPERIMENTS.md all read it.
+registry of panels: ``python -m repro list / run / report``, the tier-1
+smoke tests and the generated EXPERIMENTS.md all read it.
 
 ``--quick`` grids shrink each sweep to its endpoints plus the knee and
 cut durations (6 simulated seconds for sweeps, 40 for the Figure 8

@@ -2,14 +2,14 @@
 
 Each check is a named function over the *records* a spec produced
 (:func:`repro.report.spec.results_to_records` output), returning a
-:class:`CheckOutcome`. A spec lists check names; the pipeline runs
-them and derives the **verdict** rendered into EXPERIMENTS.md:
+:class:`CheckOutcome`. A spec lists check names; the pipeline (and
+``repro run``) runs them and derives the **verdict** rendered into
+EXPERIMENTS.md:
 ``reproduced`` when every check passes, ``NOT reproduced`` otherwise —
 no hand-transcribed judgement anywhere.
 
-The thresholds mirror the long-standing benchmark assertions
-(``benchmarks/bench_*.py`` before the catalog refactor) and must hold
-at both the full and the ``--quick`` operating points; they encode
+The thresholds must hold at both the full and the ``--quick``
+operating points; they encode
 *shapes* (who wins, what is flat, where knees fall), never absolute
 numbers, per docs/CALIBRATION.md.
 
@@ -77,22 +77,6 @@ def verdict(outcomes: Sequence[CheckOutcome]) -> str:
     if failing:
         return "NOT reproduced (failing: " + ", ".join(failing) + ")"
     return "reproduced"
-
-
-def assert_records(spec, records, overrides=None) -> None:
-    """Benchmark-facing wrapper: raise AssertionError listing failures.
-
-    ``overrides`` must mirror the overrides the records were produced
-    with, so duration-dependent checks (Figure 8's window marks) see
-    the run's actual parameters.
-    """
-    ctx = {"spec": spec, "params": spec.resolved_params(overrides=overrides)}
-    outcomes = run_checks(spec.checks, records, ctx)
-    failing = [outcome for outcome in outcomes if not outcome.ok]
-    if failing:
-        lines = [f"{len(failing)} shape check(s) failed for {spec.spec_id}:"]
-        lines += [f"  {outcome.name}: {outcome.detail}" for outcome in failing]
-        raise AssertionError("\n".join(lines))
 
 
 # -- record accessors --------------------------------------------------------
@@ -403,7 +387,6 @@ def _multichannel_throughput_scales(records, ctx):
 __all__ = [
     "CHECKS",
     "CheckOutcome",
-    "assert_records",
     "register",
     "run_checks",
     "verdict",

@@ -71,7 +71,7 @@ class ReportOutcome:
 
 def run_report(
     figures: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     quick: bool = False,
     check: bool = False,
     experiments_md: Path = DEFAULT_EXPERIMENTS_MD,

@@ -147,6 +147,15 @@ def render_section(
     ]
     if spec.notes:
         lines += [spec.notes, ""]
+    lines.append(render_checks(outcomes))
+    lines.append(f"<!-- repro:end {spec.spec_id} -->")
+    return "\n".join(lines)
+
+
+def render_checks(outcomes: Sequence[CheckOutcome]) -> str:
+    """A section's check list and verdict line (``repro run`` prints it
+    under each panel's table)."""
+    lines = []
     if outcomes:
         lines.append("Checks:")
         lines.append("")
@@ -155,7 +164,6 @@ def render_section(
             lines.append(f"- [{mark}] `{outcome.name}` — {outcome.detail}")
         lines.append("")
     lines.append(f"**Verdict: {verdict(outcomes)}**")
-    lines.append(f"<!-- repro:end {spec.spec_id} -->")
     return "\n".join(lines)
 
 
@@ -244,6 +252,7 @@ def render_csv(spec: ExperimentSpec, records: Any) -> str:
 
 __all__ = [
     "extract_sections",
+    "render_checks",
     "render_csv",
     "render_document",
     "render_section",

@@ -116,7 +116,7 @@ class ExperimentSpec:
 
     def run(
         self,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
         quick: bool = False,
         overrides: Optional[Mapping[str, Any]] = None,
     ) -> Any:

@@ -58,14 +58,12 @@ CONFIG_FIELDS = {
     "planted_bug",
     "quorum",
     "resilience",
-    "sample_interval",
     "scale",
     "seed",
     "snapshot_interval",
     "sync_interval",
     "system",
     "timeline_bucket",
-    "trace",
 }
 
 CHANNEL_SPEC_FIELDS = {"app", "channel_id", "rate_share"}

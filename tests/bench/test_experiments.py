@@ -3,7 +3,7 @@
 Each spec runs once at a tiny operating point (high scale-down, short
 duration, trimmed grids) — enough to exercise the builders, the one
 executor and the result shapes; the paper-shape assertions live in the
-specs' checks (``benchmarks/bench_catalog.py``, ``repro report``).
+specs' checks (``repro run``, ``repro report``).
 """
 
 import functools

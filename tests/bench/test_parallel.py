@@ -9,12 +9,11 @@ from repro.bench.config import ExperimentConfig
 from repro.bench.export import result_to_record
 from repro.bench.metrics import ExperimentResult
 from repro.bench import parallel
-from repro.bench.parallel import SweepFailure, default_jobs, expect_results, run_sweep
+from repro.bench.parallel import SweepFailure, expect_results, run_sweep
 from repro.errors import SweepError
-from repro.obs.chrome import write_chrome_trace
 
 
-def _fig6a_configs(trace: bool = False):
+def _fig6a_configs():
     """A small Figure-6(a)-style arrival-rate sweep."""
     return [
         ExperimentConfig(
@@ -25,8 +24,6 @@ def _fig6a_configs(trace: bool = False):
             quorum=2,
             duration=1.5,
             seed=11,
-            trace=trace,
-            sample_interval=0.5 if trace else 0.0,
         )
         for rate in (500, 1000, 1500, 2000)
     ]
@@ -38,17 +35,11 @@ def _records(results):
     )
 
 
-def test_serial_and_parallel_sweeps_are_identical(tmp_path):
-    """jobs=1 and jobs=4 must produce byte-identical results and traces."""
-    serial = expect_results(run_sweep(_fig6a_configs(trace=True), jobs=1))
-    fanned = expect_results(run_sweep(_fig6a_configs(trace=True), jobs=4))
+def test_serial_and_parallel_sweeps_are_identical():
+    """jobs=1 and jobs=4 must produce byte-identical results."""
+    serial = expect_results(run_sweep(_fig6a_configs(), jobs=1))
+    fanned = expect_results(run_sweep(_fig6a_configs(), jobs=4))
     assert _records(serial) == _records(fanned)
-    for index, (a, b) in enumerate(zip(serial, fanned)):
-        path_a = tmp_path / f"serial_{index}.json"
-        path_b = tmp_path / f"parallel_{index}.json"
-        write_chrome_trace(a.observability.trace, str(path_a))
-        write_chrome_trace(b.observability.trace, str(path_b))
-        assert path_a.read_bytes() == path_b.read_bytes()
 
 
 def test_results_come_back_in_submission_order():
@@ -58,32 +49,16 @@ def test_results_come_back_in_submission_order():
     assert all(isinstance(r, ExperimentResult) for r in results)
 
 
-def test_parallel_results_are_detached_from_the_simulation():
-    """Traced results must cross the process boundary sampler-free."""
-    results = expect_results(run_sweep(_fig6a_configs(trace=True), jobs=2))
-    for result in results:
-        assert result.observability is not None
-        assert result.observability.sampler is None
-        assert result.observability.trace.spans
-
-
-def _real_point(config):
-    result = parallel.run_experiment(config)
-    if result.observability is not None:
-        result.observability.detach()
-    return result
-
-
 def _explode_point(config):
     if config.arrival_rate == 1000:
         raise RuntimeError("boom")
-    return _real_point(config)
+    return parallel.run_experiment(config)
 
 
 def _die_point(config):
     if config.arrival_rate == 1000:
         os._exit(13)
-    return _real_point(config)
+    return parallel.run_experiment(config)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -119,18 +94,6 @@ def test_expect_results_raises_with_every_failure_listed(monkeypatch):
     outcomes = run_sweep(_fig6a_configs(), jobs=1)
     with pytest.raises(SweepError, match="1 of 4 sweep points failed"):
         expect_results(outcomes)
-
-
-def test_default_jobs_reads_the_environment(monkeypatch):
-    monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
-    assert default_jobs() == 1
-    monkeypatch.setenv("REPRO_BENCH_JOBS", "4")
-    assert default_jobs() == 4
-    monkeypatch.setenv("REPRO_BENCH_JOBS", "0")
-    assert default_jobs() == 1
-    monkeypatch.setenv("REPRO_BENCH_JOBS", "many")
-    with pytest.raises(SweepError):
-        default_jobs()
 
 
 def test_invalid_jobs_rejected():

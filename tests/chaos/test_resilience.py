@@ -6,8 +6,6 @@ suite trades speed for end-to-end confidence in the retry loop, the
 adaptive/fixed availability gap, snapshot recovery, and determinism.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.bench import experiments
@@ -17,6 +15,7 @@ from repro.core import OrderlessChainNetwork
 from repro.contracts import VotingContract
 from repro.faults import FaultSchedule, default_node_ids, install_schedule, smoke_schedule
 from repro.faults.schedule import FaultEvent
+from repro.obs import Observability
 
 pytestmark = pytest.mark.resilience
 
@@ -116,5 +115,5 @@ class TestResilienceDeterminism:
             snapshot_interval=5.0,
         )
         untraced = run_experiment(base)
-        traced = run_experiment(dataclasses.replace(base, trace=True))
+        traced = run_experiment(base, obs=Observability(trace=True))
         assert untraced.fingerprint == traced.fingerprint

@@ -86,11 +86,11 @@ def test_panels_are_selected_by_id_not_by_app(spec_runs):
         ],
         ["run", "fig6b", "--max-retries", "2"],
         ["run", "fig6b", "--snapshot-interval", "5"],
-        ["bench", "fig6b", "--system", "fabric"],
-        ["bench", "fig6b", "table3", "--app", "auction"],
+        ["run", "fig6b", "fig9", "--system", "fabric"],
+        ["run", "fig6b", "table3", "--app", "auction"],
     ],
-    ids=["run-every-chaos-flag", "run-max-retries", "run-snapshot-interval", "bench-system",
-         "bench-app"],
+    ids=["run-every-chaos-flag", "run-max-retries", "run-snapshot-interval",
+         "run-several-system", "run-several-app"],
 )
 def test_flags_no_selected_entry_reads_are_an_error(spec_runs, capsys, argv):
     assert main(argv) == 2
@@ -132,13 +132,19 @@ def test_run_check_flag_is_gone():
         build_parser().parse_args(["run", "chaos", "--check"])
 
 
-@pytest.mark.parametrize("command", ["run", "bench", "explore", "report"])
+def test_bench_subcommand_is_gone():
+    # ``run`` takes several experiments; there is no second batch runner.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["bench", "fig6b"])
+
+
+@pytest.mark.parametrize("command", ["run", "explore", "report"])
 def test_shared_flags_are_uniform(command):
     parser = build_parser()
     argv = [command, "fig6b"] if command == "run" else [command]
     args = parser.parse_args(argv)
     # --jobs exists everywhere with the same default.
-    assert args.jobs is None
+    assert args.jobs == 1
     if command != "report":
         assert args.seed == 0
         assert args.app == "voting"
@@ -209,3 +215,21 @@ def test_run_with_output_writes_json(tmp_path, capsys):
     assert records[0]["system"] == "orderlesschain"
     assert "throughput_tps" in records[0]
     assert "wrote" in capsys.readouterr().out
+
+
+def test_run_several_panels_writes_one_entry_per_id_and_prints_each_verdict(tmp_path, capsys):
+    import json
+
+    out_path = str(tmp_path / "x.json")
+    argv = ["run", "fig9", "table3", "--duration", "2", "--scale", "200", "--output", out_path]
+    assert main(argv) == 0
+    payload = json.loads(open(out_path).read())
+    assert sorted(payload) == ["fig9-auction", "fig9-voting", "table3"]
+    assert all(payload.values())
+    out = capsys.readouterr().out
+    verdicts = [line for line in out.splitlines() if line.startswith("**Verdict: ")]
+    assert len(verdicts) == 3
+    # Each panel's checks print under its table, before the next panel.
+    for title in ("Figure 9(a)", "Figure 9(b)", "Table 3"):
+        assert title in out
+    assert out.index("Checks:") < out.index("Table 3")

@@ -26,6 +26,7 @@ from repro.contracts import VotingContract
 from repro.core import OrderlessChainNetwork
 from repro.core.organization import MSG_COMMIT
 from repro.faults import default_node_ids, smoke_schedule
+from repro.obs import Observability
 
 VOTE = {"party": "party0", "election": "e"}
 
@@ -163,8 +164,9 @@ def _rows(trace):
 
 def pinned_run(name):
     """(fingerprint, trace sha256, result) of one pinned config."""
-    result = run_experiment(PIN_CONFIGS[name].with_(trace=True, check=True))
-    digest = hashlib.sha256(json.dumps(_rows(result.observability.trace)).encode()).hexdigest()
+    obs = Observability(trace=True)
+    result = run_experiment(PIN_CONFIGS[name].with_(check=True), obs=obs)
+    digest = hashlib.sha256(json.dumps(_rows(obs.trace)).encode()).hexdigest()
     return result.fingerprint, digest, result
 
 

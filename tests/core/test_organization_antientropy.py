@@ -6,8 +6,9 @@ set), end-to-end reconciliation through a partition heal, malformed
 bodies of all six peer message types (dropped and counted, never raised),
 a digest that claims more ids than one reconcile pulls (capped and
 counted), a sync request longer than a page or repeating an id
-(dropped and counted) and signed write-sets that do not parse
-(rejected, never raised).
+(dropped and counted), signed write-sets that do not parse
+(rejected, never raised) and proposals or write-sets nested past the
+recursion limit (dropped and counted, never raised).
 """
 
 from dataclasses import replace
@@ -15,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from repro.bench.config import ExperimentConfig
-from repro.contracts import VotingContract
+from repro.contracts import SupplyChainContract, SyntheticContract, VotingContract
 from repro.core import OrderlessChainNetwork
 from repro.core.organization import (
     MSG_COMMIT,
@@ -548,6 +549,81 @@ class TestUnrenderableWriteSet:
 
     def test_gossip_drops_it_unlogged_and_counts_it(self):
         self.run_with(MSG_GOSSIP)
+
+
+def deep_list(depth=5_000):
+    nested = []
+    for _ in range(depth):
+        nested = [nested]
+    return nested
+
+
+class TestUnrenderableProposal:
+    """Proposal params nested deeper than the interpreter's recursion
+    limit can be neither executed nor rendered into a write-set. The
+    organization drops the proposal, counts it in ``dropped_requests``
+    and sends no endorsement. It used to abort the run with a
+    ``RecursionError``."""
+
+    CASES = {
+        # Recurses in the contract (the election names an object id).
+        "voting": (
+            lambda: VotingContract(parties_per_election=2),
+            "vote",
+            lambda: {"party": "party0", "election": deep_list()},
+        ),
+        # Recurses in the contract (the CRDT type is compared).
+        "synthetic": (
+            SyntheticContract,
+            "modify",
+            lambda: {"object_indexes": [0], "ops_per_object": 1, "crdt_type": deep_list()},
+        ),
+        # Executes, then recurses rendering the write-set's value.
+        "supply_chain": (
+            SupplyChainContract,
+            "transfer_custody",
+            lambda: {"shipment": "s0", "holder": deep_list()},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_dropped_and_counted_without_an_endorsement(self, name):
+        factory, function, params = self.CASES[name]
+        net = build_net()
+        contract_id = factory().contract_id
+        if contract_id != "voting":
+            net.install_contract(factory)
+        mallory = net.add_client("mallory")
+        victim = net.organizations[0]
+        sent_to_mallory = []
+        send = net.network.send
+
+        def recording_send(message):
+            if message.recipient == mallory.client_id:
+                sent_to_mallory.append(message)
+            send(message)
+
+        net.network.send = recording_send
+        proposal = Proposal(
+            mallory.client_id, contract_id, function, params(), OpClock(mallory.client_id, 99)
+        )
+        net.sim.schedule_at(
+            0.1,
+            net.network.send,
+            Message(
+                sender=mallory.client_id,
+                recipient=victim.org_id,
+                msg_type=MSG_PROPOSAL,
+                body=proposal.to_wire(),
+                size_bytes=64,
+            ),
+        )
+        run_votes(net)
+        assert victim.dropped_requests == 1
+        assert sent_to_mallory == []
+        # The honest votes around it still commit everywhere.
+        assert victim.ledger.valid_transaction_count == 6
+        assert net.converged()
 
 
 def test_partition_heal_reconciles_through_sync():

@@ -72,7 +72,7 @@ class TestFencedCommands:
         for command in (
             "python -m repro list",
             "python -m repro report --quick --jobs 2 --figures smoke --check",
-            "REPRO_BENCH_JOBS=4 pytest benchmarks/ --benchmark-only",
+            "python -m repro run fig9 table3 --jobs 4 --output results/fig9-table3.json",
             "pytest tests/report/test_pipeline.py",
             "python -m repro.tools.check_docs",
             "pip install -e .",  # out of scope -> skipped

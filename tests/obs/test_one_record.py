@@ -3,10 +3,11 @@
 Every phase in ``result.phase_means_ms`` and every transaction outcome
 is reported once, to the recorder, which also emits the matching span
 or instants when a trace is attached. These tests hold the two outputs
-together for all five systems, and pin the traces themselves: the
-OrderlessChain export byte for byte, and each baseline's events apart
-from the ``txn/*`` instants and ``client/txn`` spans its clients now
-emit through the recorder.
+together for all five systems, check that each exported trace file is
+schema-valid and alone regenerates the system's key phase, and pin the
+traces themselves: the OrderlessChain export byte for byte, and each
+baseline's events apart from the ``txn/*`` instants and ``client/txn``
+spans its clients now emit through the recorder.
 
 Regenerate the pins (only when a change deliberately alters a trace)
 by printing :func:`pins`::
@@ -20,9 +21,17 @@ import json
 import pytest
 
 from repro.bench.config import ExperimentConfig
+from repro.bench.metrics import summarize_samples
 from repro.bench.runner import run_experiment
 from repro.faults import default_node_ids, smoke_schedule
-from repro.obs.chrome import phase_means_from_trace, to_chrome_trace
+from repro.obs import Observability
+from repro.obs.chrome import (
+    load_chrome_trace,
+    phase_means_from_trace,
+    to_chrome_trace,
+    write_chrome_trace,
+)
+from repro.obs.schema import validate_chrome_trace, validate_collector
 
 SYSTEMS = ("orderlesschain", "fabric", "fabriccrdt", "bidl", "synchotstuff")
 BASELINES = SYSTEMS[1:]
@@ -36,11 +45,20 @@ BASELINE_EVENTS_SHA256 = {
     "bidl": "0bfe23540a68e1dee87df0dd9b97c401bf78e13fa9cd2ec36fbae1d69623510d",
     "synchotstuff": "9c57c4d927af58c82d28aceb82134cee3f798d2dea7fdc67f1a4839f982d12b3",
 }
+# The phase that dominates each system's Table-3-style breakdown.
+KEY_PHASE = {
+    "orderlesschain": "orderlesschain/P1/Execution",
+    "fabric": "fabric/P2/Consensus",
+    "fabriccrdt": "fabriccrdt/P1/Endorse",
+    "bidl": "bidl/P2/Consensus",
+    "synchotstuff": "hotstuff/P1/Consensus",
+}
 
 
 def traced_run(system):
-    """A small traced, sampled run under the chaos-smoke fault schedule;
-    OrderlessChain also retries, with resilience and snapshots."""
+    """``(result, trace collector)`` of a small traced, sampled run under
+    the chaos-smoke fault schedule; OrderlessChain also retries, with
+    resilience and snapshots."""
     knobs = (
         dict(max_retries=2, resilience=True, snapshot_interval=1.0)
         if system == "orderlesschain"
@@ -55,25 +73,24 @@ def traced_run(system):
         drain=6,
         scale=100,
         seed=5,
-        trace=True,
-        sample_interval=1.0,
         fault_schedule=smoke_schedule(default_node_ids(system, 4)),
         **knobs,
     )
-    return run_experiment(config)
+    obs = Observability(trace=True, sample_interval=1.0)
+    return run_experiment(config, obs=obs), obs.trace
 
 
-def trace_sha256(result):
+def trace_sha256(trace):
     """sha256 of the exported trace as ``write_chrome_trace`` writes it."""
-    payload = to_chrome_trace(result.observability.trace)
+    payload = to_chrome_trace(trace)
     text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def baseline_events_sha256(result):
+def baseline_events_sha256(trace):
     """sha256 of the sorted (name, node, txn_id, ts, dur, args) events,
     leaving out the outcome events baseline clients now emit."""
-    events = to_chrome_trace(result.observability.trace)["traceEvents"]
+    events = to_chrome_trace(trace)["traceEvents"]
     nodes = {e["pid"]: e["args"]["name"] for e in events if e["name"] == "process_name"}
     rows = []
     for event in events:
@@ -96,10 +113,10 @@ def baseline_events_sha256(result):
 
 def pins():
     """The current pins, in the shape of the constants above."""
-    runs = {system: traced_run(system) for system in SYSTEMS}
+    traces = {system: traced_run(system)[1] for system in SYSTEMS}
     return {
-        "orderlesschain": trace_sha256(runs["orderlesschain"]),
-        **{system: baseline_events_sha256(runs[system]) for system in BASELINES},
+        "orderlesschain": trace_sha256(traces["orderlesschain"]),
+        **{system: baseline_events_sha256(traces[system]) for system in BASELINES},
     }
 
 
@@ -110,24 +127,36 @@ def runs():
 
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_every_recorded_phase_is_a_span_with_the_same_mean(runs, system):
-    result = runs[system]
+    result, trace = runs[system]
     assert result.phase_means_ms
-    from_trace = phase_means_from_trace(to_chrome_trace(result.observability.trace))
+    from_trace = phase_means_from_trace(to_chrome_trace(trace))
     for name, mean in result.phase_means_ms.items():
         assert name in from_trace
         assert from_trace[name] == pytest.approx(mean, abs=1e-3)
 
 
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_exported_trace_is_valid_and_regenerates_the_breakdown(runs, system, tmp_path):
+    _, trace = runs[system]
+    assert validate_collector(trace) == []
+    path = str(tmp_path / f"{system}.json")
+    assert validate_chrome_trace(write_chrome_trace(trace, path)) == []
+    # The key phase regenerates from the file alone.
+    means = phase_means_from_trace(load_chrome_trace(path))
+    assert KEY_PHASE[system] in means
+    assert all(mean >= 0 for mean in means.values())
+    assert summarize_samples(trace), "sampler recorded no node time-series"
+
+
 def test_fabriccrdt_phases_reach_the_breakdown(runs):
     assert {"fabriccrdt/P1/Endorse", "fabriccrdt/P3/Merge"} <= set(
-        runs["fabriccrdt"].phase_means_ms
+        runs["fabriccrdt"][0].phase_means_ms
     )
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_one_outcome_event_per_recorded_outcome(runs, system):
-    result = runs[system]
-    trace = result.observability.trace
+    result, trace = runs[system]
     counts = {}
     for instant in trace.instants:
         counts[instant.name] = counts.get(instant.name, 0) + 1
@@ -139,9 +168,9 @@ def test_one_outcome_event_per_recorded_outcome(runs, system):
 
 
 def test_orderlesschain_trace_is_unchanged(runs):
-    assert trace_sha256(runs["orderlesschain"]) == ORDERLESSCHAIN_TRACE_SHA256
+    assert trace_sha256(runs["orderlesschain"][1]) == ORDERLESSCHAIN_TRACE_SHA256
 
 
 @pytest.mark.parametrize("system", BASELINES)
 def test_baseline_trace_events_are_unchanged(runs, system):
-    assert baseline_events_sha256(runs[system]) == BASELINE_EVENTS_SHA256[system]
+    assert baseline_events_sha256(runs[system][1]) == BASELINE_EVENTS_SHA256[system]

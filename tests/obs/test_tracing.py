@@ -14,6 +14,7 @@ from repro.bench.config import ExperimentConfig
 from repro.bench.runner import run_experiment
 from repro.contracts import AuctionContract
 from repro.core import OrderlessChainNetwork
+from repro.errors import ConfigError
 from repro.obs import Observability, Recorder, TraceCollector
 
 
@@ -173,11 +174,16 @@ def test_untraced_observability_makes_no_span_calls():
     assert net.recorder.records  # the run itself still happened
 
 
+def test_negative_sample_interval_is_rejected():
+    with pytest.raises(ConfigError, match="sample_interval"):
+        Observability(sample_interval=-0.5)
+
+
 def test_sampled_untraced_run_keeps_its_samples():
-    config = ExperimentConfig(
-        num_orgs=4, quorum=2, duration=2, drain=1, scale=200, sample_interval=0.5
-    )
-    collector = run_experiment(config).observability.trace
+    config = ExperimentConfig(num_orgs=4, quorum=2, duration=2, drain=1, scale=200)
+    obs = Observability(trace=False, sample_interval=0.5)
+    run_experiment(config, obs=obs)
+    collector = obs.trace
     assert collector.series("net/sent") and collector.nodes_sampled()
     assert collector.spans == [] and collector.instants == []
 

@@ -131,6 +131,19 @@ GONE = [
         "one ledger per organization: the per-channel state shard, its routing map, channel"
         " creation and the per-channel traffic counters",
     ),
+    (
+        r"_cmd_bench|assert_records|REPRO_BENCH_DURATION|REPRO_BENCH_JOBS|default_jobs"
+        r"|bench_catalog|bench_smoke_obs",
+        ("src", "tests", "benchmarks", "examples", "docs"),
+        "one way to run a panel: the bench subcommand, the pytest-benchmark harnesses and"
+        " their environment knobs",
+    ),
+    (
+        r"\.observability\b|def detach|config\.(trace|sample_interval)\b",
+        ("src", "tests", "benchmarks", "examples"),
+        "one way to trace a run: the config tracing fields, the result's observability copy"
+        " and the sweep-side detach",
+    ),
 ]
 
 
