@@ -15,7 +15,7 @@ The coordination structure that the paper measures:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro.baselines.common import (
     COMMIT_TIMEOUT,
@@ -286,8 +286,7 @@ class FabricNetwork(BaselineNetwork):
     """A built Fabric network: peers + Solo orderer + clients.
 
     FabricCRDT's network is this one with its own message types,
-    orderer id and name, block size, and no ordering phase in its
-    breakdown.
+    orderer id and name, and block size.
     """
 
     system = "fabric"
@@ -299,7 +298,6 @@ class FabricNetwork(BaselineNetwork):
     msg_read, msg_read_response = MSG_READ, MSG_READ_RESPONSE
     msg_block_announce, msg_block_fetch = MSG_BLOCK_ANNOUNCE, MSG_BLOCK_FETCH
     orderer_id, orderer_name = ORDERER_ID, "solo-orderer"
-    ordering_phase: Optional[str] = "fabric/P2/Consensus"
 
     def __init__(self, config: ExperimentConfig) -> None:
         super().__init__(config)
@@ -328,19 +326,16 @@ class FabricNetwork(BaselineNetwork):
 
     def _orderer_receive(self, message: Message) -> None:
         if message.msg_type == self.msg_order:
-            if self.ordering_phase is not None:
-                self._orderer_arrivals[message.body["txn_id"]] = self.sim.now
+            self._orderer_arrivals[message.body["txn_id"]] = self.sim.now
             self.orderer.enqueue(message.body)
 
     def _broadcast_block(self, batch: List[Dict[str, Any]]):
         """Deliver a cut block to every peer."""
-        if self.ordering_phase is not None:
-            now = self.sim.now
-            for txn in batch:
-                arrived = self._orderer_arrivals.pop(txn["txn_id"], now)
-                self.recorder.phase(
-                    self.ordering_phase, arrived, now, node=self.orderer_id, txn_id=txn["txn_id"]
-                )
+        now = self.sim.now
+        phase = f"{self.system}/P2/Consensus"
+        for txn in batch:
+            arrived = self._orderer_arrivals.pop(txn["txn_id"], now)
+            self.recorder.phase(phase, arrived, now, node=self.orderer_id, txn_id=txn["txn_id"])
         self.log.publish({"index": len(self.log.entries), "transactions": batch})
         return
         yield  # pragma: no cover - marks this as a generator for BatchServer

@@ -195,7 +195,7 @@ class FabricCRDTClient(FabricClient):
 
 class FabricCRDTNetwork(FabricNetwork):
     """A built FabricCRDT network: Fabric's Solo ordering pipeline under
-    its own names, with no ordering phase in the breakdown."""
+    its own names."""
 
     system = "fabriccrdt"
     replica_class = FabricCRDTPeer
@@ -205,7 +205,6 @@ class FabricCRDTNetwork(FabricNetwork):
     msg_read, msg_read_response = MSG_READ, MSG_READ_RESPONSE
     msg_block_announce, msg_block_fetch = MSG_BLOCK_ANNOUNCE, MSG_BLOCK_FETCH
     orderer_id = orderer_name = ORDERER_ID
-    ordering_phase = None
 
     @staticmethod
     def _block_bytes(block: Dict[str, Any]) -> int:

@@ -401,53 +401,6 @@ def resilience_availability(
     ]
 
 
-def multichannel_scaling(
-    grid: Sequence[int],
-    apps: Sequence[str] = ("synthetic", "voting"),
-    per_channel_rate: float = 400.0,
-    num_orgs: int = 4,
-    quorum: int = 2,
-    duration: float = 10.0,
-    scale: Optional[float] = None,
-    seed: int = 0,
-) -> List[Point]:
-    """Aggregate committed throughput vs channel count at fixed
-    per-channel load.
-
-    Each point deploys ``n`` channels on one OrderlessChain network
-    (channel ``ch{i}`` runs ``apps[i % len(apps)]``) and drives every
-    channel at ``per_channel_rate`` tx/s, so the offered load grows
-    linearly with ``n``. Channels share each organization's one
-    ledger, CPU and cache lock (a channel scopes only contract and
-    object ids), so the panel shows that the extra applications do not
-    interfere while the load stays below saturation: the
-    ``multichannel-throughput-scales`` check asserts committed
-    transactions increase monotonically 1 -> N while the convergence
-    and ledger-integrity oracles stay green. Labels are the channel
-    counts (the panel's x axis).
-    """
-    return [
-        (
-            None,
-            str(count),
-            ExperimentConfig(
-                system="orderlesschain",
-                app=apps[0],
-                arrival_rate=per_channel_rate * count,
-                num_orgs=num_orgs,
-                quorum=quorum,
-                check=True,
-                channels=tuple(
-                    ChannelSpec(f"ch{index}", app=apps[index % len(apps)])
-                    for index in range(count)
-                ),
-                **_base(duration, scale, seed),
-            ),
-        )
-        for count in grid
-    ]
-
-
 def multichannel_chaos(
     apps: Sequence[str] = ("voting", "auction"),
     per_channel_rate: float = 400.0,
@@ -501,7 +454,6 @@ __all__ = [
     "fig9_comparison",
     "fig10_comparison",
     "multichannel_chaos",
-    "multichannel_scaling",
     "resilience_availability",
     "resource_utilization_comparison",
     "run_points",

@@ -6,7 +6,7 @@ The checkers turn the simulator into a correctness-testing rig: after
 paper claims (Sections 5–8):
 
 * **Convergence** — all honest, alive organizations hold the same
-  canonical CRDT/application state bytes.
+  committed set and object values (baselines: the same versioned state).
 * **Ledger integrity** — every hash-chain ledger verifies end to end.
 * **Policy safety** — no committed transaction lacks a valid
   endorsement quorum, and with ≤ f Byzantine organizations no quorum

@@ -1,49 +1,43 @@
-"""Deterministic run fingerprints.
+"""Deterministic run fingerprints, pinned on protocol state.
 
-A fingerprint hashes, through the repo's canonical byte encoding
-(``repro.crypto.hashing``), everything a run's outcome consists of:
-each node's application-state snapshot, each hash-chain ledger head,
-and the transaction-record counts. Two runs with the same seed and
-the same fault schedule must produce the same fingerprint — the golden
--seed regression tests and the chaos determinism tests pin exactly
-this string.
-
-Only structural values (ints, strings, canonical snapshots) go into
-the hash — never latencies or other derived floats, so fingerprints
-are stable across Python versions and platforms.
+A fingerprint hashes (``repro.crypto.hashing``) each node's
+``state_snapshot()`` — what the protocol promises, not block bytes,
+commit order or CRDT metadata — and the transaction-record counts. Two
+runs with the same seed and fault schedule fingerprint alike; the
+golden-seed tests pin the string. No latency or derived float enters
+it, so it is stable across platforms.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Iterable, Optional
 
 from repro.crypto.hashing import sha256_hex
 
 
-def state_fingerprints(net: Any) -> Dict[str, str]:
-    """node id -> sha256 of its canonical application-state snapshot."""
+def state_fingerprints(net: Any, node_ids: Optional[Iterable[str]] = None) -> Dict[str, str]:
+    """node id -> sha256 of its ``state_snapshot()`` (every node by default)."""
     return {
-        node_id: sha256_hex(net.node(node_id).state_snapshot()) for node_id in net.node_ids
+        node_id: sha256_hex(net.node(node_id).state_snapshot())
+        for node_id in (net.node_ids if node_ids is None else node_ids)
     }
 
 
 def run_fingerprint(net: Any) -> str:
     """One hex digest pinning a run's observable outcome."""
-    records = net.recorder.records
-    material = {
-        "system": net.system,
-        "state": state_fingerprints(net),
-        "ledger_heads": {
-            node_id: ledger.log.head_hash for node_id, ledger in sorted(net.ledgers().items())
-        },
-        "records": {
-            "submitted": len(records),
-            "committed": sum(1 for r in records.values() if r.committed_at is not None),
-            "failed": sum(1 for r in records.values() if r.failed_at is not None),
-            "retries": sum(r.retries for r in records.values()),
-        },
-    }
-    return sha256_hex(material)
+    records = net.recorder.records.values()
+    return sha256_hex(
+        {
+            "system": net.system,
+            "state": state_fingerprints(net),
+            "records": {
+                "submitted": len(records),
+                "committed": sum(1 for r in records if r.committed_at is not None),
+                "failed": sum(1 for r in records if r.failed_at is not None),
+                "retries": sum(r.retries for r in records),
+            },
+        }
+    )
 
 
 __all__ = ["run_fingerprint", "state_fingerprints"]

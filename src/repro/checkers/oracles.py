@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, FrozenSet, List, Optional, Sequence
 
+from repro.checkers.fingerprint import state_fingerprints
 from repro.checkers.report import FAIL, PASS, SKIP, CheckReport, CheckResult
-from repro.crypto.hashing import sha256_hex
 from repro.faults.schedule import FaultSchedule
 
 
@@ -42,7 +42,7 @@ class CheckContext:
 
 
 class ConvergenceChecker:
-    """Honest, alive nodes hold identical canonical state bytes.
+    """Honest, alive nodes hold the same state (``state_fingerprints``).
 
     The paper's Theorem 1 (strong eventual consistency): organizations
     that saw the same set of valid transactions converge, regardless
@@ -63,7 +63,7 @@ class ConvergenceChecker:
         nodes = ctx.honest_alive(net.node_ids)
         if len(nodes) < 2:
             return CheckResult(self.name, SKIP, "fewer than two honest alive nodes")
-        digests = {node_id: sha256_hex(net.node(node_id).state_snapshot()) for node_id in nodes}
+        digests = state_fingerprints(net, nodes)
         distinct = sorted(set(digests.values()))
         if len(distinct) == 1:
             return CheckResult(

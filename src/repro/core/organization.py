@@ -819,8 +819,15 @@ class Organization:
         return self.ledger.read(object_id, path)
 
     def state_snapshot(self) -> Any:
-        """Application state: the ledger's canonical snapshot."""
-        return self.ledger.state_snapshot()
+        """What the protocol promises: the sorted committed-valid ids and
+        the value each committed object reads to, replayed from the
+        committed operations (not the cache). Neither the commit order,
+        the block bytes nor a CRDT's metadata enters it."""
+        replay = self.ledger.replay()
+        return {
+            "valid": sorted(self.ledger.valid),
+            "objects": {object_id: replay.read(object_id) for object_id in replay.object_ids()},
+        }
 
     def utilization(self) -> float:
         """CPU utilization so far. The CRDT-cache lock section is CPU

@@ -64,7 +64,7 @@ once network-wide. Validation, verification, apply and commit still run
 at every organization; only the parse is shared.
 
 Copies carry no decoded object for the reason they carry no fragment,
-and audit paths (the policy-safety oracle, ``Ledger.state_snapshot``)
+and audit paths (the policy-safety oracle, ``Ledger.replay``)
 decode a plain copy on purpose, so they never read a memo — which
 matters because of the convention above: a list edited in place inside
 a ``Wire`` is as invisible to the decoded object as to the fragment.

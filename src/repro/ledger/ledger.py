@@ -116,17 +116,18 @@ class Ledger:
         """Direct access to a cached root CRDT (None if uncached)."""
         return self._cache.get(object_id, type_name)
 
-    def state_snapshot(self) -> Any:
-        """Canonical application state at this organization (ST_Oi).
-
-        Rebuilt from ``dict(wire)`` copies of the committed operations —
-        no cache, no decode memo; organizations converged iff their
-        snapshots are equal.
-        """
+    def replay(self) -> CRDTStore:
+        """Application state at this organization (ST_Oi), rebuilt from
+        ``dict(wire)`` copies of the committed operations — no cache, no
+        decode memo, so an audit sees what the ledger holds."""
         replay = CRDTStore()
         for wires in self.ops.values():
             replay.apply([Operation.from_wire(dict(wire)) for wire in wires])
-        return replay.snapshot()
+        return replay
+
+    def state_snapshot(self) -> Any:
+        """Canonical internal state of :meth:`replay` (every CRDT's metadata)."""
+        return self.replay().snapshot()
 
     def rebuild_cache(self) -> None:
         """Recompute the cache from the committed operations (crash recovery)."""

@@ -166,6 +166,13 @@ _SPECS: List[MetricSpec] = [
         "FabricCRDT endorsement (state-based CRDT document retrieval).",
     ),
     _spec(
+        "fabriccrdt/P2/Consensus",
+        SPAN,
+        "baselines.fabric_crdt.FabricCRDTNetwork",
+        "s",
+        "Solo ordering (Fabric's orderer): arrival at the orderer to block broadcast.",
+    ),
+    _spec(
         "fabriccrdt/P3/Merge",
         SPAN,
         "baselines.fabric_crdt.FabricCRDTPeer",

@@ -391,32 +391,6 @@ _SPECS: List[ExperimentSpec] = [
             "delta is attributable to the adaptive layer."
         ),
     ),
-    # -- multichannel (beyond the paper; docs/API.md) -------------------------
-    ExperimentSpec(
-        spec_id="multichannel",
-        kind="sweep",
-        build=E.multichannel_scaling,
-        x_label="channels",
-        section_title="Multi-application channels — throughput vs channel count",
-        paper_claim=(
-            "Beyond the paper's figures: several applications share one "
-            "network, each on a channel that scopes its contract and "
-            "object ids inside every organization's one ledger. Below "
-            "saturation, at fixed per-channel load, the aggregate "
-            "committed throughput grows monotonically with the number "
-            "of deployed applications, with every invariant oracle green."
-        ),
-        params={"duration": 10.0, "grid": [1, 2, 4]},
-        quick_params={"duration": 10.0},
-        checks=("multichannel-throughput-scales",),
-        notes=(
-            "Channels share each organization's ledger, CPU and cache "
-            "lock; they add no capacity. The offered load is "
-            "per_channel_rate x channels, so the committed counts "
-            "follow the offered load, and flat counts would indicate "
-            "cross-channel interference."
-        ),
-    ),
 ]
 
 CATALOG: Dict[str, ExperimentSpec] = {spec.spec_id: spec for spec in _SPECS}

@@ -360,30 +360,6 @@ def _resilience_adaptive_wins(records, ctx):
     return ok, "committed " + "; ".join(details)
 
 
-@register("multichannel-throughput-scales")
-def _multichannel_throughput_scales(records, ctx):
-    """Aggregate committed transactions increase strictly monotonically
-    with channel count at fixed per-channel load, and every oracle stays
-    green."""
-    try:
-        ordered = sorted(records, key=lambda r: int(r["channels"]))
-    except (KeyError, TypeError, ValueError):
-        return False, "records missing an integer 'channels' x value"
-    if len(ordered) < 2:
-        return False, f"need at least two channel counts, got {len(ordered)}"
-    committed = [(int(r["channels"]), r["committed"]) for r in ordered]
-    ok = all(b[1] > a[1] for a, b in zip(committed, committed[1:]))
-    red = [
-        str(int(r["channels"])) for r in ordered if r.get("oracles_ok") is not True
-    ]
-    if red:
-        ok = False
-    detail = "committed " + " -> ".join(f"{n}ch:{c}" for n, c in committed)
-    if red:
-        detail += "; oracles red at channels " + ", ".join(red)
-    return ok, detail
-
-
 __all__ = [
     "CHECKS",
     "CheckOutcome",

@@ -9,10 +9,7 @@ sha256 over the per-transaction timestamps rendered with ``float.hex``
 — so any change to the event order, a message size or an RNG draw shows
 up, while the file stays reviewable.
 
-Regenerate (only when a change deliberately alters baseline
-behaviour) with::
-
-    PYTHONPATH=src python -m tests.baselines.run_fixture
+Regenerate it with ``python -m tests.pins`` (:mod:`tests.pins`).
 """
 
 import hashlib
@@ -25,14 +22,11 @@ from repro.bench.runner import run_network
 from repro.checkers import state_fingerprints
 
 from ..chaos.harness import chaos_run
+from ..pins import hexed
 
 FIXTURE_PATH = Path(__file__).parent / "data" / "baseline_runs.json"
 BASELINES = ("fabric", "fabriccrdt", "bidl", "synchotstuff")
 APPS = ("synthetic", "voting", "auction")
-
-
-def _hex(value):
-    return None if value is None else float(value).hex()
 
 
 def summarize(net) -> dict:
@@ -43,7 +37,7 @@ def summarize(net) -> dict:
             record.transaction_id,
             record.kind,
             record.submitted_at.hex(),
-            _hex(record.committed_at if record.committed_at is not None else record.failed_at),
+            hexed(record.committed_at if record.committed_at is not None else record.failed_at),
             record.failure_reason,
         )
         for _, record in sorted(records.items())
@@ -89,8 +83,3 @@ def collect() -> dict:
 
 def render(runs: dict) -> str:
     return json.dumps(runs, indent=1) + "\n"
-
-
-if __name__ == "__main__":
-    FIXTURE_PATH.parent.mkdir(exist_ok=True)
-    FIXTURE_PATH.write_text(render(collect()))

@@ -36,7 +36,6 @@ TRIMMED = {
     "fig10-auction": {"grid": [500]},
     "abl-gossip": {"grid": [1.0]},
     "resilience-avail": {"grid": [1]},
-    "multichannel": {"grid": [1, 2]},
 }
 
 
@@ -126,13 +125,6 @@ def test_resource_utilization_comparison():
     utilizations = tiny("resource-util")
     assert set(utilizations) == {"orderlesschain", "fabric"}
     assert all(0.0 <= u <= 1.0 for u in utilizations.values())
-
-
-def test_multichannel_scaling_monotone_committed():
-    assert labels("multichannel") == ["1", "2"]
-    committed = [r["committed"] for r in tiny("multichannel")]
-    assert committed[1] > committed[0] > 0
-    assert all(r["oracles_ok"] for r in tiny("multichannel"))
 
 
 def test_resilience_arms_are_labelled_and_green():

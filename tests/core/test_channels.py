@@ -66,7 +66,7 @@ def test_default_channel_is_an_ordinary_channel():
     assert [op.object_id for op in context.write_set()] == ["synthetic/obj0"]
     body, _size = org._digest_body_and_size()
     assert set(body) == {"watermarks"}
-    assert org.state_snapshot() == org.ledger.state_snapshot()
+    assert org.state_snapshot() == {"valid": [], "objects": {}}  # no per-channel keys
 
 
 def test_two_channels_commit_independently():
@@ -90,7 +90,7 @@ def test_two_channels_commit_independently():
         assert org.committed_valid == 2
     net.verify_all_ledgers()  # raises on any hash-chain break
     # Each channel's objects live under its own prefix.
-    snapshot = net.organizations[0].state_snapshot()
+    snapshot = net.organizations[0].state_snapshot()["objects"]
     assert "ch0/synthetic/obj0" in snapshot and "ch1/voting/e0/party0" in snapshot
     assert all(key.startswith(("ch0/synthetic/", "ch1/voting/")) for key in snapshot)
 

@@ -10,7 +10,7 @@ from repro.report import all_specs
 def test_list_command(capsys):
     assert main(["list"]) == 0
     listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
-    assert len(all_specs()) == 23
+    assert len(all_specs()) == 22
     assert listed == [spec.spec_id for spec in all_specs()] + ["chaos"]
 
 

@@ -9,14 +9,8 @@ entry — and pin four small runs (run fingerprint plus sha256 of every
 trace span and instant) so that the step keeps the fixed and resilient
 clients' draws and schedules exactly.
 
-Regenerate the pins (only when a change deliberately alters a run) by
-printing :func:`pins`::
-
-    PYTHONPATH=src:. python -c "from tests.core.test_client_attempt import pins; print(pins())"
+Regenerate the pins with ``python -m tests.pins`` (:mod:`tests.pins`).
 """
-
-import hashlib
-import json
 
 import pytest
 
@@ -26,7 +20,7 @@ from repro.contracts import VotingContract
 from repro.core import OrderlessChainNetwork
 from repro.core.organization import MSG_COMMIT
 from repro.faults import default_node_ids, smoke_schedule
-from repro.obs import Observability
+from tests.pins import pinned_run
 
 VOTE = {"party": "party0", "election": "e"}
 
@@ -151,46 +145,28 @@ PIN_CONFIGS = {
 }
 
 
-def _rows(trace):
-    def attrs(record):
-        return json.dumps(record.attrs, sort_keys=True, default=repr)
-
-    spans = [
-        (s.name, s.node, s.txn_id, s.start.hex(), s.end.hex(), attrs(s)) for s in trace.spans
-    ]
-    instants = [(i.name, i.node, i.txn_id, i.at.hex(), attrs(i)) for i in trace.instants]
-    return spans, instants
-
-
-def pinned_run(name):
-    """(fingerprint, trace sha256, result) of one pinned config."""
-    obs = Observability(trace=True)
-    result = run_experiment(PIN_CONFIGS[name].with_(check=True), obs=obs)
-    digest = hashlib.sha256(json.dumps(_rows(obs.trace)).encode()).hexdigest()
-    return result.fingerprint, digest, result
-
-
 def pins():
     """The current pins, in the shape of :data:`PINS`."""
-    return {name: pinned_run(name)[:2] for name in PIN_CONFIGS}
+    return {name: pinned_run(config, traced=True)[:2] for name, config in PIN_CONFIGS.items()}
 
 
-# Dumped before the attempt step replaced the per-phase code paths.
+# The trace digests were dumped before the attempt step replaced the
+# per-phase code paths.
 PINS = {
     "fixed-retries-avoid-window": (
-        "cb975db8a4ba4b5325f9be244b3273968096bef05011e7a923a695c3fc55ada3",
+        "3f019bd123d3ae7ce45f67346ac1cdadae6018a84d74604657a1156ea931c030",
         "0b22f5b80fd47366ebeed70b8fada16263dffb4b76ed1df5762c208b8a14c869",
     ),
     "fixed-byzantine-clients": (
-        "7f74a790f0c7ef91ba29a38ff1472080c5ac0ac330e8a3a271508d5c61ebdeca",
+        "219d8c1ee96b9cb306eed3f50aa918387ce77efc8a1492853aab2934e4e20aef",
         "004193075f8c58b7260a05b3c9edd02ca40e6b6306eff2113e8050e8827940e1",
     ),
     "fixed-org-weights-retries": (
-        "039298d34f5e7fa9ebb386074f86a438e5c7852ae6a3903161efc2f6ba66fc86",
+        "c54c80921d712edd83178a82af153d849e3cb0a2ecb84e2339e68bf4b55e63ff",
         "e704b3d03f26c6d577e048ecb1f921b5cee51f431b8e5f6d006f448b5e1f0cf9",
     ),
     "resilience-retries-snapshots-chaos": (
-        "f801a491d3ae3b9389f682019a399434945f7d5697783d7f93e65720fa35d064",
+        "412665e44fb5b7357f2fae413a6413b3328cf75e3977ec8390d9d696c35ee8df",
         "9032a7c6838697438d750232d398ff670ca95959c082e55495f60476289e14b5",
     ),
 }
@@ -198,6 +174,6 @@ PINS = {
 
 @pytest.mark.parametrize("name", sorted(PIN_CONFIGS))
 def test_pinned_runs_are_unchanged(name):
-    fingerprint, digest, result = pinned_run(name)
+    fingerprint, digest, result = pinned_run(PIN_CONFIGS[name], traced=True)
     assert result.check_report.ok, result.check_report
     assert (fingerprint, digest) == PINS[name]

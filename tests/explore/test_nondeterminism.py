@@ -8,6 +8,7 @@ an inactive profile must be bit-for-bit identical to no profile at all
 import pytest
 
 from repro.bench.config import ExperimentConfig
+from repro.bench.runner import run_network
 from repro.errors import ConfigError, SimulationError
 from repro.explore import run_case
 from repro.sim.core import Simulator
@@ -53,6 +54,13 @@ def test_jitter_never_delivers_early():
         assert 0.01 <= delay <= 0.01 * 1.5
 
 
+def commit_orders(config):
+    """Each organization's ledger head: a digest of the order in which it
+    committed. The run fingerprint holds state, which many orders share."""
+    net = run_network(config)
+    return [ledger.log.head_hash for _, ledger in sorted(net.ledgers().items())]
+
+
 def test_tie_breaker_requires_pristine_simulator():
     sim = Simulator()
     sim.schedule(0.0, lambda: None)
@@ -64,6 +72,7 @@ def test_inactive_profile_matches_no_profile_bit_for_bit():
     base = ExperimentConfig(seed=5, **FAST)
     inactive = ExperimentConfig(seed=5, explore=ExploreProfile(), **FAST)
     assert run_case(base).fingerprint == run_case(inactive).fingerprint
+    assert commit_orders(base) == commit_orders(inactive)
 
 
 def test_same_profile_replays_identically():
@@ -77,16 +86,18 @@ def test_same_profile_replays_identically():
 
 def test_profiles_explore_distinct_interleavings():
     # Different tie seeds must (at this operating point) produce
-    # different event orders, visible as different run fingerprints —
+    # different event orders, visible as different commit orders —
     # otherwise the explorer is re-running one interleaving N times.
-    fingerprints = {
-        run_case(
-            ExperimentConfig(
-                seed=5,
-                explore=ExploreProfile(tie_seed=tie, jitter_seed=9, jitter_factor=0.4),
-                **FAST,
+    orders = {
+        tuple(
+            commit_orders(
+                ExperimentConfig(
+                    seed=5,
+                    explore=ExploreProfile(tie_seed=tie, jitter_seed=9, jitter_factor=0.4),
+                    **FAST,
+                )
             )
-        ).fingerprint
+        )
         for tie in (1, 2, 3)
     }
-    assert len(fingerprints) > 1
+    assert len(orders) > 1

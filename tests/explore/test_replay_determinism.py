@@ -17,6 +17,11 @@ from repro.explore import load_artifact, replay, run_case
 ARTIFACT = os.path.join(os.path.dirname(__file__), "data", "crdt-merge-counterexample.schedule.json")
 
 
+def pins():
+    """The artifact's fingerprint as a run of its case gives it today."""
+    return run_case(load_artifact(ARTIFACT).case).fingerprint
+
+
 def test_committed_artifact_is_wellformed():
     artifact = load_artifact(ARTIFACT)
     assert artifact.case.planted_bug == "crdt-merge"

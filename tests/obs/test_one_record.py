@@ -9,14 +9,8 @@ traces themselves: the OrderlessChain export byte for byte, and each
 baseline's events apart from the ``txn/*`` instants and ``client/txn``
 spans its clients now emit through the recorder.
 
-Regenerate the pins (only when a change deliberately alters a trace)
-by printing :func:`pins`::
-
-    PYTHONPATH=src:. python -c "from tests.obs.test_one_record import pins; print(pins())"
+Regenerate the pins with ``python -m tests.pins`` (:mod:`tests.pins`).
 """
-
-import hashlib
-import json
 
 import pytest
 
@@ -32,6 +26,7 @@ from repro.obs.chrome import (
     write_chrome_trace,
 )
 from repro.obs.schema import validate_chrome_trace, validate_collector
+from tests.pins import baseline_events_sha256, trace_sha256
 
 SYSTEMS = ("orderlesschain", "fabric", "fabriccrdt", "bidl", "synchotstuff")
 BASELINES = SYSTEMS[1:]
@@ -41,7 +36,7 @@ ORDERLESSCHAIN_TRACE_SHA256 = (
 )
 BASELINE_EVENTS_SHA256 = {
     "fabric": "f1b538ea2861c90ca556addb89284308784b6de424fda8fe86889f2d31c59412",
-    "fabriccrdt": "fdb9ee58c1ea47bfcef3d290637948e8fa8c28758e38d6ec8e02045bd50eb133",
+    "fabriccrdt": "2fb3353331b341ba1b305d81a6e701b98d91d209c098ac9403b0e047787c01e9",
     "bidl": "0bfe23540a68e1dee87df0dd9b97c401bf78e13fa9cd2ec36fbae1d69623510d",
     "synchotstuff": "9c57c4d927af58c82d28aceb82134cee3f798d2dea7fdc67f1a4839f982d12b3",
 }
@@ -49,7 +44,7 @@ BASELINE_EVENTS_SHA256 = {
 KEY_PHASE = {
     "orderlesschain": "orderlesschain/P1/Execution",
     "fabric": "fabric/P2/Consensus",
-    "fabriccrdt": "fabriccrdt/P1/Endorse",
+    "fabriccrdt": "fabriccrdt/P2/Consensus",
     "bidl": "bidl/P2/Consensus",
     "synchotstuff": "hotstuff/P1/Consensus",
 }
@@ -78,37 +73,6 @@ def traced_run(system):
     )
     obs = Observability(trace=True, sample_interval=1.0)
     return run_experiment(config, obs=obs), obs.trace
-
-
-def trace_sha256(trace):
-    """sha256 of the exported trace as ``write_chrome_trace`` writes it."""
-    payload = to_chrome_trace(trace)
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def baseline_events_sha256(trace):
-    """sha256 of the sorted (name, node, txn_id, ts, dur, args) events,
-    leaving out the outcome events baseline clients now emit."""
-    events = to_chrome_trace(trace)["traceEvents"]
-    nodes = {e["pid"]: e["args"]["name"] for e in events if e["name"] == "process_name"}
-    rows = []
-    for event in events:
-        if event["ph"] == "M" or event["name"].startswith("txn/") or event["name"] == "client/txn":
-            continue
-        args = dict(event["args"])
-        txn_id = args.pop("txn_id", "")
-        rows.append(
-            (
-                event["name"],
-                nodes[event["pid"]],
-                txn_id,
-                event["ts"],
-                event.get("dur", -1.0),
-                json.dumps(args, sort_keys=True),
-            )
-        )
-    return hashlib.sha256(json.dumps(sorted(rows)).encode()).hexdigest()
 
 
 def pins():
@@ -149,9 +113,8 @@ def test_exported_trace_is_valid_and_regenerates_the_breakdown(runs, system, tmp
 
 
 def test_fabriccrdt_phases_reach_the_breakdown(runs):
-    assert {"fabriccrdt/P1/Endorse", "fabriccrdt/P3/Merge"} <= set(
-        runs["fabriccrdt"][0].phase_means_ms
-    )
+    phases = {"fabriccrdt/P1/Endorse", "fabriccrdt/P2/Consensus", "fabriccrdt/P3/Merge"}
+    assert phases <= set(runs["fabriccrdt"][0].phase_means_ms)
 
 
 @pytest.mark.parametrize("system", SYSTEMS)

@@ -144,6 +144,12 @@ GONE = [
         "one way to trace a run: the config tracing fields, the result's observability copy"
         " and the sweep-side detach",
     ),
+    (
+        r"ledger_heads|ordering_phase|multichannel_scaling|multichannel-throughput-scales",
+        ("src",),
+        "determinism pinned on state: ledger heads in the fingerprint, the optional ordering"
+        " phase and the multichannel panel",
+    ),
 ]
 
 
