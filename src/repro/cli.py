@@ -325,7 +325,7 @@ def _cmd_explore(args) -> int:
         print(f"  deterministic: {result.deterministic}")
         print(f"  failing oracles: {', '.join(result.failures) or '(none)'}")
         if result.reproduced:
-            print("replay: reproduced byte-identically")
+            print("replay: reproduced")
             return 0
         print("replay: MISMATCH — the counterexample did not reproduce")
         return 1
@@ -553,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--replay",
         default=None,
         metavar="FILE.schedule.json",
-        help="re-execute a saved counterexample and verify it byte-for-byte",
+        help="re-execute a saved counterexample and verify it reproduces",
     )
     explore.set_defaults(func=_cmd_explore)
 

@@ -8,6 +8,7 @@ makes the counter idempotent under redelivery.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict
 
 from repro.crdt.base import CRDT
@@ -20,11 +21,15 @@ class GCounter(CRDT):
     type_name = "gcounter"
 
     def __init__(self) -> None:
-        # op_id -> increment amount; the value is their sum, kept as a
-        # running total (added in insertion order) so a read does not
-        # grow with the number of increments.
+        # op_id -> increment amount; the value is their sum. While every
+        # increment is a whole number and the sum stays below 2**53, a
+        # running total is exact, so it reads the same in any apply order
+        # and a read does not grow with the number of increments. Past
+        # that, ``read`` sums them correctly rounded (``math.fsum``),
+        # which is order-independent too.
         self._increments: Dict[str, float] = {}
         self._total: float = 0
+        self._exact = True
 
     def add(self, value: float, clock: Any, op_id: str) -> None:
         """Table 1's ``AddValue(value, clock)`` modification API."""
@@ -39,9 +44,11 @@ class GCounter(CRDT):
         if op_id not in self._increments:
             self._increments[op_id] = value
             self._total += value
+            if self._exact and not (float(value).is_integer() and self._total < 2**53):
+                self._exact = False
 
     def read(self) -> float:
-        total = self._total
+        total = self._total if self._exact else math.fsum(self._increments.values())
         return int(total) if float(total).is_integer() else total
 
     def snapshot(self) -> Any:

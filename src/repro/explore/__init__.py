@@ -13,7 +13,8 @@ replayable; the engine
 coverage-guided strategy, re-runs every ``repro.checkers`` oracle per
 execution, delta-debugs any violation down to a minimal counterexample
 (:mod:`repro.explore.minimize`), and emits a ``*.schedule.json``
-artifact whose replay is verified byte-identical by fingerprint.
+artifact whose replay is verified by its fingerprint (protocol state
+and record counts).
 
 See docs/TESTING.md for the workflow and ``python -m repro explore``
 for the CLI.

@@ -12,7 +12,7 @@ margin: every execution runs :func:`repro.faults.fault_run` of it.
 A counterexample found by the explorer is persisted as a
 ``*.schedule.json`` artifact carrying the (minimized) case plus the
 expected run fingerprint and failing-oracle set; ``repro explore
---replay`` re-executes the case and verifies both match byte-for-byte.
+--replay`` re-executes the case and verifies both match.
 The artifact's ``case`` holds ``scale`` plus every field that differs
 from its ``ExperimentConfig`` default, and loading it builds the
 config, so ``ExperimentConfig.__post_init__`` validates it.

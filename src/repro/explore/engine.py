@@ -8,15 +8,18 @@ re-running every ``repro.checkers`` oracle per execution. Two strategies:
   schedule every execution.
 * ``coverage`` — keeps a corpus of cases whose *coverage signature*
   (per-oracle statuses, failure-reason vocabulary, and log-bucketed
-  commit/abort counts — deliberately coarser than the run fingerprint,
-  which is unique per case by construction) was novel, and biases new
+  commit/abort counts — coarser than the run fingerprint, which holds
+  protocol state and record counts) was novel, and biases new
   executions toward mutants of corpus members.
 
 On the first oracle violation the engine delta-debugs the case to a
 minimal counterexample (:func:`repro.explore.minimize.minimize`),
 writes a ``*.schedule.json`` artifact, and verifies it replays: the
-minimized case is executed twice and must produce byte-identical
-fingerprints and the original failing-oracle set.
+minimized case is executed twice and must produce equal fingerprints
+and the original failing-oracle set. A fingerprint holds protocol state
+and record counts, not event order: two executions that commit the same
+state in another order fingerprint alike, and only the trace and record
+digests of the pin tests pin event order.
 
 Multi-process sweeps reuse :func:`repro.bench.parallel.run_sweep` — a
 case is a config, so workers reconstruct identical executions from it
@@ -163,7 +166,7 @@ def explore(
     :class:`ExploreOutcome`; when a violation is found it carries the
     minimized :class:`~repro.explore.case.Artifact`, the path of the
     written ``*.schedule.json``, and whether two verification replays
-    of the minimized case were byte-identical.
+    of the minimized case gave equal fingerprints.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; valid: {STRATEGIES}")
@@ -233,7 +236,7 @@ def explore(
             replay_verified=None,
         )
 
-    # Minimize, persist, and verify the replay byte-for-byte.
+    # Minimize, persist, and verify the replay.
     failing = frozenset(violation.failures)
     minimize_started = time.perf_counter()
     minimized, spent_minimizing = minimize(
@@ -283,11 +286,13 @@ def explore(
 
 
 def replay(path: str) -> ReplayResult:
-    """Re-execute a saved counterexample and verify it byte-for-byte.
+    """Re-execute a saved counterexample and verify it reproduces.
 
-    Runs the artifact's case twice: the two executions must agree with
-    each other (determinism) and with the artifact's recorded
-    fingerprint and failing-oracle set (reproduction).
+    Runs the artifact's case twice: the two executions' fingerprints
+    must agree with each other (``deterministic``: same protocol state
+    and record counts; event order is not compared) and with the
+    artifact's recorded fingerprint and failing-oracle set
+    (reproduction).
     """
     artifact = load_artifact(path)
     first = run_case(artifact.case)

@@ -12,11 +12,13 @@ from dataclasses import replace
 import pytest
 
 from repro.bench.config import ExperimentConfig
-from repro.checkers import run_checkers
+from repro.checkers import run_checkers, state_fingerprints
+from repro.checkers.oracles import CheckContext, ConvergenceChecker
 from repro.checkers.report import FAIL, PASS, SKIP
 from repro.contracts import VotingContract
 from repro.core import OrderlessChainNetwork
 from repro.core.byzantine import ByzantineOrgConfig
+from repro.crdt import OpClock, Operation
 from repro.faults import FaultEvent, FaultSchedule, install_schedule
 
 
@@ -94,6 +96,23 @@ def test_convergence_fails_on_diverged_state():
     convergence = report.result("convergence")
     assert convergence.status == FAIL
     assert convergence.violations  # per-node digests named in the report
+
+
+def test_convergence_holds_for_fractional_increments_in_any_commit_order():
+    # Bids of 0.1, 0.2 and 0.3 add up to 0.6000000000000001 left to right
+    # and to 0.6 right to left; two organizations that commit them in
+    # those two orders still hold the same state.
+    net = build(num_orgs=2, quorum=1)
+    bids = [
+        (f"bidder{index}:1", Operation("bids", (), amount, "gcounter", OpClock(f"bidder{index}", 1)))
+        for index, amount in enumerate((0.1, 0.2, 0.3))
+    ]
+    for org_id, order in (("org0", bids), ("org1", bids[::-1])):
+        for txn_id, operation in order:
+            net.node(org_id).ledger.commit(txn_id, [operation], {"proposal": txn_id}, True)
+    assert net.node("org0").read_state("bids") == net.node("org1").read_state("bids") == 0.6
+    assert len(set(state_fingerprints(net).values())) == 1
+    assert ConvergenceChecker().check(net, CheckContext()).status == PASS
 
 
 def test_ledger_integrity_fails_on_tampered_chain():

@@ -20,7 +20,8 @@ from repro.contracts import VotingContract
 from repro.core import OrderlessChainNetwork
 from repro.core.organization import MSG_COMMIT
 from repro.faults import default_node_ids, smoke_schedule
-from tests.pins import pinned_run
+from repro.obs import Observability
+from tests.pins import sha256_json, trace_rows
 
 VOTE = {"party": "party0", "election": "e"}
 
@@ -145,9 +146,15 @@ PIN_CONFIGS = {
 }
 
 
+def pinned_run(config):
+    obs = Observability(trace=True)
+    result = run_experiment(config.with_(check=True), obs=obs)
+    return result.fingerprint, sha256_json(trace_rows(obs.trace)), result
+
+
 def pins():
     """The current pins, in the shape of :data:`PINS`."""
-    return {name: pinned_run(config, traced=True)[:2] for name, config in PIN_CONFIGS.items()}
+    return {name: pinned_run(config)[:2] for name, config in PIN_CONFIGS.items()}
 
 
 # The trace digests were dumped before the attempt step replaced the
@@ -174,6 +181,6 @@ PINS = {
 
 @pytest.mark.parametrize("name", sorted(PIN_CONFIGS))
 def test_pinned_runs_are_unchanged(name):
-    fingerprint, digest, result = pinned_run(PIN_CONFIGS[name], traced=True)
+    fingerprint, digest, result = pinned_run(PIN_CONFIGS[name])
     assert result.check_report.ok, result.check_report
     assert (fingerprint, digest) == PINS[name]

@@ -104,3 +104,13 @@ def test_running_total_adds_in_insertion_order_under_redelivery():
     for value, clk, op_id in ops[:4] + ops[:1] + ops[4:] + ops:
         counter.add(value, clk, op_id)  # redelivered ones are skipped
     assert counter.read() == functools.reduce(operator.add, amounts, 0)
+
+
+@pytest.mark.parametrize("amounts", [(0.1, 0.2, 0.3), (2.0**53, 1.0, 1.0)])
+def test_read_is_independent_of_apply_order(amounts):
+    forward, backward = GCounter(), GCounter()
+    for index, amount in enumerate(amounts):
+        forward.add(amount, clock(index + 1), f"c#{index + 1}")
+    for index, amount in reversed(list(enumerate(amounts))):
+        backward.add(amount, clock(index + 1), f"c#{index + 1}")
+    assert forward.read() == backward.read()

@@ -2,7 +2,7 @@
 
 The acceptance loop from the paper-reproduction harness: plant a bug,
 explore until the oracles trip, minimize, write the ``*.schedule.json``
-artifact, then replay it byte-for-byte from the file alone.
+artifact, then replay it from the file alone.
 """
 
 import os

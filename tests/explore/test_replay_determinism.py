@@ -1,5 +1,5 @@
 """Replay-determinism regression: a committed counterexample must
-reproduce byte-identically, forever.
+reproduce its fingerprint and failing oracles, forever.
 
 The artifact under ``data/`` was produced by the explorer against the
 ``crdt-merge`` planted bug (minimized to zero fault events and an

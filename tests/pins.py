@@ -3,20 +3,20 @@
 A pin is a run fingerprint (protocol state plus record counts) or the
 sha256 of a run's exported record or trace, floats as ``float.hex``.
 Each module in :data:`PINNED` defines ``pins()``, its current values in
-the shape of its constants. Only when a change deliberately alters a
-run, regenerate them all, plus ``tests/baselines/data/baseline_runs.json``,
-with::
+the shape of its constants. Print them all, and the diff of
+``tests/baselines/data/baseline_runs.json``, with the command below; only
+when a change deliberately alters a run, copy the pins and add ``--write``
+to rewrite the fixture::
 
     PYTHONPATH=src:. python -m tests.pins
 """
 
+import difflib
 import hashlib
 import importlib
 import json
+import sys
 
-from repro.bench.export import result_to_record
-from repro.bench.runner import run_experiment
-from repro.obs import Observability
 from repro.obs.chrome import to_chrome_trace
 
 PINNED = (
@@ -55,17 +55,6 @@ def trace_rows(trace):
     return spans, instants
 
 
-def pinned_run(config, traced=False):
-    """``(fingerprint, digest, result)`` of ``config`` run with its oracles.
-    The digest covers every trace span and instant when ``traced``, else
-    the exported record."""
-    obs = Observability(trace=True) if traced else None
-    result = run_experiment(config.with_(check=True), obs=obs)
-    if traced:
-        return result.fingerprint, sha256_json(trace_rows(obs.trace)), result
-    return result.fingerprint, sha256_json(hexed(result_to_record(result)), sort_keys=True), result
-
-
 def trace_sha256(trace) -> str:
     """sha256 of the exported trace as ``write_chrome_trace`` writes it."""
     text = json.dumps(to_chrome_trace(trace), indent=1, sort_keys=True) + "\n"
@@ -93,4 +82,7 @@ if __name__ == "__main__":
 
     for name in PINNED:
         print(f"{name}: {importlib.import_module(name).pins()}")
-    FIXTURE_PATH.write_text(render(collect()))
+    lines = [text.splitlines(True) for text in (FIXTURE_PATH.read_text(), render(collect()))]
+    sys.stdout.writelines(difflib.unified_diff(*lines, str(FIXTURE_PATH)))
+    if sys.argv[1:] == ["--write"]:
+        FIXTURE_PATH.write_text("".join(lines[1]))
