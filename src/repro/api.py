@@ -46,8 +46,10 @@ def report(
 
     A thin wrapper over :func:`repro.report.pipeline.run_report` that
     keeps the report machinery out of import-time dependencies; extra
-    keyword arguments (``experiments_md``, ``cache_dir``, ...) pass
-    through. Returns the pipeline's ``ReportOutcome`` — inspect
+    keyword arguments (``experiments_md``, ``manifest_path``,
+    ``cache_dir``, ...) pass through. It writes EXPERIMENTS.md and the
+    ``experiments.json`` manifest, which holds every record; a check
+    writes nothing. Returns the pipeline's ``ReportOutcome`` — inspect
     ``exit_code`` (non-zero on drift or failed runs) and ``runs``.
     """
     from repro.report.pipeline import run_report

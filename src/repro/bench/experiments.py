@@ -9,7 +9,7 @@ are. The values a builder varies over are not its own: they arrive as
 ``grid`` from the panel's spec in :mod:`repro.report.catalog` — the one
 registry of panels, read by ``repro run`` and ``repro report`` — so the
 spec hash covers them.
-:func:`run_points` is the one executor that turns points into results.
+:func:`run_points` is the one executor that turns points into records.
 
 Rates and sizes are paper-scale; the ``scale`` parameter (default from
 ``REPRO_BENCH_SCALE``, see DESIGN.md) makes the runs laptop-sized while
@@ -28,7 +28,7 @@ simulation (docs/PERFORMANCE.md).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.config import (
     ByzantineWindow,
@@ -45,15 +45,17 @@ from repro.faults import FaultSchedule, default_node_ids, fault_run, smoke_sched
 # for comparison / breakdown / scalar panels; ``x`` is the point's label
 # on the panel's axis (None where the panel has no axis).
 Point = Tuple[Optional[str], object, ExperimentConfig]
-SweepResult = List[Tuple[object, ExperimentResult]]
 
 
-def run_points(kind: str, points: Sequence[Point], jobs: int = 1):
-    """The one executor: simulate every point, shape the results by ``kind``.
+def run_points(kind: str, points: Sequence[Point], jobs: int = 1, x_label: str = "x"):
+    """The one executor: simulate every point, return its records by ``kind``.
 
-    * ``sweep`` — ``[(x, result), ...]``;
-    * ``comparison`` — ``{series: [(x, result), ...]}``;
-    * ``timeline`` — the single point's result;
+    Each run becomes one flat record (:meth:`ExperimentResult.to_record`):
+
+    * ``sweep`` — ``[record, ...]``, each carrying its point's ``x``
+      under ``x_label``;
+    * ``comparison`` — ``{series: [record, ...]}``, likewise;
+    * ``timeline`` — the single point's record;
     * ``breakdown`` — ``{series: result.phase_means_ms}``;
     * ``scalar`` — ``{series: mean organization CPU utilization}``.
 
@@ -62,9 +64,7 @@ def run_points(kind: str, points: Sequence[Point], jobs: int = 1):
     """
     runs = expect_results(run_sweep([config for _, _, config in points], jobs=jobs))
     if kind == "timeline":
-        return runs[0]
-    if kind == "sweep":
-        return [(x, result) for (_, x, _), result in zip(points, runs)]
+        return runs[0].to_record()
     if kind == "breakdown":
         return {name: result.phase_means_ms for (name, _, _), result in zip(points, runs)}
     if kind == "scalar":
@@ -72,9 +72,12 @@ def run_points(kind: str, points: Sequence[Point], jobs: int = 1):
             name: result.extra.get("mean_org_cpu_utilization", 0.0)
             for (name, _, _), result in zip(points, runs)
         }
-    series: Dict[str, SweepResult] = {}
-    for (name, x, _), result in zip(points, runs):
-        series.setdefault(name, []).append((x, result))
+    records = [{**result.to_record(), x_label: x} for (_, x, _), result in zip(points, runs)]
+    if kind == "sweep":
+        return records
+    series: Dict[str, List[Dict[str, Any]]] = {}
+    for (name, _, _), record in zip(points, records):
+        series.setdefault(name, []).append(record)
     return series
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.recording import TransactionRecorder
 
@@ -121,26 +121,39 @@ class ExperimentResult:
     check_report: Optional[object] = None
     fingerprint: Optional[str] = None
 
-    def summary_row(self) -> Dict[str, object]:
-        """A flat row for tabular reporting."""
+    def to_record(self) -> Dict[str, Any]:
+        """The run as one flat, JSON-safe record (NaN becomes ``None``): the
+        one form the cache, manifest, renderers, checks and CLI read."""
         return {
             "system": self.system,
             "app": self.app,
-            "rate": self.arrival_rate,
-            "tput": round(self.throughput_tps, 1),
-            "tput_mod": round(self.throughput_modify_tps, 1),
-            "tput_read": round(self.throughput_read_tps, 1),
-            "lat_mod_ms": round(self.latency_modify.avg_ms, 1)
-            if not math.isnan(self.latency_modify.avg_ms)
-            else None,
-            "lat_read_ms": round(self.latency_read.avg_ms, 1)
-            if not math.isnan(self.latency_read.avg_ms)
-            else None,
-            "p99_mod_ms": round(self.latency_modify.p99_ms, 1)
-            if not math.isnan(self.latency_modify.p99_ms)
-            else None,
+            "arrival_rate": self.arrival_rate,
+            "duration_s": self.duration,
+            "submitted": self.submitted,
+            "committed": self.committed,
             "failed": self.failed,
+            "throughput_tps": _clean(self.throughput_tps),
+            "throughput_modify_tps": _clean(self.throughput_modify_tps),
+            "throughput_read_tps": _clean(self.throughput_read_tps),
+            "latency_modify_avg_ms": _clean(self.latency_modify.avg_ms),
+            "latency_modify_p1_ms": _clean(self.latency_modify.p1_ms),
+            "latency_modify_p99_ms": _clean(self.latency_modify.p99_ms),
+            "latency_read_avg_ms": _clean(self.latency_read.avg_ms),
+            "latency_read_p1_ms": _clean(self.latency_read.p1_ms),
+            "latency_read_p99_ms": _clean(self.latency_read.p99_ms),
+            "failure_reasons": dict(self.failure_reasons),
+            # True/False when the run was oracle-checked, None otherwise.
+            "oracles_ok": (self.check_report.ok if self.check_report is not None else None),
+            "phase_means_ms": {k: _clean(v) for k, v in self.phase_means_ms.items()},
+            "timeline": [[t, tps] for t, tps in self.timeline],
+            "extra": {k: _clean(v) for k, v in self.extra.items()},
         }
+
+
+def _clean(value: Any) -> Any:
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
 
 
 def compute_result(

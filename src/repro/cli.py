@@ -21,17 +21,17 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.bench import experiments, export
+from repro.bench import experiments
 from repro.bench.config import APPS, SYSTEMS
-from repro.bench.reporting import format_breakdown, format_node_metrics, format_table
 from repro.errors import ConfigError
 from repro.explore.plant import PLANTED_BUGS
 from repro.report.catalog import all_specs, select_specs
 from repro.report.checks import run_checks
-from repro.report.render import render_checks, render_table
+from repro.report.render import breakdown_table, render_checks, render_table, table
 
 # The one runnable entry that is not a catalog panel.
 CHAOS = "chaos"
@@ -83,11 +83,16 @@ def _run_chaos(args):
                 "system": system,
                 "fingerprint": result.fingerprint,
                 "report": report.to_wire(),
-                "result": export.result_to_record(result),
+                "result": result.to_record(),
             }
         )
     lines.append("chaos: FAILED" if failed else "chaos: all oracles passed")
     return "\n".join(lines), payload, (1 if failed else 0)
+
+
+def _write_json(path: str, payload: object) -> None:
+    with open(path, "w") as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _overrides(args) -> Dict[str, object]:
@@ -202,7 +207,7 @@ def _cmd_run(args) -> int:
     if args.output:
         # One panel writes its records bare; several, one entry per id.
         single = len(payloads) == 1
-        export.to_json(next(iter(payloads.values())) if single else payloads, path=args.output)
+        _write_json(args.output, next(iter(payloads.values())) if single else payloads)
         print(f"wrote {args.output}")
     return code
 
@@ -246,25 +251,23 @@ def _cmd_trace(args) -> int:
         for error in errors:
             print(f"schema violation: {error}", file=sys.stderr)
         return 1
-    print()
-    print(format_table(["system", "app", "rate", "tput", "failed"],
-                       [[result.system, result.app, result.arrival_rate,
-                         round(result.throughput_tps, 1), result.failed]]))
+    summary = [[result.system, result.app, result.arrival_rate, result.throughput_tps, result.failed]]
+    print("\n" + table(["system", "app", "rate (tps)", "tput (tps)", "failed"], summary))
     # Regenerated from the exported file, not the in-memory collector:
     # the trace JSON alone carries the Table-3-style breakdown.
-    print()
     means = phase_means_from_trace(load_chrome_trace(args.trace_out))
-    print(format_breakdown(f"phase breakdown ({args.system}, regenerated from trace)", means))
-    print()
+    print(f"\n== phase breakdown ({args.system}, regenerated from trace) ==\n")
+    print(breakdown_table({args.system: means}))
+    # Metric names and units: docs/OBSERVABILITY.md.
     series = summarize_samples(collector)
-    print(format_node_metrics("node time-series metrics", series))
+    rows = [[s.name, s.node, f"{s.mean:.3f}", f"{s.peak:.3f}"] for s in series]
+    hint = "(no samples recorded; enable sampling with --sample-interval)"
+    print("\n== node time-series metrics ==\n")
+    print(table(["metric", "node", "mean", "peak"], rows) if rows else hint)
     if args.metrics_out:
-        export.to_json(
-            {
-                "phase_means_ms": means,
-                "node_series": [asdict(stats) for stats in series],
-            },
-            path=args.metrics_out,
+        _write_json(
+            args.metrics_out,
+            {"phase_means_ms": means, "node_series": [asdict(stats) for stats in series]},
         )
         print(f"\nwrote {args.metrics_out}")
     return 0
@@ -295,7 +298,6 @@ def _cmd_report(args) -> int:
         experiments_md=Path(args.experiments_md),
         manifest_path=Path(args.manifest),
         cache_dir=Path(args.cache_dir),
-        out_dir=Path(args.out_dir),
         collector=collector,
     )
     if collector is not None:
@@ -511,9 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--cache-dir",
         default=".repro-report-cache",
-        help="resumable result-cache directory (delete to force a rerun)",
+        help="resumable result-cache directory (delete to force a rerun; --check only reads it)",
     )
-    report.add_argument("--out-dir", default="results/report", help="per-figure CSV directory")
     report.add_argument(
         "--trace-out",
         default=None,

@@ -320,15 +320,15 @@ _SPECS: List[MetricSpec] = [
         "report.pipeline.run_report",
         "s (wall)",
         "One catalog experiment through the report pipeline: cache "
-        "lookup, run on miss, store. attrs: spec_id, cached (bool).",
+        "lookup, run on miss, store (not under --check). attrs: spec_id, cached (bool).",
     ),
     _spec(
         "report/render",
         SPAN,
         "report.pipeline.run_report",
         "s (wall)",
-        "Rendering/diffing every selected section plus manifest and CSV "
-        "output. attrs: check (bool), sections (count).",
+        "Rendering/diffing every selected section plus the manifest. "
+        "attrs: check (bool), sections (count).",
     ),
     # -- schedule exploration (repro.explore.engine) -------------------------------
     # Wall-second harness spans, same convention as report/*.

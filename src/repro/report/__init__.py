@@ -7,7 +7,8 @@ See docs/REPORT.md for the user-facing guide. The subpackage layout:
 * :mod:`repro.report.catalog` — one spec per paper figure/table;
 * :mod:`repro.report.checks` — named shape assertions and verdicts;
 * :mod:`repro.report.cache` — resumable per-experiment JSON artifacts;
-* :mod:`repro.report.render` — EXPERIMENTS.md sections and CSV;
+* :mod:`repro.report.render` — EXPERIMENTS.md sections and the markdown
+  table helpers every printed table goes through;
 * :mod:`repro.report.manifest` — the ``experiments.json`` writer;
 * :mod:`repro.report.envinfo` — the volatile environment block;
 * :mod:`repro.report.pipeline` — :func:`run_report`, the orchestrator.

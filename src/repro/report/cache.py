@@ -9,6 +9,9 @@ interrupted sweep restarts exactly at its first missing experiment,
 and a parameter or seed change misses cleanly because the key changes
 with it.
 
+An artifact written by other code (another :func:`code_digest`) is a
+miss too, so a model change is never checked against old results.
+
 Artifacts hold *records* (plain JSON data, never pickled result
 objects), so a cache hit and a fresh run are indistinguishable to the
 renderers and checks. Writes are atomic (temp file + ``os.replace``)
@@ -21,11 +24,13 @@ and git-ignored; deleting it forces a full rerun.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Any, Optional
 
+import repro
 from repro.report.spec import ExperimentSpec
 
 # Artifact schema, bumped when the stored shape changes; mismatched
@@ -37,11 +42,22 @@ ARTIFACT_SCHEMA = 1
 HASH_PREFIX = 12
 
 
+def code_digest() -> str:
+    """SHA-256 over the path and bytes of every ``*.py`` file of ``repro``."""
+    package = Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    for name in sorted(path.relative_to(package).as_posix() for path in package.rglob("*.py")):
+        digest.update(name.encode() + b"\0")
+        digest.update((package / name).read_bytes())
+    return digest.hexdigest()
+
+
 class ResultCache:
-    """JSON artifacts keyed by (spec_id, spec hash) under one directory."""
+    """JSON artifacts keyed by (spec_id, spec hash, code digest) under one directory."""
 
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
+        self.code = code_digest()
 
     def path_for(self, spec: ExperimentSpec, spec_hash: str) -> Path:
         return self.root / f"{spec.spec_id}-{spec_hash[:HASH_PREFIX]}.json"
@@ -49,8 +65,8 @@ class ResultCache:
     def load(self, spec: ExperimentSpec, spec_hash: str) -> Optional[Any]:
         """The cached records, or ``None`` on any kind of miss.
 
-        A corrupt, truncated, schema-mismatched, or (full-)hash-
-        mismatched artifact is a miss — the caller reruns and
+        A corrupt, truncated, schema-mismatched, (full-)hash-mismatched
+        or code-mismatched artifact is a miss — the caller reruns and
         overwrites it.
         """
         path = self.path_for(spec, spec_hash)
@@ -62,6 +78,7 @@ class ResultCache:
             not isinstance(payload, dict)
             or payload.get("schema") != ARTIFACT_SCHEMA
             or payload.get("spec_hash") != spec_hash
+            or payload.get("code") != self.code
         ):
             return None
         return payload.get("records")
@@ -74,6 +91,7 @@ class ResultCache:
             "schema": ARTIFACT_SCHEMA,
             "spec_id": spec.spec_id,
             "spec_hash": spec_hash,
+            "code": self.code,
             "records": records,
         }
         tmp = path.with_suffix(".json.tmp")
@@ -86,4 +104,4 @@ class ResultCache:
         return path
 
 
-__all__ = ["ARTIFACT_SCHEMA", "HASH_PREFIX", "ResultCache"]
+__all__ = ["ARTIFACT_SCHEMA", "HASH_PREFIX", "ResultCache", "code_digest"]

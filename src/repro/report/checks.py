@@ -1,7 +1,7 @@
 """Shape assertions: the paper's qualitative claims, machine-checked.
 
 Each check is a named function over the *records* a spec produced
-(:func:`repro.report.spec.results_to_records` output), returning a
+(:meth:`repro.report.spec.ExperimentSpec.run` output), returning a
 :class:`CheckOutcome`. A spec lists check names; the pipeline (and
 ``repro run``) runs them and derives the **verdict** rendered into
 EXPERIMENTS.md:

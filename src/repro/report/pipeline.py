@@ -4,15 +4,16 @@
 each selected spec it (1) consults the result cache, (2) runs the
 experiment on a miss (sweep-level parallelism via the one executor
 and ``--jobs``), (3) evaluates the registered shape checks into a
-verdict, then renders everything into:
+verdict, then renders everything into two outputs:
 
 * the marked sections of ``EXPERIMENTS.md`` (full runs rebuild the
   whole document; ``--figures`` subsets splice into the existing one);
-* the ``experiments.json`` manifest (merged with any committed
-  manifest so a subset run never discards other figures' entries);
-* one CSV per figure under the output directory.
+* the ``experiments.json`` manifest, which holds every record in full
+  (merged with any committed manifest so a subset run never discards
+  other figures' entries).
 
-``check=True`` writes nothing: it renders in memory, diffs each fresh
+``check=True`` writes nothing, the result cache included: it reads
+cached artifacts of the same code, renders in memory, diffs each fresh
 section against the committed EXPERIMENTS.md and each manifest entry
 against the committed ``experiments.json`` (environment block
 excluded), and reports drift — the CI gate that keeps the committed
@@ -40,7 +41,6 @@ from repro.report.spec import ExperimentSpec
 DEFAULT_EXPERIMENTS_MD = Path("EXPERIMENTS.md")
 DEFAULT_MANIFEST = Path("experiments.json")
 DEFAULT_CACHE_DIR = Path(".repro-report-cache")
-DEFAULT_OUT_DIR = Path("results/report")
 
 
 @dataclass
@@ -77,7 +77,6 @@ def run_report(
     experiments_md: Path = DEFAULT_EXPERIMENTS_MD,
     manifest_path: Path = DEFAULT_MANIFEST,
     cache_dir: Path = DEFAULT_CACHE_DIR,
-    out_dir: Path = DEFAULT_OUT_DIR,
     collector: Any = None,
     echo: Callable[[str], None] = print,
 ) -> ReportOutcome:
@@ -98,7 +97,8 @@ def run_report(
         cached = records is not None
         if not cached:
             records = spec.run(jobs=jobs, quick=quick)
-            cache.store(spec, spec_hash, records)
+            if not check:
+                cache.store(spec, spec_hash, records)
         seconds = time.perf_counter() - started
         if collector is not None:
             collector.span(
@@ -144,17 +144,12 @@ def run_report(
     else:
         _write_experiments_md(experiments_md, sections, specs, subset, quick, scale)
         manifest_mod.write_manifest(manifest_path, fresh_manifest)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for run in outcome.runs:
-            (out_dir / f"{run.spec.spec_id}.csv").write_text(
-                render.render_csv(run.spec, run.records)
-            )
         failing = [run.spec.spec_id for run in outcome.runs if run.verdict.startswith("NOT")]
         if failing:
             outcome.exit_code = 1
             echo(f"wrote {experiments_md}, but NOT reproduced: {', '.join(failing)}")
         else:
-            echo(f"wrote {experiments_md}, {manifest_path}, and {len(entries)} CSV file(s)")
+            echo(f"wrote {experiments_md} and {manifest_path}")
 
     if collector is not None:
         collector.span(
@@ -200,7 +195,6 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "DEFAULT_EXPERIMENTS_MD",
     "DEFAULT_MANIFEST",
-    "DEFAULT_OUT_DIR",
     "ExperimentRun",
     "ReportOutcome",
     "run_report",

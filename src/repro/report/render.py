@@ -1,4 +1,4 @@
-"""Render experiment records into EXPERIMENTS.md sections and CSV.
+"""Render experiment records into EXPERIMENTS.md sections and tables.
 
 Every generated section is fenced by HTML-comment markers::
 
@@ -18,12 +18,9 @@ block).
 
 from __future__ import annotations
 
-import io
-import csv
 import re
 from typing import Any, Dict, List, Mapping, Sequence
 
-from repro.bench.export import records_to_csv
 from repro.errors import ConfigError
 from repro.report.cache import HASH_PREFIX
 from repro.report.checks import CheckOutcome, verdict
@@ -44,75 +41,66 @@ def _fmt(value: Any, digits: int = 1) -> str:
     return str(value)
 
 
-def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+def table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """A markdown table; cells that are not yet text go through ``_fmt``."""
     lines = [
         "| " + " | ".join(headers) + " |",
         "|" + "|".join("---:" for _ in headers) + "|",
     ]
-    lines += ["| " + " | ".join(row) + " |" for row in rows]
+    lines += ["| " + " | ".join(_fmt(cell) for cell in row) + " |" for row in rows]
     return "\n".join(lines)
 
 
+# (header, record key) per column of a sweep or comparison table.
 _SWEEP_COLUMNS = (
-    ("committed", lambda r: _fmt(r["committed"])),
-    ("failed", lambda r: _fmt(r["failed"])),
-    ("tput (tps)", lambda r: _fmt(r["throughput_tps"])),
-    ("modify tput (tps)", lambda r: _fmt(r["throughput_modify_tps"])),
-    ("modify lat avg (ms)", lambda r: _fmt(r["latency_modify_avg_ms"])),
-    ("modify lat p99 (ms)", lambda r: _fmt(r["latency_modify_p99_ms"])),
-    ("read lat avg (ms)", lambda r: _fmt(r["latency_read_avg_ms"])),
+    ("committed", "committed"),
+    ("failed", "failed"),
+    ("tput (tps)", "throughput_tps"),
+    ("modify tput (tps)", "throughput_modify_tps"),
+    ("modify lat avg (ms)", "latency_modify_avg_ms"),
+    ("modify lat p99 (ms)", "latency_modify_p99_ms"),
+    ("read lat avg (ms)", "latency_read_avg_ms"),
 )
 
 
 def _sweep_table(records: List[Dict[str, Any]], x_label: str) -> str:
     headers = [x_label] + [name for name, _ in _SWEEP_COLUMNS]
-    rows = [
-        [_fmt(record[x_label])] + [cell(record) for _, cell in _SWEEP_COLUMNS]
-        for record in records
-    ]
-    return _table(headers, rows)
+    rows = [[record[x_label]] + [record[key] for _, key in _SWEEP_COLUMNS] for record in records]
+    return table(headers, rows)
 
 
 def _comparison_table(series: Mapping[str, List[Dict[str, Any]]], x_label: str) -> str:
     headers = ["system", x_label] + [name for name, _ in _SWEEP_COLUMNS]
     rows = [
-        [name, _fmt(record[x_label])] + [cell(record) for _, cell in _SWEEP_COLUMNS]
+        [name, record[x_label]] + [record[key] for _, key in _SWEEP_COLUMNS]
         for name, records in series.items()
         for record in records
     ]
-    return _table(headers, rows)
+    return table(headers, rows)
 
 
 def _timeline_table(record: Dict[str, Any]) -> str:
-    summary = _table(
-        ["committed", "failed", "tput (tps)", "modify lat avg (ms)", "modify lat p99 (ms)"],
-        [[
-            _fmt(record["committed"]),
-            _fmt(record["failed"]),
-            _fmt(record["throughput_tps"]),
-            _fmt(record["latency_modify_avg_ms"]),
-            _fmt(record["latency_modify_p99_ms"]),
-        ]],
-    )
-    timeline = _table(
-        ["t (s)", "tps"],
-        [[_fmt(float(t)), _fmt(float(tps), 0)] for t, tps in record["timeline"]],
+    # The sweep columns less modify throughput and read latency.
+    columns = _SWEEP_COLUMNS[:3] + _SWEEP_COLUMNS[4:6]
+    summary = table([name for name, _ in columns], [[record[key] for _, key in columns]])
+    timeline = table(
+        ["t (s)", "tps"], [[float(t), _fmt(float(tps), 0)] for t, tps in record["timeline"]]
     )
     return summary + "\n\nThroughput timeline:\n\n" + timeline
 
 
-def _breakdown_table(records: Mapping[str, Mapping[str, float]]) -> str:
+def breakdown_table(records: Mapping[str, Mapping[str, float]]) -> str:
     rows = [
-        [system, phase, _fmt(float(mean))]
+        [system, phase, float(mean)]
         for system, phases in records.items()
         for phase, mean in phases.items()
     ]
-    return _table(["system", "phase", "mean (ms)"], rows)
+    return table(["system", "phase", "mean (ms)"], rows)
 
 
 def _scalar_table(records: Mapping[str, float]) -> str:
     rows = [[name, _fmt(float(value), 3)] for name, value in records.items()]
-    return _table(["metric", "value"], rows)
+    return table(["metric", "value"], rows)
 
 
 def render_table(spec: ExperimentSpec, records: Any) -> str:
@@ -123,7 +111,7 @@ def render_table(spec: ExperimentSpec, records: Any) -> str:
     if spec.kind == "timeline":
         return _timeline_table(records)
     if spec.kind == "breakdown":
-        return _breakdown_table(records)
+        return breakdown_table(records)
     if spec.kind == "scalar":
         return _scalar_table(records)
     raise ConfigError(f"unknown spec kind {spec.kind!r}")
@@ -185,7 +173,7 @@ def render_document(sections: Sequence[str], quick: bool, scale: float) -> str:
             "  load divided by this factor; throughputs are reported paper-scale)",
             "- Verdicts are mechanical: every section lists its shape checks",
             "  (`src/repro/report/checks.py`) and is `reproduced` only if all pass.",
-            "- Machine-readable results: `experiments.json` (manifest), `results/report/` (CSV).",
+            "- Machine-readable results: `experiments.json` (manifest with every record in full).",
         ]
     )
     return header + "\n\n" + "\n\n".join(sections) + "\n"
@@ -221,41 +209,13 @@ def splice_sections(text: str, replacements: Mapping[str, str]) -> str:
     return spliced
 
 
-def render_csv(spec: ExperimentSpec, records: Any) -> str:
-    """Per-figure CSV, shaped by kind (flat scalar columns only)."""
-    if spec.kind == "sweep":
-        return records_to_csv(records)
-    if spec.kind == "comparison":
-        flat = [
-            {"series": name, **record}
-            for name, series in records.items()
-            for record in series
-        ]
-        return records_to_csv(flat)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    if spec.kind == "timeline":
-        writer.writerow(["t_s", "tps"])
-        writer.writerows(records["timeline"])
-    elif spec.kind == "breakdown":
-        writer.writerow(["system", "phase", "mean_ms"])
-        for system, phases in records.items():
-            for phase, mean in phases.items():
-                writer.writerow([system, phase, mean])
-    elif spec.kind == "scalar":
-        writer.writerow(["metric", "value"])
-        writer.writerows(records.items())
-    else:
-        raise ConfigError(f"unknown spec kind {spec.kind!r}")
-    return buffer.getvalue()
-
-
 __all__ = [
+    "breakdown_table",
     "extract_sections",
     "render_checks",
-    "render_csv",
     "render_document",
     "render_section",
     "render_table",
     "splice_sections",
+    "table",
 ]

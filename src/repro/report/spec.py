@@ -10,9 +10,9 @@ everything the report pipeline needs to regenerate it mechanically:
 * ``params`` / ``quick_params`` — the full-run kwargs (the sweep's
   ``grid`` included) and the reduced ``--quick`` overrides (smaller
   grids, shorter durations);
-* ``kind`` — the result shape (``sweep``, ``comparison``,
-  ``timeline``, ``breakdown``, ``scalar``), which fixes how results
-  serialize to JSON records and render to tables;
+* ``kind`` — the record shape (``sweep``, ``comparison``,
+  ``timeline``, ``breakdown``, ``scalar``), which fixes how the
+  executor shapes records and how they render to tables;
 * ``checks`` — names of shape assertions (:mod:`repro.report.checks`)
   that turn the paper's qualitative claims into a mechanical verdict;
 * prose (``section_title``, ``paper_claim``, ``notes``) rendered into
@@ -120,40 +120,16 @@ class ExperimentSpec:
         quick: bool = False,
         overrides: Optional[Mapping[str, Any]] = None,
     ) -> Any:
-        """Run the experiment and return JSON-ready records.
+        """Run the experiment and return its JSON-ready records.
 
         The builder's points go through the one executor, which is the
-        only place ``jobs`` is handled. The raw
-        :class:`~repro.bench.metrics.ExperimentResult` objects are
-        converted to flat records immediately (see
-        :func:`results_to_records`), so callers — the cache, the
-        renderers, the checks, the CLI — only ever see plain data.
+        only place ``jobs`` is handled and which returns flat records
+        (:meth:`~repro.bench.metrics.ExperimentResult.to_record`), so
+        callers — the cache, the renderers, the checks, the CLI — only
+        ever see plain data.
         """
         points = self.build(**self.resolved_params(quick=quick, overrides=overrides))
-        return results_to_records(self.kind, run_points(self.kind, points, jobs), self.x_label)
+        return run_points(self.kind, points, jobs, self.x_label)
 
 
-def results_to_records(kind: str, raw: Any, x_label: str = "x") -> Any:
-    """Convert the executor's native return value to JSON-ready records.
-
-    * ``sweep`` — ``[(x, ExperimentResult), ...]`` becomes a list of
-      flat records each carrying ``x_label``;
-    * ``comparison`` — ``{series: sweep}`` becomes ``{series: [records]}``;
-    * ``timeline`` — one ``ExperimentResult`` becomes one record;
-    * ``breakdown`` — ``{system: {phase: ms}}`` passes through;
-    * ``scalar`` — ``{name: float}`` passes through.
-    """
-    from repro.bench import export
-
-    if kind == "sweep":
-        return export.sweep_to_records(raw, x_label)
-    if kind == "comparison":
-        return export.comparison_to_records(raw, x_label)
-    if kind == "timeline":
-        return export.result_to_record(raw)
-    if kind in ("breakdown", "scalar"):
-        return raw
-    raise ConfigError(f"unknown spec kind {kind!r}")
-
-
-__all__ = ["ExperimentSpec", "KINDS", "results_to_records"]
+__all__ = ["ExperimentSpec", "KINDS"]

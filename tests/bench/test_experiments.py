@@ -11,6 +11,8 @@ import functools
 import pytest
 
 from repro.bench import experiments
+from repro.bench.metrics import compute_result
+from repro.core.recording import TransactionRecorder
 from tests.chaos.harness import multichannel_chaos_commits
 from repro.report import all_specs, get_spec
 
@@ -130,6 +132,34 @@ def test_resource_utilization_comparison():
 def test_resilience_arms_are_labelled_and_green():
     assert labels("resilience-avail") == ["fixed/seed8", "adaptive/seed8"]
     assert all(r["oracles_ok"] for r in tiny("resilience-avail"))
+
+
+def empty_runs(configs, jobs):
+    """A stand-in for run_sweep: one empty-run result per config."""
+    return [
+        compute_result(TransactionRecorder(), c.system, c.app, c.arrival_rate, scale=1.0)
+        for c in configs
+    ]
+
+
+def test_sweep_records_carry_x_value(monkeypatch):
+    monkeypatch.setattr(experiments, "run_sweep", empty_runs)
+    points = experiments.fig6a_arrival_rate([1000, 2000], duration=1.0)
+    records = experiments.run_points("sweep", points, x_label="rate")
+    assert [r["rate"] for r in records] == [1000, 2000]
+    assert [r["arrival_rate"] for r in records] == [1000, 2000]
+    assert list(records[0])[-1] == "rate"  # after the run's own fields
+
+
+def test_comparison_records_per_series(monkeypatch):
+    monkeypatch.setattr(experiments, "run_sweep", empty_runs)
+    points = experiments.fig9_comparison("voting", [500, 1000], duration=1.0)
+    records = experiments.run_points("comparison", points, x_label="rate")
+    assert list(records) == ["orderlesschain", "fabric", "fabriccrdt"]
+    assert [(r["system"], r["rate"]) for r in records["fabric"]] == [
+        ("fabric", 500),
+        ("fabric", 1000),
+    ]
 
 
 def test_multichannel_chaos_smoke(monkeypatch):

@@ -1,10 +1,11 @@
 """Tests for metric computation."""
 
+import json
 import math
 
 import pytest
 
-from repro.bench.metrics import LatencyStats, compute_result, percentile
+from repro.bench.metrics import ExperimentResult, LatencyStats, compute_result, percentile
 from repro.core.recording import TransactionRecorder
 
 
@@ -95,10 +96,29 @@ def test_empty_recorder():
     assert result.timeline == []
 
 
-def test_summary_row_is_flat():
-    row = compute_result(make_recorder(), "s", "a", 100.0, scale=1.0).summary_row()
-    assert row["system"] == "s"
-    assert isinstance(row["tput"], float)
+def test_to_record_is_json_safe():
+    result = ExperimentResult(
+        system="orderlesschain",
+        app="voting",
+        arrival_rate=1000.0,
+        duration=20.0,
+        submitted=100,
+        committed=95,
+        failed=5,
+        throughput_tps=950.0,
+        throughput_modify_tps=475.0,
+        throughput_read_tps=475.0,
+        latency_modify=LatencyStats(95, 250.0, 200.0, 400.0),
+        latency_read=LatencyStats(0, math.nan, math.nan, math.nan),
+        timeline=[(0.0, 100.0)],
+        extra={"mean_org_cpu_utilization": 0.4},
+    )
+    restored = json.loads(json.dumps(result.to_record(), allow_nan=False))  # NaN became None
+    assert restored["latency_read_avg_ms"] is None
+    assert restored["latency_modify_avg_ms"] == 250.0
+    assert restored["extra"]["mean_org_cpu_utilization"] == 0.4
+    assert restored["timeline"] == [[0.0, 100.0]]
+    assert restored["oracles_ok"] is None
 
 
 def test_phase_means():

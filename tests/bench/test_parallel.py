@@ -6,7 +6,6 @@ import os
 import pytest
 
 from repro.bench.config import ExperimentConfig
-from repro.bench.export import result_to_record
 from repro.bench.metrics import ExperimentResult
 from repro.bench import parallel
 from repro.bench.parallel import SweepFailure, expect_results, run_sweep
@@ -31,7 +30,7 @@ def _fig6a_configs():
 
 def _records(results):
     return json.dumps(
-        [result_to_record(result) for result in results], sort_keys=True, default=str
+        [result.to_record() for result in results], sort_keys=True, default=str
     )
 
 

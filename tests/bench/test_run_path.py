@@ -13,7 +13,6 @@ Regenerate the pins with ``python -m tests.pins`` (:mod:`tests.pins`).
 import pytest
 
 from repro.bench.config import ByzantineWindow, ChannelSpec, ExperimentConfig
-from repro.bench.export import result_to_record
 from repro.bench.runner import run_experiment
 from repro.faults import default_node_ids, smoke_schedule
 from tests.pins import hexed, sha256_json
@@ -54,7 +53,7 @@ PINNED = {
 
 def pinned_run(config):
     result = run_experiment(config.with_(check=True))
-    return result.fingerprint, sha256_json(hexed(result_to_record(result)), sort_keys=True), result
+    return result.fingerprint, sha256_json(hexed(result.to_record()), sort_keys=True), result
 
 
 def pins():

@@ -233,3 +233,28 @@ def test_run_several_panels_writes_one_entry_per_id_and_prints_each_verdict(tmp_
     for title in ("Figure 9(a)", "Figure 9(b)", "Table 3"):
         assert title in out
     assert out.index("Checks:") < out.index("Table 3")
+
+
+def test_trace_prints_its_tables_and_writes_both_files(tmp_path, capsys):
+    import json
+
+    trace_out, metrics_out = tmp_path / "trace.json", tmp_path / "metrics.json"
+    argv = ["trace", "--duration", "3", "--trace-out", str(trace_out)]
+    assert main(argv + ["--metrics-out", str(metrics_out)]) == 0
+    out = capsys.readouterr().out
+    assert "| system | app | rate (tps) | tput (tps) | failed |" in out
+    assert "| orderlesschain | voting | 2000.0 |" in out
+    assert "| orderlesschain | orderlesschain/P1/Execution |" in out
+    assert "== node time-series metrics ==" in out
+    assert "| metric | node | mean | peak |" in out
+    assert json.loads(trace_out.read_text())["traceEvents"]
+    metrics = json.loads(metrics_out.read_text())
+    assert "orderlesschain/P1/Execution" in metrics["phase_means_ms"]
+    assert metrics["node_series"]
+
+
+def test_trace_without_sampling_says_how_to_enable_it(tmp_path, capsys):
+    argv = ["trace", "--duration", "1", "--sample-interval", "0"]
+    assert main(argv + ["--trace-out", str(tmp_path / "trace.json")]) == 0
+    out = capsys.readouterr().out
+    assert "(no samples recorded; enable sampling with --sample-interval)" in out

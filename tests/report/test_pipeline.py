@@ -65,7 +65,6 @@ def paths(tmp_path):
         experiments_md=tmp_path / "EXPERIMENTS.md",
         manifest_path=tmp_path / "experiments.json",
         cache_dir=tmp_path / "cache",
-        out_dir=tmp_path / "out",
     )
 
 
@@ -93,8 +92,6 @@ def test_first_run_writes_everything(stubbed, paths):
     assert set(manifest["environment"]) == set(ENVIRONMENT_KEYS)
     assert set(ENVIRONMENT_KEYS) == {"python", "platform", "timestamp"}
     assert all(manifest["environment"].values())
-    assert (paths["out_dir"] / "fake-a.csv").exists()
-    assert (paths["out_dir"] / "fake-b.csv").exists()
 
 
 def test_second_run_hits_cache_and_is_byte_identical(stubbed, paths):
@@ -171,6 +168,26 @@ def test_check_fails_on_mutated_manifest(stubbed, paths):
     drifted = run(check=True, **paths)
     assert drifted.exit_code == 1
     assert any("fake-b" in drift for drift in drifted.drifts)
+
+
+def test_check_reruns_artifacts_of_other_code_and_stores_nothing(stubbed, paths, monkeypatch):
+    # An artifact written by other code is a miss: a model change that
+    # breaks a committed table must not be checked against old results.
+    run(**paths)
+    for artifact in paths["cache_dir"].glob("*.json"):
+        payload = json.loads(artifact.read_text())
+        payload["code"] = "0" * 64
+        artifact.write_text(json.dumps(payload))
+    before = {path.name: path.read_bytes() for path in paths["cache_dir"].iterdir()}
+    monkeypatch.setitem(CANNED, "fake-a", {"alpha": 9.5, "beta": 2.0})
+    stubbed.clear()
+
+    outcome = run(check=True, **paths)
+    assert stubbed == ["fake-a", "fake-b"]
+    assert outcome.exit_code == 1
+    assert any("fake-a" in drift for drift in outcome.drifts)
+    # Check mode writes nothing, the cache included.
+    assert {path.name: path.read_bytes() for path in paths["cache_dir"].iterdir()} == before
 
 
 def test_check_fails_on_missing_document(stubbed, paths):

@@ -31,8 +31,6 @@ def smoke_run(tmp_path_factory):
         str(root / "experiments.json"),
         "--cache-dir",
         str(root / "cache"),
-        "--out-dir",
-        str(root / "out"),
     ]
     exit_code = main(argv)
     return root, argv, exit_code
@@ -53,7 +51,6 @@ def test_smoke_run_reproduces(smoke_run):
     assert manifest["quick"] is True
     for spec_id in SMOKE_SPEC_IDS:
         assert manifest["experiments"][spec_id]["verdict"] == "reproduced"
-        assert (root / "out" / f"{spec_id}.csv").exists()
 
 
 def test_smoke_check_agrees_with_what_it_wrote(smoke_run):

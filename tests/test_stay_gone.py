@@ -150,6 +150,14 @@ GONE = [
         "determinism pinned on state: ledger heads in the fingerprint, the optional ordering"
         " phase and the multichannel panel",
     ),
+    (
+        r"repro\.bench\.(export|reporting)|result_to_record|sweep_to_records|comparison_to_records"
+        r"|results_to_records|records_to_csv|render_csv|summary_row|format_node_metrics"
+        r"|format_breakdown|DEFAULT_OUT_DIR",
+        ("src", "tests", "examples", "docs"),
+        "one record per run, one table renderer: the export and reporting modules, the"
+        " per-kind record converters, the per-figure CSV and the fixed-width formatters",
+    ),
 ]
 
 
