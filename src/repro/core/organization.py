@@ -294,7 +294,26 @@ class Organization:
         Invariant-condition validity needs no runtime check: write-sets
         contain only I-confluent CRDT operations, so any transaction
         whose signatures validate preserves the invariants (Section 7).
+
+        The verdict is a function of the transaction, the CA's state and
+        the policy alone, so it is memoized on the transaction object
+        (shared network-wide by decode once) under ``(ca, ca.epoch,
+        policy)``: the first organization to validate a transaction
+        checks it, the others read its verdict — each still pays its
+        modelled verify CPU in the caller. An enrol or revoke bumps the
+        epoch, and a tampered copy is a different object, so neither can
+        read a stale verdict. A ``RecursionError`` escapes unmemoized.
         """
+        key = (self.ca, self.ca.epoch, self.policy)
+        memo = transaction.__dict__.get("_verdict_cache")
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        verdict = self._check_transaction(transaction)
+        object.__setattr__(transaction, "_verdict_cache", (key, verdict))
+        return verdict
+
+    def _check_transaction(self, transaction: Transaction) -> tuple[bool, str]:
+        """The checks :meth:`validate_transaction` memoizes."""
         proposal = transaction.proposal
         if not self.ca.is_enrolled(proposal.client_id) or self.ca.is_revoked(proposal.client_id):
             return False, "unknown or revoked client"

@@ -26,9 +26,10 @@ from repro.crypto.identity import Identity
 
 
 def _str_field(wire: Mapping[str, Any], key: str) -> str:
-    """``wire[key]``, which must be a str: a peer-supplied id of any
-    other type would raise later, from a dict lookup in a handler,
-    instead of failing the decode."""
+    """``wire[key]``, which must be a str: a peer-supplied id or
+    signature of any other type would raise later, from a dict lookup
+    or ``CertificateAuthority.verify`` in a handler, instead of failing
+    the decode."""
     value = wire[key]
     if not isinstance(value, str):
         raise TypeError(f"{key} must be a str, not {type(value).__name__}")
@@ -143,7 +144,7 @@ class Endorsement:
             org_id=_str_field(wire, "org_id"),
             proposal_id=_str_field(wire, "proposal_id"),
             write_set=wire["write_set"],
-            signature=wire["signature"],
+            signature=_str_field(wire, "signature"),
         )
         if isinstance(wire, dict):
             object.__setattr__(endorsement, "_wire_cache", wire)
@@ -264,11 +265,11 @@ class Transaction:
                     org_id=_str_field(entry, "org_id"),
                     proposal_id=proposal.proposal_id,
                     write_set=write_set,
-                    signature=entry["signature"],
+                    signature=_str_field(entry, "signature"),
                 )
                 for entry in wire["endorsements"]
             ),
-            client_signature=wire["client_signature"],
+            client_signature=_str_field(wire, "client_signature"),
         )
         if isinstance(wire, dict):
             object.__setattr__(transaction, "_wire_cache", wire)

@@ -61,6 +61,10 @@ class CertificateAuthority:
     def __init__(self) -> None:
         self._certificates: Dict[str, Certificate] = {}
         self._revoked: set[str] = set()
+        # Bumped by every enrol and revoke: a verdict reached under one
+        # epoch (Organization.validate_transaction's memo) is stale in
+        # the next.
+        self.epoch = 0
         # (signer, canonical payload bytes, signature) -> bool. The key
         # is content-addressed, so a forged or tampered signature (or
         # payload) can never alias a cached valid outcome; revocation is
@@ -76,6 +80,7 @@ class CertificateAuthority:
         keypair = SimulatedKeyPair.generate(seed)
         certificate = Certificate(identifier, role, keypair.public_key)
         self._certificates[identifier] = certificate
+        self.epoch += 1
         return Identity(certificate, keypair)
 
     def certificate_of(self, identifier: str) -> Certificate:
@@ -92,6 +97,7 @@ class CertificateAuthority:
         if identifier not in self._certificates:
             raise CryptoError(f"unknown identifier {identifier!r}")
         self._revoked.add(identifier)
+        self.epoch += 1
 
     def is_revoked(self, identifier: str) -> bool:
         return identifier in self._revoked

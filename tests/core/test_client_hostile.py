@@ -128,3 +128,35 @@ def test_spoofed_endorsements_do_not_fill_the_endorsement_quorum():
     committed, record = _spoofing_run(org1_endorses=False)
     assert committed is False
     assert record.failure_reason == "endorsement failure"
+
+
+def test_endorsement_with_a_non_str_signature_is_dropped():
+    # org3 endorses with the honest write-set but a list signature. A
+    # client that kept it would put it in the transaction, where every
+    # organization's CertificateAuthority.verify would raise; it is
+    # dropped as malformed, and the retry endorses elsewhere (org3
+    # gave no endorsement the client kept, so it is avoided).
+    config = ExperimentConfig(
+        num_orgs=4, quorum=2, seed=2, scale=1, max_retries=2, avoid_byzantine=True
+    )
+    net = OrderlessChainNetwork(config)
+    net.install_contract(lambda: VotingContract(parties_per_election=2))
+    forged = []
+    send = net.network.send
+
+    def hostile_send(message):
+        if message.sender == "org3" and message.msg_type == MSG_ENDORSEMENT:
+            message.body = dict(message.body, signature=["forged"])
+            forged.append(message.body["proposal_id"])
+        send(message)
+
+    net.network.send = hostile_send
+    clients = [net.add_client(f"voter{index}") for index in range(4)]
+    modifies = [net.sim.process(client.submit_modify("voting", "vote", VOTE)) for client in clients]
+    net.run(until=20.0)
+    assert forged
+    assert all(modify.value is True for modify in modifies)
+    for org in net.organizations:
+        for block in org.ledger.valid.values():
+            signatures = [entry["signature"] for entry in block.payload["endorsements"]]
+            assert all(isinstance(signature, str) for signature in signatures)

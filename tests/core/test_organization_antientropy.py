@@ -29,6 +29,7 @@ from repro.core.organization import (
 )
 from repro.core.transaction import Endorsement, Proposal, Transaction
 from repro.crdt.clock import OpClock
+from repro.crypto.identity import CertificateAuthority
 from repro.net.message import Message
 
 
@@ -269,14 +270,24 @@ def proposal_wire(**fields):
     return dict(wire, **fields)
 
 
-def transaction_wire(proposal=None, org_id="org1"):
+def transaction_wire(proposal=None, org_id="org1", signature="x", client_signature="x"):
     """A well-formed (if unsigned) commit body around ``proposal``."""
     return {
         "proposal": proposal or proposal_wire(),
         "write_set": [],
-        "endorsements": [{"org_id": org_id, "signature": "x"}],
-        "client_signature": "x",
+        "endorsements": [{"org_id": org_id, "signature": signature}],
+        "client_signature": client_signature,
     }
+
+
+def client_signed(wire):
+    """``wire`` signed by the real key of client ``c0`` (the CA derives
+    it from the seed), so validation gets past the client signature to
+    the endorsements."""
+    c0 = CertificateAuthority().enroll("c0", "client", seed=b"c0")
+    proposal = Proposal.from_wire(wire["proposal"])
+    payload = Transaction.signed_payload(proposal.proposal_id, wire["write_set"])
+    return dict(wire, client_signature=c0.sign(payload))
 
 
 class TestMalformedProtocolBodies:
@@ -304,6 +315,18 @@ class TestMalformedProtocolBodies:
         ),
         "proposal-client-unhashable": (MSG_PROPOSAL, proposal_wire(client_id=["c0"])),
         "commit-endorser-unhashable": (MSG_COMMIT, transaction_wire(org_id=["org1"])),
+        # A signature that is not a str would raise inside
+        # CertificateAuthority.verify (an unhashable cache key, or
+        # hmac.compare_digest on an int).
+        "gossip-client-signature-a-list": (
+            MSG_GOSSIP,
+            {"transactions": [transaction_wire(client_signature=["x"])]},
+        ),
+        "commit-client-signature-an-int": (MSG_COMMIT, transaction_wire(client_signature=7)),
+        "commit-endorsement-signature-a-dict": (
+            MSG_COMMIT,
+            client_signed(transaction_wire(signature={"x": 1})),
+        ),
     }
 
     @pytest.mark.parametrize("msg_type, body", CASES.values(), ids=CASES.keys())
