@@ -165,30 +165,19 @@ class Transaction:
         return self.proposal.proposal_id
 
     def digest(self) -> str:
-        """Write-set digest, computed once per transaction object.
-
-        Validation hashes the same write-set for the client signature
-        and once per endorsement; caching keeps that O(1) in hashing.
-        """
-        cached = self.__dict__.get("_digest_cache")
-        if cached is None:
-            cached = write_set_digest(self.write_set)
-            object.__setattr__(self, "_digest_cache", cached)
-        return cached
+        """Hash of the transaction's write-set."""
+        return write_set_digest(self.write_set)
 
     def signed_payloads(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         """What the client and what every endorser signed (each class's
         ``signed_payload`` over :meth:`digest`), as validation verifies
-        them: built, and so rendered, once per transaction object."""
-        cached = self.__dict__.get("_payloads_cache")
-        if cached is None:
-            txn_id, digest = self.transaction_id, self.digest()
-            cached = (
-                Wire({"transaction_id": txn_id, "digest": digest}),
-                Wire({"proposal_id": txn_id, "digest": digest}),
-            )
-            object.__setattr__(self, "_payloads_cache", cached)
-        return cached
+        them. Not memoized: ``Organization.validate_transaction``
+        memoizes its verdict, so it checks an object once per CA epoch."""
+        txn_id, digest = self.transaction_id, self.digest()
+        return (
+            Wire({"transaction_id": txn_id, "digest": digest}),
+            Wire({"proposal_id": txn_id, "digest": digest}),
+        )
 
     @staticmethod
     def signed_payload(proposal_id: str, write_set: List[Dict[str, Any]]) -> Dict[str, Any]:

@@ -59,12 +59,12 @@ returns it; any other mapping (plain ``dict``, parsed JSON, a
 ``dict(wire)`` tamper copy) runs the same decoding body and is never
 memoized. Only ``from_wire`` fills the slot, never ``to_wire``, so the
 shared object is a pure function of the wire's content, and the memos
-it carries (digest, parsed operations, signed payloads) are computed
-once network-wide. So is the validation verdict, which
-``Organization.validate_transaction`` memoizes on the shared
-transaction per CA, CA epoch and policy: the signatures are verified
-once network-wide. Every organization still calls it and pays its
-modelled verify CPU, and apply and commit still run at every
+it carries (parsed operations, the validation verdict) are computed
+once network-wide. ``Organization.validate_transaction`` memoizes its
+verdict on the shared transaction per CA, CA epoch and policy, so the
+write-set digest, the signed payloads and the signature checks behind
+it run once network-wide. Every organization still calls it and pays
+its modelled verify CPU, and apply and commit still run at every
 organization.
 
 Copies carry no decoded object for the reason they carry no fragment,
